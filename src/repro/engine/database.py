@@ -196,9 +196,12 @@ class Database:
         timeout_ms=_GOV_UNSET, max_rows=_GOV_UNSET, max_mem=_GOV_UNSET,
         executor_parallel=_GOV_UNSET, client: str | None = None,
     ) -> Table:
-        """:meth:`execute` for an already-parsed SELECT statement (the
-        query server parses once to fingerprint the query for its result
-        cache, then executes the same parse tree here)."""
+        """:meth:`execute` for a SELECT the caller already parsed — or
+        parsed *and bound*: the query server binds a privately parsed
+        statement to fingerprint it for its result cache, then executes
+        that same :class:`QueryGraph` here. A bound graph is consumed
+        (rewriting mutates it) and needs ``sql_text``, which the rewrite
+        sandbox's fallback re-binds from."""
         return self._execute_select(
             statement, sql_text, use_summary_tables, tolerance=tolerance,
             token=token, timeout_ms=timeout_ms, max_rows=max_rows,
@@ -214,9 +217,9 @@ class Database:
     ) -> Table:
         """Bind → rewrite → run, with phase timers (bind/match/execute,
         milliseconds) in the metrics registry, optional match tracing
-        (``set_tracing``), and the slow-query log. ``source`` is SQL text
-        or an already-parsed statement; ``sql_text`` is the original text
-        for the trace/slow log.
+        (``set_tracing``), and the slow-query log. ``source`` is SQL
+        text, an already-parsed statement or an already-bound graph;
+        ``sql_text`` is the original text for the trace/slow log.
 
         Governed end to end: admission control may shed the query
         (:class:`~repro.errors.QueryRejected`) before any work happens,
@@ -250,10 +253,14 @@ class Database:
         total_start = time.perf_counter()
         trace = _trace.start(sql_text) if self._tracing else None
         try:
-            started = time.perf_counter()
-            graph = build_graph(source, self.catalog)
-            bind_ms = metrics.observe_ms("phase_bind_ms", started)
-            _spans.record("db.bind", started)
+            if isinstance(source, QueryGraph):
+                # the caller bound it; the sandbox re-binds from the text
+                graph, source, bind_ms = source, sql_text, 0.0
+            else:
+                started = time.perf_counter()
+                graph = build_graph(source, self.catalog)
+                bind_ms = metrics.observe_ms("phase_bind_ms", started)
+                _spans.record("db.bind", started)
             match_ms = None
             overlay = None
             if use_summary_tables and self.summary_tables:

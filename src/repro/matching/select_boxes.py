@@ -17,6 +17,8 @@ applies the subsumee's own predicates against the chain top.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.expr.equivalence import EquivalenceClasses, canonical, equivalent
 from repro.expr.nodes import (
     TRUE,
@@ -67,15 +69,49 @@ def match_select_boxes(
                 "subsumer is DISTINCT but the query keeps duplicates",
             )
         return None
+    view = _with_main_renamed(subsumee)
     # Self-joins make the child assignment ambiguous (footnote 3); try
     # alternative injective pairings, greedy-preferred first.
-    for pairs, rejoins, extras in _enumerate_pairings(subsumee, subsumer, ctx):
+    for pairs, rejoins, extras in _enumerate_pairings(view, subsumer, ctx):
         result = _match_with_pairing(
-            subsumee, subsumer, ctx, pairs, rejoins, extras
+            view, subsumer, ctx, pairs, rejoins, extras
         )
         if result is not None:
+            result.subsumee = subsumee
             return result
     return None
+
+
+def _with_main_renamed(subsumee: SelectBox) -> SelectBox:
+    """``subsumee``, or a copy whose :data:`MAIN` quantifier has a fresh
+    name. A compensation box names its input :data:`MAIN`, and one that
+    an earlier rewrite of this query left in the graph can be a subsumee
+    in the next round; its :data:`MAIN` child would then sit, as a
+    rejoin, beside the :data:`MAIN` of the compensation built here."""
+    names = {quantifier.name for quantifier in subsumee.quantifiers()}
+    if MAIN not in names:
+        return subsumee
+    fresh = next(
+        name for name in (f"{MAIN}{n}" for n in itertools.count(2))
+        if name not in names
+    )
+
+    def rename(node: Expr) -> Expr | None:
+        if isinstance(node, ColumnRef) and node.qualifier == MAIN:
+            return ColumnRef(fresh, node.name)
+        return None
+
+    view = SelectBox(subsumee.name)
+    for quantifier in subsumee.quantifiers():
+        view.add_quantifier(
+            fresh if quantifier.name == MAIN else quantifier.name,
+            quantifier.box,
+        )
+    view.predicates = [p.transform(rename) for p in subsumee.predicates]
+    view.distinct = subsumee.distinct
+    for qcl in subsumee.outputs:
+        view.add_output(QCL(qcl.name, qcl.expr.transform(rename), qcl.nullable))
+    return view
 
 
 def _match_with_pairing(

@@ -11,7 +11,7 @@ Ops: ``query`` (any supported statement), ``set`` (a ``SET`` statement
 only), ``explain`` (with optional ``"analyze": true``), ``metrics``,
 ``governor``, ``status`` (the aggregated cluster-health view),
 ``ping``. Responses always carry ``ok``; successful ones
-add ``table`` (SELECT/EXPLAIN results), ``status`` (DDL/DML/SET), or
+add ``table`` (SELECT results), ``status`` (DDL/DML/SET), or
 op-specific payloads, and failures add
 ``{"error": {"type": "...", "message": "..."}}`` where ``type`` is the
 :mod:`repro.errors` class name (``QueryRejected``, ``QueryTimeout``,
@@ -27,12 +27,26 @@ was head-sampled away) cost nothing. On the replication stream, shipped
 journal records may carry a ``"trace"`` string (the originating
 trace_id) so the standby's apply span joins the same trace.
 
+**Result tables** are column-major — ``{"columns": [names...],
+"data": [[column 0's values...], [column 1's...], ...]}`` — because
+that is how the engine holds them: :func:`encode_table` hands
+``Table.columns_data()`` to the serializer untouched (no row tuple is
+ever built to be sent) and :func:`decode_table` adopts the decoded
+lists as the client table's storage. The server encodes a result's
+table to bytes once (:func:`encode_table_fragment`), keeps the bytes in
+its result cache, and :func:`encode_reply` — the one reply assembler,
+for hits and misses alike — splices them in as the last field of the
+small per-request envelope (``ok``, ``cache``, ``id``, ``elapsed_ms``).
+
 **Bit-identity.** The differential tests demand that a result served
 over the wire equals direct in-process execution exactly. JSON already
 round-trips ``int``, ``str``, ``bool``, ``None`` and — via Python's
-shortest-repr float serialization — every ``float`` bit-for-bit. The
-one engine value type JSON lacks is ``datetime.date``; it travels as a
-tagged object ``{"$date": "YYYY-MM-DD"}`` and is revived on decode.
+shortest-repr float serialization — every ``float`` bit-for-bit
+(``NaN``/``Infinity`` in Python's JSON dialect). The one engine value
+type JSON lacks is ``datetime.date``; it travels as a tagged object
+``{"$date": "YYYY-MM-DD"}`` — the serializer's ``default=`` hook on the
+way out, the parser's ``object_hook`` on the way in — wherever it
+sits, a column's value list included.
 """
 
 from __future__ import annotations
@@ -62,20 +76,20 @@ def _encode_value(value: Any) -> Any:
     return value
 
 
-def _encode_row(row) -> list:
-    return [_encode_value(value) for value in row]
-
-
 def _revive(obj: dict) -> Any:
     if len(obj) == 1 and _DATE_TAG in obj:
         return datetime.date.fromisoformat(obj[_DATE_TAG])
     return obj
 
 
+def _dumps(payload: dict) -> bytes:
+    text = json.dumps(payload, separators=(",", ":"), default=_encode_value)
+    return text.encode("utf-8")
+
+
 def encode_message(message: dict) -> bytes:
     """One request/response as a newline-terminated JSON line."""
-    text = json.dumps(message, separators=(",", ":"), default=_encode_value)
-    return text.encode("utf-8") + b"\n"
+    return _dumps(message) + b"\n"
 
 
 def decode_message(line: bytes | str) -> dict:
@@ -93,31 +107,35 @@ def decode_message(line: bytes | str) -> dict:
 
 # ----------------------------------------------------------------------
 def encode_table(table: Table) -> dict:
-    """A result table as a JSON-ready payload."""
-    return {
-        "columns": list(table.columns),
-        "rows": [_encode_row(row) for row in table.rows],
-    }
+    """A result table as a JSON-ready, column-major payload: the
+    table's own value lists, not copied and never turned into rows."""
+    return {"columns": list(table.columns), "data": table.columns_data()}
+
+
+def encode_table_fragment(table: Table) -> bytes:
+    """:func:`encode_table` serialised once: the bytes the server sends
+    on a miss, keeps in the result cache, and sends again on every hit."""
+    return _dumps(encode_table(table))
+
+
+def encode_reply(envelope: dict, table_fragment: bytes | None = None) -> bytes:
+    """One response line: the small per-request ``envelope`` (``ok``,
+    ``cache``, ``id``, ``elapsed_ms``, ... — never empty) with a
+    pre-encoded ``table`` spliced in as its last field."""
+    head = _dumps(envelope)
+    if table_fragment is None:
+        return head + b"\n"
+    return b"".join((head[:-1], b',"table":', table_fragment, b"}\n"))
 
 
 def decode_table(payload: dict) -> Table:
-    """Rebuild a :class:`Table` from :func:`encode_table` output.
-
-    Tagged values are revived here as well as in :func:`decode_message`
-    (a payload that came through the message layer has dates already
-    revived; one decoded straight from JSON has not)."""
+    """Rebuild a :class:`Table` from an :func:`encode_table` payload
+    that came through :func:`decode_message` (dates already revived);
+    the decoded column lists become the table's storage."""
     try:
-        columns = payload["columns"]
-        rows = [
-            tuple(
-                _revive(value) if isinstance(value, dict) else value
-                for value in row
-            )
-            for row in payload["rows"]
-        ]
-    except (KeyError, TypeError) as error:
+        return Table.from_columns(payload["columns"], payload["data"])
+    except (KeyError, TypeError, _errors.ExecutionError) as error:
         raise ProtocolError(f"bad table payload: {error}") from None
-    return Table(columns, rows)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,12 @@ key — equal queries under different limits produce equal rows (the
 server re-checks ``MAXROWS`` against a hit's row count before serving
 it, mirroring what governed execution would have done).
 
+An entry holds the result twice: the :class:`~repro.engine.table.Table`
+(row count for the ``MAXROWS`` re-check; in-process callers) and, when
+the server stored it, the table's encoded wire fragment — the exact
+bytes the miss sent, sent again on every hit. ``cache.bytes`` weighs
+both: the table's estimate plus the fragment's real length.
+
 Invalidation is behavioral first: base-table writes advance change
 counts, so fresh lookups simply miss — no scan, no lock on the write
 path. Entries the counters have *permanently* killed (the key's
@@ -68,30 +74,35 @@ class CachedResult:
     #: staler than it is, never fresher)
     snapshot: dict[str, int]
     tolerance: RefreshAge
-    #: estimated resident size of ``table`` (Table.nbytes_estimate)
+    #: ``table`` as the wire's encoded fragment (see
+    #: :func:`repro.server.protocol.encode_table_fragment`); ``None``
+    #: when the caller stored a bare table
+    payload: bytes | None = None
+    #: what the entry weighs: ``Table.nbytes_estimate`` of ``table``
+    #: plus the exact length of ``payload``
     nbytes: int = 0
 
 
 class ResultCache:
     """Byte-weighted LRU semantic result cache over one delta log.
 
-    Eviction is bounded two ways: ``max_entries`` caps the entry count,
-    and ``max_bytes`` (when set) caps the *estimated* resident bytes —
-    one entry holding a million-row result weighs what it costs, not 1.
+    An entry is a result table plus, when the server stored it, the
+    table's encoded wire fragment, so a hit is answered without
+    serialising a row. Eviction is bounded two ways: ``max_entries``
+    caps the entry count, and ``max_bytes`` (when set) caps the resident
+    bytes (estimated for the table, exact for the fragment) — one entry
+    holding a million-row result weighs what it costs, not 1.
     """
 
     def __init__(self, log, metrics=None, max_entries: int = 256,
-                 max_cached_rows: int = 1_000_000,
                  max_bytes: int | None = None):
         self._log = log
         self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()
         self._lock = threading.Lock()
         self.max_entries = max_entries
-        #: results wider than this are executed but never cached (one
-        #: giant result must not evict the whole working set)
-        self.max_cached_rows = max_cached_rows
-        #: estimated-byte budget for all resident entries (None = only
-        #: the entry-count bound applies)
+        #: byte budget for all resident entries (None = only the
+        #: entry-count bound applies); a result that alone exceeds it
+        #: is executed but never cached
         self.max_bytes = max_bytes
         self._bytes = 0
         if metrics is not None:
@@ -160,7 +171,13 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def lookup(self, key: tuple) -> tuple[Table, str] | None:
-        """``(table, "hit" | "stale-hit")`` when servable, else None.
+        """``(table, "hit" | "stale-hit")`` when servable, else None:
+        :meth:`probe` for callers that want only the table."""
+        found = self.probe(key)
+        return None if found is None else (found[0].table, found[1])
+
+    def probe(self, key: tuple) -> tuple[CachedResult, str] | None:
+        """``(entry, "hit" | "stale-hit")`` when servable, else None.
 
         A permanently dead entry — its own tolerance no longer admits
         the lag, which monotonic counters can only grow — is evicted on
@@ -175,11 +192,11 @@ class ResultCache:
             if lag == 0:
                 self._entries.move_to_end(key)
                 self._count(self.hits)
-                return entry.table, "hit"
+                return entry, "hit"
             if entry.tolerance.admits(lag):
                 self._entries.move_to_end(key)
                 self._count(self.stale_hits)
-                return entry.table, "stale-hit"
+                return entry, "stale-hit"
             self._remove(key)
             self._count(self.evictions)
             self._count(self.misses)
@@ -187,13 +204,11 @@ class ResultCache:
             return None
 
     def store(self, key: tuple, table: Table, base_tables, snapshot: dict,
-              tolerance: RefreshAge) -> bool:
-        """Cache one executed result; returns False when it is too big
-        to cache. ``snapshot`` must have been taken *before* execution
-        started."""
-        if len(table.rows) > self.max_cached_rows:
-            return False
-        nbytes = table.nbytes_estimate()
+              tolerance: RefreshAge, *, payload: bytes | None = None) -> bool:
+        """Cache one executed result (and its encoded ``payload``);
+        returns False when it is too big to cache. ``snapshot`` must
+        have been taken *before* execution started."""
+        nbytes = table.nbytes_estimate() + len(payload or b"")
         if self.max_bytes is not None and nbytes > self.max_bytes:
             # One entry bigger than the whole budget would evict
             # everything and still not fit; execute-and-forget instead.
@@ -203,6 +218,7 @@ class ResultCache:
             tuple(name.lower() for name in base_tables),
             dict(snapshot),
             tolerance,
+            payload,
             nbytes,
         )
         with self._lock:

@@ -2,9 +2,12 @@
 
 One :class:`QueryServer` wraps one :class:`~repro.engine.database.
 Database`. Connections are handled on the event loop — framing, JSON,
-dispatch — but every statement executes on a thread pool via
+dispatch, and result-cache hits, which are a memo probe, a cache probe
+and a socket write of bytes the miss already encoded — but every
+statement that parses or executes runs on a thread pool via
 ``run_in_executor``, so a long scan never blocks another client's
-``ping``. Real concurrency control is the engine's own query governor:
+``ping`` (or another client's hit). Real concurrency control is the
+engine's own query governor:
 the pool is sized *above* the admission limit on purpose, so overload
 reaches :class:`~repro.governor.admission.AdmissionController` and
 sheds load as typed ``QueryRejected`` errors instead of silently
@@ -12,10 +15,13 @@ queueing in the pool.
 
 Request routing (see :mod:`repro.server.protocol` for the wire format):
 
-* SELECT / UNION ALL — through the semantic result cache; on a miss the
-  statement executes with the session's knobs passed as per-query
-  overrides (never mutating shared state) and the result is cached
-  with a pre-execution change-count snapshot.
+* SELECT / UNION ALL — through the semantic result cache, probed once
+  per request: on the event loop when the statement text is in the
+  prepared-SELECT memo, else on the pool thread that parsed and bound
+  it. On a miss the statement executes with the session's knobs passed
+  as per-query overrides (never mutating shared state); the result is
+  encoded once and cached, table and bytes, with a pre-execution
+  change-count snapshot.
 * session-scoped SET — recorded on the connection's
   :class:`~repro.server.session.Session` only.
 * INSERT / DELETE — executed, then the cache eagerly drops entries the
@@ -59,6 +65,7 @@ import errno
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 from repro.engine.database import Database
 from repro.obs import events as _events
@@ -98,6 +105,17 @@ from repro.sql.statements import (
     parse_statement,
 )
 from repro.testing import faults
+
+
+class _PreparedSelect(NamedTuple):
+    """What the server remembers about one SELECT text: enough to probe
+    the result cache without parsing. No parse tree — trees are mutable
+    and whatever executes needs a private one."""
+
+    fingerprint_key: tuple
+    base_tables: list[str]
+    #: ``Database.rewrite_epoch`` the text was bound under
+    epoch: int
 
 
 class QueryServer:
@@ -187,15 +205,10 @@ class QueryServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-server"
         )
-        # Two hot-path memos, both keyed by raw SQL text. Parsing and
-        # binding the same text are deterministic, so on the
-        # repeat-heavy path their cost is paid once per unique
-        # statement (per catalog epoch for the fingerprint) instead of
-        # once per request. Memoized ASTs are shared across threads for
-        # read-only dispatch and fingerprinting ONLY — anything that
-        # executes re-parses a private copy.
-        self._parse_memo: dict = {}
-        self._fingerprint_memo: dict = {}
+        #: SQL text → :class:`_PreparedSelect`. Parsing and binding the
+        #: same text are deterministic, so a repeated SELECT pays for
+        #: them once per catalog epoch instead of once per request.
+        self._prepared: dict[str, _PreparedSelect] = {}
         self._memo_lock = threading.Lock()
         self._next_client = 0
         self._client_lock = threading.Lock()
@@ -345,7 +358,9 @@ class QueryServer:
                     break
                 response = await self._handle_request(session, line)
                 stream_after = response.pop("_stream", None)
-                writer.write(protocol.encode_message(response))
+                writer.write(
+                    protocol.encode_reply(response, response.pop("_table", None))
+                )
                 try:
                     await writer.drain()
                 except ConnectionError:
@@ -453,10 +468,17 @@ class QueryServer:
                     raise protocol.ProtocolError(
                         f"op {op!r} requires a string 'sql' field"
                     )
-                response = await self._run_blocking(
-                    self._execute_request, session, op, sql, request,
-                    req_span,
-                )
+                response = probed = None
+                if op == "query" and self.cache_enabled:
+                    with _spans.attach(req_span):
+                        response, probed = self._probe_prepared(
+                            session, sql, request
+                        )
+                if response is None:
+                    response = await self._run_blocking(
+                        self._execute_request, session, op, sql, request,
+                        req_span, probed,
+                    )
             else:
                 raise protocol.ProtocolError(f"unknown op {op!r}")
         except ReproError as error:
@@ -483,33 +505,107 @@ class QueryServer:
         return await self._loop.run_in_executor(self._pool, fn, *args)
 
     # ------------------------------------------------------------------
-    # statement execution (thread-pool side)
-    def _cached_parse(self, sql: str):
-        with self._memo_lock:
-            statement = self._parse_memo.get(sql)
-        if statement is None:
-            statement = parse_statement(sql)
-            with self._memo_lock:
-                if len(self._parse_memo) >= 4096:
-                    self._parse_memo.clear()
-                self._parse_memo[sql] = statement
-        return statement
+    # SELECTs: the result cache, probed once per request
+    def _probe_prepared(self, session: Session, sql: str, request: dict):
+        """The event-loop half of a ``query``: ``(reply, probed)``.
 
+        Synchronous and short — a memo probe and a cache probe, no
+        parse, no bind. ``reply`` is the finished response when ``sql``
+        is a prepared SELECT whose result is cached and servable;
+        otherwise it is None and ``probed`` carries what the pool
+        thread needs to execute without probing again (None too when
+        the text is not in the memo at this catalog epoch)."""
+        db = self.db
+        with self._memo_lock:
+            prepared = self._prepared.get(sql)
+        if prepared is None or prepared.epoch != db.rewrite_epoch:
+            return None, None
+        session.queries += 1
+        tolerance = session.effective_tolerance(db)
+        key = cache_key(
+            prepared.fingerprint_key, tolerance,
+            bool(request.get("use_summary_tables", True)),
+        )
+        reply = self._serve_cached(session, key, tolerance)
+        return reply, (key, prepared.base_tables)
+
+    def _serve_cached(self, session: Session, key: tuple, tolerance):
+        """The reply for ``key`` from the result cache, or None on a
+        miss. A hit still answers to the session's limits: the standby
+        lag gate and ``MAXROWS``."""
+        lookup_pc = time.perf_counter()
+        found = self.cache.probe(key)
+        if found is None:
+            _spans.record("cache.lookup", lookup_pc, outcome="miss")
+            return None
+        entry, label = found
+        _spans.record("cache.lookup", lookup_pc, outcome=label)
+        self._check_replica_lag(tolerance)
+        max_rows = session.effective_max_rows(self.db)
+        if max_rows is not None and len(entry.table) > max_rows:
+            # Governed execution would have stopped at the cap;
+            # serving the oversized cached result would bypass it.
+            raise BudgetExhausted(
+                f"result has {len(entry.table)} rows, exceeds "
+                f"QUERY MAXROWS {max_rows}"
+            )
+        return {"ok": True, "cache": label, "_table": entry.payload}
+
+    def _check_replica_lag(self, tolerance) -> None:
+        """The standby serves reads only when its lag fits the session's
+        freshness tolerance — the same contract SET REFRESH AGE gives
+        stale summary tables, applied to the whole replica: N records
+        behind is admissible iff the session tolerates N pending
+        changes."""
+        if not self.read_only:
+            return
+        lag = self.replication_lag()
+        if not tolerance.admits(lag):
+            raise ReplicaLagExceeded(
+                f"standby is {lag} record(s) behind the primary; "
+                f"SET REFRESH AGE {lag} (or ANY) to read at this lag"
+            )
+
+    def _prepare(self, statement, sql: str):
+        """Bind a privately parsed SELECT and memoize what a repeat of
+        its text needs; returns the entry and the bound graph, which the
+        caller may execute (it is shared with nobody)."""
+        db = self.db
+        epoch = db.rewrite_epoch
+        bind_pc = time.perf_counter()
+        graph = build_graph(statement, db.catalog)
+        db.metrics.observe_ms("phase_bind_ms", bind_pc)
+        _spans.record("db.bind", bind_pc)
+        prepared = _PreparedSelect(
+            fingerprint(graph).key, sorted(graph.base_tables()), epoch
+        )
+        with self._memo_lock:
+            if len(self._prepared) >= 4096:
+                self._prepared.clear()
+            self._prepared[sql] = prepared
+        return prepared, graph
+
+    # ------------------------------------------------------------------
+    # statement execution (thread-pool side)
     def _execute_request(
         self, session: Session, op: str, sql: str, request: dict,
-        req_span=None,
+        req_span=None, probed=None,
     ) -> dict:
         # The request span was created on the event loop; re-attach it
         # on this pool thread so child spans (parse, admission, rewrite,
         # WAL) nest under it. The loop side finishes it.
         with _spans.attach(req_span):
+            if probed is not None:
+                # the loop knew the text as a SELECT and missed the cache
+                return self._execute_select(session, sql, request, probed=probed)
             return self._execute_attached(session, op, sql, request)
 
     def _execute_attached(
         self, session: Session, op: str, sql: str, request: dict
     ) -> dict:
+        # a private parse: whatever executes below may keep or change it
         parse_pc = time.perf_counter()
-        statement = self._cached_parse(sql)
+        statement = parse_statement(sql)
         _spans.record("server.parse", parse_pc)
         if op == "set" and not isinstance(
             statement, SESSION_SET_TYPES + (SetSlowQuery, SetTraceSample)
@@ -532,87 +628,38 @@ class QueryServer:
             return {"ok": True, "status": status}
         if isinstance(statement, (SelectStatement, UnionAll)):
             session.queries += 1
-            use_summaries = bool(request.get("use_summary_tables", True))
-            table, label = self._execute_select(
-                session, statement, sql, use_summaries
-            )
-            return {
-                "ok": True,
-                "table": protocol.encode_table(table),
-                "cache": label,
-            }
+            return self._execute_select(session, sql, request, statement)
         return self._execute_mutation(statement, sql, request)
 
-    def _execute_select(self, session: Session, statement, sql: str,
-                        use_summaries: bool):
+    def _execute_select(self, session: Session, sql: str, request: dict,
+                        statement=None, probed=None) -> dict:
+        """Run one SELECT the loop could not answer: either a text it
+        did not know, which arrives with its private parse
+        (``statement``), or one whose probe missed, which arrives with
+        the loop's key and base tables (``probed``) and is executed
+        from the text."""
         db = self.db
         tolerance = session.effective_tolerance(db)
-        if self.read_only:
-            # The standby serves reads only when its lag fits the
-            # session's freshness tolerance — the same contract SET
-            # REFRESH AGE gives stale summary tables, applied to the
-            # whole replica: N records behind is admissible iff the
-            # session tolerates N pending changes.
-            lag = self.replication_lag()
-            if not tolerance.admits(lag):
-                raise ReplicaLagExceeded(
-                    f"standby is {lag} record(s) behind the primary; "
-                    f"SET REFRESH AGE {lag} (or ANY) to read at this lag"
+        use_summaries = bool(request.get("use_summary_tables", True))
+        source = sql if statement is None else statement
+        if self.cache_enabled:
+            if probed is None:
+                prepared, source = self._prepare(statement, sql)
+                key = cache_key(
+                    prepared.fingerprint_key, tolerance, use_summaries
                 )
-        if not self.cache_enabled:
-            table = self._run_select(session, statement, sql, use_summaries,
-                                     tolerance)
-            return table, "bypass"
-        fp_key, base_tables = self._fingerprint_for(
-            statement, sql, use_summaries
-        )
-        key = cache_key(fp_key, tolerance, use_summaries)
-        lookup_pc = time.perf_counter()
-        hit = self.cache.lookup(key)
-        if hit is not None:
-            table, label = hit
-            _spans.record("cache.lookup", lookup_pc, outcome=label)
-            max_rows = session.effective_max_rows(db)
-            if max_rows is not None and len(table.rows) > max_rows:
-                # Governed execution would have stopped at the cap;
-                # serving the oversized cached result would bypass it.
-                raise BudgetExhausted(
-                    f"result has {len(table.rows)} rows, exceeds "
-                    f"QUERY MAXROWS {max_rows}"
-                )
-            return table, label
-        _spans.record("cache.lookup", lookup_pc, outcome="miss")
-        # Snapshot BEFORE execution: a write landing mid-query makes the
-        # entry look staler than it is — the safe direction.
-        snapshot = db.delta_log.change_counts(base_tables)
-        table = self._run_select(session, statement, sql, use_summaries,
-                                 tolerance)
-        self.cache.store(key, table, base_tables, snapshot, tolerance)
-        return table, "miss"
-
-    def _fingerprint_for(self, statement, sql: str, use_summaries: bool):
-        db = self.db
-        memo_key = (sql, use_summaries)
-        epoch = db.rewrite_epoch
-        with self._memo_lock:
-            entry = self._fingerprint_memo.get(memo_key)
-            if entry is not None and entry[0] == epoch:
-                return entry[1], entry[2]
-        graph = build_graph(statement, db.catalog)
-        fp_key = fingerprint(graph).key
-        base_tables = sorted(graph.base_tables())
-        with self._memo_lock:
-            if len(self._fingerprint_memo) >= 4096:
-                self._fingerprint_memo.clear()
-            self._fingerprint_memo[memo_key] = (epoch, fp_key, base_tables)
-        return fp_key, base_tables
-
-    def _run_select(self, session: Session, statement, sql: str,
-                    use_summaries: bool, tolerance):
-        # a private parse: the dispatched statement may be a memoized
-        # AST shared with concurrent requests
-        return self.db.execute_statement(
-            parse_statement(sql),
+                reply = self._serve_cached(session, key, tolerance)
+                if reply is not None:
+                    return reply
+                base_tables = prepared.base_tables
+            else:
+                key, base_tables = probed
+            # Snapshot BEFORE execution: a write landing mid-query makes
+            # the entry look staler than it is — the safe direction.
+            snapshot = db.delta_log.change_counts(base_tables)
+        self._check_replica_lag(tolerance)
+        table = db.execute_statement(
+            source,
             sql,
             use_summary_tables=use_summaries,
             tolerance=tolerance,
@@ -622,6 +669,13 @@ class QueryServer:
             executor_parallel=session.executor_parallel,
             client=session.client_id,
         )
+        payload = protocol.encode_table_fragment(table)
+        if self.cache_enabled:
+            self.cache.store(
+                key, table, base_tables, snapshot, tolerance, payload=payload
+            )
+        label = "miss" if self.cache_enabled else "bypass"
+        return {"ok": True, "cache": label, "_table": payload}
 
     def _shed_cache(self, target: int) -> int:
         """Memory-broker shedder: free ~``target`` bytes of cached
@@ -683,7 +737,7 @@ class QueryServer:
         db = self.db
         evict_base = self._evict_targets(statement)
         if self.wal is None or kind is None:
-            status = str(db.run_statement(parse_statement(sql), sql))
+            status = str(db.run_statement(statement, sql))
             self._invalidate_for(statement, evict_base)
             if token is not None:
                 # No journal does not mean no dedup: a retry after a
@@ -698,7 +752,7 @@ class QueryServer:
         # acknowledged, so ACKed writes are always a subset of the log.
         with self._mutation_lock:
             undo = self._prepare_undo(statement)
-            status = str(db.run_statement(parse_statement(sql), sql))
+            status = str(db.run_statement(statement, sql))
             # Note the trace BEFORE staging: the stream thread ships a
             # record the moment it is staged, and the standby must find
             # the mapping already in place. Staging is serialized under
@@ -1123,9 +1177,9 @@ class QueryServer:
                 max_bytes=self.cache.max_bytes,
             )
             with self._memo_lock:
-                # fingerprints are epoch-keyed per database; the new
+                # entries are epoch-keyed per database; the new
                 # database restarts its epoch counter
-                self._fingerprint_memo.clear()
+                self._prepared.clear()
             self.dedup.seed(tokens or {})
             self.applied_lsn = lsn
             self._primary_durable = max(self._primary_durable, lsn)

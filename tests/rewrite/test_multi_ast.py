@@ -70,3 +70,36 @@ class TestIterativeRerouting:
         assert len(result.applied) == 1
         assert result.summary_tables[0].name == "S1"
         assert "S1" in result.applied[0].describe()
+
+
+class TestRewrittenGraphIsRematched:
+    """§4.2.4 — round two of ``rewrite_query`` matches a graph that round
+    one already rewrote, whose compensation boxes name their input
+    ``_in``; a 4.2.4 compensation built over such a box used to add that
+    child as a rejoin beside its own ``_in`` and die with ``duplicate
+    quantifier`` (swallowed by the rewrite sandbox: base plan)."""
+
+    def test_fig11_q10_rewrites_with_every_figure_ast_installed(self):
+        from repro.bench.figures import FIGURES, make_database
+        from repro.engine.reference import ReferenceExecutor
+        from repro.engine.table import tables_equal
+        from repro.workloads.datagen import GeneratorConfig
+
+        db = make_database(GeneratorConfig(
+            customers=6, accounts_per_customer=2, cities=12,
+            transactions_per_account_year=12,
+        ))
+        for name, sql, _query, _pattern in FIGURES.values():
+            if name.lower() not in db.summary_tables:
+                db.create_summary_table(name, sql)
+        query = FIGURES["fig11_q10"][2]
+        result = db.rewrite(query)
+        assert result is not None
+        assert "Trans" not in scans(result.graph)
+        rewritten = db.execute(query)
+        assert db.rewrite_stats()["rewrite_errors"] == 0
+        base = db.execute(query, use_summary_tables=False)
+        reference = ReferenceExecutor(db.tables).run(db.bind(query))
+        assert len(base) > 0
+        assert tables_equal(rewritten, base)
+        assert tables_equal(base, reference)

@@ -125,15 +125,18 @@ class TestEviction:
         assert cache.lookup(keys[0]) is None  # oldest evicted
         assert cache.lookup(keys[2]) is not None
 
-    def test_oversized_results_not_cached(self):
+    def test_entry_weighs_its_table_plus_its_payload(self):
         log = DeltaLog()
-        cache = ResultCache(log, max_cached_rows=5)
-        key = cache_key(("big",), RefreshAge.CURRENT, True)
-        stored = cache.store(
-            key, _table(6), ["t"], log.change_counts(["t"]), RefreshAge.CURRENT
-        )
-        assert stored is False
-        assert len(cache) == 0
+        cache = ResultCache(log)
+        key = cache_key(("q",), RefreshAge.CURRENT, True)
+        table, payload = _table(3), b"x" * 1000
+        cache.store(key, table, ["t"], log.change_counts(["t"]),
+                    RefreshAge.CURRENT, payload=payload)
+        assert cache.nbytes == table.nbytes_estimate() + 1000
+        entry, label = cache.probe(key)
+        assert label == "hit"
+        assert entry.table is table and entry.payload is payload
+        assert cache.lookup(key) == (table, "hit")
 
     def test_clear(self):
         log = DeltaLog()
