@@ -28,6 +28,12 @@ class SummaryTable:
     deferred summaries, how far behind the delta log the rows are — the
     rewriter only offers the summary to queries whose freshness
     tolerance admits that staleness.
+
+    Maintenance finds a group's row through :meth:`group_index`, a
+    key → row-position map built at the first incremental merge (never at
+    creation or load) and kept current by the merge itself;
+    :meth:`replace_contents` is the one way the rows are replaced
+    wholesale and the one place that index is dropped.
     """
 
     name: str
@@ -40,10 +46,35 @@ class SummaryTable:
     stats: dict[str, float] = field(default_factory=dict)
     #: refresh mode plus staleness record (see repro.refresh.policy)
     refresh: RefreshState = field(default_factory=RefreshState)
+    #: (key column indexes, key tuple -> row position), see group_index
+    _group_index: tuple[tuple[int, ...], dict[tuple, int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def row_count(self) -> int:
         return len(self.table)
+
+    def replace_contents(self, data: Table) -> None:
+        """Adopt ``data`` (a freshly computed result of the defining
+        query, not used again by the caller) as the materialized rows."""
+        self.table.adopt_columns(data)
+        self._group_index = None
+        self.stats["rows"] = float(len(data))
+
+    def group_index(self, keys: tuple[int, ...]) -> dict[tuple, int]:
+        """Row position by the values of the ``keys`` columns. Whoever
+        adds, moves or removes a row keeps the returned dict current."""
+        cached = self._group_index
+        if cached is not None and cached[0] == keys:
+            return cached[1]
+        if keys:
+            columns = [self.table.column_data(column) for column in keys]
+            index = dict(zip(zip(*columns), range(len(self.table))))
+        else:  # a grand total: at most one row, keyed by ()
+            index = {(): 0} if len(self.table) else {}
+        self._group_index = (keys, index)
+        return index
 
     def base_tables(self) -> set[str]:
         """Base tables the AST summarizes (lower-cased names)."""

@@ -1,20 +1,36 @@
 """Incremental maintenance of summary tables — related problem (c).
 
 The paper points to Mumick et al. [10] for keeping ASTs consistent when
-base tables change. We implement the standard summary-delta method:
+base tables change. We implement the summary-delta method on the one
+property every supported view shares: under bag semantics a
+select-project-join block is *linear* in each table it reads once, so
+its change is the block evaluated over the changed rows alone (joined
+with the other tables in full) — the base table is never re-read.
 
-* compute the AST's defining query over the *delta* rows (joining full
-  dimension tables),
-* merge the delta groups into the materialized table: COUNT and SUM
-  combine additively, MIN/MAX combine by comparison on inserts,
-* on deletes, COUNT/SUM subtract and a group vanishes when its row count
-  reaches zero (a COUNT(*) output must be present to detect this; MIN and
-  MAX are not self-maintainable under deletes).
+One analysis, :func:`_plan`, classifies a view for a changed table and
+yields a *delta plan*; ``maintain_insert``, ``maintain_delete`` and
+``apply_pending`` all evaluate and apply that plan:
 
-When a summary is not self-maintainable for the given change (AVG or
-DISTINCT aggregates, HAVING predicates, the changed table appearing more
-than once, ...), we fall back to full recomputation and say so in the
-report — silently degrading would hide exactly the cost [10] is about.
+(a) **select-only view** over base tables (WHERE, joins, derived
+    tables; AST2): ``Q(ΔT)`` is appended on insert and bag-removed on
+    delete.
+(b) **one aggregation block** over a select-only input: the block over
+    ``ΔT`` gives delta groups, merged into the stored groups — COUNT and
+    SUM add (subtract on delete), MIN/MAX compare on insert; a group
+    whose COUNT(*) reaches zero is removed.
+(c) **an aggregation block plus scalar subqueries**, each a grand-total
+    aggregate over its own select-only input (AST10's ``totcnt``):
+    groups merge as in (b); each scalar is maintained by its own delta
+    and broadcast into its column.
+
+Applying a plan touches the delta's rows, not the summary's: a group's
+row is found through :meth:`SummaryTable.group_index` and written in
+place. Every other shape — nested aggregation, AVG or DISTINCT
+aggregates, HAVING, a self-join, MIN/MAX or a missing COUNT(*) under
+deletes, ... — is recomputed by :func:`recompute`, which names the cause
+in the report, counts it and emits a ``summary.recompute`` event:
+silently degrading would hide exactly the cost [10] is about.
+(docs/ALGORITHM.md has the full shape → rule → reason table.)
 """
 
 from __future__ import annotations
@@ -27,7 +43,15 @@ from repro.engine.executor import Executor
 from repro.engine.table import Row, Table
 from repro.errors import MaintenanceError
 from repro.expr.nodes import AggCall, ColumnRef
-from repro.qgm.boxes import BaseTableBox, GroupByBox, SelectBox
+from repro.obs import events as _events
+from repro.qgm.boxes import (
+    BaseTableBox,
+    GroupByBox,
+    QCL,
+    QGMBox,
+    QueryGraph,
+    SelectBox,
+)
 
 
 @dataclass
@@ -57,13 +81,7 @@ def maintain_insert(
     path maintains only REFRESH IMMEDIATE summaries inline and stages the
     rest in the delta log); ``None`` maintains every summary table.
     """
-    rows = [tuple(row) for row in rows]
-    targets = _targets(database, summaries)
-    report = MaintenanceReport()
-    delta = _delta_results(database, table_name, rows, report, False, targets)
-    database.load(table_name, rows)
-    _apply(database, report, delta, +1, targets)
-    return report
+    return _maintain(database, table_name, rows, +1, summaries)
 
 
 def maintain_delete(
@@ -75,19 +93,46 @@ def maintain_delete(
     """Remove exact ``rows`` from ``table_name`` and maintain summaries
     (``summaries`` restricts the maintained subset as in
     :func:`maintain_insert`)."""
+    return _maintain(database, table_name, rows, -1, summaries)
+
+
+def _maintain(database, table_name, rows, sign, summaries) -> MaintenanceReport:
     rows = [tuple(row) for row in rows]
-    targets = _targets(database, summaries)
+    if summaries is None:
+        summaries = database.summary_tables.values()
     report = MaintenanceReport()
-    delta = _delta_results(database, table_name, rows, report, True, targets)
-    table = database.table(table_name)
-    for row in rows:
-        try:
-            table.rows.remove(row)
-        except ValueError:
-            raise MaintenanceError(
-                f"row {row!r} not present in {table_name!r}"
-            ) from None
-    _apply(database, report, delta, -1, targets)
+    # Deltas are evaluated *before* the base table changes, so joins
+    # against dimension tables see a consistent state.
+    store = _delta_store(database, table_name, rows)
+    staged: list[tuple[SummaryTable, _DeltaPlan | str, _Delta | None]] = []
+    for summary in summaries:
+        plan = _plan(summary, table_name, sign < 0)
+        if plan is None:
+            report.unaffected.append(summary.name)
+        elif isinstance(plan, str):
+            report.recomputed[summary.name] = plan
+            staged.append((summary, plan, None))
+        else:
+            staged.append((summary, plan, _evaluate(plan, store)))
+
+    if sign > 0:
+        database.load(table_name, rows)
+    else:
+        table = database.table(table_name)
+        for row in rows:
+            try:
+                table.rows.remove(row)
+            except ValueError:
+                raise MaintenanceError(
+                    f"row {row!r} not present in {table_name!r}"
+                ) from None
+
+    for summary, plan, delta in staged:
+        if isinstance(plan, str):
+            recompute(database, summary, plan)
+        else:
+            _apply(summary, plan, delta, sign)
+            report.incremental.append(summary.name)
     return report
 
 
@@ -95,18 +140,18 @@ def apply_pending(database, summary: SummaryTable, batches) -> str | None:
     """Merge staged delta-log batches into one deferred summary table.
 
     The batching trick that makes deferred refresh cheap: because the
-    changed table appears exactly once in a self-maintainable view, a
-    batch's summary-delta query never touches the changed table's stored
-    contents — so *all* staged insert rows collapse into one delta
-    evaluation and all staged delete rows into another, regardless of how
-    many INSERT/DELETE statements produced them. Inserts merge first so a
-    delete can never hit a group a staged insert was about to create
-    (COUNT/SUM merging is commutative, and deletes against MIN/MAX
-    already force recomputation via :func:`_analyze`).
+    changed table appears once per block of a maintainable view, a
+    batch's delta never touches the changed table's stored contents — so
+    *all* staged insert rows collapse into one delta evaluation and all
+    staged delete rows into another, regardless of how many
+    INSERT/DELETE statements produced them. Inserts apply first so a
+    delete can never hit a group or row a staged insert was about to
+    create (COUNT/SUM merging is commutative, and deletes against
+    MIN/MAX already force recomputation via :func:`_plan`).
 
-    Returns ``None`` when the merge was applied, else the reason the
+    Returns ``None`` when the plan was applied, else the reason the
     summary is not self-maintainable for this pending set — the caller
-    (the refresh scheduler) falls back to full recomputation. Requires
+    (the refresh scheduler) falls back to :func:`recompute`. Requires
     every *other* base table of the summary to be unchanged since the
     summary's last refresh, which holds exactly when the pending batches
     name a single table: any change to a dependency is staged for this
@@ -118,175 +163,379 @@ def apply_pending(database, summary: SummaryTable, batches) -> str | None:
     if len(tables) > 1:
         return "pending deltas touch more than one base table"
     (table_name,) = tables
-    deleting = any(batch.sign < 0 for batch in batches)
-    shape = _analyze(summary, table_name, deleting)
-    if shape is None:
+    plan = _plan(summary, table_name, any(batch.sign < 0 for batch in batches))
+    if plan is None:
         return None  # log over-approximated: the summary is unaffected
-    if isinstance(shape, str):
-        return shape
-    schema = database.catalog.table(table_name)
+    if isinstance(plan, str):
+        return plan
     for sign in (+1, -1):
         rows = [row for batch in batches if batch.sign == sign for row in batch.rows]
-        if not rows:
-            continue
-        store = dict(database.tables)
-        store[schema.name.lower()] = Table(schema.column_names, rows)
-        delta = Executor(store).run(summary.graph)
-        _merge(summary, shape, delta, sign)
-    summary.stats["rows"] = float(len(summary.table))
+        if rows:
+            store = _delta_store(database, table_name, rows)
+            _apply(summary, plan, _evaluate(plan, store), sign)
     return None
 
 
-def _targets(database, summaries) -> list[SummaryTable]:
-    if summaries is None:
-        return list(database.summary_tables.values())
-    return list(summaries)
+def recompute(database, summary: SummaryTable, reason: str) -> None:
+    """Replace ``summary``'s rows with its defining query over the base
+    tables as they are now. Every full recomputation — maintenance
+    fallback, REFRESH, scheduler fallback, recovery rebuild — goes
+    through here, so the ``maintenance_recomputes`` counter and the
+    ``summary.recompute`` event see them all."""
+    summary.replace_contents(database.execute_graph(summary.graph))
+    database.metrics.counter(
+        "maintenance_recomputes",
+        "summary tables recomputed from the base tables",
+        summary=summary.name,
+    ).inc()
+    _events.emit(
+        "summary.recompute",
+        summary=summary.name,
+        reason=reason,
+        rows=summary.row_count,
+    )
 
 
 # ----------------------------------------------------------------------
-def _delta_results(
-    database,
-    table_name: str,
-    rows: list[Row],
-    report: MaintenanceReport,
-    deleting: bool,
-    summaries: list[SummaryTable],
-) -> dict[str, tuple["_SummaryShape", Table]]:
-    """Per summary: its shape plus the defining query evaluated over the
-    delta (computed *before* the base table is modified, so joins against
-    dimension tables see a consistent state)."""
-    delta_store = dict(database.tables)
-    schema = database.catalog.table(table_name)
-    delta_store[schema.name.lower()] = Table(schema.column_names, rows)
+# View shape → delta plan
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _ScalarPlan:
+    """One scalar-subquery output column of a shape (c) view."""
 
-    results: dict[str, tuple[_SummaryShape, Table]] = {}
-    for summary in summaries:
-        shape = _analyze(summary, table_name, deleting)
-        if shape is None:
-            report.unaffected.append(summary.name)
-            continue
-        if isinstance(shape, str):
-            report.recomputed[summary.name] = shape
-            continue
-        delta = Executor(delta_store).run(summary.graph)
-        results[summary.name.lower()] = (shape, delta)
-    return results
+    column: int
+    func: str
+    #: the grand-total block, evaluated over the delta; None when the
+    #: block does not read the changed table
+    block: QueryGraph | None
 
 
-def _apply(
-    database,
-    report: MaintenanceReport,
-    delta: dict[str, tuple["_SummaryShape", Table]],
-    sign: int,
-    summaries: list[SummaryTable],
-) -> None:
-    for summary in summaries:
-        if summary.name in report.unaffected:
-            continue
-        if summary.name in report.recomputed:
-            data = database.execute_graph(summary.graph)
-            summary.table.rows[:] = data.rows
-            continue
-        shape, rows = delta[summary.name.lower()]
-        _merge(summary, shape, rows, sign)
-        report.incremental.append(summary.name)
-        summary.stats["rows"] = float(len(summary.table))
+@dataclass(frozen=True)
+class _DeltaPlan:
+    """How one summary follows a change to one base table."""
+
+    #: evaluated over the delta store: the rows to append or remove
+    #: (shape a) or the delta groups (b, c); None when only scalar
+    #: blocks read the changed table
+    block: QueryGraph | None
+    #: per summary column, its position in ``block``'s output; None for
+    #: a scalar-subquery column
+    source: tuple[int | None, ...]
+    #: summary columns holding the group key; None for shape (a)
+    keys: tuple[int, ...] | None = None
+    aggregates: tuple[tuple[int, str], ...] = ()  # (summary column, func)
+    count: int | None = None  # a COUNT(*) column: detects emptied groups
+    scalars: tuple[_ScalarPlan, ...] = ()
 
 
 @dataclass
-class _SummaryShape:
-    """Column classification of a maintainable summary."""
+class _Delta:
+    """A plan evaluated over one set of changed rows."""
 
-    key_indexes: list[int]
-    agg_columns: list[tuple[int, str]]  # (column index, func)
-    count_index: int | None  # a COUNT(*)-like column, for group deletion
+    rows: Table | None
+    scalars: list  # one delta value (or None: untouched) per plan scalar
 
 
-def _analyze(summary: SummaryTable, table_name: str, deleting: bool):
-    """The summary's shape if self-maintainable, else a reason string."""
-    occurrences = sum(
-        1
-        for box in summary.graph.boxes()
-        if isinstance(box, BaseTableBox)
-        and box.table_name.lower() == table_name.lower()
-    )
-    if occurrences == 0:
-        return None  # unaffected: nothing to do
-    if occurrences > 1:
-        return "changed table appears more than once (non-linear view)"
+def _plan(summary: SummaryTable, table_name: str, deleting: bool):
+    """The summary's delta plan for a change to ``table_name``; ``None``
+    when the view does not read that table; a reason string when the
+    view (or, for stored scalars, its current contents) is not
+    self-maintainable for this change."""
+    graph = summary.graph
+    changed = table_name.lower()
+    if changed not in graph.base_tables():
+        return None
+    root = graph.root
+    if not isinstance(root, SelectBox):
+        return f"view root is a {_describe(root)}, not a SELECT block"
+    if root.distinct:
+        return "view is SELECT DISTINCT — duplicates are not tracked"
+    if graph.limit is not None:
+        return "view has LIMIT — the rows it cut off are not stored"
 
-    root = summary.graph.root
-    if not isinstance(root, SelectBox) or root.predicates or root.distinct:
-        return "root box filters rows (HAVING/DISTINCT) — not self-maintainable"
-    quantifiers = root.quantifiers()
-    if len(quantifiers) != 1 or not isinstance(quantifiers[0].box, GroupByBox):
-        return "view is not a single aggregation block"
-    groupby: GroupByBox = quantifiers[0].box
+    if _not_select_only(root) is None:  # shape (a)
+        if _occurrences(root, changed) > 1:
+            return _SELF_JOIN
+        return _DeltaPlan(graph, tuple(range(len(root.outputs))))
 
-    key_indexes: list[int] = []
-    agg_columns: list[tuple[int, str]] = []
-    count_index: int | None = None
-    for index, qcl in enumerate(root.outputs):
-        if not isinstance(qcl.expr, ColumnRef):
-            return f"output {qcl.name!r} is not a simple projection"
-        source = groupby.output(qcl.expr.name).expr
-        if isinstance(source, AggCall):
-            if source.distinct:
-                return f"{qcl.name!r} uses DISTINCT aggregation"
-            if source.func == "avg":
-                return f"{qcl.name!r} is AVG (store SUM and COUNT instead)"
-            if source.func in ("min", "max") and deleting:
-                return f"{qcl.name!r} is {source.func.upper()} — not maintainable under deletes"
-            if source.func == "count":
-                nullable_arg = source.arg is not None
-                if count_index is None and not nullable_arg:
-                    count_index = index
-            agg_columns.append((index, source.func))
-        else:
-            key_indexes.append(index)
-    grouping_names = {
-        qcl.expr.name
-        for qcl in root.outputs
-        if isinstance(qcl.expr, ColumnRef)
-        and not isinstance(groupby.output(qcl.expr.name).expr, AggCall)
-    }
-    if set(groupby.grouping_items) - grouping_names:
+    # Shapes (b) and (c): one aggregation block, scalar blocks beside it.
+    main = None
+    scalar_blocks: dict[str, tuple[GroupByBox, QCL]] = {}
+    for quantifier in root.quantifiers():
+        if isinstance(quantifier.box, GroupByBox) and main is None:
+            main = quantifier
+            continue
+        scalar = _scalar_block(quantifier.box)
+        if scalar is None:
+            return (
+                f"view joins {quantifier.name!r} ({_describe(quantifier.box)}) "
+                "in its root block — not a single aggregation block"
+            )
+        scalar_blocks[quantifier.name] = scalar
+    if main is None:
+        return "view has scalar subqueries but no aggregation block"
+    if root.predicates:
+        return (
+            "HAVING filters the aggregation block — "
+            "the groups it rejects are not stored"
+        )
+    groupby: GroupByBox = main.box
+    nested = _not_select_only(groupby.child_quantifier.box)
+    if nested is not None:
+        return (
+            f"nested aggregation: {groupby.name} reads {_describe(nested)}, "
+            "whose groups are not stored"
+        )
+    if deleting and () in groupby.grouping_sets:
+        return "grand-total group keeps its row when emptied by deletes"
+    if groupby.is_multidimensional and any(
+        groupby.child_quantifier.box.output(qcl.expr.name).nullable
+        for qcl in groupby.grouping_outputs()
+    ):
+        return "grouping sets over a nullable column — NULL keys are ambiguous"
+
+    names = groupby.output_names
+    source: list[int | None] = []
+    keys: list[int] = []
+    aggregates: list[tuple[int, str]] = []
+    count: int | None = None
+    scalars: list[_ScalarPlan] = []
+    for column, qcl in enumerate(root.outputs):
+        ref = qcl.expr
+        if not isinstance(ref, ColumnRef):
+            return f"output {qcl.name!r} is computed from the block's columns"
+        if ref.qualifier == main.name:
+            source.append(names.index(ref.name))
+            inner = groupby.output(ref.name)
+            if not isinstance(inner.expr, AggCall):
+                keys.append(column)
+                continue
+            reason = _aggregate_reason(qcl.name, inner, deleting)
+            if reason is not None:
+                return reason
+            if inner.expr.func == "count" and inner.expr.arg is None and count is None:
+                count = column
+            aggregates.append((column, inner.expr.func))
+            continue
+        scalar = _scalar_plan(
+            column, qcl.name, *scalar_blocks[ref.qualifier], graph, changed, deleting
+        )
+        if isinstance(scalar, str):
+            return scalar
+        source.append(None)
+        scalars.append(scalar)
+    projected = {root.outputs[column].expr.name for column in keys}
+    if set(groupby.grouping_items) - projected:
         return "a grouping column is projected away — groups are ambiguous"
-    if deleting and count_index is None:
+    if deleting and count is None:
         return "no COUNT(*) column to detect emptied groups"
-    return _SummaryShape(key_indexes, agg_columns, count_index)
+    if scalars and not len(summary.table):
+        # a scalar's value lives only in its column: no row, no value
+        return "summary is empty — its scalar subquery values are not stored"
+    reads = _occurrences(groupby, changed)
+    if reads > 1:
+        return _SELF_JOIN
+    return _DeltaPlan(
+        QueryGraph(groupby, graph.catalog) if reads else None,
+        tuple(source),
+        tuple(keys),
+        tuple(aggregates),
+        count,
+        tuple(scalars),
+    )
 
 
-def _merge(summary: SummaryTable, shape: _SummaryShape, delta: Table, sign: int) -> None:
-    table = summary.table
-    index: dict[tuple, int] = {}
-    for position, row in enumerate(table.rows):
-        index[tuple(row[i] for i in shape.key_indexes)] = position
+def _scalar_plan(
+    column: int, name: str, block: GroupByBox, inner: QCL,
+    graph: QueryGraph, changed: str, deleting: bool,
+):
+    """The plan for scalar-subquery output ``name`` (grand-total
+    ``block``, aggregate ``inner``), or the reason it has none."""
+    reason = _aggregate_reason(name, inner, deleting)
+    if reason is not None:
+        return reason
+    if deleting and inner.expr.func == "sum":
+        return (
+            f"scalar {name!r} is SUM — NULL again once deletes empty its "
+            "input, which nothing stored can detect"
+        )
+    nested = _not_select_only(block.child_quantifier.box)
+    if nested is not None:
+        return (
+            f"nested aggregation: scalar {name!r} reads {_describe(nested)}, "
+            "whose groups are not stored"
+        )
+    reads = _occurrences(block, changed)
+    if reads > 1:
+        return _SELF_JOIN
+    return _ScalarPlan(
+        column,
+        inner.expr.func,
+        QueryGraph(block, graph.catalog) if reads else None,
+    )
 
-    doomed: list[int] = []
+
+_SELF_JOIN = "changed table appears more than once in one block (self-join)"
+
+
+def _aggregate_reason(name: str, qcl: QCL, deleting: bool) -> str | None:
+    """Why aggregate output ``qcl`` cannot be merged, if it cannot."""
+    call: AggCall = qcl.expr
+    if call.distinct:
+        return f"{name!r} uses DISTINCT aggregation"
+    if call.func == "avg":
+        return f"{name!r} is AVG (store SUM and COUNT instead)"
+    if call.func not in ("count", "sum", "min", "max"):
+        return f"{name!r} is {call.func.upper()} — no merge rule"
+    if deleting and call.func in ("min", "max"):
+        return f"{name!r} is {call.func.upper()} — not maintainable under deletes"
+    if deleting and call.func == "sum" and qcl.nullable:
+        return (
+            f"{name!r} is SUM over a nullable column — "
+            "deletes cannot tell 0 from NULL"
+        )
+    return None
+
+
+def _scalar_block(box: QGMBox) -> tuple[GroupByBox, QCL] | None:
+    """(grand-total block, its aggregate output) when ``box`` is a scalar
+    subquery projecting exactly one aggregate, else ``None``."""
+    if not isinstance(box, SelectBox) or box.predicates or box.distinct:
+        return None
+    children = box.children()
+    if len(children) != 1 or len(box.outputs) != 1:
+        return None
+    block, ref = children[0], box.outputs[0].expr
+    if (
+        not isinstance(block, GroupByBox)
+        or block.grouping_sets != ((),)
+        or not isinstance(ref, ColumnRef)
+    ):
+        return None
+    return block, block.output(ref.name)
+
+
+def _not_select_only(box: QGMBox) -> QGMBox | None:
+    """The first box under (and including) ``box`` that is not a plain
+    SELECT or a base table; ``None`` for a select-only subtree."""
+    if isinstance(box, BaseTableBox):
+        return None
+    if not isinstance(box, SelectBox) or box.distinct:
+        return box
+    for child in box.children():
+        found = _not_select_only(child)
+        if found is not None:
+            return found
+    return None
+
+
+def _occurrences(box: QGMBox, table: str) -> int:
+    """How many quantifiers under ``box`` range over base table ``table``."""
+    if isinstance(box, BaseTableBox):
+        return int(box.table_name.lower() == table)
+    return sum(_occurrences(child, table) for child in box.children())
+
+
+def _describe(box: QGMBox) -> str:
+    if isinstance(box, GroupByBox):
+        return f"aggregation block {box.name}"
+    if isinstance(box, SelectBox) and box.distinct:
+        return f"SELECT DISTINCT block {box.name}"
+    return f"{box.kind} block {box.name}"
+
+
+# ----------------------------------------------------------------------
+# Evaluating and applying a plan
+# ----------------------------------------------------------------------
+def _delta_store(database, table_name: str, rows: list[Row]) -> dict[str, Table]:
+    """The table store with ``table_name`` replaced by the changed rows."""
+    schema = database.catalog.table(table_name)
+    store = dict(database.tables)
+    store[schema.name.lower()] = Table(schema.column_names, rows)
+    return store
+
+
+def _evaluate(plan: _DeltaPlan, store: dict[str, Table]) -> _Delta:
+    executor = Executor(store)
+    return _Delta(
+        None if plan.block is None else executor.run(plan.block),
+        [
+            None if scalar.block is None
+            else executor.run(scalar.block).rows[0][0]
+            for scalar in plan.scalars
+        ],
+    )
+
+
+def _apply(summary: SummaryTable, plan: _DeltaPlan, delta: _Delta, sign: int) -> None:
+    rows = summary.table.rows
+    if plan.keys is None:  # shape (a): the delta rows are the change
+        if sign > 0:
+            rows.extend(delta.rows)
+        else:
+            for row in delta.rows:
+                try:
+                    rows.remove(row)
+                except ValueError:
+                    raise MaintenanceError(
+                        f"delete delta for {summary.name} hits unknown row {row!r}"
+                    ) from None
+    else:
+        stored = rows[0] if plan.scalars else ()
+        scalar_values = {
+            scalar.column: stored[scalar.column]
+            if change is None
+            else _combine(scalar.func, stored[scalar.column], change, sign)
+            for scalar, change in zip(plan.scalars, delta.scalars)
+        }
+        if delta.rows is not None:
+            _merge_groups(summary, plan, delta.rows, scalar_values, sign)
+        for column, value in scalar_values.items():
+            if value != stored[column]:
+                summary.table.fill_column(column, value)
+    summary.stats["rows"] = float(len(rows))
+
+
+def _merge_groups(
+    summary: SummaryTable, plan: _DeltaPlan, delta: Table, scalar_values: dict, sign: int
+) -> None:
+    rows = summary.table.rows
+    index = summary.group_index(plan.keys)
+    source = plan.source
+    emptied: list[tuple] = []
     for delta_row in delta.rows:
-        key = tuple(delta_row[i] for i in shape.key_indexes)
+        key = tuple(delta_row[source[column]] for column in plan.keys)
         position = index.get(key)
         if position is None:
             if sign < 0:
                 raise MaintenanceError(
                     f"delete delta for {summary.name} hits unknown group {key!r}"
                 )
-            table.rows.append(delta_row)
-            index[key] = len(table.rows) - 1
+            index[key] = len(rows)
+            rows.append(
+                tuple(
+                    scalar_values[column] if origin is None else delta_row[origin]
+                    for column, origin in enumerate(source)
+                )
+            )
             continue
-        merged = list(table.rows[position])
-        for column, func in shape.agg_columns:
-            merged[column] = _combine(func, merged[column], delta_row[column], sign)
-        table.rows[position] = tuple(merged)
-        if (
-            sign < 0
-            and shape.count_index is not None
-            and merged[shape.count_index] == 0
-        ):
-            doomed.append(position)
-    for position in sorted(doomed, reverse=True):
-        del table.rows[position]
+        merged = list(rows[position])
+        for column, func in plan.aggregates:
+            merged[column] = _combine(
+                func, merged[column], delta_row[source[column]], sign
+            )
+        rows[position] = merged
+        if sign < 0 and merged[plan.count] == 0:
+            emptied.append(key)
+    for key in emptied:
+        # Swap-remove: the last row fills the hole, so positions (and
+        # the index) change for that one row only.
+        position = index.pop(key)
+        last = rows[-1]
+        del rows[-1]
+        if position < len(rows):
+            rows[position] = last
+            index[tuple(last[column] for column in plan.keys)] = position
 
 
 def _combine(func: str, old, new, sign: int):

@@ -364,6 +364,7 @@ class Shell:
                 "quarantined": sorted(
                     s.name for s in db.quarantined_summary_tables()
                 ),
+                "recomputes": db.metrics.series("maintenance_recomputes", "summary"),
             },
             "memory": BROKER.snapshot(),
             "latency_ms": latency,
@@ -455,6 +456,10 @@ class Shell:
             quarantined = refresh.get("quarantined") or []
             if quarantined:
                 line += f", quarantined: {', '.join(quarantined)}"
+            recomputes = refresh.get("recomputes")
+            if recomputes:
+                counts = ", ".join(f"{k} x{n}" for k, n in recomputes.items())
+                line += f"; recomputed: {counts}"
             self.write(line)
         tracing = status.get("tracing")
         if tracing:

@@ -141,7 +141,7 @@ class Database:
 
         Loading does *not* refresh summary tables — call
         :meth:`refresh_summary_tables` or use
-        :func:`repro.asts.maintenance.apply_insert` for incremental
+        :func:`repro.asts.maintenance.maintain_insert` for incremental
         maintenance.
         """
         schema = self.catalog.table(table_name)
@@ -1166,6 +1166,8 @@ class Database:
         # REFRESH must never block behind a stuck worker pass — the
         # worker yields at its next cooperative tick, flags the summary
         # for recompute, and this full recompute then satisfies it.
+        from repro.asts.maintenance import recompute
+
         if names is not None:
             names = list(names)
         self._scheduler.interrupt(names)
@@ -1180,9 +1182,7 @@ class Database:
                         raise CatalogError(f"no summary table named {name!r}")
                     targets.append(self.summary_tables[key])
             for summary in targets:
-                data = self.execute_graph(summary.graph)
-                summary.table.rows[:] = data.rows
-                summary.stats["rows"] = float(len(data))
+                recompute(self, summary, "REFRESH requested")
                 summary.refresh.pending_deltas = 0
                 summary.refresh.last_refresh_lsn = self._delta_log.lsn
                 # A successful full refresh re-admits a quarantined
@@ -1327,10 +1327,10 @@ class Database:
             self._delta_log.append(key, rows, sign)
         except Exception as error:
             report.deferred.clear()
+            from repro.asts.maintenance import recompute
+
             for summary in affected:
-                data = self.execute_graph(summary.graph)
-                summary.table.rows[:] = data.rows
-                summary.stats["rows"] = float(len(data))
+                recompute(self, summary, "delta log append failed")
                 summary.refresh.pending_deltas = 0
                 summary.refresh.last_refresh_lsn = self._delta_log.lsn
                 report.recomputed[summary.name] = "delta log append failed"

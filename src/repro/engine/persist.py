@@ -728,6 +728,8 @@ def verify_database(database: Database, repair: bool = True) -> RecoveryReport:
     an optimization, so after recovery each one is either consistent
     with the base data or quarantined out of routing.
     """
+    from repro.asts.maintenance import recompute
+
     report = RecoveryReport(
         anomalies=list(getattr(database, "_load_anomalies", []))
     )
@@ -778,9 +780,9 @@ def verify_database(database: Database, repair: bool = True) -> RecoveryReport:
                 )
                 continue
             try:
-                data = database.execute_graph(summary.graph)
-                summary.table.rows[:] = data.rows
-                summary.stats["rows"] = float(len(data))
+                recompute(
+                    database, summary, f"recovery rebuild: {'; '.join(reasons)}"
+                )
                 state.pending_deltas = 0
                 state.last_refresh_lsn = log.lsn
                 state.release_quarantine()

@@ -184,6 +184,20 @@ class ColumnStore:
         else:
             self.values.clear()
 
+    def find(self, value: Any, start: int, stop: int) -> int:
+        """First position in ``[start, stop)`` holding ``value`` (NULL
+        finds NULL), as one C-level scan; ``ValueError`` if there is none."""
+        nulls = self.nulls
+        if value is None and self.is_typed:
+            if nulls is None:
+                raise ValueError("no NULL in column")
+            return nulls.index(1, start, stop)
+        while True:
+            position = self.values.index(value, start, stop)
+            if nulls is None or not nulls[position]:
+                return position
+            start = position + 1  # a NULL's placeholder 0, not the value 0
+
     # -- batch access (the executor's scan path) -----------------------
     def data(self) -> list:
         """The column as a plain Python list with ``None`` for NULL.
@@ -285,8 +299,28 @@ class RowsView(Sequence):
     def count(self, row) -> int:
         return self._table._materialize_rows().count(tuple(row))
 
-    def index(self, row, *args) -> int:
-        return self._table._materialize_rows().index(tuple(row), *args)
+    def index(self, row, start: int = 0, stop: int | None = None) -> int:
+        """Position of the first row equal to ``row``: the first column
+        is probed with one C-level scan per candidate and the remaining
+        cells are compared at that position only — no row is built for
+        the positions in between."""
+        row = tuple(row)
+        table = self._table
+        stores = table._stores
+        start, stop, _ = slice(start, stop).indices(table._nrows)
+        if len(row) == len(stores) and start < stop:
+            if not stores:
+                return start
+            first, rest, tail = stores[0], stores[1:], row[1:]
+            try:
+                while True:
+                    start = first.find(row[0], start, stop)
+                    if tuple(store.get(start) for store in rest) == tail:
+                        return start
+                    start += 1
+            except ValueError:
+                pass
+        raise ValueError(f"{row!r} not in rows")
 
     # -- writes --------------------------------------------------------
     def append(self, row: Row) -> None:
@@ -308,11 +342,7 @@ class RowsView(Sequence):
         table._bump()
 
     def remove(self, row: Row) -> None:
-        try:
-            position = self.index(tuple(row))
-        except ValueError:
-            raise ValueError(f"{row!r} not in rows") from None
-        del self[position]
+        del self[self.index(row)]
 
     def __setitem__(self, index, value) -> None:
         table = self._table
@@ -368,7 +398,7 @@ class RowsView(Sequence):
 class Table:
     """Column names + column stores; ``rows`` is the compatibility view."""
 
-    __slots__ = ("columns", "_stores", "_nrows", "_index", "_rows_view", "_rows_cache")
+    __slots__ = ("columns", "_stores", "_nrows", "_index", "_rows_cache")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         self.columns = list(columns)
@@ -377,7 +407,6 @@ class Table:
             raise ExecutionError(f"duplicate column names: {self.columns}")
         self._stores = [ColumnStore() for _ in self.columns]
         self._nrows = 0
-        self._rows_view = RowsView(self)
         self._rows_cache: list[Row] | None = None
         rows = rows if isinstance(rows, list) else list(rows)
         if rows:
@@ -485,7 +514,11 @@ class Table:
     # ------------------------------------------------------------------
     @property
     def rows(self) -> RowsView:
-        return self._rows_view
+        # A fresh view per access, not one kept on the table: a kept view
+        # and its table form a reference cycle, so every intermediate
+        # result would wait for the cycle collector — which then walks
+        # its column lists — instead of dying with its last reference.
+        return RowsView(self)
 
     def _materialize_rows(self) -> list[Row]:
         cached = self._rows_cache
@@ -504,6 +537,25 @@ class Table:
             store.clear()
             store.extend(values)
         self._nrows = len(rows)
+        self._bump()
+
+    def adopt_columns(self, other: "Table") -> None:
+        """Wholesale replacement without a row round trip: take over
+        ``other``'s column storage (``other`` must not be used again)."""
+        if len(other._stores) != len(self._stores):
+            raise ExecutionError(
+                f"{len(other._stores)} columns of data for "
+                f"{len(self._stores)} names"
+            )
+        self._stores = other._stores
+        self._nrows = other._nrows
+        self._bump()
+
+    def fill_column(self, index: int, value: Any) -> None:
+        """Set every row's cell in column ``index`` to ``value``."""
+        store = ColumnStore()
+        store.values = [value] * self._nrows
+        self._stores[index] = store
         self._bump()
 
     def _append_row(self, row: Row) -> None:

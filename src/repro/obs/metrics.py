@@ -289,7 +289,13 @@ class MetricsRegistry:
             self._metrics[name] = metric
             return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
+        """``labels`` select one series of a labelled counter: each
+        label set is its own :class:`Counter`, registered (and dumped)
+        under the Prometheus series name ``name{key="value"}``."""
+        if labels:
+            pairs = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
+            name = f"{name}{{{pairs}}}"
         return self._get_or_create(Counter, name, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
@@ -308,6 +314,17 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._metrics)
+
+    def series(self, name: str, label: str) -> dict[str, float]:
+        """The series of a counter labelled by ``label`` alone, as
+        ``{label value: count}``."""
+        prefix = f'{name}{{{label}="'
+        with self._lock:
+            return {
+                key[len(prefix):-2]: metric.value
+                for key, metric in sorted(self._metrics.items())
+                if key.startswith(prefix)
+            }
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -362,10 +379,15 @@ class MetricsRegistry:
         with self._lock:
             metrics = sorted(self._metrics.items())
         lines: list[str] = []
+        family = None
         for name, metric in metrics:
-            if metric.help:
-                lines.append(f"# HELP {name} {_escape_help(metric.help)}")
-            lines.append(f"# TYPE {name} {metric.kind}")
+            # the series of a labelled counter share one HELP/TYPE header
+            base = name.partition("{")[0]
+            if base != family:
+                family = base
+                if metric.help:
+                    lines.append(f"# HELP {base} {_escape_help(metric.help)}")
+                lines.append(f"# TYPE {base} {metric.kind}")
             if isinstance(metric, Histogram):
                 buckets, total_sum, total_count = metric.expose()
                 for bound, cumulative in buckets:

@@ -463,8 +463,6 @@ class RefreshScheduler:
         incremental-apply fallback below — a cancelled apply means
         "yield now", not "recompute now while still holding the lock").
         """
-        from repro.asts.maintenance import apply_pending
-
         database = self._database
         token = CancellationToken()
         with self._condition:
@@ -482,13 +480,15 @@ class RefreshScheduler:
         try:
             with span:
                 with governor_scope.activate(QueryBudget(token=token)):
-                    self._refresh_one_locked(name, apply_pending, database)
+                    self._refresh_one_locked(name, database)
         finally:
             with self._condition:
                 self._inflight_token = None
                 self._inflight_name = None
 
-    def _refresh_one_locked(self, name: str, apply_pending, database) -> None:
+    def _refresh_one_locked(self, name: str, database) -> None:
+        from repro.asts.maintenance import apply_pending, recompute
+
         with database._maintenance_lock:
             summary = database.summary_tables.get(name.lower())
             if (
@@ -528,9 +528,7 @@ class RefreshScheduler:
                         # hook) still forces it through.
                         raise _DeferRecompute(reason)
                     faults.fire("scheduler.recompute")
-                    data = database.execute_graph(summary.graph)
-                    summary.table.rows[:] = data.rows
-                    summary.stats["rows"] = float(len(data))
+                    recompute(database, summary, reason)
                     self._counters["fallback_recomputes"].inc()
                     self.last_fallbacks[summary.name] = reason
                 self._counters["refreshes_applied"].inc()

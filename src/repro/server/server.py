@@ -1053,6 +1053,7 @@ class QueryServer:
             "quarantined": sorted(
                 s.name for s in db.quarantined_summary_tables()
             ),
+            "recomputes": db.metrics.series("maintenance_recomputes", "summary"),
         }
         status["latency_ms"] = self._latency_status()
         tracer = _spans.TRACER

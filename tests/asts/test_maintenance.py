@@ -108,13 +108,19 @@ class TestDelete:
 
 
 class TestFallbacks:
-    def check_reason(self, tiny_db, sql, needle):
-        tiny_db.create_summary_table("S1", sql)
-        report = maintain_insert(tiny_db, "Trans", NEW_ROWS[:1])
+    """One test per fallback class: the view is recomputed (correctly)
+    and the reason names the actual cause."""
+
+    def check_reason(self, tiny_db, sql, needle, deleting=False):
+        summary = tiny_db.create_summary_table("S1", sql)
+        if deleting:
+            victim = tiny_db.table("Trans").rows[0]
+            report = maintain_delete(tiny_db, "Trans", [victim])
+        else:
+            report = maintain_insert(tiny_db, "Trans", NEW_ROWS[:1])
         assert "S1" in report.recomputed
         assert needle in report.recomputed["S1"]
-        fresh = recomputed_copy(tiny_db, sql)
-        assert tables_equal(tiny_db.summary_tables["s1"].table, fresh)
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
 
     def test_avg_falls_back(self, tiny_db):
         self.check_reason(
@@ -146,6 +152,97 @@ class TestFallbacks:
             "more than once",
         )
 
+    def test_self_join_of_a_select_only_view_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select t1.tid, t2.tid as other from Trans t1, Trans t2 "
+            "where t1.faid = t2.faid",
+            "more than once",
+        )
+
+    def test_nested_aggregation_falls_back(self, tiny_db):
+        """§4.2.2 / fig10: AST8 groups the output of an inner GROUP BY.
+        Merging per-row deltas into it (as the pre-fix analysis did,
+        seeing "a" single aggregation block at the root) adds a
+        ``(year, 1)`` group per inserted row."""
+        from repro.bench.figures import AST8
+
+        self.check_reason(tiny_db, AST8, "nested aggregation")
+
+    def test_select_distinct_falls_back(self, tiny_db):
+        # DISTINCT binds as a grouping block without a COUNT(*): inserts
+        # merge, deletes cannot tell when a value's last row is gone.
+        self.check_reason(
+            tiny_db, "select distinct faid from Trans", "COUNT(*)", deleting=True
+        )
+
+    def test_limit_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db, "select tid, qty from Trans order by tid desc limit 3", "LIMIT"
+        )
+
+    def test_expression_over_aggregates_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select faid, count(*) + 1 as c from Trans group by faid",
+            "computed from",
+        )
+
+    def test_union_all_view_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select tid, qty from Trans where qty > 1 "
+            "union all select tid, qty from Trans where qty <= 1",
+            "union",
+        )
+
+    def test_aggregation_block_joined_in_the_root_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select lid, c from Loc, (select flid, count(*) as c from Trans "
+            "group by flid) as d where lid = d.flid",
+            "not a single aggregation block",
+        )
+
+    def test_grouping_column_projected_away_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select faid, count(*) as c from Trans group by faid, flid",
+            "projected away",
+        )
+
+    def test_scalar_avg_falls_back(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select faid, count(*) as c, (select avg(qty) from Trans) as a "
+            "from Trans group by faid",
+            "AVG",
+        )
+
+    def test_scalar_sum_falls_back_on_delete(self, tiny_db):
+        self.check_reason(
+            tiny_db,
+            "select faid, count(*) as c, (select sum(qty) from Trans) as s "
+            "from Trans group by faid",
+            "SUM",
+            deleting=True,
+        )
+
+    def test_grand_total_falls_back_on_delete(self, tiny_db):
+        self.check_reason(
+            tiny_db, "select count(*) as c from Trans", "grand-total", deleting=True
+        )
+
+    def test_empty_summary_with_scalar_falls_back(self, tiny_db):
+        # No stored row to read totcnt from: the insert that creates the
+        # first group cannot know it.
+        self.check_reason(
+            tiny_db,
+            "select faid, count(*) as c, (select count(*) from Trans) as n "
+            "from Trans where qty > 3 group by faid",
+            "empty",
+        )
+
     def test_join_view_is_maintainable(self, tiny_db):
         # Dimension joins are fine: the delta joins against full tables.
         sql = (
@@ -156,6 +253,123 @@ class TestFallbacks:
         report = maintain_insert(tiny_db, "Trans", NEW_ROWS)
         assert report.was_incremental("S1")
         assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
+
+
+class TestSelectOnlyViews:
+    """Shape (a): a select-project-join view's change is the view over
+    the changed rows — appended on insert, bag-removed on delete."""
+
+    SQL = (
+        "select tid, state, qty * price as value from Trans, Loc "
+        "where flid = lid and disc > 0.15"
+    )
+
+    def test_insert_appends_the_qualifying_rows(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        before = summary.row_count
+        report = maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        assert report.was_incremental("S1")
+        # only tid 103 has disc > 0.15
+        assert summary.row_count == before + 1
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_delete_removes_one_copy_of_a_duplicate(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        twin = tiny_db.table("Trans").rows[0]
+        maintain_insert(tiny_db, "Trans", [twin])
+        before = summary.row_count
+        report = maintain_delete(tiny_db, "Trans", [twin])
+        assert report.was_incremental("S1")
+        assert summary.row_count == before - 1
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_dimension_insert(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        report = maintain_insert(tiny_db, "Loc", [(4, "Lyon", "XX", "France")])
+        assert report.was_incremental("S1")
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_no_group_index_is_built(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        assert summary._group_index is None
+
+
+class TestScalarSubqueryViews:
+    """Shape (c): groups merge, each scalar follows its own delta and is
+    broadcast into its column."""
+
+    SQL = (
+        "select flid, count(*) as cnt, (select count(*) from Trans) as totcnt, "
+        "(select sum(qty) from Trans where disc > 0.15) as dqty, "
+        "(select count(*) from Loc) as cities "
+        "from Trans group by flid"
+    )
+
+    def test_insert_updates_groups_and_every_row_of_the_scalar(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        report = maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        assert report.was_incremental("S1")
+        assert set(summary.table.column_values("totcnt")) == {9}
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_scalar_over_another_table(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        report = maintain_insert(tiny_db, "Loc", [(4, "Lyon", "XX", "France")])
+        assert report.was_incremental("S1")
+        assert set(summary.table.column_values("cities")) == {4}
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_delete_with_count_scalars(self, tiny_db):
+        sql = (
+            "select flid, count(*) as cnt, (select count(*) from Trans) as totcnt "
+            "from Trans group by flid"
+        )
+        summary = tiny_db.create_summary_table("S1", sql)
+        # flid 2 has exactly one transaction: its group goes, totcnt drops
+        victim = [r for r in tiny_db.table("Trans").rows if r[2] == 2]
+        report = maintain_delete(tiny_db, "Trans", victim)
+        assert report.was_incremental("S1")
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
+
+    def test_rows_rejected_by_the_main_block_still_move_the_scalar(self, tiny_db):
+        sql = (
+            "select flid, count(*) as cnt, (select count(*) from Trans) as totcnt "
+            "from Trans where qty > 2 group by flid"
+        )
+        summary = tiny_db.create_summary_table("S1", sql)
+        report = maintain_insert(tiny_db, "Trans", NEW_ROWS[2:])  # qty 1
+        assert report.was_incremental("S1")
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
+
+
+class TestGroupIndex:
+    SQL = "select faid, year(date) as year, count(*) as cnt from Trans group by faid, year(date)"
+
+    def test_built_at_first_maintenance_not_at_creation(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        assert summary._group_index is None
+        maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        keys, index = summary._group_index
+        assert keys == (0, 1)
+        assert index == {row[:2]: i for i, row in enumerate(summary.table.rows)}
+
+    def test_kept_current_when_groups_are_removed(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        # the first stored group (10, 1990) empties: the last row moves up
+        doomed = [r for r in tiny_db.table("Trans").rows if r[3] == 10 and r[4].year == 1990]
+        maintain_delete(tiny_db, "Trans", doomed)
+        _keys, index = summary._group_index
+        assert index == {row[:2]: i for i, row in enumerate(summary.table.rows)}
+        assert tables_equal(summary.table, recomputed_copy(tiny_db, self.SQL))
+
+    def test_dropped_on_wholesale_replacement(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.SQL)
+        maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        tiny_db.refresh_summary_tables(["S1"])
+        assert summary._group_index is None
+        assert summary.stats["rows"] == float(summary.row_count)
 
 
 class TestDimensionTableChanges:
@@ -248,3 +462,40 @@ class TestTargetedMaintenance:
         report = maintain_insert(tiny_db, "Trans", NEW_ROWS, summaries=[])
         assert not report.incremental and not report.recomputed
         assert summary.table.rows == before
+
+
+class TestRecomputeIsObservable:
+    """Every full recomputation is counted per summary and leaves a
+    ``summary.recompute`` event with its reason."""
+
+    SQL = "select faid, avg(qty) as a from Trans group by faid"
+
+    def test_counter_and_event(self, tiny_db):
+        from repro.obs import events
+
+        events.LOG.clear()
+        tiny_db.create_summary_table("S1", self.SQL)
+        tiny_db.create_summary_table("S2", AST)
+        tiny_db.insert_rows("Trans", NEW_ROWS[:1])
+        tiny_db.insert_rows("Trans", NEW_ROWS[1:2])
+        tiny_db.refresh_summary_tables(["S2"])
+        assert tiny_db.metrics.series("maintenance_recomputes", "summary") == {
+            "S1": 2, "S2": 1,
+        }
+        recomputes = [e for e in events.tail() if e["event"] == "summary.recompute"]
+        assert [(e["summary"], e["reason"]) for e in recomputes] == [
+            ("S1", "'a' is AVG (store SUM and COUNT instead)"),
+            ("S1", "'a' is AVG (store SUM and COUNT instead)"),
+            ("S2", "REFRESH requested"),
+        ]
+
+    def test_status_lists_recomputed_summaries(self, tiny_db):
+        import io
+
+        from repro.cli import Shell
+
+        tiny_db.create_summary_table("S1", self.SQL)
+        tiny_db.insert_rows("Trans", NEW_ROWS[:1])
+        out = io.StringIO()
+        Shell(tiny_db, out=out).handle_line("\\status")
+        assert "recomputed: S1 x1" in out.getvalue()

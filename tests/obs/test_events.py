@@ -114,7 +114,8 @@ class TestSubsystemEmitters:
             # a successful full refresh re-admits the summary
             db.refresh_summary_tables()
             assert [e["event"] for e in events.tail()] == [
-                "summary.quarantine", "summary.readmit",
+                "summary.quarantine", "summary.recompute", "summary.readmit",
             ]
+            assert events.tail()[1]["reason"] == "REFRESH requested"
         finally:
             db.close()

@@ -149,3 +149,27 @@ class TestQuantiles:
         values = [hist.quantile(q) for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
         assert values == sorted(values)
         assert values[-1] == 9000.0
+
+
+class TestLabelledCounters:
+    def make_registry(self) -> MetricsRegistry:
+        registry = MetricsRegistry()
+        registry.counter("recomputes", "full recomputations", summary="AST8").inc(2)
+        registry.counter("recomputes", "full recomputations", summary="AST2").inc()
+        registry.counter("recomputes_other").inc(5)
+        return registry
+
+    def test_each_label_set_is_its_own_series(self):
+        registry = self.make_registry()
+        assert registry.counter("recomputes", summary="AST8").value == 2
+        assert registry.series("recomputes", "summary") == {"AST2": 1, "AST8": 2}
+        assert registry.series("absent", "summary") == {}
+
+    def test_series_share_one_header(self):
+        text = self.make_registry().to_prometheus()
+        assert text.count("# TYPE recomputes counter") == 1
+        assert text.count("# HELP recomputes full recomputations") == 1
+        samples = _parse_samples(text)
+        assert samples['recomputes{summary="AST8"}'] == "2"
+        assert samples['recomputes{summary="AST2"}'] == "1"
+        assert samples["recomputes_other"] == "5"
