@@ -80,9 +80,9 @@ def test_equivalence_enables_fig05(equivalence_db):
 
 
 def test_fig05_with_equivalence(benchmark, equivalence_db):
-    plan = equivalence_db.rewrite_graph(equivalence_db.bind(Q2))
+    plan = equivalence_db.rewrite(equivalence_db.bind(Q2))
     assert plan is not None
-    benchmark(equivalence_db.execute_graph, plan)
+    benchmark(equivalence_db.execute_graph, plan.graph)
 
 
 def test_fig05_without_equivalence_falls_back(benchmark, equivalence_db):

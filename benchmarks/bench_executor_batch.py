@@ -1,4 +1,4 @@
-"""Batch-executor throughput: batch-size sweep and parallel scaling.
+"""Batch-executor throughput: the batch-size sweep.
 
 The columnar executor processes relations as whole column batches with
 selection vectors; the morsel size (``batch_rows``) controls how much
@@ -10,16 +10,9 @@ measures raw rows/sec on the three hot shapes over the mini TPC-D data:
 * **group-by** — hash grouping with four aggregates (Q1 shape);
 
 each at batch sizes 1 / 256 / 4096. Batch 1 degenerates to row-at-a-time
-morsels and shows the per-batch overhead floor; 4096 is the default
-ungoverned-parallel morsel size.
-
-The parallel section runs the group-by and join shapes at 1 / 2 / 4
-workers over the session-style thread pool. **Caveat:** this is pure
-Python under the GIL — morsel workers interleave rather than truly
-overlap, so the scaling curve mostly measures scheduling overhead, not
-speedup. It is reported (and archived as a CI artifact) to pin that the
-overhead stays modest, not to claim parallel wins; the machinery exists
-so accelerated kernels can drop in later.
+morsels and shows the per-batch overhead floor; 4096 is ``BATCH_ROWS``.
+(The thread-parallel scaling section went with the path it measured —
+docs/EXECUTOR.md, "Why there is no thread-parallel path".)
 
 Run standalone (``PYTHONPATH=src python
 benchmarks/bench_executor_batch.py``) or with ``--fast`` for a
@@ -58,7 +51,6 @@ SHAPES = {
     ),
 }
 BATCH_SIZES = (1, 256, 4096)
-WORKER_COUNTS = (1, 2, 4)
 
 
 def _median_seconds(run, reps: int) -> float:
@@ -99,27 +91,6 @@ def bench(orders: int, reps: int) -> dict:
             "by_batch_rows": by_batch,
         }
 
-    parallel: dict = {}
-    for name in ("join", "group-by"):
-        by_workers = {}
-        for workers in WORKER_COUNTS:
-            # Fixed small morsels so the scheduler actually dispatches
-            # tasks at every data scale (the 4096 default would leave
-            # the --fast table as one serial batch).
-            executor = Executor(
-                database.tables, parallel=workers, batch_rows=256
-            )
-            executor.run(graphs[name])  # warm-up (also creates the pool)
-            seconds = _median_seconds(
-                lambda: executor.run(graphs[name]), reps
-            )
-            by_workers[str(workers)] = {
-                "ms": seconds * 1e3,
-                "rows_per_sec": input_rows[name] / seconds,
-                "morsel_tasks": executor.stats.parallel_tasks,
-            }
-        parallel[name] = by_workers
-    result["parallel"] = parallel
     database.close()
     return result
 
@@ -152,13 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             f"batch {b}: {v['rows_per_sec'] / 1e3:8.1f}k rows/s"
             f" ({v['ms']:7.2f} ms)"
             for b, v in shape["by_batch_rows"].items()
-        )
-        print(f"  {name:<9} {parts}")
-    print("parallel scaling (GIL-bound; see module docstring):")
-    for name, by_workers in result["parallel"].items():
-        parts = ", ".join(
-            f"{w}w: {v['ms']:7.2f} ms ({v['morsel_tasks']} tasks)"
-            for w, v in by_workers.items()
         )
         print(f"  {name:<9} {parts}")
     print(f"wrote {args.json}")

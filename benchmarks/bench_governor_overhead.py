@@ -12,7 +12,7 @@ registered summary tables, cold decision cache each run, so the matcher
 dominates):
 
 * **baseline** — the ungoverned pipeline body
-  (``Database._execute_governed`` called directly), i.e. the pipeline
+  (``Database._run_stages`` called directly), i.e. the pipeline
   with no admission gate and no governor scope. The per-site
   ``is not None`` branches remain — they are one attribute read per
   token/pairing against work units measured in microseconds, below
@@ -64,7 +64,7 @@ def time_pipeline(database, runs: int, mode: str) -> float:
         _fresh_cache(database)
         if mode == "baseline":
             start = time.perf_counter()
-            database._execute_governed(QUERY, QUERY, True, None)
+            database._run_stages(QUERY, QUERY, True, None, None, False)
             samples.append(time.perf_counter() - start)
         else:
             start = time.perf_counter()

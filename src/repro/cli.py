@@ -34,10 +34,6 @@ shell understands:
 ``repro serve [--demo] [--host H] [--port P] ...`` runs the query
 server instead of the shell; see ``repro serve --help``.
 
-``SET EXECUTOR PARALLEL <n> | OFF`` turns on morsel-driven parallel
-execution with ``n`` worker threads (docs/EXECUTOR.md); EXPLAIN ANALYZE
-shows the batch/parallelism counters of the run.
-
 ``EXPLAIN SELECT ...`` prints the QGM graph, the match, and the
 rewritten SQL; ``EXPLAIN ANALYZE SELECT ...`` also executes the query
 and reports phase timings plus the per-AST match verdict table.

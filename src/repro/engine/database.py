@@ -16,6 +16,13 @@ rewrite decisions keyed by the query graph's structural fingerprint
 replays known outcomes without matching at all, and expression
 normalization/hashing is memoized. ``rewrite_stats()`` exposes the
 counters; ``configure_fast_path()`` disables layers for ablation.
+
+There is one way to run a SELECT — **prepare → sandboxed rewrite →
+execute** — and :class:`SelectRun` is its per-run record. ``execute``,
+``run_statement``, ``explain`` (stops after the rewrite stage),
+``explain_analyze`` (renders the record), ``create_summary_table`` and
+the query server all go through the same three stage functions (see
+DESIGN.md, "SELECT pipeline").
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from typing import Iterable
 from repro.catalog.schema import Catalog, Column, TableSchema
 from repro.catalog.types import DataType, infer_literal_type
 from repro.engine.executor import Executor
+from repro.engine.pipeline import SelectRun, render_analyze, render_explain
 from repro.engine.table import Row, Table
 from repro.errors import (
     CatalogError,
@@ -37,7 +45,7 @@ from repro.errors import (
 )
 from repro.governor import QueryGovernor
 from repro.governor import scope as governor_scope
-from repro.governor.governor import UNSET as _GOV_UNSET
+from repro.governor.governor import UNSET
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs import trace as _trace
@@ -101,7 +109,7 @@ class Database:
         self._catalog_lock = threading.RLock()
         self.refresh_age = RefreshAge.CURRENT
         #: last sandboxed rewrite failure (diagnostics; see
-        #: :meth:`_rewrite_for_execution`)
+        #: :meth:`_rewrite_stage`)
         self.last_rewrite_error: str | None = None
         # Observability: per-query match tracing (\trace on|off|last) and
         # the slow-query log (SET SLOW QUERY <ms>|OFF).
@@ -118,14 +126,6 @@ class Database:
         #: last governor intervention (degradation/breaker skip), for
         #: diagnostics and the CLI's \governor command
         self.last_governor_event: str | None = None
-        # Morsel-driven executor parallelism (SET EXECUTOR PARALLEL
-        # <n>|OFF, docs/EXECUTOR.md): the session owns one worker pool so
-        # per-query runs don't pay thread start-up. Off by default.
-        self._executor_parallel: int | None = None
-        self._executor_pool = None
-        #: batch/parallelism counters of the most recent executor run
-        #: (EXPLAIN ANALYZE's ``-- executor --`` section)
-        self.last_executor_stats = None
 
     # ------------------------------------------------------------------
     # Data definition / loading
@@ -163,63 +163,63 @@ class Database:
         return build_graph(sql, self.catalog, label=label)
 
     def execute(
-        self, sql: str, use_summary_tables: bool = True, tolerance=None,
-        token=None, timeout_ms=_GOV_UNSET, max_rows=_GOV_UNSET,
-        max_mem=_GOV_UNSET, executor_parallel=_GOV_UNSET,
-        client: str | None = None,
+        self, sql: str, use_summary_tables: bool = True, **overrides
     ) -> Table:
         """Run a query, rewriting it over summary tables when possible.
 
-        ``tolerance`` is a per-query freshness override (a
+        ``overrides`` are :meth:`run_select`'s per-query keyword
+        arguments (``tolerance``, ``token``, ``timeout_ms``,
+        ``max_rows``, ``max_mem``, ``client``)."""
+        return self.run_select(
+            sql, use_summary_tables=use_summary_tables, **overrides
+        ).table
+
+    def prepare_select(
+        self, source, sql_text: str | None = None, label: str = "Q"
+    ) -> SelectRun:
+        """Pipeline stage 1: bind ``source`` (SQL text or a parsed
+        statement; ``sql_text`` is its text, when the run will be traced
+        or slow-logged) exactly once.
+
+        The query server prepares a statement first to key its result
+        cache on :meth:`SelectRun.shape`, then hands the same record to
+        :meth:`run_select`, so a cold SELECT is bound and fingerprinted
+        once. The epoch is read *before* binding: a catalog mutation
+        racing the bind leaves the record looking stale, never fresh."""
+        epoch = self._rewrite_epoch
+        started = time.perf_counter()
+        graph = build_graph(source, self.catalog, label=label)
+        bind_ms = self.metrics.observe_ms("phase_bind_ms", started)
+        _spans.record("db.bind", started)
+        return SelectRun(
+            source, sql_text, label, graph, epoch, {"bind": bind_ms}
+        )
+
+    def run_select(
+        self, source, sql_text: str | None = None, *,
+        use_summary_tables: bool = True, tolerance=None, token=None,
+        timeout_ms=UNSET, max_rows=UNSET, max_mem=UNSET,
+        client: str | None = None, force_trace: bool = False,
+    ) -> SelectRun:
+        """The SELECT pipeline — prepare → sandboxed rewrite → execute —
+        behind every entry point; returns the run's :class:`SelectRun`.
+
+        ``source`` is SQL text, a parsed statement (``sql_text`` its
+        text) or a record from :meth:`prepare_select`. ``tolerance`` is
+        a per-query freshness override (a
         :class:`repro.refresh.policy.RefreshAge`); by default the
         session's ``refresh_age`` decides how stale a REFRESH DEFERRED
         summary may be and still serve this query. ``token`` is an
         optional :class:`repro.governor.CancellationToken` another
         thread may trigger to stop this query cooperatively.
-
-        ``timeout_ms`` / ``max_rows`` / ``executor_parallel`` override
-        the database-level governor and executor settings for this one
-        query — the query server passes each connection's ``SET`` state
-        through them, so per-client knobs never mutate shared state.
-        ``client`` tags slow-query-log entries with the submitting
-        connection's id.
-        """
-        return self._execute_select(
-            sql, sql, use_summary_tables, tolerance=tolerance, token=token,
-            timeout_ms=timeout_ms, max_rows=max_rows, max_mem=max_mem,
-            executor_parallel=executor_parallel, client=client,
-        )
-
-    def execute_statement(
-        self, statement, sql_text: str | None = None,
-        use_summary_tables: bool = True, tolerance=None, token=None,
-        timeout_ms=_GOV_UNSET, max_rows=_GOV_UNSET, max_mem=_GOV_UNSET,
-        executor_parallel=_GOV_UNSET, client: str | None = None,
-    ) -> Table:
-        """:meth:`execute` for a SELECT the caller already parsed — or
-        parsed *and bound*: the query server binds a privately parsed
-        statement to fingerprint it for its result cache, then executes
-        that same :class:`QueryGraph` here. A bound graph is consumed
-        (rewriting mutates it) and needs ``sql_text``, which the rewrite
-        sandbox's fallback re-binds from."""
-        return self._execute_select(
-            statement, sql_text, use_summary_tables, tolerance=tolerance,
-            token=token, timeout_ms=timeout_ms, max_rows=max_rows,
-            max_mem=max_mem, executor_parallel=executor_parallel,
-            client=client,
-        )
-
-    def _execute_select(
-        self, source, sql_text: str | None, use_summary_tables: bool,
-        tolerance=None, token=None, timeout_ms=_GOV_UNSET,
-        max_rows=_GOV_UNSET, max_mem=_GOV_UNSET,
-        executor_parallel=_GOV_UNSET, client: str | None = None,
-    ) -> Table:
-        """Bind → rewrite → run, with phase timers (bind/match/execute,
-        milliseconds) in the metrics registry, optional match tracing
-        (``set_tracing``), and the slow-query log. ``source`` is SQL
-        text, an already-parsed statement or an already-bound graph;
-        ``sql_text`` is the original text for the trace/slow log.
+        ``timeout_ms`` / ``max_rows`` / ``max_mem`` override the
+        database-level governor limits for this one query — the query
+        server passes each connection's ``SET`` state through them
+        (:meth:`repro.server.session.Session.overrides`), so per-client
+        knobs never mutate shared state. ``client`` tags slow-query-log
+        entries with the submitting connection's id; ``force_trace``
+        records a match trace whatever ``set_tracing`` says (EXPLAIN
+        ANALYZE).
 
         Governed end to end: admission control may shed the query
         (:class:`~repro.errors.QueryRejected`) before any work happens,
@@ -234,69 +234,76 @@ class Database:
             )
             try:
                 with governor_scope.activate(budget):
-                    return self._execute_governed(
+                    run = self._run_stages(
                         source, sql_text, use_summary_tables, tolerance,
-                        executor_parallel=executor_parallel, client=client,
+                        client, force_trace,
                     )
             finally:
                 # Return the query's reserved bytes to the broker even
                 # when it failed or was cancelled mid-operator.
                 if budget is not None and budget.reservation is not None:
                     budget.reservation.close()
+        run.budget = budget
+        return run
 
-    def _execute_governed(
-        self, source, sql_text: str | None, use_summary_tables: bool,
-        tolerance=None, executor_parallel=_GOV_UNSET,
-        client: str | None = None,
-    ) -> Table:
+    def _run_stages(
+        self, source, sql_text, use_summary_tables: bool, tolerance,
+        client: str | None, force_trace: bool,
+    ) -> SelectRun:
+        """The three stages with their phase timers (bind/match/execute,
+        milliseconds) in the metrics registry, spans, the optional match
+        trace (``set_tracing``), and the slow-query log."""
         metrics = self.metrics
         total_start = time.perf_counter()
-        trace = _trace.start(sql_text) if self._tracing else None
+        run = source if isinstance(source, SelectRun) else None
+        if run is not None:
+            sql_text = run.sql
+        elif sql_text is None and isinstance(source, str):
+            sql_text = source
+        trace = (
+            _trace.start(sql_text) if force_trace or self._tracing else None
+        )
         try:
-            if isinstance(source, QueryGraph):
-                # the caller bound it; the sandbox re-binds from the text
-                graph, source, bind_ms = source, sql_text, 0.0
-            else:
-                started = time.perf_counter()
-                graph = build_graph(source, self.catalog)
-                bind_ms = metrics.observe_ms("phase_bind_ms", started)
-                _spans.record("db.bind", started)
-            match_ms = None
-            overlay = None
+            if run is None:
+                run = self.prepare_select(source, sql_text)
             if use_summary_tables and self.summary_tables:
                 started = time.perf_counter()
-                graph, overlay = self._rewrite_for_execution(
-                    source, graph, tolerance=tolerance
+                self._rewrite_stage(run, tolerance)
+                run.phases["match"] = metrics.observe_ms(
+                    "phase_match_ms", started
                 )
-                match_ms = metrics.observe_ms("phase_match_ms", started)
                 if _spans.TRACER is not None:
-                    rewrite_attrs = {"rewritten": overlay is not None}
+                    rewrite_attrs = {"rewritten": run.rewrite is not None}
                     if trace is not None:
                         # join the request span to the match tracer's
                         # per-query record (\trace N)
                         rewrite_attrs["match_trace"] = trace.trace_id
                     _spans.record("db.rewrite", started, **rewrite_attrs)
             started = time.perf_counter()
-            result = self.execute_graph(
-                graph, overlay=overlay, parallel=executor_parallel
+            run.table, run.executor_stats = self._execute(
+                run.graph, run.overlay
             )
-            execute_ms = metrics.observe_ms("phase_execute_ms", started)
+            run.phases["execute"] = metrics.observe_ms(
+                "phase_execute_ms", started
+            )
             _spans.record("db.execute", started)
         finally:
             if trace is not None:
                 _trace.finish()
-        total_ms = metrics.observe_ms("query_total_ms", total_start)
+        run.phases["total"] = metrics.observe_ms("query_total_ms", total_start)
         if trace is not None:
-            trace.set_phase("bind", bind_ms)
-            if match_ms is not None:
+            run.trace = trace
+            trace.set_phase("bind", run.phases["bind"])
+            if "match" in run.phases:
                 # apply_match recorded "compensate" inside the match window
-                trace.set_phase(
-                    "match", match_ms - trace.phases.get("compensate", 0.0)
+                run.phases["match"] = max(
+                    0.0, run.phases["match"] - trace.phases.get("compensate", 0.0)
                 )
-            trace.set_phase("execute", execute_ms)
+                trace.set_phase("match", run.phases["match"])
+            trace.set_phase("execute", run.phases["execute"])
             self._trace_buffer.append(trace)
-        self._note_slow_query(sql_text, total_ms, client=client)
-        return result
+        self._note_slow_query(sql_text, run.phases["total"], client=client)
+        return run
 
     def _note_slow_query(
         self, sql_text: str | None, total_ms: float, client: str | None = None
@@ -322,8 +329,7 @@ class Database:
         self.slow_queries.append(entry)
 
     def execute_graph(
-        self, graph: QueryGraph, overlay: dict | None = None,
-        parallel=_GOV_UNSET,
+        self, graph: QueryGraph, overlay: dict | None = None
     ) -> Table:
         """Run a bound (possibly rewritten) graph.
 
@@ -332,56 +338,17 @@ class Database:
         rewrite matched). Concurrent DDL — a ``DROP SUMMARY TABLE``
         racing this query — therefore cannot yank a table out from under
         the run: the query finishes against the objects it planned with.
-        ``parallel`` overrides the session's morsel-worker count for
-        this one run (the query server passes per-connection ``SET
-        EXECUTOR PARALLEL`` state through it).
         """
+        return self._execute(graph, overlay)[0]
+
+    def _execute(self, graph: QueryGraph, overlay: dict | None):
+        """Pipeline stage 3: :meth:`execute_graph`, returning the run's
+        :class:`~repro.engine.executor.ExecutorStats` with the result."""
         tables = dict(self.tables)
         if overlay:
             tables.update(overlay)
-        if parallel is _GOV_UNSET:
-            workers, pool = self._executor_parallel, self._executor_pool
-        else:
-            # Per-query override: never borrow the shared pool — its
-            # size matches the database-level setting, not this one.
-            workers, pool = parallel, None
-        executor = Executor(
-            tables,
-            metrics=self.metrics,
-            parallel=workers,
-            pool=pool,
-        )
-        result = executor.run(graph)
-        self.last_executor_stats = executor.stats
-        return result
-
-    @property
-    def executor_parallel(self) -> int | None:
-        """Configured morsel-parallel worker count (``None`` ⇒ serial)."""
-        return self._executor_parallel
-
-    def set_executor_parallel(self, workers: int | None) -> None:
-        """Enable/disable morsel-driven parallel execution.
-
-        ``workers`` is the thread-pool size (``None`` or ``0`` turns the
-        pool off). Every query — including summary-table recomputes run
-        by the refresh scheduler — executes its scans, hash-join probes
-        and per-cuboid group-bys across the pool; partial aggregates are
-        merged with the derivation rules (a)–(g).
-        """
-        if workers is not None and workers < 1:
-            workers = None
-        old_pool = self._executor_pool
-        self._executor_pool = None
-        self._executor_parallel = workers
-        if old_pool is not None:
-            old_pool.shutdown(wait=True)
-        if workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-exec"
-            )
+        executor = Executor(tables, metrics=self.metrics)
+        return executor.run(graph), executor.stats
 
     def run_sql(self, sql: str, use_summary_tables: bool = True):
         """Execute one statement of any supported kind (SELECT, CREATE
@@ -413,7 +380,6 @@ class Database:
             Explain,
             InsertValues,
             RefreshSummaryTables,
-            SetExecutorParallel,
             SetQueryMaxMem,
             SetQueryMaxRows,
             SetQueryTimeout,
@@ -423,11 +389,13 @@ class Database:
         )
 
         if isinstance(statement, (SelectStatement, UnionAll)):
-            return self._execute_select(statement, sql, use_summary_tables)
+            return self.run_select(
+                statement, sql, use_summary_tables=use_summary_tables
+            ).table
         if isinstance(statement, Explain):
             if statement.analyze:
-                return self._explain_analyze(statement.sql)
-            return self._explain(statement.sql)
+                return self.explain_analyze(statement.sql)
+            return self.explain(statement.sql)
         if isinstance(statement, CreateTable):
             self._apply_create_table(statement)
             return f"table {statement.name} created"
@@ -458,10 +426,8 @@ class Database:
                 report,
             )
         if isinstance(statement, SetRefreshAge):
-            from repro.refresh.policy import RefreshAge
-
-            self.refresh_age = RefreshAge(statement.max_pending)
-            return f"refresh age set to {self.refresh_age.describe()}"
+            self.set_refresh_age(statement.max_pending)
+            return statement.status()
         if isinstance(statement, SetSlowQuery):
             self.slow_query_ms = statement.threshold_ms
             if statement.threshold_ms is None:
@@ -469,24 +435,13 @@ class Database:
             return f"slow query threshold set to {statement.threshold_ms:g} ms"
         if isinstance(statement, SetQueryTimeout):
             self.governor.timeout_ms = statement.timeout_ms
-            if statement.timeout_ms is None:
-                return "query timeout disabled"
-            return f"query timeout set to {statement.timeout_ms:g} ms"
+            return statement.status()
         if isinstance(statement, SetQueryMaxRows):
             self.governor.max_rows = statement.max_rows
-            if statement.max_rows is None:
-                return "query maxrows disabled"
-            return f"query maxrows set to {statement.max_rows}"
+            return statement.status()
         if isinstance(statement, SetQueryMaxMem):
             self.governor.max_mem = statement.max_mem
-            if statement.max_mem is None:
-                return "query maxmem disabled"
-            return f"query maxmem set to {statement.max_mem} byte(s)"
-        if isinstance(statement, SetExecutorParallel):
-            self.set_executor_parallel(statement.workers)
-            if statement.workers is None:
-                return "executor parallelism disabled"
-            return f"executor parallelism set to {statement.workers} worker(s)"
+            return statement.status()
         if isinstance(statement, SetTraceSample):
             _spans.set_sample_rate(statement.rate)
             if statement.rate is None:
@@ -534,179 +489,51 @@ class Database:
             raise
 
     def explain(self, sql: str, tolerance=None) -> str:
-        """EXPLAIN output: the QGM graph, the matching decision, and the
-        rewritten SQL/graph when a summary table applies. ``tolerance``
-        is a per-call freshness override (the query server passes the
-        connection's ``SET REFRESH AGE`` so remote EXPLAIN sees the same
-        staleness gate the session's queries would)."""
-        return self._explain(sql, tolerance=tolerance)
-
-    def _explain(self, sql: str, tolerance=None):
-        """EXPLAIN output: the QGM graph, the rewrite decision, and the
-        matching fast-path counters for this statement. The SQL is bound
-        exactly once: the graph is rendered first, then the same graph is
-        handed to the rewriter (which mutates it in place on success)."""
+        """EXPLAIN output: the QGM graph, the matching decision, the
+        rewritten SQL/graph when a summary table applies, and the
+        matching fast-path counters for this statement — the pipeline,
+        stopped after the rewrite stage. ``tolerance`` is a per-call
+        freshness override (the query server passes the connection's
+        ``SET REFRESH AGE`` so remote EXPLAIN sees the same staleness
+        gate the session's queries would). The SQL is bound exactly
+        once: the graph is rendered first, then the same graph goes to
+        the rewrite stage (which mutates it in place on success)."""
         from repro.qgm.display import render_graph
 
-        graph = self.bind(sql)
-        lines = ["-- query graph --", render_graph(graph)]
+        run = self.prepare_select(sql)
+        graph_text = render_graph(run.graph)
         before = self._rewrite_stats.snapshot()
-        try:
-            result = self.rewrite(graph, tolerance=tolerance)
-        except Exception as error:
-            # Same sandbox contract as execution: a broken rewrite path
-            # downgrades to "no rewrite", it never fails the EXPLAIN.
-            self._rewrite_stats.rewrite_errors += 1
-            self.last_rewrite_error = f"{type(error).__name__}: {error}"
-            result = None
-            lines.append(
-                f"-- rewrite failed ({self.last_rewrite_error}); "
-                "query would run on base tables --"
-            )
-        if result is None:
-            lines.append("-- no summary-table rewrite applies --")
-        else:
-            lines.append("-- rewrite --")
-            lines.append(result.explain())
-            lines.append("-- rewritten SQL --")
-            lines.append(result.sql)
-            lines.append("-- rewritten graph --")
-            lines.append(render_graph(result.graph))
-        lines.append("-- matching fast path --")
-        lines.append(_describe_fast_path(self._rewrite_stats.delta(before)))
-        return "\n".join(lines)
+        self._rewrite_stage(run, tolerance)
+        return render_explain(
+            run, graph_text, self._rewrite_stats.delta(before)
+        )
 
-    def explain_analyze(self, sql: str) -> str:
-        """``EXPLAIN ANALYZE``: execute the query under a forced match
-        trace and render the timed phase breakdown (parse/bind/match/
-        compensate/execute, milliseconds) plus the per-AST match verdict
-        table — for every enabled summary table, either the matched
-        pattern section or the named reject reason (see
-        ``docs/OBSERVABILITY.md``)."""
-        return self._explain_analyze(sql)
-
-    def _explain_analyze(self, sql: str) -> str:
-        with self.governor.admission.admit():
-            budget = self.governor.open_scope()
-            with governor_scope.activate(budget):
-                return self._explain_analyze_governed(sql, budget)
-
-    def _explain_analyze_governed(self, sql: str, budget) -> str:
+    def explain_analyze(self, sql: str, **overrides) -> str:
+        """``EXPLAIN ANALYZE``: execute the query through
+        :meth:`run_select` (``overrides`` are its keyword arguments)
+        under a forced match trace and render the run's record — the
+        timed phase breakdown (parse/bind/match/compensate/execute,
+        milliseconds) plus the per-AST match verdict table: for every
+        enabled summary table, either the matched pattern section or
+        the named reject reason (see ``docs/OBSERVABILITY.md``)."""
         from repro.sql.parser import parse
 
-        metrics = self.metrics
         before = self._rewrite_stats.snapshot()
-        total_start = time.perf_counter()
-        started = total_start
+        started = time.perf_counter()
         statement = parse(sql)
-        parse_ms = metrics.observe_ms("phase_parse_ms", started)
-        # Force a trace for this statement regardless of the session flag.
-        trace = _trace.start(sql)
-        error_note = None
-        governor_note = None
-        result = None
-        try:
-            started = time.perf_counter()
-            graph = build_graph(statement, self.catalog)
-            bind_ms = metrics.observe_ms("phase_bind_ms", started)
-            match_ms = 0.0
-            if self.summary_tables:
-                started = time.perf_counter()
-                try:
-                    result = self._rewrite_bound(graph)
-                except QueryCancelled:
-                    raise
-                except MatchBudgetExceeded as error:
-                    # Graceful degradation, same ladder as execution:
-                    # abandon matching, disarm the deadline, run base.
-                    self._note_degradation(error)
-                    governor_note = str(error)
-                    graph = build_graph(statement, self.catalog)
-                except Exception as error:
-                    # Same sandbox contract as execution: rebind pristine.
-                    self._rewrite_stats.rewrite_errors += 1
-                    self.last_rewrite_error = f"{type(error).__name__}: {error}"
-                    error_note = self.last_rewrite_error
-                    graph = build_graph(statement, self.catalog)
-                match_ms = metrics.observe_ms("phase_match_ms", started)
-            exec_graph = result.graph if result is not None else graph
-            overlay = _summary_overlay(result) if result is not None else None
-            started = time.perf_counter()
-            data = self.execute_graph(exec_graph, overlay=overlay)
-            execute_ms = metrics.observe_ms("phase_execute_ms", started)
-        finally:
-            _trace.finish()
-        total_ms = metrics.observe_ms("query_total_ms", total_start)
-        compensate_ms = trace.phases.get("compensate", 0.0)
-        trace.set_phase("parse", parse_ms)
-        trace.set_phase("bind", bind_ms)
-        trace.set_phase("match", max(0.0, match_ms - compensate_ms))
-        trace.set_phase("execute", execute_ms)
-        self._trace_buffer.append(trace)
-        self._note_slow_query(sql, total_ms)
+        parse_ms = self.metrics.observe_ms("phase_parse_ms", started)
+        run = self.run_select(statement, sql, force_trace=True, **overrides)
+        run.trace.phases = {"parse": parse_ms, **run.trace.phases}
+        return render_analyze(
+            run, parse_ms, self._rewrite_stats.delta(before),
+            bool(self.summary_tables),
+        )
 
-        span_trace = _spans.current_trace_id()
-        lines = [
-            f"-- EXPLAIN ANALYZE (trace #{trace.trace_id}"
-            + (f", trace_id {span_trace}" if span_trace is not None else "")
-            + ") --"
-        ]
-        lines.append("-- phases --")
-        phase_rows = [
-            ("parse", parse_ms),
-            ("bind", bind_ms),
-            ("match", max(0.0, match_ms - compensate_ms)),
-            ("compensate", compensate_ms),
-            ("execute", execute_ms),
-            ("total", total_ms),
-        ]
-        for name, ms in phase_rows:
-            lines.append(f"  {name:<11}{ms:>10.3f} ms")
-        lines.append("-- match verdicts --")
-        rows = trace.verdict_rows()
-        if not rows:
-            lines.append(
-                "  (no summary tables registered)"
-                if not self.summary_tables
-                else "  (no candidates admissible for this query)"
-            )
-        else:
-            name_w = max(len("summary"), max(len(r[0]) for r in rows))
-            verdict_w = max(len("verdict"), max(len(r[1]) for r in rows))
-            lines.append(f"  {'summary':<{name_w}}  {'verdict':<{verdict_w}}  detail")
-            for name, verdict, detail in rows:
-                lines.append(f"  {name:<{name_w}}  {verdict:<{verdict_w}}  {detail}")
-        if error_note is not None:
-            lines.append(
-                f"-- rewrite failed ({error_note}); query ran on base tables --"
-            )
-        if governor_note is not None:
-            lines.append(
-                f"-- governor degraded the query ({governor_note}); "
-                "ran on base tables --"
-            )
-        executor_stats = self.last_executor_stats
-        if executor_stats is not None:
-            lines.append("-- executor --")
-            lines.extend(executor_stats.describe_lines())
-        if budget is not None:
-            lines.append("-- governor --")
-            lines.extend(budget.describe_lines())
-        if result is not None:
-            lines.append("-- rewrite --")
-            lines.append(result.explain())
-            lines.append("-- rewritten SQL --")
-            lines.append(result.sql)
-        lines.append(f"-- result: {len(data)} row(s) --")
-        lines.append("-- matching fast path --")
-        lines.append(_describe_fast_path(self._rewrite_stats.delta(before)))
-        return "\n".join(lines)
-
-    def _rewrite_for_execution(self, source, graph: QueryGraph, tolerance=None):
-        """The rewrite *sandbox*: ``(graph, overlay)`` to execute for
-        ``source`` — ``overlay`` maps the matched summaries' table names
-        to their :class:`~repro.engine.table.Table` objects, pinning
-        them for the executor even if a concurrent ``DROP SUMMARY
+    def _rewrite_stage(self, run: SelectRun, tolerance=None) -> None:
+        """Pipeline stage 2, the rewrite *sandbox* — the one place a
+        rewrite failure is caught. On return ``run.graph`` is the graph
+        to execute and ``run.overlay`` pins the matched summaries' table
+        objects for the executor, even if a concurrent ``DROP SUMMARY
         TABLE`` removes them from the store before execution starts.
 
         Rewriting is an optimization — it may improve a query plan but
@@ -714,9 +541,9 @@ class Database:
         has the same contract). Any exception the rewrite path raises is
         caught here, counted as ``rewrite_errors``, and the query falls
         back to base-table execution. Because a failed rewrite can leave
-        the in-place-mutated ``graph`` partially rewritten, the fallback
-        re-binds a pristine graph from ``source`` (SQL text or a parsed
-        statement) rather than trusting the possibly-dirty one.
+        the in-place-mutated graph partially rewritten, the fallback
+        re-binds a pristine graph from ``run.source`` (SQL text or a
+        parsed statement) rather than trusting the possibly-dirty one.
 
         Two governor errors get special treatment: a cancellation is the
         caller's explicit request to stop, so it propagates rather than
@@ -727,23 +554,20 @@ class Database:
         breaker remembers the shape.
         """
         try:
-            result = self._rewrite_bound(graph, tolerance=tolerance)
+            run.rewrite = self._rewrite_bound(
+                run.graph, tolerance=tolerance, shape=run.graph_fingerprint
+            )
+            return
         except QueryCancelled:
             raise
         except MatchBudgetExceeded as error:
             self._note_degradation(error)
-            from repro.qgm.build import build_graph
-
-            return build_graph(source, self.catalog), None
+            run.degraded = str(error)
         except Exception as error:
             self._rewrite_stats.rewrite_errors += 1
-            self.last_rewrite_error = f"{type(error).__name__}: {error}"
-            from repro.qgm.build import build_graph
-
-            return build_graph(source, self.catalog), None
-        if result is None:
-            return graph, None
-        return result.graph, _summary_overlay(result)
+            run.rewrite_error = f"{type(error).__name__}: {error}"
+            self.last_rewrite_error = run.rewrite_error
+        run.graph = build_graph(run.source, self.catalog, label=run.label)
 
     def _note_degradation(self, error: MatchBudgetExceeded) -> None:
         """Record one match-phase budget exhaustion: mark the scope
@@ -795,16 +619,14 @@ class Database:
         graph = self.bind(sql) if isinstance(sql, str) else sql
         return self._rewrite_bound(graph, options=options, tolerance=tolerance)
 
-    def rewrite_graph(self, graph: QueryGraph, tolerance=None) -> QueryGraph | None:
-        """The rewritten graph for ``graph``, or None when nothing matches."""
-        result = self._rewrite_bound(graph, tolerance=tolerance)
-        return result.graph if result is not None else None
-
     def _rewrite_bound(
-        self, graph: QueryGraph, options: dict | None = None, tolerance=None
+        self, graph: QueryGraph, options: dict | None = None, tolerance=None,
+        shape=None,
     ):
         """The matching fast path: staleness gate + index pruning +
-        decision cache around :func:`repro.rewrite.rewriter.rewrite_query`."""
+        decision cache around :func:`repro.rewrite.rewriter.rewrite_query`.
+        ``shape`` is ``graph``'s fingerprint when the caller already took
+        it (a :class:`SelectRun` the server keyed its result cache on)."""
         from repro.rewrite.cache import CachedStep, CacheEntry, options_key
         from repro.rewrite.index import filter_fresh
         from repro.rewrite.rewriter import rewrite_query
@@ -833,9 +655,10 @@ class Database:
         )
         admissible = frozenset(s.name.lower() for s in summaries)
         use_cache = self._fast_path_cache and self._rewrite_cache.maxsize > 0
-        key = None
         if use_cache:
-            key = (fingerprint(graph), options_key(options), tolerance.key)
+            if shape is None:
+                shape = fingerprint(graph)
+            key = (shape, options_key(options), tolerance.key)
             entry = self._rewrite_cache.lookup(
                 key, epoch, admissible, stats=stats
             )
@@ -861,7 +684,6 @@ class Database:
         # place; reuse the cache key's when available, and skip the
         # extra hash entirely on the ungoverned, breaker-idle path.
         breaker = self.governor.breaker
-        shape = key[0] if key is not None else None
         if shape is None and (budget is not None or breaker.active):
             shape = fingerprint(graph)
         if budget is not None:
@@ -1082,26 +904,17 @@ class Database:
         with self._catalog_lock:
             if self.catalog.has_table(name):
                 raise CatalogError(f"name {name!r} is already a table")
-            graph = self.bind(sql, label="A")
-            execution_graph = graph
+            run = self.prepare_select(sql, label="A")
             if use_summary_tables and self.summary_tables:
-                # Rewrite the bound graph in place; only when a rewrite
-                # actually applied does the pristine definition graph need
-                # to be re-bound (the common no-match path binds exactly
-                # once). Sandboxed like query execution: a rewrite failure
-                # falls back to materializing from the base tables.
-                try:
-                    rewritten = self.rewrite_graph(graph)
-                except Exception as error:
-                    self._rewrite_stats.rewrite_errors += 1
-                    self.last_rewrite_error = f"{type(error).__name__}: {error}"
-                    rewritten = None
-                    graph = self.bind(sql, label="A")
-                    execution_graph = graph
-                if rewritten is not None:
-                    execution_graph = rewritten
-                    graph = self.bind(sql, label="A")
-            data = self.execute_graph(execution_graph)
+                # The rewrite stage mutates the bound graph in place;
+                # only when a rewrite actually applied does the pristine
+                # definition graph need to be re-bound (the common
+                # no-match path binds exactly once). Sandboxed like any
+                # SELECT: a rewrite failure falls back to materializing
+                # from the base tables.
+                self._rewrite_stage(run)
+            graph = run.graph if run.rewrite is None else self.bind(sql, label="A")
+            data = self.execute_graph(run.graph, run.overlay)
             schema = _schema_from_result(name, graph, data)
             summary = SummaryTable(
                 name=name,
@@ -1117,7 +930,7 @@ class Database:
             summary.stats["base_rows"] = float(
                 sum(
                     len(self.tables[t])
-                    for t in graph.base_tables()
+                    for t in run.base_tables
                     if t in self.tables
                 )
             )
@@ -1380,7 +1193,7 @@ class Database:
         self._scheduler.drain()
 
     def close(self, force: bool = False) -> None:
-        """Stop the background refresh worker and the executor pool.
+        """Stop the background refresh worker.
 
         By default queued work is finished first; ``force=True`` cancels
         the in-flight refresh cooperatively (its summary is flagged for
@@ -1388,11 +1201,6 @@ class Database:
         behind a stuck query.
         """
         self._scheduler.stop(cancel_inflight=force)
-        pool = self._executor_pool
-        self._executor_pool = None
-        self._executor_parallel = None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def refresh_status(self) -> list[dict]:
         """Per-summary refresh mode and staleness, for the CLI and tests."""
@@ -1431,49 +1239,6 @@ class Database:
         self._delta_log.prune(
             min(s.refresh.last_refresh_lsn for s in deferred)
         )
-
-
-def _describe_fast_path(delta: dict[str, int]) -> str:
-    """One-line rendering of per-statement fast-path counter deltas."""
-    considered = delta["candidates_considered"]
-    pruned = delta["candidates_pruned"]
-    parts = [f"candidates: {considered} considered, {pruned} pruned by index"]
-    if delta["cache_hits"]:
-        parts.append("decision cache: hit (rewrite replayed)")
-    elif delta["cache_negative_hits"]:
-        parts.append("decision cache: hit (no-rewrite)")
-    elif delta["cache_misses"]:
-        parts.append("decision cache: miss")
-    else:
-        parts.append("decision cache: off")
-    parts.append(f"matches attempted: {delta['matches_attempted']}")
-    if delta.get("stale_rejections"):
-        parts.append(
-            f"stale summaries rejected: {delta['stale_rejections']} "
-            "(raise REFRESH AGE or drain the refresh queue)"
-        )
-    if delta.get("quarantined_rejections"):
-        parts.append(
-            f"quarantined summaries excluded: {delta['quarantined_rejections']} "
-            "(REFRESH SUMMARY TABLE re-admits)"
-        )
-    if delta.get("rewrite_errors"):
-        parts.append(
-            f"rewrite errors sandboxed: {delta['rewrite_errors']} "
-            "(query fell back to base tables)"
-        )
-    return "; ".join(parts)
-
-
-def _summary_overlay(result) -> dict[str, "Table"] | None:
-    """``{summary name: table}`` for the summaries a rewrite applied —
-    the executor's shield against a concurrent ``DROP SUMMARY TABLE``."""
-    if not result.applied:
-        return None
-    return {
-        step.summary.name.lower(): step.summary.table
-        for step in result.applied
-    }
 
 
 def _maintenance_status(prefix: str, report) -> str:

@@ -25,22 +25,14 @@ Execution model (docs/EXECUTOR.md):
   preserving the historical tick cadence).  Each completed full morsel
   fires the ``executor.tick`` fault point and ticks the governor budget,
   so deadlines and cancellation land mid-operator.
-* With ``SET EXECUTOR PARALLEL <n>`` a thread pool runs morsels
-  concurrently (morsel-driven scheduling: workers pull whole morsels,
-  not rows).  Scans/filters and hash-join probes fan out per morsel;
-  cuboid group-bys fan out per partition and merge partial aggregate
-  states with the same re-derivation algebra as
-  :mod:`repro.matching.derivation` rules (a)–(g): SUM of partial SUMs,
-  added COUNTs, MIN/MAX of partial MIN/MAXes, AVG carried as
-  (SUM, COUNT), DISTINCT carried as a set union.  Governor ticks run
-  *inside* the workers, so a deadline expiring mid-morsel raises
-  ``QueryTimeout`` on the coordinating thread via the future.
+* Execution is serial.  A thread pool over morsels was measured 22–38 %
+  slower than this path on the executor-bound workload and removed
+  (docs/EXECUTOR.md, "Why there is no thread-parallel path").
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import Mapping
 
@@ -66,7 +58,8 @@ from repro.qgm.boxes import (
     UnionAllBox,
 )
 
-#: default morsel size (rows per batch) for parallel execution; serial
+#: nominal morsel size (rows per batch): what the stats report, and the
+#: governed cross join's tick threshold, when no explicit size is set;
 #: ungoverned runs use one batch per operator (a full column pass is the
 #: fastest shape for pure-Python list comprehensions)
 BATCH_ROWS = 4096
@@ -89,14 +82,12 @@ _MAX_SPILL_PARTS = 64
 
 
 class ExecutorStats:
-    """Per-run batch/parallelism counters (EXPLAIN ANALYZE's
-    ``-- executor --`` section and the ``executor_batch_*`` metrics)."""
+    """Per-run batch counters (EXPLAIN ANALYZE's ``-- executor --``
+    section and the ``executor_batch_*`` metrics)."""
 
     __slots__ = (
         "batches",
         "rows",
-        "parallel_tasks",
-        "workers",
         "batch_rows",
         "join_builds",
         "spills",
@@ -104,11 +95,9 @@ class ExecutorStats:
         "spill_bytes",
     )
 
-    def __init__(self, workers: int, batch_rows: int):
+    def __init__(self, batch_rows: int):
         self.batches = 0  # morsels processed across all operators
         self.rows = 0  # rows through batch operators (input side)
-        self.parallel_tasks = 0  # morsels handed to worker threads
-        self.workers = workers  # 0 ⇒ serial
         self.batch_rows = batch_rows
         #: one entry per hash join: which input became the build side
         self.join_builds: list[dict] = []
@@ -121,13 +110,6 @@ class ExecutorStats:
             f"  batch rows {self.batch_rows}",
             f"  batches    {self.batches} ({self.rows} rows)",
         ]
-        if self.workers:
-            lines.append(
-                f"  parallel   {self.workers} workers, "
-                f"{self.parallel_tasks} morsel tasks"
-            )
-        else:
-            lines.append("  parallel   off")
         for build in self.join_builds:
             lines.append(
                 f"  hash join  build={build['build']} "
@@ -159,15 +141,13 @@ class _Rel:
 
 
 class _Ctx:
-    """Per-run execution context: governor budget, worker pool, morsel
-    size, and the stats the run accumulates."""
+    """Per-run execution context: governor budget, morsel size, and
+    the stats the run accumulates."""
 
-    __slots__ = ("budget", "pool", "workers", "stats", "chunk")
+    __slots__ = ("budget", "stats", "chunk")
 
-    def __init__(self, budget, pool, workers, stats, chunk):
+    def __init__(self, budget, stats, chunk):
         self.budget = budget
-        self.pool = pool
-        self.workers = workers
         self.stats = stats
         #: morsel size; ``None`` ⇒ single batch per operator
         self.chunk = chunk
@@ -178,8 +158,6 @@ class _Ctx:
         Mirrors the historical cadence exactly: the ``executor.tick``
         fault point and the budget tick fire only for *full* morsels
         (``n == chunk``), so a six-row governed query still never ticks.
-        Runs on whichever thread processed the morsel — that is what
-        makes deadlines/cancellation land mid-morsel under parallelism.
         """
         stats = self.stats
         stats.batches += 1
@@ -188,35 +166,6 @@ class _Ctx:
         if budget is not None and n == self.chunk:
             faults.fire("executor.tick")
             budget.tick(n, "execute")
-
-    def map(self, task, chunks: list) -> list:
-        """Run ``task`` over ``chunks``, on the pool when it helps.
-
-        Results come back in chunk order.  A worker exception (deadline,
-        cancellation, fault injection) cancels the not-yet-started
-        morsels and re-raises on the coordinating thread."""
-        if self.pool is not None and len(chunks) > 1:
-            self.stats.parallel_tasks += len(chunks)
-            futures = [self.pool.submit(task, chunk) for chunk in chunks]
-            results = []
-            try:
-                for future in futures:
-                    results.append(future.result())
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-            return results
-        return [task(chunk) for chunk in chunks]
-
-    def partitions(self, nrows: int) -> list[range]:
-        """Row ranges for partition-parallel group-by (one per worker,
-        never smaller than a morsel); a single range when serial."""
-        floor = self.chunk or BATCH_ROWS
-        if self.pool is not None and self.workers > 1 and nrows >= 2 * floor:
-            size = max(floor, -(-nrows // self.workers))
-            return _split(range(nrows), size)
-        return [range(nrows)]
 
 
 def _split(sel, size):
@@ -241,25 +190,18 @@ class Executor:
     ``metrics`` is an optional :class:`repro.obs.metrics.MetricsRegistry`
     that receives per-run counters (``executor_runs``, ``executor_boxes``,
     ``executor_batch_*``) and an output-cardinality histogram
-    (``executor_rows``).  ``parallel`` enables morsel-driven parallelism
-    with that many workers; ``pool`` supplies a long-lived
-    ``ThreadPoolExecutor`` (the Database owns one per session) — without
-    it a transient pool is spun up per run.  ``batch_rows`` overrides the
-    morsel size (benchmarks sweep it); the default is ``BATCH_ROWS``
-    when chunking is needed, or one whole-column batch per operator."""
+    (``executor_rows``).  ``batch_rows`` overrides the morsel size
+    (benchmarks sweep it); the default is ``_TICK_EVERY`` under a
+    governor scope, else one whole-column batch per operator."""
 
     def __init__(
         self,
         tables: Mapping[str, Table],
         metrics=None,
-        parallel: int | None = None,
-        pool=None,
         batch_rows: int | None = None,
     ):
         self._tables = tables
         self._metrics = metrics
-        self._parallel = parallel or 0
-        self._pool = pool
         self._batch_rows = batch_rows
         #: populated by :meth:`run`
         self.stats: ExecutorStats | None = None
@@ -272,51 +214,37 @@ class Executor:
         budget — deadline expiry raises ``QueryTimeout``, cancellation
         ``QueryCancelled`` — and every materialized intermediate/result
         table is checked against the ``SET QUERY MAXROWS`` high-water
-        cap.  Ungoverned serial runs take whole-column batches with no
+        cap.  Ungoverned runs take whole-column batches with no
         instrumentation in the hot loops.
         """
         run_pc = time.perf_counter()
         budget = governor_scope.current()
-        workers = self._parallel
-        pool = self._pool if workers else None
-        owns_pool = False
-        if workers and pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-exec"
-            )
-            owns_pool = True
         if self._batch_rows is not None:
             chunk = self._batch_rows
         elif budget is not None:
             chunk = _TICK_EVERY
-        elif pool is not None:
-            chunk = BATCH_ROWS
         else:
             chunk = None  # one batch per operator
-        stats = ExecutorStats(workers if pool is not None else 0, chunk or BATCH_ROWS)
+        stats = ExecutorStats(chunk or BATCH_ROWS)
         self.stats = stats
-        ctx = _Ctx(budget, pool, workers, stats, chunk)
-        try:
-            memo: dict[int, Table] = {}
-            result = self._evaluate(graph.root, memo, ctx)
-            if budget is not None:
-                budget.check_rows(len(result), "result rows")
-            if graph.order_by:
-                result = Table.from_columns(
-                    result.columns,
-                    [list(c) for c in result.columns_data()],
-                    len(result),
-                )
-                result.sort_by(graph.order_by)
-            if graph.limit is not None and len(result) > graph.limit:
-                result = Table.from_columns(
-                    result.columns,
-                    [c[: graph.limit] for c in result.columns_data()],
-                    graph.limit,
-                )
-        finally:
-            if owns_pool:
-                pool.shutdown(wait=True)
+        ctx = _Ctx(budget, stats, chunk)
+        memo: dict[int, Table] = {}
+        result = self._evaluate(graph.root, memo, ctx)
+        if budget is not None:
+            budget.check_rows(len(result), "result rows")
+        if graph.order_by:
+            result = Table.from_columns(
+                result.columns,
+                [list(c) for c in result.columns_data()],
+                len(result),
+            )
+            result.sort_by(graph.order_by)
+        if graph.limit is not None and len(result) > graph.limit:
+            result = Table.from_columns(
+                result.columns,
+                [c[: graph.limit] for c in result.columns_data()],
+                graph.limit,
+            )
         metrics = self._metrics
         if metrics is not None:
             metrics.counter("executor_runs", "graphs executed").inc()
@@ -330,11 +258,6 @@ class Executor:
             metrics.counter(
                 "executor_batch_rows", "rows through batch operators"
             ).inc(stats.rows)
-            if stats.parallel_tasks:
-                metrics.counter(
-                    "executor_batch_parallel_tasks",
-                    "morsels executed on worker threads",
-                ).inc(stats.parallel_tasks)
             if stats.spills:
                 metrics.counter(
                     "executor_spill_count",
@@ -350,7 +273,6 @@ class Executor:
             _spans.record(
                 "executor.run", run_pc, boxes=len(memo),
                 batches=stats.batches, rows=len(result),
-                workers=stats.workers,
             )
         return result
 
@@ -463,14 +385,11 @@ class Executor:
         for fn in fns:
             if not len(sel):
                 break
-
-            def task(chunk, _fn=fn, _resolve=resolve, _ctx=ctx):
-                values = _fn(_resolve, chunk)
-                kept = [i for i, v in zip(chunk, values) if v is True]
-                _ctx.tick(len(chunk))
-                return kept
-
-            parts = ctx.map(task, _split(sel, ctx.chunk))
+            parts = []
+            for chunk in _split(sel, ctx.chunk):
+                values = fn(resolve, chunk)
+                parts.append([i for i, v in zip(chunk, values) if v is True])
+                ctx.tick(len(chunk))
             sel = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
         if type(sel) is range and len(sel) == rel.nrows:
             return rel
@@ -589,16 +508,14 @@ class Executor:
         try:
             buckets = self._build_buckets(build_key_cols, build.nrows, ctx)
             single = len(probe_key_cols) == 1
-            out_count = [0]  # shared high-water (approximate under parallel)
-
-            def probe_task(chunk):
-                build_take: list[int] = []
-                probe_take: list[int] = []
-                extend_b = build_take.extend
-                append_p = probe_take.append
+            build_take: list[int] = []
+            probe_take: list[int] = []
+            extend_b = build_take.extend
+            append_p = probe_take.append
+            get = buckets.get
+            for chunk in _split(range(probe.nrows), ctx.chunk):
                 if single:
                     col = probe_key_cols[0]
-                    get = buckets.get
                     for i in chunk:
                         bucket = get(col[i])
                         if bucket is None:
@@ -609,7 +526,6 @@ class Executor:
                         else:
                             probe_take.extend([i] * len(bucket))
                 else:
-                    get = buckets.get
                     for i in chunk:
                         bucket = get(tuple(col[i] for col in probe_key_cols))
                         if bucket is None:
@@ -620,16 +536,7 @@ class Executor:
                 if budget is not None:
                     # MAXROWS high-water *while* the output grows, so a
                     # row explosion is caught mid-join rather than after.
-                    out_count[0] += len(build_take)
-                    budget.check_rows(out_count[0], "joined rows")
-                return build_take, probe_take
-
-            parts = ctx.map(probe_task, _split(range(probe.nrows), ctx.chunk))
-            if len(parts) == 1:
-                build_take, probe_take = parts[0]
-            else:
-                build_take = list(chain.from_iterable(p[0] for p in parts))
-                probe_take = list(chain.from_iterable(p[1] for p in parts))
+                    budget.check_rows(len(build_take), "joined rows")
         finally:
             if charged:
                 reservation.release(charged)
@@ -857,13 +764,10 @@ class Executor:
                 column = fn(resolve, chunks[0])
                 ctx.tick(nrows)
             else:
-
-                def task(chunk, _fn=fn, _resolve=resolve, _ctx=ctx):
-                    values = _fn(_resolve, chunk)
-                    _ctx.tick(len(chunk))
-                    return values
-
-                column = list(chain.from_iterable(ctx.map(task, chunks)))
+                column = []
+                for chunk in chunks:
+                    column.extend(fn(resolve, chunk))
+                    ctx.tick(len(chunk))
             out_cols.append(column)
         return _Rel(out_cols, nrows, borrowed)
 
@@ -964,13 +868,9 @@ class Executor:
                     key_cols, specs, rel, ctx
                 )
             else:
-                ranges = ctx.partitions(rel.nrows)
-
-                def task(rng):
-                    return self._cuboid_partial(key_cols, specs, rel, rng, ctx)
-
-                parts = ctx.map(task, ranges)
-                order, states = _merge_partials(parts, specs)
+                order, _, states = self._cuboid_pass(
+                    key_cols, specs, rel, range(rel.nrows), ctx
+                )
         finally:
             if charged:
                 reservation.release(charged)
@@ -1004,16 +904,20 @@ class Executor:
                 out_cols.append([None] * ngroups)  # grouped-out column
         return _Rel(out_cols, ngroups, False)
 
-    def _cuboid_partial(self, key_cols, specs, rel: _Rel, rng, ctx: _Ctx):
-        """One partition's group-by pass: first-seen key order, a group
-        id per row, then one tight kernel loop per aggregate.  Returns
-        ``(keys in order, per-spec partial states)`` for the merge."""
+    def _cuboid_pass(self, key_cols, specs, rel: _Rel, rows, ctx: _Ctx):
+        """One group-by pass over ``rows`` (ascending row indices — every
+        row in memory, one partition's when spilling): first-seen key
+        order, a group id per row, then one tight kernel loop per
+        aggregate.  Returns ``(keys in order, each key's first row
+        index, per-spec partial states)``; the first rows let the spill
+        merge restore the whole input's first-seen order."""
         group_of: dict = {}
         order: list = []
+        first_at: list[int] = []  # position in ``rows`` of each new key
         gids: list[int] = []
         gid_append = gids.append
         nkeys = len(key_cols)
-        for chunk in _split(rng, ctx.chunk):
+        for chunk in _split(rows, ctx.chunk):
             if nkeys == 1:
                 col = key_cols[0]
                 get = group_of.get
@@ -1023,10 +927,12 @@ class Executor:
                     if gid is None:
                         gid = group_of[value] = len(order)
                         order.append(value)
+                        first_at.append(len(gids))
                     gid_append(gid)
             elif nkeys == 0:
                 if not order and len(chunk):
                     order.append(())
+                    first_at.append(0)
                 gids.extend([0] * len(chunk))
             else:
                 gathered = [[col[i] for i in chunk] for col in key_cols]
@@ -1036,13 +942,14 @@ class Executor:
                     if gid is None:
                         gid = group_of[key] = len(order)
                         order.append(key)
+                        first_at.append(len(gids))
                     gid_append(gid)
             ctx.tick(len(chunk))
         ngroups = len(order)
         states = []
         arg_cache: dict[int, list] = {}
         budget = ctx.budget
-        full = type(rng) is range and len(rng) == rel.nrows
+        full = type(rows) is range and len(rows) == rel.nrows
         for _, _, arg_index, kind, distinct in specs:
             if arg_index is None:
                 values = None
@@ -1050,14 +957,14 @@ class Executor:
                 values = arg_cache.get(arg_index)
                 if values is None:
                     col = rel.cols[arg_index]
-                    values = col if full else [col[i] for i in rng]
+                    values = col if full else [col[i] for i in rows]
                     arg_cache[arg_index] = values
             states.append(
                 _agg.partial_states(kind, distinct, gids, ngroups, values)
             )
             if budget is not None:
                 budget.checkpoint("execute")
-        return order, states
+        return order, [rows[p] for p in first_at], states
 
     def _cuboid_spilled(self, key_cols, specs, rel: _Rel, ctx: _Ctx):
         """Spill-to-disk GROUP BY for one cuboid, bit-identical to the
@@ -1163,91 +1070,6 @@ class Executor:
             [order[g] for g in permutation],
             [[column[g] for g in permutation] for column in merged],
         )
-
-    def _cuboid_pass(self, key_cols, specs, rel: _Rel, rows, ctx: _Ctx):
-        """Like :meth:`_cuboid_partial` over an explicit row-index list,
-        additionally reporting each group's first (global) row index so
-        the spill merge can restore the serial first-seen order."""
-        group_of: dict = {}
-        order: list = []
-        firsts: list[int] = []
-        gids: list[int] = []
-        gid_append = gids.append
-        nkeys = len(key_cols)
-        for chunk in _split(rows, ctx.chunk):
-            if nkeys == 1:
-                col = key_cols[0]
-                get = group_of.get
-                for i in chunk:
-                    value = col[i]
-                    gid = get(value)
-                    if gid is None:
-                        gid = group_of[value] = len(order)
-                        order.append(value)
-                        firsts.append(i)
-                    gid_append(gid)
-            elif nkeys == 0:
-                if len(chunk) and not order:
-                    order.append(())
-                    firsts.append(chunk[0])
-                gids.extend([0] * len(chunk))
-            else:
-                get = group_of.get
-                for i in chunk:
-                    key = tuple(col[i] for col in key_cols)
-                    gid = get(key)
-                    if gid is None:
-                        gid = group_of[key] = len(order)
-                        order.append(key)
-                        firsts.append(i)
-                    gid_append(gid)
-            ctx.tick(len(chunk))
-        ngroups = len(order)
-        states = []
-        arg_cache: dict[int, list] = {}
-        budget = ctx.budget
-        for _, _, arg_index, kind, distinct in specs:
-            if arg_index is None:
-                values = None
-            else:
-                values = arg_cache.get(arg_index)
-                if values is None:
-                    col = rel.cols[arg_index]
-                    values = [col[i] for i in rows]
-                    arg_cache[arg_index] = values
-            states.append(
-                _agg.partial_states(kind, distinct, gids, ngroups, values)
-            )
-            if budget is not None:
-                budget.checkpoint("execute")
-        return order, firsts, states
-
-
-def _merge_partials(parts, specs):
-    """Merge per-partition group-by states in partition order.
-
-    First-seen key order across ordered partitions reproduces the serial
-    pass's group order; states combine with the re-derivation algebra
-    (see :func:`repro.engine.aggregates.merge_states`)."""
-    if len(parts) == 1:
-        return parts[0]
-    group_of: dict = {}
-    order: list = []
-    merged: list[list] = [[] for _ in specs]
-    for part_order, part_states in parts:
-        for local_gid, key in enumerate(part_order):
-            gid = group_of.get(key)
-            if gid is None:
-                group_of[key] = len(order)
-                order.append(key)
-                for s in range(len(specs)):
-                    merged[s].append(part_states[s][local_gid])
-            else:
-                for s, (_, _, _, kind, distinct) in enumerate(specs):
-                    merged[s][gid] = _agg.merge_states(
-                        kind, distinct, merged[s][gid], part_states[s][local_gid]
-                    )
-    return order, merged
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,12 @@ state persists too: each summary entry records its refresh mode,
 staleness (pending delta-batch count, last-refresh LSN), and quarantine
 flag, and the staged delta log itself is written to ``deltas.jsonl``.
 
-Save-format compatibility rule
-------------------------------
-``FORMAT_VERSION`` is 2; :func:`load_database` loads **both** v2 and v1
-directories — v1 exactly as the original loader did (raw JSON lines, no
-checksums), so databases saved by older versions keep loading unchanged.
-New writers always produce v2. The v2 additions:
+Save format
+-----------
+``FORMAT_VERSION`` is 2, the only version written or loaded (v1 — raw
+JSON lines, no checksums — has had no writer since v2 became the save
+format; a v1 directory is refused as an unsupported save format). What
+v2 guarantees:
 
 * **Atomic writes** — every file is written to a ``*.tmp`` sibling,
   fsynced, and atomically renamed into place; ``catalog.json`` is
@@ -65,8 +65,6 @@ from repro.errors import ReproError
 from repro.testing import faults
 
 FORMAT_VERSION = 2
-#: versions this loader understands
-SUPPORTED_VERSIONS = (1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -118,39 +116,10 @@ def save_database(database: Database, path: str | Path) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     for stale in root.glob("*.tmp"):  # leftovers from a crashed save
         stale.unlink()
-    summaries = {
-        summary.name: summary for summary in database.summary_tables.values()
-    }
     checksums: dict[str, dict[str, int]] = {}
-    manifest: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "tables": [],
-        "foreign_keys": [
-            {
-                "child_table": fk.child_table,
-                "child_columns": list(fk.child_columns),
-                "parent_table": fk.parent_table,
-                "parent_columns": list(fk.parent_columns),
-            }
-            for fk in database.catalog.foreign_keys
-        ],
-        "summary_tables": [
-            {
-                "name": summary.name,
-                "sql": summary.sql,
-                "refresh_mode": summary.refresh.mode,
-                "pending_deltas": summary.refresh.pending_deltas,
-                "last_refresh_lsn": summary.refresh.last_refresh_lsn,
-                "quarantined": summary.refresh.quarantined,
-                "quarantine_reason": summary.refresh.quarantine_reason,
-            }
-            for summary in summaries.values()
-        ],
-        "refresh_lsn": database.delta_log.lsn,
-        "checksums": checksums,
-    }
+    manifest = _manifest(database)
+    manifest["checksums"] = checksums
     for key, schema in database.catalog.tables.items():
-        manifest["tables"].append(_schema_to_json(schema))
         filename = f"{schema.name}.jsonl"
         text = _rows_text(database.tables[key])
         _atomic_write(root / filename, text)
@@ -181,31 +150,60 @@ def _rows_text(table: Table) -> str:
 
 
 def _delta_log_text(log) -> str:
-    lines = [
-        _frame(
-            json.dumps(
-                {
-                    "seq": batch.seq,
-                    "table": batch.table,
-                    "sign": batch.sign,
-                    "rows": [
-                        [_encode(value) for value in row] for row in batch.rows
-                    ],
-                }
-            )
-        )
-        for batch in log.batches()
-    ]
+    lines = [_frame(json.dumps(_batch_to_json(batch))) for batch in log.batches()]
     return "".join(line + "\n" for line in lines)
 
 
+def _manifest(database: Database) -> dict[str, Any]:
+    """Everything a save says about ``database`` besides its rows and
+    staged deltas: ``catalog.json`` is this plus per-file checksums, a
+    wire snapshot is this plus the rows and deltas inline."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "tables": [
+            _schema_to_json(schema)
+            for schema in database.catalog.tables.values()
+        ],
+        "foreign_keys": [
+            {
+                "child_table": fk.child_table,
+                "child_columns": list(fk.child_columns),
+                "parent_table": fk.parent_table,
+                "parent_columns": list(fk.parent_columns),
+            }
+            for fk in database.catalog.foreign_keys
+        ],
+        "summary_tables": [
+            {
+                "name": summary.name,
+                "sql": summary.sql,
+                "refresh_mode": summary.refresh.mode,
+                "pending_deltas": summary.refresh.pending_deltas,
+                "last_refresh_lsn": summary.refresh.last_refresh_lsn,
+                "quarantined": summary.refresh.quarantined,
+                "quarantine_reason": summary.refresh.quarantine_reason,
+            }
+            for summary in database.summary_tables.values()
+        ],
+        "refresh_lsn": database.delta_log.lsn,
+    }
+
+
+def _batch_to_json(batch) -> dict[str, Any]:
+    return {
+        "seq": batch.seq,
+        "table": batch.table,
+        "sign": batch.sign,
+        "rows": [[_encode(value) for value in row] for row in batch.rows],
+    }
+
+
 # ----------------------------------------------------------------------
-# Loading (v1 and v2)
+# Loading
 # ----------------------------------------------------------------------
 def load_database(path: str | Path) -> Database:
     """Reconstruct a database saved by :func:`save_database`.
 
-    Loads v2 (checksummed) and v1 (legacy raw-JSON-lines) directories.
     Torn tails and generation mismatches are recorded as anomalies on
     the returned database (``database._load_anomalies``) for
     :func:`verify_database` to repair; genuine corruption — a bad line
@@ -218,13 +216,41 @@ def load_database(path: str | Path) -> Database:
         raise ReproError(f"{root} does not contain a saved database")
     manifest = _load_manifest(manifest_path)
     version = manifest.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ReproError(f"unsupported save format {version!r}")
-    framed = version >= 2
-    checksums = manifest.get("checksums", {}) if framed else {}
+    checksums = manifest.get("checksums", {})
     anomalies: list[str] = []
     suspects: set[str] = set()
 
+    catalog, schemas = _restore_catalog(manifest, "catalog.json")
+    database = Database(catalog)
+    for name, schema in schemas.items():
+        filename = f"{name}.jsonl"
+        rows = _read_rows(
+            root / filename, schema, checksums.get(filename), anomalies, suspects
+        )
+        database.tables[name.lower()] = Table(schema.column_names, rows)
+    _register_summaries(database, manifest, schemas, "catalog.json")
+    _read_delta_log(
+        root / "deltas.jsonl",
+        database,
+        manifest.get("refresh_lsn", 0),
+        schemas,
+        checksums.get("deltas.jsonl"),
+        anomalies,
+        suspects,
+    )
+    #: recovery bookkeeping consumed by verify_database()
+    database._load_anomalies = anomalies
+    database._suspect_tables = suspects
+    return database
+
+
+def _restore_catalog(
+    manifest: dict[str, Any], where: str
+) -> tuple[Catalog, dict[str, TableSchema]]:
+    """The catalog a manifest (``where``: ``catalog.json`` or a wire
+    snapshot) describes, and its schemas by name."""
     catalog = Catalog()
     schemas: dict[str, TableSchema] = {}
     for entry in manifest["tables"]:
@@ -232,7 +258,7 @@ def load_database(path: str | Path) -> Database:
             schema = _schema_from_json(entry)
         except (KeyError, ValueError) as error:
             raise ReproError(
-                f"catalog.json: malformed table entry "
+                f"{where}: malformed table entry "
                 f"{entry.get('name', '?')!r}: {error!r}"
             ) from error
         catalog.add_table(schema)
@@ -240,47 +266,38 @@ def load_database(path: str | Path) -> Database:
     for entry in manifest["foreign_keys"]:
         catalog.add_foreign_key(
             ForeignKeyConstraint(
-                _require(entry, "child_table", "catalog.json foreign key"),
-                tuple(_require(entry, "child_columns", "catalog.json foreign key")),
-                _require(entry, "parent_table", "catalog.json foreign key"),
-                tuple(_require(entry, "parent_columns", "catalog.json foreign key")),
+                _require(entry, "child_table", f"{where} foreign key"),
+                tuple(_require(entry, "child_columns", f"{where} foreign key")),
+                _require(entry, "parent_table", f"{where} foreign key"),
+                tuple(_require(entry, "parent_columns", f"{where} foreign key")),
             )
         )
+    return catalog, schemas
 
-    database = Database(catalog)
-    for name, schema in schemas.items():
-        filename = f"{name}.jsonl"
-        rows = _read_rows(
-            root / filename,
-            schema,
-            framed=framed,
-            expected=checksums.get(filename),
-            anomalies=anomalies,
-            suspects=suspects,
-        )
-        database.tables[name.lower()] = Table(schema.column_names, rows)
 
-    # Re-register summary tables around the already-loaded snapshots.
+def _register_summaries(
+    database: Database,
+    manifest: dict[str, Any],
+    schemas: dict[str, TableSchema],
+    where: str,
+) -> None:
+    """Re-register summary tables around the already-loaded snapshots."""
     from repro.asts.definition import SummaryTable
     from repro.refresh.policy import RefreshState
 
     for entry in manifest["summary_tables"]:
-        name = _require(entry, "name", "catalog.json summary entry")
-        sql = _require(entry, "sql", f"catalog.json summary {name!r}")
+        name = _require(entry, "name", f"{where} summary entry")
+        sql = _require(entry, "sql", f"{where} summary {name!r}")
         schema = schemas.get(name)
         if schema is None:
             raise ReproError(
-                f"catalog.json: summary table {name!r} has no schema entry"
-            )
-        if name.lower() not in database.tables:
-            raise ReproError(
-                f"{name}.jsonl: snapshot for summary table {name!r} is missing"
+                f"{where}: summary table {name!r} has no schema entry"
             )
         try:
             graph = database.bind(sql, label="A")
         except ReproError as error:
             raise ReproError(
-                f"catalog.json: summary table {name!r} definition does not "
+                f"{where}: summary table {name!r} definition does not "
                 f"bind: {error}"
             ) from error
         table = database.tables[name.lower()]
@@ -300,20 +317,26 @@ def load_database(path: str | Path) -> Database:
         )
         summary.stats["rows"] = float(len(table))
         database._register_summary(summary)
-    _read_delta_log(
-        root / "deltas.jsonl",
-        database,
-        manifest.get("refresh_lsn", 0),
-        schemas,
-        framed=framed,
-        expected=checksums.get("deltas.jsonl"),
-        anomalies=anomalies,
-        suspects=suspects,
-    )
-    #: recovery bookkeeping consumed by verify_database()
-    database._load_anomalies = anomalies
-    database._suspect_tables = suspects
-    return database
+
+
+def _decode_batch(entry: dict, schemas: dict[str, TableSchema], where: str):
+    """One staged delta batch from its JSON form, rows re-typed from the
+    table's declared column types (``schemas`` keyed lower-case)."""
+    from repro.refresh.log import DeltaBatch
+
+    table = _require(entry, "table", where)
+    schema = schemas.get(table)
+    if schema is None:
+        raise ReproError(
+            f"{where}: delta batch references unknown table {table!r}"
+        )
+    try:
+        return DeltaBatch(
+            _require(entry, "seq", where), table, _require(entry, "sign", where),
+            tuple(_decode_rows(schema, _require(entry, "rows", where))),
+        )
+    except (ValueError, TypeError) as error:
+        raise ReproError(f"{where}: cannot decode delta batch: {error}") from error
 
 
 def _load_manifest(path: Path) -> dict[str, Any]:
@@ -338,14 +361,13 @@ def _require(entry: dict, key: str, context: str):
 
 def _read_payloads(
     path: Path,
-    framed: bool,
     expected: dict | None,
     anomalies: list[str],
     suspects: set[str],
 ) -> list[str]:
     """The JSON payload of each line of ``path``.
 
-    v2 (framed): every line's CRC is verified. A bad *last* line is a
+    Every line's CRC is verified. A bad *last* line is a
     torn tail — truncated and reported, not fatal; a bad interior line
     raises. The whole file's CRC is then compared against the manifest's
     ``expected`` record; a mismatch (beyond an already-reported torn
@@ -356,8 +378,6 @@ def _read_payloads(
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not framed:
-        return [line for line in lines if line.strip()]
     payloads: list[str] = []
     torn = False
     for number, line in enumerate(lines, start=1):
@@ -406,20 +426,17 @@ def _unframe(line: str) -> str | None:
 def _read_rows(
     path: Path,
     schema: TableSchema,
-    framed: bool = False,
-    expected: dict | None = None,
-    anomalies: list[str] | None = None,
-    suspects: set[str] | None = None,
+    expected: dict | None,
+    anomalies: list[str],
+    suspects: set[str],
 ) -> list[tuple]:
-    anomalies = anomalies if anomalies is not None else []
-    suspects = suspects if suspects is not None else set()
     if not path.exists():
         if expected is not None:
             raise ReproError(
                 f"{path.name}: data file referenced by catalog.json is missing"
             )
         return []
-    payloads = _read_payloads(path, framed, expected, anomalies, suspects)
+    payloads = _read_payloads(path, expected, anomalies, suspects)
     decoders = [_decoder(column.dtype) for column in schema.columns]
     rows: list[tuple] = []
     for number, payload in enumerate(payloads, start=1):
@@ -452,19 +469,14 @@ def _read_delta_log(
     database: Database,
     lsn: int,
     schemas: dict[str, TableSchema],
-    framed: bool = False,
-    expected: dict | None = None,
-    anomalies: list[str] | None = None,
-    suspects: set[str] | None = None,
+    expected: dict | None,
+    anomalies: list[str],
+    suspects: set[str],
 ) -> None:
-    from repro.refresh.log import DeltaBatch
-
-    anomalies = anomalies if anomalies is not None else []
-    suspects = suspects if suspects is not None else set()
     by_key = {schema.name.lower(): schema for schema in schemas.values()}
     batches = []
     if path.exists():
-        payloads = _read_payloads(path, framed, expected, anomalies, suspects)
+        payloads = _read_payloads(path, expected, anomalies, suspects)
         for number, payload in enumerate(payloads, start=1):
             try:
                 entry = json.loads(payload)
@@ -472,37 +484,9 @@ def _read_delta_log(
                 raise ReproError(
                     f"{path.name}: invalid JSON at line {number}: {error.msg}"
                 ) from error
-            table = _require(entry, "table", f"{path.name} line {number}")
-            schema = by_key.get(table)
-            if schema is None:
-                raise ReproError(
-                    f"{path.name} line {number}: delta batch references "
-                    f"unknown table {table!r}"
-                )
-            decoders = [_decoder(column.dtype) for column in schema.columns]
-            try:
-                rows = tuple(
-                    tuple(
-                        None if value is None else decode(value)
-                        for decode, value in zip(decoders, raw)
-                    )
-                    for raw in _require(
-                        entry, "rows", f"{path.name} line {number}"
-                    )
-                )
-                batches.append(
-                    DeltaBatch(
-                        _require(entry, "seq", f"{path.name} line {number}"),
-                        table,
-                        _require(entry, "sign", f"{path.name} line {number}"),
-                        rows,
-                    )
-                )
-            except (ValueError, TypeError) as error:
-                raise ReproError(
-                    f"{path.name}: cannot decode delta batch at line "
-                    f"{number}: {error}"
-                ) from error
+            batches.append(
+                _decode_batch(entry, by_key, f"{path.name} line {number}")
+            )
     elif expected is not None:
         anomalies.append(
             "deltas.jsonl: staged delta log referenced by catalog.json is "
@@ -525,56 +509,18 @@ def database_state_payload(database: Database) -> dict[str, Any]:
     wire (op ``repl.snapshot``) without sharing a filesystem with the
     primary. Round-trips through :func:`database_from_payload`.
     """
-    summaries = {
-        summary.name: summary for summary in database.summary_tables.values()
+    payload = _manifest(database)
+    payload["rows"] = {
+        schema.name: [
+            [_encode(value) for value in row]
+            for row in database.tables[key].rows
+        ]
+        for key, schema in database.catalog.tables.items()
     }
-    return {
-        "format_version": FORMAT_VERSION,
-        "tables": [
-            _schema_to_json(schema)
-            for schema in database.catalog.tables.values()
-        ],
-        "foreign_keys": [
-            {
-                "child_table": fk.child_table,
-                "child_columns": list(fk.child_columns),
-                "parent_table": fk.parent_table,
-                "parent_columns": list(fk.parent_columns),
-            }
-            for fk in database.catalog.foreign_keys
-        ],
-        "summary_tables": [
-            {
-                "name": summary.name,
-                "sql": summary.sql,
-                "refresh_mode": summary.refresh.mode,
-                "pending_deltas": summary.refresh.pending_deltas,
-                "last_refresh_lsn": summary.refresh.last_refresh_lsn,
-                "quarantined": summary.refresh.quarantined,
-                "quarantine_reason": summary.refresh.quarantine_reason,
-            }
-            for summary in summaries.values()
-        ],
-        "refresh_lsn": database.delta_log.lsn,
-        "rows": {
-            schema.name: [
-                [_encode(value) for value in row]
-                for row in database.tables[key].rows
-            ]
-            for key, schema in database.catalog.tables.items()
-        },
-        "deltas": [
-            {
-                "seq": batch.seq,
-                "table": batch.table,
-                "sign": batch.sign,
-                "rows": [
-                    [_encode(value) for value in row] for row in batch.rows
-                ],
-            }
-            for batch in database.delta_log.batches()
-        ],
-    }
+    payload["deltas"] = [
+        _batch_to_json(batch) for batch in database.delta_log.batches()
+    ]
+    return payload
 
 
 def database_from_payload(payload: dict[str, Any]) -> Database:
@@ -584,90 +530,21 @@ def database_from_payload(payload: dict[str, Any]) -> Database:
     framing, so unlike :func:`load_database` there is no torn-tail /
     generation-mismatch handling: anything malformed raises.
     """
-    from repro.asts.definition import SummaryTable
-    from repro.refresh.log import DeltaBatch
-    from repro.refresh.policy import RefreshState
-
     version = payload.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ReproError(f"unsupported snapshot format {version!r}")
-    catalog = Catalog()
-    schemas: dict[str, TableSchema] = {}
-    for entry in payload["tables"]:
-        schema = _schema_from_json(entry)
-        catalog.add_table(schema)
-        schemas[schema.name] = schema
-    for entry in payload["foreign_keys"]:
-        catalog.add_foreign_key(
-            ForeignKeyConstraint(
-                entry["child_table"],
-                tuple(entry["child_columns"]),
-                entry["parent_table"],
-                tuple(entry["parent_columns"]),
-            )
-        )
+    catalog, schemas = _restore_catalog(payload, "snapshot")
     database = Database(catalog)
     rows_by_table = payload.get("rows", {})
     for name, schema in schemas.items():
-        decoders = [_decoder(column.dtype) for column in schema.columns]
-        rows = [
-            tuple(
-                None if value is None else decode(value)
-                for decode, value in zip(decoders, raw)
-            )
-            for raw in rows_by_table.get(name, [])
-        ]
+        rows = _decode_rows(schema, rows_by_table.get(name, []))
         database.tables[name.lower()] = Table(schema.column_names, rows)
-    for entry in payload["summary_tables"]:
-        name = _require(entry, "name", "snapshot summary entry")
-        sql = _require(entry, "sql", f"snapshot summary {name!r}")
-        schema = schemas.get(name)
-        if schema is None or name.lower() not in database.tables:
-            raise ReproError(
-                f"snapshot summary table {name!r} has no schema or rows"
-            )
-        graph = database.bind(sql, label="A")
-        table = database.tables[name.lower()]
-        summary = SummaryTable(
-            name=name,
-            sql=sql,
-            graph=graph,
-            schema=schema,
-            table=table,
-            refresh=RefreshState(
-                mode=entry.get("refresh_mode", "immediate"),
-                pending_deltas=entry.get("pending_deltas", 0),
-                last_refresh_lsn=entry.get("last_refresh_lsn", 0),
-                quarantined=entry.get("quarantined", False),
-                quarantine_reason=entry.get("quarantine_reason", ""),
-            ),
-        )
-        summary.stats["rows"] = float(len(table))
-        database._register_summary(summary)
-    batches = []
+    _register_summaries(database, payload, schemas, "snapshot")
     by_key = {schema.name.lower(): schema for schema in schemas.values()}
-    for entry in payload.get("deltas", []):
-        schema = by_key.get(entry["table"])
-        if schema is None:
-            raise ReproError(
-                f"snapshot delta batch references unknown table "
-                f"{entry['table']!r}"
-            )
-        decoders = [_decoder(column.dtype) for column in schema.columns]
-        batches.append(
-            DeltaBatch(
-                entry["seq"],
-                entry["table"],
-                entry["sign"],
-                tuple(
-                    tuple(
-                        None if value is None else decode(value)
-                        for decode, value in zip(decoders, raw)
-                    )
-                    for raw in entry["rows"]
-                ),
-            )
-        )
+    batches = [
+        _decode_batch(entry, by_key, "snapshot")
+        for entry in payload.get("deltas", [])
+    ]
     database.delta_log.restore(payload.get("refresh_lsn", 0), batches)
     return database
 
@@ -833,6 +710,18 @@ def _encode(value: Any) -> Any:
     if isinstance(value, datetime.date):
         return value.isoformat()
     return value
+
+
+def _decode_rows(schema: TableSchema, raws) -> list[tuple]:
+    """JSON rows re-typed from ``schema``'s declared column types."""
+    decoders = [_decoder(column.dtype) for column in schema.columns]
+    return [
+        tuple(
+            None if value is None else decode(value)
+            for decode, value in zip(decoders, raw)
+        )
+        for raw in raws
+    ]
 
 
 def _decoder(dtype: DataType):

@@ -17,11 +17,8 @@ whenever the summary is not self-maintainable for the pending change
 (AVG/DISTINCT, HAVING, deletes against MIN/MAX, deltas spanning several
 base tables, ...) the worker falls back to full recomputation and counts
 it — never silently degrades. Both the delta evaluations and the full
-recompute run through ``Database.execute_graph``, so with ``SET EXECUTOR
-PARALLEL <n>`` a recompute's base-table scan and cuboid group-bys are
-partitioned across the session's morsel worker pool and the partial
-aggregates merged back (docs/EXECUTOR.md) — the refresh worker itself
-stays single-threaded, only each query inside it fans out.
+recompute run through ``Database.execute_graph``, on the refresh
+worker's own thread.
 
 Fault tolerance: a refresh that raises *unexpectedly* (anything beyond
 the ReproError-driven recompute fallback) is retried with exponential

@@ -21,7 +21,7 @@
 * **Serve** — the embedded :class:`~repro.server.server.QueryServer`
   runs ``read_only=True``: mutations are rejected with a redirect hint,
   reads are gated on replication lag through ``SET REFRESH AGE``
-  (see ``QueryServer._execute_select``).
+  (see ``QueryServer._answer_select``).
 
 :meth:`promote` (or the ``repl.promote`` op) stops the tailer and flips
 the server into a primary: it starts accepting mutations, journaling

@@ -20,7 +20,7 @@ The cache key is the query's structural fingerprint
 processes, and persist/reload) combined with the session knobs that can
 change the *answer*: the freshness tolerance and the
 ``use_summary_tables`` flag. Knobs that only change *resource limits*
-(timeout, maxrows, executor parallelism) are deliberately not in the
+(timeout, maxrows, maxmem) are deliberately not in the
 key — equal queries under different limits produce equal rows (the
 server re-checks ``MAXROWS`` against a hit's row count before serving
 it, mirroring what governed execution would have done).

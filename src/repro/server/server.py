@@ -18,8 +18,9 @@ Request routing (see :mod:`repro.server.protocol` for the wire format):
 * SELECT / UNION ALL — through the semantic result cache, probed once
   per request: on the event loop when the statement text is in the
   prepared-SELECT memo, else on the pool thread that parsed and bound
-  it. On a miss the statement executes with the session's knobs passed
-  as per-query overrides (never mutating shared state); the result is
+  it. On a miss the statement runs through ``Database.run_select`` with
+  the session's knobs (``Session.overrides``) passed as per-query
+  overrides (never mutating shared state); the result is
   encoded once and cached, table and bytes, with a pre-execution
   change-count snapshot.
 * session-scoped SET — recorded on the connection's
@@ -31,7 +32,9 @@ Request routing (see :mod:`repro.server.protocol` for the wire format):
 * DROP / REFRESH SUMMARY TABLE — executes, then stale-tolerant entries
   over the affected base tables are evicted (see
   :mod:`repro.server.result_cache`).
-* EXPLAIN [ANALYZE] — runs with the session's freshness tolerance.
+* EXPLAIN — runs with the session's freshness tolerance; EXPLAIN
+  ANALYZE — runs the query like any other, under all of the session's
+  knobs.
 
 Durability and replication (see docs/ROBUSTNESS.md, "Durability &
 failover") are opt-in per server:
@@ -79,8 +82,6 @@ from repro.errors import (
     ReproError,
     WalGapError,
 )
-from repro.qgm.build import build_graph
-from repro.qgm.fingerprint import fingerprint
 from repro.resources.broker import BROKER
 from repro.replication.wal import (
     DedupWindow,
@@ -567,23 +568,19 @@ class QueryServer:
             )
 
     def _prepare(self, statement, sql: str):
-        """Bind a privately parsed SELECT and memoize what a repeat of
-        its text needs; returns the entry and the bound graph, which the
-        caller may execute (it is shared with nobody)."""
-        db = self.db
-        epoch = db.rewrite_epoch
-        bind_pc = time.perf_counter()
-        graph = build_graph(statement, db.catalog)
-        db.metrics.observe_ms("phase_bind_ms", bind_pc)
-        _spans.record("db.bind", bind_pc)
+        """Run the engine's prepare stage on a privately parsed SELECT
+        and memoize what a repeat of its text needs; returns the memo
+        entry and the prepared run, which the caller may execute (it is
+        shared with nobody)."""
+        run = self.db.prepare_select(statement, sql)
         prepared = _PreparedSelect(
-            fingerprint(graph).key, sorted(graph.base_tables()), epoch
+            run.shape().key, run.base_tables, run.epoch
         )
         with self._memo_lock:
             if len(self._prepared) >= 4096:
                 self._prepared.clear()
             self._prepared[sql] = prepared
-        return prepared, graph
+        return prepared, run
 
     # ------------------------------------------------------------------
     # statement execution (thread-pool side)
@@ -597,7 +594,7 @@ class QueryServer:
         with _spans.attach(req_span):
             if probed is not None:
                 # the loop knew the text as a SELECT and missed the cache
-                return self._execute_select(session, sql, request, probed=probed)
+                return self._answer_select(session, sql, request, probed=probed)
             return self._execute_attached(session, op, sql, request)
 
     def _execute_attached(
@@ -617,7 +614,9 @@ class QueryServer:
             else:
                 inner, analyze = sql, bool(request.get("analyze"))
             if analyze:
-                text = self.db.explain_analyze(inner)
+                text = self.db.explain_analyze(
+                    inner, **session.overrides(self.db)
+                )
             else:
                 text = self.db.explain(
                     inner, tolerance=session.effective_tolerance(self.db)
@@ -628,10 +627,10 @@ class QueryServer:
             return {"ok": True, "status": status}
         if isinstance(statement, (SelectStatement, UnionAll)):
             session.queries += 1
-            return self._execute_select(session, sql, request, statement)
+            return self._answer_select(session, sql, request, statement)
         return self._execute_mutation(statement, sql, request)
 
-    def _execute_select(self, session: Session, sql: str, request: dict,
+    def _answer_select(self, session: Session, sql: str, request: dict,
                         statement=None, probed=None) -> dict:
         """Run one SELECT the loop could not answer: either a text it
         did not know, which arrives with its private parse
@@ -639,7 +638,8 @@ class QueryServer:
         the loop's key and base tables (``probed``) and is executed
         from the text."""
         db = self.db
-        tolerance = session.effective_tolerance(db)
+        overrides = session.overrides(db)
+        tolerance = overrides["tolerance"]
         use_summaries = bool(request.get("use_summary_tables", True))
         source = sql if statement is None else statement
         if self.cache_enabled:
@@ -658,17 +658,9 @@ class QueryServer:
             # the entry look staler than it is — the safe direction.
             snapshot = db.delta_log.change_counts(base_tables)
         self._check_replica_lag(tolerance)
-        table = db.execute_statement(
-            source,
-            sql,
-            use_summary_tables=use_summaries,
-            tolerance=tolerance,
-            timeout_ms=session.timeout_ms,
-            max_rows=session.max_rows,
-            max_mem=session.max_mem,
-            executor_parallel=session.executor_parallel,
-            client=session.client_id,
-        )
+        table = db.run_select(
+            source, sql, use_summary_tables=use_summaries, **overrides
+        ).table
         payload = protocol.encode_table_fragment(table)
         if self.cache_enabled:
             self.cache.store(

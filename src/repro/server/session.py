@@ -2,13 +2,14 @@
 
 Every server connection owns one :class:`Session`. ``SET`` statements
 that tune *query behavior* — ``REFRESH AGE``, ``QUERY TIMEOUT``,
-``QUERY MAXROWS``, ``QUERY MAXMEM``, ``EXECUTOR PARALLEL`` — are
-intercepted here and
+``QUERY MAXROWS``, ``QUERY MAXMEM`` — are intercepted here and
 recorded on the session instead of mutating the shared
 :class:`~repro.engine.database.Database`; at query time the recorded
-values flow through ``Database.execute_statement``'s per-query override
-parameters (see the :data:`~repro.governor.governor.UNSET` sentinel),
-so two clients with different knobs never observe each other's limits.
+values flow, as :meth:`Session.overrides`, through
+``Database.run_select``'s per-query override parameters (see the
+:data:`~repro.governor.governor.UNSET` sentinel) — for queries and
+``EXPLAIN ANALYZE`` alike — so two clients with different knobs never
+observe each other's limits.
 
 Knobs start *inherited*: until a connection issues its own ``SET``, it
 sees the database-level defaults (whatever the operator configured the
@@ -23,7 +24,6 @@ from __future__ import annotations
 from repro.governor.governor import UNSET
 from repro.refresh.policy import RefreshAge
 from repro.sql.statements import (
-    SetExecutorParallel,
     SetQueryMaxMem,
     SetQueryMaxRows,
     SetQueryTimeout,
@@ -37,7 +37,6 @@ SESSION_SET_TYPES = (
     SetQueryTimeout,
     SetQueryMaxRows,
     SetQueryMaxMem,
-    SetExecutorParallel,
 )
 
 
@@ -52,7 +51,6 @@ class Session:
         self.timeout_ms = UNSET
         self.max_rows = UNSET
         self.max_mem = UNSET
-        self.executor_parallel = UNSET
         #: queries answered for this connection (ping/metrics excluded)
         self.queries = 0
 
@@ -67,6 +65,17 @@ class Session:
             return db.governor.max_rows
         return self.max_rows
 
+    def overrides(self, db) -> dict:
+        """This connection's knobs as ``Database.run_select``'s
+        per-query keyword arguments — the one place they are spelled."""
+        return {
+            "tolerance": self.effective_tolerance(db),
+            "timeout_ms": self.timeout_ms,
+            "max_rows": self.max_rows,
+            "max_mem": self.max_mem,
+            "client": self.client_id,
+        }
+
     # ------------------------------------------------------------------
     def apply_set(self, statement) -> str | None:
         """Record a session-scoped ``SET``; returns the status message,
@@ -74,28 +83,15 @@ class Session:
         should route it to the shared database instead)."""
         if isinstance(statement, SetRefreshAge):
             self.refresh_age = RefreshAge(statement.max_pending)
-            return f"refresh age set to {self.refresh_age.describe()}"
-        if isinstance(statement, SetQueryTimeout):
+        elif isinstance(statement, SetQueryTimeout):
             self.timeout_ms = statement.timeout_ms
-            if statement.timeout_ms is None:
-                return "query timeout disabled"
-            return f"query timeout set to {statement.timeout_ms:g} ms"
-        if isinstance(statement, SetQueryMaxRows):
+        elif isinstance(statement, SetQueryMaxRows):
             self.max_rows = statement.max_rows
-            if statement.max_rows is None:
-                return "query maxrows disabled"
-            return f"query maxrows set to {statement.max_rows}"
-        if isinstance(statement, SetQueryMaxMem):
+        elif isinstance(statement, SetQueryMaxMem):
             self.max_mem = statement.max_mem
-            if statement.max_mem is None:
-                return "query maxmem disabled"
-            return f"query maxmem set to {statement.max_mem} byte(s)"
-        if isinstance(statement, SetExecutorParallel):
-            self.executor_parallel = statement.workers
-            if statement.workers is None:
-                return "executor parallelism disabled"
-            return f"executor parallelism set to {statement.workers} worker(s)"
-        return None
+        else:
+            return None
+        return statement.status()
 
     def describe(self) -> dict:
         """The session's knobs as a JSON-ready dict (``ping`` payload)."""
@@ -113,6 +109,5 @@ class Session:
             "timeout_ms": show(self.timeout_ms),
             "max_rows": show(self.max_rows),
             "max_mem": show(self.max_mem),
-            "executor_parallel": show(self.executor_parallel),
             "queries": self.queries,
         }

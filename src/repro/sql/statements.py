@@ -37,6 +37,7 @@ from typing import Any
 
 from repro.catalog.types import DataType
 from repro.expr.evaluator import evaluate_constant
+from repro.refresh.policy import RefreshAge
 from repro.sql.ast import SelectStatement
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import _Parser
@@ -104,9 +105,22 @@ class RefreshSummaryTables:
     names: tuple[str, ...]  # empty ⇒ refresh every summary table
 
 
+def _set_status(knob: str, value, unit: str = "") -> str:
+    """The status line a session-scoped ``SET`` answers with — one copy,
+    so the embedded shell (``Database.run_statement``) and a server
+    connection (``Session.apply_set``) cannot word it differently."""
+    if value is None:
+        return f"{knob} disabled"
+    shown = f"{value:g}" if isinstance(value, float) else str(value)
+    return f"{knob} set to {shown}{unit}"
+
+
 @dataclass(frozen=True)
 class SetRefreshAge:
     max_pending: int | None  # None ⇒ ANY
+
+    def status(self) -> str:
+        return f"refresh age set to {RefreshAge(self.max_pending).describe()}"
 
 
 @dataclass(frozen=True)
@@ -118,20 +132,24 @@ class SetSlowQuery:
 class SetQueryTimeout:
     timeout_ms: float | None  # None ⇒ OFF (no deadline)
 
+    def status(self) -> str:
+        return _set_status("query timeout", self.timeout_ms, " ms")
+
 
 @dataclass(frozen=True)
 class SetQueryMaxRows:
     max_rows: int | None  # None ⇒ OFF (no materialized-row cap)
+
+    def status(self) -> str:
+        return _set_status("query maxrows", self.max_rows)
 
 
 @dataclass(frozen=True)
 class SetQueryMaxMem:
     max_mem: int | None  # None ⇒ OFF (no per-query memory budget)
 
-
-@dataclass(frozen=True)
-class SetExecutorParallel:
-    workers: int | None  # None ⇒ OFF (serial morsel execution)
+    def status(self) -> str:
+        return _set_status("query maxmem", self.max_mem, " byte(s)")
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,6 @@ Statement = (
     | SetQueryTimeout
     | SetQueryMaxRows
     | SetQueryMaxMem
-    | SetExecutorParallel
     | SetTraceSample
     | InsertValues
     | DeleteValues
@@ -381,7 +398,6 @@ class _StatementParser(_Parser):
         | SetQueryTimeout
         | SetQueryMaxRows
         | SetQueryMaxMem
-        | SetExecutorParallel
         | SetTraceSample
     ):
         self._expect_word("set")
@@ -404,18 +420,6 @@ class _StatementParser(_Parser):
                     "TRACE SAMPLE must be OFF or a rate in (0, 1]"
                 )
             return SetTraceSample(float(value))
-        if self._accept_word("executor"):
-            # SET EXECUTOR PARALLEL <n>|OFF: morsel-driven worker pool
-            # for scans/joins/group-bys (docs/EXECUTOR.md).
-            self._expect_word("parallel")
-            if self._accept_word("off"):
-                return SetExecutorParallel(None)
-            value = self._parse_constant()
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise self._error(
-                    "EXECUTOR PARALLEL must be OFF or a positive worker count"
-                )
-            return SetExecutorParallel(value)
         if self._accept_word("slow"):
             self._expect_word("query")
             if self._accept_word("off"):

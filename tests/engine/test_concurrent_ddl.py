@@ -43,12 +43,13 @@ class TestDroppedAstPinning:
         The overlay must pin the dropped summary's table."""
         db.create_summary_table("EpochAst", SUMMARY_SQL)
         expected = db.execute(QUERY, use_summary_tables=False)
-        graph = db.bind(QUERY)
-        exec_graph, overlay = db._rewrite_for_execution(QUERY, graph)
+        run = db.prepare_select(QUERY)
+        db._rewrite_stage(run)
+        overlay = run.overlay
         assert overlay is not None and "epochast" in overlay
         db.drop_summary_table("EpochAst")
         assert "epochast" not in db.tables
-        result = db.execute_graph(exec_graph, overlay=overlay)
+        result = db.execute_graph(run.graph, overlay=overlay)
         assert tables_equal(result, expected)
 
     def test_decision_cache_epoch_captured_before_match(self, db, monkeypatch):

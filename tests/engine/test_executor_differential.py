@@ -2,10 +2,10 @@
 reference oracle.
 
 Every TPC-D and webmetrics workload query must come back bit-identical
-(``tables_equal``) from the batch executor — serial and morsel-parallel
-(2 and 4 workers), governed and ungoverned — and a hypothesis property
-stresses random GROUPING SETS combinations, where the NULL-padded cuboid
-union and the partial-aggregate merge interact.
+(``tables_equal``) from the batch executor — governed (morsels of
+``_TICK_EVERY`` rows) and ungoverned (whole-column batches) — and a
+hypothesis property stresses random GROUPING SETS combinations, where
+the NULL-padded cuboid union and the partial aggregate states interact.
 
 The reference executor (cartesian products + sort-based grouping) shares
 nothing with the batch pipeline beyond SQL semantics, so agreement here
@@ -26,16 +26,20 @@ from repro.qgm import build_graph
 from repro.workloads import tpcd, webmetrics
 
 # Small enough that the reference executor's cartesian joins stay cheap,
-# big enough that every query crosses several morsels at parallel 2/4.
+# big enough that every governed query crosses several morsels.
 TPCD_DB = tpcd.build_tpcd_db(orders=40)
 WEB_DB = webmetrics.build_web_db(views=600)
 
 _DBS = {"tpcd": TPCD_DB, "web": WEB_DB}
 _QUERIES = {"tpcd": tpcd.QUERIES, "web": webmetrics.QUERIES}
 
+# The ``off`` in each id dates from the removed thread-parallel matrix
+# (off/par2/par4); it stays so the surviving cases keep their names.
 WORKLOAD_CASES = [
-    ("tpcd", name) for name in sorted(tpcd.QUERIES)
-] + [("web", name) for name in sorted(webmetrics.QUERIES)]
+    pytest.param(workload, name, id=f"{workload}-{name}-off")
+    for workload, queries in (("tpcd", tpcd.QUERIES), ("web", webmetrics.QUERIES))
+    for name in sorted(queries)
+]
 
 _reference_cache: dict[tuple[str, str], object] = {}
 
@@ -59,26 +63,23 @@ def _governed_scope() -> QueryBudget:
 
 
 @pytest.mark.parametrize("governed", [False, True], ids=["ungoverned", "governed"])
-@pytest.mark.parametrize("parallel", [None, 2, 4], ids=["off", "par2", "par4"])
 @pytest.mark.parametrize("workload,name", WORKLOAD_CASES)
-def test_batch_executor_matches_reference(workload, name, parallel, governed):
+def test_batch_executor_matches_reference(workload, name, governed):
     db = _DBS[workload]
     graph = build_graph(_QUERIES[workload][name], db.catalog)
     expected = _reference_result(workload, name)
-    executor = Executor(db.tables, parallel=parallel)
+    executor = Executor(db.tables)
     if governed:
         with governor_scope.activate(_governed_scope()):
             result = executor.run(graph)
     else:
         result = executor.run(graph)
     assert result.columns == expected.columns
-    assert tables_equal(result, expected), (workload, name, parallel, governed)
-    if parallel:
-        assert executor.stats is not None and executor.stats.workers == parallel
+    assert tables_equal(result, expected), (workload, name, governed)
 
 
 # ----------------------------------------------------------------------
-# Random grouping sets: cuboid union + partial-aggregate merge
+# Random grouping sets: cuboid union + partial aggregate states
 # ----------------------------------------------------------------------
 _GROUP_COLS = [
     "returnflag",
@@ -128,7 +129,7 @@ def grouping_set_queries(draw) -> str:
 def test_random_grouping_sets_match_reference(sql):
     graph = build_graph(sql, TPCD_DB.catalog)
     expected = ReferenceExecutor(TPCD_DB.tables).run(graph)
-    for parallel in (None, 2):
+    for batch_rows in (None, 64):
         graph_again = build_graph(sql, TPCD_DB.catalog)
-        result = Executor(TPCD_DB.tables, parallel=parallel).run(graph_again)
-        assert tables_equal(result, expected), (sql, parallel)
+        result = Executor(TPCD_DB.tables, batch_rows=batch_rows).run(graph_again)
+        assert tables_equal(result, expected), (sql, batch_rows)

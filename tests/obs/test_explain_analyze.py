@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import FIGURES, make_database
 from repro.obs import REASONS
+from repro.workloads import small_config
 from repro.workloads.tpcd import QUERIES, build_tpcd_db, install_asts
 
 PHASES = ("parse", "bind", "match", "compensate", "execute", "total")
@@ -78,6 +80,46 @@ class TestExplainAnalyze:
         out = tpcd_db.explain_analyze(sql)
         assert "-- rewritten SQL --" in out
         assert "rewritten via" in out
+
+
+    def test_executor_section_is_this_runs_not_the_latest(
+        self, tpcd_db, monkeypatch
+    ):
+        """The ``-- executor --`` section is read from the run's own
+        record, not from a database-wide "most recent run" slot that
+        another thread's SELECT can overwrite between this statement's
+        run and its render. Replayed deterministically by running a
+        second, smaller query once the explained one has run — when its
+        trace is filed, before anything is rendered."""
+        sql = QUERIES["q1_pricing"]
+        other = "select count(*) as n from Customer"
+        own = tpcd_db.run_select(sql).executor_stats.describe_lines()
+        others = tpcd_db.run_select(other).executor_stats.describe_lines()
+        assert own != others
+        file_trace = tpcd_db.trace_buffer.append
+
+        def file_then_interpose(trace):
+            file_trace(trace)
+            tpcd_db.execute(other)
+
+        monkeypatch.setattr(tpcd_db.trace_buffer, "append", file_then_interpose)
+        out = tpcd_db.explain_analyze(sql)
+        section = out.split("-- executor --\n")[1].split("\n--")[0]
+        assert section.splitlines() == own
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_explain_analyze_reports_what_execute_does(figure):
+    """One pipeline: the plan EXPLAIN ANALYZE prints is the plan
+    ``execute`` runs and ``rewrite`` decides."""
+    ast_name, ast_sql, query, _ = FIGURES[figure]
+    db = make_database(small_config())
+    db.create_summary_table(ast_name, ast_sql)
+    out = db.explain_analyze(query)
+    decided = db.rewrite(query)
+    assert f"-- result: {len(db.execute(query))} row(s) --" in out
+    assert f"-- rewrite --\n{decided.explain()}\n" in out
+    assert f"-- rewritten SQL --\n{decided.sql}\n-- result:" in out
 
 
 class TestTracingApi:

@@ -218,42 +218,15 @@ class TestManifestErrors:
 
 
 class TestFormatCompatibility:
-    def _downgrade_to_v1(self, target):
-        """Rewrite a v2 save as the v1 format: raw JSON lines, no
-        checksums, format_version 1."""
-        for path in target.glob("*.jsonl"):
-            lines = path.read_text().splitlines()
-            path.write_text(
-                "".join(line.split(" ", 1)[1] + "\n" for line in lines if line)
-            )
-        manifest = json.loads((target / "catalog.json").read_text())
-        manifest["format_version"] = 1
-        manifest.pop("checksums", None)
-        (target / "catalog.json").write_text(json.dumps(manifest))
-
-    def test_v1_database_loads_unchanged(self, tiny_db, tmp_path):
-        tiny_db.create_summary_table(
-            "S1", SUMMARY_SQL, refresh_mode="deferred"
-        )
-        stage(tiny_db)
-        target = save_database(tiny_db, tmp_path / "db")
-        self._downgrade_to_v1(target)
-        loaded = load_database(target)
-        for name in ("Trans", "Loc", "PGroup", "Acct", "Cust"):
-            assert tables_equal(tiny_db.table(name), loaded.table(name))
-        assert loaded.summary_tables["s1"].refresh.pending_deltas == 1
-        assert loaded.delta_log.lsn == tiny_db.delta_log.lsn
-        assert verify_database(loaded).clean
-        loaded.close()
-        tiny_db.close()
-
     def test_future_format_rejected(self, tiny_db, tmp_path):
         target = save_database(tiny_db, tmp_path / "db")
         manifest = json.loads((target / "catalog.json").read_text())
-        manifest["format_version"] = 99
-        (target / "catalog.json").write_text(json.dumps(manifest))
-        with pytest.raises(ReproError, match="unsupported save format"):
-            load_database(target)
+        # 99 is from the future; 1 has had no writer since v2 shipped
+        for version in (99, 1):
+            manifest["format_version"] = version
+            (target / "catalog.json").write_text(json.dumps(manifest))
+            with pytest.raises(ReproError, match="unsupported save format"):
+                load_database(target)
 
     def test_v2_round_trip_preserves_quarantine(self, tiny_db, tmp_path):
         tiny_db.create_summary_table(

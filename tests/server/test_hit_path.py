@@ -103,7 +103,7 @@ class TestHitsOnTheLoop:
         server = served(max_workers=2)
         release = threading.Event()
         parked = threading.Semaphore(0)
-        execute = server.db.execute_statement
+        execute = server.db.run_select
 
         def slow(source, sql_text=None, **kwargs):
             if sql_text == COUNTED:
@@ -111,7 +111,7 @@ class TestHitsOnTheLoop:
                 assert release.wait(timeout=30)
             return execute(source, sql_text, **kwargs)
 
-        monkeypatch.setattr(server.db, "execute_statement", slow)
+        monkeypatch.setattr(server.db, "run_select", slow)
         done = []
 
         def park():
@@ -223,8 +223,9 @@ class TestParseAndBindOnce:
         self, served, monkeypatch
     ):
         from repro.engine import database as database_module
+        from repro.engine import pipeline as pipeline_module
 
-        calls = {"parse_statement": 0, "build_graph": 0}
+        calls = {"parse_statement": 0, "build_graph": 0, "fingerprint": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -236,19 +237,35 @@ class TestParseAndBindOnce:
             server_module, "parse_statement",
             counting("parse_statement", server_module.parse_statement),
         )
-        for module in (server_module, database_module):
+        # the engine's prepare stage is the only binder and fingerprinter
+        assert not hasattr(server_module, "build_graph")
+        assert not hasattr(server_module, "fingerprint")
+        for module, name in (
+            (database_module, "build_graph"),
+            (database_module, "fingerprint"),
+            (pipeline_module, "fingerprint"),
+        ):
             monkeypatch.setattr(
-                module, "build_graph",
-                counting("build_graph", module.build_graph),
+                module, name, counting(name, getattr(module, name))
             )
         server = served()
+        server.db.create_summary_table(
+            "ByAcctLoc",
+            "SELECT faid, flid, COUNT(*) AS cnt FROM Trans GROUP BY faid, flid",
+        )
+        once = {"parse_statement": 1, "build_graph": 1, "fingerprint": 1}
         with connect(server) as client:
+            calls.update(build_graph=0)  # the summary's definition
+            # cold: the result-cache key and the rewrite decision share
+            # one fingerprint
             assert client.query(GROUPED).cache == "miss"
-            assert calls == {"parse_statement": 1, "build_graph": 1}
+            assert calls == once
             assert client.query(GROUPED).cache == "hit"
-            assert calls == {"parse_statement": 1, "build_graph": 1}
+            assert calls == once
             client.query(INSERT)
-            calls.update(parse_statement=0, build_graph=0)
+            calls.update(parse_statement=0, build_graph=0, fingerprint=0)
             # a known text whose entry died: the engine binds the text
             assert client.query(GROUPED).cache == "miss"
-            assert calls == {"parse_statement": 0, "build_graph": 1}
+            assert calls == {
+                "parse_statement": 0, "build_graph": 1, "fingerprint": 1,
+            }

@@ -8,7 +8,12 @@ import threading
 import pytest
 
 from repro.engine.database import Database
-from repro.errors import BudgetExhausted, QueryRejected, QueryTimeout
+from repro.errors import (
+    BudgetExhausted,
+    QueryRejected,
+    QueryTimeout,
+    SqlSyntaxError,
+)
 from repro.server.client import ReproClient
 from repro.server.server import QueryServer
 from repro.workloads import tpcd, webmetrics
@@ -151,6 +156,17 @@ class TestSessionIsolation:
             assert a.ping()["session"]["max_rows"] == 1
             assert b.ping()["session"]["max_rows"] == "inherit"
 
+    def test_executor_parallel_knob_is_gone(self, served):
+        server = served(fresh_small_db())
+        with connect(server) as client:
+            for send in (client.set, client.query):
+                with pytest.raises(SqlSyntaxError):
+                    send("SET EXECUTOR PARALLEL 2")
+            assert set(client.ping()["session"]) == {
+                "client_id", "refresh_age", "timeout_ms", "max_rows",
+                "max_mem", "queries",
+            }
+
     def test_refresh_age_splits_cache_keys_per_session(self, served):
         db = fresh_small_db()
         server = served(db)
@@ -253,6 +269,42 @@ class TestGovernorOverTheWire:
             client.set("SET REFRESH AGE ANY")
             tolerant = client.explain(sql)
             assert "SrvAst" in tolerant
+
+    def test_explain_analyze_runs_under_the_session_knobs(self, served):
+        """EXPLAIN ANALYZE is the query itself, run and rendered: it
+        answers to the connection's SET REFRESH AGE and SET QUERY
+        limits exactly as the query and plain EXPLAIN do."""
+        db = fresh_small_db()
+        db.create_summary_table(
+            "SrvAst",
+            "select faid, count(*) as cnt from Trans group by faid",
+            refresh_mode="deferred",
+        )
+        server = served(db)
+        sql = "SELECT faid, COUNT(*) AS cnt FROM Trans GROUP BY faid"
+        with connect(server) as client:
+            client.query(
+                "INSERT INTO Trans VALUES "
+                "(999993, 1, 1, 1, DATE '1990-06-15', 1, 10.0, 0.1)"
+            )
+            strict = client.explain(sql, analyze=True)
+            assert "-- rewritten SQL --" not in strict
+            client.set("SET REFRESH AGE ANY")
+            rewritten = client.explain(sql).split("-- rewritten SQL --")[1]
+            analyzed = client.explain(sql, analyze=True)
+            assert "rewritten via" in analyzed
+            assert (
+                analyzed.split("-- rewritten SQL --")[1].splitlines()[1]
+                == rewritten.splitlines()[1]
+            )
+            assert "FROM SrvAst" in rewritten.splitlines()[1]
+            rows = len(client.query(sql).table.rows)
+            assert f"-- result: {rows} row(s) --" in analyzed
+            client.set("SET QUERY MAXROWS 1")
+            with pytest.raises(BudgetExhausted):
+                client.query(sql)
+            with pytest.raises(BudgetExhausted):
+                client.explain(sql, analyze=True)
 
 
 # ----------------------------------------------------------------------

@@ -122,19 +122,26 @@ class TestParseOtherStatements:
         statement = parse_statement("set refresh age any")
         assert statement.max_pending is None
 
-    def test_set_executor_parallel(self):
-        from repro.sql.statements import SetExecutorParallel
-
-        assert parse_statement("set executor parallel 4") == SetExecutorParallel(4)
-        assert parse_statement("SET EXECUTOR PARALLEL 1") == SetExecutorParallel(1)
-        assert parse_statement("set executor parallel off") == SetExecutorParallel(
-            None
-        )
-
-    def test_set_executor_parallel_rejects_bad_counts(self):
-        for bad in ("0", "-2", "2.5", "true", "many"):
+    def test_set_executor_parallel_is_gone(self):
+        # the thread-parallel executor path was removed (docs/EXECUTOR.md)
+        for text in ("set executor parallel 2", "SET EXECUTOR PARALLEL OFF"):
             with pytest.raises(SqlSyntaxError):
-                parse_statement(f"set executor parallel {bad}")
+                parse_statement(text)
+
+    def test_session_set_status_text(self):
+        # one copy of the wording, shared by the shell and the server
+        for text, status in [
+            ("set refresh age any", "refresh age set to ANY"),
+            ("set refresh age 3", "refresh age set to 3"),
+            ("set query timeout 250", "query timeout set to 250 ms"),
+            ("set query timeout 2.5", "query timeout set to 2.5 ms"),
+            ("set query timeout off", "query timeout disabled"),
+            ("set query maxrows 10", "query maxrows set to 10"),
+            ("set query maxrows off", "query maxrows disabled"),
+            ("set query maxmem 4096", "query maxmem set to 4096 byte(s)"),
+            ("set query maxmem off", "query maxmem disabled"),
+        ]:
+            assert parse_statement(text).status() == status
 
     def test_plain_select(self):
         statement = parse_statement("select 1 as one from Trans")
@@ -319,25 +326,3 @@ class TestParseRefreshStatements:
         ):
             with pytest.raises(SqlSyntaxError):
                 parse_statement(bad)
-
-
-class TestSetExecutorParallel:
-    def test_round_trip(self, tiny_db):
-        assert tiny_db.executor_parallel is None
-        status = tiny_db.run_sql("set executor parallel 2")
-        assert "2 worker" in status
-        assert tiny_db.executor_parallel == 2
-        # Queries keep returning correct results with the session pool.
-        result = tiny_db.run_sql(
-            "select faid, count(*) as n from Trans group by faid"
-        )
-        assert result.sorted_rows() == [(10, 3), (20, 3)]
-        assert tiny_db.last_executor_stats.workers == 2
-        status = tiny_db.run_sql("set executor parallel off")
-        assert "disabled" in status
-        assert tiny_db.executor_parallel is None
-
-    def test_close_shuts_down_pool(self, tiny_db):
-        tiny_db.run_sql("set executor parallel 3")
-        tiny_db.close()
-        assert tiny_db.executor_parallel is None
