@@ -64,7 +64,7 @@ from repro.qgm.display import render_graph
 from repro.qgm.fingerprint import GraphFingerprint, fingerprint
 from repro.qgm.unparse import to_sql
 from repro.rewrite.cache import RewriteCache, RewriteStats
-from repro.rewrite.index import SummaryIndex, SummarySignature, graph_signature
+from repro.rewrite.index import SummarySignature, graph_signature
 from repro.rewrite.planner import CostPlanner
 from repro.rewrite.rewriter import RewriteResult, rewrite_query
 from repro.sql.parser import parse, parse_expression
@@ -98,7 +98,6 @@ __all__ = [
     "RewriteError",
     "RewriteResult",
     "RewriteStats",
-    "SummaryIndex",
     "SummarySignature",
     "TableStats",
     "SqlSyntaxError",

@@ -315,57 +315,12 @@ class Shell:
                 return True
             self._render_status(status, remote=True)
             return True
-        self._render_status(self._local_status(), remote=False)
+        # the in-process subset of the server's ``status`` op: no wire,
+        # no WAL, no result cache
+        self._render_status(
+            {"role": "local", **self.database.status()}, remote=False
+        )
         return True
-
-    def _local_status(self) -> dict:
-        """The in-process subset of the server's ``status`` op: no wire,
-        no WAL, no result cache — governor, refresh, tracing, and live
-        histogram quantiles still apply."""
-        from repro.obs import spans as _spans
-        from repro.obs.metrics import Histogram
-        from repro.resources.broker import BROKER
-
-        db = self.database
-        scheduler = db.refresh_scheduler
-        latency = {}
-        for name in db.metrics.names():
-            metric = db.metrics.get(name)
-            if isinstance(metric, Histogram):
-                described = metric.describe()
-                if described["count"]:
-                    latency[name] = {
-                        "count": described["count"],
-                        "p50": described["p50"],
-                        "p95": described["p95"],
-                        "p99": described["p99"],
-                    }
-        tracer = _spans.TRACER
-        tracing: dict = {"enabled": tracer is not None}
-        if tracer is not None:
-            tracing.update(
-                sample_rate=tracer.sample_rate,
-                spans=len(tracer.buffer),
-                dropped=tracer.buffer.dropped,
-            )
-        return {
-            "role": "local",
-            "governor": {
-                "admission": db.governor.admission.snapshot(),
-                "breaker": db.governor.breaker.snapshot(),
-            },
-            "refresh": {
-                "queued": scheduler.queued,
-                "pending_retries": scheduler.pending_retries,
-                "quarantined": sorted(
-                    s.name for s in db.quarantined_summary_tables()
-                ),
-                "recomputes": db.metrics.series("maintenance_recomputes", "summary"),
-            },
-            "memory": BROKER.snapshot(),
-            "latency_ms": latency,
-            "tracing": tracing,
-        }
 
     def _render_status(self, status: dict, remote: bool) -> None:
         where = "remote" if remote else "local"

@@ -48,9 +48,8 @@ from repro.governor import scope as governor_scope
 from repro.governor.governor import UNSET
 from repro.obs import events as _events
 from repro.obs import spans as _spans
-from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceBuffer
+from repro.obs.trace import MatchTrace, TraceBuffer
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
 from repro.qgm.fingerprint import fingerprint
@@ -76,18 +75,17 @@ class Database:
         from repro.refresh.log import DeltaLog
         from repro.refresh.policy import RefreshAge
         from repro.refresh.scheduler import RefreshScheduler
-        from repro.rewrite.cache import RewriteCache, RewriteStats
-        from repro.rewrite.index import SummaryIndex
+        from repro.rewrite.cache import RewriteCache, register_counters
 
         for schema in self.catalog.tables.values():
             self.tables[schema.name.lower()] = Table.from_schema(schema)
-        #: the unified metrics registry — fast-path counters (via
-        #: RewriteStats), scheduler counters, phase timers, slow-query
-        #: counts all land here; dump with \metrics / to_prometheus()
+        #: the unified metrics registry — fast-path counters (each
+        #: rewrite's RewriteStats, flushed once), scheduler counters,
+        #: phase timers, slow-query counts all land here; dump with
+        #: \metrics / to_prometheus()
         self.metrics = MetricsRegistry()
-        self._summary_index = SummaryIndex()
         self._rewrite_cache = RewriteCache(rewrite_cache_size)
-        self._rewrite_stats = RewriteStats(registry=self.metrics)
+        self._rewrite_counters = register_counters(self.metrics)
         self._rewrite_epoch = 0
         self._fast_path_index = True
         self._fast_path_cache = True
@@ -186,13 +184,16 @@ class Database:
         :meth:`run_select`, so a cold SELECT is bound and fingerprinted
         once. The epoch is read *before* binding: a catalog mutation
         racing the bind leaves the record looking stale, never fresh."""
+        from repro.rewrite.cache import RewriteStats
+
         epoch = self._rewrite_epoch
         started = time.perf_counter()
         graph = build_graph(source, self.catalog, label=label)
         bind_ms = self.metrics.observe_ms("phase_bind_ms", started)
         _spans.record("db.bind", started)
         return SelectRun(
-            source, sql_text, label, graph, epoch, {"bind": bind_ms}
+            source, sql_text, label, graph, epoch, {"bind": bind_ms},
+            RewriteStats(),
         )
 
     def run_select(
@@ -252,7 +253,8 @@ class Database:
     ) -> SelectRun:
         """The three stages with their phase timers (bind/match/execute,
         milliseconds) in the metrics registry, spans, the optional match
-        trace (``set_tracing``), and the slow-query log."""
+        trace (``set_tracing``; this statement's own, kept on the record
+        and handed down to the matcher), and the slow-query log."""
         metrics = self.metrics
         total_start = time.perf_counter()
         run = source if isinstance(source, SelectRun) else None
@@ -260,39 +262,28 @@ class Database:
             sql_text = run.sql
         elif sql_text is None and isinstance(source, str):
             sql_text = source
-        trace = (
-            _trace.start(sql_text) if force_trace or self._tracing else None
+        if run is None:
+            run = self.prepare_select(source, sql_text)
+        trace = run.trace = (
+            MatchTrace(sql_text) if force_trace or self._tracing else None
         )
-        try:
-            if run is None:
-                run = self.prepare_select(source, sql_text)
-            if use_summary_tables and self.summary_tables:
-                started = time.perf_counter()
-                self._rewrite_stage(run, tolerance)
-                run.phases["match"] = metrics.observe_ms(
-                    "phase_match_ms", started
-                )
-                if _spans.TRACER is not None:
-                    rewrite_attrs = {"rewritten": run.rewrite is not None}
-                    if trace is not None:
-                        # join the request span to the match tracer's
-                        # per-query record (\trace N)
-                        rewrite_attrs["match_trace"] = trace.trace_id
-                    _spans.record("db.rewrite", started, **rewrite_attrs)
+        if use_summary_tables and self.summary_tables:
             started = time.perf_counter()
-            run.table, run.executor_stats = self._execute(
-                run.graph, run.overlay
-            )
-            run.phases["execute"] = metrics.observe_ms(
-                "phase_execute_ms", started
-            )
-            _spans.record("db.execute", started)
-        finally:
-            if trace is not None:
-                _trace.finish()
+            self._rewrite_stage(run, tolerance)
+            run.phases["match"] = metrics.observe_ms("phase_match_ms", started)
+            if _spans.TRACER is not None:
+                rewrite_attrs = {"rewritten": run.rewrite is not None}
+                if trace is not None:
+                    # join the request span to the match tracer's
+                    # per-query record (\trace N)
+                    rewrite_attrs["match_trace"] = trace.trace_id
+                _spans.record("db.rewrite", started, **rewrite_attrs)
+        started = time.perf_counter()
+        run.table, run.executor_stats = self._execute(run.graph, run.overlay)
+        run.phases["execute"] = metrics.observe_ms("phase_execute_ms", started)
+        _spans.record("db.execute", started)
         run.phases["total"] = metrics.observe_ms("query_total_ms", total_start)
         if trace is not None:
-            run.trace = trace
             trace.set_phase("bind", run.phases["bind"])
             if "match" in run.phases:
                 # apply_match recorded "compensate" inside the match window
@@ -491,7 +482,7 @@ class Database:
     def explain(self, sql: str, tolerance=None) -> str:
         """EXPLAIN output: the QGM graph, the matching decision, the
         rewritten SQL/graph when a summary table applies, and the
-        matching fast-path counters for this statement — the pipeline,
+        statement's own matching fast-path counts — the pipeline,
         stopped after the rewrite stage. ``tolerance`` is a per-call
         freshness override (the query server passes the connection's
         ``SET REFRESH AGE`` so remote EXPLAIN sees the same staleness
@@ -502,11 +493,8 @@ class Database:
 
         run = self.prepare_select(sql)
         graph_text = render_graph(run.graph)
-        before = self._rewrite_stats.snapshot()
         self._rewrite_stage(run, tolerance)
-        return render_explain(
-            run, graph_text, self._rewrite_stats.delta(before)
-        )
+        return render_explain(run, graph_text)
 
     def explain_analyze(self, sql: str, **overrides) -> str:
         """``EXPLAIN ANALYZE``: execute the query through
@@ -518,16 +506,12 @@ class Database:
         the named reject reason (see ``docs/OBSERVABILITY.md``)."""
         from repro.sql.parser import parse
 
-        before = self._rewrite_stats.snapshot()
         started = time.perf_counter()
         statement = parse(sql)
         parse_ms = self.metrics.observe_ms("phase_parse_ms", started)
         run = self.run_select(statement, sql, force_trace=True, **overrides)
         run.trace.phases = {"parse": parse_ms, **run.trace.phases}
-        return render_analyze(
-            run, parse_ms, self._rewrite_stats.delta(before),
-            bool(self.summary_tables),
-        )
+        return render_analyze(run, parse_ms, bool(self.summary_tables))
 
     def _rewrite_stage(self, run: SelectRun, tolerance=None) -> None:
         """Pipeline stage 2, the rewrite *sandbox* — the one place a
@@ -555,25 +539,27 @@ class Database:
         """
         try:
             run.rewrite = self._rewrite_bound(
-                run.graph, tolerance=tolerance, shape=run.graph_fingerprint
+                run.graph, run.rewrite_stats, run.trace,
+                tolerance=tolerance, shape=run.graph_fingerprint,
             )
             return
         except QueryCancelled:
             raise
         except MatchBudgetExceeded as error:
-            self._note_degradation(error)
+            self._note_degradation(error, run.trace)
             run.degraded = str(error)
         except Exception as error:
-            self._rewrite_stats.rewrite_errors += 1
+            run.rewrite_stats.rewrite_errors += 1
+            self._rewrite_counters["rewrite_errors"].inc()
             run.rewrite_error = f"{type(error).__name__}: {error}"
             self.last_rewrite_error = run.rewrite_error
         run.graph = build_graph(run.source, self.catalog, label=run.label)
 
-    def _note_degradation(self, error: MatchBudgetExceeded) -> None:
+    def _note_degradation(self, error: MatchBudgetExceeded, trace) -> None:
         """Record one match-phase budget exhaustion: mark the scope
         degraded (disarming its deadline so execution completes), feed
         the circuit breaker, bump the metrics counter, and fill the
-        active trace's verdicts so EXPLAIN ANALYZE shows
+        verdicts of the run's ``trace`` so EXPLAIN ANALYZE shows
         ``budget-exhausted`` instead of an empty match table."""
         detail = str(error)
         budget = governor_scope.current()
@@ -583,12 +569,11 @@ class Database:
                 self.governor.breaker.record_timeout(budget.fingerprint)
         self.governor.note_degradation()
         self.last_governor_event = f"degraded to base tables: {detail}"
-        t = _trace.ACTIVE
-        if t is not None:
+        if trace is not None:
             # The attempt the budget interrupted has neither a pattern
             # nor a reject reason; later summaries were never begun.
             seen = set()
-            for attempt in t.summaries:
+            for attempt in trace.summaries:
                 seen.add(attempt.name.lower())
                 if (
                     attempt.reason is None
@@ -599,7 +584,7 @@ class Database:
                     attempt.detail = detail
             for summary in self.enabled_summary_tables():
                 if summary.name.lower() not in seen:
-                    t.verdict(summary.name, "budget-exhausted", detail)
+                    trace.verdict(summary.name, "budget-exhausted", detail)
 
     def rewrite(
         self,
@@ -616,15 +601,36 @@ class Database:
         :data:`repro.matching.framework.DEFAULT_OPTIONS`); ``tolerance``
         overrides the session's ``refresh_age`` for this query.
         """
+        from repro.rewrite.cache import RewriteStats
+
         graph = self.bind(sql) if isinstance(sql, str) else sql
-        return self._rewrite_bound(graph, options=options, tolerance=tolerance)
+        return self._rewrite_bound(
+            graph, RewriteStats(), options=options, tolerance=tolerance
+        )
 
     def _rewrite_bound(
-        self, graph: QueryGraph, options: dict | None = None, tolerance=None,
-        shape=None,
+        self, graph: QueryGraph, stats, trace=None, options: dict | None = None,
+        tolerance=None, shape=None,
+    ):
+        """One rewrite decision (:meth:`_decide_rewrite`), counted:
+        ``stats`` — this rewrite's own
+        :class:`~repro.rewrite.cache.RewriteStats` — is flushed into the
+        database-wide ``rewrite_*`` counters exactly once, also when the
+        match raises or the governor degrades it."""
+        try:
+            return self._decide_rewrite(
+                graph, stats, trace, options, tolerance, shape
+            )
+        finally:
+            stats.flush(self._rewrite_counters)
+
+    def _decide_rewrite(
+        self, graph: QueryGraph, stats, trace, options, tolerance, shape
     ):
         """The matching fast path: staleness gate + index pruning +
         decision cache around :func:`repro.rewrite.rewriter.rewrite_query`.
+        ``stats`` and ``trace`` (None: untraced) are the calling
+        statement's own records and are handed down, never shared.
         ``shape`` is ``graph``'s fingerprint when the caller already took
         it (a :class:`SelectRun` the server keyed its result cache on)."""
         from repro.rewrite.cache import CachedStep, CacheEntry, options_key
@@ -641,7 +647,6 @@ class Database:
         budget = governor_scope.current()
         if budget is not None:
             budget.enter_match()
-        stats = self._rewrite_stats
         stats.queries += 1
         # Capture the decision-cache epoch BEFORE matching. Any catalog
         # mutation that lands while this decision is in flight bumps the
@@ -651,7 +656,7 @@ class Database:
         epoch = self._rewrite_epoch
         summaries = filter_fresh(
             self.enabled_summary_tables(), tolerance, stats=stats,
-            log=self._delta_log,
+            log=self._delta_log, trace=trace,
         )
         admissible = frozenset(s.name.lower() for s in summaries)
         use_cache = self._fast_path_cache and self._rewrite_cache.maxsize > 0
@@ -665,16 +670,16 @@ class Database:
             if entry is not None:
                 if entry.steps is None:
                     stats.cache_negative_hits += 1
-                    t = _trace.ACTIVE
-                    if t is not None:
-                        self._trace_cache_hit(t, admissible, steps=None)
+                    if trace is not None:
+                        self._trace_cache_hit(trace, admissible, steps=None)
                     return None
-                replayed = self._replay_rewrite(graph, entry, admissible)
+                replayed = self._replay_rewrite(graph, entry, admissible, trace)
                 if replayed is not None:
                     stats.cache_hits += 1
-                    t = _trace.ACTIVE
-                    if t is not None:
-                        self._trace_cache_hit(t, admissible, steps=entry.steps)
+                    if trace is not None:
+                        self._trace_cache_hit(
+                            trace, admissible, steps=entry.steps
+                        )
                     return replayed
                 stats.cache_replay_failures += 1
             stats.cache_misses += 1
@@ -693,10 +698,9 @@ class Database:
             self.last_governor_event = (
                 "circuit breaker open: match skipped for this query shape"
             )
-            t = _trace.ACTIVE
-            if t is not None:
+            if trace is not None:
                 for summary in summaries:
-                    t.verdict(
+                    trace.verdict(
                         summary.name, "circuit-open",
                         "match skipped during breaker cool-down",
                     )
@@ -707,6 +711,7 @@ class Database:
             options=options,
             stats=stats,
             prune=self._fast_path_index,
+            trace=trace,
         )
         if shape is not None:
             # The match phase completed: this shape is healthy.
@@ -757,7 +762,8 @@ class Database:
                 )
 
     def _replay_rewrite(
-        self, graph: QueryGraph, entry: CacheEntry, admissible: frozenset[str]
+        self, graph: QueryGraph, entry: CacheEntry,
+        admissible: frozenset[str], trace=None,
     ):
         """Re-apply a cached positive decision to a freshly bound graph.
 
@@ -795,7 +801,7 @@ class Database:
                     column_map=dict(step.column_map),
                     pattern=step.pattern,
                 )
-                apply_match(graph, match, summary)
+                apply_match(graph, match, summary, trace)
                 applied.append(AppliedRewrite(summary, match, step.subsumee_index))
             graph.validate()
         except ReproError:
@@ -841,7 +847,10 @@ class Database:
         deferred-refresh subsystem's counters: ``pending_deltas`` (a
         gauge — staged delta batches summed over deferred summaries),
         ``refreshes_applied``, ``fallback_recomputes``."""
-        stats = self._rewrite_stats.as_dict()
+        stats = {
+            name: counter.value
+            for name, counter in self._rewrite_counters.items()
+        }
         stats["pending_deltas"] = sum(
             summary.refresh.pending_deltas
             for summary in self.summary_tables.values()
@@ -858,10 +867,10 @@ class Database:
         return stats
 
     def reset_rewrite_stats(self) -> None:
-        self._rewrite_stats.reset()
-        self._scheduler.refreshes_applied = 0
-        self._scheduler.fallback_recomputes = 0
-        self._scheduler.batches_applied = 0
+        for counter in self._rewrite_counters.values():
+            counter.reset()
+        for name in ("refreshes_applied", "fallback_recomputes", "batches_applied"):
+            self.metrics.counter(f"scheduler_{name}").reset()
 
     def configure_fast_path(
         self, index: bool | None = None, cache: bool | None = None
@@ -940,11 +949,14 @@ class Database:
             return summary
 
     def _register_summary(self, summary: "SummaryTable") -> None:
-        """Register a materialized summary for matching: store it, index
-        its signature, and invalidate cached rewrite decisions. Used by
+        """Register a materialized summary for matching: store it,
+        extract its signature now (so the first query after CREATE pays
+        no extraction), and invalidate cached rewrite decisions. Used by
         :meth:`create_summary_table` and by persistence reload."""
+        from repro.rewrite.index import summary_signature
+
         self.summary_tables[summary.name.lower()] = summary
-        self._summary_index.register(summary)
+        summary_signature(summary)
         self._bump_rewrite_epoch()
 
     def drop_summary_table(self, name: str) -> None:
@@ -962,7 +974,6 @@ class Database:
             del self.summary_tables[key]
             del self.tables[key]
             self.catalog.drop_table(name)
-            self._summary_index.unregister(name)
             self._prune_delta_log()
             self._bump_rewrite_epoch()
 
@@ -1221,6 +1232,47 @@ class Database:
                 entry["last_fallback"] = reason
             status.append(entry)
         return status
+
+    def status(self) -> dict:
+        """The database half of the ``status`` op / ``\\status``: memory
+        broker, governor admission/breaker state, refresh backlog,
+        p50/p95/p99 of every live histogram, and request-tracing state.
+        The query server adds role, replication, WAL and result cache."""
+        from repro.resources.broker import BROKER
+
+        scheduler = self._scheduler
+        latency = {
+            name: {key: metric[key] for key in ("count", "p50", "p95", "p99")}
+            for name, metric in self.metrics.to_dict().items()
+            if metric["type"] == "histogram" and metric["count"]
+        }
+        tracer = _spans.TRACER
+        tracing: dict = {"enabled": tracer is not None}
+        if tracer is not None:
+            tracing.update(
+                sample_rate=tracer.sample_rate,
+                spans=len(tracer.buffer),
+                dropped=tracer.buffer.dropped,
+            )
+        return {
+            "memory": BROKER.snapshot(),
+            "governor": {
+                "admission": self.governor.admission.snapshot(),
+                "breaker": self.governor.breaker.snapshot(),
+            },
+            "refresh": {
+                "queued": scheduler.queued,
+                "pending_retries": scheduler.pending_retries,
+                "quarantined": sorted(
+                    s.name for s in self.quarantined_summary_tables()
+                ),
+                "recomputes": self.metrics.series(
+                    "maintenance_recomputes", "summary"
+                ),
+            },
+            "latency_ms": latency,
+            "tracing": tracing,
+        }
 
     def _prune_delta_log(self) -> None:
         """Drop delta batches every deferred summary has consumed.

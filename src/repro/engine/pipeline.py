@@ -25,9 +25,10 @@ class SelectRun:
 
     :meth:`Database.prepare_select` creates it — the statement bound
     once. The rewrite stage fills ``rewrite`` (or ``rewrite_error`` /
-    ``degraded``) and leaves ``graph`` the graph to execute; the execute
-    stage fills ``table`` and ``executor_stats``. EXPLAIN ANALYZE renders
-    this record and nothing else, so what it prints is what this
+    ``degraded``), counts into ``rewrite_stats``, records verdicts in
+    ``trace`` and leaves ``graph`` the graph to execute; the execute
+    stage fills ``table`` and ``executor_stats``. EXPLAIN [ANALYZE]
+    renders this record and nothing else, so what it prints is what this
     statement did, whatever other threads ran meanwhile."""
 
     #: SQL text or parsed statement — what the sandbox re-binds from
@@ -41,6 +42,10 @@ class SelectRun:
     epoch: int
     #: phase → milliseconds (bind, match, execute, total)
     phases: dict[str, float]
+    #: this statement's fast-path counts
+    #: (:class:`~repro.rewrite.cache.RewriteStats`), zero until the
+    #: rewrite stage runs
+    rewrite_stats: object
     base_tables: list[str] = field(init=False)
     #: the applied :class:`~repro.rewrite.rewriter.RewriteResult`
     rewrite: object = None
@@ -80,10 +85,10 @@ class SelectRun:
         }
 
 
-def render_explain(run: SelectRun, graph_text: str, fast_path: dict) -> str:
+def render_explain(run: SelectRun, graph_text: str) -> str:
     """``EXPLAIN``: the QGM graph as bound (``graph_text``, rendered
     before the rewrite stage mutated it), the rewrite decision, and the
-    statement's fast-path counter deltas."""
+    statement's fast-path counts."""
     from repro.qgm.display import render_graph
 
     lines = ["-- query graph --", graph_text]
@@ -95,13 +100,11 @@ def render_explain(run: SelectRun, graph_text: str, fast_path: dict) -> str:
         lines.append("-- rewritten graph --")
         lines.append(render_graph(run.graph))
     lines.append("-- matching fast path --")
-    lines.append(_describe_fast_path(fast_path))
+    lines.append(_describe_fast_path(run.rewrite_stats))
     return "\n".join(lines)
 
 
-def render_analyze(
-    run: SelectRun, parse_ms: float, fast_path: dict, has_summaries: bool
-) -> str:
+def render_analyze(run: SelectRun, parse_ms: float, has_summaries: bool) -> str:
     """``EXPLAIN ANALYZE``: the executed run's phases, per-AST match
     verdicts, executor and governor sections, rewrite and row count."""
     trace = run.trace
@@ -146,7 +149,7 @@ def render_analyze(
         lines.extend(_rewrite_section(run))
     lines.append(f"-- result: {len(run.table)} row(s) --")
     lines.append("-- matching fast path --")
-    lines.append(_describe_fast_path(fast_path))
+    lines.append(_describe_fast_path(run.rewrite_stats))
     return "\n".join(lines)
 
 
@@ -157,33 +160,34 @@ def _rewrite_section(run: SelectRun) -> list[str]:
     ]
 
 
-def _describe_fast_path(delta: dict[str, int]) -> str:
-    """One-line rendering of per-statement fast-path counter deltas."""
-    considered = delta["candidates_considered"]
-    pruned = delta["candidates_pruned"]
-    parts = [f"candidates: {considered} considered, {pruned} pruned by index"]
-    if delta["cache_hits"]:
+def _describe_fast_path(stats) -> str:
+    """One-line rendering of one statement's fast-path counts."""
+    parts = [
+        f"candidates: {stats.candidates_considered} considered, "
+        f"{stats.candidates_pruned} pruned by index"
+    ]
+    if stats.cache_hits:
         parts.append("decision cache: hit (rewrite replayed)")
-    elif delta["cache_negative_hits"]:
+    elif stats.cache_negative_hits:
         parts.append("decision cache: hit (no-rewrite)")
-    elif delta["cache_misses"]:
+    elif stats.cache_misses:
         parts.append("decision cache: miss")
     else:
         parts.append("decision cache: off")
-    parts.append(f"matches attempted: {delta['matches_attempted']}")
-    if delta.get("stale_rejections"):
+    parts.append(f"matches attempted: {stats.matches_attempted}")
+    if stats.stale_rejections:
         parts.append(
-            f"stale summaries rejected: {delta['stale_rejections']} "
+            f"stale summaries rejected: {stats.stale_rejections} "
             "(raise REFRESH AGE or drain the refresh queue)"
         )
-    if delta.get("quarantined_rejections"):
+    if stats.quarantined_rejections:
         parts.append(
-            f"quarantined summaries excluded: {delta['quarantined_rejections']} "
+            f"quarantined summaries excluded: {stats.quarantined_rejections} "
             "(REFRESH SUMMARY TABLE re-admits)"
         )
-    if delta.get("rewrite_errors"):
+    if stats.rewrite_errors:
         parts.append(
-            f"rewrite errors sandboxed: {delta['rewrite_errors']} "
+            f"rewrite errors sandboxed: {stats.rewrite_errors} "
             "(query fell back to base tables)"
         )
     return "; ".join(parts)

@@ -28,7 +28,8 @@ base plan too would punish the caller twice.
 Zero cost when disarmed: :class:`repro.engine.database.Database` only
 creates a scope when some limit is configured, every instrumentation
 site reads the thread-local slot once (see :mod:`repro.governor.scope`)
-and guards on ``is not None`` — mirroring :mod:`repro.obs.trace`.
+and guards on ``is not None`` — the same test the match tracer's
+sites make on the trace they were handed (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations

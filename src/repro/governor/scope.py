@@ -1,4 +1,4 @@
-"""Thread-local governor scope, mirroring :data:`repro.obs.trace.ACTIVE`.
+"""Thread-local governor scope: the one ambient per-query slot.
 
 The budget has to be visible from deep inside the parser, the navigator,
 and the executor without threading a parameter through every call — the

@@ -111,6 +111,9 @@ class MatchContext:
         #: the navigator so match functions can tick without a
         #: thread-local read per pairing; None when ungoverned
         self.governor = None
+        #: the statement's :class:`repro.obs.trace.MatchTrace`, handed
+        #: down the same way; None when the statement is not traced
+        self.trace = None
 
     def option(self, name: str):
         return self.options[name]

@@ -39,7 +39,6 @@ from repro.matching.framework import (
     inline_through_chain,
 )
 from repro.matching.translation import ChildTranslator, MatchedChildPair
-from repro.obs import trace as _trace
 from repro.qgm.unparse import render_expr
 from repro.qgm.boxes import (
     BaseTableBox,
@@ -60,7 +59,7 @@ def match_groupby_boxes(
     )
     if child_match is None:
         # common condition 1
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "child-match", "4.1.2",
@@ -71,7 +70,7 @@ def match_groupby_boxes(
         isinstance(box, SelectBox) and box.distinct for box in child_match.chain
     ):
         # duplicate elimination breaks multiplicity reasoning
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "regroupability", "4.1.2",
@@ -142,7 +141,7 @@ def _try_cuboid(
         rejoin_names,
     )
 
-    t = _trace.ACTIVE
+    t = ctx.trace
     if subsumer.is_multidimensional and not _sliceable(subsumer, ctx):
         if t is not None:
             t.reject(
@@ -731,7 +730,7 @@ def match_groupby_boxes_with_child(
     if subsumee.is_multidimensional and subsumer.is_multidimensional:
         return _match_cube_cube(subsumee, subsumer, child_match, ctx)
     if subsumee.is_multidimensional:
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "regroupability", "4.2.2",

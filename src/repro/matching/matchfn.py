@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.matching.framework import MatchContext, MatchResult
 from repro.matching.groupby_boxes import match_groupby_boxes
 from repro.matching.select_boxes import match_select_boxes
-from repro.obs import trace as _trace
 from repro.qgm.boxes import BaseTableBox, GroupByBox, QGMBox, SelectBox
 
 
@@ -25,13 +24,13 @@ def match_boxes(
     if governor is not None:
         governor.tick_match()
     if isinstance(subsumee, BaseTableBox) and isinstance(subsumer, BaseTableBox):
-        return _match_base_tables(subsumee, subsumer)
+        return _match_base_tables(subsumee, subsumer, ctx)
     if isinstance(subsumee, SelectBox) and isinstance(subsumer, SelectBox):
         return match_select_boxes(subsumee, subsumer, ctx)
     if isinstance(subsumee, GroupByBox) and isinstance(subsumer, GroupByBox):
         return match_groupby_boxes(subsumee, subsumer, ctx)
     # common condition 2: same box type
-    t = _trace.ACTIVE
+    t = ctx.trace
     if t is not None:
         t.reject(
             "box-kind",
@@ -41,10 +40,10 @@ def match_boxes(
 
 
 def _match_base_tables(
-    subsumee: BaseTableBox, subsumer: BaseTableBox
+    subsumee: BaseTableBox, subsumer: BaseTableBox, ctx: MatchContext
 ) -> MatchResult | None:
     if subsumee.table_name.lower() != subsumer.table_name.lower():
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "base-table",

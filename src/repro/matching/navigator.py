@@ -14,15 +14,17 @@ from __future__ import annotations
 from repro.matching.framework import MatchContext, MatchResult
 from repro.governor import scope as governor_scope
 from repro.matching.matchfn import match_boxes
-from repro.obs import trace as _trace
 from repro.qgm.boxes import QueryGraph, box_heights
 
 
 def match_graphs(
-    query: QueryGraph, ast: QueryGraph, options: dict | None = None
+    query: QueryGraph, ast: QueryGraph, options: dict | None = None,
+    trace=None,
 ) -> MatchContext:
     """Run the matching algorithm; the returned context holds every match
-    found between query boxes (subsumees) and AST boxes (subsumers)."""
+    found between query boxes (subsumees) and AST boxes (subsumers).
+    ``trace`` is the statement's :class:`repro.obs.trace.MatchTrace`, or
+    None (untraced); the match functions reach it as ``ctx.trace``."""
     ctx = MatchContext(query.catalog, options=options)
     # Governor scope, read once per navigation: match_boxes ticks the
     # budget per box-pairing through ctx.governor (every pairing is a
@@ -30,13 +32,13 @@ def match_graphs(
     # this is the cancellation granularity the ISSUE's "never hangs"
     # contract rests on).
     ctx.governor = governor_scope.current()
+    ctx.trace = trace
     ast_boxes = ast.boxes()  # children before parents
-    tracer = _trace.ACTIVE
-    if tracer is not None:
+    if trace is not None:
         for subsumee in query.boxes():
             for subsumer in ast_boxes:
                 result = match_boxes(subsumee, subsumer, ctx)
-                tracer.pair(subsumee, subsumer, result)
+                trace.pair(subsumee, subsumer, result)
                 if result is not None:
                     ctx.record(result)
         return ctx

@@ -41,7 +41,6 @@ from repro.matching.framework import (
     inline_through_chain,
 )
 from repro.matching.translation import ChildTranslator, MatchedChildPair
-from repro.obs import trace as _trace
 from repro.qgm.unparse import render_expr
 from repro.qgm.boxes import (
     BaseTableBox,
@@ -62,7 +61,7 @@ def match_select_boxes(
 ) -> MatchResult | None:
     if subsumer.distinct and not subsumee.distinct:
         # the AST dropped duplicates the query needs
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "regroupability", "4.1.1",
@@ -124,7 +123,7 @@ def _match_with_pairing(
 ) -> MatchResult | None:
     grouping_pairs = [p for p in pairs if chain_has_grouping(p.match.chain)]
     if len(grouping_pairs) > 1:
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "regroupability", "4.2.4",
@@ -135,7 +134,7 @@ def _match_with_pairing(
     extra_join_preds = _lossless_extras(subsumee, subsumer, pairs, extras, ctx)
     if extra_join_preds is None:
         # condition 1 of 4.1.1 violated
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "lossless-extras", "4.2.3",
@@ -180,7 +179,7 @@ def _enumerate_pairings(
         entries.append((eq, candidates))
     if not entries:
         # common condition 1: some child must match
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject("child-match", detail="no subsumee child matched any subsumer child")
         return
@@ -321,7 +320,7 @@ def _match_select_only(
                 q.name == quantifier.name for q in chain_rejoins
             ):
                 # name collision across levels; bail out
-                t = _trace.ACTIVE
+                t = ctx.trace
                 if t is not None:
                     t.reject(
                         "regroupability", "4.2.3",
@@ -345,7 +344,7 @@ def _match_select_only(
             )
     if any(p.contains_aggregate() for p in pool):
         # would need a grouping pattern
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "regroupability", "4.2.4",
@@ -355,7 +354,7 @@ def _match_select_only(
         return None
 
     if not _subsumer_predicates_covered(subsumer, pool, extra_join_preds):
-        t = _trace.ACTIVE
+        t = ctx.trace
         if t is not None:
             t.reject(
                 "predicate-subsumption", "4.1.1 cond 2",
@@ -376,7 +375,7 @@ def _match_select_only(
         derived = derive_scalar(predicate, scope)
         if derived is None:
             # condition 3 fails
-            t = _trace.ACTIVE
+            t = ctx.trace
             if t is not None:
                 t.reject(
                     "predicate-subsumption", "4.1.1 cond 3",
@@ -391,7 +390,7 @@ def _match_select_only(
         derived = derive_scalar(translator.translate(qcl.expr), scope)
         if derived is None:
             # condition 4 fails
-            t = _trace.ACTIVE
+            t = ctx.trace
             if t is not None:
                 t.reject(
                     "qcl-derivation", "4.1.1 cond 4",
@@ -520,7 +519,7 @@ def _match_with_grouping_child(
     # The paper's pattern requires no joins between the matched children;
     # the non-grouping children must be single-row (scalar subqueries), so
     # threading their columns through the regrouping is sound.
-    t = _trace.ACTIVE
+    t = ctx.trace
     if any(not p.match.exact for p in other_pairs):
         if t is not None:
             t.reject(

@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` per :class:`repro.engine.database.Database`
 absorbs every counter surface the system grew piecemeal — the matching
-fast path (:class:`repro.rewrite.cache.RewriteStats` is now a thin view
-over registry counters), the refresh scheduler, the rewrite sandbox —
+fast path (each rewrite's :class:`repro.rewrite.cache.RewriteStats` is
+flushed into it once), the refresh scheduler, the rewrite sandbox —
 plus the phase timers (parse/bind/match/compensate/execute) recorded
 around query execution. Everything is exposed two ways:
 
@@ -52,14 +52,9 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def set(self, value: int) -> None:
-        """Direct assignment — kept for stats-reset and the
-        :class:`repro.rewrite.cache.RewriteStats` compatibility view."""
-        with self._lock:
-            self._value = value
-
     def reset(self) -> None:
-        self.set(0)
+        with self._lock:
+            self._value = 0
 
     def swap(self) -> dict:
         """Atomically capture-and-zero: returns :meth:`describe` of the

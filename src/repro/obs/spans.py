@@ -16,15 +16,14 @@ per-hop timing:
   ``admission.wait``, ``db.rewrite``, ``wal.fsync``, ``standby.apply``
   — with a ``span_id``, its parent's id, wall-clock start, duration in
   milliseconds, and free-form attributes (the rewrite span links the
-  active :class:`~repro.obs.trace.MatchTrace` by id).
+  statement's :class:`~repro.obs.trace.MatchTrace` by id).
 * Finished spans land in a bounded thread-safe ring
   (:class:`SpanBuffer`), dumpable as plain JSON or as Chrome
   ``trace_event`` objects (load the dump in ``chrome://tracing`` /
   Perfetto).
 
-**Zero cost when off.** Mirroring :mod:`repro.obs.trace` and
-:mod:`repro.testing.faults`, the only global state is the module-level
-:data:`TRACER` slot. Every instrumentation site guards on it first::
+**Zero cost when off.** Mirroring :mod:`repro.testing.faults`, the
+only global state is the module-level :data:`TRACER` slot. Every instrumentation site guards on it first::
 
     t = spans.TRACER
     if t is not None: ...

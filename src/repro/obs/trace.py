@@ -21,19 +21,20 @@ A :class:`MatchTrace` collects, per candidate summary table:
   verdict table is never empty on warm queries;
 * phase timings (parse/bind/match/compensate/execute) in milliseconds.
 
-Zero cost when disabled: the module-level :data:`ACTIVE` slot is the
-only state, and every instrumentation site guards on it first —
+A trace belongs to one statement: the SELECT pipeline creates it (when
+``set_tracing`` is on or for EXPLAIN ANALYZE), keeps it on the run
+record and hands it *down* — ``rewrite_query(trace=)``, ``apply_match``,
+``MatchContext.trace`` — so any number of statements can be traced
+concurrently and none sees another's verdicts. Zero cost when disabled:
+untraced runs hand down ``None`` and every instrumentation site guards
+on it first —
 
-    t = trace.ACTIVE
+    t = ctx.trace
     if t is not None:
         t.reject("regroupability", "4.2.4", ...)
 
-so the disabled path is one global load and an ``is not None`` test, no
-allocation, mirroring :mod:`repro.testing.faults`. Detail strings are
-built only inside the guard. Tracing is single-stream by design (one
-trace active per process, like ``\\trace on`` in a shell); concurrent
-background refresh work never runs the matcher, so this is safe for the
-interactive diagnosis it exists for.
+so the disabled path is one attribute load and an ``is not None`` test,
+no allocation. Detail strings are built only inside the guard.
 """
 
 from __future__ import annotations
@@ -393,30 +394,3 @@ class TraceBuffer:
 
     def clear(self) -> None:
         self._traces.clear()
-
-
-# ---------------------------------------------------------------------
-# Module-level activation — THE zero-cost-when-disabled switch.
-# ---------------------------------------------------------------------
-
-#: the currently recording trace, or None (the common case). Hot paths
-#: read this once into a local and test ``is not None``.
-ACTIVE: MatchTrace | None = None
-
-
-def start(sql: str | None = None) -> MatchTrace:
-    """Begin recording a new trace (replacing any active one)."""
-    global ACTIVE
-    ACTIVE = MatchTrace(sql)
-    return ACTIVE
-
-
-def finish() -> MatchTrace | None:
-    """Stop recording and return the finished trace."""
-    global ACTIVE
-    trace, ACTIVE = ACTIVE, None
-    return trace
-
-
-def active() -> MatchTrace | None:
-    return ACTIVE

@@ -142,22 +142,14 @@ class RefreshScheduler:
         self.errors: deque[str] = deque(maxlen=error_limit)
 
     # ------------------------------------------------------------------
-    # Counters — registry-backed properties for *reads* (tests and
-    # rewrite_stats keep working). Worker-side increments go through
-    # ``self._counters[name].inc()``: the property's ``+= 1`` expands to
-    # a get-then-set, which can silently resurrect a pre-reset value if
-    # ``\\metrics reset`` swaps the registry between the two halves.
-    # ``inc`` holds the metric's own lock, so it either lands before the
-    # snapshot (and is captured) or after (and starts the new epoch).
+    # Counters — registry-backed read-only properties (tests and
+    # rewrite_stats read them). Increments go through
+    # ``self._counters[name].inc()``, which holds the metric's own lock:
+    # it either lands before a ``\\metrics reset`` snapshot (and is
+    # captured) or after (and starts the new epoch).
     # ------------------------------------------------------------------
     def _counter_value(name):
-        def get(self):
-            return self._counters[name].value
-
-        def set_(self, value):
-            self._counters[name].set(value)
-
-        return property(get, set_)
+        return property(lambda self: self._counters[name].value)
 
     refreshes_applied = _counter_value("refreshes_applied")
     fallback_recomputes = _counter_value("fallback_recomputes")

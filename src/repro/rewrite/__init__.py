@@ -3,7 +3,6 @@ the matching fast path (AST candidate index + rewrite decision cache)."""
 
 from repro.rewrite.cache import RewriteCache, RewriteStats
 from repro.rewrite.index import (
-    SummaryIndex,
     SummarySignature,
     graph_signature,
     prune_candidates,
@@ -16,7 +15,6 @@ __all__ = [
     "RewriteCache",
     "RewriteResult",
     "RewriteStats",
-    "SummaryIndex",
     "SummarySignature",
     "apply_match",
     "graph_signature",

@@ -26,9 +26,9 @@ tolerance itself is part of the cache key, so a decision cached under
 ``SET REFRESH AGE ANY`` is never served to a ``REFRESH AGE 0`` query or
 vice versa. Stale entries are dropped on lookup.
 
-:class:`RewriteStats` collects the whole fast path's counters; they are
-exposed via ``Database.rewrite_stats()`` and rendered by ``EXPLAIN`` and
-the CLI's ``\\stats`` command.
+:class:`RewriteStats` holds one rewrite's fast-path counts — what
+``EXPLAIN`` renders; flushed into the metrics registry they become the
+totals behind ``Database.rewrite_stats()`` and the CLI's ``\\stats``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.qgm.boxes import QGMBox
 from repro.qgm.fingerprint import GraphFingerprint
 
@@ -60,77 +60,44 @@ _STAT_FIELDS = {
 
 
 class RewriteStats:
-    """Counters for the matching fast path (cumulative per database).
+    """One rewrite's fast-path counts: plain ints, private to the run.
 
-    Historically a plain dataclass of ints; now a *view* over
-    :class:`repro.obs.metrics.MetricsRegistry` counters (named
-    ``rewrite_<field>``), so the same numbers appear in ``\\stats``,
-    ``EXPLAIN``, ``\\metrics`` and the Prometheus dump without double
-    bookkeeping. The attribute API is unchanged — ``stats.cache_hits``
-    reads and ``stats.cache_hits += 1`` writes — and a bare
-    ``RewriteStats()`` still works (it owns a private registry), so
-    library callers and existing tests are untouched.
+    The rewrite stage makes one per statement, hands it down as the
+    ``stats=`` argument and keeps it on the run record
+    (:class:`repro.engine.pipeline.SelectRun`), which is what ``EXPLAIN``
+    renders. The database-wide totals (``Database.rewrite_stats()``,
+    ``\\metrics``) are :func:`register_counters`' registry counters;
+    :meth:`flush` adds a finished rewrite's counts to them, once.
     """
 
-    _FIELDS = tuple(_STAT_FIELDS)
+    __slots__ = tuple(_STAT_FIELDS)
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 namespace: str = "rewrite", **initial: int):
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {
-            name: registry.counter(f"{namespace}_{name}", help)
-            for name, help in _STAT_FIELDS.items()
-        }
-        self.__dict__["_registry"] = registry
-        self.__dict__["_counters"] = counters
-        for name, value in initial.items():
-            if name not in counters:
-                raise TypeError(f"unknown counter {name!r}")
-            counters[name].set(value)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self.__dict__["_registry"]
-
-    def __getattr__(self, name: str) -> int:
-        counter = self.__dict__["_counters"].get(name)
-        if counter is None:
-            raise AttributeError(name)
-        return counter.value
-
-    def __setattr__(self, name: str, value: int) -> None:
-        counter = self.__dict__["_counters"].get(name)
-        if counter is None:
-            self.__dict__[name] = value
-        else:
-            counter.set(value)
+    def __init__(self) -> None:
+        for name in _STAT_FIELDS:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        counters = self.__dict__["_counters"]
-        return {name: counters[name].value for name in self._FIELDS}
+        return {name: getattr(self, name) for name in _STAT_FIELDS}
 
-    def reset(self) -> None:
-        for counter in self.__dict__["_counters"].values():
-            counter.set(0)
-
-    def snapshot(self) -> "RewriteStats":
-        """An independent frozen copy (its own registry) for delta()."""
-        return RewriteStats(**self.as_dict())
-
-    def delta(self, since: "RewriteStats") -> dict[str, int]:
-        """Counter increments since a :meth:`snapshot`."""
-        before = since.as_dict()
-        return {name: value - before[name] for name, value in self.as_dict().items()}
+    def flush(self, counters: dict[str, Counter]) -> None:
+        """Add the non-zero counts to ``counters`` under each one's lock."""
+        for name in _STAT_FIELDS:
+            value = getattr(self, name)
+            if value:
+                counters[name].inc(value)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"RewriteStats({inner})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RewriteStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
+
+def register_counters(registry: MetricsRegistry) -> dict[str, Counter]:
+    """The cumulative ``rewrite_<field>`` counters, created at zero so a
+    fresh database already lists all of them."""
+    return {
+        name: registry.counter(f"rewrite_{name}", help)
+        for name, help in _STAT_FIELDS.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from repro.asts.definition import SummaryTable
 from repro.catalog.schema import Catalog
-from repro.obs import trace as _trace
 from repro.qgm.boxes import BaseTableBox, GroupByBox, QueryGraph
 
 #: box kinds whose presence in the AST requires presence in the query
@@ -84,7 +83,10 @@ def graph_signature(graph: QueryGraph) -> SummarySignature:
 
 
 def summary_signature(summary: SummaryTable) -> SummarySignature:
-    """The (lazily computed, cached) signature of a summary table."""
+    """The signature of a summary table, extracted on first use and
+    cached on the object. ``Database`` asks at registration, so the
+    first query after ``CREATE SUMMARY TABLE`` pays no extraction; a
+    summary handed straight to ``rewrite_query`` pays it once."""
     cached = getattr(summary, "_signature", None)
     if cached is None:
         cached = graph_signature(summary.graph)
@@ -120,6 +122,7 @@ def filter_fresh(
     tolerance,
     stats=None,
     log=None,
+    trace=None,
 ) -> list[SummaryTable]:
     """The subset of ``summaries`` fresh enough for ``tolerance``.
 
@@ -150,18 +153,19 @@ def filter_fresh(
 
     ``stats`` is an optional :class:`repro.rewrite.cache.RewriteStats`;
     rejected candidates are counted as ``stale_rejections`` /
-    ``quarantined_rejections``.
+    ``quarantined_rejections``, and named as ``quarantined`` /
+    ``refresh-age`` verdicts in ``trace`` (the statement's
+    :class:`repro.obs.trace.MatchTrace`) when one is given.
     """
     kept = []
     rejected = 0
     quarantined = 0
-    t = _trace.ACTIVE
     for summary in summaries:
         state = getattr(summary, "refresh", None)
         if state is not None and state.quarantined:
             quarantined += 1
-            if t is not None:
-                t.verdict(
+            if trace is not None:
+                trace.verdict(
                     summary.name, "quarantined",
                     state.quarantine_reason
                     if getattr(state, "quarantine_reason", None)
@@ -189,8 +193,8 @@ def filter_fresh(
             kept.append(summary)
         else:
             rejected += 1
-            if t is not None:
-                t.verdict(
+            if trace is not None:
+                trace.verdict(
                     summary.name, "refresh-age",
                     f"{pending} pending delta batch(es) exceed "
                     + tolerance.describe(),
@@ -207,23 +211,24 @@ def prune_candidates(
     graph: QueryGraph,
     summaries: list[SummaryTable],
     stats=None,
+    trace=None,
 ) -> list[SummaryTable]:
     """The plausible subset of ``summaries`` for ``graph``, in order.
 
     ``stats`` is an optional :class:`repro.rewrite.cache.RewriteStats`;
-    when given, considered/pruned counters are updated.
+    when given, considered/pruned counters are updated. A given
+    ``trace`` receives a ``pruned`` verdict per dropped summary.
     """
     if not summaries:
         return []
     query_sig = graph_signature(graph)
     fk_parents = _fk_parent_tables(graph.catalog)
-    t = _trace.ACTIVE
     kept = []
     for summary in summaries:
         if plausible(query_sig, summary_signature(summary), fk_parents):
             kept.append(summary)
-        elif t is not None:
-            t.verdict(
+        elif trace is not None:
+            trace.verdict(
                 summary.name, "pruned",
                 "signature index: base tables or box kinds cannot cover "
                 "the query",
@@ -233,40 +238,3 @@ def prune_candidates(
         stats.candidates_pruned += len(summaries) - len(kept)
     return kept
 
-
-class SummaryIndex:
-    """Registration-time signature store for a database's summary tables.
-
-    Signatures are extracted eagerly on :meth:`register` so the first
-    query after a ``CREATE SUMMARY TABLE`` pays no extraction cost, and
-    dropped summaries are forgotten. Pruning itself delegates to
-    :func:`prune_candidates`, which reads the signature cached on each
-    summary object — so the index stays correct even for summaries
-    registered behind its back (library users calling ``rewrite_query``
-    directly).
-    """
-
-    def __init__(self) -> None:
-        self._signatures: dict[str, SummarySignature] = {}
-
-    def register(self, summary: SummaryTable) -> SummarySignature:
-        signature = summary_signature(summary)
-        self._signatures[summary.name.lower()] = signature
-        return signature
-
-    def unregister(self, name: str) -> None:
-        self._signatures.pop(name.lower(), None)
-
-    def signature(self, name: str) -> SummarySignature | None:
-        return self._signatures.get(name.lower())
-
-    def __len__(self) -> int:
-        return len(self._signatures)
-
-    def candidates(
-        self,
-        graph: QueryGraph,
-        summaries: list[SummaryTable],
-        stats=None,
-    ) -> list[SummaryTable]:
-        return prune_candidates(graph, summaries, stats=stats)

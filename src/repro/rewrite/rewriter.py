@@ -16,7 +16,6 @@ from repro.asts.definition import SummaryTable
 from repro.expr.nodes import ColumnRef
 from repro.matching.framework import MAIN, MatchResult, rebase_chain
 from repro.matching.navigator import match_graphs, root_matches
-from repro.obs import trace as _trace
 from repro.qgm.boxes import BaseTableBox, QCL, QGMBox, QueryGraph, SelectBox, box_heights
 from repro.rewrite.index import prune_candidates
 from repro.testing import faults
@@ -70,6 +69,7 @@ def rewrite_query(
     options: dict | None = None,
     stats=None,
     prune: bool = True,
+    trace=None,
 ) -> RewriteResult | None:
     """Reroute ``graph`` over the given summary tables.
 
@@ -77,7 +77,9 @@ def rewrite_query(
     related problem (b) hook; :mod:`repro.rewrite.planner` provides a
     cost-based implementation. ``options`` are matcher knobs (see
     :data:`repro.matching.framework.DEFAULT_OPTIONS`). ``stats`` is an
-    optional :class:`repro.rewrite.cache.RewriteStats` counter sink.
+    optional :class:`repro.rewrite.cache.RewriteStats` counter sink and
+    ``trace`` the statement's :class:`repro.obs.trace.MatchTrace`; both
+    belong to this one rewrite and are only ever handed down.
     ``prune`` routes candidates through the AST signature index
     (:func:`repro.rewrite.index.prune_candidates`) before any navigation;
     disabling it (the pre-index behaviour, kept for the ablation
@@ -90,7 +92,7 @@ def rewrite_query(
         # Cheap signature pruning first — re-run per iteration because an
         # applied rewrite changes the graph's base tables.
         if prune:
-            pool = prune_candidates(graph, remaining, stats=stats)
+            pool = prune_candidates(graph, remaining, stats=stats, trace=trace)
         else:
             query_tables = graph.base_tables()
             pool = [s for s in remaining if s.base_tables() & query_tables]
@@ -105,7 +107,7 @@ def rewrite_query(
         for summary in pool:
             if stats is not None:
                 stats.matches_attempted += 1
-            match = _best_match(graph, summary, options)
+            match = _best_match(graph, summary, options, trace)
             if match is None:
                 continue
             candidates.append(
@@ -122,13 +124,12 @@ def rewrite_query(
             break
         summary, match = chosen
         subsumee_index = _box_position(graph, match.subsumee)
-        apply_match(graph, match, summary)
+        apply_match(graph, match, summary, trace)
         applied.append(AppliedRewrite(summary, match, subsumee_index))
         if stats is not None:
             stats.rewrites_applied += 1
-        t = _trace.ACTIVE
-        if t is not None:
-            t.mark_applied(summary.name)
+        if trace is not None:
+            trace.mark_applied(summary.name)
         remaining.remove(summary)
     if not applied:
         return None
@@ -144,33 +145,31 @@ def _box_position(graph: QueryGraph, target: QGMBox) -> int:
 
 
 def _best_match(
-    graph: QueryGraph, summary: SummaryTable, options: dict | None = None
+    graph: QueryGraph, summary: SummaryTable, options: dict | None = None,
+    trace=None,
 ) -> MatchResult | None:
     faults.fire("rewrite.match")
-    t = _trace.ACTIVE
-    if t is None:
-        ctx = match_graphs(graph, summary.graph, options=options)
-        candidates = root_matches(graph, summary.graph, ctx)
-        return candidates[0] if candidates else None
-    t.begin_summary(summary.name, summary.graph.root)
+    if trace is not None:
+        trace.begin_summary(summary.name, summary.graph.root)
     match = None
     try:
-        ctx = match_graphs(graph, summary.graph, options=options)
+        ctx = match_graphs(graph, summary.graph, options, trace)
         candidates = root_matches(graph, summary.graph, ctx)
         match = candidates[0] if candidates else None
     finally:
-        t.end_summary(match)
+        if trace is not None:
+            trace.end_summary(match)
     return match
 
 
 def apply_match(
-    graph: QueryGraph, match: MatchResult, summary: SummaryTable
+    graph: QueryGraph, match: MatchResult, summary: SummaryTable, trace=None
 ) -> QGMBox:
     """Destructively replace ``match.subsumee`` in ``graph`` with the
-    compensation applied to a scan of the summary table. Returns the new
-    box standing in for the subsumee."""
-    t = _trace.ACTIVE
-    started = t.clock() if t is not None else 0.0
+    compensation applied to a scan of the summary table (timed as the
+    ``compensate`` phase of ``trace``, when given). Returns the new box
+    standing in for the subsumee."""
+    started = trace.clock() if trace is not None else 0.0
     scan = BaseTableBox(f"Scan[{summary.name}]", summary.schema)
     counter = [0]
 
@@ -191,8 +190,8 @@ def apply_match(
         quantifier.box = replacement
     if graph.root is match.subsumee:
         graph.root = replacement
-    if t is not None:
-        t.add_phase("compensate", started)
+    if trace is not None:
+        trace.add_phase("compensate", started)
     return replacement
 
 

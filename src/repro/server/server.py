@@ -73,7 +73,6 @@ from typing import NamedTuple
 from repro.engine.database import Database
 from repro.obs import events as _events
 from repro.obs import spans as _spans
-from repro.obs.metrics import Histogram
 from repro.errors import (
     BudgetExhausted,
     ReadOnlyError,
@@ -1009,8 +1008,8 @@ class QueryServer:
         """One aggregated health view: role, replication lag (records +
         seconds), WAL depth since the last checkpoint, result-cache hit
         rates, governor admission/breaker state, refresh backlog, and
-        p50/p95/p99 from every live histogram."""
-        db = self.db
+        p50/p95/p99 from every live histogram — the server's own half,
+        on top of :meth:`Database.status`."""
         wal = self.wal
         status: dict = {
             "role": "standby" if self.read_only else "primary",
@@ -1033,30 +1032,7 @@ class QueryServer:
                 "disk_full": self._disk_full,
             }
         status["cache"] = self._cache_status()
-        status["memory"] = BROKER.snapshot()
-        status["governor"] = {
-            "admission": db.governor.admission.snapshot(),
-            "breaker": db.governor.breaker.snapshot(),
-        }
-        scheduler = db.refresh_scheduler
-        status["refresh"] = {
-            "queued": scheduler.queued,
-            "pending_retries": scheduler.pending_retries,
-            "quarantined": sorted(
-                s.name for s in db.quarantined_summary_tables()
-            ),
-            "recomputes": db.metrics.series("maintenance_recomputes", "summary"),
-        }
-        status["latency_ms"] = self._latency_status()
-        tracer = _spans.TRACER
-        tracing: dict = {"enabled": tracer is not None}
-        if tracer is not None:
-            tracing.update(
-                sample_rate=tracer.sample_rate,
-                spans=len(tracer.buffer),
-                dropped=tracer.buffer.dropped,
-            )
-        status["tracing"] = tracing
+        status.update(self.db.status())
         return status
 
     def _cache_status(self) -> dict:
@@ -1082,24 +1058,6 @@ class QueryServer:
                 round((hits + stale) / lookups, 4) if lookups else None
             ),
         }
-
-    def _latency_status(self) -> dict:
-        metrics = self.db.metrics
-        latency: dict = {}
-        for name in metrics.names():
-            metric = metrics.get(name)
-            if not isinstance(metric, Histogram):
-                continue
-            described = metric.describe()
-            if not described["count"]:
-                continue
-            latency[name] = {
-                "count": described["count"],
-                "p50": described["p50"],
-                "p95": described["p95"],
-                "p99": described["p99"],
-            }
-        return latency
 
     def _snapshot_response(self) -> dict:
         """A consistent full-state snapshot for standby bootstrap: built

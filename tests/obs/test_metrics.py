@@ -1,5 +1,5 @@
 """The metrics registry: metric types, exposition, and the unified
-counter surfaces (RewriteStats view, scheduler counters)."""
+counter surfaces (RewriteStats flush, scheduler counters)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import pytest
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.rewrite.cache import RewriteStats
+from repro.rewrite.cache import RewriteStats, register_counters
+from repro.testing import INJECTOR
 
 
 class TestMetricTypes:
@@ -104,8 +105,13 @@ class TestExposition:
         assert DEFAULT_BUCKETS[0] < 1.0 < DEFAULT_BUCKETS[-1]
 
 
+AST_SQL = "select faid, count(*) as c from Trans group by faid"
+QUERY = "select faid, count(*) as n from Trans group by faid"
+
+
 class TestRewriteStatsView:
-    """RewriteStats keeps its historical attribute API as a registry view."""
+    """RewriteStats is one rewrite's own plain record; the registry sees
+    its counts once, when the rewrite is over (the flush)."""
 
     def test_bare_constructor_and_increments(self):
         stats = RewriteStats()
@@ -116,39 +122,68 @@ class TestRewriteStatsView:
 
     def test_counters_live_in_registry(self):
         registry = MetricsRegistry()
-        stats = RewriteStats(registry=registry)
-        stats.cache_misses += 3
-        assert registry.counter("rewrite_cache_misses").value == 3
-
-    def test_snapshot_is_independent(self):
+        counters = register_counters(registry)
         stats = RewriteStats()
-        stats.queries += 5
-        frozen = stats.snapshot()
-        stats.queries += 2
-        assert frozen.queries == 5
-        assert stats.delta(frozen)["queries"] == 2
-
-    def test_kwargs_init_and_equality(self):
-        a = RewriteStats(cache_hits=4)
-        b = RewriteStats(cache_hits=4)
-        assert a == b and a.cache_hits == 4
-        with pytest.raises(TypeError):
-            RewriteStats(bogus=1)
+        stats.cache_misses += 3
+        assert registry.counter("rewrite_cache_misses").value == 0
+        stats.flush(counters)
+        assert registry.counter("rewrite_cache_misses").value == 3
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             RewriteStats().no_such_counter
+        with pytest.raises(AttributeError):
+            RewriteStats().no_such_counter = 1
 
     def test_database_shares_one_registry(self):
         db = Database(credit_card_catalog())
-        db.create_summary_table(
-            "S", "select faid, count(*) as c from Trans group by faid"
-        )
+        db.create_summary_table("S", AST_SQL)
         db.execute("select faid, count(*) as c from Trans group by faid")
         assert db.metrics.counter("rewrite_queries").value >= 1
         assert db.metrics.counter("scheduler_refreshes_applied").value == 0
         # phase timers land in the same registry
         assert db.metrics.histogram("query_total_ms").count >= 1
+
+    def test_fresh_database_lists_every_counter_at_zero(self):
+        db = Database(credit_card_catalog())
+        dump = db.metrics.to_prometheus()
+        for name in RewriteStats().as_dict():
+            assert db.metrics.counter(f"rewrite_{name}").value == 0
+            assert f"rewrite_{name} 0\n" in dump
+
+    def test_each_rewrite_flushes_once(self):
+        db = Database(credit_card_catalog())
+        db.create_summary_table("S", AST_SQL)
+        for nth, run in enumerate(
+            (db.rewrite, db.execute, db.explain, db.explain_analyze), start=1
+        ):
+            run(QUERY)
+            stats = db.rewrite_stats()
+            assert stats["queries"] == nth
+            assert stats["cache_hits"] + stats["cache_misses"] == nth
+        assert stats["matches_attempted"] == stats["cache_stores"] == 1
+
+    def test_flushes_when_the_match_raises(self):
+        db = Database(credit_card_catalog())
+        db.create_summary_table("S", AST_SQL)
+        with INJECTOR.injected("rewrite.match", times=1):
+            text = db.explain(QUERY)
+        # the statement's own line and the registry agree
+        assert "matches attempted: 1" in text
+        assert "rewrite errors sandboxed: 1" in text
+        stats = db.rewrite_stats()
+        assert stats["queries"] == stats["matches_attempted"] == 1
+        assert stats["rewrite_errors"] == 1
+        assert stats["cache_stores"] == 0
+
+    def test_flushes_when_the_governor_degrades(self):
+        db = Database(credit_card_catalog())
+        db.create_summary_table("S", AST_SQL)
+        db.governor.match_budget = 1
+        assert "budget-exhausted" in db.explain_analyze(QUERY)
+        stats = db.rewrite_stats()
+        assert stats["queries"] == stats["matches_attempted"] == 1
+        assert stats["rewrite_errors"] == 0
 
 
 class TestThreadSafety:

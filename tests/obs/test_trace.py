@@ -6,17 +6,11 @@ from __future__ import annotations
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.obs import REASONS, MatchTrace, TraceBuffer
-from repro.obs import trace as trace_mod
 
 
 def traced_rewrite(db, sql):
-    """Run one cold rewrite under an active trace; returns the trace."""
-    trace = trace_mod.start(sql)
-    try:
-        db.rewrite(sql)
-    finally:
-        trace_mod.finish()
-    return trace
+    """Run one cold statement under a forced trace; returns the trace."""
+    return db.run_select(sql, force_trace=True).trace
 
 
 def attempt_for(trace, name):

@@ -102,9 +102,10 @@ class TestDecisionCacheCorrectness:
     staleness) state is never replayed under another."""
 
     def delta(self, db, fn):
-        before = db._rewrite_stats.snapshot()
+        before = db.rewrite_stats()
         result = fn()
-        return result, db._rewrite_stats.delta(before)
+        after = db.rewrite_stats()
+        return result, {key: after[key] - before[key] for key in after}
 
     def test_positive_entry_under_any_not_served_at_zero(self, stale_db):
         # Prime the cache under ANY (positive decision, uses S1).

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.figures import FIGURES
 from repro.rewrite.index import (
-    SummaryIndex,
     SummarySignature,
     _fk_parent_tables,
     graph_signature,
@@ -113,30 +112,12 @@ class TestPruneCandidates:
         assert stats.candidates_considered == 1
         assert stats.candidates_pruned == 1
 
-
-class TestSummaryIndex:
-    def test_register_and_unregister(self, tiny_db):
-        tiny_db.create_summary_table(
+    def test_signature_extracted_at_registration(self, tiny_db):
+        # the first query after CREATE SUMMARY TABLE pays no extraction
+        summary = tiny_db.create_summary_table(
             "S1", "select faid, count(*) as cnt from Trans group by faid"
         )
-        index = SummaryIndex()
-        summary = tiny_db.summary_tables["s1"]
-        signature = index.register(summary)
-        assert signature.base_tables == {"trans"}
-        assert index.signature("s1") is signature
-        assert len(index) == 1
-        index.unregister("S1")
-        assert index.signature("s1") is None
-        assert len(index) == 0
-
-    def test_database_keeps_index_in_sync(self, tiny_db):
-        assert len(tiny_db._summary_index) == 0
-        tiny_db.create_summary_table(
-            "S1", "select faid, count(*) as cnt from Trans group by faid"
-        )
-        assert tiny_db._summary_index.signature("s1") is not None
-        tiny_db.drop_summary_table("S1")
-        assert tiny_db._summary_index.signature("s1") is None
+        assert summary._signature.base_tables == {"trans"}
 
     def test_fk_parents_from_catalog(self, tiny_db):
         parents = _fk_parent_tables(tiny_db.catalog)
