@@ -128,9 +128,9 @@ class ExecutorStats:
 class _Rel:
     """An intermediate relation: one plain value list per column.
 
-    ``borrowed`` marks columns aliased from a stored table (or its
-    materialization cache); borrowed columns must be copied before they
-    are adopted into a result table that a caller might mutate."""
+    ``borrowed`` marks columns aliased from a stored table; borrowed
+    columns must be copied before they are adopted into a result table
+    that a caller might mutate."""
 
     __slots__ = ("cols", "nrows", "borrowed")
 
@@ -302,9 +302,9 @@ class Executor:
 
     @staticmethod
     def _rel_of(table: Table) -> _Rel:
-        # columns_data() aliases the stores' value lists (or their
-        # materialization caches) — mark borrowed so nothing downstream
-        # adopts them into a mutable result without copying.
+        # columns_data() aliases the table's own column lists — mark
+        # borrowed so nothing downstream adopts them into a mutable
+        # result without copying.
         return _Rel(table.columns_data(), len(table), True)
 
     @staticmethod

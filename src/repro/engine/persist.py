@@ -62,6 +62,7 @@ from repro.catalog.types import DataType
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ReproError
+from repro.framing import frame, unframe
 from repro.testing import faults
 
 FORMAT_VERSION = 2
@@ -70,12 +71,6 @@ FORMAT_VERSION = 2
 # ----------------------------------------------------------------------
 # Atomic, checksummed writing
 # ----------------------------------------------------------------------
-def _frame(payload: str) -> str:
-    """One v2 line: the payload's CRC32 (8 hex chars), a space, the payload."""
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {payload}"
-
-
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via temp file + fsync + atomic rename,
     so ``path`` is always either its old complete contents or its new
@@ -88,10 +83,10 @@ def _atomic_write(path: Path, text: str) -> None:
         os.fsync(handle.fileno())
     faults.fire("persist.rename")
     os.replace(tmp, path)
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
 
 
-def _fsync_directory(directory: Path) -> None:
+def fsync_directory(directory: Path) -> None:
     """Make the rename durable (best effort — not all platforms allow
     opening a directory for fsync)."""
     try:
@@ -143,14 +138,14 @@ def save_database(database: Database, path: str | Path) -> Path:
 
 def _rows_text(table: Table) -> str:
     lines = [
-        _frame(json.dumps([_encode(value) for value in row]))
+        frame(json.dumps([_encode(value) for value in row]))
         for row in table.rows
     ]
     return "".join(line + "\n" for line in lines)
 
 
 def _delta_log_text(log) -> str:
-    lines = [_frame(json.dumps(_batch_to_json(batch))) for batch in log.batches()]
+    lines = [frame(json.dumps(_batch_to_json(batch))) for batch in log.batches()]
     return "".join(line + "\n" for line in lines)
 
 
@@ -383,7 +378,7 @@ def _read_payloads(
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        payload = _unframe(line)
+        payload = unframe(line)
         if payload is None:
             if number == len(lines):
                 torn = True
@@ -407,20 +402,6 @@ def _read_payloads(
             )
             suspects.add(path.stem.lower())
     return payloads
-
-
-def _unframe(line: str) -> str | None:
-    """The payload of one framed line, or None when the frame is bad."""
-    if len(line) < 10 or line[8] != " ":
-        return None
-    try:
-        crc = int(line[:8], 16)
-    except ValueError:
-        return None
-    payload = line[9:]
-    if zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    return payload
 
 
 def _read_rows(

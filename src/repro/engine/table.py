@@ -1,13 +1,21 @@
 """In-memory relational tables, stored column-wise.
 
-A :class:`Table` is columnar: one :class:`ColumnStore` per column holds
-the values (a typed ``array.array`` plus a null mask for numeric schema
-columns, a plain Python list otherwise).  The batch executor reads the
-column data directly (:meth:`Table.column_data`), which is what makes
+A :class:`Table` is its column lists: one plain Python list per column,
+``None`` inline for SQL NULL, the same for every table however it came
+to be in memory (built in process, loaded from a save, recovered from
+the journal, shipped to a standby, produced by the executor).  The batch
+executor reads the lists directly (:meth:`Table.column_data` — the
+storage itself, zero copy, **read-only**), which is what makes
 vectorized filtering/joining/grouping possible; everything that predates
 the columnar refactor — matching, maintenance, persistence — keeps using
 the row-oriented API through :attr:`Table.rows`, a mutable sequence view
 that materializes tuples on demand and writes through to the columns.
+
+There is no typed-array (``array('q'/'d')`` + null mask) backend: only
+in-process databases ever got one (0 typed columns of 20 after save →
+load), its scan path copied every column back into a list (8.8 → 20.6 MB
+after three aggregates) and its scan time was unresolved against lists
+(docs/EXECUTOR.md has the numbers).
 
 The benchmarks still measure the effect the paper's ASTs exploit — the
 *amount of data scanned* — only now against a competent vectorized
@@ -18,7 +26,6 @@ from __future__ import annotations
 
 import datetime
 import math
-from array import array
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
@@ -27,235 +34,15 @@ from repro.errors import ExecutionError, TypeMismatchError
 
 Row = tuple
 
-#: 64-bit bounds for the typed INTEGER backend (array.array('q'))
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-class ColumnStore:
-    """One column's values: a typed array + null mask, or a plain list.
-
-    Two backends:
-
-    * *list* — ``values`` is a Python list with ``None`` inline for SQL
-      NULL (``nulls is None``).  The default for strings, dates,
-      booleans, and every intermediate/result table.
-    * *typed* — ``values`` is an ``array.array`` (``'q'`` for INTEGER,
-      ``'d'`` for FLOAT) and ``nulls`` is a per-row null mask
-      (``bytearray``; 1 = NULL, the array slot holds a placeholder 0).
-      Chosen by :meth:`Table.from_schema` for numeric columns — compact
-      storage for the big base tables.
-
-    A typed column *decays* to the list backend the moment a value that
-    cannot round-trip exactly is written (a non-float into a FLOAT
-    column, an out-of-64-bit-range int, a string after an ALTER-ish
-    mutation) — values are never coerced, so row reads always return the
-    exact Python objects that were stored.
-    """
-
-    __slots__ = ("values", "nulls", "_cache")
-
-    def __init__(self, typecode: str | None = None):
-        if typecode is None:
-            self.values: Any = []
-            self.nulls: bytearray | None = None
-        else:
-            self.values = array(typecode)
-            self.nulls = None  # allocated lazily on the first NULL
-        self._cache: list | None = None
-
-    # -- backend predicates --------------------------------------------
-    @property
-    def is_typed(self) -> bool:
-        return isinstance(self.values, array)
-
-    def _fits(self, value: Any) -> bool:
-        """Can ``value`` be stored in the typed backend without changing
-        its type or value?  (NULL always fits — it goes in the mask.)"""
-        if value is None:
-            return True
-        if self.values.typecode == "d":
-            return isinstance(value, float)
-        return (
-            isinstance(value, int)
-            and not isinstance(value, bool)
-            and _INT64_MIN <= value <= _INT64_MAX
-        )
-
-    def _decay(self) -> None:
-        """Convert the typed backend to a plain list (exact values)."""
-        self.values = self.data()
-        self.nulls = None
-        self._cache = None
-
-    # -- element access ------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def get(self, index: int) -> Any:
-        if self.nulls is not None and self.nulls[index]:
-            return None
-        value = self.values[index]
-        return value
-
-    def set(self, index: int, value: Any) -> None:
-        self._cache = None
-        if not self.is_typed:
-            self.values[index] = value
-            return
-        if not self._fits(value):
-            self._decay()
-            self.values[index] = value
-            return
-        if value is None:
-            if self.nulls is None:
-                self.nulls = bytearray(len(self.values))
-            self.nulls[index] = 1
-            self.values[index] = 0
-        else:
-            if self.nulls is not None:
-                self.nulls[index] = 0
-            self.values[index] = value
-
-    def append(self, value: Any) -> None:
-        self._cache = None
-        if not self.is_typed:
-            self.values.append(value)
-            return
-        if not self._fits(value):
-            self._decay()
-            self.values.append(value)
-            return
-        if value is None:
-            if self.nulls is None:
-                self.nulls = bytearray(len(self.values))
-            self.values.append(0)
-            self.nulls.append(1)
-        else:
-            self.values.append(value)
-            if self.nulls is not None:
-                self.nulls.append(0)
-
-    def extend(self, values: Iterable[Any]) -> None:
-        self._cache = None
-        if not self.is_typed:
-            self.values.extend(values)
-            return
-        values = list(values)
-        if all(map(self._fits, values)):
-            has_null = any(value is None for value in values)
-            if has_null and self.nulls is None:
-                self.nulls = bytearray(len(self.values))
-            if self.nulls is not None:
-                self.nulls.extend(1 if v is None else 0 for v in values)
-            self.values.extend(0 if v is None else v for v in values)
-        else:
-            self._decay()
-            self.values.extend(values)
-
-    def delete(self, index) -> None:
-        self._cache = None
-        del self.values[index]
-        if self.nulls is not None:
-            del self.nulls[index]
-
-    def insert(self, index: int, value: Any) -> None:
-        self._cache = None
-        if self.is_typed and self._fits(value):
-            if value is None:
-                if self.nulls is None:
-                    self.nulls = bytearray(len(self.values))
-                self.values.insert(index, 0)
-                self.nulls.insert(index, 1)
-                return
-            self.values.insert(index, value)
-            if self.nulls is not None:
-                self.nulls.insert(index, 0)
-            return
-        if self.is_typed:
-            self._decay()
-        self.values.insert(index, value)
-
-    def clear(self) -> None:
-        self._cache = None
-        if self.is_typed:
-            del self.values[:]
-            self.nulls = None
-        else:
-            self.values.clear()
-
-    def find(self, value: Any, start: int, stop: int) -> int:
-        """First position in ``[start, stop)`` holding ``value`` (NULL
-        finds NULL), as one C-level scan; ``ValueError`` if there is none."""
-        nulls = self.nulls
-        if value is None and self.is_typed:
-            if nulls is None:
-                raise ValueError("no NULL in column")
-            return nulls.index(1, start, stop)
-        while True:
-            position = self.values.index(value, start, stop)
-            if nulls is None or not nulls[position]:
-                return position
-            start = position + 1  # a NULL's placeholder 0, not the value 0
-
-    # -- batch access (the executor's scan path) -----------------------
-    def data(self) -> list:
-        """The column as a plain Python list with ``None`` for NULL.
-
-        For list-backed columns this *is* the storage (zero copy — the
-        executor treats it as read-only); typed columns materialize once
-        and cache until the next mutation.
-        """
-        if not self.is_typed:
-            return self.values
-        cached = self._cache
-        if cached is not None:
-            return cached
-        if self.nulls is None:
-            materialized = self.values.tolist()
-        else:
-            materialized = [
-                None if null else value
-                for value, null in zip(self.values, self.nulls)
-            ]
-        self._cache = materialized
-        return materialized
-
-    def null_count(self) -> int:
-        if self.nulls is not None:
-            return sum(self.nulls)
-        if self.is_typed:
-            return 0
-        return sum(1 for value in self.values if value is None)
-
-    def nbytes_estimate(self) -> int:
-        """Estimated resident bytes of this column's storage.
-
-        Typed columns are exact (array itemsize plus the null mask);
-        list columns extrapolate from a small evenly spaced value sample
-        — the memory broker charges order-of-magnitude estimates, not
-        malloc truth.
-        """
-        if self.is_typed:
-            nbytes = len(self.values) * self.values.itemsize
-            if self.nulls is not None:
-                nbytes += len(self.nulls)
-            return nbytes + 64
-        return estimate_values_nbytes(self.values)
-
-
-#: schema types that get the compact typed backend
-_TYPECODES = {DataType.INTEGER: "q", DataType.FLOAT: "d"}
-
 
 class RowsView(Sequence):
     """A list-like, mutable view of a table's rows.
 
     Everything written before the columnar refactor treats
-    ``table.rows`` as ``list[tuple]`` — iterating, appending, removing,
-    indexing, and wholesale replacement via ``rows[:] = ...``.  This
-    view keeps that contract over column-wise storage: reads zip the
-    columns into tuples on demand, writes fan out to the columns.
+    ``table.rows`` as ``list[tuple]`` — iterating, appending, removing
+    and indexing.  This view keeps that contract over column-wise
+    storage: reads zip the columns into tuples on demand, writes fan out
+    to the columns.
     """
 
     __slots__ = ("_table",)
@@ -273,12 +60,9 @@ class RowsView(Sequence):
     def __getitem__(self, index):
         table = self._table
         if isinstance(index, slice):
-            return self._table._materialize_rows()[index]
-        if index < 0:
-            index += table._nrows
-        if not 0 <= index < table._nrows:
-            raise IndexError("row index out of range")
-        return tuple(store.get(index) for store in table._stores)
+            return table._materialize_rows()[index]
+        index = table._row_position(index)
+        return tuple(column[index] for column in table._data)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RowsView):
@@ -296,9 +80,6 @@ class RowsView(Sequence):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self._table._materialize_rows())
 
-    def count(self, row) -> int:
-        return self._table._materialize_rows().count(tuple(row))
-
     def index(self, row, start: int = 0, stop: int | None = None) -> int:
         """Position of the first row equal to ``row``: the first column
         is probed with one C-level scan per candidate and the remaining
@@ -306,16 +87,16 @@ class RowsView(Sequence):
         the positions in between."""
         row = tuple(row)
         table = self._table
-        stores = table._stores
+        data = table._data
         start, stop, _ = slice(start, stop).indices(table._nrows)
-        if len(row) == len(stores) and start < stop:
-            if not stores:
+        if len(row) == len(data) and start < stop:
+            if not data:
                 return start
-            first, rest, tail = stores[0], stores[1:], row[1:]
+            first, rest, tail = data[0], data[1:], row[1:]
             try:
                 while True:
-                    start = first.find(row[0], start, stop)
-                    if tuple(store.get(start) for store in rest) == tail:
+                    start = first.index(row[0], start, stop)
+                    if tuple(column[start] for column in rest) == tail:
                         return start
                     start += 1
             except ValueError:
@@ -324,101 +105,56 @@ class RowsView(Sequence):
 
     # -- writes --------------------------------------------------------
     def append(self, row: Row) -> None:
-        self._table._append_row(tuple(row))
-
-    def extend(self, rows: Iterable[Row]) -> None:
-        self._table._extend_rows(rows)
-
-    def insert(self, index: int, row: Row) -> None:
         table = self._table
-        row = tuple(row)
-        if len(row) != len(table._stores) and table._stores:
-            raise ExecutionError(
-                f"row has {len(row)} values, table has {len(table._stores)}"
-            )
-        for store, value in zip(table._stores, row):
-            store.insert(index, value)
+        row = table._checked_width(tuple(row))
+        for column, value in zip(table._data, row):
+            column.append(value)
         table._nrows += 1
         table._bump()
+
+    def extend(self, rows: Iterable[Row]) -> None:
+        self._table.extend_trusted([tuple(row) for row in rows])
 
     def remove(self, row: Row) -> None:
         del self[self.index(row)]
 
-    def __setitem__(self, index, value) -> None:
+    def __setitem__(self, index: int, value: Row) -> None:
         table = self._table
-        if isinstance(index, slice):
-            rows = [tuple(row) for row in value]
-            if index == slice(None):  # rows[:] = ... (full replacement)
-                table._replace_rows(rows)
-                return
-            materialized = table._materialize_rows()[:]
-            materialized[index] = rows
-            table._replace_rows(materialized)
-            return
-        if index < 0:
-            index += table._nrows
-        if not 0 <= index < table._nrows:
-            raise IndexError("row assignment index out of range")
-        row = tuple(value)
-        if len(row) != len(table._stores):
-            raise ExecutionError(
-                f"row has {len(row)} values, table has {len(table._stores)}"
-            )
-        for store, cell in zip(table._stores, row):
-            store.set(index, cell)
+        index = table._row_position(index)
+        row = table._checked_width(tuple(value))
+        for column, cell in zip(table._data, row):
+            column[index] = cell
         table._bump()
 
-    def __delitem__(self, index) -> None:
+    def __delitem__(self, index: int) -> None:
         table = self._table
-        if isinstance(index, slice):
-            removed = len(range(*index.indices(table._nrows)))
-        else:
-            if index < 0:
-                index += table._nrows
-            if not 0 <= index < table._nrows:
-                raise IndexError("row index out of range")
-            removed = 1
-        for store in table._stores:
-            store.delete(index)
-        table._nrows -= removed
+        index = table._row_position(index)
+        for column in table._data:
+            del column[index]
+        table._nrows -= 1
         table._bump()
-
-    def clear(self) -> None:
-        self._table._replace_rows([])
-
-    def sort(self, *, key=None, reverse: bool = False) -> None:
-        rows = self._table._materialize_rows()[:]
-        rows.sort(key=key, reverse=reverse)
-        self._table._replace_rows(rows)
-
-    def copy(self) -> list[Row]:
-        return self._table._materialize_rows()[:]
 
 
 class Table:
-    """Column names + column stores; ``rows`` is the compatibility view."""
+    """Column names + one plain value list per column (``None`` inline
+    for SQL NULL); ``rows`` is the row-oriented compatibility view."""
 
-    __slots__ = ("columns", "_stores", "_nrows", "_index", "_rows_cache")
+    __slots__ = ("columns", "_data", "_nrows", "_index", "_rows_cache")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         self.columns = list(columns)
         self._index = {name: i for i, name in enumerate(self.columns)}
         if len(self._index) != len(self.columns):
             raise ExecutionError(f"duplicate column names: {self.columns}")
-        self._stores = [ColumnStore() for _ in self.columns]
+        self._data: list[list[Any]] = [[] for _ in self.columns]
         self._nrows = 0
         self._rows_cache: list[Row] | None = None
-        rows = rows if isinstance(rows, list) else list(rows)
-        if rows:
-            self._extend_rows(rows)
+        self.extend_trusted([tuple(row) for row in rows])
 
     # ------------------------------------------------------------------
     @classmethod
     def from_schema(cls, schema: TableSchema, rows: Iterable[Row] = ()) -> "Table":
         table = cls(schema.column_names)
-        table._stores = [
-            ColumnStore(_TYPECODES.get(column.dtype)) for column in schema.columns
-        ]
         table.extend_checked(rows, schema)
         return table
 
@@ -439,10 +175,10 @@ class Table:
             )
         if nrows is None:
             nrows = len(data[0]) if data else 0
-        for store, values in zip(table._stores, data):
+        for values in data:
             if len(values) != nrows:
                 raise ExecutionError("ragged column data")
-            store.values = values
+        table._data = list(data)
         table._nrows = nrows
         return table
 
@@ -497,15 +233,11 @@ class Table:
         if not rows:
             return
         if transposed is None:
-            width = len(self._stores)
             for row in rows:
-                if len(row) != width:
-                    raise ExecutionError(
-                        f"row has {len(row)} values, table has {width}"
-                    )
-            transposed = list(zip(*rows)) if width else []
-        for store, values in zip(self._stores, transposed):
-            store.extend(values)
+                self._checked_width(row)
+            transposed = list(zip(*rows))
+        for column, values in zip(self._data, transposed):
+            column.extend(values)
         self._nrows += len(rows)
         self._bump()
 
@@ -524,61 +256,51 @@ class Table:
         cached = self._rows_cache
         if cached is not None:
             return cached
-        if not self._stores:
+        if not self._data:
             materialized: list[Row] = [()] * self._nrows
         else:
-            materialized = list(zip(*(store.data() for store in self._stores)))
+            materialized = list(zip(*self._data))
         self._rows_cache = materialized
         return materialized
 
     def _replace_rows(self, rows: list[Row]) -> None:
-        transposed = list(zip(*rows)) if rows else [()] * len(self._stores)
-        for store, values in zip(self._stores, transposed):
-            store.clear()
-            store.extend(values)
+        transposed = list(zip(*rows)) if rows else [()] * len(self._data)
+        for column, values in zip(self._data, transposed):
+            column[:] = values
         self._nrows = len(rows)
         self._bump()
 
     def adopt_columns(self, other: "Table") -> None:
         """Wholesale replacement without a row round trip: take over
         ``other``'s column storage (``other`` must not be used again)."""
-        if len(other._stores) != len(self._stores):
+        if len(other._data) != len(self._data):
             raise ExecutionError(
-                f"{len(other._stores)} columns of data for "
-                f"{len(self._stores)} names"
+                f"{len(other._data)} columns of data for "
+                f"{len(self._data)} names"
             )
-        self._stores = other._stores
+        self._data = other._data
         self._nrows = other._nrows
         self._bump()
 
     def fill_column(self, index: int, value: Any) -> None:
         """Set every row's cell in column ``index`` to ``value``."""
-        store = ColumnStore()
-        store.values = [value] * self._nrows
-        self._stores[index] = store
+        self._data[index] = [value] * self._nrows
         self._bump()
 
-    def _append_row(self, row: Row) -> None:
-        if len(row) != len(self._stores):
+    def _checked_width(self, row: Row) -> Row:
+        if len(row) != len(self._data):
             raise ExecutionError(
-                f"row has {len(row)} values, table has {len(self._stores)}"
+                f"row has {len(row)} values, table has {len(self._data)}"
             )
-        for store, value in zip(self._stores, row):
-            store.append(value)
-        self._nrows += 1
-        self._bump()
+        return row
 
-    def _extend_rows(self, rows: Iterable[Row]) -> None:
-        rows = [tuple(row) for row in rows]
-        if not rows:
-            return
-        width = len(self._stores)
-        for row in rows:
-            if len(row) != width:
-                raise ExecutionError(
-                    f"row has {len(row)} values, table has {width}"
-                )
-        self.extend_trusted(rows)
+    def _row_position(self, index: int) -> int:
+        """``index`` normalised like a list's: negative counts from the end."""
+        if index < 0:
+            index += self._nrows
+        if not 0 <= index < self._nrows:
+            raise IndexError("row index out of range")
+        return index
 
     def _bump(self) -> None:
         """Invalidate row-materialization caches after any mutation."""
@@ -594,18 +316,18 @@ class Table:
             ) from None
 
     def column_values(self, name: str) -> list[Any]:
-        return list(self._stores[self.column_index(name)].data())
+        return list(self._data[self.column_index(name)])
 
     def column_data(self, index: int) -> list[Any]:
         """The executor's scan path: column ``index`` as a plain value
-        list (``None`` for NULL).  **Read-only** — list-backed columns
-        return the storage itself, zero copy."""
-        return self._stores[index].data()
+        list (``None`` for NULL).  **Read-only** — this is the storage
+        itself, zero copy, for every table however it was built."""
+        return self._data[index]
 
     def columns_data(self) -> list[list[Any]]:
         """All columns as plain value lists (read-only; see
         :meth:`column_data`)."""
-        return [store.data() for store in self._stores]
+        return list(self._data)
 
     def __len__(self) -> int:
         return self._nrows
@@ -658,10 +380,11 @@ class Table:
         return f"Table({self.columns}, {self._nrows} rows)"
 
     def nbytes_estimate(self) -> int:
-        """Estimated resident bytes of the whole table (see
-        :meth:`ColumnStore.nbytes_estimate`); the result cache and the
-        memory broker weigh entries and charges with this."""
-        return 256 + sum(store.nbytes_estimate() for store in self._stores)
+        """Estimated resident bytes of the whole table, extrapolated
+        from a small evenly spaced value sample per column — the result
+        cache and the memory broker weigh entries and charges with
+        order-of-magnitude estimates, not malloc truth."""
+        return 256 + estimate_columns_nbytes(self._data)
 
 
 #: sampled per-value costs extrapolate from this many evenly spaced

@@ -45,12 +45,12 @@ import os
 import shutil
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError, WalError, WalGapError
+from repro.framing import frame, unframe
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.testing import faults
@@ -123,25 +123,6 @@ class WalRecord:
             token=entry.get("token"),
             status=entry.get("status", ""),
         )
-
-
-def _frame(payload: str) -> str:
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {payload}"
-
-
-def _unframe(line: str) -> str | None:
-    """The payload of one framed line, or None when the frame is bad."""
-    if len(line) < 10 or line[8] != " ":
-        return None
-    try:
-        crc = int(line[:8], 16)
-    except ValueError:
-        return None
-    payload = line[9:]
-    if zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    return payload
 
 
 class DedupWindow:
@@ -408,7 +389,7 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             record = WalRecord(lsn, kind, sql, token, status)
-            self._pending.append((lsn, _frame(record.payload()) + "\n"))
+            self._pending.append((lsn, frame(record.payload()) + "\n"))
             self._stash_recent(record)
         _spans.record("wal.stage", stage_pc, lsn=lsn, kind=kind)
         return lsn
@@ -427,7 +408,7 @@ class WriteAheadLog:
                 )
             self._next_lsn = record.lsn + 1
             self._pending.append(
-                (record.lsn, _frame(record.payload()) + "\n")
+                (record.lsn, frame(record.payload()) + "\n")
             )
             self._stash_recent(record)
         _spans.record("wal.stage", stage_pc, lsn=record.lsn, kind=record.kind)
@@ -733,6 +714,17 @@ class WriteAheadLog:
             if self.sync == "fsync":
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        self._sync_directory()
+
+    def _sync_directory(self) -> None:
+        """Under ``sync="fsync"``, make a rename or a new segment's
+        directory entry survive an OS crash: ``checkpoint`` goes on to
+        delete the snapshot and segments they supersede, so the old
+        ``wal.meta`` must not be what a crash leaves behind."""
+        if self.sync == "fsync":
+            from repro.engine.persist import fsync_directory
+
+            fsync_directory(self.directory)
 
     def _cleanup(self, checkpoint_lsn: int) -> None:
         """Drop journal segments and checkpoint directories the new
@@ -837,7 +829,7 @@ class WriteAheadLog:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError:
                     line = None
-                payload = _unframe(line) if line is not None else None
+                payload = unframe(line) if line is not None else None
                 if payload is None:
                     tail_of_log = (
                         index == len(segments) - 1
@@ -870,6 +862,7 @@ class WriteAheadLog:
                 self._file.close()
             self._segment = self.directory / (_SEGMENT_PATTERN % start_lsn)
             self._file = self._segment.open("a", encoding="utf-8")
+        self._sync_directory()
 
     def _read_meta(self) -> dict | None:
         path = self.directory / _META_NAME

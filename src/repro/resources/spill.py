@@ -7,8 +7,8 @@ merges them back with the same derivation-rule algebra the in-memory
 path uses (``aggregates.py::merge_states``), so spilled execution is
 bit-identical to in-memory execution.
 
-The on-disk format reuses the persistence layer's v2 framing
-(``repro.engine.persist``): every line is ``crc32 payload`` where the
+The on-disk format is the shared line framing
+(:mod:`repro.framing`): every line is ``crc32 payload`` where the
 payload is one JSON document, so a truncated or corrupted run is
 *detected* (and surfaces as a typed error) instead of silently merging
 garbage into a query answer.
@@ -36,10 +36,10 @@ import datetime
 import json
 import os
 import tempfile
-import zlib
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ExecutionError
+from repro.framing import frame, unframe
 from repro.testing import faults
 
 #: spill files land in ``tempfile.gettempdir()`` unless overridden
@@ -85,31 +85,6 @@ def decode_value(doc: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# framing (the persist.py v2 idiom: "crc32 payload" per line)
-def _frame(payload: str) -> str:
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x} {payload}"
-
-
-def _unframe(line: str, path: str, lineno: int) -> str:
-    if len(line) < 10 or line[8] != " ":
-        raise ExecutionError(
-            f"spill run {path} line {lineno}: bad frame"
-        )
-    try:
-        expected = int(line[:8], 16)
-    except ValueError:
-        raise ExecutionError(
-            f"spill run {path} line {lineno}: bad frame CRC"
-        ) from None
-    payload = line[9:]
-    if zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF != expected:
-        raise ExecutionError(
-            f"spill run {path} line {lineno}: CRC mismatch"
-        )
-    return payload
-
-
-# ----------------------------------------------------------------------
 class SpillRun:
     """One written run: a framed temp file plus its byte size."""
 
@@ -124,7 +99,12 @@ class SpillRun:
         """Yield the run's records in write order, CRC-checked."""
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
-                payload = _unframe(line.rstrip("\n"), self.path, lineno)
+                payload = unframe(line.rstrip("\n"))
+                if payload is None:
+                    raise ExecutionError(
+                        f"spill run {self.path} line {lineno}: "
+                        "bad frame or CRC mismatch"
+                    )
                 yield decode_value(json.loads(payload))
 
     def delete(self) -> None:
@@ -151,7 +131,7 @@ def write_run(records: Iterable[Any], label: str = "spill") -> SpillRun:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for record in records:
-                line = _frame(
+                line = frame(
                     json.dumps(encode_value(record), separators=(",", ":"))
                 ) + "\n"
                 handle.write(line)

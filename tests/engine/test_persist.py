@@ -86,13 +86,13 @@ class TestErrors:
             load_database(target)
 
     def test_row_width_mismatch(self, tiny_db, tmp_path):
-        from repro.engine.persist import _frame
+        from repro.framing import frame
 
         target = save_database(tiny_db, tmp_path / "db")
         # A checksummed-but-wrong-width row inside the file is genuine
         # corruption, not a torn tail — still fatal, with line context.
         lines = (target / "PGroup.jsonl").read_text().splitlines()
-        lines[0] = _frame("[1]")
+        lines[0] = frame("[1]")
         (target / "PGroup.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ReproError, match="width mismatch.*line 1"):
             load_database(target)

@@ -1,11 +1,18 @@
 """Table storage and validation."""
 
+import datetime
 import gc
 
 import pytest
 
 from repro.catalog import Column, DataType, TableSchema
 from repro.engine import Table, tables_equal
+from repro.engine.persist import (
+    database_from_payload,
+    database_state_payload,
+    load_database,
+    save_database,
+)
 from repro.errors import ExecutionError, TypeMismatchError
 
 
@@ -136,9 +143,7 @@ class TestRowLookup:
     )
 
     def tables(self):
-        # typed backend (array + null mask) and plain lists
         yield Table.from_schema(self.NULLABLE, self.ROWS)
-        yield Table(["id", "name", "score"], self.ROWS)
 
     def test_index_matches_list_semantics(self):
         for table in self.tables():
@@ -194,6 +199,48 @@ class TestColumnReplacement:
         list(table.rows)
         table.fill_column(2, 7.5)
         assert list(table.rows) == [(1, "a", 7.5), (2, "b", 7.5)]
+
+
+class TestOneRepresentation:
+    """A table is its column lists however the database came to be in
+    memory: ``column_data`` hands out the storage itself, and a write
+    appends to that storage instead of replacing it."""
+
+    AST = "select faid, count(*) as cnt, sum(qty) as sqty from Trans group by faid"
+    ROW = (301, 1, 1, 10, datetime.date(1994, 3, 3), 1, 9.0, 0.0)
+
+    @pytest.fixture(params=["in_process", "save_load", "payload"])
+    def database(self, request, tiny_db, tmp_path):
+        tiny_db.create_summary_table("S", self.AST)
+        if request.param == "save_load":
+            return load_database(save_database(tiny_db, tmp_path / "db"))
+        if request.param == "payload":
+            return database_from_payload(database_state_payload(tiny_db))
+        return tiny_db
+
+    def test_column_data_is_the_storage(self, database):
+        tables = list(database.tables.values()) + [
+            summary.table for summary in database.summary_tables.values()
+        ]
+        for table in tables:
+            for i, column in enumerate(table.columns_data()):
+                assert type(column) is list
+                assert table.column_data(i) is table.column_data(i) is column
+
+    def test_an_insert_appends_to_the_same_lists(self, database):
+        trans = database.table("Trans")
+        before = trans.columns_data()
+        database.insert_rows("Trans", [self.ROW])
+        for column, after, cell in zip(before, trans.columns_data(), self.ROW):
+            assert after is column
+            assert len(column) == 7 and column[-1] is cell
+
+    def test_values_come_back_as_the_objects_that_went_in(self, database):
+        trans = database.table("Trans")
+        big = 2**70  # past 64 bits, in an INTEGER column
+        trans.rows.append((big, 1, 1, 10, self.ROW[4], 1, 7, 0.0))
+        assert trans.rows[-1][0] is trans.column_data(0)[-1] is big
+        assert type(trans.rows[-1][6]) is int  # an int in a FLOAT column stays one
 
 
 def test_a_dropped_table_is_freed_without_the_cycle_collector():

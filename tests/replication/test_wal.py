@@ -4,12 +4,15 @@ window, and the journal's fault-injection points."""
 
 from __future__ import annotations
 
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
+from repro.engine.persist import save_database
 from repro.engine.table import tables_equal
 from repro.errors import WalError
 from repro.replication import (
@@ -332,6 +335,85 @@ class TestCheckpointCompaction:
         recovered = WriteAheadLog(directory, sync="os").recover()
         assert recovered.checkpoint_lsn == 9
         assert_same_database(recovered.database, db)
+
+    def checkpoint_events(self, tmp_path, monkeypatch, sync):
+        """One checkpoint with ``os.open`` / ``os.fsync`` / ``os.replace``
+        spied: ("replace", name), ("fsync", None) for a file,
+        ("fsync-dir", the journal segments then listed) for the journal
+        directory, ("cleanup", None) when the superseded files go."""
+        db = empty_db()
+        directory = tmp_path / "wal"
+        wal = WriteAheadLog(directory, sync=sync)
+        wal.begin(db)
+        db.run_sql(insert_sql(1))
+        wal.append("insert", insert_sql(1))
+        events: list[tuple] = []
+        open_dirs: dict[int, Path] = {}
+        real = {name: getattr(os, name) for name in ("open", "close", "fsync", "replace")}
+
+        def spy_open(path, *args, **kwargs):
+            fd = real["open"](path, *args, **kwargs)
+            open_dirs[fd] = Path(path)
+            return fd
+
+        def spy_close(fd):
+            open_dirs.pop(fd, None)
+            real["close"](fd)
+
+        def spy_fsync(fd):
+            if open_dirs.get(fd) == directory:
+                segments = sorted(p.name for p in directory.glob("journal-*"))
+                events.append(("fsync-dir", segments))
+            else:
+                events.append(("fsync", None))
+            real["fsync"](fd)
+
+        def spy_replace(source, target):
+            real["replace"](source, target)
+            events.append(("replace", Path(target).name))
+
+        cleanup = wal._cleanup
+        for name, spy in [("open", spy_open), ("close", spy_close),
+                          ("fsync", spy_fsync), ("replace", spy_replace)]:
+            monkeypatch.setattr(os, name, spy)
+        monkeypatch.setattr(
+            wal, "_cleanup",
+            lambda lsn: (events.append(("cleanup", None)), cleanup(lsn)),
+        )
+        wal.checkpoint(db)
+        monkeypatch.undo()
+        segment = wal._segment.name
+        wal.close()
+        return db, events, segment
+
+    def test_fsync_mode_makes_the_journal_directory_durable(
+        self, tmp_path, monkeypatch
+    ):
+        """``--sync fsync`` survives OS crashes: the ``wal.meta`` rename
+        and the new segment's directory entry are on disk before the
+        checkpoint deletes the snapshot and segments they supersede."""
+        _, events, segment = self.checkpoint_events(tmp_path, monkeypatch, "fsync")
+        committed = events.index(("replace", "wal.meta.json"))
+        cleaned = events.index(("cleanup", None))
+        synced = [
+            listing for kind, listing in events[committed:cleaned]
+            if kind == "fsync-dir"
+        ]
+        assert len(synced) == 2
+        assert segment not in synced[0]  # after the rename …
+        assert segment in synced[1]  # … and after the new segment opens
+
+    def test_os_mode_adds_no_fsync(self, tmp_path, monkeypatch):
+        """``--sync os`` (the ledger's mode) pays for the snapshot's own
+        fsyncs and nothing else."""
+        db, events, _ = self.checkpoint_events(tmp_path, monkeypatch, "os")
+        kinds = [kind for kind, _ in events]
+        assert "fsync-dir" not in kinds
+        calls: list[int] = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), fsync(fd)))
+        save_database(db, tmp_path / "plain")
+        assert kinds.count("fsync") == len(calls)
 
     def test_orphan_checkpoint_swept_on_recovery(self, tmp_path):
         """A checkpoint directory with no committing meta rename (a crash

@@ -10,7 +10,6 @@ import pytest
 
 from repro.asts.maintenance import MaintenanceReport
 from repro.engine.persist import (
-    _frame,
     load_database,
     save_database,
     verify_database,
