@@ -181,8 +181,12 @@ def recompute(database, summary: SummaryTable, reason: str) -> None:
     tables as they are now. Every full recomputation — maintenance
     fallback, REFRESH, scheduler fallback, recovery rebuild — goes
     through here, so the ``maintenance_recomputes`` counter and the
-    ``summary.recompute`` event see them all."""
-    summary.replace_contents(database.execute_graph(summary.graph))
+    ``summary.recompute`` event see them all. A write's own read: the
+    caller holds the maintenance lock, so the stored tables are scanned
+    as they are, not pinned (a pin would make the next insert copy)."""
+    summary.replace_contents(
+        Executor(database.tables, metrics=database.metrics).run(summary.graph)
+    )
     database.metrics.counter(
         "maintenance_recomputes",
         "summary tables recomputed from the base tables",

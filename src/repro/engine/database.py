@@ -100,8 +100,8 @@ class Database:
         # NOT take it — the rewrite fast path stays lock-free and is
         # kept safe by (a) capturing the decision-cache epoch before
         # matching and bumping it only after a mutation completes, and
-        # (b) executing against a per-query snapshot of the table store
-        # plus the matched summaries' table objects (see execute_graph).
+        # (b) executing against pins of the tables the graph reads,
+        # taken under _maintenance_lock (see _execute).
         # Lock order where both are held: _catalog_lock, then
         # _maintenance_lock.
         self._catalog_lock = threading.RLock()
@@ -144,10 +144,14 @@ class Database:
         """
         schema = self.catalog.table(table_name)
         table = self.tables[schema.name.lower()]
-        table.extend_checked(rows, schema)
+        with self._maintenance_lock:  # a write: readers pin under it
+            table.extend_checked(rows, schema)
         return len(table)
 
     def table(self, name: str) -> Table:
+        """The stored table itself. Reading it while another thread
+        writes is the caller's race; SELECTs do not have it (they read
+        pins, see :meth:`_execute`)."""
         key = name.lower()
         if key not in self.tables:
             raise CatalogError(f"no table named {name!r}")
@@ -322,23 +326,32 @@ class Database:
     def execute_graph(
         self, graph: QueryGraph, overlay: dict | None = None
     ) -> Table:
-        """Run a bound (possibly rewritten) graph.
-
-        The executor receives a *snapshot* of the table store, optionally
-        patched with ``overlay`` (the table objects of the summaries a
-        rewrite matched). Concurrent DDL — a ``DROP SUMMARY TABLE``
-        racing this query — therefore cannot yank a table out from under
-        the run: the query finishes against the objects it planned with.
-        """
+        """Run a bound (possibly rewritten) graph; ``overlay`` holds the
+        table objects of the summaries a rewrite matched, so a ``DROP
+        SUMMARY TABLE`` racing this query cannot yank one out from under
+        the plan. See :meth:`_execute` for what the run reads."""
         return self._execute(graph, overlay)[0]
 
     def _execute(self, graph: QueryGraph, overlay: dict | None):
-        """Pipeline stage 3: :meth:`execute_graph`, returning the run's
-        :class:`~repro.engine.executor.ExecutorStats` with the result."""
-        tables = dict(self.tables)
-        if overlay:
-            tables.update(overlay)
-        executor = Executor(tables, metrics=self.metrics)
+        """Pipeline stage 3, the one place a SELECT meets stored tables:
+        returns the result and the run's
+        :class:`~repro.engine.executor.ExecutorStats`.
+
+        The tables the graph reads are pinned (:meth:`Table.pin`) under
+        one acquisition of the lock every write holds from start to
+        finish, and the executor runs on the pins after releasing it. So
+        the statement sees, for *all* its tables, the state between two
+        whole writes — never a half-appended row, a half-merged group or
+        a base table ahead of its summary — and never waits for more
+        than the write in progress."""
+        overlay = overlay or {}
+        with self._maintenance_lock:
+            pins = {}
+            for name in graph.base_tables():
+                table = overlay.get(name, self.tables.get(name))
+                if table is not None:
+                    pins[name] = table.pin()
+        executor = Executor(pins, metrics=self.metrics)
         return executor.run(graph), executor.stats
 
     def run_sql(self, sql: str, use_summary_tables: bool = True):
@@ -930,7 +943,7 @@ class Database:
                 sql=sql,
                 graph=graph,
                 schema=schema,
-                table=Table(data.columns, data.rows),
+                table=data,
                 refresh=RefreshState(
                     mode=refresh_mode, last_refresh_lsn=self._delta_log.lsn
                 ),
@@ -965,8 +978,7 @@ class Database:
         # matching), so a concurrent query either sees the old epoch —
         # and its cached decision is invalidated on the next lookup — or
         # the new one with the summary already gone. Its executor runs
-        # against the pinned table objects either way (execute_graph's
-        # snapshot + overlay).
+        # against the pinned tables either way (_execute's overlay).
         with self._catalog_lock:
             key = name.lower()
             if key not in self.summary_tables:

@@ -126,18 +126,16 @@ class ExecutorStats:
 
 
 class _Rel:
-    """An intermediate relation: one plain value list per column.
+    """An intermediate relation: one plain value list per column, some
+    of them possibly a child table's own lists — nothing here edits a
+    column, and the result table built from one is born shared
+    (:meth:`Table.from_columns`), so it copies before its first edit."""
 
-    ``borrowed`` marks columns aliased from a stored table; borrowed
-    columns must be copied before they are adopted into a result table
-    that a caller might mutate."""
+    __slots__ = ("cols", "nrows")
 
-    __slots__ = ("cols", "nrows", "borrowed")
-
-    def __init__(self, cols: list[list], nrows: int, borrowed: bool):
+    def __init__(self, cols: list[list], nrows: int):
         self.cols = cols
         self.nrows = nrows
-        self.borrowed = borrowed
 
 
 class _Ctx:
@@ -233,11 +231,6 @@ class Executor:
         if budget is not None:
             budget.check_rows(len(result), "result rows")
         if graph.order_by:
-            result = Table.from_columns(
-                result.columns,
-                [list(c) for c in result.columns_data()],
-                len(result),
-            )
             result.sort_by(graph.order_by)
         if graph.limit is not None and len(result) > graph.limit:
             result = Table.from_columns(
@@ -302,16 +295,11 @@ class Executor:
 
     @staticmethod
     def _rel_of(table: Table) -> _Rel:
-        # columns_data() aliases the table's own column lists — mark
-        # borrowed so nothing downstream adopts them into a mutable
-        # result without copying.
-        return _Rel(table.columns_data(), len(table), True)
+        return _Rel(table.columns_data(), len(table))
 
     @staticmethod
     def _to_table(names, rel: _Rel) -> Table:
-        if rel.borrowed:
-            return Table.from_columns(names, [list(c) for c in rel.cols], rel.nrows)
-        return Table.from_columns(names, rel.cols, rel.nrows)
+        return Table.from_columns(names, rel.cols, rel.nrows, shared=True)
 
     def _evaluate_union(self, box: UnionAllBox, memo, ctx: _Ctx) -> Table:
         cols: list[list] = [[] for _ in box.output_names]
@@ -393,7 +381,7 @@ class Executor:
             sel = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
         if type(sel) is range and len(sel) == rel.nrows:
             return rel
-        return _Rel([[c[i] for i in sel] for c in cols], len(sel), False)
+        return _Rel([[c[i] for i in sel] for c in cols], len(sel))
 
     def _join_children(
         self, quantifiers, child_tables, child_rels, equijoins, ctx: _Ctx
@@ -552,7 +540,7 @@ class Executor:
             left_take, right_take = probe_take, build_take
         cols = [[c[i] for i in left_take] for c in left.cols]
         cols += [[c[i] for i in right_take] for c in right.cols]
-        return _Rel(cols, len(left_take), False)
+        return _Rel(cols, len(left_take))
 
     def _hash_join_spilled(
         self, build, probe, build_key_cols, probe_key_cols, ctx: _Ctx,
@@ -712,7 +700,7 @@ class Executor:
         ln, rn = left.nrows, right.nrows
         ncols = len(left.cols) + len(right.cols)
         if ln == 0 or rn == 0:
-            return _Rel([[] for _ in range(ncols)], 0, False)
+            return _Rel([[] for _ in range(ncols)], 0)
         left_take: list[int] = []
         right_take: list[int] = []
         right_range = range(rn)
@@ -737,26 +725,16 @@ class Executor:
         ctx.stats.rows += len(left_take)
         cols = [[c[i] for i in left_take] for c in left.cols]
         cols += [[c[i] for i in right_take] for c in right.cols]
-        return _Rel(cols, len(left_take), False)
+        return _Rel(cols, len(left_take))
 
     def _project_rel(self, rel: _Rel, exprs: list[Expr], index_of, ctx: _Ctx) -> _Rel:
         cols = rel.cols
         nrows = rel.nrows
         resolve = _make_resolver(cols, index_of)
         out_cols: list[list] = []
-        aliased_ids: set[int] = set()
-        borrowed = False
         for expr in exprs:
             if isinstance(expr, ColumnRef):
-                column = cols[index_of[expr]]
-                if id(column) in aliased_ids:
-                    # Same source column projected twice: the stores of
-                    # one table must not share a value list.
-                    column = list(column)
-                else:
-                    aliased_ids.add(id(column))
-                    borrowed = borrowed or rel.borrowed
-                out_cols.append(column)
+                out_cols.append(cols[index_of[expr]])
                 continue
             fn = compile_vector(expr)
             chunks = _split(range(nrows), ctx.chunk)
@@ -769,7 +747,7 @@ class Executor:
                     column.extend(fn(resolve, chunk))
                     ctx.tick(len(chunk))
             out_cols.append(column)
-        return _Rel(out_cols, nrows, borrowed)
+        return _Rel(out_cols, nrows)
 
     @staticmethod
     def _distinct_rel(rel: _Rel) -> _Rel:
@@ -787,9 +765,7 @@ class Executor:
             position += 1
         if len(keep) == rel.nrows:
             return rel
-        return _Rel(
-            [[c[i] for i in keep] for c in rel.cols], len(keep), False
-        )
+        return _Rel([[c[i] for i in keep] for c in rel.cols], len(keep))
 
     # ------------------------------------------------------------------
     # GROUP-BY boxes
@@ -836,7 +812,7 @@ class Executor:
                 for out_col, col in zip(cols, cuboid.cols):
                     out_col.extend(col)
                 total += cuboid.nrows
-            out = _Rel(cols, total, False)
+            out = _Rel(cols, total)
         if ctx.budget is not None:
             ctx.budget.check_rows(total, "grouped rows")
         return self._to_table(box.output_names, out)
@@ -902,7 +878,7 @@ class Executor:
                     out_cols.append([key[position] for key in order])
             else:
                 out_cols.append([None] * ngroups)  # grouped-out column
-        return _Rel(out_cols, ngroups, False)
+        return _Rel(out_cols, ngroups)
 
     def _cuboid_pass(self, key_cols, specs, rel: _Rel, rows, ctx: _Ctx):
         """One group-by pass over ``rows`` (ascending row indices — every

@@ -105,30 +105,34 @@ def save_database(database: Database, path: str | Path) -> Path:
     """Write ``database`` to a directory; returns the directory path.
 
     Data files are written (atomically) first, the manifest last — the
-    manifest rename is the commit point for the whole save.
+    manifest rename is the commit point for the whole save. What is
+    written is one :func:`_capture` of the database; no lock is held
+    while it is encoded.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     for stale in root.glob("*.tmp"):  # leftovers from a crashed save
         stale.unlink()
+    manifest, tables, batches = _capture(database)
     checksums: dict[str, dict[str, int]] = {}
-    manifest = _manifest(database)
     manifest["checksums"] = checksums
-    for key, schema in database.catalog.tables.items():
-        filename = f"{schema.name}.jsonl"
-        text = _rows_text(database.tables[key])
+    for name, table in tables.items():
+        filename = f"{name}.jsonl"
+        text = _rows_text(table)
         _atomic_write(root / filename, text)
         checksums[filename] = {
             "crc": zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF,
-            "rows": len(database.tables[key]),
+            "rows": len(table),
         }
-    delta_text = _delta_log_text(database.delta_log)
+    delta_text = "".join(
+        frame(json.dumps(_batch_to_json(batch))) + "\n" for batch in batches
+    )
     delta_path = root / "deltas.jsonl"
     if delta_text:
         _atomic_write(delta_path, delta_text)
         checksums["deltas.jsonl"] = {
             "crc": zlib.crc32(delta_text.encode("utf-8")) & 0xFFFFFFFF,
-            "rows": len(database.delta_log),
+            "rows": len(batches),
         }
     elif delta_path.exists():
         delta_path.unlink()
@@ -144,9 +148,23 @@ def _rows_text(table: Table) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _delta_log_text(log) -> str:
-    lines = [frame(json.dumps(_batch_to_json(batch))) for batch in log.batches()]
-    return "".join(line + "\n" for line in lines)
+def _capture(database: Database) -> tuple[dict[str, Any], dict[str, Table], list]:
+    """One reading of everything a save holds — the manifest (with each
+    summary's refresh state), every table pinned (:meth:`Table.pin`),
+    the staged delta batches — taken under the lock every write holds,
+    so all three describe the same moment. :func:`save_database` (hence
+    a journal checkpoint) and :func:`database_state_payload` serialise
+    from it after the lock is released: reads and writes carry on while
+    the save encodes, and what it encodes cannot move."""
+    with database._maintenance_lock:
+        return (
+            _manifest(database),
+            {
+                schema.name: database.tables[key].pin()
+                for key, schema in database.catalog.tables.items()
+            },
+            database.delta_log.batches(),
+        )
 
 
 def _manifest(database: Database) -> dict[str, Any]:
@@ -488,19 +506,17 @@ def database_state_payload(database: Database) -> dict[str, Any]:
     summary definitions with refresh state, the staged delta log — in a
     single payload instead of files, so a standby can bootstrap over the
     wire (op ``repl.snapshot``) without sharing a filesystem with the
-    primary. Round-trips through :func:`database_from_payload`.
+    primary. Round-trips through :func:`database_from_payload`. Rows,
+    refresh state and staged deltas come from one :func:`_capture`, so a
+    background refresh cannot land between them (its rows *and* the
+    batch that produced them would reach the standby, applied twice).
     """
-    payload = _manifest(database)
+    payload, tables, batches = _capture(database)
     payload["rows"] = {
-        schema.name: [
-            [_encode(value) for value in row]
-            for row in database.tables[key].rows
-        ]
-        for key, schema in database.catalog.tables.items()
+        name: [[_encode(value) for value in row] for row in table.rows]
+        for name, table in tables.items()
     }
-    payload["deltas"] = [
-        _batch_to_json(batch) for batch in database.delta_log.batches()
-    ]
+    payload["deltas"] = [_batch_to_json(batch) for batch in batches]
     return payload
 
 

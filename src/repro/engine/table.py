@@ -5,11 +5,19 @@ A :class:`Table` is its column lists: one plain Python list per column,
 to be in memory (built in process, loaded from a save, recovered from
 the journal, shipped to a standby, produced by the executor).  The batch
 executor reads the lists directly (:meth:`Table.column_data` — the
-storage itself, zero copy, **read-only**), which is what makes
-vectorized filtering/joining/grouping possible; everything that predates
-the columnar refactor — matching, maintenance, persistence — keeps using
-the row-oriented API through :attr:`Table.rows`, a mutable sequence view
+storage itself, zero copy), which is what makes vectorized
+filtering/joining/grouping possible; everything that predates the
+columnar refactor — matching, maintenance, persistence — keeps using the
+row-oriented API through :attr:`Table.rows`, a mutable sequence view
 that materializes tuples on demand and writes through to the columns.
+
+**Readers pin, writers own.**  A column list is edited in place only
+while no reader has pinned it.  :meth:`Table.pin` marks the table shared
+and returns a view over the same lists; every mutator first goes through
+:meth:`Table._own`, which copies the lists iff they are shared.  So a
+pinned view never changes, a table nobody is reading keeps its amortised
+O(1) append, and nothing outside this module has to decide whether a
+list is safe to read or to edit (docs/EXECUTOR.md, "Columnar tables").
 
 There is no typed-array (``array('q'/'d')`` + null mask) backend: only
 in-process databases ever got one (0 typed columns of 20 after save →
@@ -105,12 +113,7 @@ class RowsView(Sequence):
 
     # -- writes --------------------------------------------------------
     def append(self, row: Row) -> None:
-        table = self._table
-        row = table._checked_width(tuple(row))
-        for column, value in zip(table._data, row):
-            column.append(value)
-        table._nrows += 1
-        table._bump()
+        self._table.extend_trusted([tuple(row)])
 
     def extend(self, rows: Iterable[Row]) -> None:
         self._table.extend_trusted([tuple(row) for row in rows])
@@ -122,14 +125,14 @@ class RowsView(Sequence):
         table = self._table
         index = table._row_position(index)
         row = table._checked_width(tuple(value))
-        for column, cell in zip(table._data, row):
+        for column, cell in zip(table._own(), row):
             column[index] = cell
         table._bump()
 
     def __delitem__(self, index: int) -> None:
         table = self._table
         index = table._row_position(index)
-        for column in table._data:
+        for column in table._own():
             del column[index]
         table._nrows -= 1
         table._bump()
@@ -139,7 +142,7 @@ class Table:
     """Column names + one plain value list per column (``None`` inline
     for SQL NULL); ``rows`` is the row-oriented compatibility view."""
 
-    __slots__ = ("columns", "_data", "_nrows", "_index", "_rows_cache")
+    __slots__ = ("columns", "_data", "_nrows", "_index", "_rows_cache", "_shared")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         self.columns = list(columns)
@@ -149,6 +152,8 @@ class Table:
         self._data: list[list[Any]] = [[] for _ in self.columns]
         self._nrows = 0
         self._rows_cache: list[Row] | None = None
+        #: someone else may hold ``_data``'s lists: copy before editing
+        self._shared = False
         self.extend_trusted([tuple(row) for row in rows])
 
     # ------------------------------------------------------------------
@@ -160,13 +165,16 @@ class Table:
 
     @classmethod
     def from_columns(
-        cls, columns: Sequence[str], data: Sequence[list], nrows: int | None = None
+        cls, columns: Sequence[str], data: Sequence[list],
+        nrows: int | None = None, shared: bool = False,
     ) -> "Table":
         """Wrap already-columnar data without a row round-trip.
 
         ``data`` holds one plain value list per column (``None`` for
-        NULL); the lists are adopted, not copied — the executor's output
-        path hands over freshly built lists.
+        NULL); the lists are adopted, not copied.  ``shared`` says they
+        may be another table's storage, or one list under two names (an
+        executor result passes scanned columns through): the table is
+        born shared and copies them before its first edit.
         """
         table = cls(columns)
         if len(data) != len(table.columns):
@@ -180,7 +188,40 @@ class Table:
                 raise ExecutionError("ragged column data")
         table._data = list(data)
         table._nrows = nrows
+        table._shared = shared
         return table
+
+    # ------------------------------------------------------------------
+    # Readers pin, writers own
+    # ------------------------------------------------------------------
+    def pin(self) -> "Table":
+        """The rows as they are now, as a table that never changes.
+
+        The view holds the same column lists (no copy) and marks both
+        tables shared, so the next edit of either copies first.  A
+        stored table is pinned while holding the lock its writers hold
+        (``Database._maintenance_lock``): that is what makes "now" a
+        state between two writes, for every table pinned under one
+        acquisition.  A writer reading under its own lock does not pin —
+        it would only make its next edit copy.
+        """
+        self._shared = True
+        view = Table.__new__(Table)
+        view.columns = self.columns
+        view._index = self._index
+        view._data = self._data
+        view._nrows = self._nrows
+        view._rows_cache = None
+        view._shared = True
+        return view
+
+    def _own(self) -> list[list[Any]]:
+        """The write gate: the column lists, safe to edit in place —
+        copied first iff a pin or an aliasing result may hold them."""
+        if self._shared:
+            self._data = [list(column) for column in self._data]
+            self._shared = False
+        return self._data
 
     def extend_checked(self, rows: Iterable[Row], schema: TableSchema) -> None:
         """Append rows, validating arity, types and nullability.
@@ -236,7 +277,7 @@ class Table:
             for row in rows:
                 self._checked_width(row)
             transposed = list(zip(*rows))
-        for column, values in zip(self._data, transposed):
+        for column, values in zip(self._own(), transposed):
             column.extend(values)
         self._nrows += len(rows)
         self._bump()
@@ -264,27 +305,30 @@ class Table:
         return materialized
 
     def _replace_rows(self, rows: list[Row]) -> None:
-        transposed = list(zip(*rows)) if rows else [()] * len(self._data)
-        for column, values in zip(self._data, transposed):
-            column[:] = values
+        # Fresh lists, not an edit: whoever holds the old ones keeps them.
+        transposed = zip(*rows) if rows else [()] * len(self._data)
+        self._data = [list(values) for values in transposed]
+        self._shared = False
         self._nrows = len(rows)
         self._bump()
 
     def adopt_columns(self, other: "Table") -> None:
         """Wholesale replacement without a row round trip: take over
-        ``other``'s column storage (``other`` must not be used again)."""
+        ``other``'s column storage (``other`` must not be used again) —
+        copied iff ``other`` is shared, as an executor result is."""
         if len(other._data) != len(self._data):
             raise ExecutionError(
                 f"{len(other._data)} columns of data for "
                 f"{len(self._data)} names"
             )
-        self._data = other._data
+        self._data = other._own()
+        self._shared = False
         self._nrows = other._nrows
         self._bump()
 
     def fill_column(self, index: int, value: Any) -> None:
         """Set every row's cell in column ``index`` to ``value``."""
-        self._data[index] = [value] * self._nrows
+        self._own()[index] = [value] * self._nrows
         self._bump()
 
     def _checked_width(self, row: Row) -> Row:
@@ -320,13 +364,14 @@ class Table:
 
     def column_data(self, index: int) -> list[Any]:
         """The executor's scan path: column ``index`` as a plain value
-        list (``None`` for NULL).  **Read-only** — this is the storage
-        itself, zero copy, for every table however it was built."""
+        list (``None`` for NULL) — the storage itself, zero copy, for
+        every table however it was built.  Edits go through the table
+        (:meth:`_own`), never through this list; a reader that overlaps
+        writers reads a :meth:`pin`."""
         return self._data[index]
 
     def columns_data(self) -> list[list[Any]]:
-        """All columns as plain value lists (read-only; see
-        :meth:`column_data`)."""
+        """All columns as plain value lists (see :meth:`column_data`)."""
         return list(self._data)
 
     def __len__(self) -> int:

@@ -17,8 +17,9 @@ whenever the summary is not self-maintainable for the pending change
 (AVG/DISTINCT, HAVING, deletes against MIN/MAX, deltas spanning several
 base tables, ...) the worker falls back to full recomputation and counts
 it — never silently degrades. Both the delta evaluations and the full
-recompute run through ``Database.execute_graph``, on the refresh
-worker's own thread.
+recompute run on the refresh worker's own thread, over the stored
+tables as they are (a write's own reads, under the maintenance lock —
+not pinned, unlike a SELECT's).
 
 Fault tolerance: a refresh that raises *unexpectedly* (anything beyond
 the ReproError-driven recompute fallback) is retried with exponential
@@ -39,7 +40,8 @@ its quarantine verdict promptly (tests and benchmarks call ``drain()``
 before comparing results). :meth:`RefreshScheduler.stop` finishes queued
 work (including outstanding retries) and joins the thread. All mutation
 of summary tables happens under the database's maintenance lock,
-serializing the worker against ingest.
+serializing the worker against ingest — and, because readers pin their
+tables under that lock, making each refresh all-or-nothing to a SELECT.
 """
 
 from __future__ import annotations

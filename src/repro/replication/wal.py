@@ -634,7 +634,10 @@ class WriteAheadLog:
 
         The caller must hold the server's mutation lock (no mutation in
         flight), so the snapshot corresponds exactly to the journal
-        prefix up to the returned LSN. Reads are unaffected.
+        prefix up to the returned LSN. Reads and background refreshes
+        are unaffected: the snapshot is serialised from one capture of
+        pinned tables (:func:`repro.engine.persist.save_database`), not
+        under the database's maintenance lock.
         """
         self.flush()
         with self._cond:

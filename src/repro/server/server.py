@@ -1062,7 +1062,10 @@ class QueryServer:
     def _snapshot_response(self) -> dict:
         """A consistent full-state snapshot for standby bootstrap: built
         under the mutation lock, so it corresponds exactly to the
-        journal prefix up to the reported LSN."""
+        journal prefix up to the reported LSN; the background refresh
+        worker, which that lock does not park, cannot land inside it
+        because the payload is one capture of the database
+        (:func:`repro.engine.persist.database_state_payload`)."""
         from repro.engine.persist import database_state_payload
 
         with self._mutation_lock:
@@ -1180,17 +1183,14 @@ class QueryServer:
         with self._mutation_lock:
             if not wal.should_checkpoint():  # another thread beat us
                 return
-            # The maintenance lock parks the background refresh worker,
-            # so the snapshot sees no concurrent summary rewrites.
-            with self.db._maintenance_lock:
-                try:
-                    wal.checkpoint(self.db, self.dedup.snapshot())
-                except Exception as error:  # noqa: BLE001
-                    # A full disk must not fail the mutation that
-                    # triggered the checkpoint — the record itself is
-                    # already durable; compaction just waits for space.
-                    if not self._note_disk_error(error):
-                        raise
+            try:
+                wal.checkpoint(self.db, self.dedup.snapshot())
+            except Exception as error:  # noqa: BLE001
+                # A full disk must not fail the mutation that
+                # triggered the checkpoint — the record itself is
+                # already durable; compaction just waits for space.
+                if not self._note_disk_error(error):
+                    raise
 
     # ---- journal streaming (primary side) ----
     def _subscribe(self) -> tuple[int, asyncio.Queue]:

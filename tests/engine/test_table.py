@@ -204,7 +204,8 @@ class TestColumnReplacement:
 class TestOneRepresentation:
     """A table is its column lists however the database came to be in
     memory: ``column_data`` hands out the storage itself, and a write
-    appends to that storage instead of replacing it."""
+    appends to that storage instead of replacing it — unless a reader
+    has pinned it."""
 
     AST = "select faid, count(*) as cnt, sum(qty) as sqty from Trans group by faid"
     ROW = (301, 1, 1, 10, datetime.date(1994, 3, 3), 1, 9.0, 0.0)
@@ -228,12 +229,28 @@ class TestOneRepresentation:
                 assert table.column_data(i) is table.column_data(i) is column
 
     def test_an_insert_appends_to_the_same_lists(self, database):
+        """The rule: unpinned, an insert appends to the same list objects
+        (amortised append kept); pinned, it appends to fresh lists and
+        the pinned ones do not change."""
         trans = database.table("Trans")
+        database.insert_rows("Trans", [self.ROW])  # owns whatever setup pinned
         before = trans.columns_data()
         database.insert_rows("Trans", [self.ROW])
         for column, after, cell in zip(before, trans.columns_data(), self.ROW):
             assert after is column
-            assert len(column) == 7 and column[-1] is cell
+            assert len(column) == 8 and column[-1] is cell
+
+        pinned = trans.pin()
+        database.insert_rows("Trans", [self.ROW])
+        assert len(pinned) == 8 and len(trans) == 9
+        for column, held, after in zip(
+            before, pinned.columns_data(), trans.columns_data()
+        ):
+            assert held is column and len(column) == 8
+            assert after is not column and len(after) == 9
+        owned = trans.columns_data()
+        database.insert_rows("Trans", [self.ROW])  # copied once, not per write
+        assert all(a is b for a, b in zip(owned, trans.columns_data()))
 
     def test_values_come_back_as_the_objects_that_went_in(self, database):
         trans = database.table("Trans")

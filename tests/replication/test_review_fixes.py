@@ -6,6 +6,9 @@ client silently change semantics against) its primary:
 * the bootstrap snapshot reporting an LSN below the state it captured
   (staged-but-not-yet-fsynced mutations would be re-shipped and
   double-applied);
+* the bootstrap snapshot taken while the background refresh worker is
+  half-way through a summary (refreshed rows *and* the delta batch that
+  produced them would reach the standby, which applies the batch again);
 * the journal serving a gapped backlog after checkpoint compaction
   (skipped mutations the tailer's overlap filter cannot detect) — the
   stream must refuse and the standby must re-bootstrap from a fresh
@@ -18,10 +21,13 @@ client silently change semantics against) its primary:
 
 from __future__ import annotations
 
+import datetime
+import threading
 import time
 
 import pytest
 
+import repro.asts.maintenance as maintenance_mod
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.engine.persist import database_from_payload
@@ -88,6 +94,52 @@ class TestSnapshotLsn:
             db.table("Acct").rows
         )
         wal.close()
+
+
+    def test_snapshot_waits_out_a_refresh_in_progress(
+        self, tiny_db, monkeypatch
+    ):
+        """The refresh worker is parked after merging a staged batch
+        into the summary and before marking it consumed. The mutation
+        lock does not park that worker, so a snapshot taken then must
+        not see the half-done refresh: a standby built from it drains to
+        summaries equal to their base-table recompute."""
+        sql = "select faid, count(*) as cnt, sum(qty) as sqty from Trans group by faid"
+        tiny_db.create_summary_table("S", sql, refresh_mode="deferred")
+        server = QueryServer(tiny_db)
+        original = maintenance_mod.apply_pending
+        parked, release = threading.Event(), threading.Event()
+
+        def apply_then_park(*args):
+            reason = original(*args)
+            parked.set()
+            assert release.wait(timeout=60)
+            return reason
+
+        monkeypatch.setattr(maintenance_mod, "apply_pending", apply_then_park)
+        tiny_db.insert_rows(
+            "Trans", [(301, 1, 1, 10, datetime.date(1994, 3, 3), 7, 9.0, 0.0)]
+        )
+        assert parked.wait(timeout=60)
+        responses = []
+        snapshot = threading.Thread(
+            target=lambda: responses.append(server._snapshot_response())
+        )
+        snapshot.start()
+        snapshot.join(timeout=0.3)
+        release.set()
+        snapshot.join(timeout=60)
+        assert not snapshot.is_alive()
+        tiny_db.drain_refresh()
+        standby = database_from_payload(responses[0]["state"])
+        standby.drain_refresh()
+        for db in (tiny_db, standby):
+            assert db.summary_tables["s"].refresh.pending_deltas == 0
+            assert tables_equal(
+                db.summary_tables["s"].table,
+                db.execute(sql, use_summary_tables=False),
+            )
+            db.close()
 
 
 # ----------------------------------------------------------------------

@@ -297,7 +297,7 @@ class TestVerifyDatabase:
         loaded.close()
         tiny_db.close()
 
-    def test_unrebuildable_summary_quarantined(self, tiny_db, tmp_path):
+    def test_unrebuildable_summary_quarantined(self, tiny_db, tmp_path, monkeypatch):
         tiny_db.create_summary_table("S1", SUMMARY_SQL)
         target = save_database(tiny_db, tmp_path / "db")
         text = (target / "S1.jsonl").read_text()
@@ -305,14 +305,15 @@ class TestVerifyDatabase:
         loaded = load_database(target)
         # Recompute itself is poisoned: recovery must quarantine, and
         # queries must still answer correctly from base tables.
-        original = loaded.execute_graph
 
-        def broken(graph):
+        def broken(*args, **kwargs):
             raise RuntimeError("exec broken")
 
-        loaded.execute_graph = broken
-        report = verify_database(loaded)
-        loaded.execute_graph = original
+        with monkeypatch.context() as patch:
+            # recompute is a write's own read: its executor, not the
+            # SELECT path's pinned execute_graph
+            patch.setattr("repro.asts.maintenance.Executor", broken)
+            report = verify_database(loaded)
         assert report.quarantined == ["S1"]
         assert loaded.summary_tables["s1"].refresh.quarantined
         assert loaded.rewrite(SUMMARY_SQL) is None
