@@ -33,7 +33,11 @@ class SummaryTable:
     key → row-position map built at the first incremental merge (never at
     creation or load) and kept current by the merge itself;
     :meth:`replace_contents` is the one way the rows are replaced
-    wholesale and the one place that index is dropped.
+    wholesale and the one place that index is dropped — and with it
+    ``_auxiliary``, the hidden groups of the view's inner aggregation
+    block that cascade maintenance (shape (d) in
+    :mod:`repro.asts.maintenance`) keeps beside the rows: private state
+    like the index, never stored, listed or matched.
     """
 
     name: str
@@ -50,6 +54,8 @@ class SummaryTable:
     _group_index: tuple[tuple[int, ...], dict[tuple, int]] | None = field(
         default=None, repr=False, compare=False
     )
+    #: shape (d) maintenance state (repro.asts.maintenance._Cascade)
+    _auxiliary: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def row_count(self) -> int:
@@ -60,6 +66,7 @@ class SummaryTable:
         query, not used again by the caller) as the materialized rows."""
         self.table.adopt_columns(data)
         self._group_index = None
+        self._auxiliary = None
         self.stats["rows"] = float(len(data))
 
     def group_index(self, keys: tuple[int, ...]) -> dict[tuple, int]:

@@ -22,13 +22,25 @@ yields a *delta plan*; ``maintain_insert``, ``maintain_delete`` and
     aggregate over its own select-only input (AST10's ``totcnt``):
     groups merge as in (b); each scalar is maintained by its own delta
     and broadcast into its column.
+(d) **cascade** — a view that discards groups its delta rule needs
+    (aggregation over aggregation: AST8; no COUNT(*) under deletes: AST4,
+    AST6; HAVING): the view is split at its innermost aggregation block
+    into hidden *auxiliary groups* (that block plus a COUNT(*), shape b)
+    and the *outer view* over them. A change merges into the groups;
+    the groups it touched — their old rows as a delete, their new rows
+    as an insert — are the outer view's changed table, planned and
+    applied as (a) or (b) like any other. The groups are state of the
+    ``SummaryTable`` like its group index: asked for by the first write
+    that needs them, filled by the one recompute that write costs (and
+    by every later one), dropped whenever the rows are replaced by
+    anyone else, never stored or visible.
 
 Applying a plan touches the delta's rows, not the summary's: a group's
 row is found through :meth:`SummaryTable.group_index` and written in
-place. Every other shape — nested aggregation, AVG or DISTINCT
-aggregates, HAVING, a self-join, MIN/MAX or a missing COUNT(*) under
-deletes, ... — is recomputed by :func:`recompute`, which names the cause
-in the report, counts it and emits a ``summary.recompute`` event:
+place. Every other shape — AVG or DISTINCT aggregates, a self-join,
+MIN/MAX under deletes, an outer view that is itself neither (a) nor (b)
+under deletes, ... — is recomputed by :func:`recompute`, which names the
+cause in the report, counts it and emits a ``summary.recompute`` event:
 silently degrading would hide exactly the cost [10] is about.
 (docs/ALGORITHM.md has the full shape → rule → reason table.)
 """
@@ -39,6 +51,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.asts.definition import SummaryTable
+from repro.catalog.schema import Column, TableSchema
+from repro.catalog.types import DataType
 from repro.engine.executor import Executor
 from repro.engine.table import Row, Table
 from repro.errors import MaintenanceError
@@ -52,6 +66,7 @@ from repro.qgm.boxes import (
     QueryGraph,
     SelectBox,
 )
+from repro.qgm.build import build_graph
 
 
 @dataclass
@@ -183,10 +198,25 @@ def recompute(database, summary: SummaryTable, reason: str) -> None:
     through here, so the ``maintenance_recomputes`` counter and the
     ``summary.recompute`` event see them all. A write's own read: the
     caller holds the maintenance lock, so the stored tables are scanned
-    as they are, not pinned (a pin would make the next insert copy)."""
-    summary.replace_contents(
-        Executor(database.tables, metrics=database.metrics).run(summary.graph)
-    )
+    as they are, not pinned (a pin would make the next insert copy).
+
+    When a write's plan asked for auxiliary groups (shape (d):
+    ``summary._auxiliary``), the same one scan goes through them — the
+    block over the base tables, then the view over its groups — so they
+    are built, and rebuilt, only ever together with the rows they
+    explain."""
+    cascade: _Cascade | None = summary._auxiliary
+    executor = Executor(database.tables, metrics=database.metrics)
+    if cascade is None:
+        summary.replace_contents(executor.run(summary.graph))
+    else:
+        groups = executor.run(cascade.groups.graph)
+        summary.replace_contents(
+            Executor({cascade.groups.name: groups}).run(cascade.outer)
+        )
+        cascade.groups.replace_contents(groups)
+        cascade.built = True
+        summary._auxiliary = cascade  # replace_contents dropped it
     database.metrics.counter(
         "maintenance_recomputes",
         "summary tables recomputed from the base tables",
@@ -240,13 +270,114 @@ class _Delta:
     scalars: list  # one delta value (or None: untouched) per plan scalar
 
 
+class _GroupsNotStored(str):
+    """A fallback reason that keeping the groups of the view's innermost
+    aggregation block lifts — where shape (d) starts."""
+
+
+@dataclass
+class _Cascade:
+    """Shape (d) state of one summary (``SummaryTable._auxiliary``): its
+    view split at the innermost aggregation block over a select-only
+    input. Private to maintenance — in no catalog, table store or file."""
+
+    #: that block plus a COUNT(*), a summary table of its own (shape b)
+    groups: SummaryTable
+    #: the view with the block replaced by a scan of ``groups``
+    outer: QueryGraph
+    #: False until :func:`recompute` has filled ``groups``
+    built: bool = False
+
+
+@dataclass(frozen=True)
+class _CascadePlan:
+    """Shape (d): ``inner`` merges the change into the auxiliary groups;
+    the groups it touched — old rows deleted, new rows inserted — are the
+    change ``outer`` carries into the summary."""
+
+    groups: SummaryTable
+    inner: _DeltaPlan
+    outer: _DeltaPlan
+
+
 def _plan(summary: SummaryTable, table_name: str, deleting: bool):
     """The summary's delta plan for a change to ``table_name``; ``None``
     when the view does not read that table; a reason string when the
     view (or, for stored scalars, its current contents) is not
-    self-maintainable for this change."""
-    graph = summary.graph
+    self-maintainable for this change — the caller recomputes."""
     changed = table_name.lower()
+    cascade: _Cascade | None = summary._auxiliary
+    direct = None
+    if cascade is None or not cascade.built:
+        direct = _direct_plan(summary.graph, summary.table, changed, deleting)
+        if not isinstance(direct, _GroupsNotStored):
+            return direct
+        cascade = cascade or _split(summary)
+        if cascade is None:
+            return direct
+    groups = cascade.groups
+    inner = _direct_plan(groups.graph, groups.table, changed, deleting)
+    if inner is None or isinstance(inner, str):
+        return inner
+    # a touched group is one delete and one insert, whatever the write was
+    outer = _direct_plan(cascade.outer, summary.table, groups.name, True)
+    if isinstance(outer, str):
+        return f"over auxiliary groups {groups.name}: {outer}"
+    if not cascade.built:
+        summary._auxiliary = cascade  # filled by the recompute this reason causes
+        return f"{direct}; kept as auxiliary groups {groups.name} from this recompute on"
+    return _CascadePlan(groups, inner, outer)
+
+
+def _split(summary: SummaryTable) -> _Cascade | None:
+    """``summary``'s view cut at its innermost aggregation block over a
+    select-only input; ``None`` when there is no such block or the rest
+    of the view reads more than that block."""
+    view = build_graph(summary.sql, summary.graph.catalog, label="A")  # ours to cut
+    block = _innermost_block(view.root)
+    if block is None:
+        return None
+    # lower-case and not an identifier: no catalog has a table of this name
+    name = f"{summary.name}.{block.name}".lower()
+    # (the binder outputs every grouping column already) longer than any
+    # one output name, so new among them
+    count = "_".join(block.output_names + ["rows"])
+    block.add_aggregate_output(count, AggCall("count"), nullable=False)
+    # bound to no SQL and stored nowhere: the column types are never read
+    schema = TableSchema(
+        name, [Column(q.name, DataType.FLOAT, q.nullable) for q in block.outputs]
+    )
+    scan = BaseTableBox(name, schema)
+    for _, quantifier in view.parents_of(block):
+        quantifier.box = scan
+    if view.base_tables() != {name}:
+        return None
+    root = SelectBox(name)
+    over = root.add_quantifier("g", block)
+    root.outputs = [QCL(q.name, over.ref(q.name), q.nullable) for q in block.outputs]
+    graph = QueryGraph(root, view.catalog)
+    return _Cascade(
+        SummaryTable(name, "", graph, schema, Table(schema.column_names)), view
+    )
+
+
+def _innermost_block(box: QGMBox) -> GroupByBox | None:
+    """The first (depth-first) aggregation block under ``box`` whose
+    input is select-only."""
+    for child in box.children():
+        found = _innermost_block(child)
+        if found is not None:
+            return found
+    if isinstance(box, GroupByBox) and _not_select_only(box.child_quantifier.box) is None:
+        return box
+    return None
+
+
+def _direct_plan(graph: QueryGraph, stored: Table, changed: str, deleting: bool):
+    """The shape (a)–(c) plan that keeps ``stored`` equal to view
+    ``graph`` when table ``changed`` changes; ``None`` when the view
+    does not read that table; else the reason there is none — a
+    :class:`_GroupsNotStored` where shape (d) may still apply."""
     if changed not in graph.base_tables():
         return None
     root = graph.root
@@ -279,14 +410,14 @@ def _plan(summary: SummaryTable, table_name: str, deleting: bool):
     if main is None:
         return "view has scalar subqueries but no aggregation block"
     if root.predicates:
-        return (
+        return _GroupsNotStored(
             "HAVING filters the aggregation block — "
             "the groups it rejects are not stored"
         )
     groupby: GroupByBox = main.box
     nested = _not_select_only(groupby.child_quantifier.box)
     if nested is not None:
-        return (
+        return _GroupsNotStored(
             f"nested aggregation: {groupby.name} reads {_describe(nested)}, "
             "whose groups are not stored"
         )
@@ -332,8 +463,8 @@ def _plan(summary: SummaryTable, table_name: str, deleting: bool):
     if set(groupby.grouping_items) - projected:
         return "a grouping column is projected away — groups are ambiguous"
     if deleting and count is None:
-        return "no COUNT(*) column to detect emptied groups"
-    if scalars and not len(summary.table):
+        return _GroupsNotStored("no COUNT(*) column to detect emptied groups")
+    if scalars and not len(stored):
         # a scalar's value lives only in its column: no row, no value
         return "summary is empty — its scalar subquery values are not stored"
     reads = _occurrences(groupby, changed)
@@ -459,7 +590,9 @@ def _delta_store(database, table_name: str, rows: list[Row]) -> dict[str, Table]
     return store
 
 
-def _evaluate(plan: _DeltaPlan, store: dict[str, Table]) -> _Delta:
+def _evaluate(plan, store: dict[str, Table]) -> _Delta:
+    if isinstance(plan, _CascadePlan):
+        plan = plan.inner  # the outer half is evaluated as it is applied
     executor = Executor(store)
     return _Delta(
         None if plan.block is None else executor.run(plan.block),
@@ -471,7 +604,9 @@ def _evaluate(plan: _DeltaPlan, store: dict[str, Table]) -> _Delta:
     )
 
 
-def _apply(summary: SummaryTable, plan: _DeltaPlan, delta: _Delta, sign: int) -> None:
+def _apply(summary: SummaryTable, plan, delta: _Delta, sign: int) -> None:
+    if isinstance(plan, _CascadePlan):
+        return _cascade(summary, plan, delta, sign)
     rows = summary.table.rows
     if plan.keys is None:  # shape (a): the delta rows are the change
         if sign > 0:
@@ -498,6 +633,33 @@ def _apply(summary: SummaryTable, plan: _DeltaPlan, delta: _Delta, sign: int) ->
             if value != stored[column]:
                 summary.table.fill_column(column, value)
     summary.stats["rows"] = float(len(rows))
+
+
+def _cascade(summary: SummaryTable, plan: _CascadePlan, delta: _Delta, sign: int) -> None:
+    groups, inner = plan.groups, plan.inner
+    keys = {
+        tuple(row[inner.source[column]] for column in inner.keys)
+        for row in delta.rows.rows
+    }
+
+    def touched() -> list[Row]:
+        index, rows = groups.group_index(inner.keys), groups.table.rows
+        return [rows[index[key]] for key in keys if key in index]
+
+    old = touched()
+    try:
+        _apply(groups, inner, delta, sign)
+        # inserts first, as in apply_pending: an outer group both halves
+        # hit is never emptied in between
+        for rows, outer_sign in ((touched(), +1), (old, -1)):
+            if rows:
+                store = {groups.name: Table(groups.table.columns, rows)}
+                _apply(summary, plan.outer, _evaluate(plan.outer, store), outer_sign)
+    except BaseException:
+        # half-carried groups are never trusted again: the caller's
+        # fallback recompute starts from the base tables
+        summary._auxiliary = None
+        raise
 
 
 def _merge_groups(

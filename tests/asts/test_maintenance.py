@@ -164,7 +164,8 @@ class TestFallbacks:
         """§4.2.2 / fig10: AST8 groups the output of an inner GROUP BY.
         Merging per-row deltas into it (as the pre-fix analysis did,
         seeing "a" single aggregation block at the root) adds a
-        ``(year, 1)`` group per inserted row."""
+        ``(year, 1)`` group per inserted row. Its first write is the one
+        recompute that keeps the inner groups (TestCascade)."""
         from repro.bench.figures import AST8
 
         self.check_reason(tiny_db, AST8, "nested aggregation")
@@ -253,6 +254,141 @@ class TestFallbacks:
         report = maintain_insert(tiny_db, "Trans", NEW_ROWS)
         assert report.was_incremental("S1")
         assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
+
+
+class TestCascade:
+    """Shape (d): a view that discards groups its delta rule needs keeps
+    them as hidden auxiliary groups from its first write on, and every
+    later write — insert or delete — is incremental and equals a
+    recompute. Views whose inner block or outer view has no plan of its
+    own still fall back, every time, for that reason."""
+
+    NESTED = (
+        "select year, tcnt, count(*) as mcnt from "
+        "(select year(date) as year, month(date) as month, count(*) as tcnt "
+        "from Trans group by year(date), month(date)) group by year, tcnt"
+    )
+    NO_COUNT = "select faid, sum(qty) as s from Trans group by faid"
+    HAVING = (
+        "select faid, count(*) as c from Trans group by faid having count(*) > 2"
+    )
+
+    @staticmethod
+    def changes(db):
+        """Inserts and deletes that create, grow, shrink and empty inner
+        groups; yields each statement's report."""
+        victims = list(db.table("Trans").rows)
+        yield maintain_insert(db, "Trans", NEW_ROWS[:1])
+        yield maintain_delete(db, "Trans", victims[:1])
+        yield maintain_insert(db, "Trans", NEW_ROWS[1:] + NEW_ROWS[1:])
+        yield maintain_delete(db, "Trans", NEW_ROWS[1:])
+        yield maintain_delete(db, "Trans", victims[1:] + NEW_ROWS)
+        yield maintain_insert(db, "Trans", victims)
+
+    @pytest.mark.parametrize("sql", [NESTED, NO_COUNT, HAVING])
+    def test_stays_incremental_and_equals_a_recompute(self, tiny_db, sql):
+        summary = tiny_db.create_summary_table("S1", sql)
+        assert summary._auxiliary is None  # nothing is built at CREATE
+        recomputed = []
+        for report in self.changes(tiny_db):
+            recomputed.append(report.recomputed.get("S1"))
+            assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
+            cascade = summary._auxiliary
+            if cascade is not None:
+                assert cascade.built
+                assert tables_equal(
+                    cascade.groups.table, tiny_db.execute_graph(cascade.groups.graph)
+                )
+        # exactly one recompute: the first write that needed the groups
+        # (NO_COUNT's first insert merges without them)
+        once = [why for why in recomputed if why is not None]
+        assert len(once) == 1 and "auxiliary groups" in once[0]
+        assert recomputed.index(once[0]) == (1 if sql == self.NO_COUNT else 0)
+        assert tiny_db.metrics.series("maintenance_recomputes", "summary") == {
+            "S1": 1
+        }
+
+    def test_auxiliary_groups_are_private(self, tiny_db):
+        summary = tiny_db.create_summary_table("S1", self.NESTED)
+        tables, catalog = set(tiny_db.tables), set(tiny_db.catalog.tables)
+        maintain_insert(tiny_db, "Trans", NEW_ROWS)
+        groups = summary._auxiliary.groups
+        assert len(groups.table) and groups.name not in tiny_db.tables
+        assert set(tiny_db.tables) == tables
+        assert set(tiny_db.catalog.tables) == catalog
+        assert list(tiny_db.summary_tables) == ["s1"]
+
+    def test_dropped_with_the_rows_they_explain(self, tiny_db):
+        """Like the group index: gone whenever the rows are replaced
+        wholesale; a REFRESH (a recompute) builds them again in its own
+        scan, so they are never stale."""
+        summary = tiny_db.create_summary_table("S1", self.NESTED)
+        maintain_insert(tiny_db, "Trans", NEW_ROWS[:1])
+        assert summary._auxiliary.built
+        tiny_db.load("Trans", NEW_ROWS[1:])  # behind maintenance's back
+        tiny_db.refresh_summary_tables(["S1"])
+        groups = summary._auxiliary.groups
+        assert tables_equal(groups.table, tiny_db.execute_graph(groups.graph))
+        summary.replace_contents(recomputed_copy(tiny_db, self.NESTED))
+        assert summary._auxiliary is None
+
+    @pytest.mark.parametrize(
+        "sql, needle, deleting",
+        [
+            pytest.param(
+                "select year, max(tcnt) as hi, count(*) as n from "
+                "(select year(date) as year, month(date) as month, count(*) as tcnt "
+                "from Trans group by year(date), month(date)) group by year",
+                "'hi' is MAX — not maintainable under deletes",
+                False,
+                id="outer-max",
+            ),
+            pytest.param(
+                "select year, sum(tcnt) as t from "
+                "(select year(date) as year, month(date) as month, count(*) as tcnt "
+                "from Trans group by year(date), month(date)) group by year",
+                "no COUNT(*) column",
+                False,
+                id="outer-without-count",
+            ),
+            pytest.param(
+                "select faid, c, count(*) as n from "
+                "(select t1.faid, t1.flid, count(*) as c from Trans t1, Trans t2 "
+                "where t1.faid = t2.faid group by t1.faid, t1.flid) group by faid, c",
+                "more than once",
+                False,
+                id="nested-over-self-join",
+            ),
+            pytest.param(
+                "select faid, a, count(*) as n from "
+                "(select faid, flid, avg(qty) as a from Trans group by faid, flid) "
+                "group by faid, a",
+                "'a' is AVG",
+                False,
+                id="avg-inner-aggregate",
+            ),
+            pytest.param(
+                "select faid, max(price) as hi from Trans group by faid",
+                "'hi' is MAX — not maintainable under deletes",
+                True,
+                id="no-count-with-max",
+            ),
+        ],
+    )
+    def test_still_falls_back_with_the_actual_cause(
+        self, tiny_db, sql, needle, deleting
+    ):
+        summary = tiny_db.create_summary_table("S1", sql)
+        for attempt in range(2):  # every time: nothing was kept
+            if deleting:
+                victim = tiny_db.table("Trans").rows[0]
+                report = maintain_delete(tiny_db, "Trans", [victim])
+            else:
+                report = maintain_insert(tiny_db, "Trans", NEW_ROWS[attempt:][:1])
+            assert needle in report.recomputed["S1"]
+            assert "kept as auxiliary groups" not in report.recomputed["S1"]
+            assert summary._auxiliary is None
+            assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
 
 
 class TestSelectOnlyViews:
@@ -414,6 +550,7 @@ class TestFallbackReasonsOnDelete:
         assert tables_equal(summary.table, recomputed_copy(tiny_db, sql))
 
     def test_missing_count_delete_reason(self, tiny_db):
+        # the first delete's reason; later ones cascade (TestCascade)
         sql = "select faid, sum(qty) as s from Trans group by faid"
         summary = tiny_db.create_summary_table("S1", sql)
         victim = tiny_db.table("Trans").rows[0]

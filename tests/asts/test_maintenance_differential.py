@@ -2,9 +2,10 @@
 
 Every figure AST (and the web-metrics ASTs) is installed on a small
 generated database; a random sequence of inserts and deletes runs
-against it, and after *every* statement each summary must equal a fresh
-evaluation of its defining query — under REFRESH IMMEDIATE and under
-REFRESH DEFERRED once the staged deltas are drained.
+against it, and after *every* statement each summary — and each
+summary's hidden auxiliary groups (shape (d)), where it has them — must
+equal a fresh evaluation of its defining block — under REFRESH IMMEDIATE
+and under REFRESH DEFERRED once the staged deltas are drained.
 """
 
 import datetime
@@ -12,7 +13,9 @@ import random
 
 import pytest
 
+from repro.asts import maintenance
 from repro.bench.figures import FIGURES, make_database
+from repro.engine.executor import Executor
 from repro.engine.table import Table, tables_equal
 from repro.workloads.datagen import GeneratorConfig
 from repro.workloads.webmetrics import build_web_db, install_web_asts
@@ -23,14 +26,41 @@ CONFIG = GeneratorConfig(
     transactions_per_account_year=12,
 )
 FIGURE_ASTS = {name: sql for name, sql, _query, _pattern in FIGURES.values()}
+#: the figure ASTs that need auxiliary groups: AST8 from its first write
+#: (nested aggregation), AST4/AST6 from their first delete (no COUNT(*))
+CASCADED = {"AST4", "AST6", "AST8"}
+#: more shape (d) views: a nested SUM over a join, HAVING, no COUNT(*)
+#: over a join
+CASCADE_VIEWS = {
+    "NESTED_SUM": (
+        "select country, tcnt, count(*) as n, sum(q) as q from "
+        "(select country, month(date) as month, count(*) as tcnt, sum(qty) as q "
+        "from Trans, Loc where flid = lid group by country, month(date)) "
+        "group by country, tcnt"
+    ),
+    "BUSY": (
+        "select flid, count(*) as cnt from Trans group by flid "
+        "having count(*) > 36"
+    ),
+    "STATE_QTY": (
+        "select state, sum(qty) as q from Trans, Loc where flid = lid "
+        "group by state"
+    ),
+}
 MODES = ["immediate", "deferred"]
 
 
-def figure_db(mode):
+def figure_db(mode, extra=()):
     database = make_database(CONFIG)
-    for name, sql in FIGURE_ASTS.items():
+    for name, sql in {**FIGURE_ASTS, **dict(extra)}.items():
         database.create_summary_table(name, sql, refresh_mode=mode)
     return database
+
+
+def auxiliary_groups(summary):
+    """The summary's built auxiliary groups (a SummaryTable), or None."""
+    cascade = summary._auxiliary
+    return cascade.groups if cascade is not None and cascade.built else None
 
 
 def assert_consistent(database, statement):
@@ -40,6 +70,12 @@ def assert_consistent(database, statement):
         assert tables_equal(summary.table, fresh), (
             f"{summary.name} drifted after {statement}"
         )
+        groups = auxiliary_groups(summary)
+        if groups is not None:
+            fresh = database.execute_graph(groups.graph)
+            assert tables_equal(groups.table, fresh), (
+                f"{summary.name}'s auxiliary groups drifted after {statement}"
+            )
 
 
 def random_trans(rng, tid, lids=range(1, 13), aids=range(1, 13)):
@@ -59,7 +95,7 @@ def random_trans(rng, tid, lids=range(1, 13), aids=range(1, 13)):
 @pytest.mark.parametrize("mode", MODES)
 def test_figure_asts_follow_random_changes(mode):
     rng = random.Random(13)
-    database = figure_db(mode)
+    database = figure_db(mode, CASCADE_VIEWS.items())
     try:
         live = list(database.table("Trans").rows)
         tids = iter(range(10_000, 20_000))
@@ -94,6 +130,20 @@ def test_figure_asts_follow_random_changes(mode):
         lonely = (next(tids), 1, 1, 1, datetime.date(1999, 7, 7), 1, 50.0, 0.2)
         insert([lonely], "new group")
         delete([lonely], "last row of a group")
+        # ... and of AST8's inner (1999, 7) group, which empties, refills
+        # with duplicates, loses one copy, then its last row again
+        insert([lonely, lonely], "inner group refilled with duplicates")
+        delete([lonely], "one copy of a duplicate")
+        delete([lonely], "last row of an inner group")
+        # two inner groups of one year trade places in AST8's histogram
+        june = (next(tids), 1, 1, 1, datetime.date(1999, 6, 6), 1, 50.0, 0.2)
+        insert([lonely, june, june], "inner counts 1 and 2")
+        delete([june], "inner counts 1 and 1: one outer group")
+        delete([lonely, june], "year emptied")
+        cascaded = CASCADED | set(CASCADE_VIEWS)
+        assert {
+            s.name for s in database.summary_tables.values() if auxiliary_groups(s)
+        } == cascaded
 
         # a dimension insert, then facts that join to it
         database.insert_rows("Loc", [(13, "Lyon", "XX", "France")])
@@ -106,6 +156,10 @@ def test_figure_asts_follow_random_changes(mode):
         # empty every summary, then refill
         delete(list(live), "delete everything")
         assert all(not len(s.table) for s in database.summary_tables.values())
+        assert all(
+            not len(auxiliary_groups(database.summary_tables[name.lower()]).table)
+            for name in cascaded
+        )
         insert([random_trans(rng, next(tids)) for _ in range(4)], "refill")
         insert([random_trans(rng, next(tids))], "after refill")
         delete([live[0]], "after refill")
@@ -165,12 +219,57 @@ class TestNoSilentRecompute:
     ROW = (10_000, 1, 1, 1, datetime.date(1991, 5, 5), 2, 10.0, 0.2)
 
     def test_trans_insert_recomputes_only_the_nested_ast(self):
+        """... and only once: the recompute that builds AST8's auxiliary
+        groups (AST4's and AST6's on their first delete); after each
+        summary has been touched once, inserts and deletes alike are
+        incremental for all nine."""
         database = figure_db("immediate")
         report = database.insert_rows("Trans", [self.ROW])
         assert set(report.recomputed) == {"AST8"}
         assert "nested aggregation" in report.recomputed["AST8"]
+        assert "auxiliary groups" in report.recomputed["AST8"]
         assert set(report.incremental) == set(FIGURE_ASTS) - {"AST8"}
         assert {"AST2", "AST10"} <= set(report.incremental)
+        report = database.delete_rows("Trans", [self.ROW])
+        assert set(report.recomputed) == {"AST4", "AST6"}
+        assert all("COUNT(*)" in why for why in report.recomputed.values())
+        assert all("auxiliary groups" in why for why in report.recomputed.values())
+        for _ in range(2):
+            for change in (database.insert_rows, database.delete_rows):
+                report = change("Trans", [self.ROW])
+                assert report.recomputed == {}
+                assert set(report.incremental) == set(FIGURE_ASTS)
+        assert database.metrics.series("maintenance_recomputes", "summary") == {
+            name: 1 for name in CASCADED
+        }
+
+    def test_steady_state_write_scans_its_delta_only(self, monkeypatch):
+        """After the first touch a ``Trans`` insert and a ``Trans``
+        delete recompute nothing and no executor scan reads ``Trans``
+        (or any stored table the size of it): every scanned input is the
+        changed rows, the touched auxiliary groups or a dimension."""
+        database = figure_db("immediate", CASCADE_VIEWS.items())
+        database.insert_rows("Trans", [self.ROW])
+        database.delete_rows("Trans", [self.ROW])
+        trans, scanned, recomputed = database.table("Trans"), [], []
+        scan = Executor._scan
+
+        def spy_scan(executor, box):
+            table = scan(executor, box)
+            scanned.append((box.table_name, len(table)))
+            assert table is not trans
+            return table
+
+        monkeypatch.setattr(Executor, "_scan", spy_scan)
+        monkeypatch.setattr(
+            maintenance, "recompute", lambda *args: recomputed.append(args)
+        )
+        database.insert_rows("Trans", [self.ROW])
+        database.delete_rows("Trans", [self.ROW])
+        assert not recomputed
+        assert scanned
+        dimensions = max(len(database.table(name)) for name in ("Loc", "Acct"))
+        assert max(rows for _, rows in scanned) <= dimensions
 
     def test_no_stored_table_is_turned_into_rows(self, monkeypatch):
         """O(|delta|), not O(|summary|) or O(|Trans|): neither the base
@@ -191,10 +290,25 @@ class TestNoSilentRecompute:
         assert not zipped
 
     def test_deferred_drain_recomputes_only_the_nested_ast(self):
+        """... on the first drain; AST4 and AST6 on the first drain of a
+        delete; no drain after that falls back."""
         database = figure_db("deferred")
+        scheduler = database.refresh_scheduler
         try:
             database.insert_rows("Trans", [self.ROW])
             database.drain_refresh()
-            assert set(database.refresh_scheduler.last_fallbacks) == {"AST8"}
+            assert set(scheduler.last_fallbacks) == {"AST8"}
+            assert "auxiliary groups" in scheduler.last_fallbacks["AST8"]
+            database.delete_rows("Trans", [self.ROW])
+            database.drain_refresh()
+            assert set(scheduler.last_fallbacks) == CASCADED
+            scheduler.last_fallbacks.clear()
+            fallbacks = scheduler.fallback_recomputes
+            for change in (database.insert_rows, database.delete_rows) * 2:
+                change("Trans", [self.ROW])
+                database.drain_refresh()
+                assert_consistent(database, change.__name__)
+            assert scheduler.last_fallbacks == {}
+            assert scheduler.fallback_recomputes == fallbacks
         finally:
             database.close()

@@ -156,7 +156,9 @@ class TestWhatAWriteCopies:
     """The ledger's write cycle — dashboard reads over nine ASTs, then a
     one-row ``INSERT INTO Trans`` — copies the summaries those reads
     pinned and nothing else; never ``Trans``, whose own maintenance
-    reads (AST8's recompute among them) must not pin it."""
+    reads (the recompute that builds AST8's auxiliary groups among them)
+    must not pin it; and a steady-state insert, which recomputes
+    nothing, copies nothing that no reader pinned."""
 
     @pytest.fixture
     def db(self):
@@ -169,7 +171,7 @@ class TestWhatAWriteCopies:
         db.close()
 
     @staticmethod
-    def insert(db, monkeypatch) -> list[Table]:
+    def insert(db, monkeypatch, recomputed=()) -> list[Table]:
         """Insert one row; the stored tables whose lists were copied."""
         trans = db.table("Trans")
         row = tuple(trans.rows[0])
@@ -186,12 +188,13 @@ class TestWhatAWriteCopies:
         with monkeypatch.context() as patch:
             patch.setattr(Table, "_own", spy)
             report = db.insert_rows("Trans", [row])
-        assert "AST8" in report.recomputed
+        assert set(report.recomputed) == set(recomputed)
         return copied
 
     def test_dashboard_reads_then_an_insert(self, db, monkeypatch):
         trans = db.table("Trans")
-        self.insert(db, monkeypatch)  # owns whatever CREATE pinned
+        # owns whatever CREATE pinned; builds AST8's auxiliary groups
+        self.insert(db, monkeypatch, recomputed={"AST8"})
         lists = trans.columns_data()
         pinned = set()
         for _, _, query, _ in list(FIGURES.values())[:8]:
@@ -206,7 +209,7 @@ class TestWhatAWriteCopies:
 
     def test_a_base_plan_read_costs_one_copy_of_trans(self, db, monkeypatch):
         trans = db.table("Trans")
-        self.insert(db, monkeypatch)
+        self.insert(db, monkeypatch, recomputed={"AST8"})
         db.execute(FIGURES["fig02_q1"][2], use_summary_tables=False)
         copied = self.insert(db, monkeypatch)
         assert len(copied) == 1 and copied[0] is trans
