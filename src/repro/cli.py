@@ -353,6 +353,7 @@ class Shell:
                 f"since checkpoint (durable lsn {wal.get('durable_lsn', 0)}, "
                 f"checkpoint lsn {wal.get('checkpoint_lsn', 0)}, "
                 f"{wal.get('checkpoints', 0)} checkpoint(s), "
+                f"last {wal.get('last_checkpoint_ms', 0.0):g} ms, "
                 f"sync={wal.get('sync', '?')})"
             )
             if wal.get("disk_full"):

@@ -30,7 +30,10 @@ v2 guarantees:
   with file name and line number.
 * **Per-file checksums in the manifest** — used on load to detect a
   data file from a different save generation than the manifest; the
-  mismatch marks the table *suspect* for :func:`verify_database`.
+  mismatch marks the table *suspect* for :func:`verify_database`. A
+  save in a chain (a journal's checkpoints, :func:`save_counted`) uses
+  them to take over the previous save's lines for rows not edited since
+  — same bytes, a fraction of the encoding.
 
 :func:`verify_database` is the startup recovery pass: it cross-checks
 every summary's ``last_refresh_lsn``/``pending_deltas`` against the
@@ -101,24 +104,60 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def save_database(database: Database, path: str | Path) -> Path:
-    """Write ``database`` to a directory; returns the directory path.
-
-    Data files are written (atomically) first, the manifest last — the
-    manifest rename is the commit point for the whole save. What is
-    written is one :func:`_capture` of the database; no lock is held
-    while it is encoded.
-    """
+def save_database(
+    database: Database, path: str | Path, previous: str | Path | None = None
+) -> Path:
+    """Write ``database`` to a directory; returns the directory path
+    (:func:`save_counted` is the writer; a plain save has no ``previous``)."""
     root = Path(path)
+    save_counted(database, root, previous)
+    return root
+
+
+def save_counted(
+    database: Database, root: Path, previous: str | Path | None = None
+) -> tuple[int, int]:
+    """Write one :func:`_capture` of ``database`` into ``root``, no lock
+    held while it is encoded: data files (atomically) first, the
+    manifest last — its rename commits the whole save. Returns (rows
+    encoded, rows taken over from ``previous``).
+
+    **A save costs what changed.** ``previous`` — only a journal passes
+    one — is the directory the last *completed* save of the same chain
+    wrote (a chain's first save names ``root`` itself). A table's text
+    is then that file's first ``stable`` lines with the edited positions
+    re-framed (:meth:`Table.remark`) plus the encoded tail; lines are
+    kept only from a file whose bytes match the crc its manifest
+    recorded, so every byte written was encoded now or CRC-verified now
+    and is what a plain save writes. No previous, a mismatch, a table
+    marked by another save: nothing is kept, the same loop encodes all.
+    """
     root.mkdir(parents=True, exist_ok=True)
     for stale in root.glob("*.tmp"):  # leftovers from a crashed save
         stale.unlink()
-    manifest, tables, batches = _capture(database)
+    mark = root.resolve()
+    if previous is not None:
+        previous = Path(previous).resolve()
+    manifest, tables, batches, changes = _capture(database, previous, mark)
+    recorded: dict[str, dict] = {}
+    if previous not in (None, mark):  # never the directory being overwritten
+        try:
+            recorded = json.loads((previous / "catalog.json").read_text())
+            recorded = recorded["checksums"]
+        except (OSError, ValueError, KeyError, TypeError):
+            recorded = {}
     checksums: dict[str, dict[str, int]] = {}
     manifest["checksums"] = checksums
+    reused = 0
     for name, table in tables.items():
         filename = f"{name}.jsonl"
-        text = _rows_text(table)
+        stable, edited = changes.get(name, (0, ()))
+        kept = _kept_lines(previous, filename, recorded.get(filename), stable)
+        if kept:
+            for position in edited:
+                kept[position] = _row_line(table.rows[position])
+            reused += len(kept) - len(edited)
+        text = "\n".join([*kept, ""]) + _rows_text(table.rows[len(kept):])
         _atomic_write(root / filename, text)
         checksums[filename] = {
             "crc": zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF,
@@ -137,33 +176,59 @@ def save_database(database: Database, path: str | Path) -> Path:
     elif delta_path.exists():
         delta_path.unlink()
     _atomic_write(root / "catalog.json", json.dumps(manifest, indent=2))
-    return root
+    return sum(len(table) for table in tables.values()) - reused, reused
 
 
-def _rows_text(table: Table) -> str:
-    lines = [
-        frame(json.dumps([_encode(value) for value in row]))
-        for row in table.rows
-    ]
-    return "".join(line + "\n" for line in lines)
+def _row_line(row: tuple) -> str:
+    return frame(json.dumps([_encode(value) for value in row]))
 
 
-def _capture(database: Database) -> tuple[dict[str, Any], dict[str, Table], list]:
+def _rows_text(rows) -> str:
+    return "".join(_row_line(row) + "\n" for row in rows)
+
+
+def _kept_lines(
+    previous: Path | None, filename: str, recorded: dict | None, stable: int
+) -> list[str]:
+    """The first ``stable`` framed lines of ``previous``'s ``filename``
+    — or none, when the file is not byte for byte what that save's
+    manifest ``recorded`` (bit rot, another generation, gone)."""
+    if not stable or recorded is None:
+        return []
+    try:
+        data = (previous / filename).read_bytes()
+    except OSError:
+        return []
+    if zlib.crc32(data) != recorded.get("crc") or recorded.get("rows", 0) < stable:
+        return []
+    return data.decode("utf-8").split("\n")[:stable]
+
+
+def _capture(
+    database: Database, previous: Path | None = None, mark: Path | None = None
+) -> tuple[dict[str, Any], dict[str, Table], list, dict[str, tuple]]:
     """One reading of everything a save holds — the manifest (with each
     summary's refresh state), every table pinned (:meth:`Table.pin`),
     the staged delta batches — taken under the lock every write holds,
     so all three describe the same moment. :func:`save_database` (hence
     a journal checkpoint) and :func:`database_state_payload` serialise
     from it after the lock is released: reads and writes carry on while
-    the save encodes, and what it encodes cannot move."""
+    the save encodes, and what it encodes cannot move. A save in a chain
+    (``previous``) reads what each table changed since that save and
+    moves its mark to this one in the same acquisition that pins it."""
     with database._maintenance_lock:
+        stored = {
+            schema.name: database.tables[key]
+            for key, schema in database.catalog.tables.items()
+        }
+        changes = {} if previous is None else {
+            name: table.remark(previous, mark) for name, table in stored.items()
+        }
         return (
             _manifest(database),
-            {
-                schema.name: database.tables[key].pin()
-                for key, schema in database.catalog.tables.items()
-            },
+            {name: table.pin() for name, table in stored.items()},
             database.delta_log.batches(),
+            changes,
         )
 
 
@@ -511,7 +576,7 @@ def database_state_payload(database: Database) -> dict[str, Any]:
     background refresh cannot land between them (its rows *and* the
     batch that produced them would reach the standby, applied twice).
     """
-    payload, tables, batches = _capture(database)
+    payload, tables, batches, _ = _capture(database)
     payload["rows"] = {
         name: [[_encode(value) for value in row] for row in table.rows]
         for name, table in tables.items()

@@ -19,6 +19,14 @@ pinned view never changes, a table nobody is reading keeps its amortised
 O(1) append, and nothing outside this module has to decide whether a
 list is safe to read or to edit (docs/EXECUTOR.md, "Columnar tables").
 
+**…and a table remembers what it edited since its last mark.**  A chain
+of saves marks a stored table when it captures it (:meth:`Table.remark`);
+from then on rows ``[0, stable)`` still sit in the slots they had at the
+mark, except at the *edited* positions: ``rows[i] = …`` adds ``i``,
+``del rows[i]`` lowers ``stable`` to ``i``, a wholesale replacement sets
+it to 0, appends need nothing.  A table nobody marked has ``stable == 0``
+and tracks nothing: one integer compare per overwrite, no memory.
+
 There is no typed-array (``array('q'/'d')`` + null mask) backend: only
 in-process databases ever got one (0 typed columns of 20 after save →
 load), its scan path copied every column back into a list (8.8 → 20.6 MB
@@ -68,6 +76,9 @@ class RowsView(Sequence):
     def __getitem__(self, index):
         table = self._table
         if isinstance(index, slice):
+            if table._rows_cache is None and table._data:
+                # a tail of a large table: slice the columns, then zip
+                return list(zip(*[column[index] for column in table._data]))
             return table._materialize_rows()[index]
         index = table._row_position(index)
         return tuple(column[index] for column in table._data)
@@ -127,6 +138,8 @@ class RowsView(Sequence):
         row = table._checked_width(tuple(value))
         for column, cell in zip(table._own(), row):
             column[index] = cell
+        if index < table._stable:
+            table._edited.add(index)
         table._bump()
 
     def __delitem__(self, index: int) -> None:
@@ -135,6 +148,8 @@ class RowsView(Sequence):
         for column in table._own():
             del column[index]
         table._nrows -= 1
+        if index < table._stable:
+            table._stable = index  # every later row moved up a slot
         table._bump()
 
 
@@ -142,7 +157,10 @@ class Table:
     """Column names + one plain value list per column (``None`` inline
     for SQL NULL); ``rows`` is the row-oriented compatibility view."""
 
-    __slots__ = ("columns", "_data", "_nrows", "_index", "_rows_cache", "_shared")
+    __slots__ = (
+        "columns", "_data", "_nrows", "_index", "_rows_cache", "_shared",
+        "_mark", "_stable", "_edited",
+    )
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         self.columns = list(columns)
@@ -154,6 +172,10 @@ class Table:
         self._rows_cache: list[Row] | None = None
         #: someone else may hold ``_data``'s lists: copy before editing
         self._shared = False
+        #: the save marked last, the stable prefix since, the edits below it
+        self._mark: Any = None
+        self._stable = 0
+        self._edited: set[int] | None = None
         self.extend_trusted([tuple(row) for row in rows])
 
     # ------------------------------------------------------------------
@@ -213,6 +235,7 @@ class Table:
         view._nrows = self._nrows
         view._rows_cache = None
         view._shared = True
+        view._mark, view._stable, view._edited = None, 0, None
         return view
 
     def _own(self) -> list[list[Any]]:
@@ -222,6 +245,19 @@ class Table:
             self._data = [list(column) for column in self._data]
             self._shared = False
         return self._data
+
+    def remark(self, previous: Any, mark: Any) -> tuple[int, list[int]]:
+        """``(stable, edited)``: the save ``previous`` holds this table's
+        rows ``[0, stable)`` at the same positions, except the ``edited``
+        ones — ``(0, [])``, everything changed, when it is not the save
+        last marked — and from now on changes are tracked against
+        ``mark``.  Called under the lock the table's writers hold."""
+        changes = (0, [])
+        if previous is not None and self._mark == previous:
+            stable = self._stable
+            changes = (stable, sorted(i for i in self._edited if i < stable))
+        self._mark, self._stable, self._edited = mark, self._nrows, set()
+        return changes
 
     def extend_checked(self, rows: Iterable[Row], schema: TableSchema) -> None:
         """Append rows, validating arity, types and nullability.
@@ -310,6 +346,7 @@ class Table:
         self._data = [list(values) for values in transposed]
         self._shared = False
         self._nrows = len(rows)
+        self._stable = 0
         self._bump()
 
     def adopt_columns(self, other: "Table") -> None:
@@ -324,11 +361,13 @@ class Table:
         self._data = other._own()
         self._shared = False
         self._nrows = other._nrows
+        self._stable = 0
         self._bump()
 
     def fill_column(self, index: int, value: Any) -> None:
         """Set every row's cell in column ``index`` to ``value``."""
         self._own()[index] = [value] * self._nrows
+        self._stable = 0
         self._bump()
 
     def _checked_width(self, row: Row) -> Row:

@@ -20,13 +20,15 @@ nothing, but a machine crash may.
 
 **Checkpoint-compaction.** The journal does not grow forever: every
 ``checkpoint_every`` records the server snapshots the whole database
-with :func:`repro.engine.persist.save_database` into a fresh
-``checkpoint-<lsn>/`` directory, commits the checkpoint by atomically
-renaming ``wal.meta.json`` (which also carries the dedup-token window),
-rotates to a new journal segment, and deletes everything the snapshot
-covers. A crash mid-checkpoint is harmless — the meta rename is the
-commit point, and an orphaned half-written checkpoint directory is
-swept on the next recovery.
+with :func:`repro.engine.persist.save_counted` into a fresh
+``checkpoint-<lsn>/`` directory — re-encoding only the rows edited since
+the checkpoint it last committed, the rest taken over as CRC-verified
+lines — commits it by atomically renaming ``wal.meta.json`` (which also
+carries the dedup-token window), rotates to a new journal segment, and
+deletes everything the snapshot covers. The meta rename is the commit
+point: the committed directory is never removed before its successor's
+rename (a checkpoint at an unchanged LSN writes nothing), and an
+orphaned half-written directory is swept on the next recovery.
 
 **Recovery** (:meth:`WriteAheadLog.recover`) loads the checkpoint
 snapshot (through ``load_database`` + the ``verify_database``
@@ -244,6 +246,10 @@ class WriteAheadLog:
         self._recent: list[WalRecord] = []
         self._recent_cap = 4096
         self.checkpoints = 0
+        self.last_checkpoint_ms = 0.0
+        #: the snapshot ``wal.meta`` points at: the next checkpoint reuses
+        #: its lines and removes it only after its own meta rename
+        self._committed: Path | None = None
 
     # ------------------------------------------------------------------
     # properties
@@ -311,7 +317,9 @@ class WriteAheadLog:
             self._checkpoint_lsn = meta["checkpoint_lsn"]
             recovery.checkpoint_lsn = self._checkpoint_lsn
             recovery.tokens = dict(meta.get("tokens", {}))
-            checkpoint_dir = self.directory / meta["checkpoint_dir"]
+            checkpoint_dir = self._committed = (
+                self.directory / meta["checkpoint_dir"]
+            )
             if not checkpoint_dir.exists():
                 raise WalError(
                     f"{_META_NAME} references missing snapshot "
@@ -636,21 +644,29 @@ class WriteAheadLog:
         flight), so the snapshot corresponds exactly to the journal
         prefix up to the returned LSN. Reads and background refreshes
         are unaffected: the snapshot is serialised from one capture of
-        pinned tables (:func:`repro.engine.persist.save_database`), not
-        under the database's maintenance lock.
+        pinned tables (:func:`repro.engine.persist.save_counted`), not
+        under the database's maintenance lock. With nothing journaled
+        since the last checkpoint there is nothing to write.
         """
+        started = time.perf_counter()
         self.flush()
         with self._cond:
             self._check_writable()
             lsn = self._next_lsn - 1
+            if lsn == self._checkpoint_lsn:
+                return lsn  # nothing journaled since: the snapshot stands
         self._fire_disk_full()
-        self._write_checkpoint(database, tokens or {}, lsn)
+        encoded, reused = self._write_checkpoint(database, tokens or {}, lsn)
         self._open_segment(lsn + 1)
         with self._cond:
             self._checkpoint_lsn = lsn
             self.checkpoints += 1
         self._cleanup(lsn)
-        _events.emit("wal.checkpoint", lsn=lsn, checkpoints=self.checkpoints)
+        self.last_checkpoint_ms = round((time.perf_counter() - started) * 1e3, 3)
+        _events.emit(
+            "wal.checkpoint", lsn=lsn, checkpoints=self.checkpoints,
+            ms=self.last_checkpoint_ms, rows_encoded=encoded, rows_reused=reused,
+        )
         return lsn
 
     def rebase(
@@ -691,14 +707,20 @@ class WriteAheadLog:
 
     def _write_checkpoint(
         self, database, tokens: dict[str, str], lsn: int
-    ) -> None:
-        from repro.engine.persist import save_database
+    ) -> tuple[int, int]:
+        """Snapshot into a directory the meta does not point at (a crash
+        before the rename below recovers from the committed one, so a
+        rebase onto its LSN writes beside it), reusing the committed
+        snapshot's lines for rows not edited since (``save_counted``)."""
+        from repro.engine.persist import save_counted
 
         name = f"{_CHECKPOINT_PREFIX}{lsn:012d}"
+        if self._committed is not None and self._committed.name == name:
+            name += ".1"
         target = self.directory / name
-        if target.exists():  # a crashed earlier attempt at this LSN
+        if target.exists():  # a crashed earlier attempt under this name
             shutil.rmtree(target)
-        save_database(database, target)
+        counts = save_counted(database, target, self._committed or target)
         meta = {
             "version": META_VERSION,
             "checkpoint_lsn": lsn,
@@ -708,6 +730,8 @@ class WriteAheadLog:
         self._atomic_write(
             self.directory / _META_NAME, json.dumps(meta, indent=2)
         )
+        self._committed = target
+        return counts
 
     def _atomic_write(self, path: Path, text: str) -> None:
         tmp = path.with_name(path.name + ".tmp")
@@ -730,9 +754,9 @@ class WriteAheadLog:
             fsync_directory(self.directory)
 
     def _cleanup(self, checkpoint_lsn: int) -> None:
-        """Drop journal segments and checkpoint directories the new
-        checkpoint supersedes (best effort — leftovers are swept on the
-        next recovery)."""
+        """Drop the journal segments the new checkpoint covers and every
+        snapshot directory but the committed one (best effort —
+        leftovers are swept on the next recovery)."""
         for segment in sorted(self.directory.glob(_SEGMENT_PREFIX + "*")):
             if segment == self._segment:
                 continue
@@ -741,19 +765,14 @@ class WriteAheadLog:
                     segment.unlink()
                 except OSError:  # pragma: no cover
                     pass
-        for snapshot in self.directory.glob(_CHECKPOINT_PREFIX + "*"):
-            if _checkpoint_start(snapshot) < checkpoint_lsn:
-                shutil.rmtree(snapshot, ignore_errors=True)
+        self._sweep_orphans([])
 
     def _sweep_orphans(self, anomalies: list[str]) -> None:
-        """Remove checkpoint directories the meta never committed (a
-        crash landed between the snapshot write and the meta rename)."""
-        keep = None
-        meta = self._read_meta()
-        if meta is not None:
-            keep = meta["checkpoint_dir"]
+        """Remove every checkpoint directory but the one the meta points
+        at: superseded ones, and uncommitted ones (a crash landed between
+        the snapshot write and the meta rename)."""
         for snapshot in self.directory.glob(_CHECKPOINT_PREFIX + "*"):
-            if snapshot.name != keep:
+            if snapshot != self._committed:
                 anomalies.append(
                     f"{snapshot.name}: uncommitted checkpoint swept"
                 )
@@ -890,13 +909,6 @@ def _segment_start(path: Path) -> int:
         return int(path.stem[len(_SEGMENT_PREFIX):])
     except ValueError:
         return 0
-
-
-def _checkpoint_start(path: Path) -> int:
-    try:
-        return int(path.name[len(_CHECKPOINT_PREFIX):])
-    except ValueError:
-        return -1
 
 
 def _truncate_at(path: Path, byte_offset: int) -> None:

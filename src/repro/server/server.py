@@ -1028,6 +1028,7 @@ class QueryServer:
                 "durable_lsn": wal.durable_lsn,
                 "checkpoint_lsn": wal.checkpoint_lsn,
                 "checkpoints": wal.checkpoints,
+                "last_checkpoint_ms": wal.last_checkpoint_ms,
                 "sync": wal.sync,
                 "disk_full": self._disk_full,
             }

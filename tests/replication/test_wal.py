@@ -405,15 +405,75 @@ class TestCheckpointCompaction:
 
     def test_os_mode_adds_no_fsync(self, tmp_path, monkeypatch):
         """``--sync os`` (the ledger's mode) pays for the snapshot's own
-        fsyncs and nothing else."""
+        fsyncs and nothing else: per file the checkpoint writes — every
+        table's, reused lines or not, and the manifest — the file's and
+        its directory's (``persist._atomic_write``), as a plain save
+        does; no fsync of the journal directory."""
         db, events, _ = self.checkpoint_events(tmp_path, monkeypatch, "os")
         kinds = [kind for kind, _ in events]
         assert "fsync-dir" not in kinds
+        (snapshot,) = (tmp_path / "wal").glob("checkpoint-*")
+        assert kinds.count("fsync") == 2 * len(list(snapshot.iterdir()))
         calls: list[int] = []
         fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), fsync(fd)))
         save_database(db, tmp_path / "plain")
         assert kinds.count("fsync") == len(calls)
+
+    def test_checkpoint_at_an_unchanged_lsn_keeps_the_committed_snapshot(
+        self, tmp_path
+    ):
+        """With no record journaled since the last checkpoint,
+        ``checkpoint-<lsn>/`` *is* the committed snapshot: a checkpoint
+        there writes nothing, so a fault cannot leave the journal
+        pointing at a removed or half-written directory (at the parent
+        the directory was removed first and recovery failed with "does
+        not contain a saved database")."""
+        db = empty_db()
+        wal = WriteAheadLog(tmp_path / "wal", sync="os")
+        wal.begin(db)
+        with INJECTOR.injected("persist.write", times=1):
+            assert wal.checkpoint(db) == 0
+        assert wal.checkpoints == 0
+        db.run_sql(insert_sql(1))
+        wal.append("insert", insert_sql(1))
+        assert wal.checkpoint(db) == 1
+        with INJECTOR.injected("persist.write", times=1):
+            assert wal.checkpoint(db) == 1
+        wal.close()
+        recovered = WriteAheadLog(tmp_path / "wal", sync="os").recover()
+        assert recovered.checkpoint_lsn == 1 and not recovered.anomalies
+        assert_same_database(recovered.database, db)
+
+    def test_rebase_at_the_committed_lsn_writes_beside_it(self, tmp_path):
+        """A standby re-bootstrapping at the LSN it already holds: the
+        committed snapshot survives a failed rebase, and a successful
+        one commits a directory beside it, then drops it."""
+        db = empty_db()
+        directory = tmp_path / "wal"
+        wal = WriteAheadLog(directory, sync="os")
+        wal.begin(db)
+        db.run_sql(insert_sql(1))
+        wal.append("insert", insert_sql(1))
+        wal.checkpoint(db)
+        other = empty_db()
+        other.run_sql(insert_sql(2))
+        with INJECTOR.injected("persist.write", times=1):
+            with pytest.raises(InjectedFault):
+                wal.rebase(other, base_lsn=1)
+        survivor = WriteAheadLog(directory, sync="os").recover()
+        assert_same_database(survivor.database, db)
+        assert any("uncommitted" in a for a in survivor.anomalies)
+
+        wal.rebase(other, base_lsn=1)
+        wal.rebase(other, base_lsn=1)  # and back to the plain name
+        assert [p.name for p in directory.glob("checkpoint-*")] == [
+            "checkpoint-000000000001"
+        ]
+        wal.close()
+        recovered = WriteAheadLog(directory, sync="os").recover()
+        assert recovered.checkpoint_lsn == 1 and not recovered.anomalies
+        assert_same_database(recovered.database, other)
 
     def test_orphan_checkpoint_swept_on_recovery(self, tmp_path):
         """A checkpoint directory with no committing meta rename (a crash
