@@ -52,7 +52,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MatchTrace, TraceBuffer
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
-from repro.qgm.fingerprint import fingerprint
+from repro.qgm.fingerprint import fingerprint, shape_key
 
 #: default slow-query log threshold, milliseconds (see docs/OBSERVABILITY.md;
 #: override per session with ``SET SLOW QUERY <ms>`` or ``SET SLOW QUERY OFF``)
@@ -673,10 +673,12 @@ class Database:
         )
         admissible = frozenset(s.name.lower() for s in summaries)
         use_cache = self._fast_path_cache and self._rewrite_cache.maxsize > 0
+        plan = plan_key = None
         if use_cache:
             if shape is None:
                 shape = fingerprint(graph)
-            key = (shape, options_key(options), tolerance.key)
+            keyed_on = (options_key(options), tolerance.key)
+            key = (shape, *keyed_on)
             entry = self._rewrite_cache.lookup(
                 key, epoch, admissible, stats=stats
             )
@@ -695,18 +697,27 @@ class Database:
                         )
                     return replayed
                 stats.cache_replay_failures += 1
-            stats.cache_misses += 1
-        # Circuit breaker: a shape that repeatedly timed out during
-        # matching skips the navigator for a cool-down. The fingerprint
-        # must be taken *before* rewrite_query mutates the graph in
-        # place; reuse the cache key's when available, and skip the
-        # extra hash entirely on the ungoverned, breaker-idle path.
+        # Everything from here on is per query *shape*: the plan an
+        # earlier binding of this shape left, and the circuit breaker —
+        # a shape that repeatedly timed out during matching skips the
+        # navigator for a cool-down, whatever constants it arrives with.
+        # The fingerprint must be taken *before* rewrite_query mutates
+        # the graph in place; the ungoverned, breaker-idle, cache-less
+        # path skips the hash entirely.
         breaker = self.governor.breaker
         if shape is None and (budget is not None or breaker.active):
             shape = fingerprint(graph)
+        template = None if shape is None else shape_key(shape)
+        if use_cache and template is not shape:
+            plan_key = (template, *keyed_on)
+            # A stale plan is dropped without a count of its own:
+            # cache_invalidations counts exact-key entries, as before.
+            plan = self._rewrite_cache.lookup(plan_key, epoch, admissible)
+        if use_cache and plan is None:
+            stats.cache_misses += 1
         if budget is not None:
-            budget.fingerprint = shape
-        if breaker.active and breaker.should_skip(shape):
+            budget.fingerprint = template
+        if breaker.active and breaker.should_skip(template):
             self.governor.note_breaker_skip()
             self.last_governor_event = (
                 "circuit breaker open: match skipped for this query shape"
@@ -725,10 +736,11 @@ class Database:
             stats=stats,
             prune=self._fast_path_index,
             trace=trace,
+            hint=None if plan is None else plan.steps or (),
         )
-        if shape is not None:
+        if template is not None:
             # The match phase completed: this shape is healthy.
-            breaker.record_success(shape)
+            breaker.record_success(template)
         if use_cache:
             steps = None
             if result is not None:
@@ -742,9 +754,23 @@ class Database:
                     )
                     for step in result.applied
                 )
-            self._rewrite_cache.store(
-                key, CacheEntry(epoch, admissible, steps)
-            )
+            entry = CacheEntry(epoch, admissible, steps)
+            # A plan only narrows what rewrite_query matches first, so a
+            # decision that reads like the plan is one the plan led to.
+            if plan is not None and entry.decision == plan.decision:
+                stats.cache_shape_hits += 1
+                if steps is None:
+                    stats.cache_negative_hits += 1
+                else:
+                    stats.cache_hits += 1
+            else:
+                if plan is not None:  # it was wrong: a cold rewrite after all
+                    stats.cache_misses += 1
+                if plan_key is not None:
+                    self._rewrite_cache.store(plan_key, entry)
+            # Also after a shape hit: the next arrival of this very
+            # statement replays the chain instead of matching again.
+            self._rewrite_cache.store(key, entry)
             stats.cache_stores += 1
         return result
 

@@ -4,15 +4,17 @@ A query shape that times out during matching once will usually time out
 again: the navigator's search space is a function of the graph's
 structure, not its literals. Retrying the doomed search on every arrival
 burns the whole timeout budget before degrading — the worst of both
-worlds. The breaker remembers, per structural fingerprint (the same
-:func:`repro.matching.fingerprint.graph_fingerprint` key the decision
-cache uses), how many *consecutive* match-phase timeouts a shape has
-suffered; after ``threshold`` of them the circuit opens and the shape
-skips matching entirely (straight to base tables, recorded as a
-``circuit-open`` trace verdict) until ``cooldown_s`` elapses. The first
-arrival after the cool-down is the half-open probe: it attempts the
-match again, and a success closes the circuit while another timeout
-re-opens it for a fresh cool-down.
+worlds. The breaker remembers, per *shape key* (the structural
+fingerprint with its comparison constants templated out,
+:func:`repro.qgm.fingerprint.shape_key` — the key the decision cache
+files plans under, so ad hoc traffic whose every statement carries a
+fresh constant still counts as one shape), how many *consecutive*
+match-phase timeouts a shape has suffered; after ``threshold`` of them
+the circuit opens and the shape skips matching entirely (straight to
+base tables, recorded as a ``circuit-open`` trace verdict) until
+``cooldown_s`` elapses. The first arrival after the cool-down is the
+half-open probe: it attempts the match again, and a success closes the
+circuit while another timeout re-opens it for a fresh cool-down.
 
 States per fingerprint: **closed** (no entry / failures < threshold,
 match runs), **open** (failures ≥ threshold and inside cool-down, match

@@ -167,7 +167,8 @@ class QueryBudget:
         self.phase_ticks: dict[str, int] = {}
         self.degraded = False
         self.degraded_reason: str | None = None
-        #: the query graph's structural fingerprint, stashed by the
+        #: the query graph's shape key (its structural fingerprint with
+        #: the comparison constants templated out), stashed by the
         #: rewrite fast path *before* any in-place rewriting so the
         #: circuit breaker can key on the pristine shape
         self.fingerprint = None

@@ -101,7 +101,7 @@ REASONS = {
     "cache-hit": (
         "4",
         "decision cache replayed a prior verdict for this query shape; "
-        "the navigator did not run",
+        "the navigator did not run against this summary",
     ),
     "budget-exhausted": (
         "governor",

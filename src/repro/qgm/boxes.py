@@ -346,15 +346,17 @@ def cross_combine(
     return tuple(combined)
 
 
-def box_heights(graph: "QueryGraph") -> dict[int, int]:
+def box_heights(
+    graph: "QueryGraph", order: "list[QGMBox] | None" = None
+) -> dict[int, int]:
     """Height of every box in ``graph`` keyed by ``id(box)`` (leaves are 1).
 
     Shared by the navigator (to order root matches by how much query work
     they replace) and the rewriter (to pick the candidate replacing the
-    highest box).
+    highest box). ``order`` is ``graph.boxes()`` when already taken.
     """
     heights: dict[int, int] = {}
-    for box in graph.boxes():  # children before parents
+    for box in order or graph.boxes():  # children before parents
         child_heights = [heights[id(child)] for child in box.children()]
         heights[id(box)] = 1 + max(child_heights, default=0)
     return heights

@@ -14,6 +14,16 @@ remembers, per query shape:
 * **negative** outcomes — "no rewrite applies", so the navigator is
   skipped entirely.
 
+The same entry is also filed under the query's constant-free *shape
+key* (:func:`repro.qgm.fingerprint.shape_key`), where it is read as a
+**plan**: which summary won each rewrite iteration, at which box, by
+which pattern, and that the loop then stopped. A statement that misses
+its exact key but finds a plan is matched against the planned winner
+(plus every summary that holds a constant of its own) instead of the
+whole pool — :func:`repro.rewrite.rewriter.rewrite_query`'s ``hint`` —
+and its proven compensation is then stored under its exact key like any
+cold decision. A plan lives in the same LRU, under the same validation.
+
 Entries are validated against an *epoch* counter that
 :class:`repro.engine.database.Database` bumps on every
 ``create_summary_table`` / ``drop_summary_table`` /
@@ -33,6 +43,7 @@ totals behind ``Database.rewrite_stats()`` and the CLI's ``\\stats``.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,11 +58,12 @@ _STAT_FIELDS = {
     "candidates_pruned": "... of which pruned without navigation",
     "matches_attempted": "full match_graphs navigations run",
     "rewrites_applied": "accepted (summary, match) applications",
-    "cache_hits": "positive decision-cache hits (replays)",
+    "cache_hits": "positive decision-cache hits (replays, shape hits)",
     "cache_negative_hits": "cached 'no rewrite applies' hits",
+    "cache_shape_hits": "... of both, re-matched under a shape's plan",
     "cache_misses": "fingerprint not cached (or stale)",
     "cache_stores": "decisions written to the cache",
-    "cache_invalidations": "entries dropped as stale on lookup",
+    "cache_invalidations": "exact-key entries dropped as stale on lookup",
     "cache_replay_failures": "replays that fell back to cold path",
     "stale_rejections": "summaries too stale for the query's tolerance",
     "quarantined_rejections": "quarantined summaries kept out of routing",
@@ -134,6 +146,15 @@ class CacheEntry:
     admissible: frozenset[str]
     steps: tuple[CachedStep, ...] | None  # None ⇒ negative (no rewrite)
 
+    @property
+    def decision(self) -> tuple[tuple[str, int, str], ...]:
+        """What was decided, without the proof: the part of an entry
+        that holds for every binding of the query's shape."""
+        return tuple(
+            (step.summary_name, step.subsumee_index, step.pattern)
+            for step in self.steps or ()
+        )
+
 
 #: cache key: the graph fingerprint, the matcher options in effect, and
 #: the freshness tolerance (RefreshAge.key) the decision was made under
@@ -148,11 +169,14 @@ def options_key(options: dict | None) -> tuple:
 
 
 class RewriteCache:
-    """A bounded LRU of rewrite decisions."""
+    """A bounded LRU of rewrite decisions, shared by every thread that
+    runs a SELECT: concurrent bindings of one shape read, refresh and
+    replace the same plan entry, so each operation holds the lock."""
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -166,24 +190,27 @@ class RewriteCache:
     ) -> CacheEntry | None:
         """The valid entry for ``key``, refreshed as most recent; stale
         entries are evicted and counted as invalidations."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.epoch != epoch or entry.admissible != admissible:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            if entry.epoch == epoch and entry.admissible == admissible:
+                self._entries.move_to_end(key)
+                return entry
             del self._entries[key]
-            if stats is not None:
-                stats.cache_invalidations += 1
-            return None
-        self._entries.move_to_end(key)
-        return entry
+        if stats is not None:
+            stats.cache_invalidations += 1
+        return None
 
     def store(self, key: CacheKey, entry: CacheEntry) -> None:
         if self.maxsize <= 0:
             return
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()

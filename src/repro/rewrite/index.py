@@ -42,7 +42,14 @@ from dataclasses import dataclass
 
 from repro.asts.definition import SummaryTable
 from repro.catalog.schema import Catalog
-from repro.qgm.boxes import BaseTableBox, GroupByBox, QueryGraph
+from repro.expr.nodes import Literal
+from repro.qgm.boxes import (
+    BaseTableBox,
+    GroupByBox,
+    QGMBox,
+    QueryGraph,
+    SelectBox,
+)
 
 #: box kinds whose presence in the AST requires presence in the query
 _STRUCTURAL_KINDS = ("groupby", "union")
@@ -62,12 +69,15 @@ class SummarySignature:
         return "groupby" in self.box_kinds
 
 
-def graph_signature(graph: QueryGraph) -> SummarySignature:
-    """Extract the signature of a bound graph (query or AST side)."""
+def graph_signature(
+    graph: QueryGraph, order: list[QGMBox] | None = None
+) -> SummarySignature:
+    """Extract the signature of a bound graph (query or AST side);
+    ``order`` is ``graph.boxes()`` when the caller already took it."""
     base_tables = set()
     box_kinds = set()
     grouping: set[str] = set()
-    for box in graph.boxes():
+    for box in order or graph.boxes():
         box_kinds.add(box.kind)
         if isinstance(box, BaseTableBox):
             base_tables.add(box.table_name.lower())
@@ -92,6 +102,32 @@ def summary_signature(summary: SummaryTable) -> SummarySignature:
         cached = graph_signature(summary.graph)
         summary._signature = cached
     return cached
+
+
+def bears_constants(summary: SummaryTable) -> bool:
+    """Does the summary's definition contain a literal anywhere? Cached
+    on the object like the signature. Only such a summary can match one
+    binding of a query shape and not another (``disc > 0.1`` subsumes
+    ``disc > 0.2`` but not ``disc > 0.05``); a literal-free one gives
+    every binding of a shape the same verdict."""
+    cached = getattr(summary, "_bears_constants", None)
+    if cached is None:
+        cached = any(
+            isinstance(node, Literal)
+            for box in summary.graph.boxes()
+            for expr in _box_exprs(box)
+            for node in expr.walk()
+        )
+        summary._bears_constants = cached
+    return cached
+
+
+def _box_exprs(box):
+    for qcl in box.outputs:
+        if qcl.expr is not None:
+            yield qcl.expr
+    if isinstance(box, SelectBox):
+        yield from box.predicates
 
 
 def _fk_parent_tables(catalog: Catalog) -> frozenset[str]:
@@ -212,16 +248,18 @@ def prune_candidates(
     summaries: list[SummaryTable],
     stats=None,
     trace=None,
+    order: list[QGMBox] | None = None,
 ) -> list[SummaryTable]:
     """The plausible subset of ``summaries`` for ``graph``, in order.
 
     ``stats`` is an optional :class:`repro.rewrite.cache.RewriteStats`;
     when given, considered/pruned counters are updated. A given
     ``trace`` receives a ``pruned`` verdict per dropped summary.
+    ``order`` is ``graph.boxes()`` when the caller already took it.
     """
     if not summaries:
         return []
-    query_sig = graph_signature(graph)
+    query_sig = graph_signature(graph, order)
     fk_parents = _fk_parent_tables(graph.catalog)
     kept = []
     for summary in summaries:

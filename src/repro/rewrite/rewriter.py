@@ -17,7 +17,7 @@ from repro.expr.nodes import ColumnRef
 from repro.matching.framework import MAIN, MatchResult, rebase_chain
 from repro.matching.navigator import match_graphs, root_matches
 from repro.qgm.boxes import BaseTableBox, QCL, QGMBox, QueryGraph, SelectBox, box_heights
-from repro.rewrite.index import prune_candidates
+from repro.rewrite.index import bears_constants, prune_candidates
 from repro.testing import faults
 
 
@@ -70,6 +70,7 @@ def rewrite_query(
     stats=None,
     prune: bool = True,
     trace=None,
+    hint=None,
 ) -> RewriteResult | None:
     """Reroute ``graph`` over the given summary tables.
 
@@ -85,47 +86,91 @@ def rewrite_query(
     disabling it (the pre-index behaviour, kept for the ablation
     benchmarks) falls back to the bare base-table-overlap check. Returns
     None when nothing matched.
+
+    ``hint`` is the decision an earlier query of the same *shape* got
+    (:func:`repro.qgm.fingerprint.shape_key`): one step per iteration
+    naming the winner (``summary_name``), its ``subsumee_index`` and
+    ``pattern``, after which the loop stopped. It only narrows what is
+    matched first — the planned winner plus every summary that
+    :func:`~repro.rewrite.index.bears_constants` — and nothing is
+    applied that this graph's own match did not prove. The first
+    iteration whose outcome differs from the hint matches the summaries
+    it had set aside and the hint is dropped, so the decision is always
+    the one an unhinted call makes.
     """
     applied: list[AppliedRewrite] = []
     remaining = list(summaries)
     while remaining:
+        # One walk of the graph per iteration; an applied rewrite
+        # changes it, so neither the order nor the heights carry over.
+        order = graph.boxes()
+        positions = {id(box): position for position, box in enumerate(order)}
+        heights = box_heights(graph, order)
         # Cheap signature pruning first — re-run per iteration because an
         # applied rewrite changes the graph's base tables.
         if prune:
-            pool = prune_candidates(graph, remaining, stats=stats, trace=trace)
+            pool = prune_candidates(
+                graph, remaining, stats=stats, trace=trace, order=order
+            )
         else:
             query_tables = graph.base_tables()
             pool = [s for s in remaining if s.base_tables() & query_tables]
             if stats is not None:
                 stats.candidates_considered += len(remaining)
                 stats.candidates_pruned += len(remaining) - len(pool)
+        # Equally good candidates go to the earlier summary, wherever a
+        # hint made it wait.
+        pool_rank = {id(s): rank for rank, s in enumerate(pool)}
+        set_aside: list[SummaryTable] = []
+        if hint is not None:
+            planned = hint[len(applied)] if len(applied) < len(hint) else None
+            winner = None if planned is None else planned.summary_name
+            narrowed = []
+            for s in pool:
+                if s.name.lower() == winner or bears_constants(s):
+                    narrowed.append(s)
+                else:
+                    set_aside.append(s)
+            pool = narrowed
+
         # Gather every candidate (summary, match) and take the best one:
         # the highest query box saved, then the smallest summary table
         # (a lightweight instance of related problem (b)).
-        heights = box_heights(graph)
-        candidates = []
-        for summary in pool:
-            if stats is not None:
-                stats.matches_attempted += 1
-            match = _best_match(graph, summary, options, trace)
-            if match is None:
-                continue
-            candidates.append(
-                (-heights.get(id(match.subsumee), 0), summary.row_count, summary, match)
-            )
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        chosen = None
-        for _, _, summary, match in candidates:
-            if accept is None or accept(summary, match):
-                chosen = (summary, match)
-                break
-            remaining.remove(summary)
+        candidates: list[tuple] = []
+
+        def gather(batch: list[SummaryTable]) -> None:
+            for summary in batch:
+                if stats is not None:
+                    stats.matches_attempted += 1
+                match = _best_match(graph, summary, order, heights, options, trace)
+                if match is not None:
+                    candidates.append((
+                        -heights.get(id(match.subsumee), 0),
+                        summary.row_count, pool_rank[id(summary)],
+                        summary, match,
+                    ))
+
+        gather(pool)
+        chosen = _choose(candidates, accept, remaining)
+        if hint is not None:
+            if _as_planned(chosen, planned, positions):
+                if trace is not None:
+                    for summary in set_aside:
+                        trace.verdict(
+                            summary.name, "cache-hit",
+                            "verdict carried over from this query shape",
+                        )
+            else:
+                hint = None
+                gather(set_aside)
+                chosen = _choose(candidates, accept, remaining)
         if chosen is None:
             break
         summary, match = chosen
-        subsumee_index = _box_position(graph, match.subsumee)
         apply_match(graph, match, summary, trace)
-        applied.append(AppliedRewrite(summary, match, subsumee_index))
+        applied.append(
+            AppliedRewrite(summary, match, positions[id(match.subsumee)])
+        )
         if stats is not None:
             stats.rewrites_applied += 1
         if trace is not None:
@@ -137,24 +182,43 @@ def rewrite_query(
     return RewriteResult(graph, applied)
 
 
-def _box_position(graph: QueryGraph, target: QGMBox) -> int:
-    for position, box in enumerate(graph.boxes()):
-        if box is target:
-            return position
-    return -1
+def _choose(candidates: list[tuple], accept, remaining: list[SummaryTable]):
+    """The best acceptable ``(summary, match)`` of ``candidates`` or
+    None; a summary ``accept`` turns down leaves both lists."""
+    candidates.sort(key=lambda item: item[:3])
+    while candidates:
+        summary, match = candidates[0][3:]
+        if accept is None or accept(summary, match):
+            return summary, match
+        remaining.remove(summary)
+        del candidates[0]
+    return None
+
+
+def _as_planned(chosen, planned, positions: dict[int, int]) -> bool:
+    """Did this iteration end the way the hint's step says — the same
+    winner at the same box by the same pattern, or no winner at all?"""
+    if chosen is None or planned is None:
+        return chosen is None and planned is None
+    summary, match = chosen
+    return (
+        summary.name.lower() == planned.summary_name
+        and positions[id(match.subsumee)] == planned.subsumee_index
+        and match.pattern == planned.pattern
+    )
 
 
 def _best_match(
-    graph: QueryGraph, summary: SummaryTable, options: dict | None = None,
-    trace=None,
+    graph: QueryGraph, summary: SummaryTable, order: list[QGMBox],
+    heights: dict[int, int], options: dict | None = None, trace=None,
 ) -> MatchResult | None:
     faults.fire("rewrite.match")
     if trace is not None:
         trace.begin_summary(summary.name, summary.graph.root)
     match = None
     try:
-        ctx = match_graphs(graph, summary.graph, options, trace)
-        candidates = root_matches(graph, summary.graph, ctx)
+        ctx = match_graphs(graph, summary.graph, options, trace, order=order)
+        candidates = root_matches(graph, summary.graph, ctx, heights=heights)
         match = candidates[0] if candidates else None
     finally:
         if trace is not None:

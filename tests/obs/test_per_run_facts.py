@@ -142,3 +142,51 @@ def test_registry_counts_are_exact_under_contention(nine_ast_db):
         delta["cache_hits"] + delta["cache_negative_hits"]
         + delta["cache_misses"]
     ) == threads * rounds
+
+
+def test_shape_hits_are_counted_per_run_and_exactly(nine_ast_db):
+    """Fresh bindings of one shape from four threads: every rewrite is
+    a miss, a shape hit or a replay — a shape hit a hit, never a miss —
+    and each run's own record says which."""
+    db = nine_ast_db
+    threads, rounds = 4, 60
+    db.configure_fast_path(cache=True)
+    before = db.rewrite_stats()
+    records = []
+
+    def issue(worker: int) -> None:
+        for round_ in range(rounds):
+            # every other statement repeats one another thread issues
+            value = round_ if round_ % 2 else worker * rounds + round_
+            run = db.prepare_select(Q10.replace("> 2", f"> {value}.5"))
+            db._rewrite_stage(run)
+            records.append(run.rewrite_stats.as_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [
+            threading.Thread(target=issue, args=(n,)) for n in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        db.configure_fast_path(cache=False)
+    assert not any(worker.is_alive() for worker in workers)
+    after = db.rewrite_stats()
+    delta = {key: after[key] - before[key] for key in after}
+    assert len(records) == delta["queries"] == threads * rounds
+    for name in ("cache_hits", "cache_misses", "cache_shape_hits",
+                 "matches_attempted", "cache_stores"):
+        assert delta[name] == sum(record[name] for record in records), name
+    assert delta["cache_hits"] + delta["cache_misses"] == threads * rounds
+    assert 0 < delta["cache_shape_hits"] < delta["cache_hits"]
+    for record in records:
+        assert record["cache_hits"] + record["cache_misses"] == 1
+        if record["cache_shape_hits"]:
+            assert record["cache_hits"] == 1 and record["matches_attempted"] > 0
+        elif record["cache_hits"]:
+            assert record["matches_attempted"] == 0

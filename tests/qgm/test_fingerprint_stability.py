@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.engine.persist import load_database, save_database
-from repro.qgm.fingerprint import fingerprint
+from repro.qgm.fingerprint import Hole, fingerprint, shape_key
 from repro.refresh.policy import RefreshAge
 from repro.server.result_cache import cache_key
 
@@ -67,6 +67,63 @@ class TestCrossSessionStability:
         reloaded = load_database(tmp_path / "db")
         for sql, key in before.items():
             assert fingerprint(reloaded.bind(sql)).key == key
+
+
+class TestShapeKeyStability:
+    """The constant-free key the decision cache files plans under is as
+    much a pure function of the query's structure as the exact one."""
+
+    TEMPLATE = (
+        "select flid, year(date) % 100 as yr, count(*) as cnt from Trans "
+        "where year(date) > {} and qty in (1, 2) group by flid, year(date) % 100 "
+        "having count(*) > {} limit 7"
+    )
+
+    def shape(self, db, *values):
+        return shape_key(fingerprint(db.bind(self.TEMPLATE.format(*values))))
+
+    def test_two_sessions_agree(self):
+        first, second = _fresh_db(), _fresh_db()
+        assert self.shape(first, 1990, 3) == self.shape(second, 1990, 3)
+        assert (
+            self.shape(first, 1990, 3).hexdigest()
+            == self.shape(second, 1990, 3).hexdigest()
+        )
+
+    def test_bindings_of_one_shape_agree_across_sessions(self):
+        first, second = _fresh_db(), _fresh_db()
+        assert self.shape(first, 1990, 3) == self.shape(second, 1995, 12)
+        assert fingerprint(first.bind(self.TEMPLATE.format(1990, 3))) != fingerprint(
+            second.bind(self.TEMPLATE.format(1995, 12))
+        )
+
+    def test_rank_and_type_split_shapes(self):
+        db = _fresh_db()
+        base = self.shape(db, 1990, 3)
+        assert base != self.shape(db, 3, 1990)      # the order flipped
+        assert base != self.shape(db, 1990, 1990)   # the two coincide
+        assert base != self.shape(db, 1990, 3.5)    # int against float
+        assert base != self.shape(db, 1990, 200)    # crossed the kept 100
+
+    def test_only_comparison_constants_are_templated(self):
+        db = _fresh_db()
+        key = repr(self.shape(db, 1990, 3).key)
+        assert key.count("Hole(") == 2
+        for kept in ("% Lit(100)", "Lit(1), Lit(2)", ", 7)"):
+            assert kept in key
+        assert "Lit(1990)" not in key and "Lit(3)" not in key
+        assert Hole("int", 0) != Hole("int", 1)
+
+    def test_nothing_to_template_is_the_exact_key(self):
+        db = _fresh_db()
+        for sql in QUERIES[:2]:
+            exact = fingerprint(db.bind(sql))
+            assert shape_key(exact) is exact
+
+    def test_persist_reload_agrees(self, tmp_path, tiny_db):
+        before = self.shape(tiny_db, 1990, 3)
+        save_database(tiny_db, tmp_path / "db")
+        assert self.shape(load_database(tmp_path / "db"), 1991, 4) == before
 
 
 class TestKnobKeys:

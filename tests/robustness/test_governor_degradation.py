@@ -66,3 +66,35 @@ def test_pre_expired_timeout_degrades_every_query(workload, name):
         db.run_sql("SET QUERY TIMEOUT OFF;")
     assert sorted(got.rows) == sorted(baselines[name].rows)
     assert "degraded to base tables" in (db.last_governor_event or "")
+
+
+def test_timeouts_of_one_shape_under_fresh_constants_open_the_breaker(workload):
+    """Ad hoc traffic never repeats a constant. The breaker counts per
+    query *shape*, so N match timeouts of one shape open it whatever
+    the N constants were — and it stays shut for another shape."""
+    db, _ = workload
+    threshold = db.governor.breaker.threshold
+    db.governor.breaker.reset()
+    pricing = QUERIES["q1_pricing"]
+    db.governor.match_budget = 1
+    try:
+        for year in range(1990, 1990 + threshold):
+            assert db.governor.breaker.snapshot()["open"] == 0
+            got = db.execute(pricing.replace("1997", str(year)))
+            want = db.execute(
+                pricing.replace("1997", str(year)), use_summary_tables=False
+            )
+            assert sorted(got.rows) == sorted(want.rows)
+        state = db.governor.breaker.snapshot()
+        assert (state["tracked"], state["open"]) == (1, 1)
+        skips = db.metrics.to_dict()["governor.breaker_skips"]["value"]
+        db.execute(pricing.replace("1997", "2001"))
+        assert "circuit breaker open" in db.last_governor_event
+        assert db.metrics.to_dict()["governor.breaker_skips"]["value"] == skips + 1
+        # ``<`` for ``<=`` is another shape: it is matched (and degrades)
+        db.execute(pricing.replace("<= 1997", "< 2001"))
+        assert "degraded to base tables" in db.last_governor_event
+        assert db.governor.breaker.snapshot()["tracked"] == 2
+    finally:
+        db.governor.match_budget = None
+        db.governor.breaker.reset()
