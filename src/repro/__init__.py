@@ -20,7 +20,7 @@ Quickstart::
 
 from repro.asts.advisor import Advisor, AdvisorResult
 from repro.asts.definition import SummaryTable
-from repro.asts.maintenance import MaintenanceReport, maintain_delete, maintain_insert
+from repro.asts.maintenance import maintain_delete, maintain_insert
 from repro.catalog.sample import credit_card_catalog
 from repro.catalog.schema import (
     Catalog,
@@ -31,6 +31,7 @@ from repro.catalog.schema import (
 )
 from repro.catalog.types import DataType
 from repro.engine.database import Database
+from repro.engine.pipeline import WriteRun
 from repro.engine.persist import (
     RecoveryReport,
     load_database,
@@ -87,7 +88,6 @@ __all__ = [
     "Gauge",
     "GraphFingerprint",
     "Histogram",
-    "MaintenanceReport",
     "MatchTrace",
     "MetricsRegistry",
     "REASONS",
@@ -107,6 +107,7 @@ __all__ = [
     "TraceBuffer",
     "UniqueKey",
     "UnsupportedSqlError",
+    "WriteRun",
     "build_graph",
     "collect_stats",
     "credit_card_catalog",

@@ -40,20 +40,21 @@ row is found through :meth:`SummaryTable.group_index` and written in
 place. Every other shape — AVG or DISTINCT aggregates, a self-join,
 MIN/MAX under deletes, an outer view that is itself neither (a) nor (b)
 under deletes, ... — is recomputed by :func:`recompute`, which names the
-cause in the report, counts it and emits a ``summary.recompute`` event:
-silently degrading would hide exactly the cost [10] is about.
+cause in the write's record, counts it and emits a ``summary.recompute``
+event: silently degrading would hide exactly the cost [10] is about.
 (docs/ALGORITHM.md has the full shape → rule → reason table.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.asts.definition import SummaryTable
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import DataType
 from repro.engine.executor import Executor
+from repro.engine.pipeline import WriteRun
 from repro.engine.table import Row, Table
 from repro.errors import MaintenanceError
 from repro.expr.nodes import AggCall, ColumnRef
@@ -69,28 +70,15 @@ from repro.qgm.boxes import (
 from repro.qgm.build import build_graph
 
 
-@dataclass
-class MaintenanceReport:
-    """What happened to each summary table after a base-table change."""
-
-    incremental: list[str] = field(default_factory=list)
-    recomputed: dict[str, str] = field(default_factory=dict)  # name -> reason
-    unaffected: list[str] = field(default_factory=list)
-    #: affected deferred summaries whose refresh was staged, not applied
-    deferred: list[str] = field(default_factory=list)
-
-    def was_incremental(self, name: str) -> bool:
-        return name in self.incremental
-
-
 def maintain_insert(
     database,
     table_name: str,
     rows: Iterable[Row],
     summaries: Iterable[SummaryTable] | None = None,
-) -> MaintenanceReport:
+) -> WriteRun:
     """Load ``rows`` into ``table_name`` and bring summary tables up to
-    date, incrementally where possible.
+    date, incrementally where possible; the returned record's
+    ``incremental``/``recomputed``/``unaffected`` say how.
 
     ``summaries`` restricts maintenance to a subset (the deferred-refresh
     path maintains only REFRESH IMMEDIATE summaries inline and stages the
@@ -104,51 +92,77 @@ def maintain_delete(
     table_name: str,
     rows: Iterable[Row],
     summaries: Iterable[SummaryTable] | None = None,
-) -> MaintenanceReport:
+) -> WriteRun:
     """Remove exact ``rows`` from ``table_name`` and maintain summaries
     (``summaries`` restricts the maintained subset as in
     :func:`maintain_insert`)."""
     return _maintain(database, table_name, rows, -1, summaries)
 
 
-def _maintain(database, table_name, rows, sign, summaries) -> MaintenanceReport:
+def _maintain(database, table_name, rows, sign, summaries) -> WriteRun:
+    """The change to the base table is the write's first; a failure
+    after it (the k-th summary's apply raising) takes it back and
+    recomputes every summary the write planned, so the write happened to
+    the base table and all of ``summaries`` or to none of them."""
     rows = [tuple(row) for row in rows]
     if summaries is None:
         summaries = database.summary_tables.values()
-    report = MaintenanceReport()
-    # Deltas are evaluated *before* the base table changes, so joins
-    # against dimension tables see a consistent state.
+    run = WriteRun()
+    # Deltas are evaluated, and deleted rows located, *before* the base
+    # table changes, so joins against dimension tables see a consistent
+    # state and a missing row changes nothing.
     store = _delta_store(database, table_name, rows)
+    table = database.table(table_name)
+    positions = _locate(table, rows, table_name) if sign < 0 else []
     staged: list[tuple[SummaryTable, _DeltaPlan | str, _Delta | None]] = []
     for summary in summaries:
         plan = _plan(summary, table_name, sign < 0)
         if plan is None:
-            report.unaffected.append(summary.name)
+            run.unaffected.append(summary.name)
         elif isinstance(plan, str):
-            report.recomputed[summary.name] = plan
+            run.recomputed[summary.name] = plan
             staged.append((summary, plan, None))
         else:
             staged.append((summary, plan, _evaluate(plan, store)))
 
     if sign > 0:
         database.load(table_name, rows)
-    else:
-        table = database.table(table_name)
-        for row in rows:
-            try:
-                table.rows.remove(row)
-            except ValueError:
-                raise MaintenanceError(
-                    f"row {row!r} not present in {table_name!r}"
-                ) from None
-
-    for summary, plan, delta in staged:
-        if isinstance(plan, str):
-            recompute(database, summary, plan)
+    for position in positions:
+        del table.rows[position]
+    try:
+        for summary, plan, delta in staged:
+            if isinstance(plan, str):
+                recompute(database, summary, plan)
+            else:
+                _apply(summary, plan, delta, sign)
+                run.incremental.append(summary.name)
+    except BaseException:
+        if sign > 0:
+            for _ in rows:
+                del table.rows[-1]
         else:
-            _apply(summary, plan, delta, sign)
-            report.incremental.append(summary.name)
-    return report
+            table.rows.extend(rows)
+        for summary, *_ in staged:
+            recompute(database, summary, "write rolled back")
+        raise
+    return run
+
+
+def _locate(table: Table, rows, name: str) -> list[int]:
+    """Where deleting exact ``rows`` from ``table`` deletes, last first:
+    each row's position, a repeated row's at its next occurrence — what
+    removing the rows one by one by value would take, the bytes left
+    included, one probe per row — or a MaintenanceError before anything
+    changed."""
+    taken: dict[Row, int] = {}
+    positions = []
+    for row in rows:
+        try:
+            taken[row] = table.rows.index(row, taken.get(row, -1) + 1)
+        except ValueError:
+            raise MaintenanceError(f"row {row!r} not present in {name!r}") from None
+        positions.append(taken[row])
+    return sorted(positions, reverse=True)
 
 
 def apply_pending(database, summary: SummaryTable, batches) -> str | None:
@@ -612,13 +626,8 @@ def _apply(summary: SummaryTable, plan, delta: _Delta, sign: int) -> None:
         if sign > 0:
             rows.extend(delta.rows)
         else:
-            for row in delta.rows:
-                try:
-                    rows.remove(row)
-                except ValueError:
-                    raise MaintenanceError(
-                        f"delete delta for {summary.name} hits unknown row {row!r}"
-                    ) from None
+            for position in _locate(summary.table, delta.rows, summary.name):
+                del rows[position]
     else:
         stored = rows[0] if plan.scalars else ()
         scalar_values = {

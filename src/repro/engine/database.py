@@ -22,7 +22,10 @@ execute** — and :class:`SelectRun` is its per-run record. ``execute``,
 ``run_statement``, ``explain`` (stops after the rewrite stage),
 ``explain_analyze`` (renders the record), ``create_summary_table`` and
 the query server all go through the same three stage functions (see
-DESIGN.md, "SELECT pipeline").
+DESIGN.md, "SELECT pipeline"). There is one way to run a write —
+:meth:`Database.run_write`, whose record is :class:`WriteRun` — behind
+``run_statement``, ``insert_rows``/``delete_rows``, the query server, a
+standby's apply loop and journal replay (DESIGN.md, "write pipeline").
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterable
 from repro.catalog.schema import Catalog, Column, TableSchema
 from repro.catalog.types import DataType, infer_literal_type
 from repro.engine.executor import Executor
-from repro.engine.pipeline import SelectRun, render_analyze, render_explain
+from repro.engine.pipeline import SelectRun, WriteRun, render_analyze, render_explain
 from repro.engine.table import Row, Table
 from repro.errors import (
     CatalogError,
@@ -95,8 +98,9 @@ class Database:
         self._delta_log = DeltaLog()
         self._scheduler = RefreshScheduler(self, registry=self.metrics)
         self._maintenance_lock = threading.RLock()
-        # Coarse catalog lock: serializes DDL (CREATE/DROP TABLE and
-        # SUMMARY TABLE, full refreshes) against each other. Queries do
+        # The one writer lock: every write (run_write — DML, DDL, full
+        # refreshes) runs under it, and so do the query server's
+        # snapshot and checkpoint. Queries do
         # NOT take it — the rewrite fast path stays lock-free and is
         # kept safe by (a) capturing the decision-cache epoch before
         # matching and bumping it only after a mutation completes, and
@@ -138,9 +142,8 @@ class Database:
         """Append validated rows to a base table; returns the new count.
 
         Loading does *not* refresh summary tables — call
-        :meth:`refresh_summary_tables` or use
-        :func:`repro.asts.maintenance.maintain_insert` for incremental
-        maintenance.
+        :meth:`refresh_summary_tables` or use :meth:`insert_rows` for
+        incremental maintenance.
         """
         schema = self.catalog.table(table_name)
         table = self.tables[schema.name.lower()]
@@ -375,15 +378,10 @@ class Database:
         to fingerprint SELECTs for the result cache — and hands the same
         tree here, so the parse cost is paid exactly once per request.
         """
+        from repro.replication.wal import mutation_kind
         from repro.sql.ast import SelectStatement, UnionAll
         from repro.sql.statements import (
-            CreateSummaryTable,
-            CreateTable,
-            DeleteValues,
-            DropSummaryTable,
             Explain,
-            InsertValues,
-            RefreshSummaryTables,
             SetQueryMaxMem,
             SetQueryMaxRows,
             SetQueryTimeout,
@@ -400,35 +398,8 @@ class Database:
             if statement.analyze:
                 return self.explain_analyze(statement.sql)
             return self.explain(statement.sql)
-        if isinstance(statement, CreateTable):
-            self._apply_create_table(statement)
-            return f"table {statement.name} created"
-        if isinstance(statement, CreateSummaryTable):
-            summary = self.create_summary_table(
-                statement.name, statement.sql, refresh_mode=statement.refresh_mode
-            )
-            mode_note = (
-                ", refresh deferred" if summary.refresh.is_deferred else ""
-            )
-            return (
-                f"summary table {summary.name} created "
-                f"({summary.row_count} rows{mode_note})"
-            )
-        if isinstance(statement, DropSummaryTable):
-            self.drop_summary_table(statement.name)
-            return f"summary table {statement.name} dropped"
-        if isinstance(statement, InsertValues):
-            report = self.insert_rows(statement.table, statement.rows)
-            return _maintenance_status(
-                f"{len(statement.rows)} row(s) inserted into {statement.table}",
-                report,
-            )
-        if isinstance(statement, DeleteValues):
-            report = self.delete_rows(statement.table, statement.rows)
-            return _maintenance_status(
-                f"{len(statement.rows)} row(s) deleted from {statement.table}",
-                report,
-            )
+        if mutation_kind(statement) is not None:
+            return self.run_write(statement, sql).status
         if isinstance(statement, SetRefreshAge):
             self.set_refresh_age(statement.max_pending)
             return statement.status()
@@ -451,13 +422,6 @@ class Database:
             if statement.rate is None:
                 return "request tracing disabled"
             return f"trace sample rate set to {statement.rate:g}"
-        if isinstance(statement, RefreshSummaryTables):
-            names = statement.names or None
-            self.refresh_summary_tables(names)
-            refreshed = statement.names or tuple(
-                summary.name for summary in self.summary_tables.values()
-            )
-            return f"refreshed: {', '.join(refreshed) or '(no summary tables)'}"
         raise ReproError(f"unsupported statement {statement!r}")
 
     def run_script(self, script: str) -> list:
@@ -488,9 +452,14 @@ class Database:
                     )
                 )
         except Exception:
-            self.catalog.drop_table(statement.name)
-            del self.tables[statement.name.lower()]
+            self._drop_table(statement.name)
             raise
+
+    def _drop_table(self, name: str) -> None:
+        """Take back a CREATE TABLE."""
+        self.catalog.drop_table(name)
+        self.tables.pop(name.lower(), None)
+        self._bump_rewrite_epoch()
 
     def explain(self, sql: str, tolerance=None) -> str:
         """EXPLAIN output: the QGM graph, the matching decision, the
@@ -998,7 +967,8 @@ class Database:
         summary_signature(summary)
         self._bump_rewrite_epoch()
 
-    def drop_summary_table(self, name: str) -> None:
+    def drop_summary_table(self, name: str) -> "SummaryTable":
+        """Drop a summary table; returns it."""
         # The epoch bump happens strictly AFTER the structures change
         # (and the decision path captures its epoch strictly BEFORE
         # matching), so a concurrent query either sees the old epoch —
@@ -1009,14 +979,17 @@ class Database:
             key = name.lower()
             if key not in self.summary_tables:
                 raise CatalogError(f"no summary table named {name!r}")
-            del self.summary_tables[key]
+            summary = self.summary_tables.pop(key)
             del self.tables[key]
             self.catalog.drop_table(name)
             self._prune_delta_log()
             self._bump_rewrite_epoch()
+            return summary
 
-    def refresh_summary_tables(self, names: Iterable[str] | None = None) -> None:
-        """Recompute summary tables from the base data.
+    def refresh_summary_tables(
+        self, names: Iterable[str] | None = None
+    ) -> list["SummaryTable"]:
+        """Recompute summary tables from the base data; returns them.
 
         ``names`` restricts the refresh to the given summary tables (so
         one stale AST can be refreshed without recomputing them all);
@@ -1056,6 +1029,7 @@ class Database:
                 self._scheduler.reset_attempts(summary.name)
             self._prune_delta_log()
             self._bump_rewrite_epoch()
+            return targets
 
     def set_summary_table_enabled(self, name: str, enabled: bool = True) -> None:
         """Toggle a summary table's availability for matching.
@@ -1118,96 +1092,178 @@ class Database:
         ]
 
     # ------------------------------------------------------------------
-    # Ingest with deferred maintenance
+    # The write pipeline
     # ------------------------------------------------------------------
-    def insert_rows(self, table_name: str, rows: Iterable[Row]):
-        """Insert rows, maintaining REFRESH IMMEDIATE summaries inline
-        and staging the change for REFRESH DEFERRED ones.
+    def insert_rows(self, table_name: str, rows: Iterable[Row]) -> WriteRun:
+        """``INSERT`` as a library call: :meth:`run_write`, unjournaled."""
+        from repro.sql.statements import InsertValues
 
-        The base table is always updated synchronously — only summary
-        maintenance is deferred, which is what decouples ingest latency
-        from the number of registered summaries. Returns the
-        :class:`repro.asts.maintenance.MaintenanceReport`.
-        """
-        return self._ingest(table_name, rows, sign=+1)
+        return self.run_write(InsertValues(table_name, tuple(map(tuple, rows))))
 
-    def delete_rows(self, table_name: str, rows: Iterable[Row]):
-        """Exact-row delete with the same immediate/deferred split as
-        :meth:`insert_rows`."""
-        return self._ingest(table_name, rows, sign=-1)
+    def delete_rows(self, table_name: str, rows: Iterable[Row]) -> WriteRun:
+        """Exact-row ``DELETE`` as a library call (see :meth:`insert_rows`)."""
+        from repro.sql.statements import DeleteValues
 
-    def _ingest(self, table_name: str, rows: Iterable[Row], sign: int):
-        from repro.asts.maintenance import maintain_delete, maintain_insert
+        return self.run_write(DeleteValues(table_name, tuple(map(tuple, rows))))
+
+    def run_write(
+        self, statement, sql: str | None = None, *, journal=None,
+        record=None, token: str | None = None,
+    ) -> WriteRun:
+        """The write pipeline: the one way an INSERT, DELETE, CREATE TABLE
+        or CREATE/DROP/REFRESH SUMMARY TABLE is applied — in process, by
+        the query server, on a standby, in journal replay.
+
+        Under ``_catalog_lock``, the one writer lock, the write is
+        validated and applied (:meth:`_apply_write`) and, given a
+        ``journal``, staged there: ``sql`` with ``token`` and the run's
+        status, or a standby's shipped ``record`` as it came. The commit
+        runs outside the lock, so concurrent writes share one fsync —
+        DDL and REFRESH commit inside, their undo being safe only before
+        a later write builds on them. A journal failure takes the write
+        back by its inverse, so an unjournaled write is never
+        acknowledged; a failure inside the apply was already taken back
+        by it (:func:`repro.asts.maintenance.maintain_insert`)."""
+        from repro.replication.wal import mutation_kind
+
+        kind = mutation_kind(statement)
+        if kind is None:
+            raise ReproError(f"not a write: {statement!r}")
+        with self._catalog_lock:
+            run, undo = self._apply_write(statement)
+            try:
+                if journal is not None:
+                    run.lsn = (
+                        journal.stage(kind, sql, token=token, status=run.status)
+                        if record is None
+                        else journal.stage_record(record)
+                    )
+                    if kind in ("ddl", "refresh"):
+                        journal.commit(run.lsn)
+            except BaseException:
+                _undo(undo)
+                raise
+        if journal is not None and kind in ("insert", "delete"):
+            try:
+                journal.commit(run.lsn)
+            except BaseException:
+                # each writer of a failed group commit undoes its own
+                # record; inserts and deletes commute
+                with self._catalog_lock:
+                    _undo(undo)
+                raise
+        return run
+
+    def _apply_write(self, statement):
+        """Apply ``statement``; returns its :class:`WriteRun` and its
+        inverse, a callable."""
+        from repro.sql.statements import (
+            CreateSummaryTable,
+            CreateTable,
+            DropSummaryTable,
+            InsertValues,
+            RefreshSummaryTables,
+        )
+
+        if isinstance(statement, CreateTable):
+            self._apply_create_table(statement)
+            run = WriteRun(status=f"table {statement.name} created")
+            return run, lambda: self._drop_table(statement.name)
+        if isinstance(statement, CreateSummaryTable):
+            summary = self.create_summary_table(
+                statement.name, statement.sql, refresh_mode=statement.refresh_mode
+            )
+            deferred = ", refresh deferred" if summary.refresh.is_deferred else ""
+            run = WriteRun(
+                status=f"summary table {summary.name} created "
+                f"({summary.row_count} rows{deferred})"
+            )
+            return run, lambda: self.drop_summary_table(summary.name)
+        if isinstance(statement, DropSummaryTable):
+            summary = self.drop_summary_table(statement.name)
+            run = WriteRun(
+                status=f"summary table {statement.name} dropped",
+                evicted=_base_tables([summary]),
+            )
+            return run, lambda: self.create_summary_table(
+                summary.name, summary.sql, refresh_mode=summary.refresh.mode
+            )
+        if isinstance(statement, RefreshSummaryTables):
+            refreshed = self.refresh_summary_tables(statement.names or None)
+            names = statement.names or [summary.name for summary in refreshed]
+            run = WriteRun(
+                status=f"refreshed: {', '.join(names) or '(no summary tables)'}",
+                evicted=_base_tables(refreshed),
+            )
+            return run, lambda: None  # a recompute is content-idempotent
+
+        def write(sign: int) -> WriteRun:
+            run = self._write_rows(statement.table, statement.rows, sign)
+            # outside the maintenance lock: the worker needs it to drain
+            # a full queue
+            self._scheduler.notify(run.deferred)
+            return run
+
+        sign = 1 if isinstance(statement, InsertValues) else -1
+        run = write(sign)
+        verb = "inserted into" if sign > 0 else "deleted from"
+        run.status = run.describe(
+            f"{len(statement.rows)} row(s) {verb} {statement.table}"
+        )
+        run.changed = statement.table
+        return run, lambda: write(-sign)
+
+    def _write_rows(self, table_name: str, rows, sign: int) -> WriteRun:
+        """An INSERT's (``sign`` +1) or DELETE's (-1) apply: the base
+        table changes with its REFRESH IMMEDIATE summaries, then the
+        change is staged in the delta log for the affected, unquarantined
+        REFRESH DEFERRED ones — ``run.deferred``, the scheduler's work
+        list — or, if the log refuses it, they are recomputed inline."""
+        from repro.asts.maintenance import maintain_delete, maintain_insert, recompute
 
         rows = [tuple(row) for row in rows]
         maintain = maintain_insert if sign > 0 else maintain_delete
         with self._maintenance_lock:
             immediate = [
-                s
-                for s in self.summary_tables.values()
-                if not s.refresh.is_deferred
+                s for s in self.summary_tables.values() if not s.refresh.is_deferred
             ]
-            report = maintain(self, table_name, rows, summaries=immediate)
-            stale = self._stage_deferred(table_name, rows, sign, report)
-        # Notify outside the maintenance lock: the worker needs the lock
-        # to drain a full queue, so notifying under it could deadlock.
-        if stale:
-            self._scheduler.notify(stale)
-        return report
-
-    def _stage_deferred(
-        self, table_name: str, rows: list[Row], sign: int, report
-    ) -> list[str]:
-        """Log the change for affected deferred summaries; returns their
-        names (the scheduler's refresh work list).
-
-        Quarantined summaries are skipped: re-admission always goes
-        through a full recompute, so staging deltas for them would only
-        pin the log. If the delta log itself fails to accept the change,
-        ingest degrades to recomputing the affected summaries inline —
-        slower, but never silently wrong.
-        """
-        if not rows:
-            return []
-        key = self.catalog.table(table_name).name.lower()
-        affected = []
-        for summary in self.deferred_summary_tables():
-            if summary.refresh.quarantined:
-                report.unaffected.append(summary.name)
-            elif key in summary.base_tables():
-                affected.append(summary)
-                report.deferred.append(summary.name)
-            else:
-                report.unaffected.append(summary.name)
-        if not affected:
-            # No batch to stage, but the change must still advance the
-            # table's high-water LSN: the staleness gate and the query
-            # server's result cache key their freshness checks on it.
-            self._delta_log.note_write(key)
-            return []
-        try:
-            self._delta_log.append(key, rows, sign)
-        except Exception as error:
-            report.deferred.clear()
-            from repro.asts.maintenance import recompute
-
+            run = maintain(self, table_name, rows, summaries=immediate)
+            if not rows:
+                return run
+            key = self.catalog.table(table_name).name.lower()
+            affected = []
+            for summary in self.deferred_summary_tables():
+                if key in summary.base_tables() and not summary.refresh.quarantined:
+                    affected.append(summary)
+                else:
+                    run.unaffected.append(summary.name)
+            if not affected:
+                # No batch to stage, but the change must still advance the
+                # table's high-water LSN: the staleness gate and the query
+                # server's result cache key their freshness checks on it.
+                self._delta_log.note_write(key)
+                return run
+            try:
+                self._delta_log.append(key, rows, sign)
+            except Exception as error:
+                for summary in affected:
+                    recompute(self, summary, "delta log append failed")
+                    summary.refresh.pending_deltas = 0
+                    summary.refresh.last_refresh_lsn = self._delta_log.lsn
+                    run.recomputed[summary.name] = "delta log append failed"
+                self._scheduler.errors.append(
+                    f"delta log append failed ({error}); "
+                    f"recomputed {', '.join(s.name for s in affected)} inline"
+                )
+                self._bump_rewrite_epoch()
+                return run
             for summary in affected:
-                recompute(self, summary, "delta log append failed")
-                summary.refresh.pending_deltas = 0
-                summary.refresh.last_refresh_lsn = self._delta_log.lsn
-                report.recomputed[summary.name] = "delta log append failed"
-            self._scheduler.errors.append(
-                f"delta log append failed ({error}); "
-                f"recomputed {', '.join(s.name for s in affected)} inline"
-            )
-            self._bump_rewrite_epoch()
-            return []
-        for summary in affected:
-            summary.refresh.pending_deltas += 1
-        # No epoch bump: cached decisions made under a tolerance that the
-        # new staleness violates are invalidated by the admissible-set
-        # check; decisions under looser tolerances stay valid.
-        return [summary.name for summary in affected]
+                summary.refresh.pending_deltas += 1
+            # No epoch bump: cached decisions made under a tolerance that
+            # the new staleness violates are invalidated by the
+            # admissible-set check; looser tolerances stay valid.
+            run.deferred = [summary.name for summary in affected]
+        return run
 
     # ------------------------------------------------------------------
     # Deferred-refresh introspection and control
@@ -1331,17 +1387,18 @@ class Database:
         )
 
 
-def _maintenance_status(prefix: str, report) -> str:
-    notes = []
-    if report.incremental:
-        notes.append(f"incremental: {', '.join(report.incremental)}")
-    if report.recomputed:
-        notes.append(f"recomputed: {', '.join(report.recomputed)}")
-    if report.deferred:
-        notes.append(f"deferred: {', '.join(report.deferred)}")
-    if not notes:
-        return prefix
-    return f"{prefix} ({'; '.join(notes)})"
+def _undo(undo) -> None:
+    """Take a write back. A failing undo is reported, not raised: the
+    journal error that asked for it is what propagates, and the journal,
+    not memory, is the durability source of truth."""
+    try:
+        undo()
+    except Exception as error:  # noqa: BLE001
+        _events.emit("write.undo_failed", error=f"{type(error).__name__}: {error}")
+
+
+def _base_tables(summaries) -> tuple[str, ...]:
+    return tuple(sorted({t for summary in summaries for t in summary.base_tables()}))
 
 
 def _schema_from_result(name: str, graph: QueryGraph, data: Table) -> TableSchema:

@@ -1,4 +1,5 @@
-"""The SELECT pipeline's per-run record and its EXPLAIN renderings.
+"""The per-run records of the SELECT and write pipelines, and the
+SELECT's EXPLAIN renderings.
 
 There is one way to run a SELECT — **prepare → sandboxed rewrite →
 execute** (DESIGN.md, "SELECT pipeline"). The stages are
@@ -7,6 +8,10 @@ its catalog, decision cache and governor; what they hand from one to
 the next is the :class:`SelectRun` defined here, and ``EXPLAIN`` /
 ``EXPLAIN ANALYZE`` are pure renderings of that record — so the plan
 they print is by construction the plan that ran.
+
+There is one way to run a write — **validate → apply and stage →
+commit, undone on failure** (DESIGN.md, "write pipeline"):
+:meth:`Database.run_write`, whose record is the :class:`WriteRun`.
 """
 
 from __future__ import annotations
@@ -83,6 +88,39 @@ class SelectRun:
             step.summary.name.lower(): step.summary.table
             for step in self.rewrite.applied
         }
+
+
+@dataclass
+class WriteRun:
+    """One write's trip through :meth:`Database.run_write`: how each
+    summary followed it, the status the client sees, the journal LSN
+    (None: unjournaled) and what the server's result cache drops —
+    entries over the base table an INSERT or DELETE ``changed``, or over
+    the tables under the summaries a DROP or REFRESH ``evicted``."""
+
+    incremental: list[str] = field(default_factory=list)
+    recomputed: dict[str, str] = field(default_factory=dict)  # name → why
+    deferred: list[str] = field(default_factory=list)  # staged, not applied
+    unaffected: list[str] = field(default_factory=list)
+    status: str = ""
+    lsn: int | None = None
+    changed: str | None = None
+    evicted: tuple[str, ...] = ()
+
+    def was_incremental(self, name: str) -> bool:
+        return name in self.incremental
+
+    def describe(self, prefix: str) -> str:
+        """An INSERT's or DELETE's status: ``prefix`` plus how the
+        summaries were maintained."""
+        notes = []
+        if self.incremental:
+            notes.append(f"incremental: {', '.join(self.incremental)}")
+        if self.recomputed:
+            notes.append(f"recomputed: {', '.join(self.recomputed)}")
+        if self.deferred:
+            notes.append(f"deferred: {', '.join(self.deferred)}")
+        return f"{prefix} ({'; '.join(notes)})" if notes else prefix
 
 
 def render_explain(run: SelectRun, graph_text: str) -> str:

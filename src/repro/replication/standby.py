@@ -139,9 +139,6 @@ class StandbyServer:
             primary=f"{self.primary[0]}:{self.primary[1]}",
         )
         self.server.dedup.seed(tokens)
-        self.server.applied_lsn = wal.durable_lsn if wal is not None else (
-            self.server.applied_lsn
-        )
         self.server.on_promote = self.promote
         self.address = self.server.start_in_thread()
         self._tailer = threading.Thread(
@@ -316,10 +313,11 @@ class StandbyServer:
                     sql=entry["sql"],
                     token=entry.get("token"),
                     status=entry.get("status", ""),
+                    trace=entry.get("trace"),
                 )
                 if record.lsn <= server.applied_lsn:
                     continue  # overlap after a reconnect
-                server.apply_replicated(record, trace_id=entry.get("trace"))
+                server.apply_replicated(record)
                 applied += 1
             if applied and self.ack:
                 sock.sendall(protocol.encode_message({

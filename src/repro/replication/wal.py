@@ -8,8 +8,9 @@ kind and SQL text, and (for client retries) the idempotency token plus
 the status string the original execution produced.
 
 **Group commit.** Appending is two steps: :meth:`WriteAheadLog.stage`
-assigns the LSN and buffers the framed line (called under the server's
-mutation lock, so journal order always equals apply order), and
+assigns the LSN and buffers the framed line (called by
+``Database.run_write`` under the database's writer lock, so journal
+order always equals apply order), and
 :meth:`WriteAheadLog.commit` waits until the record is durable. The
 first committer becomes the *leader*: it writes every buffered line in
 one ``write`` + one ``fsync`` while later committers wait on the
@@ -32,9 +33,10 @@ orphaned half-written directory is swept on the next recovery.
 
 **Recovery** (:meth:`WriteAheadLog.recover`) loads the checkpoint
 snapshot (through ``load_database`` + the ``verify_database``
-quarantine pass), replays the journal tail through ``Database.run_sql``
-— the regrouping/compensation rules guarantee replayed deltas
-reconverge summaries bit-identically — truncates a torn trailing
+quarantine pass), replays the journal tail through
+``Database.run_write`` with no journal — the write pipeline every
+primary and standby write took, so replayed deltas reconverge summaries
+bit-identically — truncates a torn trailing
 record, and rebuilds the token window from the checkpoint plus the
 replayed tail.
 """
@@ -48,7 +50,7 @@ import shutil
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import ReproError, WalError, WalGapError
@@ -106,6 +108,9 @@ class WalRecord:
     #: the status string the original execution returned — replayed to
     #: the client when a retry dedups against this record
     status: str = ""
+    #: the trace that staged it, shipped beside the record to join the
+    #: standby's apply span (in memory only: never part of the payload)
+    trace: str | None = field(default=None, compare=False)
 
     def payload(self) -> str:
         entry: dict = {"lsn": self.lsn, "kind": self.kind, "sql": self.sql}
@@ -308,6 +313,7 @@ class WriteAheadLog:
         tail; leaves the log open for appends at the next LSN."""
         from repro.engine.database import Database
         from repro.engine.persist import load_database, verify_database
+        from repro.sql.statements import parse_statement
 
         if not self.directory.exists():
             raise WalError(f"{self.directory} does not exist")
@@ -343,7 +349,7 @@ class WriteAheadLog:
                 )
             last_seen = record.lsn
             try:
-                database.run_sql(record.sql)
+                database.run_write(parse_statement(record.sql), record.sql)
             except ReproError as error:
                 raise WalError(
                     f"journal replay failed at lsn {record.lsn} "
@@ -388,36 +394,34 @@ class WriteAheadLog:
     ) -> int:
         """Assign the next LSN and buffer the record; the caller must
         :meth:`commit` it before acknowledging the mutation. Called
-        under the server's mutation lock so journal order equals apply
+        under the database's writer lock so journal order equals apply
         order."""
-        stage_pc = time.perf_counter()
-        with self._cond:
-            self._check_writable()
-            faults.fire("wal.append")
-            lsn = self._next_lsn
-            self._next_lsn += 1
-            record = WalRecord(lsn, kind, sql, token, status)
-            self._pending.append((lsn, frame(record.payload()) + "\n"))
-            self._stash_recent(record)
-        _spans.record("wal.stage", stage_pc, lsn=lsn, kind=kind)
-        return lsn
+        return self.stage_record(
+            WalRecord(0, kind, sql, token, status, _spans.current_trace_id())
+        )
 
     def stage_record(self, record: WalRecord) -> int:
-        """Stage an already-numbered record (a standby appending a
-        shipped primary record keeps the primary's LSN)."""
+        """Buffer ``record`` under the next LSN when its own is 0, else
+        under its own: a standby appending a shipped primary record keeps
+        the primary's LSN, and may stage one again whose flush failed —
+        with nothing pending or in flight, every LSN past the durable one
+        failed."""
         stage_pc = time.perf_counter()
         with self._cond:
             self._check_writable()
             faults.fire("wal.append")
-            if record.lsn < self._next_lsn:
+            if record.lsn == 0:
+                record = replace(record, lsn=self._next_lsn)
+            elif record.lsn <= self._durable_lsn or (
+                record.lsn < self._next_lsn and (self._pending or self._flushing)
+            ):
                 raise WalError(
                     f"record lsn {record.lsn} is behind the journal "
                     f"({self._next_lsn - 1})"
                 )
+            self._failed.pop(record.lsn, None)
             self._next_lsn = record.lsn + 1
-            self._pending.append(
-                (record.lsn, frame(record.payload()) + "\n")
-            )
+            self._pending.append((record.lsn, frame(record.payload()) + "\n"))
             self._stash_recent(record)
         _spans.record("wal.stage", stage_pc, lsn=record.lsn, kind=record.kind)
         return record.lsn
@@ -640,7 +644,7 @@ class WriteAheadLog:
         """Snapshot ``database``, commit the checkpoint, rotate the
         journal segment, and drop everything the snapshot covers.
 
-        The caller must hold the server's mutation lock (no mutation in
+        The caller must hold the database's writer lock (no write in
         flight), so the snapshot corresponds exactly to the journal
         prefix up to the returned LSN. Reads and background refreshes
         are unaffected: the snapshot is serialised from one capture of

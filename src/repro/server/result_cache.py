@@ -257,18 +257,10 @@ class ResultCache:
         stale-tolerant entries stay warm and will serve labeled stale
         hits. Returns how many entries were dropped."""
         name = table.lower()
-        with self._lock:
-            dead = [
-                key
-                for key, entry in self._entries.items()
-                if name in entry.base_tables
-                and not entry.tolerance.admits(self._lag(entry))
-            ]
-            for key in dead:
-                self._remove(key)
-            self._count(self.invalidations, len(dead))
-            self._update_gauge()
-        return len(dead)
+        return self._drop(
+            lambda entry: name in entry.base_tables
+            and not entry.tolerance.admits(self._lag(entry))
+        )
 
     def evict_tables(self, tables) -> int:
         """Unconditionally drop entries referencing any of ``tables``,
@@ -277,18 +269,19 @@ class ResultCache:
         ``REFRESH SUMMARY TABLE`` and ``DROP SUMMARY TABLE``. Returns
         how many entries were dropped."""
         wanted = {name.lower() for name in tables}
+        return self._drop(
+            lambda entry: wanted & set(entry.base_tables)
+            and entry.tolerance.max_pending != 0
+        )
+
+    def _drop(self, dead) -> int:
         with self._lock:
-            dead = [
-                key
-                for key, entry in self._entries.items()
-                if wanted & set(entry.base_tables)
-                and entry.tolerance.max_pending != 0
-            ]
-            for key in dead:
+            keys = [key for key, entry in self._entries.items() if dead(entry)]
+            for key in keys:
                 self._remove(key)
-            self._count(self.invalidations, len(dead))
+            self._count(self.invalidations, len(keys))
             self._update_gauge()
-        return len(dead)
+        return len(keys)
 
     def clear(self) -> int:
         with self._lock:

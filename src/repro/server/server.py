@@ -24,13 +24,13 @@ Request routing (see :mod:`repro.server.protocol` for the wire format):
   encoded once and cached, table and bytes, with a pre-execution
   change-count snapshot.
 * session-scoped SET — recorded on the connection's
-  :class:`~repro.server.session.Session` only.
-* INSERT / DELETE — executed, then the cache eagerly drops entries the
-  write permanently killed.
-* CREATE SUMMARY TABLE — executes; no eviction (a freshly built
-  summary is exactly current, so answers are unchanged).
-* DROP / REFRESH SUMMARY TABLE — executes, then stale-tolerant entries
-  over the affected base tables are evicted (see
+  :class:`~repro.server.session.Session` only; ``SET SLOW QUERY`` and
+  ``SET TRACE SAMPLE`` apply process-wide, on any server.
+* INSERT, DELETE, CREATE TABLE, CREATE/DROP/REFRESH SUMMARY TABLE —
+  through ``Database.run_write`` with the server's journal; the
+  :class:`~repro.engine.pipeline.WriteRun` it returns names what the
+  result cache drops: entries a write to ``run.changed`` permanently
+  killed, or stale-tolerant entries over ``run.evicted`` (see
   :mod:`repro.server.result_cache`).
 * EXPLAIN — runs with the session's freshness tolerance; EXPLAIN
   ANALYZE — runs the query like any other, under all of the session's
@@ -40,11 +40,13 @@ Durability and replication (see docs/ROBUSTNESS.md, "Durability &
 failover") are opt-in per server:
 
 * With a :class:`~repro.replication.wal.WriteAheadLog` attached, every
-  journaled mutation is applied, staged under the mutation lock (so
-  journal order equals apply order), and group-committed durable
+  write is applied and staged under the database's writer lock (so
+  journal order equals apply order) and group-committed durable
   *before* its reply is sent. If the journal refuses the record, the
-  in-memory mutation is rolled back and the client gets the error —
-  the ACKed set is always a subset of the journal.
+  write is taken back and the client gets the error — the ACKed set is
+  always a subset of the journal. The server adds only what is its
+  own: the dedup claim, the disk-full gate, the semi-sync ack wait and
+  the checkpoint.
 * Mutations carrying an ``idempotency token`` dedup against the
   :class:`~repro.replication.wal.DedupWindow`: a retried request whose
   original ACK was lost replays the recorded status instead of applying
@@ -79,6 +81,7 @@ from repro.errors import (
     ReplicaLagExceeded,
     ReplicationError,
     ReproError,
+    WalError,
     WalGapError,
 )
 from repro.resources.broker import BROKER
@@ -93,13 +96,7 @@ from repro.server.result_cache import ResultCache, cache_key
 from repro.server.session import SESSION_SET_TYPES, Session
 from repro.sql.ast import SelectStatement, UnionAll
 from repro.sql.statements import (
-    CreateSummaryTable,
-    CreateTable,
-    DeleteValues,
-    DropSummaryTable,
     Explain,
-    InsertValues,
-    RefreshSummaryTables,
     SetSlowQuery,
     SetTraceSample,
     parse_statement,
@@ -155,8 +152,6 @@ class QueryServer:
         #: (0 = fully asynchronous replication)
         self.repl_ack = repl_ack
         self.repl_ack_timeout_ms = repl_ack_timeout_ms
-        #: serializes mutations so apply order == journal order
-        self._mutation_lock = threading.Lock()
         #: highest LSN applied locally (standby tracker; a primary's is
         #: implied by wal.durable_lsn)
         self.applied_lsn = wal.durable_lsn if wal is not None else 0
@@ -181,11 +176,6 @@ class QueryServer:
         #: wall-clock when nonzero replication lag first appeared (for
         #: the status surface's lag-in-seconds; None while caught up)
         self._lag_since: float | None = None
-        #: LSN → originating trace_id for journaled mutations, so the
-        #: replication stream can link the standby's apply span to the
-        #: client's trace (bounded; only populated while tracing is on)
-        self._trace_by_lsn: dict[int, str] = {}
-        self._trace_lock = threading.Lock()
         if wal is not None:
             wal.on_durable = self._on_durable
         #: journal disk exhausted (ENOSPC): mutations are refused with
@@ -627,7 +617,11 @@ class QueryServer:
         if isinstance(statement, (SelectStatement, UnionAll)):
             session.queries += 1
             return self._answer_select(session, sql, request, statement)
-        return self._execute_mutation(statement, sql, request)
+        if mutation_kind(statement) is None:
+            # SET SLOW QUERY / TRACE SAMPLE: process-wide, not journaled,
+            # so neither a standby nor a full disk refuses them
+            return {"ok": True, "status": str(self.db.run_statement(statement, sql))}
+        return self._execute_write(statement, sql, request.get("token"))
 
     def _answer_select(self, session: Session, sql: str, request: dict,
                         statement=None, probed=None) -> dict:
@@ -673,8 +667,11 @@ class QueryServer:
         results (oldest first); returns the bytes actually freed."""
         return self.cache.shed(target)
 
-    def _execute_mutation(self, statement, sql: str, request: dict) -> dict:
-        db = self.db
+    def _execute_write(self, statement, sql: str, token: str | None) -> dict:
+        """A journaled kind of statement, through ``Database.run_write``
+        with this server's journal: refused on a standby or a full disk,
+        answered from the dedup window when ``token`` already committed,
+        acknowledged once durable (and acked by ``repl_ack`` standbys)."""
         if self.read_only:
             hint = f" (primary: {self.primary})" if self.primary else ""
             raise ReadOnlyError(
@@ -683,8 +680,6 @@ class QueryServer:
             )
         if self._disk_full:
             self._check_disk_recovered()
-        kind = mutation_kind(statement)
-        token = request.get("token") if kind is not None else None
         if token is not None:
             deduped = self._claim_token(token)
             if deduped is not None:
@@ -693,11 +688,28 @@ class QueryServer:
                 # nothing — exactly-once from the client's view.
                 self.deduped.inc()
                 return {"ok": True, "status": deduped, "deduped": True}
-            try:
-                return self._execute_claimed(statement, sql, kind, token)
-            finally:
+        try:
+            run = self.db.run_write(statement, sql, journal=self.wal, token=token)
+            if token is not None:
+                self.dedup.put(token, run.status)
+        except WalError as error:
+            self._note_disk_error(error)
+            raise
+        finally:
+            if token is not None:
                 self._release_token(token)
-        return self._execute_claimed(statement, sql, kind, token)
+        self._invalidate(run)
+        if run.lsn is None:
+            return {"ok": True, "status": run.status}
+        self.wal_records.inc()
+        self.applied_lsn = max(self.applied_lsn, run.lsn)
+        response = {"ok": True, "status": run.status, "lsn": run.lsn}
+        if self.repl_ack > 0:
+            ack_pc = time.perf_counter()
+            acks = response["repl_acks"] = self._await_acks(run.lsn)
+            _spans.record("repl.ack_wait", ack_pc, lsn=run.lsn, acks=acks)
+        self._maybe_checkpoint()
+        return response
 
     def _claim_token(self, token: str) -> str | None:
         """Claim ``token`` for this request, or return the recorded
@@ -722,174 +734,14 @@ class QueryServer:
         if pending is not None:
             pending.set()
 
-    def _execute_claimed(
-        self, statement, sql: str, kind: str | None, token: str | None
-    ) -> dict:
-        db = self.db
-        evict_base = self._evict_targets(statement)
-        if self.wal is None or kind is None:
-            status = str(db.run_statement(statement, sql))
-            self._invalidate_for(statement, evict_base)
-            if token is not None:
-                # No journal does not mean no dedup: a retry after a
-                # lost ACK must still replay the recorded status instead
-                # of applying twice.
-                self.dedup.put(token, status)
-            return {"ok": True, "status": status}
-        # Journaled path: apply, stage under the mutation lock (journal
-        # order == apply order), then group-commit OUTSIDE the lock so
-        # concurrent mutations share one fsync. A journal failure rolls
-        # the in-memory apply back — an unjournaled mutation is never
-        # acknowledged, so ACKed writes are always a subset of the log.
-        with self._mutation_lock:
-            undo = self._prepare_undo(statement)
-            status = str(db.run_statement(statement, sql))
-            # Note the trace BEFORE staging: the stream thread ships a
-            # record the moment it is staged, and the standby must find
-            # the mapping already in place. Staging is serialized under
-            # the mutation lock, so the next LSN is deterministic.
-            predicted_lsn = self.wal.last_lsn + 1
-            self._note_trace_lsn(predicted_lsn)
-            try:
-                lsn = self.wal.stage(kind, sql, token=token, status=status)
-            except BaseException as error:
-                self._note_disk_error(error)
-                self._drop_trace_lsn(predicted_lsn)
-                self._apply_undo(undo)
-                raise
-            if kind in ("ddl", "refresh"):
-                # DDL commits while still holding the lock: its undo is
-                # only safe before any later mutation builds on the new
-                # catalog state. Rare enough that serializing is fine.
-                try:
-                    self.wal.commit(lsn)
-                except BaseException as error:
-                    self._note_disk_error(error)
-                    self._apply_undo(undo)
-                    raise
-                committed = True
-            else:
-                committed = False
-        if not committed:
-            try:
-                self.wal.commit(lsn)
-            except BaseException as error:
-                # The whole failed batch rolls back (each committer
-                # undoes its own record); value-based inserts/deletes
-                # commute, so the order of undos does not matter.
-                self._note_disk_error(error)
-                with self._mutation_lock:
-                    self._apply_undo(undo)
-                raise
-        self.wal_records.inc()
-        if token is not None:
-            self.dedup.put(token, status)
-        self.applied_lsn = max(self.applied_lsn, lsn)
-        self._invalidate_for(statement, evict_base)
-        if self.repl_ack > 0:
-            ack_pc = time.perf_counter()
-            acks = self._await_acks(lsn)
-            _spans.record("repl.ack_wait", ack_pc, lsn=lsn, acks=acks)
-        else:
-            acks = 0
-        self._maybe_checkpoint()
-        response = {"ok": True, "status": status, "lsn": lsn}
-        if self.repl_ack > 0:
-            response["repl_acks"] = acks
-        return response
-
-    def _note_trace_lsn(self, lsn: int) -> None:
-        """Remember which trace journaled ``lsn`` so the replication
-        stream can ship the id and the standby's apply span joins the
-        same trace (bounded map; empty while tracing is off)."""
-        trace_id = _spans.current_trace_id()
-        if trace_id is None:
-            return
-        with self._trace_lock:
-            if len(self._trace_by_lsn) >= 1024:
-                self._trace_by_lsn.clear()
-            self._trace_by_lsn[lsn] = trace_id
-
-    def _drop_trace_lsn(self, lsn: int) -> None:
-        """Forget a predicted mapping whose staging failed (the LSN will
-        be reassigned to some other mutation's record)."""
-        with self._trace_lock:
-            self._trace_by_lsn.pop(lsn, None)
-
-    def _evict_targets(self, statement) -> set[str]:
-        db = self.db
-        evict_base: set[str] = set()
-        if isinstance(statement, DropSummaryTable):
-            summary = db.summary_tables.get(statement.name.lower())
-            if summary is not None:
-                evict_base = set(summary.base_tables())
-        elif isinstance(statement, RefreshSummaryTables):
-            names = statement.names or tuple(db.summary_tables)
-            for name in names:
-                summary = db.summary_tables.get(name.lower())
-                if summary is not None:
-                    evict_base |= set(summary.base_tables())
-        return evict_base
-
-    def _invalidate_for(self, statement, evict_base: set[str]) -> None:
+    def _invalidate(self, run) -> None:
+        """Drop the cached results ``run`` (a ``WriteRun``) made wrong."""
         if not self.cache_enabled:
             return
-        if isinstance(statement, (InsertValues, DeleteValues)):
-            self.cache.invalidate_table(statement.table)
-        elif evict_base:
-            self.cache.evict_tables(evict_base)
-
-    def _prepare_undo(self, statement):
-        """The inverse operation for ``statement``, captured BEFORE it
-        applies (a DROP's undo needs the summary's definition while it
-        still exists). REFRESH has no undo — recomputation is
-        content-idempotent, so a journal failure after it leaves the
-        database consistent either way."""
-        db = self.db
-        if isinstance(statement, InsertValues):
-            return ("delete_rows", statement.table, statement.rows)
-        if isinstance(statement, DeleteValues):
-            return ("insert_rows", statement.table, statement.rows)
-        if isinstance(statement, CreateTable):
-            return ("drop_table", statement.name)
-        if isinstance(statement, CreateSummaryTable):
-            return ("drop_summary", statement.name)
-        if isinstance(statement, DropSummaryTable):
-            summary = db.summary_tables.get(statement.name.lower())
-            if summary is not None:
-                return (
-                    "recreate_summary",
-                    summary.name,
-                    summary.sql,
-                    summary.refresh.mode,
-                )
-        return None
-
-    def _apply_undo(self, undo) -> None:
-        """Best-effort rollback of an applied-but-unjournaled mutation.
-        A failing undo is swallowed: the original journal error is
-        already propagating, and the journal (not memory) is the
-        durability source of truth."""
-        if undo is None:
-            return
-        db = self.db
-        try:
-            action = undo[0]
-            if action == "delete_rows":
-                db.delete_rows(undo[1], undo[2])
-            elif action == "insert_rows":
-                db.insert_rows(undo[1], undo[2])
-            elif action == "drop_table":
-                with db._catalog_lock:
-                    db.catalog.drop_table(undo[1])
-                    db.tables.pop(undo[1].lower(), None)
-                    db._bump_rewrite_epoch()
-            elif action == "drop_summary":
-                db.drop_summary_table(undo[1])
-            elif action == "recreate_summary":
-                db.create_summary_table(undo[1], undo[2], refresh_mode=undo[3])
-        except Exception:  # noqa: BLE001 - rollback is best-effort
-            pass
+        if run.changed is not None:
+            self.cache.invalidate_table(run.changed)
+        elif run.evicted:
+            self.cache.evict_tables(run.evicted)
 
     # ------------------------------------------------------------------
     # disk-full degradation (ENOSPC → read-only, never a crash)
@@ -919,11 +771,7 @@ class QueryServer:
         if not self._disk_full:
             self._disk_full = True
             _events.emit(
-                "wal.disk_full",
-                error=str(error),
-                durable_lsn=(
-                    self.wal.durable_lsn if self.wal is not None else 0
-                ),
+                "wal.disk_full", error=str(error), durable_lsn=self.wal.durable_lsn
             )
         return True
 
@@ -931,19 +779,15 @@ class QueryServer:
         """Probe the journal volume; clear the degradation flag when
         space has returned, else refuse the mutation with the standby's
         typed ReadOnlyError (same wire path, same client handling)."""
-        if self.wal is not None:
-            try:
-                self.wal.probe_writable()
-            except (OSError, ReproError):
-                raise ReadOnlyError(
-                    "journal disk is full; this server is read-only "
-                    "until space is freed (reads still served)"
-                ) from None
+        try:
+            self.wal.probe_writable()
+        except (OSError, ReproError):
+            raise ReadOnlyError(
+                "journal disk is full; this server is read-only "
+                "until space is freed (reads still served)"
+            ) from None
         self._disk_full = False
-        _events.emit(
-            "wal.disk_recovered",
-            durable_lsn=self.wal.durable_lsn if self.wal is not None else 0,
-        )
+        _events.emit("wal.disk_recovered", durable_lsn=self.wal.durable_lsn)
 
     # ------------------------------------------------------------------
     # replication: status, snapshot, streaming, promotion
@@ -958,13 +802,14 @@ class QueryServer:
         heartbeat or a shipped batch) so lag is observable even while
         no records are flowing."""
         self._primary_durable = max(self._primary_durable, lsn)
+        self._note_lag()
+
+    def _note_lag(self) -> None:
+        """Publish the lag gauge and maintain the wall-clock marker
+        behind ``lag_seconds``: set when nonzero lag first appears,
+        cleared once caught up."""
         lag = self.replication_lag()
         self.repl_lag.set(lag)
-        self._note_lag(lag)
-
-    def _note_lag(self, lag: int) -> None:
-        """Maintain the wall-clock marker behind ``lag_seconds``: set
-        when nonzero lag first appears, cleared once caught up."""
         if lag > 0:
             if self._lag_since is None:
                 self._lag_since = time.time()
@@ -1062,14 +907,15 @@ class QueryServer:
 
     def _snapshot_response(self) -> dict:
         """A consistent full-state snapshot for standby bootstrap: built
-        under the mutation lock, so it corresponds exactly to the
-        journal prefix up to the reported LSN; the background refresh
+        under the database's writer lock, so it corresponds exactly to
+        the journal prefix up to the reported LSN; the background refresh
         worker, which that lock does not park, cannot land inside it
         because the payload is one capture of the database
         (:func:`repro.engine.persist.database_state_payload`)."""
         from repro.engine.persist import database_state_payload
 
-        with self._mutation_lock:
+        db = self.db
+        with db._catalog_lock:
             if self.wal is not None:
                 # Drain the journal while holding the lock: the state we
                 # are about to capture includes every applied+staged
@@ -1090,7 +936,7 @@ class QueryServer:
                     )
             else:
                 lsn = self.applied_lsn
-            state = database_state_payload(self.db)
+            state = database_state_payload(db)
             tokens = self.dedup.snapshot()
         return {"ok": True, "state": state, "lsn": lsn, "tokens": tokens}
 
@@ -1121,7 +967,7 @@ class QueryServer:
         tailer fetched a fresh snapshot at ``lsn``). Re-anchors the
         local journal at ``lsn`` and drops caches built over the old
         database."""
-        with self._mutation_lock:
+        with self.db._catalog_lock:
             if self.wal is not None:
                 self.wal.rebase(db, tokens=tokens or {}, base_lsn=lsn)
             self.db = db
@@ -1138,50 +984,42 @@ class QueryServer:
             self.dedup.seed(tokens or {})
             self.applied_lsn = lsn
             self._primary_durable = max(self._primary_durable, lsn)
-        lag = self.replication_lag()
-        self.repl_lag.set(lag)
-        self._note_lag(lag)
+        self._note_lag()
 
-    def apply_replicated(
-        self, record: WalRecord, trace_id: str | None = None
-    ) -> None:
-        """Standby: apply one shipped journal record — execute its SQL,
-        journal it locally under the primary's LSN, remember its token.
-        Called by the standby's tailer thread, in LSN order.
-        ``trace_id`` (shipped on the stream when the primary traced the
+    def apply_replicated(self, record: WalRecord) -> None:
+        """Standby: apply one shipped journal record through
+        ``Database.run_write``, journaled locally under the primary's
+        LSN, and remember its token; a failure leaves nothing applied
+        and ``applied_lsn`` where it was, so the record is shipped again.
+        Called by the standby's tailer thread, in LSN order. The
+        record's ``trace`` (shipped when the primary traced the
         originating mutation) joins the apply span to that trace."""
         tracer = _spans.TRACER
         span = (
             tracer.root_for(
-                "standby.apply", trace_id,
+                "standby.apply", record.trace,
                 lsn=record.lsn, kind=record.kind,
             )
             if tracer is not None
             else _spans.NOOP
         )
         with span:
-            statement = parse_statement(record.sql)
-            evict_base = self._evict_targets(statement)
-            with self._mutation_lock:
-                self.db.run_statement(statement, record.sql)
-                if self.wal is not None:
-                    self.wal.stage_record(record)
-                self.applied_lsn = max(self.applied_lsn, record.lsn)
-            if self.wal is not None:
-                self.wal.commit(record.lsn)
+            run = self.db.run_write(
+                parse_statement(record.sql), record.sql,
+                journal=self.wal, record=record,
+            )
+            self.applied_lsn = max(self.applied_lsn, record.lsn)
             if record.token is not None:
                 self.dedup.put(record.token, record.status)
-            self._invalidate_for(statement, evict_base)
-            lag = self.replication_lag()
-            self.repl_lag.set(lag)
-            self._note_lag(lag)
+            self._invalidate(run)
+            self._note_lag()
             self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
         wal = self.wal
         if wal is None or not wal.should_checkpoint():
             return
-        with self._mutation_lock:
+        with self.db._catalog_lock:
             if not wal.should_checkpoint():  # another thread beat us
                 return
             try:
@@ -1287,12 +1125,6 @@ class QueryServer:
             return sent
         for _ in fresh:
             faults.fire("repl.stream")
-        with self._trace_lock:
-            traces = {
-                r.lsn: self._trace_by_lsn[r.lsn]
-                for r in fresh
-                if r.lsn in self._trace_by_lsn
-            }
         entries = []
         for r in fresh:
             entry = {
@@ -1302,9 +1134,8 @@ class QueryServer:
                 "token": r.token,
                 "status": r.status,
             }
-            trace_id = traces.get(r.lsn)
-            if trace_id is not None:
-                entry["trace"] = trace_id
+            if r.trace is not None:
+                entry["trace"] = r.trace
             entries.append(entry)
         writer.write(protocol.encode_message({
             "repl": "records",

@@ -143,11 +143,8 @@ class TestRefreshStateRoundTrip:
     staleness counters, and the staged delta log itself."""
 
     def _stage(self, database, row):
-        from repro.asts.maintenance import MaintenanceReport
-
-        with database._maintenance_lock:
-            database.table("Trans").rows.append(row)
-            database._stage_deferred("Trans", [row], +1, MaintenanceReport())
+        # the write pipeline's apply stage, without waking the scheduler
+        database._write_rows("Trans", [row], +1)
 
     def test_mode_and_staleness_round_trip(self, tiny_db, tmp_path):
         import datetime

@@ -7,7 +7,7 @@ import datetime
 
 import pytest
 
-from repro.asts.maintenance import MaintenanceReport, apply_pending
+from repro.asts.maintenance import apply_pending
 from repro.engine.table import tables_equal
 from repro.errors import CatalogError
 from repro.refresh.log import DeltaBatch
@@ -257,12 +257,9 @@ class TestLifecycle:
 
     def test_drop_deferred_summary_prunes_log(self, drained):
         drained.create_summary_table("S1", COUNT_SUM, refresh_mode="deferred")
-        # Stage directly (no scheduler notify) so the batch stays pending.
-        with drained._maintenance_lock:
-            drained.table("Trans").rows.append(NEW_ROWS[0])
-            drained._stage_deferred(
-                "Trans", [NEW_ROWS[0]], +1, MaintenanceReport()
-            )
+        # The write pipeline's apply stage alone (no scheduler notify),
+        # so the batch stays pending.
+        drained._write_rows("Trans", [NEW_ROWS[0]], +1)
         assert len(drained.delta_log) == 1
         drained.drop_summary_table("S1")
         assert len(drained.delta_log) == 0

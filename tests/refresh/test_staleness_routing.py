@@ -24,13 +24,10 @@ def stale_db(tiny_db):
     """A database with one deferred summary that is stale: a row was
     ingested and staged, but the refresh has not been applied."""
     tiny_db.create_summary_table("S1", SUMMARY_SQL, refresh_mode="deferred")
-    # Stage by hand (insert_rows would notify the background worker,
-    # which could race the test's staleness observations).
-    from repro.asts.maintenance import MaintenanceReport
-
-    with tiny_db._maintenance_lock:
-        tiny_db.table("Trans").rows.append(NEW_ROW)
-        tiny_db._stage_deferred("Trans", [NEW_ROW], +1, MaintenanceReport())
+    # The write pipeline's apply stage alone (insert_rows would notify
+    # the background worker, which could race the test's staleness
+    # observations).
+    tiny_db._write_rows("Trans", [NEW_ROW], +1)
     yield tiny_db
     tiny_db.close()
 
@@ -143,16 +140,12 @@ class TestDecisionCacheCorrectness:
     def test_fresh_entry_invalidated_when_summary_goes_stale(self, tiny_db):
         """A positive decision cached while fresh must not survive the
         summary going stale at the same strict tolerance."""
-        from repro.asts.maintenance import MaintenanceReport
-
         tiny_db.create_summary_table("S1", SUMMARY_SQL, refresh_mode="deferred")
         result = tiny_db.rewrite(QUERY, tolerance=RefreshAge.CURRENT)
         assert used_summaries(result) == ["S1"]  # fresh: admitted, cached
         # Stage a delta WITHOUT an epoch bump: only the admissible set
         # changes. The cached entry must still be rejected.
-        with tiny_db._maintenance_lock:
-            tiny_db.table("Trans").rows.append(NEW_ROW)
-            tiny_db._stage_deferred("Trans", [NEW_ROW], +1, MaintenanceReport())
+        tiny_db._write_rows("Trans", [NEW_ROW], +1)
         result, delta = self.delta(
             tiny_db, lambda: tiny_db.rewrite(QUERY, tolerance=RefreshAge.CURRENT)
         )

@@ -5,7 +5,8 @@ defining query and a summary's hidden auxiliary groups (shape (d) of
 tables or are absent — never stale.
 
 One scenario per way the state could be left behind: a journal failure
-rolled back by ``_apply_undo``, a fault at and inside a scheduler apply,
+rolled back by the write pipeline's undo (``Database.run_write``), a
+fault at and inside a scheduler apply,
 a cancellation during the recompute that builds the groups, save → load,
 SIGKILL → journal replay, a standby bootstrapped from a snapshot, and
 DROP / re-CREATE. All run on one three-column table created through SQL,
@@ -125,9 +126,10 @@ def stop(server: QueryServer) -> None:
 
 
 def journal_fault_rolled_back(tmp_path, monkeypatch):
-    """``wal.append`` fails after the write was applied: ``_apply_undo``
-    takes it back through the same cascade — an insert (undone by a
-    delete), then a delete (undone by an insert)."""
+    """``wal.append`` fails after the write was applied: the write
+    pipeline's undo takes it back by its inverse, through the same
+    cascade — an insert (undone by a delete), then a delete (undone by an
+    insert)."""
     db = make_db()
     server = primary(tmp_path, db)
     try:

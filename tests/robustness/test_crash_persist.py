@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-from repro.asts.maintenance import MaintenanceReport
 from repro.engine.persist import (
     load_database,
     save_database,
@@ -23,11 +22,10 @@ NEW_ROW = (301, 1, 1, 10, datetime.date(1994, 3, 3), 1, 9.0, 0.0)
 
 
 def stage(database, row=NEW_ROW):
-    """Append a base row and stage it for deferred maintenance without
-    waking the scheduler (keeps the delta pending deterministically)."""
-    with database._maintenance_lock:
-        database.table("Trans").rows.append(row)
-        database._stage_deferred("Trans", [row], +1, MaintenanceReport())
+    """The write pipeline's apply stage alone: the base row appended and
+    staged for deferred maintenance, and the scheduler not woken (keeps
+    the delta pending deterministically)."""
+    database._write_rows("Trans", [row], +1)
 
 
 class TestCrashMidSave:
