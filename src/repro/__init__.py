@@ -64,7 +64,7 @@ from repro.qgm.build import build_graph
 from repro.qgm.display import render_graph
 from repro.qgm.fingerprint import GraphFingerprint, fingerprint
 from repro.qgm.unparse import to_sql
-from repro.rewrite.cache import RewriteCache, RewriteStats
+from repro.rewrite.cache import RewriteStats
 from repro.rewrite.index import SummarySignature, graph_signature
 from repro.rewrite.planner import CostPlanner
 from repro.rewrite.rewriter import RewriteResult, rewrite_query
@@ -94,7 +94,6 @@ __all__ = [
     "RecoveryReport",
     "ReproError",
     "ReferenceExecutor",
-    "RewriteCache",
     "RewriteError",
     "RewriteResult",
     "RewriteStats",

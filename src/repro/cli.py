@@ -662,7 +662,7 @@ def serve_main(argv: list[str]) -> int:
         type=int,
         default=256,
         metavar="N",
-        help="semantic result cache entries (LRU)",
+        help="semantic result cache entries (LRU; 0 turns the cache off)",
     )
     parser.add_argument(
         "--cache-bytes",
@@ -680,11 +680,6 @@ def serve_main(argv: list[str]) -> int:
         help="process-wide query working-memory budget: queries spill "
         "or shed once reservations reach this many bytes (default: "
         "unbounded; per-query: SET QUERY MAXMEM)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the semantic result cache",
     )
     parser.add_argument(
         "--workers",
@@ -782,21 +777,34 @@ def serve_main(argv: list[str]) -> int:
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, _graceful)
 
+    server_options = dict(
+        host=args.host,
+        port=args.port,
+        cache_size=args.cache_size,
+        cache_max_bytes=args.cache_bytes,
+        max_workers=args.workers,
+    )
+
+    def configure_admission(database: Database) -> None:
+        if args.max_concurrent is not None or args.queue is not None:
+            database.governor.admission.configure(
+                args.max_concurrent,
+                max_queue=args.queue,
+                queue_timeout_ms=args.queue_timeout_ms,
+            )
+
     if args.standby_of:
         from repro.replication.standby import StandbyServer
 
         standby = StandbyServer(
             args.standby_of,
-            host=args.host,
-            port=args.port,
             wal_dir=args.wal,
             sync=args.sync,
             checkpoint_every=args.checkpoint_every,
-            cache_enabled=not args.no_cache,
-            cache_size=args.cache_size,
-            max_workers=args.workers,
+            **server_options,
         )
         host, port = standby.start()
+        configure_admission(standby.server.db)
         if standby.recovery is not None:
             print(standby.recovery.describe(), file=sys.stderr)
         print(f"repro standby listening on {host}:{port} "
@@ -834,27 +842,15 @@ def serve_main(argv: list[str]) -> int:
         database = Database()
     if wal is not None and not wal.exists():
         wal.begin(database)
-    if args.max_concurrent is not None or args.queue is not None:
-        database.governor.admission.configure(
-            args.max_concurrent,
-            max_queue=args.queue,
-            queue_timeout_ms=args.queue_timeout_ms,
-        )
+    configure_admission(database)
     server = QueryServer(
-        database,
-        host=args.host,
-        port=args.port,
-        cache_enabled=not args.no_cache,
-        cache_size=args.cache_size,
-        cache_max_bytes=args.cache_bytes,
-        max_workers=args.workers,
-        wal=wal,
-        repl_ack=args.repl_ack,
+        database, wal=wal, repl_ack=args.repl_ack, **server_options
     )
     if recovery is not None:
         # the rebuilt token window: a client retrying a pre-crash
         # mutation must still dedup after the restart
-        server.dedup.seed(recovery.tokens)
+        for token, status in recovery.tokens.items():
+            server.dedup.put(token, status)
     host, port = server.start_in_thread()
     print(f"repro server listening on {host}:{port} (Ctrl-C to stop)",
           flush=True)

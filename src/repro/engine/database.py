@@ -49,6 +49,7 @@ from repro.errors import (
 from repro.governor import QueryGovernor
 from repro.governor import scope as governor_scope
 from repro.governor.governor import UNSET
+from repro.lru import LRU
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
@@ -78,7 +79,7 @@ class Database:
         from repro.refresh.log import DeltaLog
         from repro.refresh.policy import RefreshAge
         from repro.refresh.scheduler import RefreshScheduler
-        from repro.rewrite.cache import RewriteCache, register_counters
+        from repro.rewrite.cache import register_counters
 
         for schema in self.catalog.tables.values():
             self.tables[schema.name.lower()] = Table.from_schema(schema)
@@ -87,11 +88,11 @@ class Database:
         #: phase timers, slow-query counts all land here; dump with
         #: \metrics / to_prometheus()
         self.metrics = MetricsRegistry()
-        self._rewrite_cache = RewriteCache(rewrite_cache_size)
+        self._rewrite_cache_size = rewrite_cache_size
+        self._rewrite_cache = LRU(rewrite_cache_size)
         self._rewrite_counters = register_counters(self.metrics)
         self._rewrite_epoch = 0
         self._fast_path_index = True
-        self._fast_path_cache = True
         # Deferred maintenance: staged base-table deltas, the background
         # refresh worker, and the session's freshness tolerance
         # (SET REFRESH AGE; 0 = only fully fresh summaries match).
@@ -615,7 +616,9 @@ class Database:
         statement's own records and are handed down, never shared.
         ``shape`` is ``graph``'s fingerprint when the caller already took
         it (a :class:`SelectRun` the server keyed its result cache on)."""
-        from repro.rewrite.cache import CachedStep, CacheEntry, options_key
+        from repro.rewrite.cache import (
+            CachedStep, CacheEntry, options_key, valid_entry,
+        )
         from repro.rewrite.index import filter_fresh
         from repro.rewrite.rewriter import rewrite_query
 
@@ -641,15 +644,15 @@ class Database:
             log=self._delta_log, trace=trace,
         )
         admissible = frozenset(s.name.lower() for s in summaries)
-        use_cache = self._fast_path_cache and self._rewrite_cache.maxsize > 0
+        use_cache = self._rewrite_cache.maxsize > 0
         plan = plan_key = None
         if use_cache:
             if shape is None:
                 shape = fingerprint(graph)
             keyed_on = (options_key(options), tolerance.key)
             key = (shape, *keyed_on)
-            entry = self._rewrite_cache.lookup(
-                key, epoch, admissible, stats=stats
+            entry = valid_entry(
+                self._rewrite_cache, key, epoch, admissible, stats
             )
             if entry is not None:
                 if entry.steps is None:
@@ -681,7 +684,7 @@ class Database:
             plan_key = (template, *keyed_on)
             # A stale plan is dropped without a count of its own:
             # cache_invalidations counts exact-key entries, as before.
-            plan = self._rewrite_cache.lookup(plan_key, epoch, admissible)
+            plan = valid_entry(self._rewrite_cache, plan_key, epoch, admissible)
         if use_cache and plan is None:
             stats.cache_misses += 1
         if budget is not None:
@@ -736,10 +739,10 @@ class Database:
                 if plan is not None:  # it was wrong: a cold rewrite after all
                     stats.cache_misses += 1
                 if plan_key is not None:
-                    self._rewrite_cache.store(plan_key, entry)
+                    self._rewrite_cache.put(plan_key, entry)
             # Also after a shape hit: the next arrival of this very
             # statement replays the chain instead of matching again.
-            self._rewrite_cache.store(key, entry)
+            self._rewrite_cache.put(key, entry)
             stats.cache_stores += 1
         return result
 
@@ -886,13 +889,14 @@ class Database:
         """Enable/disable fast-path layers (for benchmarks and ablation).
 
         ``index`` toggles AST signature pruning (falling back to the bare
-        base-table-overlap check); ``cache`` toggles the rewrite decision
-        cache (the cache is cleared when disabled).
+        base-table-overlap check); ``cache=False`` bounds the rewrite
+        decision cache at 0 entries (emptying it) and ``cache=True``
+        restores ``rewrite_cache_size``.
         """
         if index is not None:
             self._fast_path_index = index
         if cache is not None:
-            self._fast_path_cache = cache
+            self._rewrite_cache.maxsize = self._rewrite_cache_size if cache else 0
             if not cache:
                 self._rewrite_cache.clear()
 

@@ -46,6 +46,7 @@ from repro.expr.nodes import (
     NaryOp,
     UnaryOp,
 )
+from repro.lru import LRU
 
 #: resolve(ColumnRef) -> the full column as a plain value list
 ColumnResolver = Callable[[ColumnRef], list]
@@ -62,10 +63,9 @@ _COMPARISONS = {
 }
 
 #: memoized compilations; expressions are hash-consed (PR 1), so this is
-#: effectively keyed by structure.  Bounded crudely — compilation is
-#: cheap, the cache only needs to cover a working set of hot queries.
-_CACHE: dict[Expr, VectorFn] = {}
-_CACHE_LIMIT = 4096
+#: effectively keyed by structure.  Compilation is cheap, the cache only
+#: needs to cover a working set of hot queries.
+_CACHE = LRU(4096)
 
 
 def compile_vector(expr: Expr) -> VectorFn:
@@ -73,9 +73,7 @@ def compile_vector(expr: Expr) -> VectorFn:
     fn = _CACHE.get(expr)
     if fn is None:
         fn = _compile(expr)
-        if len(_CACHE) >= _CACHE_LIMIT:
-            _CACHE.clear()
-        _CACHE[expr] = fn
+        _CACHE.put(expr, fn)
     return fn
 
 

@@ -1,26 +1,22 @@
 """Durability and replication for the query server.
 
-Three pieces turn the in-memory engine into a crash-safe, replicated
+Two pieces turn the in-memory engine into a crash-safe, replicated
 service (docs/ROBUSTNESS.md, "Durability & failover"):
 
 * :class:`repro.replication.wal.WriteAheadLog` — every acknowledged
-  mutation is journaled (LSN + CRC32 framing, group-commit batching)
-  before the reply leaves the server, with periodic
-  checkpoint-compaction into ``save_database`` snapshots and startup
-  replay recovery through ``verify_database``.
+  mutation is journaled (LSN + CRC32 framing, group-commit batching,
+  with its idempotency token: the server's dedup window survives
+  crashes and follows the log to the standby) before the reply leaves
+  the server, with periodic checkpoint-compaction into
+  ``save_database`` snapshots and startup replay recovery through
+  ``verify_database``.
 * :class:`repro.replication.standby.StandbyServer` — a warm standby
   that bootstraps from a wire snapshot, tails the primary's journal
   over the line-delimited JSON protocol, serves read-only queries at a
   reported replication lag, and can be promoted on primary death.
-* :class:`repro.replication.wal.DedupWindow` — the idempotency-token
-  window that makes client retries exactly-once: a retried mutation
-  whose ACK was lost replays the original status instead of applying
-  twice. Tokens ride in journal records and checkpoints, so the window
-  survives crashes and follows the log to the standby.
 """
 
 from repro.replication.wal import (  # noqa: F401
-    DedupWindow,
     WalRecord,
     WalRecovery,
     WriteAheadLog,

@@ -50,36 +50,29 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 class StandbyServer:
-    """A warm-standby query server replicating one primary."""
+    """A warm-standby query server replicating one primary.
+
+    ``server_options`` are :class:`QueryServer` keyword arguments (host,
+    port, cache and pool sizes), forwarded to the embedded server."""
 
     def __init__(
         self,
         primary: str | tuple[str, int],
-        host: str = "127.0.0.1",
-        port: int = 0,
         wal_dir: str | None = None,
         sync: str = "fsync",
         checkpoint_every: int = 512,
-        cache_enabled: bool = True,
-        cache_size: int = 256,
-        max_workers: int = 32,
-        ack: bool = True,
         reconnect_backoff: float = 0.2,
         reconnect_cap: float = 2.0,
         connect_timeout: float = 10.0,
+        **server_options,
     ):
         if isinstance(primary, str):
             primary = parse_address(primary)
         self.primary = primary
-        self.host = host
-        self.port = port
         self.wal_dir = wal_dir
         self.sync = sync
         self.checkpoint_every = checkpoint_every
-        self.cache_enabled = cache_enabled
-        self.cache_size = cache_size
-        self.max_workers = max_workers
-        self.ack = ack
+        self.server_options = server_options
         self.reconnect_backoff = reconnect_backoff
         self.reconnect_cap = reconnect_cap
         self.connect_timeout = connect_timeout
@@ -129,16 +122,13 @@ class StandbyServer:
                 wal.begin(db, tokens=tokens, base_lsn=lsn)
         self.server = QueryServer(
             db,
-            host=self.host,
-            port=self.port,
-            cache_enabled=self.cache_enabled,
-            cache_size=self.cache_size,
-            max_workers=self.max_workers,
             wal=wal,
             read_only=True,
             primary=f"{self.primary[0]}:{self.primary[1]}",
+            **self.server_options,
         )
-        self.server.dedup.seed(tokens)
+        for token, status in tokens.items():
+            self.server.dedup.put(token, status)
         self.server.on_promote = self.promote
         self.address = self.server.start_in_thread()
         self._tailer = threading.Thread(
@@ -319,7 +309,7 @@ class StandbyServer:
                     continue  # overlap after a reconnect
                 server.apply_replicated(record)
                 applied += 1
-            if applied and self.ack:
+            if applied:
                 sock.sendall(protocol.encode_message({
                     "op": "repl.ack", "lsn": server.applied_lsn,
                 }))

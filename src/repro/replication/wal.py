@@ -49,7 +49,6 @@ import os
 import shutil
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -130,49 +129,6 @@ class WalRecord:
             token=entry.get("token"),
             status=entry.get("status", ""),
         )
-
-
-class DedupWindow:
-    """A bounded token → status map: the server's exactly-once memory.
-
-    A mutation carrying an idempotency token records its status here
-    after it commits; a retry of the same token replays that status
-    instead of applying the mutation again. The window is an LRU over
-    insertion order — old tokens age out, which is safe because clients
-    retry within seconds, not days. Thread-safe.
-    """
-
-    def __init__(self, max_tokens: int = 4096):
-        self._max = max(1, max_tokens)
-        self._tokens: OrderedDict[str, str] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, token: str) -> str | None:
-        with self._lock:
-            return self._tokens.get(token)
-
-    def put(self, token: str, status: str) -> None:
-        with self._lock:
-            self._tokens[token] = status
-            self._tokens.move_to_end(token)
-            while len(self._tokens) > self._max:
-                self._tokens.popitem(last=False)
-
-    def discard(self, token: str) -> None:
-        with self._lock:
-            self._tokens.pop(token, None)
-
-    def seed(self, tokens: dict[str, str]) -> None:
-        for token, status in tokens.items():
-            self.put(token, status)
-
-    def snapshot(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._tokens)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._tokens)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Query rewriting over summary tables, plus the cost-based planner and
 the matching fast path (AST candidate index + rewrite decision cache)."""
 
-from repro.rewrite.cache import RewriteCache, RewriteStats
+from repro.rewrite.cache import RewriteStats
 from repro.rewrite.index import (
     SummarySignature,
     graph_signature,
@@ -12,7 +12,6 @@ from repro.rewrite.rewriter import AppliedRewrite, RewriteResult, apply_match, r
 
 __all__ = [
     "AppliedRewrite",
-    "RewriteCache",
     "RewriteResult",
     "RewriteStats",
     "SummarySignature",

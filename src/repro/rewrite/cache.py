@@ -2,9 +2,9 @@
 
 Serving the same dashboard queries over and over re-runs the whole
 navigator per query even though the decision never changes between DDL
-events. :class:`RewriteCache` is a bounded LRU keyed by the structural
-fingerprint of the bound query graph (:mod:`repro.qgm.fingerprint`) that
-remembers, per query shape:
+events. ``Database._rewrite_cache`` is a bounded :class:`repro.lru.LRU`
+keyed by the structural fingerprint of the bound query graph
+(:mod:`repro.qgm.fingerprint`) that remembers, per query shape:
 
 * **positive** outcomes — the ordered list of :class:`CachedStep`
   replay records (which summary matched which box, with the proven
@@ -34,7 +34,7 @@ enough for the query's refresh-age tolerance (which also catches
 deltas flipping a deferred summary from fresh to stale). The freshness
 tolerance itself is part of the cache key, so a decision cached under
 ``SET REFRESH AGE ANY`` is never served to a ``REFRESH AGE 0`` query or
-vice versa. Stale entries are dropped on lookup.
+vice versa. Stale entries are dropped on lookup (:func:`valid_entry`).
 
 :class:`RewriteStats` holds one rewrite's fast-path counts — what
 ``EXPLAIN`` renders; flushed into the metrics registry they become the
@@ -43,10 +43,9 @@ totals behind ``Database.rewrite_stats()`` and the CLI's ``\\stats``.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.lru import LRU
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.qgm.boxes import QGMBox
 from repro.qgm.fingerprint import GraphFingerprint
@@ -168,49 +167,14 @@ def options_key(options: dict | None) -> tuple:
     return tuple(sorted(options.items()))
 
 
-class RewriteCache:
-    """A bounded LRU of rewrite decisions, shared by every thread that
-    runs a SELECT: concurrent bindings of one shape read, refresh and
-    replace the same plan entry, so each operation holds the lock."""
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self,
-        key: CacheKey,
-        epoch: int,
-        admissible: frozenset[str],
-        stats: RewriteStats | None = None,
-    ) -> CacheEntry | None:
-        """The valid entry for ``key``, refreshed as most recent; stale
-        entries are evicted and counted as invalidations."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if entry.epoch == epoch and entry.admissible == admissible:
-                self._entries.move_to_end(key)
-                return entry
-            del self._entries[key]
-        if stats is not None:
-            stats.cache_invalidations += 1
-        return None
-
-    def store(self, key: CacheKey, entry: CacheEntry) -> None:
-        if self.maxsize <= 0:
-            return
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+def valid_entry(cache: LRU, key: CacheKey, epoch: int,
+                admissible: frozenset[str], stats=None) -> CacheEntry | None:
+    """``cache``'s entry for ``key`` if it was decided at ``epoch`` over
+    exactly the ``admissible`` summaries; a stale one is dropped and,
+    with ``stats``, counted as an invalidation."""
+    entry = cache.get(key)
+    if entry is None or (entry.epoch, entry.admissible) == (epoch, admissible):
+        return entry
+    if cache.discard(key, entry) and stats is not None:
+        stats.cache_invalidations += 1
+    return None

@@ -49,11 +49,11 @@ them.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.engine.table import Table
+from repro.lru import LRU
+from repro.obs.metrics import MetricsRegistry
 from repro.refresh.policy import RefreshAge
 
 
@@ -88,77 +88,61 @@ class ResultCache:
 
     An entry is a result table plus, when the server stored it, the
     table's encoded wire fragment, so a hit is answered without
-    serialising a row. Eviction is bounded two ways: ``max_entries``
-    caps the entry count, and ``max_bytes`` (when set) caps the resident
-    bytes (estimated for the table, exact for the fragment) — one entry
-    holding a million-row result weighs what it costs, not 1.
+    serialising a row. Its :class:`repro.lru.LRU` is bounded two ways:
+    ``max_entries`` caps the entry count, and ``max_bytes`` (when set)
+    caps the resident bytes (estimated for the table, exact for the
+    fragment) — one entry holding a million-row result weighs what it
+    costs, not 1.
     """
 
     def __init__(self, log, metrics=None, max_entries: int = 256,
                  max_bytes: int | None = None):
         self._log = log
-        self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()
-        self._lock = threading.Lock()
         self.max_entries = max_entries
         #: byte budget for all resident entries (None = only the
         #: entry-count bound applies); a result that alone exceeds it
         #: is executed but never cached
         self.max_bytes = max_bytes
-        self._bytes = 0
-        if metrics is not None:
-            self.hits = metrics.counter(
-                "cache.hits", "Result-cache fresh hits (lag 0)"
-            )
-            self.stale_hits = metrics.counter(
-                "cache.stale_hits",
-                "Result-cache hits served stale under SET REFRESH AGE",
-            )
-            self.misses = metrics.counter(
-                "cache.misses", "Result-cache misses (executed and cached)"
-            )
-            self.evictions = metrics.counter(
-                "cache.evictions",
-                "Entries dropped: LRU overflow or permanently dead",
-            )
-            self.invalidations = metrics.counter(
-                "cache.invalidations",
-                "Entries dropped by explicit eviction (writes/REFRESH/DROP)",
-            )
-            self.entries_gauge = metrics.gauge(
-                "cache.entries", "Result-cache entries currently resident"
-            )
-            self.bytes_gauge = metrics.gauge(
-                "cache.bytes", "Estimated bytes of resident cached results"
-            )
-        else:
-            self.hits = self.stale_hits = self.misses = None
-            self.evictions = self.invalidations = self.entries_gauge = None
-            self.bytes_gauge = None
+        self._lru = LRU(max_entries, max_bytes)
+        if metrics is None:  # counted all the same, in a private registry
+            metrics = MetricsRegistry()
+        self.hits = metrics.counter(
+            "cache.hits", "Result-cache fresh hits (lag 0)"
+        )
+        self.stale_hits = metrics.counter(
+            "cache.stale_hits",
+            "Result-cache hits served stale under SET REFRESH AGE",
+        )
+        self.misses = metrics.counter(
+            "cache.misses", "Result-cache misses (executed and cached)"
+        )
+        self.evictions = metrics.counter(
+            "cache.evictions",
+            "Entries dropped: LRU overflow or permanently dead",
+        )
+        self.invalidations = metrics.counter(
+            "cache.invalidations",
+            "Entries dropped by explicit eviction (writes/REFRESH/DROP)",
+        )
+        self.entries_gauge = metrics.gauge(
+            "cache.entries", "Result-cache entries currently resident"
+        )
+        self.bytes_gauge = metrics.gauge(
+            "cache.bytes", "Estimated bytes of resident cached results"
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     @property
     def nbytes(self) -> int:
         """Estimated bytes currently held by cached results."""
-        return self._bytes
-
-    def _count(self, counter, amount: int = 1) -> None:
-        if counter is not None:
-            counter.inc(amount)
+        return self._lru.weight
 
     def _update_gauge(self) -> None:
-        if self.entries_gauge is not None:
-            self.entries_gauge.set(len(self._entries))
-        if self.bytes_gauge is not None:
-            self.bytes_gauge.set(self._bytes)
-
-    def _remove(self, key: tuple) -> CachedResult:
-        """Drop one entry and settle the byte ledger (lock held)."""
-        entry = self._entries.pop(key)
-        self._bytes -= entry.nbytes
-        return entry
+        self.entries_gauge.set(len(self._lru))
+        self.bytes_gauge.set(self._lru.weight)
 
     def _lag(self, entry: CachedResult) -> int:
         return max(
@@ -183,25 +167,22 @@ class ResultCache:
         the lag, which monotonic counters can only grow — is evicted on
         the spot.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._count(self.misses)
-                return None
-            lag = self._lag(entry)
-            if lag == 0:
-                self._entries.move_to_end(key)
-                self._count(self.hits)
-                return entry, "hit"
-            if entry.tolerance.admits(lag):
-                self._entries.move_to_end(key)
-                self._count(self.stale_hits)
-                return entry, "stale-hit"
-            self._remove(key)
-            self._count(self.evictions)
-            self._count(self.misses)
-            self._update_gauge()
+        entry = self._lru.get(key)
+        if entry is None:
+            self.misses.inc()
             return None
+        lag = self._lag(entry)
+        if lag == 0:
+            self.hits.inc()
+            return entry, "hit"
+        if entry.tolerance.admits(lag):
+            self.stale_hits.inc()
+            return entry, "stale-hit"
+        if self._lru.discard(key, entry):
+            self.evictions.inc()
+            self._update_gauge()
+        self.misses.inc()
+        return None
 
     def store(self, key: tuple, table: Table, base_tables, snapshot: dict,
               tolerance: RefreshAge, *, payload: bytes | None = None) -> bool:
@@ -209,10 +190,6 @@ class ResultCache:
         returns False when it is too big to cache. ``snapshot`` must
         have been taken *before* execution started."""
         nbytes = table.nbytes_estimate() + len(payload or b"")
-        if self.max_bytes is not None and nbytes > self.max_bytes:
-            # One entry bigger than the whole budget would evict
-            # everything and still not fit; execute-and-forget instead.
-            return False
         entry = CachedResult(
             table,
             tuple(name.lower() for name in base_tables),
@@ -221,33 +198,20 @@ class ResultCache:
             payload,
             nbytes,
         )
-        with self._lock:
-            if key in self._entries:
-                self._remove(key)
-            self._entries[key] = entry
-            self._bytes += nbytes
-            while len(self._entries) > self.max_entries or (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._entries) > 1
-            ):
-                oldest, _ = next(iter(self._entries.items()))
-                self._remove(oldest)
-                self._count(self.evictions)
-            self._update_gauge()
+        evicted = self._lru.put(key, entry, nbytes)
+        if evicted is None:
+            return False
+        self.evictions.inc(evicted)
+        self._update_gauge()
         return True
 
     def shed(self, target: int) -> int:
         """Memory-pressure callback: evict oldest-first until roughly
         ``target`` estimated bytes are freed (or the cache is empty).
         Returns the bytes actually freed."""
-        freed = 0
-        with self._lock:
-            while self._entries and freed < target:
-                oldest, _ = next(iter(self._entries.items()))
-                freed += self._remove(oldest).nbytes
-                self._count(self.evictions)
-            self._update_gauge()
+        evicted, freed = self._lru.shed(target)
+        self.evictions.inc(evicted)
+        self._update_gauge()
         return freed
 
     # ------------------------------------------------------------------
@@ -275,19 +239,10 @@ class ResultCache:
         )
 
     def _drop(self, dead) -> int:
-        with self._lock:
-            keys = [key for key, entry in self._entries.items() if dead(entry)]
-            for key in keys:
-                self._remove(key)
-            self._count(self.invalidations, len(keys))
-            self._update_gauge()
-        return len(keys)
+        dropped = self._lru.drop(dead)
+        self.invalidations.inc(dropped)
+        self._update_gauge()
+        return dropped
 
     def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-            self._count(self.invalidations, dropped)
-            self._update_gauge()
-        return dropped
+        return self._drop(lambda entry: True)

@@ -47,10 +47,10 @@ failover") are opt-in per server:
   always a subset of the journal. The server adds only what is its
   own: the dedup claim, the disk-full gate, the semi-sync ack wait and
   the checkpoint.
-* Mutations carrying an ``idempotency token`` dedup against the
-  :class:`~repro.replication.wal.DedupWindow`: a retried request whose
-  original ACK was lost replays the recorded status instead of applying
-  twice.
+* Mutations carrying an ``idempotency token`` dedup against
+  ``QueryServer.dedup``, a window of the last 4096 tokens' statuses: a
+  retried request whose original ACK was lost replays the recorded
+  status instead of applying twice.
 * ``repl.*`` ops serve a warm standby: ``repl.snapshot`` bootstraps it
   with the full database state, ``repl.stream`` tails the journal over
   the same line-delimited JSON wire (backlog, then live records and
@@ -73,6 +73,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from repro.engine.database import Database
+from repro.lru import LRU
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.errors import (
@@ -85,12 +86,7 @@ from repro.errors import (
     WalGapError,
 )
 from repro.resources.broker import BROKER
-from repro.replication.wal import (
-    DedupWindow,
-    WalRecord,
-    WriteAheadLog,
-    mutation_kind,
-)
+from repro.replication.wal import WalRecord, WriteAheadLog, mutation_kind
 from repro.server import protocol
 from repro.server.result_cache import ResultCache, cache_key
 from repro.server.session import SESSION_SET_TYPES, Session
@@ -123,7 +119,6 @@ class QueryServer:
         db: Database,
         host: str = "127.0.0.1",
         port: int = 0,
-        cache_enabled: bool = True,
         cache_size: int = 256,
         cache_max_bytes: int | None = None,
         max_workers: int = 32,
@@ -132,7 +127,6 @@ class QueryServer:
         primary: str | None = None,
         repl_ack: int = 0,
         repl_ack_timeout_ms: float = 5000.0,
-        dedup_tokens: int = 4096,
     ):
         self.db = db
         self.host = host
@@ -142,7 +136,9 @@ class QueryServer:
         metrics = db.metrics
         # ---- durability & replication ----
         self.wal = wal
-        self.dedup = DedupWindow(dedup_tokens)
+        #: idempotency token → the status its mutation returned; aging
+        #: is by put order (a read is a retry that will not come back)
+        self.dedup = LRU(4096)
         #: standby role: mutations rejected, reads gated on lag
         self.read_only = read_only
         #: ``host:port`` of the primary (the redirect hint a standby
@@ -164,7 +160,7 @@ class QueryServer:
         self._subscriber_lock = threading.Lock()
         self._next_subscriber = 0
         self._ack_cond = threading.Condition()
-        self._standby_acks: dict[object, int] = {}
+        self._standby_acks: dict[int, int] = {}
         #: set by stop(): wakes semi-sync ack waiters so a graceful
         #: drain is not held hostage by the ack timeout (the records
         #: are already durable locally — availability over strictness)
@@ -182,7 +178,7 @@ class QueryServer:
         #: ReadOnlyError until a writability probe succeeds — reads and
         #: the already-durable state stay available, the process lives
         self._disk_full = False
-        self.cache_enabled = cache_enabled
+        #: ``cache_size`` 0 turns it off: replies read ``"bypass"``
         self.cache = ResultCache(
             db.delta_log,
             metrics=metrics,
@@ -198,8 +194,7 @@ class QueryServer:
         #: SQL text → :class:`_PreparedSelect`. Parsing and binding the
         #: same text are deterministic, so a repeated SELECT pays for
         #: them once per catalog epoch instead of once per request.
-        self._prepared: dict[str, _PreparedSelect] = {}
-        self._memo_lock = threading.Lock()
+        self._prepared = LRU(4096)
         self._next_client = 0
         self._client_lock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -446,10 +441,6 @@ class QueryServer:
                     "durable_lsn": self.wal.durable_lsn,
                     "_stream": after,
                 }
-            elif op == "repl.ack":
-                lsn = int(request.get("lsn", 0))
-                self._note_ack(f"conn-{session.client_id}", lsn)
-                response = {"ok": True, "acked": lsn}
             elif op == "repl.promote":
                 response = await self._run_blocking(self._promote_response)
             elif op in ("query", "set", "explain"):
@@ -459,7 +450,7 @@ class QueryServer:
                         f"op {op!r} requires a string 'sql' field"
                     )
                 response = probed = None
-                if op == "query" and self.cache_enabled:
+                if op == "query" and self.cache.max_entries > 0:
                     with _spans.attach(req_span):
                         response, probed = self._probe_prepared(
                             session, sql, request
@@ -506,8 +497,7 @@ class QueryServer:
         thread needs to execute without probing again (None too when
         the text is not in the memo at this catalog epoch)."""
         db = self.db
-        with self._memo_lock:
-            prepared = self._prepared.get(sql)
+        prepared = self._prepared.get(sql)
         if prepared is None or prepared.epoch != db.rewrite_epoch:
             return None, None
         session.queries += 1
@@ -565,10 +555,7 @@ class QueryServer:
         prepared = _PreparedSelect(
             run.shape().key, run.base_tables, run.epoch
         )
-        with self._memo_lock:
-            if len(self._prepared) >= 4096:
-                self._prepared.clear()
-            self._prepared[sql] = prepared
+        self._prepared.put(sql, prepared)
         return prepared, run
 
     # ------------------------------------------------------------------
@@ -635,7 +622,8 @@ class QueryServer:
         tolerance = overrides["tolerance"]
         use_summaries = bool(request.get("use_summary_tables", True))
         source = sql if statement is None else statement
-        if self.cache_enabled:
+        caching = self.cache.max_entries > 0
+        if caching:
             if probed is None:
                 prepared, source = self._prepare(statement, sql)
                 key = cache_key(
@@ -655,11 +643,11 @@ class QueryServer:
             source, sql, use_summary_tables=use_summaries, **overrides
         ).table
         payload = protocol.encode_table_fragment(table)
-        if self.cache_enabled:
+        if caching:
             self.cache.store(
                 key, table, base_tables, snapshot, tolerance, payload=payload
             )
-        label = "miss" if self.cache_enabled else "bypass"
+        label = "miss" if caching else "bypass"
         return {"ok": True, "cache": label, "_table": payload}
 
     def _shed_cache(self, target: int) -> int:
@@ -718,7 +706,7 @@ class QueryServer:
         still executing) parks here until the original finishes —
         without this, dedup-on-completion alone would double-apply."""
         while True:
-            prior = self.dedup.get(token)
+            prior = self.dedup.peek(token)
             if prior is not None:
                 return prior
             with self._inflight_lock:
@@ -736,8 +724,6 @@ class QueryServer:
 
     def _invalidate(self, run) -> None:
         """Drop the cached results ``run`` (a ``WriteRun``) made wrong."""
-        if not self.cache_enabled:
-            return
         if run.changed is not None:
             self.cache.invalidate_table(run.changed)
         elif run.evicted:
@@ -832,7 +818,7 @@ class QueryServer:
             "applied_lsn": self.applied_lsn,
             "lag": self.replication_lag(),
             "lag_seconds": round(self.lag_seconds(), 3),
-            "dedup_tokens": len(self.dedup),
+            "dedup_window": len(self.dedup),
         }
         if self.primary:
             status["primary"] = self.primary
@@ -893,7 +879,7 @@ class QueryServer:
         misses = value("cache.misses")
         lookups = hits + stale + misses
         return {
-            "enabled": self.cache_enabled,
+            "enabled": self.cache.max_entries > 0,
             "entries": len(self.cache),
             "bytes": self.cache.nbytes,
             "max_bytes": self.cache.max_bytes,
@@ -937,7 +923,7 @@ class QueryServer:
             else:
                 lsn = self.applied_lsn
             state = database_state_payload(db)
-            tokens = self.dedup.snapshot()
+            tokens = dict(self.dedup.items())
         return {"ok": True, "state": state, "lsn": lsn, "tokens": tokens}
 
     def promote(self) -> dict:
@@ -965,11 +951,17 @@ class QueryServer:
         """Replace the served database wholesale (standby re-bootstrap:
         the primary's journal no longer covers our position, so the
         tailer fetched a fresh snapshot at ``lsn``). Re-anchors the
-        local journal at ``lsn`` and drops caches built over the old
-        database."""
+        local journal at ``lsn``, carries the admission limits over and
+        drops caches built over the old database."""
+        admission = self.db.governor.admission
         with self.db._catalog_lock:
             if self.wal is not None:
                 self.wal.rebase(db, tokens=tokens or {}, base_lsn=lsn)
+            db.governor.admission.configure(
+                admission.max_concurrent,
+                max_queue=admission.max_queue,
+                queue_timeout_ms=admission.queue_timeout_ms,
+            )
             self.db = db
             self.cache = ResultCache(
                 db.delta_log,
@@ -977,11 +969,11 @@ class QueryServer:
                 max_entries=self.cache.max_entries,
                 max_bytes=self.cache.max_bytes,
             )
-            with self._memo_lock:
-                # entries are epoch-keyed per database; the new
-                # database restarts its epoch counter
-                self._prepared.clear()
-            self.dedup.seed(tokens or {})
+            # entries are epoch-keyed per database; the new database
+            # restarts its epoch counter
+            self._prepared.clear()
+            for token, status in (tokens or {}).items():
+                self.dedup.put(token, status)
             self.applied_lsn = lsn
             self._primary_durable = max(self._primary_durable, lsn)
         self._note_lag()
@@ -1023,7 +1015,7 @@ class QueryServer:
             if not wal.should_checkpoint():  # another thread beat us
                 return
             try:
-                wal.checkpoint(self.db, self.dedup.snapshot())
+                wal.checkpoint(self.db, dict(self.dedup.items()))
             except Exception as error:  # noqa: BLE001
                 # A full disk must not fail the mutation that
                 # triggered the checkpoint — the record itself is

@@ -78,7 +78,7 @@ def test_trace_and_counts_isolated_from_an_interleaved_statement(
 
 
 def test_explain_analyze_over_the_wire_ignores_other_connections(nine_ast_db):
-    server = QueryServer(nine_ast_db, cache_enabled=False)
+    server = QueryServer(nine_ast_db, cache_size=0)
     server.start_in_thread()
     stop = threading.Event()
     failures = []

@@ -16,12 +16,18 @@ client silently change semantics against) its primary:
 * an unjournaled server forgetting idempotency tokens (a retry after a
   lost ACK would double-apply);
 * a reconnecting client silently dropping session SETs whose replay
-  failed.
+  failed;
+* any client forging a standby's semi-sync ack;
+* a standby ignoring the serve flags its primary honours (cache bounds,
+  pool size, admission control), also after a re-bootstrap.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
+import signal
+import socket
 import threading
 import time
 
@@ -293,3 +299,102 @@ class TestSetReplay:
             client.close()
         finally:
             stop_server(primary)
+
+
+# ----------------------------------------------------------------------
+class TestForgedAck:
+    def test_a_client_cannot_ack_for_a_standby(self, tmp_path):
+        """Acks count only on a ``repl.stream`` connection: a client's
+        ``repl.ack`` request is an unknown op, and a write on a
+        semi-sync primary with no standby times out with 0 acks."""
+        db = Database(credit_card_catalog())
+        wal = WriteAheadLog(tmp_path / "wal-primary", sync="os")
+        wal.begin(db)
+        server = QueryServer(db, wal=wal, repl_ack=1, repl_ack_timeout_ms=200.0)
+        server.start_in_thread()
+        try:
+            with socket.create_connection(server.address) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(b'{"op": "repl.ack", "lsn": 1000000000}\n')
+                stream.flush()
+                forged = json.loads(stream.readline())
+            assert not forged["ok"]
+            assert "unknown op" in forged["error"]["message"]
+            with ReproClient(*server.address) as client:
+                started = time.monotonic()
+                reply = client.query(insert_sql(900))
+            assert time.monotonic() - started >= 0.2
+            assert reply.raw["repl_acks"] == 0
+        finally:
+            stop_server(server)
+
+
+# ----------------------------------------------------------------------
+class TestStandbyServeFlags:
+    @staticmethod
+    def limits(server: QueryServer) -> tuple:
+        admission = server.db.governor.admission
+        return (
+            server.cache.max_entries, server.cache.max_bytes,
+            server._pool._max_workers, admission.max_concurrent,
+            admission.max_queue, admission.queue_timeout_ms,
+        )
+
+    def test_standby_forwards_query_server_options(self, tmp_path):
+        primary = make_primary(tmp_path)
+        standby = StandbyServer(
+            primary.address, cache_size=7, cache_max_bytes=4096, max_workers=3
+        )
+        try:
+            standby.start()
+            assert self.limits(standby.server)[:3] == (7, 4096, 3)
+        finally:
+            standby.stop()
+            stop_server(primary)
+
+    def test_serve_standby_honours_cache_and_admission_flags(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import cli
+        from repro.replication import standby as standby_module
+
+        handlers = {}
+        monkeypatch.setattr(signal, "signal", handlers.__setitem__)
+        started = []
+        start = standby_module.StandbyServer.start
+
+        def start_then_shut_down(self):
+            address = start(self)
+            started.append(self)
+            handlers[signal.SIGTERM](signal.SIGTERM, None)
+            return address
+
+        monkeypatch.setattr(
+            standby_module.StandbyServer, "start", start_then_shut_down
+        )
+        primary = make_primary(tmp_path)
+        host, port = primary.address
+        try:
+            assert cli.serve_main([
+                "--standby-of", f"{host}:{port}", "--port", "0",
+                "--cache-size", "7", "--cache-bytes", "4096",
+                "--workers", "3", "--max-concurrent", "2", "--queue", "5",
+                "--queue-timeout-ms", "50",
+            ]) == 0
+        finally:
+            stop_server(primary)
+        [standby] = started
+        assert self.limits(standby.server) == (7, 4096, 3, 2, 5, 50.0)
+
+    def test_rebootstrap_keeps_admission_limits(self):
+        server = QueryServer(Database(credit_card_catalog()))
+        try:
+            server.db.governor.admission.configure(
+                2, max_queue=5, queue_timeout_ms=50.0
+            )
+            fresh = Database(credit_card_catalog())
+            server.reset_database(fresh, lsn=0)
+            assert server.db is fresh
+            assert self.limits(server)[3:] == (2, 5, 50.0)
+        finally:
+            server.stop()

@@ -1,6 +1,6 @@
 """Write-ahead journal unit tests: record framing, group commit,
-checkpoint-compaction, torn-tail recovery, the idempotency-token
-window, and the journal's fault-injection points."""
+checkpoint-compaction, torn-tail recovery and the journal's
+fault-injection points."""
 
 from __future__ import annotations
 
@@ -15,12 +15,7 @@ from repro.engine import Database
 from repro.engine.persist import save_database
 from repro.engine.table import tables_equal
 from repro.errors import WalError
-from repro.replication import (
-    DedupWindow,
-    WalRecord,
-    WriteAheadLog,
-    mutation_kind,
-)
+from repro.replication import WalRecord, WriteAheadLog, mutation_kind
 from repro.sql.statements import parse_statement
 from repro.testing import INJECTOR, InjectedFault
 from repro.testing.faults import arm_from_env
@@ -73,42 +68,6 @@ class TestWalRecord:
     def test_token_free_round_trip(self):
         record = WalRecord(1, "ddl", "CREATE TABLE T (a INTEGER)", None, "ok")
         assert WalRecord.from_payload(record.payload()) == record
-
-
-# ----------------------------------------------------------------------
-class TestDedupWindow:
-    def test_put_get(self):
-        window = DedupWindow()
-        assert window.get("t1") is None
-        window.put("t1", "1 row inserted")
-        assert window.get("t1") == "1 row inserted"
-
-    def test_lru_eviction(self):
-        window = DedupWindow(max_tokens=3)
-        for i in range(4):
-            window.put(f"t{i}", str(i))
-        assert window.get("t0") is None  # oldest evicted
-        assert window.get("t3") == "3"
-        assert len(window) == 3
-
-    def test_put_refreshes_recency(self):
-        """Aging is by insertion order: re-putting a token keeps it
-        alive, reads deliberately do not (a token read once more is a
-        retry that just completed — it will not come back)."""
-        window = DedupWindow(max_tokens=2)
-        window.put("a", "1")
-        window.put("b", "2")
-        window.put("a", "1")  # refresh: "b" becomes the eviction candidate
-        window.put("c", "3")
-        assert window.get("a") == "1"
-        assert window.get("b") is None
-
-    def test_seed_and_snapshot(self):
-        window = DedupWindow()
-        window.seed({"a": "1", "b": "2"})
-        assert window.snapshot() == {"a": "1", "b": "2"}
-        window.discard("a")
-        assert window.get("a") is None and window.get("b") == "2"
 
 
 # ----------------------------------------------------------------------

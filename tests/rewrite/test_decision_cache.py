@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench.figures import FIGURES, NEGATIVE_FIGURES
 from repro.engine.table import tables_equal
-from repro.rewrite.cache import RewriteCache, RewriteStats
 
 AST1 = FIGURES["fig02_q1"][1]
 Q1 = FIGURES["fig02_q1"][2]
@@ -143,30 +142,3 @@ class TestFastPathControls:
         db.load("Loc", [])
         assert db.rewrite("select tid from Trans") is None
         assert db.rewrite_stats()["cache_stores"] == 0
-
-
-class TestRewriteCacheUnit:
-    def test_lru_eviction(self):
-        cache = RewriteCache(maxsize=2)
-        stats = RewriteStats()
-        from repro.rewrite.cache import CacheEntry
-
-        enabled = frozenset()
-        for name in ("a", "b", "c"):
-            cache.store(name, CacheEntry(0, enabled, None))
-        assert cache.lookup("a", 0, enabled, stats) is None  # evicted
-        assert cache.lookup("b", 0, enabled, stats) is not None
-        # touching "b" makes "c" the eviction victim next
-        cache.store("d", CacheEntry(0, enabled, None))
-        assert cache.lookup("c", 0, enabled, stats) is None
-        assert cache.lookup("b", 0, enabled, stats) is not None
-
-    def test_stale_epoch_evicted_and_counted(self):
-        from repro.rewrite.cache import CacheEntry
-
-        cache = RewriteCache(maxsize=4)
-        stats = RewriteStats()
-        cache.store("k", CacheEntry(1, frozenset(), None))
-        assert cache.lookup("k", 2, frozenset(), stats) is None
-        assert stats.cache_invalidations == 1
-        assert len(cache) == 0

@@ -78,7 +78,7 @@ class TestReplyBytes:
         server = served()
         with connect(server) as client:
             reply = client.query(GROUPED)
-        [entry] = server.cache._entries.values()
+        [(_, entry)] = server.cache._lru.items()
         assert json.loads(entry.payload)["columns"] == reply.table.columns
         assert server.cache.nbytes == (
             entry.table.nbytes_estimate() + len(entry.payload)
@@ -179,15 +179,39 @@ class TestHitsOnTheLoop:
         server = served()
         with connect(server) as client:
             assert client.query(GROUPED).cache == "miss"
-            before = server._prepared[GROUPED]
+            before = server._prepared.peek(GROUPED)
             client.query(
                 "CREATE SUMMARY TABLE ByAcct AS "
                 "SELECT faid, COUNT(*) AS cnt FROM Trans GROUP BY faid"
             )
             assert client.query(GROUPED).cache == "hit"
-            after = server._prepared[GROUPED]
+            after = server._prepared.peek(GROUPED)
         assert after.epoch == server.db.rewrite_epoch > before.epoch
         assert after.fingerprint_key == before.fingerprint_key
+
+    def test_a_text_past_the_memo_bound_evicts_the_least_recent(
+        self, served, monkeypatch
+    ):
+        server = served()
+        parses = []
+        parse = server_module.parse_statement
+        monkeypatch.setattr(
+            server_module, "parse_statement",
+            lambda sql: parses.append(sql) or parse(sql),
+        )
+        fillers = [f"SELECT faid FROM Trans WHERE faid = {i}" for i in range(4095)]
+        with connect(server) as client:
+            assert client.query(GROUPED).cache == "miss"
+            for text in fillers:  # the memo now holds 4096 texts
+                server._prepare(parse(text), text)
+            assert client.query(GROUPED).cache == "hit"  # hot: refreshed
+            assert client.query(COUNTED).cache == "miss"  # the 4097th text
+            parses.clear()
+            assert client.query(GROUPED).cache == "hit"
+            assert parses == []  # still known: answered on the loop
+        assert server._prepared.peek(fillers[0]) is None
+        assert server._prepared.peek(fillers[1]) is not None
+        assert len(server._prepared) == 4096
 
 
 class TestTracedHit:

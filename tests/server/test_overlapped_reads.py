@@ -40,7 +40,7 @@ def test_every_reply_is_the_state_after_some_prefix_of_the_writes(use_summaries)
     for i in range(WRITES // 2):
         states.append((states[-1][0] - 1, states[-1][1] - i - 1))
 
-    server = QueryServer(db, cache_enabled=False)
+    server = QueryServer(db, cache_size=0)
     server.start_in_thread()
     sent = acked = 0
     failures = []

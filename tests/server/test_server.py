@@ -132,7 +132,7 @@ class TestDifferential:
 
     def test_cache_disabled_is_bypass(self, served):
         db = fresh_small_db()
-        server = served(db, cache_enabled=False)
+        server = served(db, cache_size=0)
         with connect(server) as client:
             sql = "SELECT COUNT(*) AS cnt FROM Trans"
             assert client.query(sql).cache == "bypass"
