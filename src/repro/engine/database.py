@@ -1088,7 +1088,8 @@ class Database:
         return self._rewrite_epoch
 
     def enabled_summary_tables(self) -> list["SummaryTable"]:
-        return [s for s in self.summary_tables.values() if s.enabled]
+        # a snapshot first: a reader runs this while DDL adds or drops one
+        return [s for s in list(self.summary_tables.values()) if s.enabled]
 
     def deferred_summary_tables(self) -> list["SummaryTable"]:
         return [

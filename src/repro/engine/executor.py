@@ -129,7 +129,12 @@ class _Rel:
     """An intermediate relation: one plain value list per column, some
     of them possibly a child table's own lists — nothing here edits a
     column, and the result table built from one is born shared
-    (:meth:`Table.from_columns`), so it copies before its first edit."""
+    (:meth:`Table.from_columns`), so it copies before its first edit.
+
+    Inside a SELECT box a column the box never reads after its local
+    filters (not an output, a join key or a residual predicate) is a
+    ``None`` slot: it keeps its position, so ``index_of`` is unchanged,
+    and every gather (:func:`_take`) skips it."""
 
     __slots__ = ("cols", "nrows")
 
@@ -172,6 +177,11 @@ def _split(sel, size):
     if size is None or n <= size:
         return [sel]
     return [sel[k : k + size] for k in range(0, n, size)]
+
+
+def _take(cols, rows) -> list:
+    """Gather ``rows`` from every column; a ``None`` slot stays ``None``."""
+    return [None if c is None else [c[i] for i in rows] for c in cols]
 
 
 def _make_resolver(cols, index_of):
@@ -324,19 +334,29 @@ class Executor:
         }
 
         local, equijoins, residual = _classify_predicates(box)
+        reads = {ref for join in equijoins for ref in (join.left, join.right)}
+        for expr in chain([q.expr for q in box.outputs], residual):
+            reads.update(expr.column_refs())
 
-        # Filter each child early with its single-quantifier predicates.
+        # Filter each child early with its single-quantifier predicates;
+        # only the columns the box reads afterwards are carried on.
         child_rels: dict[str, _Rel] = {}
         for quantifier in quantifiers:
             table = child_tables[quantifier.name]
             rel = self._rel_of(table)
+            keep = [
+                col if ColumnRef(quantifier.name, name) in reads else None
+                for name, col in zip(table.columns, rel.cols)
+            ]
             predicates = local.get(quantifier.name, [])
             if predicates:
                 index = {
                     ColumnRef(quantifier.name, name): i
                     for i, name in enumerate(table.columns)
                 }
-                rel = self._filter_rel(rel, predicates, index, ctx)
+                rel = self._filter_rel(rel, predicates, index, ctx, keep)
+            else:
+                rel = _Rel(keep, rel.nrows)
             child_rels[quantifier.name] = rel
 
         joined, index_of = self._join_children(
@@ -353,21 +373,25 @@ class Executor:
             ctx.budget.check_rows(out.nrows)
         return self._to_table(box.output_names, out)
 
-    def _filter_rel(self, rel: _Rel, predicates, index_of, ctx: _Ctx) -> _Rel:
-        """Apply predicates as sequential selection passes.
+    def _filter_rel(
+        self, rel: _Rel, predicates, index_of, ctx: _Ctx, keep=None
+    ) -> _Rel:
+        """Apply predicates as sequential selection passes, then gather
+        the surviving rows of ``keep`` (default: all of ``rel``'s
+        columns; the predicates always read ``rel``'s).
 
         Each top-level AND conjunct shrinks the selection before the
         next one runs — the row interpreter's short-circuit order, which
         is what keeps guarded expressions (``y <> 0 AND x / y > 1``)
         from evaluating where they shouldn't."""
+        cols = rel.cols
+        if keep is None:
+            keep = cols
         fns = [
             compile_vector(conjunct)
             for predicate in predicates
             for conjunct in conjuncts(predicate)
         ]
-        if not fns:
-            return rel
-        cols = rel.cols
         resolve = _make_resolver(cols, index_of)
         sel = range(rel.nrows)
         for fn in fns:
@@ -380,8 +404,8 @@ class Executor:
                 ctx.tick(len(chunk))
             sel = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
         if type(sel) is range and len(sel) == rel.nrows:
-            return rel
-        return _Rel([[c[i] for i in sel] for c in cols], len(sel))
+            return _Rel(keep, rel.nrows)
+        return _Rel(_take(keep, sel), len(sel))
 
     def _join_children(
         self, quantifiers, child_tables, child_rels, equijoins, ctx: _Ctx
@@ -538,9 +562,10 @@ class Executor:
             left_take, right_take = build_take, probe_take
         else:
             left_take, right_take = probe_take, build_take
-        cols = [[c[i] for i in left_take] for c in left.cols]
-        cols += [[c[i] for i in right_take] for c in right.cols]
-        return _Rel(cols, len(left_take))
+        return _Rel(
+            _take(left.cols, left_take) + _take(right.cols, right_take),
+            len(left_take),
+        )
 
     def _hash_join_spilled(
         self, build, probe, build_key_cols, probe_key_cols, ctx: _Ctx,
@@ -698,9 +723,8 @@ class Executor:
 
     def _cross_join(self, left: _Rel, right: _Rel, ctx: _Ctx) -> _Rel:
         ln, rn = left.nrows, right.nrows
-        ncols = len(left.cols) + len(right.cols)
         if ln == 0 or rn == 0:
-            return _Rel([[] for _ in range(ncols)], 0)
+            return self._gather_join(left, right, True, [], [])
         left_take: list[int] = []
         right_take: list[int] = []
         right_range = range(rn)
@@ -723,9 +747,7 @@ class Executor:
                     pending = 0
         ctx.stats.batches += 1
         ctx.stats.rows += len(left_take)
-        cols = [[c[i] for i in left_take] for c in left.cols]
-        cols += [[c[i] for i in right_take] for c in right.cols]
-        return _Rel(cols, len(left_take))
+        return self._gather_join(left, right, True, left_take, right_take)
 
     def _project_rel(self, rel: _Rel, exprs: list[Expr], index_of, ctx: _Ctx) -> _Rel:
         cols = rel.cols
@@ -765,7 +787,7 @@ class Executor:
             position += 1
         if len(keep) == rel.nrows:
             return rel
-        return _Rel([[c[i] for i in keep] for c in rel.cols], len(keep))
+        return _Rel(_take(rel.cols, keep), len(keep))
 
     # ------------------------------------------------------------------
     # GROUP-BY boxes

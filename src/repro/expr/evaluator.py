@@ -101,7 +101,10 @@ def _evaluate_nary(expr: NaryOp, resolve: Resolver) -> Any:
     if any(value is None for value in values):
         return None
     if expr.op == "+":
-        return sum(values)
+        total: Any = 0
+        for value in values:
+            total = total + value
+        return total
     if expr.op == "*":
         product: Any = 1
         for value in values:

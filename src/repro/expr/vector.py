@@ -22,8 +22,8 @@ including *where* evaluation happens, not just what it produces:
 Compiled closures have the signature ``fn(resolve, sel) -> list`` where
 ``resolve(ColumnRef)`` returns the full column as a plain value list and
 ``sel`` is a ``range`` or list of row indices; the result is aligned
-with ``sel``.  Compilation is memoized on the (hash-consed) expression
-node.
+with ``sel``.  Compilation is memoized on the expression node and its
+``repr``.
 """
 
 from __future__ import annotations
@@ -69,11 +69,16 @@ _CACHE = LRU(4096)
 
 
 def compile_vector(expr: Expr) -> VectorFn:
-    """Compile ``expr`` into a batch evaluator (memoized)."""
-    fn = _CACHE.get(expr)
+    """Compile ``expr`` into a batch evaluator (memoized).
+
+    The memo key carries ``repr(expr)`` because node equality does not
+    see a literal's type: ``Lit(0) == Lit(-0.0) == Lit(False)``, yet
+    ``x * 0`` and ``x * -0.0`` must not share a kernel."""
+    key = (expr, repr(expr))
+    fn = _CACHE.get(key)
     if fn is None:
         fn = _compile(expr)
-        _CACHE.put(expr, fn)
+        _CACHE.put(key, fn)
     return fn
 
 
@@ -224,31 +229,38 @@ def _compile_nary(expr: NaryOp) -> VectorFn:
         return _compile_kleene(fns, short_on=False)
     if expr.op == "or":
         return _compile_kleene(fns, short_on=True)
+    # ``+`` and ``*`` are left folds, one comprehension per operand: the
+    # first step computes ``0 + a + b`` (``1 * a * b``), each later operand
+    # folds in.  These are exactly the row evaluator's operations, so
+    # ``-0.0``, bools and int/float mixes come out bit-identical.
     if expr.op == "+":
 
-        def run_add(resolve, sel, _fns=fns):
-            columns = [fn(resolve, sel) for fn in _fns]
-            return [
-                None if any(v is None for v in values) else sum(values)
-                for values in zip(*columns)
+        def run_add(resolve, sel, _a=fns[0], _b=fns[1], _rest=fns[2:]):
+            out = [
+                None if a is None or b is None else 0 + a + b
+                for a, b in zip(_a(resolve, sel), _b(resolve, sel))
             ]
+            for fn in _rest:
+                out = [
+                    None if a is None or b is None else a + b
+                    for a, b in zip(out, fn(resolve, sel))
+                ]
+            return out
 
         return run_add
 
     if expr.op == "*":
 
-        def run_mul(resolve, sel, _fns=fns):
-            columns = [fn(resolve, sel) for fn in _fns]
-            out = []
-            append = out.append
-            for values in zip(*columns):
-                if any(v is None for v in values):
-                    append(None)
-                    continue
-                product: Any = 1
-                for value in values:
-                    product = product * value
-                append(product)
+        def run_mul(resolve, sel, _a=fns[0], _b=fns[1], _rest=fns[2:]):
+            out = [
+                None if a is None or b is None else 1 * a * b
+                for a, b in zip(_a(resolve, sel), _b(resolve, sel))
+            ]
+            for fn in _rest:
+                out = [
+                    None if a is None or b is None else a * b
+                    for a, b in zip(out, fn(resolve, sel))
+                ]
             return out
 
         return run_mul

@@ -4,12 +4,11 @@ The paper delegates "should this AST actually be used" to prior work
 ([2]); we implement the standard size-based heuristic: a rewrite is
 accepted only when the data scanned after the rewrite (summary-table rows
 plus any rejoined dimension rows) is smaller than the data it replaces
-(the base rows the matched query box would have scanned), by at least a
-configurable factor.
+(the base rows the matched query box would have scanned), or equal to it.
 
 Usage::
 
-    planner = CostPlanner(db, min_speedup=1.0)
+    planner = CostPlanner(db)
     result = rewrite_query(graph, db.enabled_summary_tables(),
                            accept=planner.accept)
 """
@@ -40,9 +39,8 @@ class CostEstimate:
 class CostPlanner:
     """Accept/reject rewrites by estimated scan volume."""
 
-    def __init__(self, database, min_speedup: float = 1.0):
+    def __init__(self, database):
         self._database = database
-        self.min_speedup = min_speedup
         self.decisions: list[tuple[str, CostEstimate, bool]] = []
 
     def estimate(self, summary: SummaryTable, match: MatchResult) -> CostEstimate:
@@ -54,7 +52,7 @@ class CostPlanner:
 
     def accept(self, summary: SummaryTable, match: MatchResult) -> bool:
         estimate = self.estimate(summary, match)
-        decision = estimate.speedup >= self.min_speedup
+        decision = estimate.speedup >= 1.0
         self.decisions.append((summary.name, estimate, decision))
         return decision
 

@@ -5,10 +5,15 @@ from __future__ import annotations
 import datetime
 
 import pytest
+from hypothesis import settings
 
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.workloads import populate_credit_db, small_config
+
+# ``--hypothesis-profile=chaos`` (CI's chaos job) runs the properties that
+# read their count from the active profile at 3 000 examples.
+settings.register_profile("chaos", max_examples=3000, deadline=None)
 
 
 @pytest.fixture

@@ -1,8 +1,16 @@
 """End-to-end executor behaviour over the tiny hand-checked database."""
 
+import datetime
+
 import pytest
 
+from repro.catalog import credit_card_catalog
+from repro.engine import Database
+from repro.engine.reference import ReferenceExecutor
+from repro.engine.table import Table, tables_equal
 from repro.errors import ExecutionError
+from repro.qgm import build_graph
+from repro.resources.broker import BROKER
 
 
 def rows(db, sql):
@@ -293,3 +301,79 @@ class TestHashJoinBuildSide:
         assert len(builds) == 1
         assert builds[0]["build_rows"] == 2
         assert builds[0]["probe_rows"] == 3
+
+
+class _Unreadable(list):
+    """A column no query below reads: indexing it fails the test."""
+
+    def __getitem__(self, index):
+        raise AssertionError("the executor indexed an unread column")
+
+
+class TestColumnPruning:
+    """A SELECT box gathers only the columns it reads after its local
+    filters; an unread column is never indexed, on any join path."""
+
+    @staticmethod
+    def _db():
+        db = Database(credit_card_catalog())
+        db.load("PGroup", [(1, "TV"), (2, "Radio")])
+        db.load("Cust", [(1, "Alice", "CA")])
+        db.load("Acct", [(10, 1, "gold"), (20, 1, "silver")])
+        locs = [
+            (1, "San Jose", "CA", "USA"),
+            (2, "Paris", "IdF", "France"),
+            (3, "Austin", "TX", "USA"),
+        ]
+        trans = [
+            (t, t % 2 + 1, t % 3 + 1, 10 * (t % 2 + 1),
+             datetime.date(1990 + t % 3, t % 12 + 1, 15),
+             t % 4, 10.0 * t + 0.5, 0.1 * (t % 5))
+            for t in range(1, 41)
+        ]
+        # The lists are adopted, not copied: Loc.city and Trans.disc are
+        # the unread columns every query below must leave alone.
+        for name, data, unread in [("Loc", locs, 1), ("Trans", trans, 7)]:
+            columns = [list(c) for c in zip(*data)]
+            columns[unread] = _Unreadable(columns[unread])
+            schema = db.catalog.table(name)
+            db.tables[name.lower()] = Table.from_columns(
+                [c.name for c in schema.columns], columns
+            )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql,max_mem",
+        [
+            ("select tid, qty from Trans where price > 100", None),
+            ("select tid, state from Trans, Loc where flid = lid and qty > 1",
+             None),
+            ("select tid, state from Trans, Loc where tid < 4", None),
+            ("select state, count(*) as c, sum(qty * price) as v "
+             "from Trans, Loc where flid = lid group by state", 1),
+            ("select distinct faid, flid from Trans where qty > 0", None),
+            ("select count(*) as c from Trans where qty > 1", None),
+            ("select t1.tid, t2.tid from Trans t1, Trans t2 "
+             "where t1.faid = t2.faid and t1.tid < t2.tid and t1.qty = 2",
+             None),
+            ("select flid, count(*) / (select count(*) from Trans) as cntpct "
+             "from Trans, Loc where flid = lid and country = 'USA' "
+             "group by flid having count(*) > 2", None),
+        ],
+        ids=[
+            "filter", "hash-join", "cross-join", "spilled-join-group-by",
+            "distinct", "count-star", "self-join", "fig11_q10",
+        ],
+    )
+    def test_unread_column_is_never_indexed(self, sql, max_mem):
+        db = self._db()
+        expected = ReferenceExecutor(db.tables).run(build_graph(sql, db.catalog))
+        BROKER.reset()
+        try:
+            result = db.execute(sql, use_summary_tables=False, max_mem=max_mem)
+        finally:
+            BROKER.reset()
+        assert len(result) > 0
+        assert tables_equal(result, expected), sql
+        if max_mem is not None:
+            assert db.metrics.get("executor_spill_count").value >= 2

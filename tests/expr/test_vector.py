@@ -4,7 +4,8 @@
 :func:`repro.expr.evaluator.evaluate` element-for-element — including
 NULL propagation, Kleene logic, and *where* evaluation happens
 (short-circuits become shrinking selection vectors, so guarded
-divisions raise in neither engine).
+divisions raise in neither engine).  Values are compared bit for bit,
+as ``(type, repr)``: ``==`` would let ``-0.0`` pass for ``0``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ X = ColumnRef(None, "x")
 Y = ColumnRef(None, "y")
 S = ColumnRef(None, "s")
 D = ColumnRef(None, "d")
+F = ColumnRef(None, "f")
+B = ColumnRef(None, "b")
 
 COLUMNS = {
     "x": [1, None, 3, -4, 0, 7, None, 2],
@@ -49,6 +52,8 @@ COLUMNS = {
         None,
         datetime.date(1995, 1, 15),
     ],
+    "f": [0.5, -0.0, 0.0, 1e16, 0.1, None, -0.0, 0.1],
+    "b": [True, False, None, True, False, True, None, False],
 }
 NROWS = len(COLUMNS["x"])
 
@@ -56,13 +61,16 @@ NROWS = len(COLUMNS["x"])
 def vector_values(expr, sel=None):
     sel = range(NROWS) if sel is None else sel
     fn = compile_vector(expr)
-    return list(fn(lambda ref: COLUMNS[ref.name], sel))
+    return [(type(v), repr(v)) for v in fn(lambda ref: COLUMNS[ref.name], sel)]
 
 
 def row_values(expr, sel=None):
     sel = range(NROWS) if sel is None else sel
     return [
-        evaluate(expr, lambda ref: COLUMNS[ref.name][i]) for i in sel
+        (type(v), repr(v))
+        for v in (
+            evaluate(expr, lambda ref: COLUMNS[ref.name][i]) for i in sel
+        )
     ]
 
 
@@ -81,6 +89,11 @@ EXPRESSIONS = [
     BinaryOp("-", X, Literal(1)),
     NaryOp("+", (X, Y, Literal(10))),
     NaryOp("*", (X, X)),
+    NaryOp("+", (F, F)),
+    NaryOp("+", (F, X, B, F)),
+    NaryOp("*", (F, Literal(-0.0))),
+    NaryOp("*", (B, X, F, Literal(0.1))),
+    NaryOp("+", (B, B)),
     UnaryOp("-", X),
     UnaryOp("not", BinaryOp("<", X, Y)),
     IsNull(X),
@@ -175,15 +188,21 @@ def test_conjuncts_split_and_round_trip():
         fn = compile_vector(part)
         vals = fn(lambda ref: COLUMNS[ref.name], sel)
         sel = [i for i, v in zip(sel, vals) if v is True]
-    assert sel == [i for i, v in enumerate(row_values(whole)) if v is True]
+    assert sel == [
+        i for i, v in enumerate(row_values(whole)) if v == (bool, "True")
+    ]
 
 
 # ----------------------------------------------------------------------
-# Property: random comparison/arithmetic/logic trees with NULL-laden
-# integer columns agree with the row interpreter.
+# Property: random comparison/arithmetic/logic trees over NULL-laden
+# integer, float and bool columns agree with the row interpreter.
 # ----------------------------------------------------------------------
 _LEAVES = st.sampled_from(
-    [X, Y, Literal(0), Literal(2), Literal(-3), NULL]
+    [
+        X, Y, F, B, NULL,
+        Literal(0), Literal(2), Literal(-3),
+        Literal(-0.0), Literal(0.5), Literal(1e16),
+    ]
 )
 
 
@@ -194,7 +213,7 @@ def _trees(children):
         ),
         st.tuples(
             st.sampled_from(["+", "*"]),
-            st.lists(children, min_size=2, max_size=3),
+            st.lists(children, min_size=2, max_size=4),
         ).map(lambda t: NaryOp(t[0], tuple(t[1]))),
         st.tuples(
             st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
@@ -213,7 +232,9 @@ def _trees(children):
 _EXPRS = st.recursive(_LEAVES, _trees, max_leaves=12)
 
 
-@settings(max_examples=150, deadline=None)
+# The count comes from the active profile (``--hypothesis-profile=chaos``
+# runs 3 000), never fewer than the 150 tier-1 has always run.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(expr=_EXPRS)
 def test_random_trees_match_row_interpreter(expr):
     try:

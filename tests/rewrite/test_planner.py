@@ -17,7 +17,7 @@ class TestCostEstimate:
 class TestPlanner:
     def test_accepts_profitable_rewrite(self, tiny_db):
         tiny_db.create_summary_table("S1", AST)
-        planner = CostPlanner(tiny_db, min_speedup=1.0)
+        planner = CostPlanner(tiny_db)
         graph = tiny_db.bind(QUERY)
         result = rewrite_query(
             graph, tiny_db.enabled_summary_tables(), accept=planner.accept
@@ -25,15 +25,25 @@ class TestPlanner:
         assert result is not None
         assert planner.decisions and planner.decisions[0][2] is True
 
-    def test_rejects_when_threshold_too_high(self, tiny_db):
-        tiny_db.create_summary_table("S1", AST)
-        planner = CostPlanner(tiny_db, min_speedup=1e9)
-        graph = tiny_db.bind(QUERY)
+    def test_rejects_a_summary_larger_than_its_base(self, tiny_db):
+        # Three grouping sets over six Trans rows: 6 + 2 + 1 = 9 summary
+        # rows replace 6 base rows, a speedup of 2/3.
+        tiny_db.create_summary_table(
+            "S1",
+            "select tid, faid, count(*) as cnt from Trans "
+            "group by grouping sets ((tid), (faid), ())",
+        )
+        query = "select tid, count(*) as n from Trans group by tid"
+        summaries = tiny_db.enabled_summary_tables()
+        assert rewrite_query(tiny_db.bind(query), summaries) is not None
+        planner = CostPlanner(tiny_db)
         result = rewrite_query(
-            graph, tiny_db.enabled_summary_tables(), accept=planner.accept
+            tiny_db.bind(query), summaries, accept=planner.accept
         )
         assert result is None
-        assert planner.decisions[0][2] is False
+        (_, estimate, decision), = planner.decisions
+        assert (estimate.replaced_rows, estimate.rewritten_rows) == (6, 9)
+        assert estimate.speedup < 1.0 and decision is False
 
     def test_estimate_counts_rejoin_rows(self, tiny_db):
         tiny_db.create_summary_table(
