@@ -33,6 +33,7 @@ Execution model (docs/EXECUTOR.md):
 from __future__ import annotations
 
 import time
+from collections import Counter
 from itertools import chain
 from typing import Mapping
 
@@ -44,7 +45,7 @@ from repro.errors import (
     MemoryBudgetExceeded,
     QueryResourceError,
 )
-from repro.expr.vector import compile_vector, conjuncts
+from repro.expr.vector import compile_filter, compile_vector, conjuncts, view
 from repro.governor import scope as governor_scope
 from repro.resources import spill as _spill
 from repro.testing import faults
@@ -388,7 +389,7 @@ class Executor:
         if keep is None:
             keep = cols
         fns = [
-            compile_vector(conjunct)
+            compile_filter(conjunct)
             for predicate in predicates
             for conjunct in conjuncts(predicate)
         ]
@@ -399,8 +400,7 @@ class Executor:
                 break
             parts = []
             for chunk in _split(sel, ctx.chunk):
-                values = fn(resolve, chunk)
-                parts.append([i for i, v in zip(chunk, values) if v is True])
+                parts.append(fn(resolve, chunk))
                 ctx.tick(len(chunk))
             sel = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
         if type(sel) is range and len(sel) == rel.nrows:
@@ -903,45 +903,55 @@ class Executor:
         return _Rel(out_cols, ngroups)
 
     def _cuboid_pass(self, key_cols, specs, rel: _Rel, rows, ctx: _Ctx):
-        """One group-by pass over ``rows`` (ascending row indices — every
-        row in memory, one partition's when spilling): first-seen key
-        order, a group id per row, then one tight kernel loop per
-        aggregate.  Returns ``(keys in order, each key's first row
-        index, per-spec partial states)``; the first rows let the spill
-        merge restore the whole input's first-seen order."""
+        """One group-by pass over ``rows`` (every row in memory as a
+        ``range``, one partition's ascending row indices when spilling):
+        first-seen key order, a group id per row, then one tight kernel
+        loop per aggregate.  Returns ``(keys in order, each key's first
+        row index, per-spec partial states)``; the first rows let the
+        spill merge restore the whole input's first-seen order.
+
+        Key columns are read in place (:func:`view`): zipped whole, or
+        sliced to one morsel; only an index list gathers.  A single key
+        whose aggregates are all ``COUNT(*)`` is counted by ``Counter``
+        (first-seen order too) and, being a ``range`` pass, returns no
+        first rows."""
+        nkeys = len(key_cols)
+        if (
+            nkeys == 1
+            and type(rows) is range
+            and all(kind == "count*" and not distinct
+                    for _, _, _, kind, distinct in specs)
+        ):
+            counts: Counter = Counter()
+            for chunk in _split(rows, ctx.chunk):
+                counts.update(view(key_cols[0], chunk))
+                ctx.tick(len(chunk))
+            return list(counts), None, [list(counts.values()) for _ in specs]
         group_of: dict = {}
         order: list = []
         first_at: list[int] = []  # position in ``rows`` of each new key
         gids: list[int] = []
         gid_append = gids.append
-        nkeys = len(key_cols)
+        get = group_of.get
         for chunk in _split(rows, ctx.chunk):
-            if nkeys == 1:
-                col = key_cols[0]
-                get = group_of.get
-                for i in chunk:
-                    value = col[i]
-                    gid = get(value)
-                    if gid is None:
-                        gid = group_of[value] = len(order)
-                        order.append(value)
-                        first_at.append(len(gids))
-                    gid_append(gid)
-            elif nkeys == 0:
+            if nkeys == 0:
                 if not order and len(chunk):
                     order.append(())
                     first_at.append(0)
                 gids.extend([0] * len(chunk))
+                ctx.tick(len(chunk))
+                continue
+            if nkeys == 1:
+                keys = view(key_cols[0], chunk)
             else:
-                gathered = [[col[i] for i in chunk] for col in key_cols]
-                get = group_of.get
-                for key in zip(*gathered):
-                    gid = get(key)
-                    if gid is None:
-                        gid = group_of[key] = len(order)
-                        order.append(key)
-                        first_at.append(len(gids))
-                    gid_append(gid)
+                keys = zip(*[view(col, chunk) for col in key_cols])
+            for key in keys:
+                gid = get(key)
+                if gid is None:
+                    gid = group_of[key] = len(order)
+                    order.append(key)
+                    first_at.append(len(gids))
+                gid_append(gid)
             ctx.tick(len(chunk))
         ngroups = len(order)
         states = []

@@ -10,10 +10,12 @@ in scalar context is a programming error and raises.
 
 This module is the *semantic reference*: one row at a time, one
 interpreter dispatch per node. The batch executor instead compiles
-expressions with :mod:`repro.expr.vector` into per-batch closures;
-``tests/expr/test_vector.py`` holds the two element-for-element equal
-(including where evaluation happens — guarded divisions raise in
-neither). Change semantics here and the vector compiler must follow.
+each expression with :mod:`repro.expr.vector` into one generated list
+comprehension per batch, evaluating what this module evaluates in the
+same order; ``tests/expr/test_vector.py`` holds the two
+element-for-element equal (including where evaluation happens — guarded
+divisions raise in neither, and the same trees raise the same error).
+Change semantics here and the code generator must follow.
 """
 
 from __future__ import annotations

@@ -1,35 +1,44 @@
 """Vectorized expression compilation for the batch executor.
 
 :func:`compile_vector` turns an :class:`~repro.expr.nodes.Expr` tree into
-a closure evaluated once per **batch** instead of once per row: the tree
-is walked a single time at compile, and the resulting function computes a
-whole column of values for a *selection vector* of row indices.  The
-per-row cost drops from a full interpreter dispatch per node to one list
-comprehension per node.
+a kernel evaluated once per **batch** instead of once per row: the tree is
+generated as Python source for **one** list comprehension over the zipped
+columns it reads, and compiled.  :func:`compile_filter` does the same for
+a predicate and returns the row numbers where it is TRUE.  Either way a
+row costs one pass of compiled bytecode, with no interpreter dispatch per
+node and no intermediate list per node.
 
-Semantics are identical to :func:`repro.expr.evaluator.evaluate` —
-including *where* evaluation happens, not just what it produces:
+A generated row evaluates exactly what :func:`repro.expr.evaluator.evaluate`
+evaluates, in the same order — not just the same values:
 
-* SQL's 3-valued logic (NULL propagation, Kleene AND/OR) is preserved
-  element-wise.
-* Evaluation *sets* are preserved.  The row interpreter short-circuits:
-  AND stops at the first False operand, ``x IN (...)`` never evaluates
-  the item list for a NULL operand, CASE evaluates a THEN branch only
-  for rows whose condition matched.  The compiled closures mirror this
-  with shrinking selection vectors, so a guarded expression that would
+* Strict nodes (arithmetic, comparisons, functions, unary ``-``/NOT,
+  IS NULL) bind every compound operand with ``:=`` and join the NULL
+  tests with ``|``, never ``or``, so every operand runs, left to right,
+  before NULL propagates.
+* AND, OR, CASE and IN are chains of conditional expressions, each
+  stopping where the evaluator stops: AND at the first False operand,
+  ``x IN (...)`` at the first equal item and never for a NULL operand,
+  CASE at the first TRUE condition.  A guarded expression that would
   divide by zero on excluded rows raises in neither engine.
+* ``/`` and ``%`` call helpers raising the evaluator's ``ExecutionError``;
+  ``year``/``month``/``day`` read the date's attribute.
 
-Compiled closures have the signature ``fn(resolve, sel) -> list`` where
+No value of the query reaches the source: constants, function
+implementations and helpers are arguments of a generated factory, so the
+text depends only on the tree's shape, and the compiled factory is
+memoised by that text — ``x > 1.5`` and ``x > 2.5`` share one
+``compile()``.
+
+Kernels have the signature ``fn(resolve, sel) -> list`` where
 ``resolve(ColumnRef)`` returns the full column as a plain value list and
-``sel`` is a ``range`` or list of row indices; the result is aligned
-with ``sel``.  Compilation is memoized on the expression node and its
-``repr``.
+``sel`` is a ``range`` or list of row indices; a :func:`compile_vector`
+result is aligned with ``sel``, a :func:`compile_filter` result is the
+sub-list of ``sel`` that passes.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.expr.functions import lookup_function
@@ -53,33 +62,30 @@ ColumnResolver = Callable[[ColumnRef], list]
 #: a compiled expression: (resolve, selection) -> values aligned with sel
 VectorFn = Callable[[ColumnResolver, Sequence[int]], list]
 
-_COMPARISONS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+#: SQL binary operator → Python operator (``/`` and ``%`` are helpers)
+_BINARY = {
+    "-": "-", "=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
+#: functions whose row evaluator is ``d.<name>``
+_DATE_PARTS = ("year", "month", "day")
 
-#: memoized compilations; expressions are hash-consed (PR 1), so this is
-#: effectively keyed by structure.  Compilation is cheap, the cache only
-#: needs to cover a working set of hot queries.
-_CACHE = LRU(4096)
+#: kernels by (node, ``repr``, filter?); node equality does not see a
+#: literal's type (``Lit(0) == Lit(-0.0) == Lit(False)``), so the memo key
+#: carries the ``repr`` too: ``x * 0`` and ``x * -0.0`` must not share one
+_KERNELS = LRU(4096)
+#: generated factories by source text: one ``compile()`` per tree shape
+_CODE = LRU(1024)
 
 
 def compile_vector(expr: Expr) -> VectorFn:
-    """Compile ``expr`` into a batch evaluator (memoized).
+    """Compile ``expr`` into a batch evaluator (memoized)."""
+    return _kernel(expr, False)
 
-    The memo key carries ``repr(expr)`` because node equality does not
-    see a literal's type: ``Lit(0) == Lit(-0.0) == Lit(False)``, yet
-    ``x * 0`` and ``x * -0.0`` must not share a kernel."""
-    key = (expr, repr(expr))
-    fn = _CACHE.get(key)
-    if fn is None:
-        fn = _compile(expr)
-        _CACHE.put(key, fn)
-    return fn
+
+def compile_filter(expr: Expr) -> VectorFn:
+    """Compile predicate ``expr`` into ``fn(resolve, sel)`` returning the
+    indices of ``sel`` where it is TRUE, in order (memoized)."""
+    return _kernel(expr, True)
 
 
 def conjuncts(expr: Expr) -> list[Expr]:
@@ -97,366 +103,247 @@ def conjuncts(expr: Expr) -> list[Expr]:
     return [expr]
 
 
-def _gather(column: list, sel) -> list:
-    """Column values at ``sel``; zero-copy when ``sel`` is the identity."""
-    if type(sel) is range and len(sel) == len(column):
-        return column
+def view(column: list, sel):
+    """``column`` at ``sel``, for one pass: the list itself for the
+    identity range, a slice for a sub-range, a gather for an index list."""
+    if type(sel) is range:
+        if len(sel) == len(column):
+            return column
+        return column[sel.start : sel.stop : sel.step]
     return [column[i] for i in sel]
 
 
-# ----------------------------------------------------------------------
-# Node compilers
-# ----------------------------------------------------------------------
-def _compile(expr: Expr) -> VectorFn:
-    if isinstance(expr, Literal):
-        value = expr.value
-
-        def run_literal(resolve, sel, _v=value):
-            return [_v] * len(sel)
-
-        return run_literal
-
-    if isinstance(expr, ColumnRef):
-
-        def run_column(resolve, sel, _ref=expr):
-            return _gather(resolve(_ref), sel)
-
-        return run_column
-
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr)
-    if isinstance(expr, NaryOp):
-        return _compile_nary(expr)
-    if isinstance(expr, UnaryOp):
-        return _compile_unary(expr)
-    if isinstance(expr, IsNull):
-        return _compile_is_null(expr)
-    if isinstance(expr, InList):
-        return _compile_in_list(expr)
-    if isinstance(expr, CaseWhen):
-        return _compile_case(expr)
-    if isinstance(expr, FuncCall):
-        return _compile_function(expr)
-    if isinstance(expr, AggCall):
-        raise ExecutionError(f"aggregate {expr!r} outside GROUP-BY context")
-    raise ExecutionError(f"cannot evaluate expression node {expr!r}")
+def _divide(a, b):
+    if b == 0:
+        raise ExecutionError("division by zero")
+    return a / b
 
 
-def _compile_binary(expr: BinaryOp) -> VectorFn:
-    left = compile_vector(expr.left)
-    right = compile_vector(expr.right)
-    op = expr.op
-    comparison = _COMPARISONS.get(op)
-    if comparison is not None:
-        # Constant-operand fast paths skip a zip and a None test per row.
-        if isinstance(expr.right, Literal) and expr.right.value is not None:
-            rv = expr.right.value
-
-            def run_cmp_rconst(resolve, sel, _f=left, _op=comparison, _rv=rv):
-                return [
-                    None if a is None else _op(a, _rv)
-                    for a in _f(resolve, sel)
-                ]
-
-            return run_cmp_rconst
-        if isinstance(expr.left, Literal) and expr.left.value is not None:
-            lv = expr.left.value
-
-            def run_cmp_lconst(resolve, sel, _f=right, _op=comparison, _lv=lv):
-                return [
-                    None if b is None else _op(_lv, b)
-                    for b in _f(resolve, sel)
-                ]
-
-            return run_cmp_lconst
-
-        def run_cmp(resolve, sel, _l=left, _r=right, _op=comparison):
-            return [
-                None if a is None or b is None else _op(a, b)
-                for a, b in zip(_l(resolve, sel), _r(resolve, sel))
-            ]
-
-        return run_cmp
-
-    if op == "-":
-
-        def run_sub(resolve, sel, _l=left, _r=right):
-            return [
-                None if a is None or b is None else a - b
-                for a, b in zip(_l(resolve, sel), _r(resolve, sel))
-            ]
-
-        return run_sub
-
-    if op == "/":
-
-        def run_div(resolve, sel, _l=left, _r=right):
-            out = []
-            append = out.append
-            for a, b in zip(_l(resolve, sel), _r(resolve, sel)):
-                if a is None or b is None:
-                    append(None)
-                elif b == 0:
-                    raise ExecutionError("division by zero")
-                else:
-                    append(a / b)
-            return out
-
-        return run_div
-
-    if op == "%":
-
-        def run_mod(resolve, sel, _l=left, _r=right):
-            out = []
-            append = out.append
-            for a, b in zip(_l(resolve, sel), _r(resolve, sel)):
-                if a is None or b is None:
-                    append(None)
-                elif b == 0:
-                    raise ExecutionError("division by zero in %")
-                else:
-                    append(a % b)
-            return out
-
-        return run_mod
-
-    raise ExecutionError(f"unknown binary operator {op!r}")
+def _modulo(a, b):
+    if b == 0:
+        raise ExecutionError("division by zero in %")
+    return a % b
 
 
-def _compile_nary(expr: NaryOp) -> VectorFn:
-    fns = [compile_vector(operand) for operand in expr.operands]
-    if expr.op == "and":
-        return _compile_kleene(fns, short_on=False)
-    if expr.op == "or":
-        return _compile_kleene(fns, short_on=True)
-    # ``+`` and ``*`` are left folds, one comprehension per operand: the
-    # first step computes ``0 + a + b`` (``1 * a * b``), each later operand
-    # folds in.  These are exactly the row evaluator's operations, so
-    # ``-0.0``, bools and int/float mixes come out bit-identical.
-    if expr.op == "+":
-
-        def run_add(resolve, sel, _a=fns[0], _b=fns[1], _rest=fns[2:]):
-            out = [
-                None if a is None or b is None else 0 + a + b
-                for a, b in zip(_a(resolve, sel), _b(resolve, sel))
-            ]
-            for fn in _rest:
-                out = [
-                    None if a is None or b is None else a + b
-                    for a, b in zip(out, fn(resolve, sel))
-                ]
-            return out
-
-        return run_add
-
-    if expr.op == "*":
-
-        def run_mul(resolve, sel, _a=fns[0], _b=fns[1], _rest=fns[2:]):
-            out = [
-                None if a is None or b is None else 1 * a * b
-                for a, b in zip(_a(resolve, sel), _b(resolve, sel))
-            ]
-            for fn in _rest:
-                out = [
-                    None if a is None or b is None else a * b
-                    for a, b in zip(out, fn(resolve, sel))
-                ]
-            return out
-
-        return run_mul
-
-    raise ExecutionError(f"unknown n-ary operator {expr.op!r}")
+def _kernel(expr: Expr, is_filter: bool) -> VectorFn:
+    key = (expr, repr(expr), is_filter)
+    fn = _KERNELS.get(key)
+    if fn is None:
+        emitter = _Emitter()
+        body, _ = emitter.emit(expr)
+        source = _source(body, len(emitter.refs), len(emitter.args), is_filter)
+        make = _CODE.get(source)
+        if make is None:
+            namespace: dict = {}
+            exec(compile(source, "<repro.expr.vector>", "exec"), namespace)
+            make = namespace["make"]
+            _CODE.put(source, make)
+        fn = make(view, tuple(emitter.refs), tuple(emitter.args))
+        _KERNELS.put(key, fn)
+    return fn
 
 
-def _compile_kleene(fns: list[VectorFn], short_on: bool) -> VectorFn:
-    """Kleene AND (``short_on=False``) / OR (``short_on=True``) with the
-    interpreter's evaluation set: a row whose result is already decided
-    (False for AND, True for OR) drops out of the selection before the
-    next operand runs."""
-    undecided = not short_on  # AND starts at True, OR at False
-
-    def run(resolve, sel):
-        out: list = [undecided] * len(sel)
-        positions = range(len(sel))
-        indices = sel
-        for fn in fns:
-            if not len(indices):
-                break
-            values = fn(resolve, indices)
-            still = []
-            for pos, value in zip(positions, values):
-                if value is short_on:
-                    out[pos] = short_on
-                else:
-                    if value is None:
-                        out[pos] = None
-                    still.append(pos)
-            if len(still) != len(values):
-                positions = still
-                indices = [sel[p] for p in still]
-        return out
-
-    return run
-
-
-def _compile_unary(expr: UnaryOp) -> VectorFn:
-    operand = compile_vector(expr.operand)
-    if expr.op == "-":
-
-        def run_neg(resolve, sel, _f=operand):
-            return [None if v is None else -v for v in _f(resolve, sel)]
-
-        return run_neg
-
-    if expr.op == "not":
-
-        def run_not(resolve, sel, _f=operand):
-            return [None if v is None else not v for v in _f(resolve, sel)]
-
-        return run_not
-
-    raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-
-def _compile_is_null(expr: IsNull) -> VectorFn:
-    operand = compile_vector(expr.operand)
-    if expr.negated:
-
-        def run_not_null(resolve, sel, _f=operand):
-            return [v is not None for v in _f(resolve, sel)]
-
-        return run_not_null
-
-    def run_is_null(resolve, sel, _f=operand):
-        return [v is None for v in _f(resolve, sel)]
-
-    return run_is_null
-
-
-def _compile_in_list(expr: InList) -> VectorFn:
-    operand = compile_vector(expr.operand)
-    negated = expr.negated
-    literals = [
-        item.value for item in expr.items if isinstance(item, Literal)
+def _source(body: str, ncols: int, nargs: int, is_filter: bool) -> str:
+    """The factory around one comprehension: ``make(view, refs, args)``
+    binds ``r<k>``/``a<k>`` and returns ``kernel(resolve, sel)``, whose
+    loop variable ``c<k>`` is column ``r<k>`` at ``sel``."""
+    cols = [f"c{k}" for k in range(ncols)]
+    views = [f"view(resolve(r{k}), sel)" for k in range(ncols)]
+    if is_filter:
+        targets = ", ".join(["i", *cols])
+        rows = f"zip(sel, {', '.join(views)})" if cols else "sel"
+        comprehension = f"[i for {targets} in {rows} if {body} is True]"
+    else:
+        if ncols > 1:
+            targets, rows = ", ".join(cols), f"zip({', '.join(views)})"
+        elif ncols:
+            targets, rows = cols[0], views[0]
+        else:
+            targets, rows = "_", "sel"
+        comprehension = f"[{body} for {targets} in {rows}]"
+    lines = ["def make(view, refs, args):"]
+    if ncols:
+        lines.append("    " + "".join(f"r{k}, " for k in range(ncols)) + "= refs")
+    if nargs:
+        lines.append("    " + "".join(f"a{k}, " for k in range(nargs)) + "= args")
+    lines += [
+        "    def kernel(resolve, sel):",
+        f"        return {comprehension}",
+        "    return kernel",
     ]
-    if len(literals) == len(expr.items):
-        # All-literal item list: one membership probe per row.  A literal
-        # NULL item can only turn a miss into UNKNOWN, never a hit.
-        saw_null = any(value is None for value in literals)
-        try:
-            members: Any = frozenset(v for v in literals if v is not None)
-        except TypeError:  # unhashable literal (never parsed today)
-            members = [v for v in literals if v is not None]
+    return "\n".join(lines) + "\n"
 
-        def run_in_literals(
-            resolve, sel, _f=operand, _m=members, _null=saw_null, _neg=negated
-        ):
-            out = []
-            append = out.append
-            for value in _f(resolve, sel):
-                if value is None:
-                    append(None)
-                elif value in _m:
-                    append(not _neg)
-                elif _null:
-                    append(None)
-                else:
-                    append(_neg)
-            return out
 
-        return run_in_literals
+class _Emitter:
+    """Source for one row of an expression tree.
 
-    item_fns = [compile_vector(item) for item in expr.items]
+    :meth:`emit` returns ``(code, nullable)``: ``code`` is a name — a
+    column's loop variable ``c<k>``, a factory argument ``a<k>`` or
+    ``None`` — or a parenthesised expression; ``nullable`` is False only
+    where the value can never be NULL."""
 
-    def run_in(resolve, sel, _f=operand, _items=item_fns, _neg=negated):
-        values = _f(resolve, sel)
-        # The interpreter never evaluates the item list for NULL
-        # operands; restrict the item columns the same way.
-        probe = [i for i, v in zip(sel, values) if v is not None]
-        item_columns = [fn(resolve, probe) for fn in _items]
-        out: list = []
-        append = out.append
-        probe_pos = 0
-        for value in values:
-            if value is None:
-                append(None)
-                continue
-            found = False
-            saw_null = False
-            for column in item_columns:
-                item_value = column[probe_pos]
-                if item_value is None:
-                    saw_null = True
-                elif item_value == value:
-                    found = True
-                    break
-            probe_pos += 1
-            if found:
-                append(not _neg)
-            elif saw_null:
-                append(None)
+    def __init__(self):
+        #: columns read, in order of first use → loop variable
+        self.refs: dict[ColumnRef, str] = {}
+        #: factory arguments: constants, implementations, helpers
+        self.args: list = []
+        self._temps = 0
+
+    def _arg(self, value) -> str:
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
+
+    def _bind(self, code: str) -> tuple[str, str]:
+        """``(first use, later uses)`` of ``code``: a compound operand is
+        bound to a temporary where it is first evaluated."""
+        if code.isidentifier():
+            return code, code
+        name = f"t{self._temps}"
+        self._temps += 1
+        return f"({name} := {code})", name
+
+    def emit(self, expr: Expr) -> tuple[str, bool]:
+        if isinstance(expr, Literal):
+            if expr.value is None:
+                return "None", True
+            return self._arg(expr.value), False
+        if isinstance(expr, ColumnRef):
+            name = self.refs.get(expr)
+            if name is None:
+                name = self.refs[expr] = f"c{len(self.refs)}"
+            return name, True
+        if isinstance(expr, BinaryOp):
+            op = expr.op
+            if op in ("/", "%"):
+                helper = self._arg(_divide if op == "/" else _modulo)
+                build = lambda a, b: f"{helper}({a}, {b})"
+            elif op in _BINARY:
+                symbol = _BINARY[op]
+                build = lambda a, b: f"({a} {symbol} {b})"
             else:
-                append(_neg)
-        return out
+                raise ExecutionError(f"unknown binary operator {op!r}")
+            return self._strict((expr.left, expr.right), build)
+        if isinstance(expr, NaryOp):
+            if expr.op in ("and", "or"):
+                return self._kleene(expr.operands, expr.op == "or")
+            if expr.op in ("+", "*"):
+                # ``0 + a + b`` is the evaluator's left fold, step for step
+                head = "0 + " if expr.op == "+" else "1 * "
+                joiner = f" {expr.op} "
+                return self._strict(
+                    expr.operands, lambda *names: f"({head}{joiner.join(names)})"
+                )
+            raise ExecutionError(f"unknown n-ary operator {expr.op!r}")
+        if isinstance(expr, UnaryOp):
+            if expr.op == "-":
+                return self._strict((expr.operand,), lambda a: f"(-{a})")
+            if expr.op == "not":
+                return self._strict((expr.operand,), lambda a: f"(not {a})")
+            raise ExecutionError(f"unknown unary operator {expr.op!r}")
+        if isinstance(expr, IsNull):
+            code, _ = self.emit(expr.operand)
+            test = "is not" if expr.negated else "is"
+            return f"({code} {test} None)", False
+        if isinstance(expr, InList):
+            return self._in_list(expr)
+        if isinstance(expr, CaseWhen):
+            chain = []
+            for condition, result in expr.pairs():
+                condition_code, _ = self.emit(condition)
+                result_code, _ = self.emit(result)
+                chain.append(f"{result_code} if {condition_code} is True else ")
+            default, _ = self.emit(expr.default)
+            return f"({''.join(chain)}{default})", True
+        if isinstance(expr, FuncCall):
+            return self._function(expr)
+        if isinstance(expr, AggCall):
+            raise ExecutionError(f"aggregate {expr!r} outside GROUP-BY context")
+        raise ExecutionError(f"cannot evaluate expression node {expr!r}")
 
-    return run_in
+    def _strict(self, operands, build) -> tuple[str, bool]:
+        """Evaluate every operand in order, then NULL if any is NULL,
+        else ``build(*operand names)``."""
+        tests = []
+        names = []
+        for operand in operands:
+            code, nullable = self.emit(operand)
+            first, name = self._bind(code)
+            if first != name or nullable:
+                tests.append(f"{first} is None")
+            names.append(name)
+        result = build(*names)
+        if not tests:
+            return result, True
+        if len(tests) > 1:
+            tests = [f"({test})" for test in tests]
+        return f"(None if {' | '.join(tests)} else {result})", True
 
+    def _kleene(self, operands, is_or: bool) -> tuple[str, bool]:
+        """Kleene AND/OR: stop at the first False (AND) / True (OR)
+        operand, else NULL if any operand was NULL."""
+        stop, done = ("True", "False") if is_or else ("False", "True")
+        chain = []
+        nulls = []
+        for operand in operands:
+            code, nullable = self.emit(operand)
+            first, name = self._bind(code)
+            chain.append(f"{stop} if {first} is {stop} else ")
+            if nullable:
+                nulls.append(f"({name} is None)")
+        tail = f"None if {' | '.join(nulls)} else {done}" if nulls else done
+        return f"({''.join(chain)}{tail})", True
 
-def _compile_case(expr: CaseWhen) -> VectorFn:
-    pairs = [
-        (compile_vector(condition), compile_vector(result))
-        for condition, result in expr.pairs()
-    ]
-    default = compile_vector(expr.default)
-
-    def run_case(resolve, sel):
-        out: list = [None] * len(sel)
-        active = list(range(len(sel)))
-        for condition_fn, result_fn in pairs:
-            if not active:
-                break
-            indices = [sel[p] for p in active]
-            conditions = condition_fn(resolve, indices)
-            matched = [p for p, c in zip(active, conditions) if c is True]
-            if matched:
-                results = result_fn(resolve, [sel[p] for p in matched])
-                for p, value in zip(matched, results):
-                    out[p] = value
-            active = [p for p, c in zip(active, conditions) if c is not True]
-        if active:
-            defaults = default(resolve, [sel[p] for p in active])
-            for p, value in zip(active, defaults):
-                out[p] = value
-        return out
-
-    return run_case
-
-
-def _compile_function(expr: FuncCall) -> VectorFn:
-    function = lookup_function(expr.name)
-    if function is None:
-        raise ExecutionError(f"unknown function {expr.name!r}")
-    arg_fns = [compile_vector(arg) for arg in expr.args]
-    impl = function.impl
-    if function.null_propagating and len(arg_fns) == 1:
-        fn = arg_fns[0]
-
-        def run_func1(resolve, sel, _f=fn, _impl=impl):
-            return [None if v is None else _impl(v) for v in _f(resolve, sel)]
-
-        return run_func1
-
-    null_propagating = function.null_propagating
-
-    def run_func(resolve, sel, _fns=arg_fns, _impl=impl, _np=null_propagating):
-        columns = [fn(resolve, sel) for fn in _fns]
-        out = []
-        append = out.append
-        for args in zip(*columns) if columns else ((),) * len(sel):
-            if _np and any(v is None for v in args):
-                append(None)
+    def _in_list(self, expr: InList) -> tuple[str, bool]:
+        code, nullable = self.emit(expr.operand)
+        first, value = self._bind(code)
+        head = f"None if {first} is None else " if first != value or nullable else ""
+        hit, miss = ("False", "True") if expr.negated else ("True", "False")
+        items = expr.items
+        constants = [item.value for item in items if isinstance(item, Literal)]
+        members = [v for v in constants if v is not None]
+        saw_null = len(members) < len(constants)
+        if len(constants) == len(items) and all(v == v for v in members):
+            # An all-literal list is one probe; a NULL item can only turn
+            # a miss into UNKNOWN, never a hit.  (A set also matches by
+            # identity, which would let a NaN item hit: NaN lists chain.)
+            probe = self._arg(frozenset(members))
+            tail = "None" if saw_null else miss
+            return f"({head}{hit} if {value} in {probe} else {tail})", True
+        chain = []
+        nulls = []
+        for item in items:
+            if isinstance(item, Literal) and item.value is None:
+                continue  # saw_null is already set
+            item_code, item_nullable = self.emit(item)
+            item_first, item_name = self._bind(item_code)
+            if item_first != item_name or item_nullable:
+                chain.append(
+                    f"{hit} if {item_first} is not None and "
+                    f"{item_name} == {value} else "
+                )
+                nulls.append(f"({item_name} is None)")
             else:
-                append(_impl(*args))
-        return out
+                chain.append(f"{hit} if {item_name} == {value} else ")
+        if saw_null:
+            tail = "None"
+        elif nulls:
+            tail = f"None if {' | '.join(nulls)} else {miss}"
+        else:
+            tail = miss
+        return f"({head}{''.join(chain)}{tail})", True
 
-    return run_func
+    def _function(self, expr: FuncCall) -> tuple[str, bool]:
+        function = lookup_function(expr.name)
+        if function is None:
+            raise ExecutionError(f"unknown function {expr.name!r}")
+        if function.name in _DATE_PARTS and len(expr.args) == 1:
+            part = function.name
+            return self._strict(expr.args, lambda d: f"{d}.{part}")
+        impl = self._arg(function.impl)
+        if not function.null_propagating:
+            codes = [self.emit(arg)[0] for arg in expr.args]
+            return f"{impl}({', '.join(codes)})", True
+        return self._strict(
+            expr.args, lambda *names: f"{impl}({', '.join(names)})"
+        )
+

@@ -4,13 +4,18 @@ import datetime
 
 import pytest
 
+from repro.bench.figures import make_database
 from repro.catalog import credit_card_catalog
-from repro.engine import Database
+from repro.engine import Database, Executor
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.table import Table, tables_equal
 from repro.errors import ExecutionError
+from repro.governor import scope as governor_scope
+from repro.governor.budget import Deadline, QueryBudget
 from repro.qgm import build_graph
 from repro.resources.broker import BROKER
+from repro.testing.faults import INJECTOR
+from repro.workloads.datagen import bench_config
 
 
 def rows(db, sql):
@@ -377,3 +382,47 @@ class TestColumnPruning:
         assert tables_equal(result, expected), sql
         if max_mem is not None:
             assert db.metrics.get("executor_spill_count").value >= 2
+
+
+class TestInList:
+    def test_non_literal_list_stops_at_the_first_equal_item(self, small_db):
+        # Every row equals its first item, so the row evaluator never
+        # reaches 1 / (lid - lid); the batch executor must not either.
+        sql = "select lid from Loc where lid in (lid, 1 / (lid - lid))"
+        expected = ReferenceExecutor(small_db.tables).run(
+            build_graph(sql, small_db.catalog)
+        )
+        result = small_db.execute(sql, use_summary_tables=False)
+        assert len(result) == 12
+        assert tables_equal(result, expected)
+
+
+class TestGovernorCadence:
+    """Under a governor every full 1 024-row morsel fires
+    ``executor.tick``, whichever way a group-by pass reads its keys."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return make_database(bench_config(0.1))  # 8 640 Trans rows
+
+    @pytest.mark.parametrize(
+        "sql,ticks",
+        [
+            # projection 8 + a Counter pass 8
+            ("select year(date) as y, count(*) as c from Trans "
+             "group by year(date)", 16),
+            # filter 8 + projection 5 + a 2-key pass 5
+            ("select flid, year(date) as y, count(*) as c from Trans "
+             "where year(date) > 1990 group by flid, year(date)", 18),
+        ],
+        ids=["counter", "two-keys"],
+    )
+    def test_group_by_ticks_every_full_morsel(self, db, sql, ticks):
+        graph = build_graph(sql, db.catalog)
+        expected = ReferenceExecutor(db.tables).run(graph)
+        budget = QueryBudget(deadline=Deadline(60_000.0), max_rows=10_000_000)
+        with INJECTOR.injected("executor.tick", probability=0.0) as spec:
+            with governor_scope.activate(budget):
+                result = Executor(db.tables).run(build_graph(sql, db.catalog))
+        assert spec.hits == ticks
+        assert tables_equal(result, expected)

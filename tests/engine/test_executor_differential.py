@@ -124,7 +124,9 @@ def grouping_set_queries(draw) -> str:
     )
 
 
-@settings(max_examples=40, deadline=None)
+# The count comes from the active profile (``--hypothesis-profile=chaos``
+# runs 3 000), never fewer than the 40 tier-1 has always run.
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(sql=grouping_set_queries())
 def test_random_grouping_sets_match_reference(sql):
     graph = build_graph(sql, TPCD_DB.catalog)

@@ -14,7 +14,7 @@ import datetime
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import ExecutionError
 from repro.expr import (
@@ -28,8 +28,10 @@ from repro.expr import (
     UnaryOp,
     evaluate,
 )
+from repro.expr import vector
 from repro.expr.nodes import CaseWhen
-from repro.expr.vector import compile_vector, conjuncts
+from repro.expr.vector import compile_filter, compile_vector, conjuncts
+from repro.lru import LRU
 
 X = ColumnRef(None, "x")
 Y = ColumnRef(None, "y")
@@ -194,22 +196,84 @@ def test_conjuncts_split_and_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Property: random comparison/arithmetic/logic trees over NULL-laden
-# integer, float and bool columns agree with the row interpreter.
+# Source hygiene: a constant is a factory argument, never source text
+# ----------------------------------------------------------------------
+HOSTILE = [
+    'it\'s "quoted"\n{x} \\ end',
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    -0.0,
+    datetime.date(1999, 12, 31),
+    True,
+    1,
+]
+
+
+@pytest.mark.parametrize("value", HOSTILE, ids=repr)
+def test_hostile_literal_round_trips(value):
+    for expr in (
+        Literal(value),
+        CaseWhen((BinaryOp(">", X, Literal(2)), Literal(value)), NULL),
+        FuncCall("coalesce", (NULL, Literal(value))),
+        InList(Literal(value), (X, Literal(value))),
+    ):
+        assert vector_values(expr) == row_values(expr), expr
+
+
+def test_true_next_to_one_keeps_both_types():
+    # Node equality says Lit(True) == Lit(1); the kernels must not merge.
+    big = BinaryOp(">", X, Literal(2))
+    for expr in (
+        CaseWhen((big, Literal(True)), Literal(1)),
+        CaseWhen((big, Literal(1)), Literal(True)),
+        NaryOp("*", (F, Literal(True))),
+        NaryOp("*", (F, Literal(1))),
+    ):
+        assert vector_values(expr) == row_values(expr), expr
+
+
+def test_constants_share_one_compile_and_stay_out_of_source(monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(vector, "_KERNELS", LRU(16))
+    monkeypatch.setattr(vector, "_CODE", LRU(16))
+    monkeypatch.setattr(vector, "compile", spy, raising=False)
+    first = BinaryOp(">", X, Literal(1.2345))
+    second = BinaryOp(">", X, Literal(6.789))
+    assert vector_values(first) == row_values(first)
+    assert vector_values(second) == row_values(second)
+    assert len(sources) == 1
+    for value in ("1.2345", "6.789"):
+        assert value not in sources[0]
+    hostile = FuncCall("concat", (S, Literal(HOSTILE[0])))
+    assert vector_values(hostile) == row_values(hostile)
+    assert "quoted" not in sources[-1]
+
+
+# ----------------------------------------------------------------------
+# Property: random trees over NULL-laden integer, float, bool, string
+# and date columns agree with the row interpreter — values, and which
+# trees raise (the same exception type in both engines).
 # ----------------------------------------------------------------------
 _LEAVES = st.sampled_from(
     [
-        X, Y, F, B, NULL,
+        X, Y, F, B, S, NULL,
         Literal(0), Literal(2), Literal(-3),
         Literal(-0.0), Literal(0.5), Literal(1e16),
+        FuncCall("year", (D,)), FuncCall("month", (D,)),
     ]
 )
 
 
 def _trees(children):
     return st.one_of(
-        st.tuples(children, children).map(
-            lambda t: BinaryOp("-", t[0], t[1])
+        st.tuples(st.sampled_from(["-", "/", "%"]), children, children).map(
+            lambda t: BinaryOp(t[0], t[1], t[2])
         ),
         st.tuples(
             st.sampled_from(["+", "*"]),
@@ -225,24 +289,61 @@ def _trees(children):
             st.lists(children, min_size=2, max_size=3),
         ).map(lambda t: NaryOp(t[0], tuple(t[1]))),
         children.map(lambda e: UnaryOp("-", e)),
+        children.map(lambda e: UnaryOp("not", e)),
         children.map(IsNull),
+        st.tuples(
+            children, st.lists(children, min_size=1, max_size=3), st.booleans()
+        ).map(lambda t: InList(t[0], tuple(t[1]), negated=t[2])),
+        st.tuples(
+            st.lists(st.tuples(children, children), min_size=1, max_size=2),
+            children,
+        ).map(
+            lambda t: CaseWhen(tuple(e for pair in t[0] for e in pair), t[1])
+        ),
+        children.map(lambda e: FuncCall("abs", (e,))),
+        st.tuples(children, children).map(lambda t: FuncCall("mod", t)),
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda args: FuncCall("coalesce", tuple(args))
+        ),
     )
 
 
 _EXPRS = st.recursive(_LEAVES, _trees, max_leaves=12)
+_RAISES = (ExecutionError, TypeError)
+
+
+def _outcome(values, expr, sel=None):
+    try:
+        return values(expr, sel)
+    except _RAISES as error:
+        return type(error)
 
 
 # The count comes from the active profile (``--hypothesis-profile=chaos``
 # runs 3 000), never fewer than the 150 tier-1 has always run.
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(expr=_EXPRS)
+# Every non-NULL x equals the first item, so the evaluator never divides.
+@example(expr=InList(X, (X, BinaryOp("/", X, Literal(0)))))
 def test_random_trees_match_row_interpreter(expr):
-    try:
-        expected = row_values(expr)
-    except ExecutionError:
-        # 'and'/'or' over non-boolean operands etc. — the vector engine
-        # must reject the same expressions.
-        with pytest.raises(ExecutionError):
-            vector_values(expr)
-        return
-    assert vector_values(expr) == expected
+    assert _outcome(vector_values, expr) == _outcome(row_values, expr)
+
+
+def filter_rows(expr, sel):
+    return compile_filter(expr)(lambda ref: COLUMNS[ref.name], sel)
+
+
+def passing_rows(expr, sel):
+    return [
+        i for i in sel
+        if evaluate(expr, lambda ref: COLUMNS[ref.name][i]) is True
+    ]
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(expr=_EXPRS)
+def test_random_filters_keep_exactly_the_true_rows(expr):
+    for sel in (range(NROWS), range(2, 7), [7, 0, 3, 5], []):
+        assert _outcome(filter_rows, expr, sel) == _outcome(
+            passing_rows, expr, sel
+        ), sel
