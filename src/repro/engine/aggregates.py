@@ -139,11 +139,14 @@ def make_accumulator(call: AggCall) -> Accumulator:
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernels + partial-state algebra (the batch executor)
+# Generated folds + partial-state algebra (the batch executor)
 # ----------------------------------------------------------------------
-# The columnar executor computes each aggregate with one tight loop over
-# (group id, value) pairs instead of a method call per row, and — under
-# morsel parallelism — carries *mergeable partial states* per group:
+# The columnar executor folds every aggregate of every grouping set into
+# its group's state inside one generated loop (the folds are
+# :mod:`repro.expr.vector`'s, one statement per kind doing what the
+# accumulators above do), instead of a method call per row, and a
+# spilled GROUP BY carries *mergeable partial states* per group between
+# its runs:
 #
 #   COUNT(*) / COUNT(x)  int            merged by addition
 #   SUM(x)               value | None   merged by NULL-aware addition
@@ -176,66 +179,6 @@ def empty_state(kind: str, distinct: bool):
     if kind == "avg":
         return [None, 0]
     return None  # sum / min / max
-
-
-def partial_states(kind: str, distinct: bool, gids, ngroups: int, values):
-    """One partial state per group for one aggregate.
-
-    ``gids`` assigns each input row a group id in ``range(ngroups)``;
-    ``values`` is the aggregate's argument column aligned with ``gids``
-    (``None`` for COUNT(*)). NULL inputs are ignored by every aggregate
-    except COUNT(*), exactly like the row accumulators above."""
-    if distinct:
-        sets: list[set] = [set() for _ in range(ngroups)]
-        if values is not None:
-            for gid, value in zip(gids, values):
-                if value is not None:
-                    sets[gid].add(value)
-        return sets
-    if kind == "count*":
-        counts = [0] * ngroups
-        for gid in gids:
-            counts[gid] += 1
-        return counts
-    if kind == "count":
-        counts = [0] * ngroups
-        for gid, value in zip(gids, values):
-            if value is not None:
-                counts[gid] += 1
-        return counts
-    if kind == "sum":
-        totals: list[Any] = [None] * ngroups
-        for gid, value in zip(gids, values):
-            if value is not None:
-                total = totals[gid]
-                totals[gid] = value if total is None else total + value
-        return totals
-    if kind == "avg":
-        totals = [None] * ngroups
-        counts = [0] * ngroups
-        for gid, value in zip(gids, values):
-            if value is not None:
-                total = totals[gid]
-                totals[gid] = value if total is None else total + value
-                counts[gid] += 1
-        return [[total, count] for total, count in zip(totals, counts)]
-    if kind == "min":
-        best: list[Any] = [None] * ngroups
-        for gid, value in zip(gids, values):
-            if value is not None:
-                current = best[gid]
-                if current is None or value < current:
-                    best[gid] = value
-        return best
-    if kind == "max":
-        best = [None] * ngroups
-        for gid, value in zip(gids, values):
-            if value is not None:
-                current = best[gid]
-                if current is None or value > current:
-                    best[gid] = value
-        return best
-    raise ExecutionError(f"unknown aggregate kind {kind!r}")
 
 
 def merge_states(kind: str, distinct: bool, a, b):

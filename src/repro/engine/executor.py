@@ -16,15 +16,24 @@ tables; :mod:`repro.engine.reference` keeps the row-at-a-time oracle.
 
 Execution model (docs/EXECUTOR.md):
 
-* Relations flow between operators as **columns** — one plain value
-  list per column — not as tuples.  Filtering applies each predicate
-  conjunct as a compiled batch function (:mod:`repro.expr.vector`) over
-  a *selection vector* of surviving row indices, then gathers once.
-* Work is cut into **morsels**: selection vectors are processed in
-  chunks of ``BATCH_ROWS`` rows (``_TICK_EVERY`` under a governor scope,
-  preserving the historical tick cadence).  Each completed full morsel
-  fires the ``executor.tick`` fault point and ticks the governor budget,
-  so deadlines and cancellation land mid-operator.
+* A SELECT box runs as **one generated loop**
+  (:func:`repro.expr.vector.compile_loop`): one child, the *driver*,
+  streams with its local conjuncts inline and probes the other
+  children's hash tables in nested bucket loops; the residual conjuncts
+  and output expressions follow, and the loop ends in a *sink* — the
+  box's output columns, or, under a GROUP BY that is its only consumer,
+  every grouping set and aggregate of that box folded row by row.  The
+  rows come out in the order of the operator-at-a-time plan (each join
+  building on its smaller input); when a join's actual cardinalities say
+  otherwise, or a memory reservation needs materialised inputs to decide
+  on spilling, the box runs one operator at a time — each operator one
+  such loop.
+* Work is cut into **morsels**: the driver is streamed in chunks of
+  ``_TICK_EVERY`` rows under a governor scope (``batch_rows`` when
+  set), one whole-column chunk otherwise.  Each full morsel, and every
+  ``_TICK_EVERY`` rows bucket loops bind inside one, fires the
+  ``executor.tick`` fault point and ticks the governor budget, so
+  deadlines, cancellation and MAXROWS land mid-loop.
 * Execution is serial.  A thread pool over morsels was measured 22–38 %
   slower than this path on the executor-bound workload and removed
   (docs/EXECUTOR.md, "Why there is no thread-parallel path").
@@ -35,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import chain
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.engine import aggregates as _agg
 from repro.obs import spans as _spans
@@ -45,7 +54,7 @@ from repro.errors import (
     MemoryBudgetExceeded,
     QueryResourceError,
 )
-from repro.expr.vector import compile_filter, compile_vector, conjuncts, view
+from repro.expr.vector import compile_loop, conjuncts
 from repro.governor import scope as governor_scope
 from repro.resources import spill as _spill
 from repro.testing import faults
@@ -59,16 +68,15 @@ from repro.qgm.boxes import (
     UnionAllBox,
 )
 
-#: nominal morsel size (rows per batch): what the stats report, and the
-#: governed cross join's tick threshold, when no explicit size is set;
-#: ungoverned runs use one batch per operator (a full column pass is the
-#: fastest shape for pure-Python list comprehensions)
+#: nominal morsel size (rows per batch): what the stats report when no
+#: explicit size is set; ungoverned runs stream each loop's whole driver
+#: in one batch (a full column pass is the fastest shape in pure Python)
 BATCH_ROWS = 4096
 
-#: rows between governor checkpoints in the executor's hot loops —
-#: governed runs shrink the morsel to this size so the armed overhead is
-#: one tick per batch and cancellation/deadlines land promptly mid-join
-#: (the same cadence as the historical row-at-a-time executor)
+#: driver rows between governor checkpoints — governed runs shrink the
+#: morsel to this size so the armed overhead is one tick per batch and
+#: cancellation/deadlines land promptly mid-loop (the same cadence as the
+#: historical row-at-a-time executor)
 _TICK_EVERY = 1024
 
 #: per-row memory-charge constants for the two spill-capable operators.
@@ -127,34 +135,48 @@ class ExecutorStats:
 
 
 class _Rel:
-    """An intermediate relation: one plain value list per column, some
-    of them possibly a child table's own lists — nothing here edits a
-    column, and the result table built from one is born shared
+    """An intermediate relation: its columns by ColumnRef, and its row
+    count.  A column may be a child table's own list — nothing here
+    edits one, and the result table built from one is born shared
     (:meth:`Table.from_columns`), so it copies before its first edit.
 
-    Inside a SELECT box a column the box never reads after its local
-    filters (not an output, a join key or a residual predicate) is a
-    ``None`` slot: it keeps its position, so ``index_of`` is unchanged,
-    and every gather (:func:`_take`) skips it."""
+    Between a SELECT box's operators a relation holds only the columns
+    the box reads after its local filters (outputs, join keys, residual
+    predicates); a loop reads only the columns its code names."""
 
     __slots__ = ("cols", "nrows")
 
-    def __init__(self, cols: list[list], nrows: int):
+    def __init__(self, cols: dict[ColumnRef, list], nrows: int):
         self.cols = cols
         self.nrows = nrows
 
+    @classmethod
+    def of(cls, quantifier: str, table: Table) -> "_Rel":
+        """``table`` as read through ``quantifier``."""
+        return cls(
+            {
+                ColumnRef(quantifier, name): column
+                for name, column in zip(table.columns, table.columns_data())
+            },
+            len(table),
+        )
+
 
 class _Ctx:
-    """Per-run execution context: governor budget, morsel size, and
-    the stats the run accumulates."""
+    """Per-run execution context: governor budget, morsel size, the
+    stats the run accumulates, and how many quantifiers range over each
+    box (by ``id``)."""
 
-    __slots__ = ("budget", "stats", "chunk")
+    __slots__ = ("budget", "stats", "chunk", "consumers", "produced")
 
-    def __init__(self, budget, stats, chunk):
+    def __init__(self, budget, stats, chunk, consumers):
         self.budget = budget
         self.stats = stats
-        #: morsel size; ``None`` ⇒ single batch per operator
+        #: morsel size; ``None`` ⇒ one batch per loop
         self.chunk = chunk
+        self.consumers = consumers
+        #: rows the running governed loop produced in its earlier morsels
+        self.produced = 0
 
     def tick(self, n: int) -> None:
         """Account one processed morsel of ``n`` rows.
@@ -171,6 +193,14 @@ class _Ctx:
             faults.fire("executor.tick")
             budget.tick(n, "execute")
 
+    def pulse(self, produced: int) -> None:
+        """A tick from inside a morsel whose bucket loops bound another
+        ``chunk`` rows; it has ``produced`` rows so far (MAXROWS)."""
+        faults.fire("executor.tick")
+        budget = self.budget
+        budget.tick(self.chunk, "execute")
+        budget.check_rows(self.produced + produced, "rows")
+
 
 def _split(sel, size):
     """Cut a selection (range or index list) into morsels of ``size``."""
@@ -180,16 +210,143 @@ def _split(sel, size):
     return [sel[k : k + size] for k in range(0, n, size)]
 
 
-def _take(cols, rows) -> list:
-    """Gather ``rows`` from every column; a ``None`` slot stays ``None``."""
-    return [None if c is None else [c[i] for i in rows] for c in cols]
+def _take(cols: dict, rows) -> dict:
+    """Gather ``rows`` from every column."""
+    return {ref: [c[i] for i in rows] for ref, c in cols.items()}
 
 
-def _make_resolver(cols, index_of):
-    def resolve(ref, _cols=cols, _index=index_of):
-        return _cols[_index[ref]]
+class _Append:
+    """Sink: one list per value — a SELECT box's output columns, or the
+    columns an operator passes on."""
 
-    return resolve
+    def __init__(self, values):
+        self.values = values
+        #: with no columns to measure, the loop counts the rows
+        self.counts = not values
+        self.columns: list[list] = []
+        self.nrows = 0
+
+    def start(self):
+        self.columns = [[] for _ in self.values]
+        return ("append", [column.append for column in self.columns])
+
+    def end(self, produced) -> None:
+        self.nrows = produced if self.counts else len(self.columns[0])
+
+    def pass_through(self, driver: _Rel) -> bool:
+        """Take the driver's columns as they are (every value one)."""
+        self.columns = [driver.cols[ref] for ref in self.values]
+        self.nrows = driver.nrows
+        return True
+
+
+class _Group:
+    """Sink: every grouping set and aggregate of one GROUP-BY box, folded
+    row by row.  ``values`` are the child's columns as the loop computes
+    them (a SELECT box's output expressions, or a child table's
+    ColumnRefs), ``names`` their child column names."""
+
+    def __init__(self, box: GroupByBox, names: list[str], values: list):
+        self.box = box
+        self.values = values
+        quantifier = box.child_quantifier.name
+        position = {name: k for k, name in enumerate(names)}
+
+        def locate(ref: ColumnRef) -> int:
+            if ref.qualifier != quantifier:
+                raise ExecutionError(f"GROUP-BY box references foreign {ref!r}")
+            if ref.name not in position:
+                raise ExecutionError(f"no column {ref.name!r}; have {names}")
+            return position[ref.name]
+
+        #: grouping output name -> its value's position
+        self.key_of: dict[str, int] = {}
+        #: (output name, partial kind, distinct, argument position or None)
+        self.specs: list[tuple] = []
+        for qcl in box.outputs:
+            if isinstance(qcl.expr, AggCall):
+                kind, distinct = _agg.spec_kind(qcl.expr)
+                arg = qcl.expr.arg
+                self.specs.append(
+                    (qcl.name, kind, distinct, None if arg is None else locate(arg))
+                )
+            elif isinstance(qcl.expr, ColumnRef):
+                self.key_of[qcl.name] = locate(qcl.expr)
+            else:
+                raise ExecutionError(
+                    f"GROUP-BY output {qcl.name!r} is not a simple column "
+                    "or aggregate"
+                )
+        #: no keys and only COUNT(*): the answer is the input's row count
+        self.counts = box.grouping_sets == ((),) and all(
+            kind == "count*" and not distinct for _, kind, distinct, _ in self.specs
+        )
+        #: per grouping set: (keys in first-seen order, each key's first
+        #: row number or None, per-spec partial states)
+        self.results: list[tuple] = []
+        self._parts: list[tuple] = []
+
+    def start(self, sets=None, firsts: bool = False):
+        if self.counts:
+            return None
+        aggregates = [
+            (position, kind, distinct) for _, kind, distinct, position in self.specs
+        ]
+        self._parts = [
+            (
+                [self.key_of[name] for name in grouping_set],
+                {},
+                [] if firsts else None,
+                [[] for _ in aggregates],
+            )
+            for grouping_set in (self.box.grouping_sets if sets is None else sets)
+        ]
+        return ("group", self._parts, aggregates)
+
+    def end(self, produced) -> None:
+        if self.counts:
+            self.results = [([()], None, [[produced] for _ in self.specs])]
+        else:
+            self.results = [
+                (list(groups), firsts, states)
+                for _, groups, firsts, states in self._parts
+            ]
+
+    def pass_through(self, driver: _Rel) -> bool:
+        """A COUNT(*) of plain columns is the driver's row count."""
+        if self.counts:
+            self.end(driver.nrows)
+        return self.counts
+
+    def table(self, results) -> Table:
+        """The union of the cuboids, NULL-padding uncovered keys."""
+        box = self.box
+        cols: list[list] = [[] for _ in box.outputs]
+        total = 0
+        for grouping_set, (order, _, states) in zip(box.grouping_sets, results):
+            if not order and not grouping_set:
+                # Grand total over an empty input still yields one row.
+                order = [()]
+                states = [
+                    [_agg.empty_state(kind, distinct)]
+                    for _, kind, distinct, _ in self.specs
+                ]
+            finals = {
+                name: [_agg.finalize_state(kind, distinct, s) for s in column]
+                for (name, kind, distinct, _), column in zip(self.specs, states)
+            }
+            key_position = {name: k for k, name in enumerate(grouping_set)}
+            for out, name in zip(cols, box.output_names):
+                if name in finals:
+                    out.extend(finals[name])
+                elif name not in key_position:
+                    out.extend([None] * len(order))  # grouped-out column
+                elif len(grouping_set) == 1:
+                    out.extend(order)
+                else:
+                    out.extend(key[key_position[name]] for key in order)
+            total += len(order)
+        return Table.from_columns(box.output_names, cols, total)
 
 
 class Executor:
@@ -221,10 +378,10 @@ class Executor:
         When a governor scope is active on this thread (see
         :mod:`repro.governor.scope`), every morsel boundary ticks the
         budget — deadline expiry raises ``QueryTimeout``, cancellation
-        ``QueryCancelled`` — and every materialized intermediate/result
-        table is checked against the ``SET QUERY MAXROWS`` high-water
-        cap.  Ungoverned runs take whole-column batches with no
-        instrumentation in the hot loops.
+        ``QueryCancelled`` — and the rows each loop has produced so far,
+        like every materialized result table, are checked against the
+        ``SET QUERY MAXROWS`` high-water cap.  Ungoverned runs take
+        whole-column batches with no instrumentation in the hot loops.
         """
         run_pc = time.perf_counter()
         budget = governor_scope.current()
@@ -236,7 +393,10 @@ class Executor:
             chunk = None  # one batch per operator
         stats = ExecutorStats(chunk or BATCH_ROWS)
         self.stats = stats
-        ctx = _Ctx(budget, stats, chunk)
+        consumers = Counter(
+            id(q.box) for box in graph.boxes() for q in box.quantifiers()
+        )
+        ctx = _Ctx(budget, stats, chunk, consumers)
         memo: dict[int, Table] = {}
         result = self._evaluate(graph.root, memo, ctx)
         if budget is not None:
@@ -304,14 +464,6 @@ class Executor:
             raise ExecutionError(f"no data loaded for table {box.table_name!r}")
         return table
 
-    @staticmethod
-    def _rel_of(table: Table) -> _Rel:
-        return _Rel(table.columns_data(), len(table))
-
-    @staticmethod
-    def _to_table(names, rel: _Rel) -> Table:
-        return Table.from_columns(names, rel.cols, rel.nrows, shared=True)
-
     def _evaluate_union(self, box: UnionAllBox, memo, ctx: _Ctx) -> Table:
         cols: list[list] = [[] for _ in box.output_names]
         total = 0
@@ -328,168 +480,204 @@ class Executor:
     # ------------------------------------------------------------------
     # SELECT boxes
     # ------------------------------------------------------------------
-    def _evaluate_select(self, box: SelectBox, memo, ctx: _Ctx) -> Table:
-        quantifiers = box.quantifiers()
-        child_tables = {
-            q.name: self._evaluate(q.box, memo, ctx) for q in quantifiers
-        }
-
-        local, equijoins, residual = _classify_predicates(box)
-        reads = {ref for join in equijoins for ref in (join.left, join.right)}
-        for expr in chain([q.expr for q in box.outputs], residual):
-            reads.update(expr.column_refs())
-
-        # Filter each child early with its single-quantifier predicates;
-        # only the columns the box reads afterwards are carried on.
-        child_rels: dict[str, _Rel] = {}
-        for quantifier in quantifiers:
-            table = child_tables[quantifier.name]
-            rel = self._rel_of(table)
-            keep = [
-                col if ColumnRef(quantifier.name, name) in reads else None
-                for name, col in zip(table.columns, rel.cols)
-            ]
-            predicates = local.get(quantifier.name, [])
-            if predicates:
-                index = {
-                    ColumnRef(quantifier.name, name): i
-                    for i, name in enumerate(table.columns)
-                }
-                rel = self._filter_rel(rel, predicates, index, ctx, keep)
-            else:
-                rel = _Rel(keep, rel.nrows)
-            child_rels[quantifier.name] = rel
-
-        joined, index_of = self._join_children(
-            quantifiers, child_tables, child_rels, equijoins, ctx
-        )
-        leftover = [pair.predicate for pair in equijoins if not pair.used] + residual
-        if leftover:
-            joined = self._filter_rel(joined, leftover, index_of, ctx)
-
-        out = self._project_rel(joined, [q.expr for q in box.outputs], index_of, ctx)
+    def _evaluate_select(
+        self, box: SelectBox, memo, ctx: _Ctx, group: _Group | None = None
+    ) -> Table | None:
+        """The box's table — or, given the ``group`` sink of the GROUP-BY
+        box above it, nothing: its rows are folded into that sink."""
+        plan = self._plan(box, memo, ctx)
+        sink = group or _Append([q.expr for q in box.outputs])
+        budget = ctx.budget
+        reserved = budget is not None and budget.reservation is not None
+        counted = ctx.stats.batches, ctx.stats.rows
+        if reserved or not self._fused(plan, sink, ctx):
+            # a discarded pass leaves the stats as they were (its governor
+            # ticks stay charged: that work was done)
+            ctx.stats.batches, ctx.stats.rows = counted
+            self._operators(plan, sink, ctx)
+        if group is not None:
+            return None
+        cols, nrows = sink.columns, sink.nrows
         if box.distinct:
-            out = self._distinct_rel(out)
-        if ctx.budget is not None:
-            ctx.budget.check_rows(out.nrows)
-        return self._to_table(box.output_names, out)
+            cols, nrows = _distinct(cols, nrows)
+        if budget is not None:
+            budget.check_rows(nrows)
+        return Table.from_columns(box.output_names, cols, nrows, shared=True)
 
-    def _filter_rel(
-        self, rel: _Rel, predicates, index_of, ctx: _Ctx, keep=None
-    ) -> _Rel:
-        """Apply predicates as sequential selection passes, then gather
-        the surviving rows of ``keep`` (default: all of ``rel``'s
-        columns; the predicates always read ``rel``'s).
-
-        Each top-level AND conjunct shrinks the selection before the
-        next one runs — the row interpreter's short-circuit order, which
-        is what keeps guarded expressions (``y <> 0 AND x / y > 1``)
-        from evaluating where they shouldn't."""
-        cols = rel.cols
-        if keep is None:
-            keep = cols
-        fns = [
-            compile_filter(conjunct)
-            for predicate in predicates
-            for conjunct in conjuncts(predicate)
-        ]
-        resolve = _make_resolver(cols, index_of)
-        sel = range(rel.nrows)
-        for fn in fns:
-            if not len(sel):
-                break
-            parts = []
-            for chunk in _split(sel, ctx.chunk):
-                parts.append(fn(resolve, chunk))
-                ctx.tick(len(chunk))
-            sel = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
-        if type(sel) is range and len(sel) == rel.nrows:
-            return _Rel(keep, rel.nrows)
-        return _Rel(_take(keep, sel), len(sel))
-
-    def _join_children(
-        self, quantifiers, child_tables, child_rels, equijoins, ctx: _Ctx
-    ) -> tuple[_Rel, dict[ColumnRef, int]]:
-        """Greedy hash-join of the children; returns the joined relation
-        plus a QNC index map."""
+    def _plan(self, box: SelectBox, memo, ctx: _Ctx) -> "_Plan":
+        quantifiers = box.quantifiers()
         if not quantifiers:
             raise ExecutionError("SELECT box with no children")
+        rels = {
+            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx))
+            for q in quantifiers
+        }
+        local, equijoins, residual = _classify_predicates(box)
+        steps = _join_order(quantifiers, equijoins)
+        tail = _conjuncts(
+            [join.predicate for join in equijoins if not join.used] + residual
+        )
+        local = {name: _conjuncts(predicates) for name, predicates in local.items()}
+        reads = {ref for _, keys in steps for pair in keys for ref in pair}
+        for expr in chain([q.expr for q in box.outputs], tail):
+            reads.update(expr.column_refs())
+        return _Plan(rels, local, steps, tail, reads)
 
-        remaining = list(quantifiers)
-        links: dict[str, set[str]] = {}
-        for join in equijoins:
-            links.setdefault(join.left.qualifier, set()).add(join.right.qualifier)
-            links.setdefault(join.right.qualifier, set()).add(join.left.qualifier)
-
-        def pop_next(joined_names: set[str]):
-            if not joined_names:
-                # Start with the child most constrained by join edges.
-                best = max(remaining, key=lambda q: len(links.get(q.name, ())))
-                remaining.remove(best)
-                return best
-            for candidate in remaining:
-                if links.get(candidate.name, set()) & joined_names:
-                    remaining.remove(candidate)
-                    return candidate
-            return remaining.pop(0)
-
-        index_of: dict[ColumnRef, int] = {}
-        joined: _Rel | None = None
-        joined_names: set[str] = set()
-        width = 0
-        while remaining:
-            quantifier = pop_next(joined_names)
-            table = child_tables[quantifier.name]
-            rel = child_rels[quantifier.name]
-            offset = width
-            for i, name in enumerate(table.columns):
-                index_of[ColumnRef(quantifier.name, name)] = offset + i
-            if joined is None:
-                joined = rel
-                joined_names = {quantifier.name}
-                width = len(table.columns)
+    def _fused(self, plan: "_Plan", sink, ctx: _Ctx) -> bool:
+        """The box as one loop: the driver streams with its local
+        conjuncts inline and probes each other child's hash table, built
+        with that child's local conjuncts, in join order.  The operator
+        path builds each join on its smaller input, so the loop's rows
+        come out in that path's order only while every join would have
+        built on the child the loop probes; the counts the loop returns
+        check that, and False (the sink's state to be discarded) means
+        some join would not have."""
+        (first, _), rest = plan.steps[0], plan.steps[1:]
+        levels = [(name, [a for a, _ in keys], [b for _, b in keys])
+                  for name, keys in rest]
+        driver = first
+        # Guessed on the children's sizes before filtering: the first
+        # join builds on the first child when it is the smaller one.
+        swap = bool(levels and levels[0][1]) and (
+            plan.rels[first].nrows <= plan.rels[levels[0][0]].nrows
+        )
+        if swap:
+            driver, probe_keys, build_keys = levels[0]
+            levels[0] = (first, build_keys, probe_keys)
+        probes, built = [], []
+        for name, probe_keys, build_keys in levels:
+            rel = plan.rels[name]
+            table, rows = self._build(rel, plan.local.get(name, ()), build_keys, ctx)
+            probes.append((probe_keys, table, rel.cols))
+            built.append(rows)
+        filters = plan.local.get(driver, ())
+        # the rows reaching each keyed probe decide its build side
+        counted = [
+            p for p, (keys, _, _) in enumerate(probes) if keys and (p or filters)
+        ]
+        counts = dict(zip(counted, self._pipeline(
+            plan.rels[driver], sink, ctx, filters, probes, plan.tail, counted
+        )))
+        counts.setdefault(0, plan.rels[driver].nrows)
+        builds = []
+        for p, (keys, _, _) in enumerate(probes):
+            if not keys:
                 continue
-            # Hash keys: every unused equi-join predicate connecting the
-            # new child to the already-joined side.
-            keys: list[tuple[int, int]] = []  # (joined index, new-child index)
-            for join in equijoins:
-                if join.used:
-                    continue
-                sides = {
-                    join.left.qualifier: join.left,
-                    join.right.qualifier: join.right,
-                }
-                if quantifier.name not in sides:
-                    continue
-                other = set(sides) - {quantifier.name}
-                if not other or next(iter(other)) not in joined_names:
-                    continue
-                new_ref = sides[quantifier.name]
-                old_ref = sides[next(iter(other))]
-                keys.append((index_of[old_ref], table.column_index(new_ref.name)))
-                join.used = True
-            joined = self._hash_join(joined, rel, keys, ctx)
-            joined_names.add(quantifier.name)
-            width += len(table.columns)
-        return joined, index_of
+            left = swap and p == 0  # the probed child is the join's left input
+            # the operator path builds on the smaller input, left on a tie
+            if not (built[p] <= counts[p] if left else built[p] < counts[p]):
+                return False
+            builds.append({
+                "build": "left" if left else "right",
+                "build_rows": built[p],
+                "probe_rows": counts[p],
+            })
+        ctx.stats.join_builds.extend(builds)
+        return True
 
-    def _hash_join(
-        self, left: _Rel, right: _Rel, keys: list[tuple[int, int]], ctx: _Ctx
-    ) -> _Rel:
+    def _operators(self, plan: "_Plan", sink, ctx: _Ctx) -> None:
+        """The box one operator at a time: each child filtered down to
+        the columns the box reads on, the joins in join order — each
+        building on its smaller input by actual cardinality, or spilling
+        — then the tail conjuncts and the sink; every operator one loop.
+        The path of memory-reserved runs, whose spill decisions need
+        materialised inputs, and of a fused loop whose order did not
+        hold."""
+        rels = {}
+        for name, rel in plan.rels.items():
+            keep = [ref for ref in rel.cols if ref in plan.reads]
+            filters = plan.local.get(name)
+            if filters:
+                rels[name] = self._gather(rel, keep, ctx, filters)
+            else:
+                rels[name] = _Rel({ref: rel.cols[ref] for ref in keep}, rel.nrows)
+        (first, _), rest = plan.steps[0], plan.steps[1:]
+        joined = rels[first]
+        for name, keys in rest:
+            joined = self._join(joined, rels[name], keys, ctx)
+        self._pipeline(joined, sink, ctx, plan.tail)
+
+    def _pipeline(
+        self, driver: _Rel, sink, ctx: _Ctx, filters=(), probes=(),
+        residual=(), counted=(),
+    ) -> list[int]:
+        """One loop over ``driver`` into ``sink`` (``start``ed afresh);
+        returns the row counts of the ``counted`` stages.  Under a
+        governor the loop also counts the rows it produced, checked
+        against MAXROWS after every morsel and, with its pulse, every
+        ``chunk`` rows its bucket loops bind."""
+        if not (filters or probes or residual) and all(
+            value in driver.cols for value in sink.values
+        ) and sink.pass_through(driver):
+            return []
+        spec = sink.start()
+        checked = ctx.budget is not None
+        produced = sink.counts or checked
+        stages = [*counted, len(probes)] if produced else list(counted)
+        fn = compile_loop(
+            driver.cols, filters, probes, residual, sink.values, spec, stages,
+            (ctx.chunk, ctx.pulse) if checked and probes else None,
+        )
+        counts = self._drive(fn, range(driver.nrows), ctx, checked)
+        sink.end(counts[-1] if produced else None)
+        return counts[: len(counted)]
+
+    @staticmethod
+    def _drive(fn, sel, ctx: _Ctx, checked: bool = False) -> list[int]:
+        """Run a compiled loop over ``sel`` morsel by morsel; returns its
+        counts summed.  ``checked``: the last count is rows produced.
+        A governed loop ends in a checkpoint, so a deadline lands even
+        on an input with no full morsel to tick."""
+        totals = None
+        ctx.produced = 0
+        for chunk in _split(sel, ctx.chunk):
+            counts = fn(chunk)
+            totals = counts if totals is None else [
+                a + b for a, b in zip(totals, counts)
+            ]
+            ctx.tick(len(chunk))
+            if checked:
+                ctx.produced = totals[-1]
+                ctx.budget.check_rows(totals[-1], "rows")
+        if ctx.budget is not None:
+            ctx.budget.checkpoint("execute")
+        return list(totals)
+
+    def _build(self, rel: _Rel, filters, keys, ctx: _Ctx):
+        """Hash ``rel``'s rows that pass ``filters`` by ``keys`` — key →
+        row numbers, NULL keys skipped (they never equi-join); with no
+        keys, the list of those row numbers.  Returns the table and the
+        number of rows that passed."""
+        table: dict | list = {} if keys else []
+        fn = compile_loop(
+            rel.cols, filters, values=keys, sink=("hash", table), counted=(0,)
+        )
+        (rows,) = self._drive(fn, range(rel.nrows), ctx)
+        return table, rows
+
+    def _gather(self, rel: _Rel, refs, ctx: _Ctx, filters=(), probes=()) -> _Rel:
+        """The columns ``refs`` of ``rel``'s rows that pass ``filters``,
+        joined through ``probes``."""
+        sink = _Append(refs)
+        self._pipeline(rel, sink, ctx, filters, probes)
+        return _Rel(dict(zip(refs, sink.columns)), sink.nrows)
+
+    def _join(self, left: _Rel, right: _Rel, keys, ctx: _Ctx) -> _Rel:
+        refs = [*left.cols, *right.cols]
         if not keys:
-            return self._cross_join(left, right, ctx)
+            # a cross join: left-major, every right row per left row
+            everything = list(range(right.nrows))
+            return self._gather(left, refs, ctx, probes=[((), everything, right.cols)])
         # Build on the smaller side by *actual* cardinality — the greedy
         # join order optimizes connectivity, not size, so either input
         # may be the small one.
         build_left = left.nrows <= right.nrows
+        left_keys = [a for a, _ in keys]
+        right_keys = [b for _, b in keys]
         if build_left:
-            build, probe = left, right
-            build_key_cols = [left.cols[i] for i, _ in keys]
-            probe_key_cols = [right.cols[j] for _, j in keys]
+            build, probe, build_keys, probe_keys = left, right, left_keys, right_keys
         else:
-            build, probe = right, left
-            build_key_cols = [right.cols[j] for _, j in keys]
-            probe_key_cols = [left.cols[i] for i, _ in keys]
+            build, probe, build_keys, probe_keys = right, left, right_keys, left_keys
         ctx.stats.join_builds.append(
             {
                 "build": "left" if build_left else "right",
@@ -501,6 +689,7 @@ class Executor:
         reservation = budget.reservation if budget is not None else None
         charged = 0
         if reservation is not None:
+            build_key_cols = [build.cols[ref] for ref in build_keys]
             estimate = (
                 estimate_columns_nbytes(build_key_cols)
                 + build.nrows * _JOIN_ENTRY_NBYTES
@@ -511,48 +700,20 @@ class Executor:
             except MemoryBudgetExceeded:
                 ctx.stats.join_builds[-1]["spilled"] = True
                 build_take, probe_take = self._hash_join_spilled(
-                    build, probe, build_key_cols, probe_key_cols,
-                    ctx, estimate,
+                    build, probe, build_key_cols,
+                    [probe.cols[ref] for ref in probe_keys], ctx, estimate,
                 )
                 return self._gather_join(
                     left, right, build_left, build_take, probe_take
                 )
         try:
-            buckets = self._build_buckets(build_key_cols, build.nrows, ctx)
-            single = len(probe_key_cols) == 1
-            build_take: list[int] = []
-            probe_take: list[int] = []
-            extend_b = build_take.extend
-            append_p = probe_take.append
-            get = buckets.get
-            for chunk in _split(range(probe.nrows), ctx.chunk):
-                if single:
-                    col = probe_key_cols[0]
-                    for i in chunk:
-                        bucket = get(col[i])
-                        if bucket is None:
-                            continue
-                        extend_b(bucket)
-                        if len(bucket) == 1:
-                            append_p(i)
-                        else:
-                            probe_take.extend([i] * len(bucket))
-                else:
-                    for i in chunk:
-                        bucket = get(tuple(col[i] for col in probe_key_cols))
-                        if bucket is None:
-                            continue
-                        extend_b(bucket)
-                        probe_take.extend([i] * len(bucket))
-                ctx.tick(len(chunk))
-                if budget is not None:
-                    # MAXROWS high-water *while* the output grows, so a
-                    # row explosion is caught mid-join rather than after.
-                    budget.check_rows(len(build_take), "joined rows")
+            table, _ = self._build(build, (), build_keys, ctx)
+            return self._gather(
+                probe, refs, ctx, probes=[(probe_keys, table, build.cols)]
+            )
         finally:
             if charged:
                 reservation.release(charged)
-        return self._gather_join(left, right, build_left, build_take, probe_take)
 
     @staticmethod
     def _gather_join(
@@ -563,7 +724,7 @@ class Executor:
         else:
             left_take, right_take = probe_take, build_take
         return _Rel(
-            _take(left.cols, left_take) + _take(right.cols, right_take),
+            {**_take(left.cols, left_take), **_take(right.cols, right_take)},
             len(left_take),
         )
 
@@ -689,299 +850,87 @@ class Executor:
         stats.spill_runs += len(runs)
         stats.spill_bytes += nbytes
 
-    def _build_buckets(self, key_cols, nrows: int, ctx: _Ctx) -> dict:
-        """Hash-side build: key → list of build-row indices (NULL keys
-        never equi-join and are skipped)."""
-        buckets: dict = {}
-        single = len(key_cols) == 1
-        for chunk in _split(range(nrows), ctx.chunk):
-            if single:
-                col = key_cols[0]
-                get = buckets.get
-                for i in chunk:
-                    value = col[i]
-                    if value is None:
-                        continue
-                    bucket = get(value)
-                    if bucket is None:
-                        buckets[value] = [i]
-                    else:
-                        bucket.append(i)
-            else:
-                get = buckets.get
-                for i in chunk:
-                    key = tuple(col[i] for col in key_cols)
-                    if any(value is None for value in key):
-                        continue
-                    bucket = get(key)
-                    if bucket is None:
-                        buckets[key] = [i]
-                    else:
-                        bucket.append(i)
-            ctx.tick(len(chunk))
-        return buckets
-
-    def _cross_join(self, left: _Rel, right: _Rel, ctx: _Ctx) -> _Rel:
-        ln, rn = left.nrows, right.nrows
-        if ln == 0 or rn == 0:
-            return self._gather_join(left, right, True, [], [])
-        left_take: list[int] = []
-        right_take: list[int] = []
-        right_range = range(rn)
-        budget = ctx.budget
-        if budget is None:
-            for i in range(ln):
-                left_take.extend([i] * rn)
-                right_take.extend(right_range)
-        else:
-            threshold = ctx.chunk or BATCH_ROWS
-            pending = 0
-            for i in range(ln):
-                left_take.extend([i] * rn)
-                right_take.extend(right_range)
-                pending += rn
-                if pending >= threshold:
-                    faults.fire("executor.tick")
-                    budget.tick(pending, "execute")
-                    budget.check_rows(len(left_take), "joined rows")
-                    pending = 0
-        ctx.stats.batches += 1
-        ctx.stats.rows += len(left_take)
-        return self._gather_join(left, right, True, left_take, right_take)
-
-    def _project_rel(self, rel: _Rel, exprs: list[Expr], index_of, ctx: _Ctx) -> _Rel:
-        cols = rel.cols
-        nrows = rel.nrows
-        resolve = _make_resolver(cols, index_of)
-        out_cols: list[list] = []
-        for expr in exprs:
-            if isinstance(expr, ColumnRef):
-                out_cols.append(cols[index_of[expr]])
-                continue
-            fn = compile_vector(expr)
-            chunks = _split(range(nrows), ctx.chunk)
-            if len(chunks) == 1:
-                column = fn(resolve, chunks[0])
-                ctx.tick(nrows)
-            else:
-                column = []
-                for chunk in chunks:
-                    column.extend(fn(resolve, chunk))
-                    ctx.tick(len(chunk))
-            out_cols.append(column)
-        return _Rel(out_cols, nrows)
-
-    @staticmethod
-    def _distinct_rel(rel: _Rel) -> _Rel:
-        if rel.nrows == 0 or not rel.cols:
-            return rel
-        seen: set = set()
-        add = seen.add
-        keep: list[int] = []
-        append = keep.append
-        position = 0
-        for row in zip(*rel.cols):
-            if row not in seen:
-                add(row)
-                append(position)
-            position += 1
-        if len(keep) == rel.nrows:
-            return rel
-        return _Rel(_take(rel.cols, keep), len(keep))
-
     # ------------------------------------------------------------------
     # GROUP-BY boxes
     # ------------------------------------------------------------------
     def _evaluate_groupby(self, box: GroupByBox, memo, ctx: _Ctx) -> Table:
-        child = self._evaluate(box.child_quantifier.box, memo, ctx)
-        rel = self._rel_of(child)
-        quantifier_name = box.child_quantifier.name
-
-        def child_index(ref: ColumnRef) -> int:
-            if ref.qualifier != quantifier_name:
-                raise ExecutionError(f"GROUP-BY box references foreign {ref!r}")
-            return child.column_index(ref.name)
-
-        # Column index feeding each grouping output, by output name.
-        grouping_source: dict[str, int] = {}
-        # (name, call, arg index, partial kind, distinct)
-        specs: list[tuple] = []
-        for qcl in box.outputs:
-            if isinstance(qcl.expr, AggCall):
-                call = qcl.expr
-                arg_index = child_index(call.arg) if call.arg is not None else None
-                kind, distinct = _agg.spec_kind(call)
-                specs.append((qcl.name, call, arg_index, kind, distinct))
-            elif isinstance(qcl.expr, ColumnRef):
-                grouping_source[qcl.name] = child_index(qcl.expr)
-            else:
-                raise ExecutionError(
-                    f"GROUP-BY output {qcl.name!r} is not a simple column "
-                    "or aggregate"
-                )
-
-        cuboids = [
-            self._evaluate_cuboid(box, rel, grouping_set, grouping_source, specs, ctx)
-            for grouping_set in box.grouping_sets
-        ]
-        if len(cuboids) == 1:
-            out = cuboids[0]
-            total = out.nrows
-        else:
-            cols: list[list] = [[] for _ in box.output_names]
-            total = 0
-            for cuboid in cuboids:
-                for out_col, col in zip(cols, cuboid.cols):
-                    out_col.extend(col)
-                total += cuboid.nrows
-            out = _Rel(cols, total)
-        if ctx.budget is not None:
-            ctx.budget.check_rows(total, "grouped rows")
-        return self._to_table(box.output_names, out)
-
-    def _evaluate_cuboid(
-        self, box, rel: _Rel, grouping_set, grouping_source, specs, ctx: _Ctx
-    ) -> _Rel:
-        key_indexes = [grouping_source[name] for name in grouping_set]
-        key_cols = [rel.cols[i] for i in key_indexes]
-
+        child_box = box.child_quantifier.box
         budget = ctx.budget
         reservation = budget.reservation if budget is not None else None
-        charged = 0
-        spilled = False
-        if reservation is not None:
-            estimate = (
-                estimate_columns_nbytes(key_cols)
-                + rel.nrows
-                * (_GROUP_ROW_NBYTES + _STATE_NBYTES * len(specs))
+        if (
+            isinstance(child_box, SelectBox)
+            and not child_box.distinct
+            and reservation is None
+            and ctx.consumers[id(child_box)] == 1
+        ):
+            # The SELECT box below folds its rows straight into the groups.
+            group = _Group(
+                box, child_box.output_names, [q.expr for q in child_box.outputs]
+            )
+            self._evaluate_select(child_box, memo, ctx, group)
+            memo[id(child_box)] = None  # evaluated, never materialised
+            results = group.results
+        else:
+            child = self._evaluate(child_box, memo, ctx)
+            read = {ref.name for qcl in box.outputs for ref in qcl.expr.column_refs()}
+            names = [name for name in child.columns if name in read]
+            quantifier = box.child_quantifier.name
+            group = _Group(box, names, [ColumnRef(quantifier, n) for n in names])
+            results = self._group(_Rel.of(quantifier, child), group, reservation, ctx)
+        table = group.table(results)
+        if budget is not None:
+            budget.check_rows(len(table), "grouped rows")
+        return table
+
+    def _group(self, rel: _Rel, group: _Group, reservation, ctx: _Ctx) -> list:
+        """A materialised input's cuboids: all in one loop, or — under a
+        memory reservation — one at a time, each charged on its own and
+        spilled when the charge is denied."""
+        if reservation is None or group.counts:
+            self._pipeline(rel, group, ctx)
+            return group.results
+        results = []
+        for grouping_set in group.box.grouping_sets:
+            key_cols = [
+                rel.cols[group.values[group.key_of[name]]] for name in grouping_set
+            ]
+            estimate = estimate_columns_nbytes(key_cols) + rel.nrows * (
+                _GROUP_ROW_NBYTES + _STATE_NBYTES * len(group.specs)
             )
             try:
                 reservation.charge(estimate)
-                charged = estimate
             except MemoryBudgetExceeded:
-                spilled = True
-        try:
-            if spilled:
-                order, states = self._cuboid_spilled(
-                    key_cols, specs, rel, ctx
+                results.append(
+                    self._cuboid_spilled(key_cols, group, grouping_set, rel, ctx)
                 )
-            else:
-                order, _, states = self._cuboid_pass(
-                    key_cols, specs, rel, range(rel.nrows), ctx
-                )
-        finally:
-            if charged:
-                reservation.release(charged)
-        if not order and not grouping_set:
-            # Grand total over an empty input still yields one row.
-            order = [()]
-            states = [
-                [_agg.empty_state(kind, distinct)]
-                for (_, _, _, kind, distinct) in specs
-            ]
-
-        ngroups = len(order)
-        single = len(key_indexes) == 1
-        aggregate_values = {
-            name: [_agg.finalize_state(kind, distinct, s) for s in spec_states]
-            for (name, _, _, kind, distinct), spec_states in zip(specs, states)
-        }
-        in_set = set(grouping_set)
-        key_position = {name: i for i, name in enumerate(grouping_set)}
-        out_cols: list[list] = []
-        for qcl in box.outputs:
-            if qcl.name in aggregate_values:
-                out_cols.append(aggregate_values[qcl.name])
-            elif qcl.name in in_set:
-                position = key_position[qcl.name]
-                if single:
-                    out_cols.append(list(order))
-                else:
-                    out_cols.append([key[position] for key in order])
-            else:
-                out_cols.append([None] * ngroups)  # grouped-out column
-        return _Rel(out_cols, ngroups)
-
-    def _cuboid_pass(self, key_cols, specs, rel: _Rel, rows, ctx: _Ctx):
-        """One group-by pass over ``rows`` (every row in memory as a
-        ``range``, one partition's ascending row indices when spilling):
-        first-seen key order, a group id per row, then one tight kernel
-        loop per aggregate.  Returns ``(keys in order, each key's first
-        row index, per-spec partial states)``; the first rows let the
-        spill merge restore the whole input's first-seen order.
-
-        Key columns are read in place (:func:`view`): zipped whole, or
-        sliced to one morsel; only an index list gathers.  A single key
-        whose aggregates are all ``COUNT(*)`` is counted by ``Counter``
-        (first-seen order too) and, being a ``range`` pass, returns no
-        first rows."""
-        nkeys = len(key_cols)
-        if (
-            nkeys == 1
-            and type(rows) is range
-            and all(kind == "count*" and not distinct
-                    for _, _, _, kind, distinct in specs)
-        ):
-            counts: Counter = Counter()
-            for chunk in _split(rows, ctx.chunk):
-                counts.update(view(key_cols[0], chunk))
-                ctx.tick(len(chunk))
-            return list(counts), None, [list(counts.values()) for _ in specs]
-        group_of: dict = {}
-        order: list = []
-        first_at: list[int] = []  # position in ``rows`` of each new key
-        gids: list[int] = []
-        gid_append = gids.append
-        get = group_of.get
-        for chunk in _split(rows, ctx.chunk):
-            if nkeys == 0:
-                if not order and len(chunk):
-                    order.append(())
-                    first_at.append(0)
-                gids.extend([0] * len(chunk))
-                ctx.tick(len(chunk))
                 continue
-            if nkeys == 1:
-                keys = view(key_cols[0], chunk)
-            else:
-                keys = zip(*[view(col, chunk) for col in key_cols])
-            for key in keys:
-                gid = get(key)
-                if gid is None:
-                    gid = group_of[key] = len(order)
-                    order.append(key)
-                    first_at.append(len(gids))
-                gid_append(gid)
-            ctx.tick(len(chunk))
-        ngroups = len(order)
-        states = []
-        arg_cache: dict[int, list] = {}
-        budget = ctx.budget
-        full = type(rows) is range and len(rows) == rel.nrows
-        for _, _, arg_index, kind, distinct in specs:
-            if arg_index is None:
-                values = None
-            else:
-                values = arg_cache.get(arg_index)
-                if values is None:
-                    col = rel.cols[arg_index]
-                    values = col if full else [col[i] for i in rows]
-                    arg_cache[arg_index] = values
-            states.append(
-                _agg.partial_states(kind, distinct, gids, ngroups, values)
-            )
-            if budget is not None:
-                budget.checkpoint("execute")
-        return order, [rows[p] for p in first_at], states
+            try:
+                results += self._fold(rel, group, [grouping_set], ctx)
+            finally:
+                reservation.release(estimate)
+        return results
 
-    def _cuboid_spilled(self, key_cols, specs, rel: _Rel, ctx: _Ctx):
+    def _fold(self, rel: _Rel, group: _Group, sets, ctx: _Ctx, rows=None):
+        """``rel``'s ``rows`` (all of them by default) folded into the
+        grouping ``sets``; first rows are kept for a row-number list."""
+        fn = compile_loop(
+            rel.cols, values=group.values,
+            sink=group.start(sets, firsts=rows is not None),
+        )
+        self._drive(fn, range(rel.nrows) if rows is None else rows, ctx)
+        group.end(None)
+        return group.results
+
+    def _cuboid_spilled(
+        self, key_cols, group: _Group, grouping_set, rel: _Rel, ctx: _Ctx
+    ):
         """Spill-to-disk GROUP BY for one cuboid, bit-identical to the
         in-memory path.
 
         Rows are partitioned by group-key hash; each partition's rows
         (ascending, so every group accumulates its inputs in original
-        order) are aggregated into partial states and written to a
-        CRC-framed run as ``[first row index, key, states]`` records.
+        order) are folded into partial states by the generated loop and
+        written to a CRC-framed run as ``[first row index, key, states]`` records.
         The runs are then merged with the re-derivation algebra — rules
         (a)–(g) via :func:`repro.engine.aggregates.merge_states` — and
         the groups sorted by first-seen row index, which reproduces the
@@ -1002,6 +951,7 @@ class Executor:
         """
         budget = ctx.budget
         reservation = budget.reservation
+        specs = group.specs
         nspecs = len(specs)
         per_row = _GROUP_ROW_NBYTES + _STATE_NBYTES * nspecs
         headroom = reservation.headroom() or 0
@@ -1034,8 +984,8 @@ class Executor:
             for rows in rows_by_part:
                 if not rows:
                     continue
-                part_order, part_firsts, part_states = self._cuboid_pass(
-                    key_cols, specs, rel, rows, ctx
+                ((part_order, part_firsts, part_states),) = self._fold(
+                    rel, group, [grouping_set], ctx, rows
                 )
                 records = (
                     [
@@ -1065,7 +1015,7 @@ class Executor:
                     else:
                         if first < firsts[gid]:
                             firsts[gid] = first
-                        for s, (_, _, _, kind, distinct) in enumerate(specs):
+                        for s, (_, kind, distinct, _) in enumerate(specs):
                             merged[s][gid] = _agg.merge_states(
                                 kind, distinct, merged[s][gid], states[s]
                             )
@@ -1076,6 +1026,7 @@ class Executor:
         permutation = sorted(range(len(order)), key=firsts.__getitem__)
         return (
             [order[g] for g in permutation],
+            None,
             [[column[g] for g in permutation] for column in merged],
         )
 
@@ -1115,3 +1066,77 @@ def _classify_predicates(
             continue
         residual.append(predicate)
     return local, equijoins, residual
+
+
+class _Plan(NamedTuple):
+    """A SELECT box's plan, fixed before a row is read: each child's
+    relation and local conjuncts, the join order with each step's hash
+    keys, the conjuncts left for after the joins, and every column read
+    after the local filters."""
+
+    rels: dict[str, _Rel]
+    local: dict[str, list[Expr]]
+    #: (child, [(joined-side ref, child-side ref)]); the first has none
+    steps: list[tuple[str, list]]
+    tail: list[Expr]
+    reads: set[ColumnRef]
+
+
+def _join_order(quantifiers, equijoins: list[_EquiJoin]) -> list[tuple]:
+    """Greedy connected order: the child with the most join edges first,
+    then the first child joined to those before it, a cross join as a
+    last resort.  Each step's hash keys are the equi-join predicates
+    between it and the children before it, which are marked used."""
+    remaining = list(quantifiers)
+    links: dict[str, set[str]] = {}
+    for join in equijoins:
+        links.setdefault(join.left.qualifier, set()).add(join.right.qualifier)
+        links.setdefault(join.right.qualifier, set()).add(join.left.qualifier)
+    steps: list[tuple] = []
+    joined: set[str] = set()
+    while remaining:
+        if not joined:
+            quantifier = max(remaining, key=lambda q: len(links.get(q.name, ())))
+        else:
+            quantifier = next(
+                (q for q in remaining if links.get(q.name, set()) & joined),
+                remaining[0],
+            )
+        remaining.remove(quantifier)
+        keys = []
+        for join in equijoins:
+            for new, old in ((join.left, join.right), (join.right, join.left)):
+                if (
+                    not join.used
+                    and new.qualifier == quantifier.name
+                    and old.qualifier in joined
+                ):
+                    keys.append((old, new))
+                    join.used = True
+        steps.append((quantifier.name, keys))
+        joined.add(quantifier.name)
+    return steps
+
+
+def _conjuncts(predicates) -> list[Expr]:
+    """Every top-level AND operand, in order: each a loop tests per row."""
+    return [c for predicate in predicates for c in conjuncts(predicate)]
+
+
+def _distinct(cols: list[list], nrows: int) -> tuple[list[list], int]:
+    """First occurrence of every row, in order."""
+    if nrows == 0 or not cols:
+        return cols, nrows
+    seen: set = set()
+    add = seen.add
+    keep: list[int] = []
+    append = keep.append
+    position = 0
+    for row in zip(*cols):
+        if row not in seen:
+            add(row)
+            append(position)
+        position += 1
+    if len(keep) == nrows:
+        return cols, nrows
+    return [[c[i] for i in keep] for c in cols], len(keep)

@@ -1,12 +1,13 @@
-"""Vectorized expression compilation for the batch executor.
+"""Compiled loops for the batch executor.
 
-:func:`compile_vector` turns an :class:`~repro.expr.nodes.Expr` tree into
-a kernel evaluated once per **batch** instead of once per row: the tree is
-generated as Python source for **one** list comprehension over the zipped
-columns it reads, and compiled.  :func:`compile_filter` does the same for
-a predicate and returns the row numbers where it is TRUE.  Either way a
-row costs one pass of compiled bytecode, with no interpreter dispatch per
-node and no intermediate list per node.
+:func:`compile_loop` generates the Python source of **one** ``for`` loop
+for a whole pipeline — a driver relation streamed with its filters
+inline, nested loops over hash-table buckets, residual filters, and a
+sink that appends values, hashes row numbers or folds into groups — and
+compiles it.  Every expression in it is inlined as one row expression
+(:class:`_Emitter`), so a row costs one pass of compiled bytecode: no
+interpreter dispatch per node, no intermediate list per node or per
+operator.
 
 A generated row evaluates exactly what :func:`repro.expr.evaluator.evaluate`
 evaluates, in the same order — not just the same values:
@@ -20,25 +21,20 @@ evaluates, in the same order — not just the same values:
   ``x IN (...)`` at the first equal item and never for a NULL operand,
   CASE at the first TRUE condition.  A guarded expression that would
   divide by zero on excluded rows raises in neither engine.
-* ``/`` and ``%`` call helpers raising the evaluator's ``ExecutionError``;
+* ``/`` and ``%`` call helpers raising the evaluator's ``ExecutionError``
+  — except by a nonzero numeric literal, where they are inline;
   ``year``/``month``/``day`` read the date's attribute.
 
 No value of the query reaches the source: constants, function
-implementations and helpers are arguments of a generated factory, so the
-text depends only on the tree's shape, and the compiled factory is
-memoised by that text — ``x > 1.5`` and ``x > 2.5`` share one
-``compile()``.
-
-Kernels have the signature ``fn(resolve, sel) -> list`` where
-``resolve(ColumnRef)`` returns the full column as a plain value list and
-``sel`` is a ``range`` or list of row indices; a :func:`compile_vector`
-result is aligned with ``sel``, a :func:`compile_filter` result is the
-sub-list of ``sel`` that passes.
+implementations, helpers, columns and sink targets are arguments of a
+generated factory, so the text depends only on the pipeline's shape, and
+the compiled factory is memoised by that text — ``x > 1.5`` and
+``x > 2.5`` share one ``compile()``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.expr.functions import lookup_function
@@ -57,43 +53,103 @@ from repro.expr.nodes import (
 )
 from repro.lru import LRU
 
-#: resolve(ColumnRef) -> the full column as a plain value list
-ColumnResolver = Callable[[ColumnRef], list]
-#: a compiled expression: (resolve, selection) -> values aligned with sel
-VectorFn = Callable[[ColumnResolver, Sequence[int]], list]
-
-#: SQL binary operator → Python operator (``/`` and ``%`` are helpers)
+#: SQL binary operator → Python operator (``/`` and ``%``: see ``emit``)
 _BINARY = {
     "-": "-", "=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
 #: functions whose row evaluator is ``d.<name>``
 _DATE_PARTS = ("year", "month", "day")
 
-#: kernels by (node, ``repr``, filter?); node equality does not see a
-#: literal's type (``Lit(0) == Lit(-0.0) == Lit(False)``), so the memo key
-#: carries the ``repr`` too: ``x * 0`` and ``x * -0.0`` must not share one
-_KERNELS = LRU(4096)
-#: generated factories by source text: one ``compile()`` per tree shape
+#: generated factories by source text: one ``compile()`` per loop shape
 _CODE = LRU(1024)
 
+#: per partial-state kind (the aggregate, ``count*`` for COUNT(*)): the
+#: source of a new group's state and of the statement that folds value
+#: ``{v}`` into group ``g``'s state ``{s}[g]`` — exactly what the row
+#: accumulators of :mod:`repro.engine.aggregates` do, step for step; NULL
+#: inputs are ignored by every aggregate except COUNT(*)
+_FOLDS = {
+    "count*": ("0", "{s}[g] += 1"),
+    "count": ("0", "if {v} is not None: {s}[g] += 1"),
+    "sum": (
+        "None",
+        "if {v} is not None: {s}[g] = {v} if (x := {s}[g]) is None else x + {v}",
+    ),
+    "avg": (
+        "[None, 0]",
+        "if {v} is not None: x = {s}[g]; "
+        "x[0] = {v} if (y := x[0]) is None else y + {v}; x[1] += 1",
+    ),
+    "min": (
+        "None",
+        "if {v} is not None and ((x := {s}[g]) is None or {v} < x): {s}[g] = {v}",
+    ),
+    "max": (
+        "None",
+        "if {v} is not None and ((x := {s}[g]) is None or {v} > x): {s}[g] = {v}",
+    ),
+}
+#: every DISTINCT kind collects its non-NULL values in a set
+_DISTINCT_FOLD = ("set()", "if {v} is not None: {s}[g].add({v})")
 
-def compile_vector(expr: Expr) -> VectorFn:
-    """Compile ``expr`` into a batch evaluator (memoized)."""
-    return _kernel(expr, False)
 
+def compile_loop(
+    driver: Mapping[ColumnRef, list],
+    filters: Sequence[Expr] = (),
+    probes: Sequence[tuple] = (),
+    residual: Sequence[Expr] = (),
+    values: Sequence[Expr] = (),
+    sink: tuple | None = None,
+    counted: Sequence[int] = (),
+    pulse: tuple | None = None,
+) -> Callable[[Sequence[int]], tuple]:
+    """Compile one pipeline into a single loop ``fn(sel) -> counts``.
 
-def compile_filter(expr: Expr) -> VectorFn:
-    """Compile predicate ``expr`` into ``fn(resolve, sel)`` returning the
-    indices of ``sel`` where it is TRUE, in order (memoized)."""
-    return _kernel(expr, True)
+    ``fn`` streams the ``driver`` rows ``sel`` picks (``driver`` maps each
+    of the streamed relation's ColumnRefs to its column).  Per row it
+    tests the ``filters`` in order, dropping the row at the first that
+    is not TRUE (pass a predicate's :func:`conjuncts` for the row
+    interpreter's short circuit); then, per probe
+    ``(keys, table, columns)``, it looks the ``keys`` (ColumnRefs bound
+    at an earlier level; several make a tuple) up in ``table`` (key → row
+    numbers) — or, with no keys, walks ``table`` itself, a row-number
+    list (a cross join) — and binds ``columns`` at each of those rows;
+    then it tests the ``residual`` filters, evaluates every one of
+    ``values`` in order and hands them to the ``sink``:
+
+    * ``("append", appenders)``: ``appenders[k](value k)``;
+    * ``("hash", buckets)``: the driver row number joins
+      ``buckets[key]`` (``key`` the value, a tuple of several), a key
+      with a NULL is skipped; with no values ``buckets`` is a list and
+      takes every row number;
+    * ``("group", sets, aggregates)``: per grouping set ``(value
+      positions, groups, firsts, states)`` the key (the value, a tuple of
+      several, ``()`` of none) finds its group id in ``groups`` (key →
+      id, in first-seen order) or opens the next one — appending the row
+      number to ``firsts`` unless it is None, and each aggregate's
+      initial state to its list in ``states`` — and then each aggregate
+      ``(value position or None, partial-state kind, distinct)`` folds
+      its value into ``states[k][g]``;
+    * ``None``: nothing — the rows are only counted.
+
+    ``counted`` picks the stages whose row counts ``fn`` returns, in
+    order: stage ``p`` is the rows reaching probe ``p``, stage
+    ``len(probes)`` the rows reaching the sink.
+
+    ``pulse`` — ``(every, call)``, with probes and the sink stage
+    counted — bounds the work between two calls however far a probe
+    fans out: every ``every`` rows the bucket loops bind (summed over
+    all levels), ``call(rows reaching the sink so far)``."""
+    loop = _Loop([driver, *(columns for _, _, columns in probes)])
+    return loop.build(filters, probes, residual, values, sink, counted, pulse)
 
 
 def conjuncts(expr: Expr) -> list[Expr]:
     """Split a predicate into top-level AND operands.
 
-    Filtering applies each conjunct as its own selection pass, which is
-    exactly the row interpreter's short-circuit order: a row rejected by
-    conjunct *k* never evaluates conjunct *k+1*.
+    A loop tests a row's conjuncts in order and stops at the first that
+    is not TRUE — exactly the row interpreter's short-circuit order: a
+    row rejected by conjunct *k* never evaluates conjunct *k+1*.
     """
     if isinstance(expr, NaryOp) and expr.op == "and":
         out: list[Expr] = []
@@ -125,53 +181,26 @@ def _modulo(a, b):
     return a % b
 
 
-def _kernel(expr: Expr, is_filter: bool) -> VectorFn:
-    key = (expr, repr(expr), is_filter)
-    fn = _KERNELS.get(key)
-    if fn is None:
-        emitter = _Emitter()
-        body, _ = emitter.emit(expr)
-        source = _source(body, len(emitter.refs), len(emitter.args), is_filter)
-        make = _CODE.get(source)
-        if make is None:
-            namespace: dict = {}
-            exec(compile(source, "<repro.expr.vector>", "exec"), namespace)
-            make = namespace["make"]
-            _CODE.put(source, make)
-        fn = make(view, tuple(emitter.refs), tuple(emitter.args))
-        _KERNELS.put(key, fn)
-    return fn
+def _nonzero_number(expr: Expr) -> bool:
+    """A divisor the generated code divides by inline: a numeric literal
+    that does not compare equal to 0 (``0``, ``0.0``, ``-0.0`` and FALSE
+    keep the raising helper, as does every non-literal divisor)."""
+    return (
+        isinstance(expr, Literal)
+        and isinstance(expr.value, (int, float))
+        and expr.value != 0
+    )
 
 
-def _source(body: str, ncols: int, nargs: int, is_filter: bool) -> str:
-    """The factory around one comprehension: ``make(view, refs, args)``
-    binds ``r<k>``/``a<k>`` and returns ``kernel(resolve, sel)``, whose
-    loop variable ``c<k>`` is column ``r<k>`` at ``sel``."""
-    cols = [f"c{k}" for k in range(ncols)]
-    views = [f"view(resolve(r{k}), sel)" for k in range(ncols)]
-    if is_filter:
-        targets = ", ".join(["i", *cols])
-        rows = f"zip(sel, {', '.join(views)})" if cols else "sel"
-        comprehension = f"[i for {targets} in {rows} if {body} is True]"
-    else:
-        if ncols > 1:
-            targets, rows = ", ".join(cols), f"zip({', '.join(views)})"
-        elif ncols:
-            targets, rows = cols[0], views[0]
-        else:
-            targets, rows = "_", "sel"
-        comprehension = f"[{body} for {targets} in {rows}]"
-    lines = ["def make(view, refs, args):"]
-    if ncols:
-        lines.append("    " + "".join(f"r{k}, " for k in range(ncols)) + "= refs")
-    if nargs:
-        lines.append("    " + "".join(f"a{k}, " for k in range(nargs)) + "= args")
-    lines += [
-        "    def kernel(resolve, sel):",
-        f"        return {comprehension}",
-        "    return kernel",
-    ]
-    return "\n".join(lines) + "\n"
+def _factory(source: str):
+    """The compiled ``make`` of ``source``: one ``compile()`` per text."""
+    make = _CODE.get(source)
+    if make is None:
+        namespace: dict = {}
+        exec(compile(source, "<repro.expr.vector>", "exec"), namespace)
+        make = namespace["make"]
+        _CODE.put(source, make)
+    return make
 
 
 class _Emitter:
@@ -185,7 +214,7 @@ class _Emitter:
     def __init__(self):
         #: columns read, in order of first use → loop variable
         self.refs: dict[ColumnRef, str] = {}
-        #: factory arguments: constants, implementations, helpers
+        #: factory arguments: constants, implementations, helpers, data
         self.args: list = []
         self._temps = 0
 
@@ -214,7 +243,9 @@ class _Emitter:
             return name, True
         if isinstance(expr, BinaryOp):
             op = expr.op
-            if op in ("/", "%"):
+            if op in ("/", "%") and _nonzero_number(expr.right):
+                build = lambda a, b: f"({a} {op} {b})"
+            elif op in ("/", "%"):
                 helper = self._arg(_divide if op == "/" else _modulo)
                 build = lambda a, b: f"{helper}({a}, {b})"
             elif op in _BINARY:
@@ -347,3 +378,158 @@ class _Emitter:
             expr.args, lambda *names: f"{impl}({', '.join(names)})"
         )
 
+
+class _Loop(_Emitter):
+    """Source for one :func:`compile_loop` pipeline.
+
+    The body is emitted level by level (the driver, then one nested
+    ``for`` per probe); a column is bound at the top of the level it
+    belongs to — a driver column is a loop variable of the ``zip``, a
+    probed one an index into its column — once the whole body has shown
+    which columns it reads."""
+
+    def __init__(self, levels: list):
+        super().__init__()
+        #: per level, ColumnRef -> column: the driver, then each probe's
+        self.levels = levels
+        #: source lines, and ``(level, depth)`` where a level's bindings go
+        self.body: list = []
+        self.depth = 3
+
+    def _line(self, text: str) -> None:
+        self.body.append("    " * self.depth + text)
+
+    def _test(self, predicates) -> None:
+        for predicate in predicates:
+            code, _ = self.emit(predicate)
+            self._line(f"if {code} is not True: continue")
+
+    @staticmethod
+    def _key(names: list[str]) -> str:
+        return names[0] if len(names) == 1 else f"({', '.join(names)})"
+
+    def build(self, filters, probes, residual, values, sink, counted, pulse):
+        self._test(filters)
+        if pulse:
+            every, call = map(self._arg, pulse)
+        for p, (keys, table, _) in enumerate(probes):
+            if p in counted:
+                self._line(f"n{p} += 1")
+            if keys:
+                key = self._key([self.emit(ref)[0] for ref in keys])
+                self._line(f"b{p} = {self._arg(table.get)}({key})")
+                self._line(f"if b{p} is None: continue")
+                rows = f"b{p}"
+            else:
+                rows = self._arg(table)
+            self._line(f"for j{p} in {rows}:")
+            self.depth += 1
+            if pulse:
+                self._line("w += 1")
+                self._line(f"if w == {every}: w = 0; {call}(n{len(probes)})")
+            self.body.append((p + 1, self.depth))
+        self._test(residual)
+        if len(probes) in counted:
+            self._line(f"n{len(probes)} += 1")
+        kind = sink[0] if sink else None
+        names = []
+        for k, value in enumerate(values):
+            code, _ = self.emit(value)
+            if kind == "append":
+                self._line(f"{self._arg(sink[1][k])}({code})")
+            elif not code.isidentifier():
+                self._line(f"v{k} = {code}")
+                code = f"v{k}"
+            names.append(code)
+        if kind == "hash":
+            self._hash(names, sink[1])
+        elif kind == "group":
+            self._group(names, *sink[1:])
+        if not self.body or not isinstance(self.body[-1], str):
+            self._line("pass")  # nothing to do but stream the rows
+        numbered = kind == "hash" or (
+            kind == "group" and any(s[2] is not None for s in sink[1])
+        )
+        return self._compile(sorted(counted), numbered, bool(pulse))
+
+    def _hash(self, names, buckets) -> None:
+        if not names:
+            self._line(f"{self._arg(buckets.append)}(i)")
+            return
+        self._line(f"if {' or '.join(f'{n} is None' for n in names)}: continue")
+        key = self._key(names)
+        if len(names) > 1:
+            self._line(f"k = {key}")
+            key = "k"
+        table = self._arg(buckets)
+        self._line(f"h = {self._arg(buckets.get)}({key})")
+        self._line(f"if h is None: {table}[{key}] = [i]")
+        self._line("else: h.append(i)")
+
+    def _group(self, names, sets, aggregates) -> None:
+        folds = [
+            (position, *(_DISTINCT_FOLD if distinct else _FOLDS[kind]))
+            for position, kind, distinct in aggregates
+        ]
+        for positions, groups, firsts, states in sets:
+            key = self._key([names[p] for p in positions]) if positions else "()"
+            if len(positions) > 1:
+                self._line(f"k = {key}")
+                key = "k"
+            table = self._arg(groups)
+            self._line(f"g = {self._arg(groups.get)}({key})")
+            self._line("if g is None:")
+            self._line(f"    g = {table}[{key}] = len({table})")
+            if firsts is not None:
+                self._line(f"    {self._arg(firsts.append)}(i)")
+            for (_, initial, _), state in zip(folds, states):
+                self._line(f"    {self._arg(state.append)}({initial})")
+            for (position, _, fold), state in zip(folds, states):
+                value = "None" if position is None else names[position]
+                self._line(fold.format(s=self._arg(state), v=value))
+
+    def _compile(self, counted: list[int], numbered: bool, pulsed: bool):
+        targets, sources = (["i"], ["sel"]) if numbered else ([], [])
+        bindings: dict[int, list[str]] = {}
+        for ref, name in self.refs.items():
+            level = next(
+                (k for k, columns in enumerate(self.levels) if ref in columns),
+                None,
+            )
+            if level is None:
+                raise ExecutionError(f"no column {ref!r} to read")
+            column = self._arg(self.levels[level][ref])
+            if level:
+                bindings.setdefault(level, []).append(
+                    f"{name} = {column}[j{level - 1}]"
+                )
+            else:
+                targets.append(name)
+                sources.append(f"view({column}, sel)")
+        if not sources:
+            header = "for _ in sel:"
+        elif len(sources) == 1:
+            header = f"for {targets[0]} in {sources[0]}:"
+        else:
+            header = f"for {', '.join(targets)} in zip({', '.join(sources)}):"
+        counters = [f"n{stage}" for stage in counted]
+        lines = ["def make(view, args):"]
+        if self.args:
+            lines.append(
+                "    " + "".join(f"a{k}, " for k in range(len(self.args))) + "= args"
+            )
+        lines.append("    def loop(sel):")
+        if counters or pulsed:
+            lines.append(f"        {' = '.join(counters + ['w'] * pulsed)} = 0")
+        lines.append(f"        {header}")
+        for line in self.body:
+            if isinstance(line, tuple):
+                level, depth = line
+                lines += ["    " * depth + b for b in bindings.get(level, ())]
+            else:
+                lines.append(line)
+        lines += [
+            f"        return ({''.join(c + ', ' for c in counters)})",
+            "    return loop",
+        ]
+        return _factory("\n".join(lines) + "\n")(view, tuple(self.args))

@@ -1,6 +1,8 @@
 """End-to-end executor behaviour over the tiny hand-checked database."""
 
 import datetime
+import itertools
+import re
 
 import pytest
 
@@ -9,7 +11,7 @@ from repro.catalog import credit_card_catalog
 from repro.engine import Database, Executor
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.table import Table, tables_equal
-from repro.errors import ExecutionError
+from repro.errors import BudgetExhausted, ExecutionError, QueryTimeout
 from repro.governor import scope as governor_scope
 from repro.governor.budget import Deadline, QueryBudget
 from repro.qgm import build_graph
@@ -309,18 +311,24 @@ class TestHashJoinBuildSide:
 
 
 class _Unreadable(list):
-    """A column no query below reads: indexing it fails the test."""
+    """A column no query below reads: indexing or iterating it (a loop
+    zipping it) fails the test."""
 
     def __getitem__(self, index):
         raise AssertionError("the executor indexed an unread column")
 
+    def __iter__(self):
+        raise AssertionError("the executor iterated an unread column")
+
 
 class TestColumnPruning:
     """A SELECT box gathers only the columns it reads after its local
-    filters; an unread column is never indexed, on any join path."""
+    filters; an unread column is never indexed or iterated, on any path:
+    the fused loop, its fallback to one operator at a time, and the
+    spilling operators."""
 
     @staticmethod
-    def _db():
+    def _db(unreadable=True):
         db = Database(credit_card_catalog())
         db.load("PGroup", [(1, "TV"), (2, "Radio")])
         db.load("Cust", [(1, "Alice", "CA")])
@@ -340,7 +348,8 @@ class TestColumnPruning:
         # the unread columns every query below must leave alone.
         for name, data, unread in [("Loc", locs, 1), ("Trans", trans, 7)]:
             columns = [list(c) for c in zip(*data)]
-            columns[unread] = _Unreadable(columns[unread])
+            if unreadable:
+                columns[unread] = _Unreadable(columns[unread])
             schema = db.catalog.table(name)
             db.tables[name.lower()] = Table.from_columns(
                 [c.name for c in schema.columns], columns
@@ -364,15 +373,25 @@ class TestColumnPruning:
             ("select flid, count(*) / (select count(*) from Trans) as cntpct "
              "from Trans, Loc where flid = lid and country = 'USA' "
              "group by flid having count(*) > 2", None),
+            ("select state, count(*) as c, sum(qty * price) as v "
+             "from Trans, Loc where flid = lid group by state", None),
+            # Trans streams, but filtered to 2 rows it is the smaller input:
+            # the loop's order does not hold and the box runs as operators
+            ("select tid, state from Trans, Loc where flid = lid and tid < 3",
+             None),
         ],
         ids=[
             "filter", "hash-join", "cross-join", "spilled-join-group-by",
             "distinct", "count-star", "self-join", "fig11_q10",
+            "fused-join-group-by", "fallback",
         ],
     )
     def test_unread_column_is_never_indexed(self, sql, max_mem):
+        plain = self._db(unreadable=False)
+        expected = ReferenceExecutor(plain.tables).run(
+            build_graph(sql, plain.catalog)
+        )
         db = self._db()
-        expected = ReferenceExecutor(db.tables).run(build_graph(sql, db.catalog))
         BROKER.reset()
         try:
             result = db.execute(sql, use_summary_tables=False, max_mem=max_mem)
@@ -399,7 +418,9 @@ class TestInList:
 
 class TestGovernorCadence:
     """Under a governor every full 1 024-row morsel fires
-    ``executor.tick``, whichever way a group-by pass reads its keys."""
+    ``executor.tick``, whichever loop streams it — and so does every
+    1 024 rows a loop's bucket loops bind within one morsel, so a join
+    that fans out is ticked, and checked against MAXROWS, mid-morsel."""
 
     @pytest.fixture(scope="class")
     def db(self):
@@ -408,21 +429,68 @@ class TestGovernorCadence:
     @pytest.mark.parametrize(
         "sql,ticks",
         [
-            # projection 8 + a Counter pass 8
+            # one loop: 8 full morsels of Trans, the year computed and
+            # counted in each (before fusion: projection 8 + count 8)
             ("select year(date) as y, count(*) as c from Trans "
-             "group by year(date)", 16),
-            # filter 8 + projection 5 + a 2-key pass 5
+             "group by year(date)", 8),
+            # one loop: 8 full morsels of Trans, the filter, both keys and
+            # the count inline (before: filter 8 + projection 5 + pass 5)
             ("select flid, year(date) as y, count(*) as c from Trans "
-             "where year(date) > 1990 group by flid, year(date)", 18),
+             "where year(date) > 1990 group by flid, year(date)", 8),
+            # Loc's hash build (60 rows, no full morsel), then one loop: 8
+            # full morsels of Trans probing it (before: probe 8 + a
+            # count pass over the 5 046 joined rows 4)
+            ("select state, count(*) as c from Trans, Loc "
+             "where flid = lid and country = 'USA' group by state", 8),
         ],
-        ids=["counter", "two-keys"],
+        ids=["counter", "two-keys", "join"],
     )
     def test_group_by_ticks_every_full_morsel(self, db, sql, ticks):
         graph = build_graph(sql, db.catalog)
-        expected = ReferenceExecutor(db.tables).run(graph)
+        if "Loc" in sql:  # the reference's cartesian product: 518 400 rows
+            expected = Executor(db.tables).run(graph)
+        else:
+            expected = ReferenceExecutor(db.tables).run(graph)
         budget = QueryBudget(deadline=Deadline(60_000.0), max_rows=10_000_000)
         with INJECTOR.injected("executor.tick", probability=0.0) as spec:
             with governor_scope.activate(budget):
                 result = Executor(db.tables).run(build_graph(sql, db.catalog))
         assert spec.hits == ticks
         assert tables_equal(result, expected)
+
+    # 60 Loc rows stream, too few for a full morsel; every one binds all
+    # 8 640 Trans rows: 518 400 rows in one morsel
+    CROSS = "select count(*) as c from Loc, Trans"
+
+    def test_a_cross_join_ticks_per_bound_rows(self, db):
+        budget = QueryBudget(deadline=Deadline(60_000.0))
+        with INJECTOR.injected("executor.tick", probability=0.0) as spec:
+            with governor_scope.activate(budget):
+                result = Executor(db.tables).run(build_graph(self.CROSS, db.catalog))
+        assert result.rows == [(518_400,)]
+        # at least one tick per 1 024 rows of the product: here Trans's
+        # row list (8 full morsels), then 506 inside Loc's one morsel
+        assert spec.hits >= 518_400 // 1024
+
+    def test_a_cross_join_hits_maxrows_mid_morsel(self, db):
+        budget = QueryBudget(max_rows=10_000)
+        with governor_scope.activate(budget):
+            with pytest.raises(BudgetExhausted) as raised:
+                Executor(db.tables).run(build_graph(self.CROSS, db.catalog))
+        # caught long before the 518 400 rows: here at the tenth tick
+        # inside the morsel, 10 239 rows produced
+        produced = int(re.search(r"\((\d+) ", str(raised.value)).group(1))
+        assert produced < 2 * 10_000
+
+    def test_a_small_driver_three_way_cross_join_times_out(self, db):
+        # A clock that moves 1 ms per reading: the 200 ms deadline expires
+        # at the 200th checkpoint.  Without a tick inside Loc's one morsel
+        # the 31 104 000-row product runs to the end and returns.
+        ticks = itertools.count()
+        budget = QueryBudget(
+            deadline=Deadline(200.0, clock=lambda: next(ticks) / 1e3)
+        )
+        sql = "select count(*) as c from Loc l1, Loc l2, Trans"
+        with governor_scope.activate(budget):
+            with pytest.raises(QueryTimeout):
+                Executor(db.tables).run(build_graph(sql, db.catalog))

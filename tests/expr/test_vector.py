@@ -1,10 +1,10 @@
-"""Vectorized expression compilation vs the row interpreter.
+"""Generated loops vs the row interpreter.
 
-:func:`repro.expr.vector.compile_vector` must agree with
-:func:`repro.expr.evaluator.evaluate` element-for-element — including
-NULL propagation, Kleene logic, and *where* evaluation happens
-(short-circuits become shrinking selection vectors, so guarded
-divisions raise in neither engine).  Values are compared bit for bit,
+A value or a filter computed by :func:`repro.expr.vector.compile_loop`
+must agree with :func:`repro.expr.evaluator.evaluate` element-for-element
+— including NULL propagation, Kleene logic, and *where* evaluation
+happens (short-circuits stay short-circuits, so guarded divisions raise
+in neither engine).  Values are compared bit for bit,
 as ``(type, repr)``: ``==`` would let ``-0.0`` pass for ``0``.
 """
 
@@ -30,7 +30,7 @@ from repro.expr import (
 )
 from repro.expr import vector
 from repro.expr.nodes import CaseWhen
-from repro.expr.vector import compile_filter, compile_vector, conjuncts
+from repro.expr.vector import compile_loop, conjuncts
 from repro.lru import LRU
 
 X = ColumnRef(None, "x")
@@ -60,10 +60,17 @@ COLUMNS = {
 NROWS = len(COLUMNS["x"])
 
 
+def _columns(expr):
+    return {ref: COLUMNS[ref.name] for ref in expr.column_refs()}
+
+
 def vector_values(expr, sel=None):
+    """``expr`` at every row of ``sel``, from one generated loop."""
     sel = range(NROWS) if sel is None else sel
-    fn = compile_vector(expr)
-    return [(type(v), repr(v)) for v in fn(lambda ref: COLUMNS[ref.name], sel)]
+    values: list = []
+    sink = ("append", [values.append])
+    compile_loop(_columns(expr), values=[expr], sink=sink)(sel)
+    return [(type(v), repr(v)) for v in values]
 
 
 def row_values(expr, sel=None):
@@ -183,14 +190,11 @@ def test_conjuncts_split_and_round_trip():
     whole = NaryOp("and", (a, NaryOp("and", (b, c))))
     parts = conjuncts(whole)
     assert set(parts) >= {a, c}
-    # Applying the parts as successive filters equals the whole predicate
+    # Testing the parts in order, per row, equals the whole predicate
     # being True.
-    sel = range(NROWS)
-    for part in parts:
-        fn = compile_vector(part)
-        vals = fn(lambda ref: COLUMNS[ref.name], sel)
-        sel = [i for i, v in zip(sel, vals) if v is True]
-    assert sel == [
+    rows: list = []
+    compile_loop(_columns(whole), filters=parts, sink=("hash", rows))(range(NROWS))
+    assert rows == [
         i for i, v in enumerate(row_values(whole)) if v == (bool, "True")
     ]
 
@@ -222,7 +226,7 @@ def test_hostile_literal_round_trips(value):
 
 
 def test_true_next_to_one_keeps_both_types():
-    # Node equality says Lit(True) == Lit(1); the kernels must not merge.
+    # Node equality says Lit(True) == Lit(1); no memo may merge the two.
     big = BinaryOp(">", X, Literal(2))
     for expr in (
         CaseWhen((big, Literal(True)), Literal(1)),
@@ -233,16 +237,21 @@ def test_true_next_to_one_keeps_both_types():
         assert vector_values(expr) == row_values(expr), expr
 
 
-def test_constants_share_one_compile_and_stay_out_of_source(monkeypatch):
-    sources = []
+def _spy_compile(monkeypatch) -> list[str]:
+    """A fresh memo, and every generated source the test compiles."""
+    sources: list[str] = []
 
     def spy(source, *args):
         sources.append(source)
         return compile(source, *args)
 
-    monkeypatch.setattr(vector, "_KERNELS", LRU(16))
     monkeypatch.setattr(vector, "_CODE", LRU(16))
     monkeypatch.setattr(vector, "compile", spy, raising=False)
+    return sources
+
+
+def test_constants_share_one_compile_and_stay_out_of_source(monkeypatch):
+    sources = _spy_compile(monkeypatch)
     first = BinaryOp(">", X, Literal(1.2345))
     second = BinaryOp(">", X, Literal(6.789))
     assert vector_values(first) == row_values(first)
@@ -253,6 +262,39 @@ def test_constants_share_one_compile_and_stay_out_of_source(monkeypatch):
     hostile = FuncCall("concat", (S, Literal(HOSTILE[0])))
     assert vector_values(hostile) == row_values(hostile)
     assert "quoted" not in sources[-1]
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_a_nonzero_number_literal_divisor_is_inlined(monkeypatch, op):
+    sources = _spy_compile(monkeypatch)
+    for divisor in (100, 7, -2.5, float("nan"), True):
+        expr = BinaryOp(op, X, Literal(divisor))
+        assert vector_values(expr) == row_values(expr), divisor
+    # one shape, one compile; the divisor is an argument, the operator inline
+    assert len(sources) == 1
+    assert f"(c0 {op} a0)" in sources[0]
+    assert "100" not in sources[0]
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, False], ids=repr)
+def test_a_zero_literal_divisor_keeps_the_raising_helper(monkeypatch, op, zero):
+    sources = _spy_compile(monkeypatch)
+    expr = BinaryOp(op, X, Literal(zero))
+    with pytest.raises(ExecutionError):
+        vector_values(expr)
+    with pytest.raises(ExecutionError):
+        row_values(expr)
+    assert f" {op} " not in sources[0]
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_a_column_or_string_divisor_keeps_the_helper(monkeypatch, op):
+    sources = _spy_compile(monkeypatch)
+    for expr in (BinaryOp(op, X, Y), BinaryOp(op, X, Literal("2"))):
+        assert _outcome(vector_values, expr) == _outcome(row_values, expr)
+    assert len(sources) == 2
+    assert not any(f" {op} " in source for source in sources)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +372,10 @@ def test_random_trees_match_row_interpreter(expr):
 
 
 def filter_rows(expr, sel):
-    return compile_filter(expr)(lambda ref: COLUMNS[ref.name], sel)
+    """The rows of ``sel`` a generated loop's filter keeps."""
+    rows: list = []
+    compile_loop(_columns(expr), filters=[expr], sink=("hash", rows))(sel)
+    return rows
 
 
 def passing_rows(expr, sel):
