@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -742,71 +743,22 @@ class Executor:
         run preserves ascending build order, so sorting the collected
         ``(probe row, build row)`` pairs reproduces the in-memory output
         order exactly: probe-major, bucket insertion order within.
-
-        A run that cannot be written (spill disk full, or the armed
-        ``executor.spill`` fault) is the bottom of the resource ladder:
-        the query fails with a typed ``QueryResourceError``.
         """
         budget = ctx.budget
-        reservation = budget.reservation
-        headroom = reservation.headroom() or 0
-        if headroom > 0:
-            nparts = min(_MAX_SPILL_PARTS, max(2, -(-estimate // headroom)))
-        else:
-            nparts = 8
+        nparts = _spill_parts(budget.reservation, estimate)
+        # NULL keys never equi-join: those rows are in no partition
+        build_parts = self._partition(build_key_cols, build.nrows, nparts, ctx, False)
         single = len(build_key_cols) == 1
-
-        def partition_ids(key_cols, nrows: int) -> list[int]:
-            """Partition id per row; -1 for NULL keys (never equi-join)."""
-            pids = [-1] * nrows
-            for chunk in _split(range(nrows), ctx.chunk):
-                if single:
-                    col = key_cols[0]
-                    for i in chunk:
-                        value = col[i]
-                        if value is not None:
-                            pids[i] = hash(value) % nparts
-                else:
-                    for i in chunk:
-                        key = tuple(col[i] for col in key_cols)
-                        if None not in key:
-                            pids[i] = hash(key) % nparts
-                ctx.tick(len(chunk))
-            return pids
-
-        build_pids = partition_ids(build_key_cols, build.nrows)
-        runs = []
         pairs: list[tuple[int, int]] = []
-        try:
-            for p in range(nparts):
-                if single:
-                    col = build_key_cols[0]
-                    records = (
-                        [col[i], i]
-                        for i in range(build.nrows)
-                        if build_pids[i] == p
-                    )
-                else:
-                    records = (
-                        [tuple(col[i] for col in build_key_cols), i]
-                        for i in range(build.nrows)
-                        if build_pids[i] == p
-                    )
-                try:
-                    runs.append(_spill.write_run(records, label="join"))
-                except (OSError, faults.InjectedFault) as error:
-                    raise QueryResourceError(
-                        "hash join exceeded its memory budget and the "
-                        f"spill path failed: {error}"
-                    ) from error
-            self._note_spill(ctx, runs)
-            probe_pids = partition_ids(probe_key_cols, probe.nrows)
-            probe_by_part: list[list[int]] = [[] for _ in range(nparts)]
-            for i, pid in enumerate(probe_pids):
-                if pid >= 0:
-                    probe_by_part[pid].append(i)
-            probe_single = len(probe_key_cols) == 1
-            for p, run in enumerate(runs):
+        batches = (
+            ([_key(build_key_cols, single, i), i] for i in rows)
+            for rows in build_parts
+        )
+        with self._spilled(ctx, batches, "join", "hash join") as runs:
+            probe_parts = self._partition(
+                probe_key_cols, probe.nrows, nparts, ctx, False
+            )
+            for run, probe_rows in zip(runs, probe_parts):
                 buckets: dict = {}
                 get = buckets.get
                 for key, build_i in run.read():
@@ -815,40 +767,60 @@ class Executor:
                         buckets[key] = [build_i]
                     else:
                         bucket.append(build_i)
-                probe_rows = probe_by_part[p]
-                if probe_single:
-                    col = probe_key_cols[0]
-                    for i in probe_rows:
-                        bucket = get(col[i])
-                        if bucket is not None:
-                            pairs.extend((i, b) for b in bucket)
-                else:
-                    for i in probe_rows:
-                        bucket = get(
-                            tuple(col[i] for col in probe_key_cols)
-                        )
-                        if bucket is not None:
-                            pairs.extend((i, b) for b in bucket)
+                for i in probe_rows:
+                    bucket = get(_key(probe_key_cols, single, i))
+                    if bucket is not None:
+                        pairs.extend((i, b) for b in bucket)
                 ctx.tick(len(probe_rows))
-                if budget is not None:
-                    budget.check_rows(len(pairs), "joined rows")
-        finally:
-            for run in runs:
-                run.delete()
+                budget.check_rows(len(pairs), "joined rows")
         # Bucket lists hold ascending build rows, so a plain sort equals
         # the in-memory probe-major emit order.
         pairs.sort()
         return [b for _, b in pairs], [i for i, _ in pairs]
 
     @staticmethod
-    def _note_spill(ctx: _Ctx, runs) -> None:
-        nbytes = sum(run.nbytes for run in runs)
-        reservation = ctx.budget.reservation
-        reservation.note_spill(len(runs), nbytes)
-        stats = ctx.stats
-        stats.spills += 1
-        stats.spill_runs += len(runs)
-        stats.spill_bytes += nbytes
+    def _partition(key_cols, nrows: int, nparts: int, ctx: _Ctx, nulls: bool):
+        """Row numbers by partition, ascending: a row goes to its key's
+        hash mod ``nparts`` — with ``nulls=False`` a row whose key holds a
+        NULL goes nowhere."""
+        parts: list[list[int]] = [[] for _ in range(nparts)]
+        single = len(key_cols) == 1
+        for chunk in _split(range(nrows), ctx.chunk):
+            for i in chunk:
+                key = _key(key_cols, single, i)
+                if nulls or not (key is None if single else None in key):
+                    parts[hash(key) % nparts].append(i)
+            ctx.tick(len(chunk))
+        return parts
+
+    @staticmethod
+    @contextmanager
+    def _spilled(ctx: _Ctx, batches, label: str, operator: str):
+        """Each batch of records written to its own run, the runs noted
+        in the stats and the reservation, and deleted on exit. A run
+        that cannot be written (spill disk full, or the armed
+        ``executor.spill`` fault) is the bottom of the resource ladder:
+        a typed ``QueryResourceError``."""
+        runs = []
+        try:
+            for records in batches:
+                try:
+                    runs.append(_spill.write_run(records, label=label))
+                except (OSError, faults.InjectedFault) as error:
+                    raise QueryResourceError(
+                        f"{operator} exceeded its memory budget and the "
+                        f"spill path failed: {error}"
+                    ) from error
+            nbytes = sum(run.nbytes for run in runs)
+            ctx.budget.reservation.note_spill(len(runs), nbytes)
+            stats = ctx.stats
+            stats.spills += 1
+            stats.spill_runs += len(runs)
+            stats.spill_bytes += nbytes
+            yield runs
+        finally:
+            for run in runs:
+                run.delete()
 
     # ------------------------------------------------------------------
     # GROUP-BY boxes
@@ -950,59 +922,28 @@ class Executor:
         exceed it, trading strictness for exactness.
         """
         budget = ctx.budget
-        reservation = budget.reservation
         specs = group.specs
         nspecs = len(specs)
         per_row = _GROUP_ROW_NBYTES + _STATE_NBYTES * nspecs
-        headroom = reservation.headroom() or 0
-        if headroom > 0:
-            nparts = min(
-                _MAX_SPILL_PARTS, max(2, -(-(rel.nrows * per_row) // headroom))
-            )
-        else:
-            nparts = 8
-        nkeys = len(key_cols)
-        pids = [0] * rel.nrows
-        for chunk in _split(range(rel.nrows), ctx.chunk):
-            if nkeys == 1:
-                col = key_cols[0]
-                for i in chunk:
-                    pids[i] = hash(col[i]) % nparts
-            elif nkeys > 1:
-                for i in chunk:
-                    pids[i] = hash(tuple(col[i] for col in key_cols)) % nparts
-            ctx.tick(len(chunk))
-        rows_by_part: list[list[int]] = [[] for _ in range(nparts)]
-        for i, pid in enumerate(pids):
-            rows_by_part[pid].append(i)
-        runs = []
+        nparts = _spill_parts(budget.reservation, rel.nrows * per_row)
+        parts = self._partition(key_cols, rel.nrows, nparts, ctx, True)
+
+        def batches():
+            for rows in parts:
+                if rows:
+                    ((part_order, part_firsts, part_states),) = self._fold(
+                        rel, group, [grouping_set], ctx, rows
+                    )
+                    yield (
+                        [part_firsts[g], key, [states[g] for states in part_states]]
+                        for g, key in enumerate(part_order)
+                    )
+
         group_of: dict = {}
         order: list = []
         firsts: list[int] = []
         merged: list[list] = [[] for _ in specs]
-        try:
-            for rows in rows_by_part:
-                if not rows:
-                    continue
-                ((part_order, part_firsts, part_states),) = self._fold(
-                    rel, group, [grouping_set], ctx, rows
-                )
-                records = (
-                    [
-                        part_firsts[g],
-                        key,
-                        [part_states[s][g] for s in range(nspecs)],
-                    ]
-                    for g, key in enumerate(part_order)
-                )
-                try:
-                    runs.append(_spill.write_run(records, label="group"))
-                except (OSError, faults.InjectedFault) as error:
-                    raise QueryResourceError(
-                        "GROUP BY exceeded its memory budget and the "
-                        f"spill path failed: {error}"
-                    ) from error
-            self._note_spill(ctx, runs)
+        with self._spilled(ctx, batches(), "group", "GROUP BY") as runs:
             for run in runs:
                 for first, key, states in run.read():
                     gid = group_of.get(key)
@@ -1020,15 +961,25 @@ class Executor:
                                 kind, distinct, merged[s][gid], states[s]
                             )
                 budget.check_rows(len(order), "grouped rows")
-        finally:
-            for run in runs:
-                run.delete()
         permutation = sorted(range(len(order)), key=firsts.__getitem__)
         return (
             [order[g] for g in permutation],
             None,
             [[column[g] for g in permutation] for column in merged],
         )
+
+
+def _spill_parts(reservation, estimate: int) -> int:
+    """Partitions enough for one to fit the reservation's headroom."""
+    headroom = reservation.headroom() or 0
+    if headroom <= 0:
+        return 8
+    return min(_MAX_SPILL_PARTS, max(2, -(-estimate // headroom)))
+
+
+def _key(key_cols, single: bool, i: int):
+    """Row ``i``'s equi-join or group key: the value, or a tuple of them."""
+    return key_cols[0][i] if single else tuple(col[i] for col in key_cols)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A database directory contains ``catalog.json`` (schemas, keys, RI
 constraints, summary-table definitions) and one ``<table>.jsonl`` per
-table (one JSON array per row; dates as ISO strings, re-typed on load
-from the declared column types). Summary tables are saved with their
+table (one JSON array per row in :mod:`repro.framing`'s schema-typed
+dialect: dates as ISO strings, revived from DATE columns on load, every
+other value exactly as JSON reads it). Summary tables are saved with their
 materialized rows *and* their defining SQL, so a reload restores the
 exact snapshot without re-running the definitions. Deferred-refresh
 state persists too: each summary entry records its refresh mode,
@@ -46,9 +47,7 @@ wrong.
 
 from __future__ import annotations
 
-import datetime
 import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,43 +64,9 @@ from repro.catalog.types import DataType
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ReproError
-from repro.framing import frame, unframe
-from repro.testing import faults
+from repro.framing import dumps_typed, frame, row_decoder, scan, typed, write_atomic
 
 FORMAT_VERSION = 2
-
-
-# ----------------------------------------------------------------------
-# Atomic, checksummed writing
-# ----------------------------------------------------------------------
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via temp file + fsync + atomic rename,
-    so ``path`` is always either its old complete contents or its new
-    complete contents — never a torn mix."""
-    tmp = path.with_name(path.name + ".tmp")
-    faults.fire("persist.write")
-    with tmp.open("w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    faults.fire("persist.rename")
-    os.replace(tmp, path)
-    fsync_directory(path.parent)
-
-
-def fsync_directory(directory: Path) -> None:
-    """Make the rename durable (best effort — not all platforms allow
-    opening a directory for fsync)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 def save_database(
@@ -158,29 +123,29 @@ def save_counted(
                 kept[position] = _row_line(table.rows[position])
             reused += len(kept) - len(edited)
         text = "\n".join([*kept, ""]) + _rows_text(table.rows[len(kept):])
-        _atomic_write(root / filename, text)
+        write_atomic(root / filename, text)
         checksums[filename] = {
             "crc": zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF,
             "rows": len(table),
         }
     delta_text = "".join(
-        frame(json.dumps(_batch_to_json(batch))) + "\n" for batch in batches
+        frame(dumps_typed(_batch_to_json(batch))) + "\n" for batch in batches
     )
     delta_path = root / "deltas.jsonl"
     if delta_text:
-        _atomic_write(delta_path, delta_text)
+        write_atomic(delta_path, delta_text)
         checksums["deltas.jsonl"] = {
             "crc": zlib.crc32(delta_text.encode("utf-8")) & 0xFFFFFFFF,
             "rows": len(batches),
         }
     elif delta_path.exists():
         delta_path.unlink()
-    _atomic_write(root / "catalog.json", json.dumps(manifest, indent=2))
+    write_atomic(root / "catalog.json", json.dumps(manifest, indent=2))
     return sum(len(table) for table in tables.values()) - reused, reused
 
 
 def _row_line(row: tuple) -> str:
-    return frame(json.dumps([_encode(value) for value in row]))
+    return frame(dumps_typed(row))
 
 
 def _rows_text(rows) -> str:
@@ -272,7 +237,7 @@ def _batch_to_json(batch) -> dict[str, Any]:
         "seq": batch.seq,
         "table": batch.table,
         "sign": batch.sign,
-        "rows": [[_encode(value) for value in row] for row in batch.rows],
+        "rows": [[typed(value) for value in row] for row in batch.rows],
     }
 
 
@@ -398,8 +363,8 @@ def _register_summaries(
 
 
 def _decode_batch(entry: dict, schemas: dict[str, TableSchema], where: str):
-    """One staged delta batch from its JSON form, rows re-typed from the
-    table's declared column types (``schemas`` keyed lower-case)."""
+    """One staged delta batch from its JSON form, rows decoded by the
+    table's schema (``schemas`` keyed lower-case)."""
     from repro.refresh.log import DeltaBatch
 
     table = _require(entry, "table", where)
@@ -408,13 +373,11 @@ def _decode_batch(entry: dict, schemas: dict[str, TableSchema], where: str):
         raise ReproError(
             f"{where}: delta batch references unknown table {table!r}"
         )
-    try:
-        return DeltaBatch(
-            _require(entry, "seq", where), table, _require(entry, "sign", where),
-            tuple(_decode_rows(schema, _require(entry, "rows", where))),
-        )
-    except (ValueError, TypeError) as error:
-        raise ReproError(f"{where}: cannot decode delta batch: {error}") from error
+    rows = _decode_rows(schema, _require(entry, "rows", where), where)
+    return DeltaBatch(
+        _require(entry, "seq", where), table, _require(entry, "sign", where),
+        tuple(rows),
+    )
 
 
 def _load_manifest(path: Path) -> dict[str, Any]:
@@ -443,48 +406,37 @@ def _read_payloads(
     anomalies: list[str],
     suspects: set[str],
 ) -> list[str]:
-    """The JSON payload of each line of ``path``.
+    """The JSON payload of each framed line of ``path``
+    (:func:`repro.framing.scan`).
 
-    Every line's CRC is verified. A bad *last* line is a
-    torn tail — truncated and reported, not fatal; a bad interior line
-    raises. The whole file's CRC is then compared against the manifest's
-    ``expected`` record; a mismatch (beyond an already-reported torn
-    tail) means the file belongs to a different save generation than the
-    manifest, so the table is marked suspect for recovery.
+    A bad frame followed only by newlines is a torn tail — truncated and
+    reported, the table marked suspect, not fatal; a bad frame with lines
+    after it raises. Bytes that are not UTF-8 are a bad frame like any
+    other. Without a torn tail, the whole file's CRC is compared against
+    the manifest's ``expected`` record; a mismatch means the file belongs
+    to a different save generation than the manifest, so the table is
+    marked suspect for recovery.
     """
-    text = path.read_text()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    payloads: list[str] = []
-    torn = False
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        payload = unframe(line)
-        if payload is None:
-            if number == len(lines):
-                torn = True
-                anomalies.append(
-                    f"{path.name}: torn tail at line {number} truncated "
-                    "(partial or corrupt trailing record)"
-                )
-                suspects.add(path.stem.lower())
-                break
-            raise ReproError(
-                f"{path.name}: checksum mismatch at line {number} "
-                "(corrupt record inside the file)"
-            )
-        payloads.append(payload)
-    if expected is not None and not torn:
-        actual = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-        if actual != expected.get("crc"):
-            anomalies.append(
-                f"{path.name}: contents do not match the manifest checksum "
-                "(file is from a different save generation)"
-            )
-            suspects.add(path.stem.lower())
-    return payloads
+    data = path.read_bytes()
+    found = scan(data)
+    if found.bad_line is not None and not found.tail:
+        raise ReproError(
+            f"{path.name}: checksum mismatch at line {found.bad_line} "
+            "(corrupt record inside the file)"
+        )
+    if found.bad_line is not None:
+        anomalies.append(
+            f"{path.name}: torn tail at line {found.bad_line} truncated "
+            "(partial or corrupt trailing record)"
+        )
+        suspects.add(path.stem.lower())
+    elif expected is not None and zlib.crc32(data) != expected.get("crc"):
+        anomalies.append(
+            f"{path.name}: contents do not match the manifest checksum "
+            "(file is from a different save generation)"
+        )
+        suspects.add(path.stem.lower())
+    return found.payloads
 
 
 def _read_rows(
@@ -501,31 +453,7 @@ def _read_rows(
             )
         return []
     payloads = _read_payloads(path, expected, anomalies, suspects)
-    decoders = [_decoder(column.dtype) for column in schema.columns]
-    rows: list[tuple] = []
-    for number, payload in enumerate(payloads, start=1):
-        try:
-            raw = json.loads(payload)
-        except json.JSONDecodeError as error:
-            raise ReproError(
-                f"{path.name}: invalid JSON at line {number}: {error.msg}"
-            ) from error
-        if len(raw) != len(decoders):
-            raise ReproError(
-                f"row width mismatch in {path.name} at line {number}: {raw!r}"
-            )
-        try:
-            rows.append(
-                tuple(
-                    None if value is None else decode(value)
-                    for decode, value in zip(decoders, raw)
-                )
-            )
-        except (ValueError, TypeError) as error:
-            raise ReproError(
-                f"{path.name}: cannot decode row at line {number}: {error}"
-            ) from error
-    return rows
+    return _decode_rows(schema, map(json.loads, payloads), path.name, "line")
 
 
 def _read_delta_log(
@@ -578,7 +506,7 @@ def database_state_payload(database: Database) -> dict[str, Any]:
     """
     payload, tables, batches, _ = _capture(database)
     payload["rows"] = {
-        name: [[_encode(value) for value in row] for row in table.rows]
+        name: [[typed(value) for value in row] for row in table.rows]
         for name, table in tables.items()
     }
     payload["deltas"] = [_batch_to_json(batch) for batch in batches]
@@ -599,7 +527,7 @@ def database_from_payload(payload: dict[str, Any]) -> Database:
     database = Database(catalog)
     rows_by_table = payload.get("rows", {})
     for name, schema in schemas.items():
-        rows = _decode_rows(schema, rows_by_table.get(name, []))
+        rows = _decode_rows(schema, rows_by_table.get(name, []), f"snapshot {name}")
         database.tables[name.lower()] = Table(schema.column_names, rows)
     _register_summaries(database, payload, schemas, "snapshot")
     by_key = {schema.name.lower(): schema for schema in schemas.values()}
@@ -768,29 +696,15 @@ def _schema_from_json(entry: dict[str, Any]) -> TableSchema:
     return TableSchema(entry["name"], columns, keys)
 
 
-def _encode(value: Any) -> Any:
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    return value
-
-
-def _decode_rows(schema: TableSchema, raws) -> list[tuple]:
-    """JSON rows re-typed from ``schema``'s declared column types."""
-    decoders = [_decoder(column.dtype) for column in schema.columns]
-    return [
-        tuple(
-            None if value is None else decode(value)
-            for decode, value in zip(decoders, raw)
-        )
-        for raw in raws
-    ]
-
-
-def _decoder(dtype: DataType):
-    if dtype is DataType.DATE:
-        return datetime.date.fromisoformat
-    if dtype is DataType.FLOAT:
-        return float
-    if dtype is DataType.INTEGER:
-        return int
-    return lambda value: value
+def _decode_rows(schema: TableSchema, raws, where: str, unit: str = "row"):
+    """JSON rows back as the tuples that were saved
+    (:func:`repro.framing.row_decoder`); a bad one raises naming
+    ``where`` and its ``unit`` number."""
+    decode = row_decoder([column.dtype for column in schema.columns])
+    rows: list[tuple] = []
+    try:
+        for raw in raws:
+            rows.append(decode(raw))
+    except (ValueError, TypeError) as error:
+        raise ReproError(f"{where}: {error} at {unit} {len(rows) + 1}") from error
+    return rows

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import ReproError, WalError, WalGapError
-from repro.framing import frame, unframe
+from repro.framing import frame, fsync_directory, scan, write_atomic
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.testing import faults
@@ -687,31 +687,14 @@ class WriteAheadLog:
             "checkpoint_dir": name,
             "tokens": tokens,
         }
-        self._atomic_write(
-            self.directory / _META_NAME, json.dumps(meta, indent=2)
+        # Under sync="fsync" the rename must survive an OS crash:
+        # checkpoint goes on to delete what the old meta points at.
+        write_atomic(
+            self.directory / _META_NAME, json.dumps(meta, indent=2),
+            durable=self.sync == "fsync", fire_faults=False,
         )
         self._committed = target
         return counts
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            if self.sync == "fsync":
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._sync_directory()
-
-    def _sync_directory(self) -> None:
-        """Under ``sync="fsync"``, make a rename or a new segment's
-        directory entry survive an OS crash: ``checkpoint`` goes on to
-        delete the snapshot and segments they supersede, so the old
-        ``wal.meta`` must not be what a crash leaves behind."""
-        if self.sync == "fsync":
-            from repro.engine.persist import fsync_directory
-
-            fsync_directory(self.directory)
 
     def _cleanup(self, checkpoint_lsn: int) -> None:
         """Drop the journal segments the new checkpoint covers and every
@@ -801,42 +784,28 @@ class WriteAheadLog:
         """
         segments = self._segments()
         for index, segment in enumerate(segments):
-            data = segment.read_bytes()
-            offset = 0
-            for number, raw in enumerate(data.split(b"\n"), start=1):
-                if raw == b"":
-                    offset += 1
-                    continue
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    line = None
-                payload = unframe(line) if line is not None else None
-                if payload is None:
-                    tail_of_log = (
-                        index == len(segments) - 1
-                        and offset + len(raw) >= len(data.rstrip(b"\n"))
-                    )
-                    if tail_of_log:
-                        if truncate:
-                            anomalies.append(
-                                f"{segment.name}: torn tail at line {number} "
-                                "truncated (partial or corrupt trailing "
-                                "record)"
-                            )
-                            _truncate_at(segment, offset)
-                        return
-                    raise WalError(
-                        f"{segment.name}: checksum mismatch at line {number} "
-                        "(corrupt record inside the journal)"
-                    )
+            found = scan(segment.read_bytes())
+            for number, payload in enumerate(found.payloads, start=1):
                 try:
                     yield WalRecord.from_payload(payload)
-                except (KeyError, ValueError) as error:
+                except (KeyError, TypeError, ValueError) as error:
                     raise WalError(
                         f"{segment.name}: bad record at line {number}: {error}"
                     ) from error
-                offset += len(raw) + 1
+            if found.bad_line is None:
+                continue
+            if not (found.tail and index == len(segments) - 1):
+                raise WalError(
+                    f"{segment.name}: checksum mismatch at line "
+                    f"{found.bad_line} (corrupt record inside the journal)"
+                )
+            if truncate:
+                anomalies.append(
+                    f"{segment.name}: torn tail at line {found.bad_line} "
+                    "truncated (partial or corrupt trailing record)"
+                )
+                os.truncate(segment, found.bad_offset)
+            return
 
     def _open_segment(self, start_lsn: int) -> None:
         with self._cond:
@@ -844,7 +813,8 @@ class WriteAheadLog:
                 self._file.close()
             self._segment = self.directory / (_SEGMENT_PATTERN % start_lsn)
             self._file = self._segment.open("a", encoding="utf-8")
-        self._sync_directory()
+        if self.sync == "fsync":  # the new segment's directory entry
+            fsync_directory(self.directory)
 
     def _read_meta(self) -> dict | None:
         path = self.directory / _META_NAME
@@ -870,7 +840,3 @@ def _segment_start(path: Path) -> int:
     except ValueError:
         return 0
 
-
-def _truncate_at(path: Path, byte_offset: int) -> None:
-    with path.open("r+b") as handle:
-        handle.truncate(byte_offset)

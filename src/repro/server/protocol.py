@@ -44,47 +44,30 @@ round-trips ``int``, ``str``, ``bool``, ``None`` and — via Python's
 shortest-repr float serialization — every ``float`` bit-for-bit
 (``NaN``/``Infinity`` in Python's JSON dialect). The one engine value
 type JSON lacks is ``datetime.date``; it travels as a tagged object
-``{"$date": "YYYY-MM-DD"}`` — the serializer's ``default=`` hook on the
-way out, the parser's ``object_hook`` on the way in — wherever it
-sits, a column's value list included.
+``{"$date": "YYYY-MM-DD"}`` wherever it sits, a column's value list
+included — :mod:`repro.framing`'s tagged dialect, whose encoder is one
+prebuilt JSON encoder with a ``default=`` hook and whose decoder
+revives ``$date`` and no other tag.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
-from typing import Any
-
 from repro import errors as _errors
 from repro.engine.table import Table
+from repro.framing import dumps_tagged, loads_tagged
 
 #: cap on one encoded message line; a line longer than this is a
 #: protocol error (keeps a hostile or buggy peer from ballooning the
 #: reader's buffer). Result tables are large — give them room.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-_DATE_TAG = "$date"
-
 
 class ProtocolError(_errors.ReproError):
     """A malformed request or response line."""
 
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, datetime.date):
-        return {_DATE_TAG: value.isoformat()}
-    return value
-
-
-def _revive(obj: dict) -> Any:
-    if len(obj) == 1 and _DATE_TAG in obj:
-        return datetime.date.fromisoformat(obj[_DATE_TAG])
-    return obj
-
-
 def _dumps(payload: dict) -> bytes:
-    text = json.dumps(payload, separators=(",", ":"), default=_encode_value)
-    return text.encode("utf-8")
+    return dumps_tagged(payload).encode("utf-8")
 
 
 def encode_message(message: dict) -> bytes:
@@ -97,7 +80,7 @@ def decode_message(line: bytes | str) -> dict:
     if isinstance(line, bytes):
         line = line.decode("utf-8")
     try:
-        message = json.loads(line, object_hook=_revive)
+        message = loads_tagged(line)
     except ValueError as error:
         raise ProtocolError(f"bad message line: {error}") from None
     if not isinstance(message, dict):

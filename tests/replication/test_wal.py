@@ -366,7 +366,7 @@ class TestCheckpointCompaction:
         """``--sync os`` (the ledger's mode) pays for the snapshot's own
         fsyncs and nothing else: per file the checkpoint writes — every
         table's, reused lines or not, and the manifest — the file's and
-        its directory's (``persist._atomic_write``), as a plain save
+        its directory's (``framing.write_atomic``), as a plain save
         does; no fsync of the journal directory."""
         db, events, _ = self.checkpoint_events(tmp_path, monkeypatch, "os")
         kinds = [kind for kind, _ in events]

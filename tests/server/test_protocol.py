@@ -26,6 +26,12 @@ class TestMessageRoundTrip:
         line = protocol.encode_message({"value": day})
         assert protocol.decode_message(line) == {"value": day}
 
+    def test_only_the_date_tag_is_revived(self):
+        """A spill run's tags mean nothing on the wire: a request
+        carrying one gets it back as the dict it sent."""
+        message = {"op": "query", "sql": {"$set": [1]}, "id": {"$tuple": [2]}}
+        assert protocol.decode_message(protocol.encode_message(message)) == message
+
     def test_floats_bit_identical(self):
         values = [0.1, 1 / 3, 1e308, 5e-324, -0.0, 123456789.987654321]
         decoded = protocol.decode_message(
