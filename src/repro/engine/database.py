@@ -56,7 +56,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MatchTrace, TraceBuffer
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
-from repro.qgm.fingerprint import fingerprint, shape_key
+from repro.qgm.fingerprint import fingerprint
+from repro.qgm.fingerprint import template as shape_template
 
 #: default slow-query log threshold, milliseconds (see docs/OBSERVABILITY.md;
 #: override per session with ``SET SLOW QUERY <ms>`` or ``SET SLOW QUERY OFF``)
@@ -617,10 +618,11 @@ class Database:
         ``shape`` is ``graph``'s fingerprint when the caller already took
         it (a :class:`SelectRun` the server keyed its result cache on)."""
         from repro.rewrite.cache import (
-            CachedStep, CacheEntry, options_key, valid_entry,
+            CacheEntry, cached_steps, obligations, options_key, substitution,
+            valid_entry,
         )
         from repro.rewrite.index import filter_fresh
-        from repro.rewrite.rewriter import rewrite_query
+        from repro.rewrite.rewriter import instantiate, rewrite_query
 
         if tolerance is None:
             tolerance = self.refresh_age
@@ -636,57 +638,49 @@ class Database:
         # Capture the decision-cache epoch BEFORE matching. Any catalog
         # mutation that lands while this decision is in flight bumps the
         # counter, so the entry stored below carries a stale epoch and is
-        # invalidated on its first lookup instead of replaying a rewrite
-        # against a dropped (or freshly altered) summary set.
+        # invalidated on its first lookup instead of instantiating a
+        # rewrite against a dropped (or freshly altered) summary set.
         epoch = self._rewrite_epoch
         summaries = filter_fresh(
-            self.enabled_summary_tables(), tolerance, stats=stats,
-            log=self._delta_log, trace=trace,
+            self.enabled_summary_tables(), tolerance, self._delta_log,
+            stats=stats, trace=trace,
         )
         admissible = frozenset(s.name.lower() for s in summaries)
         use_cache = self._rewrite_cache.maxsize > 0
-        plan = plan_key = None
-        if use_cache:
-            if shape is None:
-                shape = fingerprint(graph)
-            keyed_on = (options_key(options), tolerance.key)
-            key = (shape, *keyed_on)
-            entry = valid_entry(
+        breaker = self.governor.breaker
+        # The shape key is taken *before* rewrite_query mutates the graph
+        # in place; the ungoverned, breaker-idle, cache-less path skips
+        # the hash entirely.
+        template = binding = key = shaped = entry = changed = None
+        if use_cache or budget is not None or breaker.active:
+            template, binding = shape_template(shape or fingerprint(graph))
+        if use_cache and binding is not None:
+            key = (template, options_key(options), tolerance.key)
+            obliged = obligations(binding, summaries)
+            shaped = valid_entry(
                 self._rewrite_cache, key, epoch, admissible, stats
             )
+            entry = None if shaped is None else shaped.classes.get(obliged)
             if entry is not None:
-                if entry.steps is None:
-                    stats.cache_negative_hits += 1
+                changed = entry.changes(binding)
+                if entry.serves(changed):
+                    if changed:
+                        stats.cache_shape_hits += 1
                     if trace is not None:
-                        self._trace_cache_hit(trace, admissible, steps=None)
-                    return None
-                replayed = self._replay_rewrite(graph, entry, admissible, trace)
-                if replayed is not None:
+                        self._trace_cache_hit(trace, admissible, entry.steps)
+                    if entry.steps is None:
+                        stats.cache_negative_hits += 1
+                        return None
                     stats.cache_hits += 1
-                    if trace is not None:
-                        self._trace_cache_hit(
-                            trace, admissible, steps=entry.steps
-                        )
-                    return replayed
-                stats.cache_replay_failures += 1
-        # Everything from here on is per query *shape*: the plan an
-        # earlier binding of this shape left, and the circuit breaker —
-        # a shape that repeatedly timed out during matching skips the
-        # navigator for a cool-down, whatever constants it arrives with.
-        # The fingerprint must be taken *before* rewrite_query mutates
-        # the graph in place; the ungoverned, breaker-idle, cache-less
-        # path skips the hash entirely.
-        breaker = self.governor.breaker
-        if shape is None and (budget is not None or breaker.active):
-            shape = fingerprint(graph)
-        template = None if shape is None else shape_key(shape)
-        if use_cache and template is not shape:
-            plan_key = (template, *keyed_on)
-            # A stale plan is dropped without a count of its own:
-            # cache_invalidations counts exact-key entries, as before.
-            plan = valid_entry(self._rewrite_cache, plan_key, epoch, admissible)
-        if use_cache and plan is None:
+                    return instantiate(
+                        graph, entry.steps, self.summary_tables,
+                        substitution(changed), trace,
+                    )
+        if use_cache:
             stats.cache_misses += 1
+        # Everything from here on is per query *shape*: a shape that
+        # repeatedly timed out during matching skips the navigator for a
+        # cool-down, whatever constants it arrives with.
         if budget is not None:
             budget.fingerprint = template
         if breaker.active and breaker.should_skip(template):
@@ -708,116 +702,42 @@ class Database:
             stats=stats,
             prune=self._fast_path_index,
             trace=trace,
-            hint=None if plan is None else plan.steps or (),
         )
         if template is not None:
             # The match phase completed: this shape is healthy.
             breaker.record_success(template)
-        if use_cache:
-            steps = None
-            if result is not None:
-                steps = tuple(
-                    CachedStep(
-                        summary_name=step.summary.name.lower(),
-                        subsumee_index=step.subsumee_index,
-                        chain=tuple(step.match.chain),
-                        column_map=tuple(sorted(step.match.column_map.items())),
-                        pattern=step.match.pattern,
-                    )
-                    for step in result.applied
-                )
-            entry = CacheEntry(epoch, admissible, steps)
-            # A plan only narrows what rewrite_query matches first, so a
-            # decision that reads like the plan is one the plan led to.
-            if plan is not None and entry.decision == plan.decision:
-                stats.cache_shape_hits += 1
-                if steps is None:
-                    stats.cache_negative_hits += 1
-                else:
-                    stats.cache_hits += 1
-            else:
-                if plan is not None:  # it was wrong: a cold rewrite after all
-                    stats.cache_misses += 1
-                if plan_key is not None:
-                    self._rewrite_cache.put(plan_key, entry)
-            # Also after a shape hit: the next arrival of this very
-            # statement replays the chain instead of matching again.
-            self._rewrite_cache.put(key, entry)
-            stats.cache_stores += 1
+        if key is not None:
+            steps = cached_steps(result)
+            if entry is None or changed is None:
+                entry = CacheEntry(epoch, admissible, steps, binding)
+                if shaped is None:
+                    shaped = entry
+                    self._rewrite_cache.put(key, shaped)
+                shaped.classes[obliged] = entry
+                stats.cache_stores += 1
+            elif not entry.cold_only:
+                entry.confirm(changed, steps)
         return result
 
     def _trace_cache_hit(self, t, admissible: frozenset[str], steps) -> None:
         """Record per-summary ``cache-hit`` verdicts so warm queries never
         show an empty match table (the navigator did not run, but the
         cached decision still names each admissible summary's outcome)."""
-        replayed = {step.summary_name: step for step in steps} if steps else {}
+        won = {step.summary_name: step.pattern for step in steps or ()}
         for key in sorted(admissible):
             summary = self.summary_tables.get(key)
             name = summary.name if summary is not None else key
-            step = replayed.get(key)
-            if step is not None:
+            if key in won:
                 t.verdict(
                     name, "cache-hit",
-                    "decision cache replayed the prior match",
-                    applied=True, pattern=step.pattern,
-                )
-            elif steps is None:
-                t.verdict(
-                    name, "cache-hit",
-                    "cached decision: no rewrite applies to this query shape",
+                    "decision cache instantiated this shape's proven match",
+                    applied=True, pattern=won[key],
                 )
             else:
-                t.verdict(
-                    name, "cache-hit",
-                    "cached decision chose another summary",
-                )
-
-    def _replay_rewrite(
-        self, graph: QueryGraph, entry: CacheEntry,
-        admissible: frozenset[str], trace=None,
-    ):
-        """Re-apply a cached positive decision to a freshly bound graph.
-
-        The fingerprint match guarantees ``graph`` enumerates its boxes
-        exactly as the cold-path graph did, so each step's recorded box
-        index addresses the same (structurally identical) subsumee; the
-        cached compensation chains are templates that ``apply_match``
-        clones, never mutates. Any inconsistency falls back to the cold
-        path by returning None.
-        """
-        from repro.matching.framework import MatchResult
-        from repro.rewrite.rewriter import (
-            AppliedRewrite,
-            RewriteResult,
-            apply_match,
-        )
-
-        applied = []
-        try:
-            for step in entry.steps:
-                summary = self.summary_tables.get(step.summary_name)
-                if (
-                    summary is None
-                    or not summary.enabled
-                    or step.summary_name not in admissible
-                ):
-                    return None
-                boxes = graph.boxes()
-                if not 0 <= step.subsumee_index < len(boxes):
-                    return None
-                match = MatchResult(
-                    subsumee=boxes[step.subsumee_index],
-                    subsumer=summary.graph.root,
-                    chain=list(step.chain),
-                    column_map=dict(step.column_map),
-                    pattern=step.pattern,
-                )
-                apply_match(graph, match, summary, trace)
-                applied.append(AppliedRewrite(summary, match, step.subsumee_index))
-            graph.validate()
-        except ReproError:
-            return None
-        return RewriteResult(graph, applied)
+                t.verdict(name, "cache-hit", (
+                    "cached decision: no rewrite applies to this query shape"
+                    if steps is None else "cached decision chose another summary"
+                ))
 
     # ------------------------------------------------------------------
     # Observability: match tracing and the slow-query log

@@ -204,12 +204,8 @@ def _describe_fast_path(stats) -> str:
         f"candidates: {stats.candidates_considered} considered, "
         f"{stats.candidates_pruned} pruned by index"
     ]
-    if stats.cache_shape_hits:
-        parts.append(
-            f"decision cache: shape hit ({stats.matches_attempted} re-matched)"
-        )
-    elif stats.cache_hits:
-        parts.append("decision cache: hit (rewrite replayed)")
+    if stats.cache_hits:
+        parts.append("decision cache: template hit")
     elif stats.cache_negative_hits:
         parts.append("decision cache: hit (no-rewrite)")
     elif stats.cache_misses:

@@ -83,9 +83,28 @@ class Expr:
         for child in self.children():
             yield from child.walk()
 
+    def literal_values(self) -> tuple:
+        """The values of the tree's literals, pre-order; computed once and
+        cached on the node, like its hash."""
+        try:
+            return self._literal_values
+        except AttributeError:
+            found = tuple(
+                node.value for node in self.walk() if isinstance(node, Literal)
+            )
+            object.__setattr__(self, "_literal_values", found)
+            return found
+
     def column_refs(self) -> list["ColumnRef"]:
         """All :class:`ColumnRef` leaves in the tree (with duplicates)."""
-        return [node for node in self.walk() if isinstance(node, ColumnRef)]
+        try:
+            return list(self._column_refs)
+        except AttributeError:
+            found = tuple(
+                node for node in self.walk() if isinstance(node, ColumnRef)
+            )
+            object.__setattr__(self, "_column_refs", found)
+            return list(found)
 
     def contains_aggregate(self) -> bool:
         """True if any node in the tree is an :class:`AggCall`."""
@@ -128,8 +147,24 @@ class Literal(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return self
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return same_value(self.value, other.value)
+
     def __repr__(self) -> str:
         return f"Lit({self.value!r})"
+
+
+def same_value(a, b) -> bool:
+    """Are ``a`` and ``b`` one constant? ``5``, ``5.0`` and ``True`` are
+    equal values but three constants (as are ``0.0`` and ``-0.0``): a
+    literal keeps its type and sign through every memo and key it
+    enters."""
+    return a is b or (
+        type(a) is type(b) and a == b
+        and (type(a) is not float or repr(a) == repr(b))
+    )
 
 
 TRUE = Literal(True)

@@ -7,7 +7,7 @@ burns the whole timeout budget before degrading — the worst of both
 worlds. The breaker remembers, per *shape key* (the structural
 fingerprint with its comparison constants templated out,
 :func:`repro.qgm.fingerprint.shape_key` — the key the decision cache
-files plans under, so ad hoc traffic whose every statement carries a
+files templates under, so ad hoc traffic whose every statement carries a
 fresh constant still counts as one shape), how many *consecutive*
 match-phase timeouts a shape has suffered; after ``threshold`` of them
 the circuit opens and the shape skips matching entirely (straight to

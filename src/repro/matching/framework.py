@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.schema import Catalog
 from repro.errors import ReproError
-from repro.expr.nodes import ColumnRef, Expr
+from repro.expr.nodes import ColumnRef, Expr, Literal
 from repro.qgm.boxes import QCL, GroupByBox, QGMBox, SelectBox
 
 #: quantifier name every compensation box uses for its "input from below"
@@ -133,60 +133,72 @@ class MatchContext:
 # ----------------------------------------------------------------------
 # Compensation-chain utilities
 # ----------------------------------------------------------------------
-def chain_leaf(chain: list[QGMBox]) -> SubsumerRef:
-    """The SubsumerRef at the bottom of a non-empty chain."""
-    box: QGMBox = chain[0]
-    below = _main_child(box)
-    if not isinstance(below, SubsumerRef):
-        raise ReproError(f"chain bottom of {box.name} is not a SubsumerRef")
-    return below
-
-
-def _main_child(box: QGMBox) -> QGMBox:
-    for quantifier in box.quantifiers():
-        if quantifier.name == MAIN:
-            return quantifier.box
-    raise ReproError(f"box {box.name} has no {MAIN!r} quantifier")
-
-
 def rebase_chain(
-    chain: list[QGMBox], new_leaf: QGMBox, name_for: "callable"
+    chain: list[QGMBox], new_leaf: QGMBox, name_for: "callable",
+    literals: dict | None = None, rejoins=None,
 ) -> list[QGMBox]:
     """Deep-copy a compensation chain onto a new leaf box.
 
     Used when a child's compensation is carried verbatim into a parent
     compensation (pattern 4.2.2's "copied above") and by the final
-    rewrite, which splices the chain onto the AST scan.
+    rewrite, which splices the chain onto the AST scan — for a cached
+    template with ``literals`` (:func:`replace_literals`) substituted and
+    the rejoin quantifiers (in :func:`chain_rejoin_quantifiers` order)
+    re-pointed at the boxes ``rejoins`` iterates.
     """
     rebased: list[QGMBox] = []
     below = new_leaf
     for box in chain:
-        clone = clone_chain_box(box, below, name_for(box))
+        clone = clone_chain_box(box, below, name_for(box), literals, rejoins)
         rebased.append(clone)
         below = clone
     return rebased
 
 
-def clone_chain_box(box: QGMBox, new_main_child: QGMBox, name: str) -> QGMBox:
-    """Copy one chain box, re-pointing its MAIN quantifier."""
+def clone_chain_box(
+    box: QGMBox, new_main_child: QGMBox, name: str,
+    literals: dict | None = None, rejoins=None,
+) -> QGMBox:
+    """Copy one chain box, re-pointing its MAIN quantifier (and, with
+    ``rejoins``/``literals``, as :func:`rebase_chain` says)."""
+    outputs = [
+        QCL(q.name, replace_literals(q.expr, literals), q.nullable)
+        for q in box.outputs
+    ]
     if isinstance(box, SelectBox):
         clone = SelectBox(name)
         for quantifier in box.quantifiers():
             if quantifier.name == MAIN:
                 clone.add_quantifier(MAIN, new_main_child)
             else:
-                clone.add_quantifier(quantifier.name, quantifier.box)
-        clone.predicates = list(box.predicates)
+                clone.add_quantifier(
+                    quantifier.name,
+                    quantifier.box if rejoins is None else next(rejoins),
+                )
+        clone.predicates = [replace_literals(p, literals) for p in box.predicates]
         clone.distinct = box.distinct
-        clone.outputs = [QCL(q.name, q.expr, q.nullable) for q in box.outputs]
+        clone.outputs = outputs
         return clone
     if isinstance(box, GroupByBox):
         clone = GroupByBox(name, MAIN, new_main_child)
         clone.grouping_items = box.grouping_items
         clone.grouping_sets = box.grouping_sets
-        clone.outputs = [QCL(q.name, q.expr, q.nullable) for q in box.outputs]
+        clone.outputs = outputs
         return clone
     raise ReproError(f"cannot clone chain box {box!r}")
+
+
+def replace_literals(expr: Expr | None, literals: dict | None) -> Expr | None:
+    """``expr`` with every literal whose ``(type, value)`` is a key of
+    ``literals`` replaced by that key's value."""
+    if not literals or expr is None or not any(
+        (type(value), value) in literals for value in expr.literal_values()
+    ):
+        return expr
+    return expr.transform(
+        lambda node: literals.get((type(node.value), node.value))
+        if isinstance(node, Literal) else None
+    )
 
 
 def inline_through_chain(

@@ -17,7 +17,7 @@ A :class:`MatchTrace` collects, per candidate summary table:
   reject reason closest to the root pairing;
 * fast-path verdicts that never reach the navigator — ``pruned``
   (signature index), ``refresh-age`` (staleness gate), ``quarantined``
-  (fault sandbox), and ``cache-hit`` (decision cache replay) — so the
+  (fault sandbox), and ``cache-hit`` (a decision cache template) — so the
   verdict table is never empty on warm queries;
 * phase timings (parse/bind/match/compensate/execute) in milliseconds.
 
@@ -100,7 +100,7 @@ REASONS = {
     ),
     "cache-hit": (
         "4",
-        "decision cache replayed a prior verdict for this query shape; "
+        "decision cache instantiated this query shape's proven template; "
         "the navigator did not run against this summary",
     ),
     "budget-exhausted": (

@@ -412,8 +412,8 @@ class QueryGraph:
             if id(box) in seen:
                 return
             seen.add(id(box))
-            for child in box.children():
-                visit(child)
+            for quantifier in box.quantifiers():
+                visit(quantifier.box)
             order.append(box)
 
         visit(self.root)
@@ -439,20 +439,22 @@ class QueryGraph:
     def validate(self) -> None:
         """Check referential integrity of the graph (used in tests)."""
         for box in self.boxes():
-            quantifier_names = {q.name: q for q in box.quantifiers()}
+            columns = {
+                q.name: (q.box, set(q.box.output_names)) for q in box.quantifiers()
+            }
             exprs: list[Expr] = []
             exprs.extend(qcl.expr for qcl in box.outputs if qcl.expr is not None)
             if isinstance(box, SelectBox):
                 exprs.extend(box.predicates)
             for expr in exprs:
                 for ref in expr.column_refs():
-                    quantifier = quantifier_names.get(ref.qualifier)
-                    if quantifier is None:
+                    child, names = columns.get(ref.qualifier, (None, ()))
+                    if child is None:
                         raise ReproError(
                             f"box {box.name}: unknown quantifier in {ref!r}"
                         )
-                    if not quantifier.box.has_output(ref.name):
+                    if ref.name not in names:
                         raise ReproError(
                             f"box {box.name}: {ref!r} does not match an output "
-                            f"of {quantifier.box.name}"
+                            f"of {child.name}"
                         )

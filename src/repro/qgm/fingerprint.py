@@ -18,10 +18,10 @@ ignores (operand order, ``x+0``…) does not fragment the cache.
 Keys compare by full structural equality (no truncated digests), so a
 hash collision can never alias two different queries to one cache slot.
 
-:func:`shape_key` derives a second, constant-free key from a fingerprint
-— what the rewrite decision cache files a *plan* under, so a statement
-that differs from an earlier one only in its comparison constants
-re-matches the summary that won last time instead of all of them (see
+:func:`template` derives a constant-free *shape key* from a fingerprint
+together with the statement's :class:`Binding` — its constants in rank
+order — in one pass: the rewrite decision cache files one proven
+template per shape and instantiates it for each binding (see
 docs/ALGORITHM.md, "Matching fast path").
 """
 
@@ -115,58 +115,79 @@ class Hole:
     rank: int
 
 
+@dataclass(frozen=True)
+class Binding:
+    """One statement's constants: per domain the distinct values in rank
+    order, and the ``(domain, rank)`` classes of those outside a hole,
+    which the shape key holds by value."""
+
+    values: dict[str, tuple]
+    kept: frozenset[tuple[str, int]]
+
+
 def shape_key(exact: GraphFingerprint) -> GraphFingerprint:
+    """The shape key of :func:`template`, without the binding."""
+    return template(exact)[0]
+
+
+def template(exact: GraphFingerprint) -> tuple[GraphFingerprint, Binding | None]:
     """``exact`` with the right-hand literal of every ``expr <cmp>
     literal`` predicate (reached through AND/OR) replaced by a
-    :class:`Hole`. Every other constant — IN-lists, arithmetic operands,
-    function arguments, output expressions, LIMIT — stays in the key by
-    value. Returns ``exact`` itself when no predicate compares against a
-    constant, or when the query's constants cannot be ranked.
+    :class:`Hole`, and the statement's :class:`Binding`. Every other
+    constant — IN-lists, arithmetic operands, function arguments, output
+    expressions, LIMIT — stays in the key by value. The key is ``exact``
+    itself when no predicate compares against a constant; the binding is
+    None, and the key ``exact``, when the query's constants cannot be
+    ranked or two equal ones differ in type (``5``/``5.0``,
+    ``1``/``True``).
 
     Ranks are taken over *all* the query's constants, kept ones
     included, so two fingerprints with one shape key are the same graph
     up to an order-preserving renaming of constants: any ``=`` or ``<``
     between two of the query's own constants reads the same in both.
-    Numbers rank together (``5 = 5.0``); other types rank among
-    themselves.
+    Numbers rank together; other types rank among themselves.
     """
     boxes, root, order_by, limit = exact.key
-    templated = False
-    constants: dict[str, set] = {}
+    kept = [
+        value
+        for box in boxes
+        for _, expr, _ in box[2] if expr is not None
+        for value in expr.literal_values()
+    ]
+    holes = []
     for box in boxes:
-        for _, expr, _ in box[2]:
-            if expr is not None:
-                _collect(expr, constants)
         if box[0] == "select":
             for predicate in box[3]:
-                _collect(predicate, constants)
-                templated = templated or _has_hole(predicate)
-    if not templated:
-        return exact
-    try:
-        ranks = {
-            domain: {value: rank for rank, value in enumerate(sorted(values))}
-            for domain, values in constants.items()
-        }
-    except TypeError:
-        return exact
-
-    def punch(node: Expr) -> Expr:
-        if isinstance(node, NaryOp) and node.op in ("and", "or"):
-            return node.with_children(tuple(punch(o) for o in node.operands))
-        if _compares_constant(node):
-            value = node.right.value
-            tag = type(value).__name__
-            hole = Hole(tag, ranks[_domain(value)][value])
-            return BinaryOp(node.op, node.left, Literal(hole))
-        return node
-
+                outside, inside = _split(predicate)
+                kept.extend(outside)
+                holes.extend(inside)
+    constants: dict[str, list] = {}
+    for value in kept + holes:
+        constants.setdefault(domain(value), []).append(value)
+    values = {}
+    for name, raw in constants.items():
+        distinct = set(raw)
+        if len(distinct) < len(raw) and len(distinct) < len(set(map(Literal, raw))):
+            return exact, None  # equal constants of different types
+        try:
+            values[name] = tuple(sorted(distinct))
+        except TypeError:
+            return exact, None
+    ranks = {
+        name: {value: rank for rank, value in enumerate(ordered)}
+        for name, ordered in values.items()
+    }
+    binding = Binding(values, frozenset(
+        (domain(value), ranks[domain(value)][value]) for value in kept
+    ))
+    if not holes:
+        return exact, binding
     punched = tuple(
-        box[:3] + (tuple(punch(p) for p in box[3]),) + box[4:]
+        box[:3] + (tuple(_punch(p, ranks) for p in box[3]),) + box[4:]
         if box[0] == "select" else box
         for box in boxes
     )
-    return GraphFingerprint((punched, root, order_by, limit))
+    return GraphFingerprint((punched, root, order_by, limit)), binding
 
 
 def _compares_constant(node: Expr) -> bool:
@@ -180,19 +201,51 @@ def _compares_constant(node: Expr) -> bool:
     )
 
 
-def _has_hole(predicate: Expr) -> bool:
+def _split(predicate: Expr) -> tuple[tuple, tuple]:
+    """``predicate``'s constants outside its holes and in them — the
+    right-hand literal of a comparison reached through AND/OR — cached
+    on the (interned, normalised) node."""
+    try:
+        return predicate._split
+    except AttributeError:
+        pass
     if isinstance(predicate, NaryOp) and predicate.op in ("and", "or"):
-        return any(_has_hole(operand) for operand in predicate.operands)
-    return _compares_constant(predicate)
+        parts = [_split(operand) for operand in predicate.operands]
+        split = (
+            sum((outside for outside, _ in parts), ()),
+            sum((inside for _, inside in parts), ()),
+        )
+    elif _compares_constant(predicate):
+        split = (predicate.left.literal_values(), (predicate.right.value,))
+    else:
+        split = (predicate.literal_values(), ())
+    object.__setattr__(predicate, "_split", split)
+    return split
 
 
-def _collect(expr: Expr, constants: dict[str, set]) -> None:
-    for node in expr.walk():
-        if isinstance(node, Literal):
-            constants.setdefault(_domain(node.value), set()).add(node.value)
+def _punch(predicate: Expr, ranks: dict) -> Expr:
+    """``predicate`` with its holes, ranked by ``ranks``; one node per
+    predicate and ranking, cached on the predicate."""
+    inside = _split(predicate)[1]
+    if not inside:
+        return predicate
+    key = tuple((type(value), ranks[domain(value)][value]) for value in inside)
+    punched = predicate.__dict__.setdefault("_punched", {})
+    if key not in punched:
+        holes = (Hole(kind.__name__, rank) for kind, rank in key)
+
+        def punch(node: Expr) -> Expr:
+            if isinstance(node, NaryOp) and node.op in ("and", "or"):
+                return node.with_children(tuple(punch(o) for o in node.operands))
+            if _compares_constant(node):
+                return BinaryOp(node.op, node.left, Literal(next(holes)))
+            return node
+
+        punched[key] = punch(predicate)
+    return punched[key]
 
 
-def _domain(value) -> str:
+def domain(value) -> str:
     """Values that compare with each other rank together."""
     if isinstance(value, (int, float)):
         return "number"

@@ -1,28 +1,19 @@
-"""The rewrite decision cache and fast-path instrumentation.
+"""The rewrite decision cache: one proven template per query shape.
 
-Serving the same dashboard queries over and over re-runs the whole
-navigator per query even though the decision never changes between DDL
-events. ``Database._rewrite_cache`` is a bounded :class:`repro.lru.LRU`
-keyed by the structural fingerprint of the bound query graph
-(:mod:`repro.qgm.fingerprint`) that remembers, per query shape:
-
-* **positive** outcomes — the ordered list of :class:`CachedStep`
-  replay records (which summary matched which box, with the proven
-  compensation chain as a template), so a hit re-applies the rewrite
-  directly on the freshly bound graph via
-  :func:`repro.rewrite.rewriter.apply_match` without any matching; and
-* **negative** outcomes — "no rewrite applies", so the navigator is
-  skipped entirely.
-
-The same entry is also filed under the query's constant-free *shape
-key* (:func:`repro.qgm.fingerprint.shape_key`), where it is read as a
-**plan**: which summary won each rewrite iteration, at which box, by
-which pattern, and that the loop then stopped. A statement that misses
-its exact key but finds a plan is matched against the planned winner
-(plus every summary that holds a constant of its own) instead of the
-whole pool — :func:`repro.rewrite.rewriter.rewrite_query`'s ``hint`` —
-and its proven compensation is then stored under its exact key like any
-cold decision. A plan lives in the same LRU, under the same validation.
+``Database._rewrite_cache`` is a bounded :class:`repro.lru.LRU` keyed by
+a query's constant-free shape key (:func:`repro.qgm.fingerprint.
+template`), the matcher options and the freshness tolerance. Under a key
+sits one :class:`CacheEntry` per *obligation class* (:func:`obligations`:
+where each constant stands among the admissible summaries' literals).
+The matcher compares constants only by ``=``, ``<``, ``<=``, ``>``,
+``>=`` and IN membership (:mod:`repro.expr.subsume`), so each binding of
+a class gets the same verdict from every summary: "no rewrite applies",
+or :class:`CachedStep` templates a statement *instantiates* with its own
+constants (:func:`repro.rewrite.rewriter.instantiate`), matching
+nothing. As a literal the matcher writes into a compensation can equal a
+query constant (fig11_q10's ``coalesce(SUM(cnt), 0)`` under ``HAVING
+count(*) > 0``), a template substitutes a constant class only once a
+cold match confirmed it (:meth:`CacheEntry.confirm`).
 
 Entries are validated against an *epoch* counter that
 :class:`repro.engine.database.Database` bumps on every
@@ -31,10 +22,9 @@ Entries are validated against an *epoch* counter that
 plus the exact set of *admissible* summary names — enabled **and** fresh
 enough for the query's refresh-age tolerance (which also catches
 ``summary.enabled`` being toggled directly on the dataclass, and staged
-deltas flipping a deferred summary from fresh to stale). The freshness
-tolerance itself is part of the cache key, so a decision cached under
-``SET REFRESH AGE ANY`` is never served to a ``REFRESH AGE 0`` query or
-vice versa. Stale entries are dropped on lookup (:func:`valid_entry`).
+deltas flipping a deferred summary from fresh to stale). Stale entries
+are dropped on lookup (:func:`valid_entry`). docs/ALGORITHM.md, "the
+matching fast path", has the argument.
 
 :class:`RewriteStats` holds one rewrite's fast-path counts — what
 ``EXPLAIN`` renders; flushed into the metrics registry they become the
@@ -43,12 +33,17 @@ totals behind ``Database.rewrite_stats()`` and the CLI's ``\\stats``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
+from repro.expr.nodes import Literal, same_value
 from repro.lru import LRU
+from repro.matching.framework import rebase_chain, replace_literals
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.qgm.boxes import QGMBox
-from repro.qgm.fingerprint import GraphFingerprint
+from repro.qgm.fingerprint import Binding, GraphFingerprint
+from repro.rewrite.index import summary_constants
 
 #: fast-path counter names and their one-line help (exposition strings)
 _STAT_FIELDS = {
@@ -57,13 +52,12 @@ _STAT_FIELDS = {
     "candidates_pruned": "... of which pruned without navigation",
     "matches_attempted": "full match_graphs navigations run",
     "rewrites_applied": "accepted (summary, match) applications",
-    "cache_hits": "positive decision-cache hits (replays, shape hits)",
+    "cache_hits": "positive decision-cache hits (templates instantiated)",
     "cache_negative_hits": "cached 'no rewrite applies' hits",
-    "cache_shape_hits": "... of both, re-matched under a shape's plan",
-    "cache_misses": "fingerprint not cached (or stale)",
+    "cache_shape_hits": "... of both, for constants other than the template's",
+    "cache_misses": "shape not cached (or stale), or a binding matched cold",
     "cache_stores": "decisions written to the cache",
-    "cache_invalidations": "exact-key entries dropped as stale on lookup",
-    "cache_replay_failures": "replays that fell back to cold path",
+    "cache_invalidations": "entries dropped as stale on lookup",
     "stale_rejections": "summaries too stale for the query's tolerance",
     "quarantined_rejections": "quarantined summaries kept out of routing",
     "rewrite_errors": "sandboxed rewrite failures (query fell back)",
@@ -113,50 +107,150 @@ def register_counters(registry: MetricsRegistry) -> dict[str, Counter]:
 
 @dataclass(frozen=True)
 class CachedStep:
-    """One applied (summary, match) pair, in replayable form.
-
-    ``subsumee_index`` locates the matched query box by its position in
-    ``graph.boxes()`` *at the time the step ran* — fingerprint equality
-    guarantees a freshly bound graph enumerates identically, and the
-    rewrite itself is deterministic, so later steps' indices stay valid
-    on the intermediate graphs too. ``chain`` is the proven compensation
-    template; ``apply_match`` clones it onto the new summary scan, so the
-    cached boxes are never mutated.
-    """
+    """One applied (summary, match) pair, as a template: the matched box
+    and the boxes the chain's rejoin quantifiers range over (in
+    :func:`~repro.matching.framework.chain_rejoin_quantifiers` order) by
+    their positions in ``graph.boxes()`` when the step ran — a graph of
+    the same shape enumerates identically — and the proven chain,
+    detached from the graph it was proven on and never executed."""
 
     summary_name: str
     subsumee_index: int
     chain: tuple[QGMBox, ...]
+    rejoins: tuple[int, ...]
     column_map: tuple[tuple[str, str], ...]
     pattern: str
 
 
+#: what a template's rejoin quantifiers (and its chain bottom) range over
+_DETACHED = QGMBox("detached")
+
+
+def cached_steps(result) -> tuple[CachedStep, ...] | None:
+    """A cold :class:`~repro.rewrite.rewriter.RewriteResult` (None: no
+    rewrite) as templates."""
+    if result is None:
+        return None
+    return tuple(
+        CachedStep(
+            step.summary.name.lower(), step.subsumee_index,
+            tuple(rebase_chain(
+                step.match.chain, _DETACHED, lambda box: box.name,
+                rejoins=itertools.repeat(_DETACHED),
+            )),
+            step.rejoins, tuple(sorted(step.match.column_map.items())),
+            step.match.pattern,
+        )
+        for step in result.applied
+    )
+
+
 @dataclass
 class CacheEntry:
-    """One cached decision plus its validity stamp.
-
-    ``admissible`` is the exact set of summary names that were enabled
-    *and* fresh enough for the query's tolerance when the decision was
-    made; any change to that set (DDL, enable/disable, staged deltas,
-    applied refreshes) invalidates the entry on lookup.
-    """
+    """One cached decision plus its validity stamp: ``admissible`` is the
+    exact set of summary names enabled *and* fresh enough for the
+    query's tolerance when it was made. ``binding`` is the constants the
+    template was proven for and ``confirmed`` the classes it may
+    substitute. The LRU holds a shape's first entry, whose stamp
+    validates, and whose ``classes`` map :func:`obligations` to, every
+    entry of the shape, itself included."""
 
     epoch: int
     admissible: frozenset[str]
     steps: tuple[CachedStep, ...] | None  # None ⇒ negative (no rewrite)
+    binding: Binding | None = None
+    confirmed: frozenset[tuple[str, int]] = frozenset()
+    cold_only: bool = False
+    classes: dict[tuple, "CacheEntry"] = field(default_factory=dict)
 
-    @property
-    def decision(self) -> tuple[tuple[str, int, str], ...]:
-        """What was decided, without the proof: the part of an entry
-        that holds for every binding of the query's shape."""
-        return tuple(
-            (step.summary_name, step.subsumee_index, step.pattern)
-            for step in self.steps or ()
+    def changes(self, binding: Binding) -> dict | None:
+        """``{(domain, rank): (old, new)}`` for each constant class
+        ``binding`` changes, or None when the classes cannot be paired or
+        a kept constant moved."""
+        old, new = self.binding.values, binding.values
+        if old.keys() != new.keys() or any(
+            len(old[name]) != len(new[name]) for name in new
+        ):
+            return None
+        changed = {
+            (name, rank): (was, now)
+            for name in new
+            for rank, (was, now) in enumerate(zip(old[name], new[name]))
+            if not same_value(was, now)
+        }
+        if changed.keys() & (self.binding.kept | binding.kept):
+            return None
+        return changed
+
+    def serves(self, changed: dict | None) -> bool:
+        """May a binding with these changes use the entry, unmatched?"""
+        return self.steps is None or changed == {} or (
+            changed is not None and not self.cold_only
+            and changed.keys() <= self.confirmed
         )
 
+    def confirm(self, changed: dict, steps) -> None:
+        """``steps`` is the cold decision for a binding with these
+        changes: may the template substitute them from now on?"""
+        if steps is not None and _form(steps) == _form(
+            self.steps, substitution(changed)
+        ):
+            self.confirmed = self.confirmed | changed.keys()
+        else:
+            self.cold_only = True
 
-#: cache key: the graph fingerprint, the matcher options in effect, and
-#: the freshness tolerance (RefreshAge.key) the decision was made under
+
+def substitution(changed: dict) -> dict:
+    """:meth:`CacheEntry.changes` as :func:`~repro.matching.framework.
+    replace_literals` reads them."""
+    return {(type(was), was): Literal(now) for was, now in changed.values()}
+
+
+def _form(steps: tuple[CachedStep, ...], literals: dict | None = None) -> list:
+    """What instantiating ``steps`` with ``literals`` builds, box names
+    aside (literals compare by type and value)."""
+    return [
+        (
+            step.summary_name, step.subsumee_index, step.rejoins,
+            step.column_map, step.pattern,
+            [
+                (
+                    box.kind, [q.name for q in box.quantifiers()],
+                    [replace_literals(p, literals)
+                     for p in getattr(box, "predicates", ())],
+                    [(q.name, replace_literals(q.expr, literals), q.nullable)
+                     for q in box.outputs],
+                    [getattr(box, name, None)
+                     for name in ("distinct", "grouping_items", "grouping_sets")],
+                )
+                for box in step.chain
+            ],
+        )
+        for step in steps
+    ]
+
+
+def obligations(binding: Binding, summaries) -> tuple:
+    """Where each of ``binding``'s constants stands among the literals of
+    its domain in ``summaries`` (:func:`~repro.rewrite.index.
+    summary_constants`): ``2 * bisect_left + (equal to the one there)``."""
+    pivots: dict[str, set] = {}
+    for summary in summaries:
+        for name, values in summary_constants(summary).items():
+            pivots.setdefault(name, set()).update(values)
+    return tuple(
+        (name, tuple(_position(ordered, v) for v in binding.values.get(name, ())))
+        for name, ordered in ((name, sorted(values)) for name, values in pivots.items())
+    )
+
+
+def _position(ordered: list, value) -> int:
+    index = bisect_left(ordered, value)
+    return 2 * index + (index < len(ordered) and ordered[index] == value)
+
+
+#: cache key: the shape key, the matcher options in effect, and the
+#: freshness tolerance (RefreshAge.key) the decision was made under
 CacheKey = tuple[GraphFingerprint, tuple, tuple]
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from repro.asts.definition import SummaryTable
 from repro.catalog.schema import Catalog
-from repro.expr.nodes import Literal
 from repro.qgm.boxes import (
     BaseTableBox,
     GroupByBox,
@@ -50,6 +49,7 @@ from repro.qgm.boxes import (
     QueryGraph,
     SelectBox,
 )
+from repro.qgm.fingerprint import domain
 
 #: box kinds whose presence in the AST requires presence in the query
 _STRUCTURAL_KINDS = ("groupby", "union")
@@ -104,21 +104,23 @@ def summary_signature(summary: SummaryTable) -> SummarySignature:
     return cached
 
 
-def bears_constants(summary: SummaryTable) -> bool:
-    """Does the summary's definition contain a literal anywhere? Cached
-    on the object like the signature. Only such a summary can match one
-    binding of a query shape and not another (``disc > 0.1`` subsumes
-    ``disc > 0.2`` but not ``disc > 0.05``); a literal-free one gives
-    every binding of a shape the same verdict."""
-    cached = getattr(summary, "_bears_constants", None)
+def summary_constants(summary: SummaryTable) -> dict[str, frozenset]:
+    """The non-NULL literals of the summary's definition by
+    :func:`~repro.qgm.fingerprint.domain`, cached on the object like the
+    signature. Only these can match one binding of a query shape and
+    not another (``disc > 0.1`` subsumes ``disc > 0.2`` but not
+    ``disc > 0.05``): they are the pivots of a binding's obligations
+    (:func:`repro.rewrite.cache.obligations`)."""
+    cached = getattr(summary, "_constants", None)
     if cached is None:
-        cached = any(
-            isinstance(node, Literal)
-            for box in summary.graph.boxes()
-            for expr in _box_exprs(box)
-            for node in expr.walk()
-        )
-        summary._bears_constants = cached
+        found: dict[str, set] = {}
+        for box in summary.graph.boxes():
+            for expr in _box_exprs(box):
+                for value in expr.literal_values():
+                    if value is not None:
+                        found.setdefault(domain(value), set()).add(value)
+        cached = {name: frozenset(values) for name, values in found.items()}
+        summary._constants = cached
     return cached
 
 
@@ -154,11 +156,7 @@ def plausible(
 
 
 def filter_fresh(
-    summaries: list[SummaryTable],
-    tolerance,
-    stats=None,
-    log=None,
-    trace=None,
+    summaries: list[SummaryTable], tolerance, log, stats=None, trace=None
 ) -> list[SummaryTable]:
     """The subset of ``summaries`` fresh enough for ``tolerance``.
 
@@ -167,25 +165,22 @@ def filter_fresh(
     to the matcher when the query's freshness tolerance
     (:class:`repro.refresh.policy.RefreshAge`) admits its lag. Fully
     fresh summaries (no pending deltas — which includes every REFRESH
-    IMMEDIATE summary) always pass. ``tolerance=None`` disables the
-    staleness gate (library callers driving :func:`rewrite_query` by
-    hand).
+    IMMEDIATE summary) always pass.
 
-    ``log`` is the database's :class:`repro.refresh.log.DeltaLog`. When
-    given, freshness is decided by the log's per-table high-water LSNs:
-    a summary is fully fresh exactly when no base table it reads has
-    changed past its ``last_refresh_lsn`` — an O(base tables) dict
-    lookup against :meth:`~repro.refresh.log.DeltaLog.high_water`
-    instead of trusting (or recomputing) per-summary pending counters.
-    The per-summary ``pending_deltas`` counter is still what sizes the
-    lag for tolerance admission (it counts the same staged-batch units
+    Freshness is decided by the per-table high-water LSNs of ``log``,
+    the database's :class:`repro.refresh.log.DeltaLog`: a summary is
+    fully fresh exactly when no base table it reads has changed past its
+    ``last_refresh_lsn`` — an O(base tables) dict lookup instead of
+    trusting (or recomputing) per-summary pending counters. The
+    per-summary ``pending_deltas`` counter is still what sizes the lag
+    for tolerance admission (it counts the same staged-batch units
     ``SET REFRESH AGE <n>`` is expressed in).
 
     **Quarantined** summaries — ones the refresh pipeline gave up on
     (see :mod:`repro.refresh.scheduler`) or that recovery could not
     rebuild (:func:`repro.engine.persist.verify_database`) — are
-    excluded unconditionally, at *every* tolerance including ``None``:
-    their contents are untrusted, which is stronger than stale.
+    excluded unconditionally: their contents are untrusted, which is
+    stronger than stale.
 
     ``stats`` is an optional :class:`repro.rewrite.cache.RewriteStats`;
     rejected candidates are counted as ``stale_rejections`` /
@@ -208,23 +203,16 @@ def filter_fresh(
                     else "contents untrusted after refresh failures",
                 )
             continue
-        if tolerance is None:
-            kept.append(summary)
-            continue
         # REFRESH IMMEDIATE summaries are maintained synchronously with
         # every base-table change — they are fresh by construction.
         if state is None or not state.is_deferred:
             kept.append(summary)
             continue
-        if log is not None:
-            signature = summary_signature(summary)
-            fresh = all(
-                log.high_water(table) <= state.last_refresh_lsn
-                for table in signature.base_tables
-            )
-            pending = 0 if fresh else max(state.pending_deltas, 1)
-        else:
-            pending = state.pending_deltas
+        fresh = all(
+            log.high_water(table) <= state.last_refresh_lsn
+            for table in summary_signature(summary).base_tables
+        )
+        pending = 0 if fresh else max(state.pending_deltas, 1)
         if tolerance.admits(pending):
             kept.append(summary)
         else:

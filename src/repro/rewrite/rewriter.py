@@ -10,30 +10,39 @@ tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.asts.definition import SummaryTable
 from repro.expr.nodes import ColumnRef
-from repro.matching.framework import MAIN, MatchResult, rebase_chain
+from repro.matching.framework import (
+    MAIN,
+    MatchResult,
+    chain_rejoin_quantifiers,
+    rebase_chain,
+)
 from repro.matching.navigator import match_graphs, root_matches
 from repro.qgm.boxes import BaseTableBox, QCL, QGMBox, QueryGraph, SelectBox, box_heights
-from repro.rewrite.index import bears_constants, prune_candidates
+from repro.rewrite.index import prune_candidates
 from repro.testing import faults
 
 
 @dataclass
 class AppliedRewrite:
-    """One accepted match, for explain output and decision-cache replay.
+    """One accepted match, for explain output and the decision cache.
 
     ``subsumee_index`` is the matched box's position in ``graph.boxes()``
-    immediately before this match was applied — enough, together with the
-    match's compensation chain, to replay the application on a freshly
-    bound structurally identical graph.
+    immediately before this match was applied, and ``rejoins`` the
+    positions there of the boxes the chain's rejoin quantifiers range
+    over — enough, together with the match's compensation chain, to
+    instantiate the application on a freshly bound graph of the same
+    shape (:func:`instantiate`).
     """
 
     summary: SummaryTable
     match: MatchResult
     subsumee_index: int = -1
+    rejoins: tuple[int, ...] = ()
 
     def describe(self) -> str:
         return f"{self.summary.name}: {self.match.describe()}"
@@ -70,7 +79,6 @@ def rewrite_query(
     stats=None,
     prune: bool = True,
     trace=None,
-    hint=None,
 ) -> RewriteResult | None:
     """Reroute ``graph`` over the given summary tables.
 
@@ -86,17 +94,6 @@ def rewrite_query(
     disabling it (the pre-index behaviour, kept for the ablation
     benchmarks) falls back to the bare base-table-overlap check. Returns
     None when nothing matched.
-
-    ``hint`` is the decision an earlier query of the same *shape* got
-    (:func:`repro.qgm.fingerprint.shape_key`): one step per iteration
-    naming the winner (``summary_name``), its ``subsumee_index`` and
-    ``pattern``, after which the loop stopped. It only narrows what is
-    matched first — the planned winner plus every summary that
-    :func:`~repro.rewrite.index.bears_constants` — and nothing is
-    applied that this graph's own match did not prove. The first
-    iteration whose outcome differs from the hint matches the summaries
-    it had set aside and the hint is dropped, so the decision is always
-    the one an unhinted call makes.
     """
     applied: list[AppliedRewrite] = []
     remaining = list(summaries)
@@ -118,59 +115,33 @@ def rewrite_query(
             if stats is not None:
                 stats.candidates_considered += len(remaining)
                 stats.candidates_pruned += len(remaining) - len(pool)
-        # Equally good candidates go to the earlier summary, wherever a
-        # hint made it wait.
-        pool_rank = {id(s): rank for rank, s in enumerate(pool)}
-        set_aside: list[SummaryTable] = []
-        if hint is not None:
-            planned = hint[len(applied)] if len(applied) < len(hint) else None
-            winner = None if planned is None else planned.summary_name
-            narrowed = []
-            for s in pool:
-                if s.name.lower() == winner or bears_constants(s):
-                    narrowed.append(s)
-                else:
-                    set_aside.append(s)
-            pool = narrowed
 
         # Gather every candidate (summary, match) and take the best one:
-        # the highest query box saved, then the smallest summary table
-        # (a lightweight instance of related problem (b)).
+        # the highest query box saved, then the smallest summary table,
+        # then the earlier summary (a lightweight instance of related
+        # problem (b)).
         candidates: list[tuple] = []
-
-        def gather(batch: list[SummaryTable]) -> None:
-            for summary in batch:
-                if stats is not None:
-                    stats.matches_attempted += 1
-                match = _best_match(graph, summary, order, heights, options, trace)
-                if match is not None:
-                    candidates.append((
-                        -heights.get(id(match.subsumee), 0),
-                        summary.row_count, pool_rank[id(summary)],
-                        summary, match,
-                    ))
-
-        gather(pool)
+        for rank, summary in enumerate(pool):
+            if stats is not None:
+                stats.matches_attempted += 1
+            match = _best_match(graph, summary, order, heights, options, trace)
+            if match is not None:
+                candidates.append((
+                    -heights.get(id(match.subsumee), 0),
+                    summary.row_count, rank, summary, match,
+                ))
         chosen = _choose(candidates, accept, remaining)
-        if hint is not None:
-            if _as_planned(chosen, planned, positions):
-                if trace is not None:
-                    for summary in set_aside:
-                        trace.verdict(
-                            summary.name, "cache-hit",
-                            "verdict carried over from this query shape",
-                        )
-            else:
-                hint = None
-                gather(set_aside)
-                chosen = _choose(candidates, accept, remaining)
         if chosen is None:
             break
         summary, match = chosen
-        apply_match(graph, match, summary, trace)
-        applied.append(
-            AppliedRewrite(summary, match, positions[id(match.subsumee)])
+        rejoins = tuple(
+            positions[id(quantifier.box)]
+            for quantifier in chain_rejoin_quantifiers(match.chain)
         )
+        apply_match(graph, match, summary, trace)
+        applied.append(AppliedRewrite(
+            summary, match, positions[id(match.subsumee)], rejoins
+        ))
         if stats is not None:
             stats.rewrites_applied += 1
         if trace is not None:
@@ -178,6 +149,35 @@ def rewrite_query(
         remaining.remove(summary)
     if not applied:
         return None
+    graph.validate()
+    return RewriteResult(graph, applied)
+
+
+def instantiate(
+    graph: QueryGraph, steps, summaries: dict[str, SummaryTable],
+    literals: dict | None = None, trace=None,
+) -> RewriteResult:
+    """Apply a cached decision's :class:`~repro.rewrite.cache.CachedStep`
+    templates to ``graph``, a fresh binding of their shape, matching
+    nothing: each chain is cloned once onto a scan of its summary
+    (``summaries`` maps lower-case names to them), ``literals``
+    substituted."""
+    applied: list[AppliedRewrite] = []
+    for step in steps:
+        order = graph.boxes()
+        summary = summaries[step.summary_name]
+        match = MatchResult(
+            subsumee=order[step.subsumee_index],
+            subsumer=summary.graph.root,
+            chain=list(step.chain),
+            column_map=dict(step.column_map),
+            pattern=step.pattern,
+        )
+        rejoins = [order[position] for position in step.rejoins]
+        apply_match(graph, match, summary, trace, literals, rejoins)
+        applied.append(
+            AppliedRewrite(summary, match, step.subsumee_index, step.rejoins)
+        )
     graph.validate()
     return RewriteResult(graph, applied)
 
@@ -193,19 +193,6 @@ def _choose(candidates: list[tuple], accept, remaining: list[SummaryTable]):
         remaining.remove(summary)
         del candidates[0]
     return None
-
-
-def _as_planned(chosen, planned, positions: dict[int, int]) -> bool:
-    """Did this iteration end the way the hint's step says — the same
-    winner at the same box by the same pattern, or no winner at all?"""
-    if chosen is None or planned is None:
-        return chosen is None and planned is None
-    summary, match = chosen
-    return (
-        summary.name.lower() == planned.summary_name
-        and positions[id(match.subsumee)] == planned.subsumee_index
-        and match.pattern == planned.pattern
-    )
 
 
 def _best_match(
@@ -227,26 +214,27 @@ def _best_match(
 
 
 def apply_match(
-    graph: QueryGraph, match: MatchResult, summary: SummaryTable, trace=None
+    graph: QueryGraph, match: MatchResult, summary: SummaryTable, trace=None,
+    literals: dict | None = None, rejoins: list[QGMBox] | None = None,
 ) -> QGMBox:
     """Destructively replace ``match.subsumee`` in ``graph`` with the
     compensation applied to a scan of the summary table (timed as the
-    ``compensate`` phase of ``trace``, when given). Returns the new box
+    ``compensate`` phase of ``trace``, when given). ``literals`` and
+    ``rejoins`` instantiate a cached template as the chain is cloned
+    (:func:`repro.matching.framework.rebase_chain`). Returns the new box
     standing in for the subsumee."""
     started = trace.clock() if trace is not None else 0.0
     scan = BaseTableBox(f"Scan[{summary.name}]", summary.schema)
-    counter = [0]
-
-    def fresh(box: QGMBox) -> str:
-        counter[0] += 1
-        return f"{box.name}@{counter[0]}"
-
+    serial = itertools.count(1)
     if match.exact:
         # Footnote 5: exact up to extra subsumer columns / names; a thin
         # projection restores the subsumee's exact output signature.
         replacement: QGMBox = _projection(match, scan)
     else:
-        rebased = rebase_chain(match.chain, scan, fresh)
+        rebased = rebase_chain(
+            match.chain, scan, lambda box: f"{box.name}@{next(serial)}",
+            literals, None if rejoins is None else iter(rejoins),
+        )
         replacement = rebased[-1]
 
     parents = graph.parents_of(match.subsumee)

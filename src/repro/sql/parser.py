@@ -205,15 +205,14 @@ class _Parser:
         return items, False
 
     def _parse_select_item(self) -> SelectItem:
-        expr = self.parse_expr()
-        alias = None
+        return SelectItem(self.parse_expr(), self._parse_alias())
+
+    def _parse_alias(self) -> str | None:
+        """``[AS] name``, or None."""
         if self.accept_keyword("as"):
-            alias = self.expect_ident().value
-        else:
-            ident = self.accept_ident()
-            if ident is not None:
-                alias = ident.value
-        return SelectItem(expr, alias)
+            return self.expect_ident().value
+        ident = self.accept_ident()
+        return None if ident is None else ident.value
 
     def _parse_from_clause(self) -> tuple[list[FromItem], list[Expr]]:
         items = [self._parse_from_item()]
@@ -239,21 +238,9 @@ class _Parser:
         if self.accept_punct("("):
             query = self.parse_query()
             self.expect_punct(")")
-            if self.accept_keyword("as"):
-                alias = self.expect_ident().value
-            else:
-                ident = self.accept_ident()
-                alias = ident.value if ident is not None else None
-            return DerivedTableRef(query, alias)
+            return DerivedTableRef(query, self._parse_alias())
         name = self.expect_ident().value
-        alias = None
-        if self.accept_keyword("as"):
-            alias = self.expect_ident().value
-        else:
-            ident = self.accept_ident()
-            if ident is not None:
-                alias = ident.value
-        return TableRef(name, alias)
+        return TableRef(name, self._parse_alias())
 
     def _parse_group_by(self) -> tuple[GroupingElement, ...]:
         elements = [self._parse_grouping_element()]

@@ -19,6 +19,9 @@ from repro.expr import (
 )
 
 COLUMNS = ["a", "b", "c"]
+#: per property: 50 under hypothesis' default profile, 1 500 under CI's
+#: ``--hypothesis-profile=chaos``
+EXAMPLES = settings.default.max_examples // 2
 
 
 def columns() -> st.SearchStrategy:
@@ -80,35 +83,35 @@ def rows() -> st.SearchStrategy:
     return st.fixed_dictionaries({name: cell for name in COLUMNS})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(expr=numeric_exprs())
 def test_normalize_is_idempotent(expr):
     once = normalize(expr)
     assert normalize(once) == once
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(expr=predicates())
 def test_normalize_predicates_idempotent(expr):
     once = normalize(expr)
     assert normalize(once) == once
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(expr=numeric_exprs(), row=rows())
 def test_normalize_preserves_semantics(expr, row):
     resolve = lambda ref: row[ref.name]
     assert evaluate(expr, resolve) == evaluate(normalize(expr), resolve)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(expr=predicates(), row=rows())
 def test_normalize_preserves_predicate_semantics(expr, row):
     resolve = lambda ref: row[ref.name]
     assert evaluate(expr, resolve) == evaluate(normalize(expr), resolve)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(
     premise=predicates(depth=1),
     conclusion=predicates(depth=1),
@@ -122,7 +125,7 @@ def test_implication_is_sound(premise, conclusion, row):
             assert evaluate(conclusion, resolve) is True
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(
     pairs=st.lists(
         st.tuples(columns(), columns()), min_size=0, max_size=4

@@ -122,35 +122,33 @@ def test_explain_analyze_reports_what_execute_does(figure):
     assert f"-- rewritten SQL --\n{decided.sql}\n-- result:" in out
 
 
-def test_shape_hit_rematches_the_winner_and_carries_the_rest():
-    """A statement that differs from an earlier one only in a comparison
-    constant: the summaries its shape's plan set aside get a
-    ``cache-hit`` verdict saying so, the re-matched ones (the winner,
-    and AST2 with its ``disc > 0.1``) their real verdict, and the
-    fast-path line says how many those were."""
+def test_template_hit_names_the_winner_and_every_summary():
+    """A statement that differs from earlier ones only in a comparison
+    constant, once the shape's template is filed and confirmed: nothing
+    is matched, every summary gets a ``cache-hit`` verdict — the winner
+    with its pattern, applied — and the fast-path line says so."""
     db = make_database(small_config())
     for name, sql, _, _ in FIGURES.values():
         if name.lower() not in db.summary_tables:
             db.create_summary_table(name, sql)
     query = FIGURES["fig02_q1"][2]
     db.execute(query.replace("> 100", "> 3"))
+    confirm = db.explain_analyze(query.replace("> 100", "> 5"))
+    assert "decision cache: miss" in confirm
     out = db.explain_analyze(query.replace("> 100", "> 4"))
     trace = db.last_trace
-    carried = [
-        row for row in trace.verdict_rows()
-        if row[2] == "verdict carried over from this query shape"
-    ]
-    assert len(carried) == 7 and {row[1] for row in carried} == {"cache-hit"}
-    assert [a.name for a in trace.summaries if a.pairs] == ["AST1", "AST2"]
+    rows = {row[0]: row[1:] for row in trace.verdict_rows()}
+    assert rows.pop("AST1")[0] == "rewritten via 4.2.4"
+    assert {verdict for verdict, _ in rows.values()} == {"cache-hit"}
+    assert not [a.name for a in trace.summaries if a.pairs]
     assert [a.name for a in trace.summaries if a.applied] == ["AST1"]
-    assert "decision cache: shape hit (2 re-matched)" in out
+    assert [a.pattern for a in trace.summaries if a.applied] == ["4.2.4"]
+    assert "decision cache: template hit; matches attempted: 0" in out
     assert {row[0].lower() for row in trace.verdict_rows()} == set(
         db.summary_tables
     )
-    # the statement itself is now cached: a replay, nothing re-matched
     again = db.explain_analyze(query.replace("> 100", "> 4"))
-    assert "decision cache: hit (rewrite replayed)" in again
-    assert "carried over" not in again
+    assert "decision cache: template hit; matches attempted: 0" in again
 
 
 class TestTracingApi:

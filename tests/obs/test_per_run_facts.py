@@ -146,8 +146,8 @@ def test_registry_counts_are_exact_under_contention(nine_ast_db):
 
 def test_shape_hits_are_counted_per_run_and_exactly(nine_ast_db):
     """Fresh bindings of one shape from four threads: every rewrite is
-    a miss, a shape hit or a replay — a shape hit a hit, never a miss —
-    and each run's own record says which."""
+    a miss or a template hit — a shape hit a hit, never a miss, and
+    matching nothing — and each run's own record says which."""
     db = nine_ast_db
     threads, rounds = 4, 60
     db.configure_fast_path(cache=True)
@@ -183,10 +183,10 @@ def test_shape_hits_are_counted_per_run_and_exactly(nine_ast_db):
                  "matches_attempted", "cache_stores"):
         assert delta[name] == sum(record[name] for record in records), name
     assert delta["cache_hits"] + delta["cache_misses"] == threads * rounds
-    assert 0 < delta["cache_shape_hits"] < delta["cache_hits"]
+    assert 0 < delta["cache_shape_hits"] <= delta["cache_hits"]
     for record in records:
         assert record["cache_hits"] + record["cache_misses"] == 1
         if record["cache_shape_hits"]:
-            assert record["cache_hits"] == 1 and record["matches_attempted"] > 0
-        elif record["cache_hits"]:
+            assert record["cache_hits"] == 1
+        if record["cache_hits"]:
             assert record["matches_attempted"] == 0

@@ -1,12 +1,12 @@
 """The shape path under concurrent catalog changes.
 
-Two threads issue fresh bindings of one query shape — each an exact-key
-miss that finds (or leaves) the shape's plan — while a third flips
-``summary.enabled`` on the plan's winner and creates and drops another
-summary that would win. A plan is validated like any other entry (epoch
-+ admissible set, captured before matching), so whatever interleaving
-happens every answer is the base tables' and the sandbox catches
-nothing. The chaos CI job runs this file 25 times.
+Two threads issue fresh bindings of one query shape — each one files,
+confirms or instantiates the shape's template — while a third flips
+``summary.enabled`` on the template's winner and creates and drops
+another summary that would win. A template is validated like any other
+entry (epoch + admissible set, captured before matching), so whatever
+interleaving happens every answer is the base tables' and the sandbox
+catches nothing. The chaos CI job runs this file 25 times.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ RIVAL = (
     "select flid, year(date) as year, count(*) as cnt from Trans "
     "group by flid, year(date)"
 )
-SECONDS = 2.0
+SECONDS = 1.0
 
 
 def test_fresh_bindings_stay_right_while_the_catalog_changes():
@@ -61,8 +61,9 @@ def test_fresh_bindings_stay_right_while_the_catalog_changes():
             failures.append(repr(error))
 
     def ddl() -> None:
-        # a pause after each change: long enough for a plan to be made
-        # and used, short enough that many are made stale in flight
+        # a pause after each change: long enough for a template to be
+        # filed, confirmed and used (two cold matches), short enough
+        # that many are made stale in flight
         steps = (
             lambda: setattr(db.summary_tables["ast7"], "enabled", False),
             lambda: db.create_summary_table("RIVAL", RIVAL),
@@ -75,7 +76,7 @@ def test_fresh_bindings_stay_right_while_the_catalog_changes():
             while not stop.is_set():
                 for step in steps:
                     step()
-                    time.sleep(0.02)
+                    time.sleep(0.06)
         except Exception as error:  # reported below
             failures.append(repr(error))
 
