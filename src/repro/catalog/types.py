@@ -30,7 +30,7 @@ class DataType(enum.Enum):
         return f"DataType.{self.name}"
 
 
-PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
+_PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
     DataType.INTEGER: (int,),
     DataType.FLOAT: (float, int),
     DataType.STRING: (str,),
@@ -49,7 +49,7 @@ def value_matches_type(value: Any, dtype: DataType) -> bool:
         return True
     if dtype is DataType.INTEGER and isinstance(value, bool):
         return False
-    return isinstance(value, PYTHON_TYPES[dtype])
+    return isinstance(value, _PYTHON_TYPES[dtype])
 
 
 def infer_literal_type(value: Any) -> DataType | None:

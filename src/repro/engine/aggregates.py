@@ -91,12 +91,18 @@ class Min(Accumulator):
         return self.best
 
 
-class Max(Min):
+class Max(Accumulator):
+    def __init__(self) -> None:
+        self.best: Any = None
+
     def add(self, value: Any) -> None:
         if value is None:
             return
         if self.best is None or value > self.best:
             self.best = value
+
+    def result(self) -> Any:
+        return self.best
 
 
 class Distinct(Accumulator):

@@ -618,8 +618,8 @@ class Database:
         ``shape`` is ``graph``'s fingerprint when the caller already took
         it (a :class:`SelectRun` the server keyed its result cache on)."""
         from repro.rewrite.cache import (
-            CacheEntry, cached_steps, obligations, options_key, substitution,
-            valid_entry,
+            CacheEntry, cached_steps, obligations, options_key, pivots,
+            substitution, valid_entry,
         )
         from repro.rewrite.index import filter_fresh
         from repro.rewrite.rewriter import instantiate, rewrite_query
@@ -642,10 +642,11 @@ class Database:
         # rewrite against a dropped (or freshly altered) summary set.
         epoch = self._rewrite_epoch
         summaries = filter_fresh(
-            self.enabled_summary_tables(), tolerance, self._delta_log,
-            stats=stats, trace=trace,
+            self.enabled_summary_tables(), tolerance, stats=stats,
+            log=self._delta_log, trace=trace,
         )
-        admissible = frozenset(s.name.lower() for s in summaries)
+        named = {s.name.lower(): s for s in summaries}
+        admissible = frozenset(named)
         use_cache = self._rewrite_cache.maxsize > 0
         breaker = self.governor.breaker
         # The shape key is taken *before* rewrite_query mutates the graph
@@ -656,10 +657,11 @@ class Database:
             template, binding = shape_template(shape or fingerprint(graph))
         if use_cache and binding is not None:
             key = (template, options_key(options), tolerance.key)
-            obliged = obligations(binding, summaries)
             shaped = valid_entry(
                 self._rewrite_cache, key, epoch, admissible, stats
             )
+            among = pivots(summaries) if shaped is None else shaped.pivots
+            obliged = obligations(binding, among)
             entry = None if shaped is None else shaped.classes.get(obliged)
             if entry is not None:
                 changed = entry.changes(binding)
@@ -672,9 +674,10 @@ class Database:
                         stats.cache_negative_hits += 1
                         return None
                     stats.cache_hits += 1
+                    # the summaries admitted above, never the live dict:
+                    # a concurrent DROP must not pull one out mid-flight
                     return instantiate(
-                        graph, entry.steps, self.summary_tables,
-                        substitution(changed), trace,
+                        graph, entry.steps, named, substitution(changed), trace
                     )
         if use_cache:
             stats.cache_misses += 1
@@ -709,7 +712,9 @@ class Database:
         if key is not None:
             steps = cached_steps(result)
             if entry is None or changed is None:
-                entry = CacheEntry(epoch, admissible, steps, binding)
+                entry = CacheEntry(
+                    epoch, admissible, steps, binding, pivots=among
+                )
                 if shaped is None:
                     shaped = entry
                     self._rewrite_cache.put(key, shaped)

@@ -133,6 +133,22 @@ class MatchContext:
 # ----------------------------------------------------------------------
 # Compensation-chain utilities
 # ----------------------------------------------------------------------
+def chain_leaf(chain: list[QGMBox]) -> SubsumerRef:
+    """The SubsumerRef at the bottom of a non-empty chain."""
+    box: QGMBox = chain[0]
+    below = _main_child(box)
+    if not isinstance(below, SubsumerRef):
+        raise ReproError(f"chain bottom of {box.name} is not a SubsumerRef")
+    return below
+
+
+def _main_child(box: QGMBox) -> QGMBox:
+    for quantifier in box.quantifiers():
+        if quantifier.name == MAIN:
+            return quantifier.box
+    raise ReproError(f"box {box.name} has no {MAIN!r} quantifier")
+
+
 def rebase_chain(
     chain: list[QGMBox], new_leaf: QGMBox, name_for: "callable",
     literals: dict | None = None, rejoins=None,
@@ -191,9 +207,10 @@ def clone_chain_box(
 def replace_literals(expr: Expr | None, literals: dict | None) -> Expr | None:
     """``expr`` with every literal whose ``(type, value)`` is a key of
     ``literals`` replaced by that key's value."""
-    if not literals or expr is None or not any(
-        (type(value), value) in literals for value in expr.literal_values()
-    ):
+    if not literals or expr is None:
+        return expr
+    values = expr.literal_values()
+    if literals.keys().isdisjoint(zip(map(type, values), values)):
         return expr
     return expr.transform(
         lambda node: literals.get((type(node.value), node.value))

@@ -35,8 +35,8 @@ from repro.matching.framework import (
     chain_has_grouping,
     chain_predicates,
     chain_rejoin_quantifiers,
+    clone_chain_box,
     inline_through_chain,
-    rebase_chain,
 )
 from repro.matching.translation import ChildTranslator, MatchedChildPair
 from repro.qgm.unparse import render_expr
@@ -703,11 +703,15 @@ def _match_via_recursion(
             )
         new_chain = [projection]
 
-    new_chain += rebase_chain(
-        above, new_chain[-1],
-        lambda box: ctx.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel"),
-    )
-    top = new_chain[-1]
+    top: QGMBox = new_chain[-1]
+    for box in above:
+        clone = clone_chain_box(
+            box,
+            top,
+            ctx.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel"),
+        )
+        new_chain.append(clone)
+        top = clone
     subsumee_copy = _clone_groupby_rebased(subsumee, top, ctx.fresh_name("GB"))
     new_chain.append(subsumee_copy)
     return MatchResult(subsumee, subsumer, new_chain, pattern="4.2.2")

@@ -37,8 +37,8 @@ from repro.matching.framework import (
     chain_has_grouping,
     chain_predicates,
     chain_rejoin_quantifiers,
+    clone_chain_box,
     inline_through_chain,
-    rebase_chain,
 )
 from repro.matching.translation import ChildTranslator, MatchedChildPair
 from repro.qgm.unparse import render_expr
@@ -353,14 +353,12 @@ def _match_select_only(
             )
         return None
 
-    uncovered = _uncovered_predicate(subsumer, pool, extra_join_preds)
-    if uncovered is not None:
+    if not _subsumer_predicates_covered(subsumer, pool, extra_join_preds):
         t = ctx.trace
         if t is not None:
             t.reject(
                 "predicate-subsumption", "4.1.1 cond 2",
-                "subsumer predicate not implied by query: "
-                + render_expr(uncovered),
+                _uncovered_predicate(subsumer, pool, extra_join_preds),
             )
         return None
 
@@ -437,12 +435,11 @@ def _subsumer_classes(subsumer: SelectBox, ctx: MatchContext) -> EquivalenceClas
     return EquivalenceClasses()
 
 
-def _uncovered_predicate(
+def _subsumer_predicates_covered(
     subsumer: SelectBox, pool: list[Expr], extra_join_preds: list[Expr]
-) -> Expr | None:
+) -> bool:
     """Condition 2: every subsumer predicate (except extra joins) matches
-    or subsumes a predicate the subsumee applies. Returns the first one
-    that does not, or None."""
+    or subsumes a predicate the subsumee applies."""
     classes_e = EquivalenceClasses()
     for predicate in pool:
         classes_e.add_predicate(normalize(predicate))
@@ -457,8 +454,31 @@ def _uncovered_predicate(
             for p in pool
         ):
             continue
-        return r_pred
-    return None
+        return False
+    return True
+
+
+def _uncovered_predicate(
+    subsumer: SelectBox, pool: list[Expr], extra_join_preds: list[Expr]
+) -> str:
+    """Name the first subsumer predicate that condition 2 could not cover
+    (trace detail only — mirrors :func:`_subsumer_predicates_covered`)."""
+    classes_e = EquivalenceClasses()
+    for predicate in pool:
+        classes_e.add_predicate(normalize(predicate))
+    exempt = {normalize(p) for p in extra_join_preds}
+    for r_pred in subsumer.predicates:
+        if normalize(r_pred) in exempt:
+            continue
+        if canonical(r_pred, classes_e) == TRUE:
+            continue
+        if any(
+            equivalent(p, r_pred, classes_e) or subsumes(r_pred, p, classes_e)
+            for p in pool
+        ):
+            continue
+        return "subsumer predicate not implied by query: " + render_expr(r_pred)
+    return "subsumer predicates not covered"
 
 
 def _matched_by_subsumer(
@@ -542,7 +562,7 @@ def _match_with_grouping_child(
     # where crossing the grouping compensation introduces aggregates that
     # can never match a plain predicate.
     pool = [translator.translate(p) for p in subsumee.predicates]
-    if _uncovered_predicate(subsumer, pool, extra_join_preds) is not None:
+    if not _subsumer_predicates_covered(subsumer, pool, extra_join_preds):
         if t is not None:
             t.reject(
                 "predicate-subsumption", "4.2.4",
@@ -681,31 +701,40 @@ def _rebase_grouping_chain(
 
         return expr.transform(visit)
 
+    chain: list = []
     thread = _ThreadedColumns(ctx)
-    first, copied = source[0], source[1:]
-    if isinstance(first, GroupByBox):
-        # Chain starts directly with a GROUP-BY: synthesize the bottom
-        # SELECT that re-derives its inputs, and copy the GROUP-BY too.
-        bottom = SelectBox(ctx.fresh_name("Sel"))
-        bottom.add_quantifier(MAIN, SubsumerRef(subsumer))
-        for name in first.child_quantifier.box.output_names:
-            derived = derive_scalar(ColumnRef(rq_name, name), scope)
-            if derived is None:
+    below = SubsumerRef(subsumer)
+    for index, box in enumerate(source):
+        if index == 0:
+            if isinstance(box, GroupByBox):
+                # Chain starts directly with a GROUP-BY: synthesize the
+                # bottom SELECT that re-derives its inputs.
+                bottom = SelectBox(ctx.fresh_name("Sel"))
+                bottom.add_quantifier(MAIN, below)
+                for name in box.child_quantifier.box.output_names:
+                    derived = derive_scalar(
+                        ColumnRef(rq_name, name), scope
+                    )
+                    if derived is None:
+                        return None
+                    bottom.add_output(QCL(name, derived, nullable=True))
+                chain.append(bottom)
+                below = bottom
+                clone = clone_chain_box(box, below, ctx.fresh_name("GB"))
+                chain.append(clone)
+                below = clone
+                continue
+            rebuilt = _rederive_bottom_select(box, scope, in_subsumer_qnc, ctx, below)
+            if rebuilt is None:
                 return None
-            bottom.add_output(QCL(name, derived, nullable=True))
-        chain = [bottom]
-        copied = source
-    else:
-        rebuilt = _rederive_bottom_select(
-            first, scope, in_subsumer_qnc, ctx, SubsumerRef(subsumer)
+            chain.append(rebuilt)
+            below = rebuilt
+            continue
+        clone = clone_chain_box(
+            box, below, ctx.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel")
         )
-        if rebuilt is None:
-            return None
-        chain = [rebuilt]
-    chain += rebase_chain(
-        copied, chain[-1],
-        lambda box: ctx.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel"),
-    )
+        chain.append(clone)
+        below = clone
     return chain, thread
 
 

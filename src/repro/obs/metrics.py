@@ -36,26 +36,25 @@ class Counter:
     """A monotonic (but resettable) integer counter."""
 
     kind = "counter"
-    zero = 0
     __slots__ = ("name", "help", "_value", "_lock")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._value = self.zero
+        self._value = 0
         self._lock = threading.Lock()
 
     @property
-    def value(self):
+    def value(self) -> int:
         return self._value
 
-    def inc(self, amount=1) -> None:
+    def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
 
     def reset(self) -> None:
         with self._lock:
-            self._value = self.zero
+            self._value = 0
 
     def swap(self) -> dict:
         """Atomically capture-and-zero: returns :meth:`describe` of the
@@ -63,26 +62,52 @@ class Counter:
         or entirely after the swap — never half in each epoch."""
         with self._lock:
             snapshot = {"type": self.kind, "value": self._value}
-            self._value = self.zero
+            self._value = 0
         return snapshot
 
     def describe(self) -> dict:
         return {"type": self.kind, "value": self._value}
 
 
-class Gauge(Counter):
+class Gauge:
     """A value that can go up and down (queue depths, pending deltas)."""
 
     kind = "gauge"
-    zero = 0.0
-    __slots__ = ()
+    __slots__ = ("name", "help", "_value", "_lock")
+
+    def __init__(self, name: str, help: str = ""):
+        self.name = name
+        self.help = help
+        self._value = 0.0
+        self._lock = threading.Lock()
+
+    @property
+    def value(self) -> float:
+        return self._value
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
 
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
+
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
+
+    def reset(self) -> None:
+        self.set(0.0)
+
+    def swap(self) -> dict:
+        """Atomically capture-and-zero (see :meth:`Counter.swap`)."""
+        with self._lock:
+            snapshot = {"type": self.kind, "value": self._value}
+            self._value = 0.0
+        return snapshot
+
+    def describe(self) -> dict:
+        return {"type": self.kind, "value": self._value}
 
 
 class Histogram:
@@ -249,7 +274,7 @@ class MetricsRegistry:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if type(existing) is not cls:
+                if not isinstance(existing, cls):
                     raise ValueError(
                         f"metric {name!r} already registered as "
                         f"{existing.kind}, not {cls.kind}"

@@ -440,7 +440,8 @@ class QueryGraph:
         """Check referential integrity of the graph (used in tests)."""
         for box in self.boxes():
             columns = {
-                q.name: (q.box, set(q.box.output_names)) for q in box.quantifiers()
+                q.name: {qcl.name for qcl in q.box.outputs}
+                for q in box.quantifiers()
             }
             exprs: list[Expr] = []
             exprs.extend(qcl.expr for qcl in box.outputs if qcl.expr is not None)
@@ -448,13 +449,13 @@ class QueryGraph:
                 exprs.extend(box.predicates)
             for expr in exprs:
                 for ref in expr.column_refs():
-                    child, names = columns.get(ref.qualifier, (None, ()))
-                    if child is None:
+                    names = columns.get(ref.qualifier)
+                    if names is None:
                         raise ReproError(
                             f"box {box.name}: unknown quantifier in {ref!r}"
                         )
                     if ref.name not in names:
                         raise ReproError(
                             f"box {box.name}: {ref!r} does not match an output "
-                            f"of {child.name}"
+                            f"of {box.quantifier(ref.qualifier).box.name}"
                         )

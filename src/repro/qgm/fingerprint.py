@@ -27,6 +27,7 @@ docs/ALGORITHM.md, "Matching fast path").
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -47,6 +48,15 @@ class GraphFingerprint:
     """A hashable structural key for one bound :class:`QueryGraph`."""
 
     key: tuple
+
+    def __hash__(self) -> int:
+        """The key's hash, computed once: a fingerprint keys the result
+        cache, :func:`template`'s memo and the decision cache."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.key))
+            return self._hash
 
     def hexdigest(self) -> str:
         """A short stable digest for display (EXPLAIN, logs)."""
@@ -133,7 +143,8 @@ def shape_key(exact: GraphFingerprint) -> GraphFingerprint:
 def template(exact: GraphFingerprint) -> tuple[GraphFingerprint, Binding | None]:
     """``exact`` with the right-hand literal of every ``expr <cmp>
     literal`` predicate (reached through AND/OR) replaced by a
-    :class:`Hole`, and the statement's :class:`Binding`. Every other
+    :class:`Hole`, and the statement's :class:`Binding` — memoised, so a
+    statement that repeats exactly derives neither again. Every other
     constant — IN-lists, arithmetic operands, function arguments, output
     expressions, LIMIT — stays in the key by value. The key is ``exact``
     itself when no predicate compares against a constant; the binding is
@@ -147,41 +158,45 @@ def template(exact: GraphFingerprint) -> tuple[GraphFingerprint, Binding | None]
     between two of the query's own constants reads the same in both.
     Numbers rank together; other types rank among themselves.
     """
+    key, binding = _template(exact)
+    return exact if key is None else key, binding
+
+
+@functools.lru_cache(maxsize=256)
+def _template(exact: GraphFingerprint) -> tuple[GraphFingerprint | None, Binding | None]:
+    """:func:`template`, with None for a key that is ``exact`` itself."""
     boxes, root, order_by, limit = exact.key
-    kept = [
-        value
-        for box in boxes
-        for _, expr, _ in box[2] if expr is not None
-        for value in expr.literal_values()
-    ]
-    holes = []
+    kept: list = []
+    holes: list = []
     for box in boxes:
+        for _, expr, _ in box[2]:
+            if expr is not None:
+                kept += expr.literal_values()
         if box[0] == "select":
             for predicate in box[3]:
                 outside, inside = _split(predicate)
-                kept.extend(outside)
-                holes.extend(inside)
+                kept += outside
+                holes += inside
     constants: dict[str, list] = {}
     for value in kept + holes:
         constants.setdefault(domain(value), []).append(value)
     values = {}
+    ranks = {}
     for name, raw in constants.items():
         distinct = set(raw)
         if len(distinct) < len(raw) and len(distinct) < len(set(map(Literal, raw))):
-            return exact, None  # equal constants of different types
+            return None, None  # equal constants of different types
         try:
-            values[name] = tuple(sorted(distinct))
+            values[name] = ordered = tuple(sorted(distinct))
         except TypeError:
-            return exact, None
-    ranks = {
-        name: {value: rank for rank, value in enumerate(ordered)}
-        for name, ordered in values.items()
-    }
+            return None, None
+        ranks[name] = {value: rank for rank, value in enumerate(ordered)}
     binding = Binding(values, frozenset(
-        (domain(value), ranks[domain(value)][value]) for value in kept
+        (name, ranks[name][value])
+        for name, value in zip(map(domain, kept), kept)
     ))
     if not holes:
-        return exact, binding
+        return None, binding
     punched = tuple(
         box[:3] + (tuple(_punch(p, ranks) for p in box[3]),) + box[4:]
         if box[0] == "select" else box
@@ -230,7 +245,11 @@ def _punch(predicate: Expr, ranks: dict) -> Expr:
     if not inside:
         return predicate
     key = tuple((type(value), ranks[domain(value)][value]) for value in inside)
-    punched = predicate.__dict__.setdefault("_punched", {})
+    try:
+        punched = predicate._punched
+    except AttributeError:
+        punched = {}
+        object.__setattr__(predicate, "_punched", punched)
     if key not in punched:
         holes = (Hole(kind.__name__, rank) for kind, rank in key)
 

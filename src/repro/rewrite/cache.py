@@ -152,8 +152,9 @@ class CacheEntry:
     query's tolerance when it was made. ``binding`` is the constants the
     template was proven for and ``confirmed`` the classes it may
     substitute. The LRU holds a shape's first entry, whose stamp
-    validates, and whose ``classes`` map :func:`obligations` to, every
-    entry of the shape, itself included."""
+    validates, whose ``pivots`` are the admissible set's, and whose
+    ``classes`` map :func:`obligations` to every entry of the shape,
+    itself included."""
 
     epoch: int
     admissible: frozenset[str]
@@ -162,6 +163,7 @@ class CacheEntry:
     confirmed: frozenset[tuple[str, int]] = frozenset()
     cold_only: bool = False
     classes: dict[tuple, "CacheEntry"] = field(default_factory=dict)
+    pivots: tuple = ()
 
     def changes(self, binding: Binding) -> dict | None:
         """``{(domain, rank): (old, new)}`` for each constant class
@@ -178,7 +180,7 @@ class CacheEntry:
             for rank, (was, now) in enumerate(zip(old[name], new[name]))
             if not same_value(was, now)
         }
-        if changed.keys() & (self.binding.kept | binding.kept):
+        if changed and changed.keys() & (self.binding.kept | binding.kept):
             return None
         return changed
 
@@ -230,17 +232,24 @@ def _form(steps: tuple[CachedStep, ...], literals: dict | None = None) -> list:
     ]
 
 
-def obligations(binding: Binding, summaries) -> tuple:
-    """Where each of ``binding``'s constants stands among the literals of
-    its domain in ``summaries`` (:func:`~repro.rewrite.index.
-    summary_constants`): ``2 * bisect_left + (equal to the one there)``."""
-    pivots: dict[str, set] = {}
+def pivots(summaries) -> tuple:
+    """The literals of ``summaries`` (:func:`~repro.rewrite.index.
+    summary_constants`) per domain, sorted: what :func:`obligations`
+    places a binding's constants among. A function of the admissible
+    set alone, so a shape's first entry keeps it."""
+    found: dict[str, set] = {}
     for summary in summaries:
         for name, values in summary_constants(summary).items():
-            pivots.setdefault(name, set()).update(values)
+            found.setdefault(name, set()).update(values)
+    return tuple((name, sorted(values)) for name, values in sorted(found.items()))
+
+
+def obligations(binding: Binding, pivots: tuple) -> tuple:
+    """Where each of ``binding``'s constants stands among the ``pivots``
+    of its domain: ``2 * bisect_left + (equal to the one there)``."""
     return tuple(
         (name, tuple(_position(ordered, v) for v in binding.values.get(name, ())))
-        for name, ordered in ((name, sorted(values)) for name, values in pivots.items())
+        for name, ordered in pivots
     )
 
 

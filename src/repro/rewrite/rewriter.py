@@ -10,7 +10,6 @@ tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.asts.definition import SummaryTable
@@ -225,15 +224,20 @@ def apply_match(
     standing in for the subsumee."""
     started = trace.clock() if trace is not None else 0.0
     scan = BaseTableBox(f"Scan[{summary.name}]", summary.schema)
-    serial = itertools.count(1)
+    counter = [0]
+
+    def fresh(box: QGMBox) -> str:
+        counter[0] += 1
+        return f"{box.name}@{counter[0]}"
+
     if match.exact:
         # Footnote 5: exact up to extra subsumer columns / names; a thin
         # projection restores the subsumee's exact output signature.
         replacement: QGMBox = _projection(match, scan)
     else:
         rebased = rebase_chain(
-            match.chain, scan, lambda box: f"{box.name}@{next(serial)}",
-            literals, None if rejoins is None else iter(rejoins),
+            match.chain, scan, fresh, literals,
+            None if rejoins is None else iter(rejoins),
         )
         replacement = rebased[-1]
 

@@ -205,14 +205,15 @@ class _Parser:
         return items, False
 
     def _parse_select_item(self) -> SelectItem:
-        return SelectItem(self.parse_expr(), self._parse_alias())
-
-    def _parse_alias(self) -> str | None:
-        """``[AS] name``, or None."""
+        expr = self.parse_expr()
+        alias = None
         if self.accept_keyword("as"):
-            return self.expect_ident().value
-        ident = self.accept_ident()
-        return None if ident is None else ident.value
+            alias = self.expect_ident().value
+        else:
+            ident = self.accept_ident()
+            if ident is not None:
+                alias = ident.value
+        return SelectItem(expr, alias)
 
     def _parse_from_clause(self) -> tuple[list[FromItem], list[Expr]]:
         items = [self._parse_from_item()]
@@ -238,9 +239,21 @@ class _Parser:
         if self.accept_punct("("):
             query = self.parse_query()
             self.expect_punct(")")
-            return DerivedTableRef(query, self._parse_alias())
+            if self.accept_keyword("as"):
+                alias = self.expect_ident().value
+            else:
+                ident = self.accept_ident()
+                alias = ident.value if ident is not None else None
+            return DerivedTableRef(query, alias)
         name = self.expect_ident().value
-        return TableRef(name, self._parse_alias())
+        alias = None
+        if self.accept_keyword("as"):
+            alias = self.expect_ident().value
+        else:
+            ident = self.accept_ident()
+            if ident is not None:
+                alias = ident.value
+        return TableRef(name, alias)
 
     def _parse_group_by(self) -> tuple[GroupingElement, ...]:
         elements = [self._parse_grouping_element()]

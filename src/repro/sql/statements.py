@@ -340,7 +340,7 @@ class _StatementParser(_Parser):
         return CreateTable(name, tuple(columns), tuple(keys), tuple(foreign_keys))
 
     def _parse_column_def(self) -> ColumnDef:
-        name = self._expect_column_name()
+        name = self._column_name()
         type_word = self._ident_or_keyword_value()
         if type_word not in _TYPE_NAMES:
             raise self._error(f"unknown column type")
@@ -358,11 +358,17 @@ class _StatementParser(_Parser):
             nullable = True
         return ColumnDef(name, _TYPE_NAMES[type_word], nullable)
 
+    def _column_name(self) -> str:
+        if self._current.is_keyword("date"):
+            self._advance()
+            return "date"
+        return self.expect_ident().value
+
     def _parse_name_list(self) -> tuple[str, ...]:
         self.expect_punct("(")
-        names = [self._expect_column_name()]
+        names = [self._column_name()]
         while self.accept_punct(","):
-            names.append(self._expect_column_name())
+            names.append(self._column_name())
         self.expect_punct(")")
         return tuple(names)
 

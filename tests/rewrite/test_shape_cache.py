@@ -29,7 +29,7 @@ from repro.engine.reference import ReferenceExecutor
 from repro.engine.table import tables_equal
 from repro.qgm.fingerprint import fingerprint, shape_key, template
 from repro.refresh.policy import RefreshAge
-from repro.rewrite.cache import CacheEntry, obligations
+from repro.rewrite.cache import CacheEntry, obligations, pivots
 from repro.workloads import populate_credit_db, small_config
 from repro.workloads.datagen import GeneratorConfig
 
@@ -95,7 +95,7 @@ def _class_of(db: Database, sql: str) -> tuple:
     """The cache class ``sql`` falls in on ``db``: its shape key and its
     obligations against the enabled summaries."""
     key, binding = template(fingerprint(db.bind(sql)))
-    return key, obligations(binding, db.enabled_summary_tables())
+    return key, obligations(binding, pivots(db.enabled_summary_tables()))
 
 
 def _decision(result):

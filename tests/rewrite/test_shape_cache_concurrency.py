@@ -29,7 +29,7 @@ RIVAL = (
     "select flid, year(date) as year, count(*) as cnt from Trans "
     "group by flid, year(date)"
 )
-SECONDS = 1.0
+SECONDS = 2.5
 
 
 def test_fresh_bindings_stay_right_while_the_catalog_changes():
@@ -61,9 +61,19 @@ def test_fresh_bindings_stay_right_while_the_catalog_changes():
             failures.append(repr(error))
 
     def ddl() -> None:
-        # a pause after each change: long enough for a template to be
-        # filed, confirmed and used (two cold matches), short enough
-        # that many are made stale in flight
+        # changes in bursts of three: the 1 ms pauses make many templates
+        # stale in flight; after each burst the catalog holds still until
+        # a template was filed, confirmed (two cold matches) and used
+        # again, or for 0.2 s; about a hundred changes a round
+        def settle() -> None:
+            hits = db.rewrite_stats()["cache_shape_hits"]
+            deadline = time.monotonic() + 0.2
+            while (
+                db.rewrite_stats()["cache_shape_hits"] == hits
+                and time.monotonic() < deadline and not stop.is_set()
+            ):
+                time.sleep(0.005)
+
         steps = (
             lambda: setattr(db.summary_tables["ast7"], "enabled", False),
             lambda: db.create_summary_table("RIVAL", RIVAL),
@@ -74,9 +84,12 @@ def test_fresh_bindings_stay_right_while_the_catalog_changes():
         )
         try:
             while not stop.is_set():
-                for step in steps:
+                for n, step in enumerate(steps):
                     step()
-                    time.sleep(0.06)
+                    if n % 3 == 2:
+                        settle()
+                    else:
+                        time.sleep(0.001)
         except Exception as error:  # reported below
             failures.append(repr(error))
 
