@@ -54,6 +54,7 @@ from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MatchTrace, TraceBuffer
+from repro.qgm.bind_cache import BindCache
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
 from repro.qgm.fingerprint import fingerprint
@@ -92,6 +93,9 @@ class Database:
         self._rewrite_cache_size = rewrite_cache_size
         self._rewrite_cache = LRU(rewrite_cache_size)
         self._rewrite_counters = register_counters(self.metrics)
+        #: one bound template graph per SELECT token-stream shape,
+        #: sized and switched with the decision cache
+        self._bind_cache = BindCache(rewrite_cache_size, self.metrics)
         self._rewrite_epoch = 0
         self._fast_path_index = True
         # Deferred maintenance: staged base-table deltas, the background
@@ -188,22 +192,40 @@ class Database:
         statement; ``sql_text`` is its text, when the run will be traced
         or slow-logged) exactly once.
 
-        The query server prepares a statement first to key its result
-        cache on :meth:`SelectRun.shape`, then hands the same record to
-        :meth:`run_select`, so a cold SELECT is bound and fingerprinted
-        once. The epoch is read *before* binding: a catalog mutation
-        racing the bind leaves the record looking stale, never fresh."""
+        SQL text goes through the bind cache (:mod:`repro.qgm.bind_cache`):
+        a known token-stream shape is bound by substituting into its
+        template, with no parse and no bind; the record says how
+        (:attr:`SelectRun.bound`). The query server prepares a statement
+        first to key its result cache on :meth:`SelectRun.shape`, then
+        hands the same record to :meth:`run_select`, so a cold SELECT is
+        bound and fingerprinted once. The epoch is read *before*
+        binding: a catalog mutation racing the bind leaves the record
+        (and a template filed meanwhile) looking stale, never fresh."""
         from repro.rewrite.cache import RewriteStats
 
         epoch = self._rewrite_epoch
         started = time.perf_counter()
-        graph = build_graph(source, self.catalog, label=label)
-        bind_ms = self.metrics.observe_ms("phase_bind_ms", started)
+        phases = {}
+
+        def bind(statement):
+            if statement is not source:  # parsed here: time the parse
+                phases.setdefault("parse", (time.perf_counter() - started) * 1e3)
+            return build_graph(statement, self.catalog, label=label)
+
+        spelling = None
+        if isinstance(source, str) and self._bind_cache.entries.maxsize > 0:
+            graph, bound, spelling = self._bind_cache.bind(
+                source, label, epoch, bind
+            )
+        else:
+            graph, bound = bind(source), "cold"
+        phases["bind"] = self.metrics.observe_ms("phase_bind_ms", started)
         _spans.record("db.bind", started)
-        return SelectRun(
-            source, sql_text, label, graph, epoch, {"bind": bind_ms},
-            RewriteStats(),
+        run = SelectRun(
+            source, sql_text, label, graph, epoch, phases, RewriteStats(),
         )
+        run.bound, run.spelling = bound, spelling
+        return run
 
     def run_select(
         self, source, sql_text: str | None = None, *,
@@ -293,7 +315,10 @@ class Database:
         _spans.record("db.execute", started)
         run.phases["total"] = metrics.observe_ms("query_total_ms", total_start)
         if trace is not None:
-            trace.set_phase("bind", run.phases["bind"])
+            parse_ms = run.phases.get("parse")
+            if parse_ms is not None:  # parsed here, inside the bind window
+                trace.phases = {"parse": parse_ms, **trace.phases}
+            trace.set_phase("bind", run.phases["bind"] - (parse_ms or 0.0))
             if "match" in run.phases:
                 # apply_match recorded "compensate" inside the match window
                 run.phases["match"] = max(
@@ -487,15 +512,10 @@ class Database:
         timed phase breakdown (parse/bind/match/compensate/execute,
         milliseconds) plus the per-AST match verdict table: for every
         enabled summary table, either the matched pattern section or
-        the named reject reason (see ``docs/OBSERVABILITY.md``)."""
-        from repro.sql.parser import parse
-
-        started = time.perf_counter()
-        statement = parse(sql)
-        parse_ms = self.metrics.observe_ms("phase_parse_ms", started)
-        run = self.run_select(statement, sql, force_trace=True, **overrides)
-        run.trace.phases = {"parse": parse_ms, **run.trace.phases}
-        return render_analyze(run, parse_ms, bool(self.summary_tables))
+        the named reject reason (see ``docs/OBSERVABILITY.md``) — and how
+        the bind cache bound the text."""
+        run = self.run_select(sql, sql, force_trace=True, **overrides)
+        return render_analyze(run, bool(self.summary_tables))
 
     def _rewrite_stage(self, run: SelectRun, tolerance=None) -> None:
         """Pipeline stage 2, the rewrite *sandbox* — the one place a
@@ -525,6 +545,7 @@ class Database:
             run.rewrite = self._rewrite_bound(
                 run.graph, run.rewrite_stats, run.trace,
                 tolerance=tolerance, shape=run.graph_fingerprint,
+                spelling=run.spelling,
             )
             return
         except QueryCancelled:
@@ -583,18 +604,23 @@ class Database:
         (which is then rewritten *in place* on success — bind a fresh
         graph per call). ``options`` tunes the matcher (see
         :data:`repro.matching.framework.DEFAULT_OPTIONS`); ``tolerance``
-        overrides the session's ``refresh_age`` for this query.
+        overrides the session's ``refresh_age`` for this query. Text is
+        bound as :meth:`prepare_select` binds it.
         """
         from repro.rewrite.cache import RewriteStats
 
-        graph = self.bind(sql) if isinstance(sql, str) else sql
+        graph, spelling = sql, None
+        if isinstance(sql, str):
+            run = self.prepare_select(sql)
+            graph, spelling = run.graph, run.spelling
         return self._rewrite_bound(
-            graph, RewriteStats(), options=options, tolerance=tolerance
+            graph, RewriteStats(), options=options, tolerance=tolerance,
+            spelling=spelling,
         )
 
     def _rewrite_bound(
         self, graph: QueryGraph, stats, trace=None, options: dict | None = None,
-        tolerance=None, shape=None,
+        tolerance=None, shape=None, spelling=None,
     ):
         """One rewrite decision (:meth:`_decide_rewrite`), counted:
         ``stats`` — this rewrite's own
@@ -603,20 +629,24 @@ class Database:
         match raises or the governor degrades it."""
         try:
             return self._decide_rewrite(
-                graph, stats, trace, options, tolerance, shape
+                graph, stats, trace, options, tolerance, shape, spelling
             )
         finally:
             stats.flush(self._rewrite_counters)
 
     def _decide_rewrite(
-        self, graph: QueryGraph, stats, trace, options, tolerance, shape
+        self, graph: QueryGraph, stats, trace, options, tolerance, shape,
+        spelling=None,
     ):
         """The matching fast path: staleness gate + index pruning +
         decision cache around :func:`repro.rewrite.rewriter.rewrite_query`.
         ``stats`` and ``trace`` (None: untraced) are the calling
         statement's own records and are handed down, never shared.
         ``shape`` is ``graph``'s fingerprint when the caller already took
-        it (a :class:`SelectRun` the server keyed its result cache on)."""
+        it (a :class:`SelectRun` the server keyed its result cache on);
+        ``spelling`` is :attr:`SelectRun.spelling`, part of the cache key
+        so two spellings one normal form conflates (``> -0``, ``> 0``)
+        never share a template, whose SQL repeats its own."""
         from repro.rewrite.cache import (
             CacheEntry, cached_steps, obligations, options_key, pivots,
             substitution, valid_entry,
@@ -642,8 +672,8 @@ class Database:
         # rewrite against a dropped (or freshly altered) summary set.
         epoch = self._rewrite_epoch
         summaries = filter_fresh(
-            self.enabled_summary_tables(), tolerance, stats=stats,
-            log=self._delta_log, trace=trace,
+            self.enabled_summary_tables(), tolerance, self._delta_log,
+            stats=stats, trace=trace,
         )
         named = {s.name.lower(): s for s in summaries}
         admissible = frozenset(named)
@@ -656,7 +686,7 @@ class Database:
         if use_cache or budget is not None or breaker.active:
             template, binding = shape_template(shape or fingerprint(graph))
         if use_cache and binding is not None:
-            key = (template, options_key(options), tolerance.key)
+            key = (template, options_key(options), tolerance.key, spelling)
             shaped = valid_entry(
                 self._rewrite_cache, key, epoch, admissible, stats
             )
@@ -787,6 +817,8 @@ class Database:
             name: counter.value
             for name, counter in self._rewrite_counters.items()
         }
+        for name, counter in self._bind_cache.counters.items():
+            stats[f"bind_cache_{name}"] = counter.value
         stats["pending_deltas"] = sum(
             summary.refresh.pending_deltas
             for summary in self.summary_tables.values()
@@ -803,7 +835,9 @@ class Database:
         return stats
 
     def reset_rewrite_stats(self) -> None:
-        for counter in self._rewrite_counters.values():
+        for counter in (
+            *self._rewrite_counters.values(), *self._bind_cache.counters.values()
+        ):
             counter.reset()
         for name in ("refreshes_applied", "fallback_recomputes", "batches_applied"):
             self.metrics.counter(f"scheduler_{name}").reset()
@@ -815,15 +849,16 @@ class Database:
 
         ``index`` toggles AST signature pruning (falling back to the bare
         base-table-overlap check); ``cache=False`` bounds the rewrite
-        decision cache at 0 entries (emptying it) and ``cache=True``
-        restores ``rewrite_cache_size``.
+        decision cache and the bind cache at 0 entries (emptying them)
+        and ``cache=True`` restores ``rewrite_cache_size``.
         """
         if index is not None:
             self._fast_path_index = index
         if cache is not None:
-            self._rewrite_cache.maxsize = self._rewrite_cache_size if cache else 0
-            if not cache:
-                self._rewrite_cache.clear()
+            for lru in (self._rewrite_cache, self._bind_cache.entries):
+                lru.maxsize = self._rewrite_cache_size if cache else 0
+                if not cache:
+                    lru.clear()
 
     # ------------------------------------------------------------------
     # Summary tables

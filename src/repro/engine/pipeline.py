@@ -66,6 +66,14 @@ class SelectRun:
     trace: object = None
     #: the bound graph's fingerprint, once :meth:`shape` has taken it
     graph_fingerprint: object = None
+    #: how the bind cache bound it: "cold" (parsed and bound), "filed"
+    #: (bound cold, its shape's template filed) or "substituted" (a
+    #: template cloned with this statement's literals)
+    bound: str = "cold"
+    #: the bind cache's shape key of the text (None: not bound from
+    #: text), which the decision cache keys on beside the graph's shape
+    #: so a template is only reused for the spelling it was proven on
+    spelling: tuple | None = None
 
     def __post_init__(self) -> None:
         self.base_tables = sorted(self.graph.base_tables())
@@ -142,9 +150,11 @@ def render_explain(run: SelectRun, graph_text: str) -> str:
     return "\n".join(lines)
 
 
-def render_analyze(run: SelectRun, parse_ms: float, has_summaries: bool) -> str:
-    """``EXPLAIN ANALYZE``: the executed run's phases, per-AST match
-    verdicts, executor and governor sections, rewrite and row count."""
+def render_analyze(run: SelectRun, has_summaries: bool) -> str:
+    """``EXPLAIN ANALYZE``: the executed run's phases (the bind row says
+    how the bind cache bound it; parse is inside its window), per-AST
+    match verdicts, executor and governor sections, rewrite and row
+    count."""
     trace = run.trace
     span_trace = _spans.current_trace_id()
     lines = [
@@ -153,16 +163,18 @@ def render_analyze(run: SelectRun, parse_ms: float, has_summaries: bool) -> str:
         + ") --"
     ]
     lines.append("-- phases --")
+    parse_ms = run.phases.get("parse", 0.0)
     phase_rows = [
         ("parse", parse_ms),
-        ("bind", run.phases["bind"]),
+        ("bind", run.phases["bind"] - parse_ms),
         ("match", run.phases.get("match", 0.0)),
         ("compensate", trace.phases.get("compensate", 0.0)),
         ("execute", run.phases["execute"]),
-        ("total", parse_ms + run.phases["total"]),
+        ("total", run.phases["total"]),
     ]
     for name, ms in phase_rows:
-        lines.append(f"  {name:<11}{ms:>10.3f} ms")
+        note = f"  ({run.bound})" if name == "bind" else ""
+        lines.append(f"  {name:<11}{ms:>10.3f} ms{note}")
     lines.append("-- match verdicts --")
     rows = trace.verdict_rows()
     if not rows:

@@ -133,22 +133,6 @@ class MatchContext:
 # ----------------------------------------------------------------------
 # Compensation-chain utilities
 # ----------------------------------------------------------------------
-def chain_leaf(chain: list[QGMBox]) -> SubsumerRef:
-    """The SubsumerRef at the bottom of a non-empty chain."""
-    box: QGMBox = chain[0]
-    below = _main_child(box)
-    if not isinstance(below, SubsumerRef):
-        raise ReproError(f"chain bottom of {box.name} is not a SubsumerRef")
-    return below
-
-
-def _main_child(box: QGMBox) -> QGMBox:
-    for quantifier in box.quantifiers():
-        if quantifier.name == MAIN:
-            return quantifier.box
-    raise ReproError(f"box {box.name} has no {MAIN!r} quantifier")
-
-
 def rebase_chain(
     chain: list[QGMBox], new_leaf: QGMBox, name_for: "callable",
     literals: dict | None = None, rejoins=None,

@@ -1,0 +1,279 @@
+"""The bind cache: one bound template graph per token-stream shape.
+
+A SELECT text's *shape key* is its tokens with every number and string
+literal replaced by its type and its literal class (equal literals
+share one), plus the prepare label. The first statement of a key binds
+cold; the second also binds a *probe*, each literal class at a unique
+value, files it as the key's template once substituting the statement's
+values into it gives the cold bind's fingerprint, and keeps by value
+the classes whose value binding reads (``LIMIT``, ``DATE``, folded
+operands). Later statements clone the template with their literals
+substituted: no parse, no bind. docs/ALGORITHM.md, "the matching fast
+path", layer 0, has the rules and why substitution is sound.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from repro.errors import GovernorError, ReproError
+from repro.expr.evaluator import is_constant
+from repro.expr.nodes import Literal, NaryOp
+from repro.lru import LRU
+from repro.qgm.boxes import QCL, QueryGraph, Quantifier
+from repro.qgm.fingerprint import fingerprint
+from repro.sql.lexer import tokenize
+from repro.sql.parser import parse
+
+#: kept-value tuples filed per shape
+TEMPLATES_PER_SHAPE = 16
+#: stored for kept values whose probe did not confirm
+_COLD_ONLY = "cold-only"
+_PROBE_BASE = 7_340_033_000_000
+_LITERALS = ("number", "string")
+
+
+def shape_key(tokens, label: str) -> tuple[tuple, list]:
+    """``(key, values)``: the key of a token stream and the value of
+    each of its literal classes, in order of first appearance."""
+    parts: list = [label]
+    values: list = []
+    classes: dict = {}
+    for kind, value, text, _, _ in tokens:
+        if kind in _LITERALS:
+            literal = (type(value), value)
+            slot = classes.get(literal)
+            if slot is None:
+                slot = classes[literal] = len(values)
+                values.append(value)
+            parts += literal[0], slot
+        else:
+            parts.append(text if kind == "ident" else value)
+    return tuple(parts), values
+
+
+class _Shape:
+    """One key's entry: the epoch it was filed under, the literal
+    classes kept by value (None until a probe ran) and the templates
+    per tuple of kept values."""
+
+    __slots__ = ("epoch", "kept", "templates")
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        self.kept: tuple[int, ...] | None = None
+        self.templates = LRU(TEMPLATES_PER_SHAPE)
+
+
+class _Template:
+    """A probe graph and where its probe literals stand."""
+
+    def __init__(self, graph: QueryGraph, probes: dict[tuple, int]):
+        self.graph = graph
+        self.probes = probes
+        self.boxes = graph.boxes()
+        self.position = {id(box): n for n, box in enumerate(self.boxes)}
+        #: the expressions holding a probe literal, by identity
+        self.slotted = {
+            id(expr) for expr in _expressions(graph)
+            if not probes.keys().isdisjoint(_typed(expr.literal_values()))
+        }
+
+    def instantiate(self, values: list) -> QueryGraph:
+        """A fresh graph: every box new, the probe literals replaced by
+        ``values``; expressions without one are shared."""
+        literals = {
+            probe: Literal(values[slot]) for probe, slot in self.probes.items()
+        }
+        slotted = self.slotted
+
+        def sub(expr):
+            if id(expr) not in slotted:
+                return expr
+            return expr.transform(
+                lambda node: literals.get((type(node.value), node.value))
+                if node.__class__ is Literal else None
+            )
+
+        copies: list = []
+        position = self.position
+        for box in self.boxes:
+            copy = object.__new__(box.__class__)
+            state = copy.__dict__
+            state.update(box.__dict__)
+            state["outputs"] = [
+                QCL(q.name, sub(q.expr), q.nullable) for q in box.outputs
+            ]
+            if "predicates" in state:
+                state["predicates"] = [sub(p) for p in box.predicates]
+            if "_quantifiers" in state:
+                state["_quantifiers"] = [
+                    Quantifier(q.name, copies[position[id(q.box)]])
+                    for q in box._quantifiers
+                ]
+            elif "_quantifier" in state:
+                q = box._quantifier
+                state["_quantifier"] = Quantifier(
+                    q.name, copies[position[id(q.box)]]
+                )
+            copies.append(copy)
+        graph = QueryGraph(copies[-1], self.graph.catalog)
+        graph.order_by = list(self.graph.order_by)
+        graph.limit = self.graph.limit
+        return graph
+
+
+class BindCache:
+    """``Database``'s bind cache: an :class:`LRU` of ``size`` shapes
+    (0 stores nothing), counted in ``registry`` as ``bind_cache_hits``,
+    ``_misses`` and ``_cold_only``."""
+
+    def __init__(self, size: int, registry):
+        self.entries = LRU(size)
+        self.counters = {
+            name: registry.counter(f"bind_cache_{name}", help)
+            for name, help in (
+                ("hits", "SELECTs bound by substituting into a template"),
+                ("misses", "SELECTs parsed and bound"),
+                ("cold_only", "kept values whose probe did not confirm"),
+            )
+        }
+
+    def bind(self, sql: str, label: str, epoch: int, build):
+        """``(graph, how, key)`` for SELECT text ``sql`` bound under
+        catalog ``epoch``: ``how`` is ``"substituted"``, ``"filed"``
+        (bound cold, its shape's template filed) or ``"cold"``; ``key``
+        is the text's shape key. ``build`` binds a parsed statement."""
+        tokens = tokenize(sql)
+        key, values = shape_key(tokens, label)
+        shape = self.entries.get(key)
+        if shape is not None and shape.epoch != epoch:
+            self.entries.discard(key, shape)
+            shape = None
+        if shape is None:
+            self.counters["misses"].inc()
+            graph = build(parse(tokens))
+            self.entries.put(key, _Shape(epoch))
+            return graph, "cold", key
+        kept = () if shape.kept is None else shape.kept
+        template = shape.templates.get(tuple(values[i] for i in kept))
+        if template is not None and template is not _COLD_ONLY:
+            self.counters["hits"].inc()
+            return template.instantiate(values), "substituted", key
+        self.counters["misses"].inc()
+        graph = build(parse(tokens))
+        if template is _COLD_ONLY:
+            return graph, "cold", key
+        return graph, self._file(shape, tokens, values, graph, build), key
+
+    def _file(self, shape: _Shape, tokens, values, cold: QueryGraph, build) -> str:
+        """Probe, then confirm against ``cold``; file the outcome."""
+        if shape.kept is None:  # what the text and the cold bind show
+            classes = {literal: slot for slot, literal in enumerate(_typed(values))}
+            kept = _kept_by_syntax(tokens, classes) | _unsafe(cold, classes)
+        else:
+            kept = set(shape.kept)
+        template = None
+        try:
+            for _ in range(len(values) + 1):
+                template = _probe(tokens, values, kept, build)
+                more = _unsafe(template.graph, template.probes) - kept
+                if not more:
+                    break
+                kept |= more
+                template = None
+        except GovernorError:
+            raise
+        except ReproError:  # the probe does not bind: cold-only
+            template = None
+        if template is not None and (
+            fingerprint(template.instantiate(values)) != fingerprint(cold)
+        ):
+            template = None
+        ordered = tuple(sorted(kept))
+        if shape.kept is None:
+            shape.kept = ordered
+        elif shape.kept != ordered:
+            return "cold"
+        shape.templates.put(
+            tuple(values[i] for i in ordered),
+            _COLD_ONLY if template is None else template,
+        )
+        if template is None:
+            self.counters["cold_only"].inc()
+            return "cold"
+        return "filed"
+
+
+def _kept_by_syntax(tokens, classes: dict[tuple, int]) -> set[int]:
+    """The literal classes the parser reads by value: ``LIMIT n``'s and
+    ``DATE '…'``'s."""
+    return {
+        classes[type(token.value), token.value]
+        for before, token in zip(tokens, tokens[1:])
+        if before.is_keyword("limit", "date") and token.kind in _LITERALS
+    }
+
+
+def _probe(tokens, values: list, kept: set[int], build) -> _Template:
+    """Bind ``tokens`` with every class not in ``kept`` at a unique
+    value of its type."""
+    taken = set(_typed(values))
+    counter = itertools.count(_PROBE_BASE)
+    probe_values = []
+    for slot, value in enumerate(values):
+        probe = value
+        while slot not in kept and (type(probe), probe) in taken:
+            probe = type(value)(next(counter) + 0.5 * (type(value) is float))
+        taken.add((type(probe), probe))
+        probe_values.append(probe)
+    class_of = {literal: slot for slot, literal in enumerate(_typed(values))}
+    probe_tokens = [
+        token._replace(value=probe_values[class_of[type(token.value), token.value]])
+        if token.kind in _LITERALS else token
+        for token in tokens
+    ]
+    probes = {
+        literal: slot for slot, literal in enumerate(_typed(probe_values))
+        if slot not in kept
+    }
+    return _Template(build(parse(probe_tokens)), probes)
+
+
+def _unsafe(graph: QueryGraph, classes: dict[tuple, int]) -> set[int]:
+    """The classes of ``classes`` (``(type, value)`` → class) whose
+    value the binder or the normaliser reads in ``graph``: never a plain
+    :class:`Literal` of it, or an operand of an n-ary operator (``+``,
+    ``*``, AND, OR) or of an all-constant node (unary minus on a
+    literal is one)."""
+    seen: set[int] = set()
+    unsafe: set[int] = set()
+
+    def visit(node, parent) -> None:
+        if node.__class__ is Literal:
+            slot = classes.get((type(node.value), node.value))
+            if slot is not None:
+                seen.add(slot)
+                if parent is not None and (
+                    isinstance(parent, NaryOp) or is_constant(parent)
+                ):
+                    unsafe.add(slot)
+            return
+        for child in node.children():
+            visit(child, node)
+
+    for expr in _expressions(graph):
+        visit(expr, None)
+    return unsafe | (set(classes.values()) - seen)
+
+
+def _expressions(graph: QueryGraph):
+    for box in graph.boxes():
+        for qcl in box.outputs:
+            if qcl.expr is not None:
+                yield qcl.expr
+        yield from getattr(box, "predicates", ())
+
+
+def _typed(values):
+    return zip(map(type, values), values)

@@ -158,8 +158,8 @@ def plausible(
 def filter_fresh(
     summaries: list[SummaryTable],
     tolerance,
+    log,
     stats=None,
-    log=None,
     trace=None,
 ) -> list[SummaryTable]:
     """The subset of ``summaries`` fresh enough for ``tolerance``.
@@ -169,25 +169,23 @@ def filter_fresh(
     to the matcher when the query's freshness tolerance
     (:class:`repro.refresh.policy.RefreshAge`) admits its lag. Fully
     fresh summaries (no pending deltas — which includes every REFRESH
-    IMMEDIATE summary) always pass. ``tolerance=None`` disables the
-    staleness gate (library callers driving :func:`rewrite_query` by
-    hand).
+    IMMEDIATE summary) always pass.
 
-    ``log`` is the database's :class:`repro.refresh.log.DeltaLog`. When
-    given, freshness is decided by the log's per-table high-water LSNs:
-    a summary is fully fresh exactly when no base table it reads has
-    changed past its ``last_refresh_lsn`` — an O(base tables) dict
-    lookup against :meth:`~repro.refresh.log.DeltaLog.high_water`
-    instead of trusting (or recomputing) per-summary pending counters.
-    The per-summary ``pending_deltas`` counter is still what sizes the
-    lag for tolerance admission (it counts the same staged-batch units
-    ``SET REFRESH AGE <n>`` is expressed in).
+    ``log`` is the database's :class:`repro.refresh.log.DeltaLog`:
+    freshness is decided by its per-table high-water LSNs — a summary
+    is fully fresh exactly when no base table it reads has changed past
+    its ``last_refresh_lsn``, an O(base tables) dict lookup against
+    :meth:`~repro.refresh.log.DeltaLog.high_water` instead of trusting
+    (or recomputing) per-summary pending counters. The per-summary
+    ``pending_deltas`` counter is still what sizes the lag for
+    tolerance admission (it counts the same staged-batch units ``SET
+    REFRESH AGE <n>`` is expressed in).
 
     **Quarantined** summaries — ones the refresh pipeline gave up on
     (see :mod:`repro.refresh.scheduler`) or that recovery could not
     rebuild (:func:`repro.engine.persist.verify_database`) — are
-    excluded unconditionally, at *every* tolerance including ``None``:
-    their contents are untrusted, which is stronger than stale.
+    excluded unconditionally, at every tolerance: their contents are
+    untrusted, which is stronger than stale.
 
     ``stats`` is an optional :class:`repro.rewrite.cache.RewriteStats`;
     rejected candidates are counted as ``stale_rejections`` /
@@ -210,23 +208,16 @@ def filter_fresh(
                     else "contents untrusted after refresh failures",
                 )
             continue
-        if tolerance is None:
-            kept.append(summary)
-            continue
         # REFRESH IMMEDIATE summaries are maintained synchronously with
         # every base-table change — they are fresh by construction.
         if state is None or not state.is_deferred:
             kept.append(summary)
             continue
-        if log is not None:
-            signature = summary_signature(summary)
-            fresh = all(
-                log.high_water(table) <= state.last_refresh_lsn
-                for table in signature.base_tables
-            )
-            pending = 0 if fresh else max(state.pending_deltas, 1)
-        else:
-            pending = state.pending_deltas
+        fresh = all(
+            log.high_water(table) <= state.last_refresh_lsn
+            for table in summary_signature(summary).base_tables
+        )
+        pending = 0 if fresh else max(state.pending_deltas, 1)
         if tolerance.admits(pending):
             kept.append(summary)
         else:

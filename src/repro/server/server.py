@@ -17,12 +17,14 @@ Request routing (see :mod:`repro.server.protocol` for the wire format):
 
 * SELECT / UNION ALL — through the semantic result cache, probed once
   per request: on the event loop when the statement text is in the
-  prepared-SELECT memo, else on the pool thread that parsed and bound
-  it. On a miss the statement runs through ``Database.run_select`` with
-  the session's knobs (``Session.overrides``) passed as per-query
-  overrides (never mutating shared state); the result is
-  encoded once and cached, table and bytes, with a pre-execution
-  change-count snapshot.
+  prepared-SELECT memo, else on the pool thread that bound it. A
+  ``query`` whose text starts with SELECT is never parsed here: the
+  engine binds the text (its bind cache binds a known shape by
+  substitution, no parse and no bind). On a miss the statement runs
+  through ``Database.run_select`` with the session's knobs
+  (``Session.overrides``) passed as per-query overrides (never
+  mutating shared state); the result is encoded once and cached, table
+  and bytes, with a pre-execution change-count snapshot.
 * session-scoped SET — recorded on the connection's
   :class:`~repro.server.session.Session` only; ``SET SLOW QUERY`` and
   ``SET TRACE SAMPLE`` apply process-wide, on any server.
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -98,6 +101,9 @@ from repro.sql.statements import (
     parse_statement,
 )
 from repro.testing import faults
+
+#: a ``query`` whose text starts with SELECT goes to the engine unparsed
+_SELECT = re.compile(r"\s*select\b", re.IGNORECASE)
 
 
 class _PreparedSelect(NamedTuple):
@@ -546,12 +552,13 @@ class QueryServer:
                 f"SET REFRESH AGE {lag} (or ANY) to read at this lag"
             )
 
-    def _prepare(self, statement, sql: str):
-        """Run the engine's prepare stage on a privately parsed SELECT
-        and memoize what a repeat of its text needs; returns the memo
-        entry and the prepared run, which the caller may execute (it is
-        shared with nobody)."""
-        run = self.db.prepare_select(statement, sql)
+    def _prepare(self, source, sql: str):
+        """Run the engine's prepare stage on a SELECT — ``source`` is its
+        text ``sql`` (the engine's bind cache may bind it without a
+        parse) or a parse of it — and memoize what a repeat of the text
+        needs; returns the memo entry and the prepared run, which the
+        caller may execute (it is shared with nobody)."""
+        run = self.db.prepare_select(source, sql)
         prepared = _PreparedSelect(
             run.shape().key, run.base_tables, run.epoch
         )
@@ -576,6 +583,10 @@ class QueryServer:
     def _execute_attached(
         self, session: Session, op: str, sql: str, request: dict
     ) -> dict:
+        if op == "query" and _SELECT.match(sql):
+            # the engine binds SELECT text itself: no parse here
+            session.queries += 1
+            return self._answer_select(session, sql, request)
         # a private parse: whatever executes below may keep or change it
         parse_pc = time.perf_counter()
         statement = parse_statement(sql)
@@ -603,7 +614,7 @@ class QueryServer:
             return {"ok": True, "status": status}
         if isinstance(statement, (SelectStatement, UnionAll)):
             session.queries += 1
-            return self._answer_select(session, sql, request, statement)
+            return self._answer_select(session, sql, request)
         if mutation_kind(statement) is None:
             # SET SLOW QUERY / TRACE SAMPLE: process-wide, not journaled,
             # so neither a standby nor a full disk refuses them
@@ -611,21 +622,19 @@ class QueryServer:
         return self._execute_write(statement, sql, request.get("token"))
 
     def _answer_select(self, session: Session, sql: str, request: dict,
-                        statement=None, probed=None) -> dict:
-        """Run one SELECT the loop could not answer: either a text it
-        did not know, which arrives with its private parse
-        (``statement``), or one whose probe missed, which arrives with
-        the loop's key and base tables (``probed``) and is executed
-        from the text."""
+                        probed=None) -> dict:
+        """Run one SELECT text ``sql`` the loop could not answer: either
+        a text it did not know, or one whose probe missed, which arrives
+        with the loop's key and base tables (``probed``)."""
         db = self.db
         overrides = session.overrides(db)
         tolerance = overrides["tolerance"]
         use_summaries = bool(request.get("use_summary_tables", True))
-        source = sql if statement is None else statement
+        source = sql
         caching = self.cache.max_entries > 0
         if caching:
             if probed is None:
-                prepared, source = self._prepare(statement, sql)
+                prepared, source = self._prepare(sql, sql)
                 key = cache_key(
                     prepared.fingerprint_key, tolerance, use_summaries
                 )

@@ -1,16 +1,25 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer: one compiled master pattern.
 
-Produces a flat list of :class:`Token` with 1-based line/column positions
-for error reporting. Keywords are recognized case-insensitively;
+Produces a flat list of :class:`Token` tuples with 1-based line/column
+positions for error reporting. Keywords are recognized case-insensitively;
 identifiers preserve their original spelling but compare case-insensitively
 downstream. String literals use single quotes with ``''`` escaping.
+
+Character classes are Python's own predicates: a number starts with a
+``str.isdigit`` character (or ``.`` and one), an identifier with a
+``str.isalpha`` one or ``_`` and continues with ``str.isalnum`` ones or
+``_``. For ASCII text ``\\d`` and ``[^\\W\\d]`` are exactly those; for
+other text the pattern is rebuilt once with the digits and numerals
+``\\d`` and ``\\w`` disagree on spelled out.
 """
 
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Any, Iterator
+import functools
+import re
+import sys
+from typing import Any, NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -28,8 +37,7 @@ PUNCTUATION = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "+",
                "-", "*", "/", "%", ".", ";")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token. ``kind`` is 'keyword', 'ident', 'number',
     'string', 'punct' or 'eof'; ``value`` is the cooked value."""
 
@@ -46,122 +54,89 @@ class Token:
         return self.kind == "punct" and self.value in symbols
 
 
+def _master(digit: str, ident_start: str) -> re.Pattern:
+    # whitespace, then one alternative per token kind in the order they
+    # are tried; the group that matched (``lastindex``) is the kind, and
+    # none matched at the end of the text
+    return re.compile(
+        r"\s*(?:(--[^\n]*)"
+        rf"|((?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE](?:[+-]{digit}*|{digit}+))?)"
+        r"|('(?:[^'\n]|'')*'(?!'))"
+        rf"|({ident_start}\w*)"
+        "|(" + "|".join(map(re.escape, PUNCTUATION)) + r")|(\S)|\Z)"
+    )
+
+
+_ASCII = _master(r"\d", r"[^\W\d]")
+
+
+@functools.cache
+def _unicode() -> re.Pattern:
+    """The master pattern for non-ASCII text (built on first use: it
+    scans every code point once)."""
+    # \w characters that are neither letters nor decimal digits; the
+    # digits among them (superscripts, circled digits) start numbers
+    numerals = [
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if c.isalnum() and not c.isalpha() and not c.isdecimal()
+    ]
+    digits = "".join(c for c in numerals if c.isdigit())
+    return _master(
+        rf"[\d{re.escape(digits)}]",
+        rf"(?![{re.escape(''.join(numerals))}])[^\W\d]",
+    )
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; always ends with a single 'eof' token."""
-    return list(_scan(sql))
-
-
-def _scan(sql: str) -> Iterator[Token]:
-    position = 0
-    line = 1
-    line_start = 0
-    length = len(sql)
-
-    def column() -> int:
-        return position - line_start + 1
-
-    while position < length:
-        char = sql[position]
-        if char == "\n":
-            line += 1
-            position += 1
-            line_start = position
+    new = tuple.__new__
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, last = 1, 0, 0
+    lines = "\n" in sql  # newlines only ever stand between tokens
+    for match in (_ASCII if sql.isascii() else _unicode()).finditer(sql):
+        kind = match.lastindex
+        if kind is None or kind == 1:  # the end, or a comment
             continue
-        if char.isspace():
-            position += 1
-            continue
-        if sql.startswith("--", position):
-            newline = sql.find("\n", position)
-            position = length if newline < 0 else newline
-            continue
-        start_column = column()
-        if char.isdigit() or (char == "." and _peek_digit(sql, position + 1)):
-            text, value, position = _scan_number(sql, position, line, start_column)
-            yield Token("number", value, text, line, start_column)
-            continue
-        if char == "'":
-            text, value, position = _scan_string(sql, position, line, start_column)
-            yield Token("string", value, text, line, start_column)
-            continue
-        if char.isalpha() or char == "_":
-            end = position + 1
-            while end < length and (sql[end].isalnum() or sql[end] == "_"):
-                end += 1
-            text = sql[position:end]
+        start = match.start(kind)
+        if lines and sql.count("\n", last, start):
+            line += sql.count("\n", last, start)
+            line_start = sql.rindex("\n", last, start) + 1
+        last = start
+        column = start - line_start + 1
+        text = match.group(kind)
+        if kind == 2:
+            try:
+                value: Any = (
+                    float(text) if "." in text or "e" in text or "E" in text
+                    else int(text)
+                )
+            except ValueError:
+                raise SqlSyntaxError(
+                    f"bad numeric literal {text!r}", line, column
+                ) from None
+            append(new(Token, ("number", value, text, line, column)))
+        elif kind == 3:
+            value = text[1:-1].replace("''", "'")
+            append(new(Token, ("string", value, text, line, column)))
+        elif kind == 4:
             lowered = text.lower()
-            position = end
             if lowered in KEYWORDS:
-                yield Token("keyword", lowered, text, line, start_column)
+                append(new(Token, ("keyword", lowered, text, line, column)))
             else:
-                yield Token("ident", text, text, line, start_column)
-            continue
-        matched = False
-        for symbol in PUNCTUATION:
-            if sql.startswith(symbol, position):
-                value = "<>" if symbol == "!=" else symbol
-                yield Token("punct", value, symbol, line, start_column)
-                position += len(symbol)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {char!r}", line, start_column)
-    yield Token("eof", None, "", line, position - line_start + 1)
-
-
-def _peek_digit(sql: str, index: int) -> bool:
-    return index < len(sql) and sql[index].isdigit()
-
-
-def _scan_number(
-    sql: str, position: int, line: int, column: int
-) -> tuple[str, Any, int]:
-    end = position
-    length = len(sql)
-    saw_dot = False
-    saw_exp = False
-    while end < length:
-        char = sql[end]
-        if char.isdigit():
-            end += 1
-        elif char == "." and not saw_dot and not saw_exp:
-            saw_dot = True
-            end += 1
-        elif char in "eE" and not saw_exp and end + 1 < length and (
-            sql[end + 1].isdigit() or sql[end + 1] in "+-"
-        ):
-            saw_exp = True
-            end += 1
-            if sql[end] in "+-":
-                end += 1
+                append(new(Token, ("ident", text, text, line, column)))
+        elif kind == 5:
+            value = "<>" if text == "!=" else text
+            append(new(Token, ("punct", value, text, line, column)))
+        elif text == "'":
+            raise SqlSyntaxError("unterminated string literal", line, column)
         else:
-            break
-    text = sql[position:end]
-    try:
-        value: Any = float(text) if saw_dot or saw_exp else int(text)
-    except ValueError:
-        raise SqlSyntaxError(f"bad numeric literal {text!r}", line, column) from None
-    return text, value, end
-
-
-def _scan_string(
-    sql: str, position: int, line: int, column: int
-) -> tuple[str, str, int]:
-    end = position + 1
-    length = len(sql)
-    pieces: list[str] = []
-    while end < length:
-        char = sql[end]
-        if char == "'":
-            if end + 1 < length and sql[end + 1] == "'":
-                pieces.append("'")
-                end += 2
-                continue
-            return sql[position : end + 1], "".join(pieces), end + 1
-        if char == "\n":
-            break
-        pieces.append(char)
-        end += 1
-    raise SqlSyntaxError("unterminated string literal", line, column)
+            raise SqlSyntaxError(f"unexpected character {text!r}", line, column)
+    if lines and "\n" in sql[last:]:
+        line += sql.count("\n", last)
+        line_start = sql.rindex("\n") + 1
+    append(new(Token, ("eof", None, "", line, len(sql) - line_start + 1)))
+    return tokens
 
 
 def parse_date_literal(text: str, line: int = 0, column: int = 0) -> datetime.date:

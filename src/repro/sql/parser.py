@@ -51,9 +51,10 @@ from repro.sql.lexer import Token, parse_date_literal, tokenize
 _COMPARISON_PUNCT = ("=", "<>", "<", "<=", ">", ">=")
 
 
-def parse(sql: str):
-    """Parse one query (SELECT or UNION ALL chain; optional ';')."""
-    parser = _Parser(tokenize(sql))
+def parse(sql: str | list[Token]):
+    """Parse one query (SELECT or UNION ALL chain; optional ';') from
+    its text or its :func:`tokenize` tokens."""
+    parser = _Parser(tokenize(sql) if isinstance(sql, str) else sql)
     statement = parser.parse_query()
     parser.accept_punct(";")
     parser.expect_eof()

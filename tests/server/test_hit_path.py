@@ -277,7 +277,7 @@ class TestParseAndBindOnce:
             "ByAcctLoc",
             "SELECT faid, flid, COUNT(*) AS cnt FROM Trans GROUP BY faid, flid",
         )
-        once = {"parse_statement": 1, "build_graph": 1, "fingerprint": 1}
+        once = {"parse_statement": 0, "build_graph": 1, "fingerprint": 1}
         with connect(server) as client:
             calls.update(build_graph=0)  # the summary's definition
             # cold: the result-cache key and the rewrite decision share
@@ -291,5 +291,5 @@ class TestParseAndBindOnce:
             # a known text whose entry died: the engine binds the text
             assert client.query(GROUPED).cache == "miss"
             assert calls == {
-                "parse_statement": 0, "build_graph": 1, "fingerprint": 1,
+                "parse_statement": 0, "build_graph": 2, "fingerprint": 1,
             }
