@@ -331,10 +331,13 @@ class Shell:
             line += f" uptime={status['uptime_s']:.1f}s"
         self.write(line)
         if "connections" in status:
+            misses = status.get("misses", {})
             self.write(
                 f"  requests: {status.get('requests', 0)} "
                 f"({status.get('errors', 0)} errors), "
-                f"{status['connections']} connection(s) open"
+                f"{status['connections']} connection(s) open; SELECT "
+                f"misses: {misses.get('loop', 0)} on the loop, "
+                f"{misses.get('pool', 0)} on the pool"
             )
         replication = status.get("replication")
         if replication:

@@ -186,11 +186,13 @@ class Database:
         ).table
 
     def prepare_select(
-        self, source, sql_text: str | None = None, label: str = "Q"
+        self, source, sql_text: str | None = None, label: str = "Q",
+        lexed=None,
     ) -> SelectRun:
         """Pipeline stage 1: bind ``source`` (SQL text or a parsed
         statement; ``sql_text`` is its text, when the run will be traced
-        or slow-logged) exactly once.
+        or slow-logged) exactly once. ``lexed`` is the text's
+        :func:`~repro.qgm.bind_cache.lex`, if the caller took it.
 
         SQL text goes through the bind cache (:mod:`repro.qgm.bind_cache`):
         a known token-stream shape is bound by substituting into its
@@ -215,7 +217,7 @@ class Database:
         spelling = None
         if isinstance(source, str) and self._bind_cache.entries.maxsize > 0:
             graph, bound, spelling = self._bind_cache.bind(
-                source, label, epoch, bind
+                source, label, epoch, bind, lexed
             )
         else:
             graph, bound = bind(source), "cold"

@@ -52,17 +52,26 @@ def shape_key(tokens, label: str) -> tuple[tuple, list]:
     return tuple(parts), values
 
 
+def lex(sql: str, label: str) -> tuple[list, tuple, list]:
+    """``(tokens, key, values)``: ``sql`` lexed once, with its shape key
+    and literal values (:func:`shape_key`)."""
+    tokens = tokenize(sql)
+    return (tokens, *shape_key(tokens, label))
+
+
 class _Shape:
     """One key's entry: the epoch it was filed under, the literal
-    classes kept by value (None until a probe ran) and the templates
-    per tuple of kept values."""
+    classes kept by value (None until a probe ran), the templates per
+    tuple of kept values and the cost of its last completed run."""
 
-    __slots__ = ("epoch", "kept", "templates")
+    __slots__ = ("epoch", "kept", "templates", "cost")
 
     def __init__(self, epoch: int):
         self.epoch = epoch
         self.kept: tuple[int, ...] | None = None
         self.templates = LRU(TEMPLATES_PER_SHAPE)
+        #: ``use_summary_tables`` → thread-CPU milliseconds
+        self.cost: dict[bool, float] = {}
 
 
 class _Template:
@@ -139,13 +148,13 @@ class BindCache:
             )
         }
 
-    def bind(self, sql: str, label: str, epoch: int, build):
+    def bind(self, sql: str, label: str, epoch: int, build, lexed=None):
         """``(graph, how, key)`` for SELECT text ``sql`` bound under
         catalog ``epoch``: ``how`` is ``"substituted"``, ``"filed"``
         (bound cold, its shape's template filed) or ``"cold"``; ``key``
-        is the text's shape key. ``build`` binds a parsed statement."""
-        tokens = tokenize(sql)
-        key, values = shape_key(tokens, label)
+        is the text's shape key. ``build`` binds a parsed statement;
+        ``lexed`` is :func:`lex` of ``sql`` when the caller has it."""
+        tokens, key, values = lexed or lex(sql, label)
         shape = self.entries.get(key)
         if shape is not None and shape.epoch != epoch:
             self.entries.discard(key, shape)
@@ -165,6 +174,19 @@ class BindCache:
         if template is _COLD_ONLY:
             return graph, "cold", key
         return graph, self._file(shape, tokens, values, graph, build), key
+
+    def cost(self, key, epoch: int, use_summaries: bool) -> float | None:
+        """Thread-CPU milliseconds of the last completed run of shape
+        ``key`` bound under ``epoch``, or None; :meth:`note_cost` sets it."""
+        shape = self.entries.peek(key)
+        if shape is not None and shape.epoch == epoch:
+            return shape.cost.get(use_summaries)
+        return None
+
+    def note_cost(self, key, epoch: int, use_summaries: bool, ms: float) -> None:
+        shape = self.entries.peek(key)
+        if shape is not None and shape.epoch == epoch:
+            shape.cost[use_summaries] = ms
 
     def _file(self, shape: _Shape, tokens, values, cold: QueryGraph, build) -> str:
         """Probe, then confirm against ``cold``; file the outcome."""

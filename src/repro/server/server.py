@@ -2,25 +2,25 @@
 
 One :class:`QueryServer` wraps one :class:`~repro.engine.database.
 Database`. Connections are handled on the event loop — framing, JSON,
-dispatch, and result-cache hits, which are a memo probe, a cache probe
-and a socket write of bytes the miss already encoded — but every
-statement that parses or executes runs on a thread pool via
-``run_in_executor``, so a long scan never blocks another client's
-``ping`` (or another client's hit). Real concurrency control is the
-engine's own query governor:
-the pool is sized *above* the admission limit on purpose, so overload
-reaches :class:`~repro.governor.admission.AdmissionController` and
-sheds load as typed ``QueryRejected`` errors instead of silently
-queueing in the pool.
+dispatch, result-cache hits (a memo probe, a cache probe and a socket
+write of bytes the miss already encoded) and the misses of a SELECT
+shape whose last run took under ``INLINE_MISS_CPU_MS`` of thread CPU.
+Every other statement runs on a thread pool via ``run_in_executor``, so
+a long scan never blocks another client's ``ping`` (or hit). Real
+concurrency control is the engine's own query governor: the pool is
+sized *above* the admission limit on purpose, so overload reaches
+:class:`~repro.governor.admission.AdmissionController` and sheds load
+as typed ``QueryRejected`` errors instead of silently queueing in the
+pool; while admission control is on, every miss takes the pool.
 
 Request routing (see :mod:`repro.server.protocol` for the wire format):
 
 * SELECT / UNION ALL — through the semantic result cache, probed once
   per request: on the event loop when the statement text is in the
-  prepared-SELECT memo, else on the pool thread that bound it. A
-  ``query`` whose text starts with SELECT is never parsed here: the
-  engine binds the text (its bind cache binds a known shape by
-  substitution, no parse and no bind). On a miss the statement runs
+  prepared-SELECT memo, else on the side that binds it. A ``query``
+  whose text starts with SELECT is never parsed here: the loop lexes it
+  once for its shape key and the engine binds those tokens (its bind
+  cache binds a known shape by substitution). On a miss the statement runs
   through ``Database.run_select`` with the session's knobs
   (``Session.overrides``) passed as per-query overrides (never
   mutating shared state); the result is encoded once and cached, table
@@ -79,6 +79,7 @@ from repro.engine.database import Database
 from repro.lru import LRU
 from repro.obs import events as _events
 from repro.obs import spans as _spans
+from repro.qgm.bind_cache import lex
 from repro.errors import (
     BudgetExhausted,
     ReadOnlyError,
@@ -105,6 +106,12 @@ from repro.testing import faults
 #: a ``query`` whose text starts with SELECT goes to the engine unparsed
 _SELECT = re.compile(r"\s*select\b", re.IGNORECASE)
 
+#: a result-cache miss whose shape's last completed run took less thread
+#: CPU than this (milliseconds) is answered on the event loop: over 2x
+#: every rewritten ledger template, above most base-table ones
+#: (docs/SERVER.md, "Choosing the bound", has the sweep)
+INLINE_MISS_CPU_MS = 40.0
+
 
 class _PreparedSelect(NamedTuple):
     """What the server remembers about one SELECT text: enough to probe
@@ -115,6 +122,8 @@ class _PreparedSelect(NamedTuple):
     base_tables: list[str]
     #: ``Database.rewrite_epoch`` the text was bound under
     epoch: int
+    #: the bind cache's shape key of the text
+    spelling: tuple | None
 
 
 class QueryServer:
@@ -220,6 +229,11 @@ class QueryServer:
         self.errors = metrics.counter(
             "server.errors", "Requests answered with an error response"
         )
+        self.misses = {
+            route: metrics.counter(
+                f"server.misses_{route}", f"SELECT misses answered on the {route}"
+            ) for route in ("loop", "pool")
+        }
         self.request_ms = metrics.histogram(
             "server.request_ms", "Wall-clock per request, milliseconds"
         )
@@ -455,16 +469,16 @@ class QueryServer:
                     raise protocol.ProtocolError(
                         f"op {op!r} requires a string 'sql' field"
                     )
-                response = probed = None
-                if op == "query" and self.cache.max_entries > 0:
+                response = miss = None
+                if op == "query":
                     with _spans.attach(req_span):
-                        response, probed = self._probe_prepared(
-                            session, sql, request
-                        )
+                        response, miss = self._probe(session, sql, request)
+                if req_span is not None:
+                    req_span.set("route", "pool" if response is None else "loop")
                 if response is None:
                     response = await self._run_blocking(
                         self._execute_request, session, op, sql, request,
-                        req_span, probed,
+                        req_span, miss,
                     )
             else:
                 raise protocol.ProtocolError(f"unknown op {op!r}")
@@ -493,27 +507,41 @@ class QueryServer:
 
     # ------------------------------------------------------------------
     # SELECTs: the result cache, probed once per request
-    def _probe_prepared(self, session: Session, sql: str, request: dict):
-        """The event-loop half of a ``query``: ``(reply, probed)``.
+    def _probe(self, session: Session, sql: str, request: dict):
+        """The event-loop half of a ``query``: ``(reply, miss)``.
 
-        Synchronous and short — a memo probe and a cache probe, no
-        parse, no bind. ``reply`` is the finished response when ``sql``
-        is a prepared SELECT whose result is cached and servable;
-        otherwise it is None and ``probed`` carries what the pool
-        thread needs to execute without probing again (None too when
-        the text is not in the memo at this catalog epoch)."""
+        A memo probe and a cache probe, or a lex; no parse, no bind.
+        ``reply`` is the finished response when ``sql`` is a prepared
+        SELECT whose result is cached and servable, or a SELECT of a
+        shape whose last run was cheap, answered here. Otherwise ``miss``
+        is what :meth:`_answer_select` needs to run it without probing
+        or lexing again: the cache key and base tables, or the text's
+        :func:`~repro.qgm.bind_cache.lex` (None when the text is neither
+        prepared nor starts with SELECT)."""
         db = self.db
+        use_summaries = bool(request.get("use_summary_tables", True))
         prepared = self._prepared.get(sql)
-        if prepared is None or prepared.epoch != db.rewrite_epoch:
+        if prepared is not None and prepared.epoch == db.rewrite_epoch:
+            session.queries += 1
+            tolerance = session.effective_tolerance(db)
+            key = cache_key(prepared.fingerprint_key, tolerance, use_summaries)
+            reply = self._serve_cached(session, key, tolerance)
+            if reply is not None:
+                return reply, None
+            probed, lexed = (key, prepared.base_tables), None
+            spelling = prepared.spelling
+        elif _SELECT.match(sql):
+            session.queries += 1
+            probed, lexed = None, lex(sql, "Q")
+            spelling = lexed[1]
+        else:
             return None, None
-        session.queries += 1
-        tolerance = session.effective_tolerance(db)
-        key = cache_key(
-            prepared.fingerprint_key, tolerance,
-            bool(request.get("use_summary_tables", True)),
-        )
-        reply = self._serve_cached(session, key, tolerance)
-        return reply, (key, prepared.base_tables)
+        # Known and cheap last time: answering here costs less than the
+        # hop, and the loop never waits in the admission queue.
+        cost = db._bind_cache.cost(spelling, db.rewrite_epoch, use_summaries)
+        if cost is None or cost >= INLINE_MISS_CPU_MS or db.governor.admission.enabled:
+            return None, (probed, lexed)
+        return self._answer_select(session, sql, request, probed, lexed, "loop"), None
 
     def _serve_cached(self, session: Session, key: tuple, tolerance):
         """The reply for ``key`` from the result cache, or None on a
@@ -552,15 +580,16 @@ class QueryServer:
                 f"SET REFRESH AGE {lag} (or ANY) to read at this lag"
             )
 
-    def _prepare(self, source, sql: str):
+    def _prepare(self, source, sql: str, lexed=None):
         """Run the engine's prepare stage on a SELECT — ``source`` is its
         text ``sql`` (the engine's bind cache may bind it without a
-        parse) or a parse of it — and memoize what a repeat of the text
+        parse; ``lexed`` is its :func:`~repro.qgm.bind_cache.lex`, if
+        taken) or a parse of it — and memoize what a repeat of the text
         needs; returns the memo entry and the prepared run, which the
         caller may execute (it is shared with nobody)."""
-        run = self.db.prepare_select(source, sql)
+        run = self.db.prepare_select(source, sql, lexed=lexed)
         prepared = _PreparedSelect(
-            run.shape().key, run.base_tables, run.epoch
+            run.shape().key, run.base_tables, run.epoch, run.spelling
         )
         self._prepared.put(sql, prepared)
         return prepared, run
@@ -569,24 +598,20 @@ class QueryServer:
     # statement execution (thread-pool side)
     def _execute_request(
         self, session: Session, op: str, sql: str, request: dict,
-        req_span=None, probed=None,
+        req_span=None, miss=None,
     ) -> dict:
         # The request span was created on the event loop; re-attach it
         # on this pool thread so child spans (parse, admission, rewrite,
         # WAL) nest under it. The loop side finishes it.
         with _spans.attach(req_span):
-            if probed is not None:
+            if miss is not None:
                 # the loop knew the text as a SELECT and missed the cache
-                return self._answer_select(session, sql, request, probed=probed)
+                return self._answer_select(session, sql, request, *miss)
             return self._execute_attached(session, op, sql, request)
 
     def _execute_attached(
         self, session: Session, op: str, sql: str, request: dict
     ) -> dict:
-        if op == "query" and _SELECT.match(sql):
-            # the engine binds SELECT text itself: no parse here
-            session.queries += 1
-            return self._answer_select(session, sql, request)
         # a private parse: whatever executes below may keep or change it
         parse_pc = time.perf_counter()
         statement = parse_statement(sql)
@@ -622,10 +647,12 @@ class QueryServer:
         return self._execute_write(statement, sql, request.get("token"))
 
     def _answer_select(self, session: Session, sql: str, request: dict,
-                        probed=None) -> dict:
-        """Run one SELECT text ``sql`` the loop could not answer: either
-        a text it did not know, or one whose probe missed, which arrives
-        with the loop's key and base tables (``probed``)."""
+                        probed=None, lexed=None, route: str = "pool") -> dict:
+        """Answer one SELECT text ``sql`` the cache probe did not, on the
+        ``route`` side: one whose probe missed (``probed``: the loop's key
+        and base tables), one the loop lexed (``lexed``) or one found by
+        parsing. The thread CPU of the whole miss is its shape's cost."""
+        cpu = time.thread_time()
         db = self.db
         overrides = session.overrides(db)
         tolerance = overrides["tolerance"]
@@ -634,7 +661,7 @@ class QueryServer:
         caching = self.cache.max_entries > 0
         if caching:
             if probed is None:
-                prepared, source = self._prepare(sql, sql)
+                prepared, source = self._prepare(sql, sql, lexed)
                 key = cache_key(
                     prepared.fingerprint_key, tolerance, use_summaries
                 )
@@ -647,15 +674,20 @@ class QueryServer:
             # Snapshot BEFORE execution: a write landing mid-query makes
             # the entry look staler than it is — the safe direction.
             snapshot = db.delta_log.change_counts(base_tables)
+        elif lexed is not None:
+            source = db.prepare_select(sql, sql, lexed=lexed)
+        self.misses[route].inc()
         self._check_replica_lag(tolerance)
-        table = db.run_select(
+        run = db.run_select(
             source, sql, use_summary_tables=use_summaries, **overrides
-        ).table
-        payload = protocol.encode_table_fragment(table)
+        )
+        payload = protocol.encode_table_fragment(run.table)
         if caching:
             self.cache.store(
-                key, table, base_tables, snapshot, tolerance, payload=payload
+                key, run.table, base_tables, snapshot, tolerance, payload=payload
             )
+        ms = (time.thread_time() - cpu) * 1e3
+        db._bind_cache.note_cost(run.spelling, run.epoch, use_summaries, ms)
         label = "miss" if caching else "bypass"
         return {"ok": True, "cache": label, "_table": payload}
 
@@ -857,6 +889,7 @@ class QueryServer:
             "connections": int(self.connections.value),
             "requests": self.requests.value,
             "errors": self.errors.value,
+            "misses": {route: c.value for route, c in self.misses.items()},
             "replication": self.repl_status(),
         }
         if self.address is not None:

@@ -38,6 +38,24 @@ def test_fig02_rewrite_uses_ast_scan_only():
     assert "Loc" in scans  # the rejoin dimension still is
 
 
+def test_fig02_rewrite_is_equivalent_on_a_non_empty_answer():
+    """At ``small_config`` fig02's ``having count(*) > 100`` keeps no
+    group, so the figure's own check compares two empty answers."""
+    from repro.bench.figures import AST1, Q1
+    from repro.bench.harness import Experiment
+    from repro.engine.table import tables_equal
+
+    query = Q1.replace("count(*) > 100", "count(*) > 2")
+    assert query != Q1
+    db = make_database(small_config())
+    db.create_summary_table("AST1", AST1)
+    experiment = Experiment("fig02_q1 > 2", db, query, "4.2.4").prepare()
+    assert "AST1" in experiment.explanation
+    original = experiment.run_original()
+    assert len(original) > 0
+    assert tables_equal(original, experiment.run_rewritten())
+
+
 def test_fig05_rewrite_matches_paper_newq2():
     """NewQ2's compensation: rejoin PGroup, derive amt from value."""
     experiment = make_experiment("fig05_q2", small_config())
