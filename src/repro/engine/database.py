@@ -45,6 +45,7 @@ from repro.errors import (
     MatchBudgetExceeded,
     QueryCancelled,
     ReproError,
+    WriteInProgress,
 )
 from repro.governor import QueryGovernor
 from repro.governor import scope as governor_scope
@@ -229,11 +230,22 @@ class Database:
         run.bound, run.spelling = bound, spelling
         return run
 
+    def shape_cost(self, spelling, variant) -> float | None:
+        """Thread-CPU milliseconds of the last completed run of the SELECT
+        text shape ``spelling`` (:attr:`SelectRun.spelling`) under this
+        catalog, per ``variant`` of the run, or None."""
+        return self._bind_cache.costs(spelling, self._rewrite_epoch).get(variant)
+
+    def note_shape_cost(self, spelling, epoch: int, variant, ms: float) -> None:
+        """Record :meth:`shape_cost` for a run bound under ``epoch``."""
+        self._bind_cache.costs(spelling, epoch)[variant] = ms
+
     def run_select(
         self, source, sql_text: str | None = None, *,
         use_summary_tables: bool = True, tolerance=None, token=None,
         timeout_ms=UNSET, max_rows=UNSET, max_mem=UNSET,
         client: str | None = None, force_trace: bool = False,
+        wait: bool = True,
     ) -> SelectRun:
         """The SELECT pipeline — prepare → sandboxed rewrite → execute —
         behind every entry point; returns the run's :class:`SelectRun`.
@@ -253,7 +265,9 @@ class Database:
         knobs never mutate shared state. ``client`` tags slow-query-log
         entries with the submitting connection's id; ``force_trace``
         records a match trace whatever ``set_tracing`` says (EXPLAIN
-        ANALYZE).
+        ANALYZE). ``wait=False`` raises :class:`~repro.errors.
+        WriteInProgress` where the run would wait for a write to finish
+        (:meth:`_execute`): the query server's event loop never waits.
 
         Governed end to end: admission control may shed the query
         (:class:`~repro.errors.QueryRejected`) before any work happens,
@@ -270,7 +284,7 @@ class Database:
                 with governor_scope.activate(budget):
                     run = self._run_stages(
                         source, sql_text, use_summary_tables, tolerance,
-                        client, force_trace,
+                        client, force_trace, wait,
                     )
             finally:
                 # Return the query's reserved bytes to the broker even
@@ -282,7 +296,7 @@ class Database:
 
     def _run_stages(
         self, source, sql_text, use_summary_tables: bool, tolerance,
-        client: str | None, force_trace: bool,
+        client: str | None, force_trace: bool, wait: bool,
     ) -> SelectRun:
         """The three stages with their phase timers (bind/match/execute,
         milliseconds) in the metrics registry, spans, the optional match
@@ -312,7 +326,9 @@ class Database:
                     rewrite_attrs["match_trace"] = trace.trace_id
                 _spans.record("db.rewrite", started, **rewrite_attrs)
         started = time.perf_counter()
-        run.table, run.executor_stats = self._execute(run.graph, run.overlay)
+        run.table, run.executor_stats = self._execute(
+            run.graph, run.overlay, wait
+        )
         run.phases["execute"] = metrics.observe_ms("phase_execute_ms", started)
         _spans.record("db.execute", started)
         run.phases["total"] = metrics.observe_ms("query_total_ms", total_start)
@@ -364,7 +380,9 @@ class Database:
         the plan. See :meth:`_execute` for what the run reads."""
         return self._execute(graph, overlay)[0]
 
-    def _execute(self, graph: QueryGraph, overlay: dict | None):
+    def _execute(
+        self, graph: QueryGraph, overlay: dict | None, wait: bool = True
+    ):
         """Pipeline stage 3, the one place a SELECT meets stored tables:
         returns the result and the run's
         :class:`~repro.engine.executor.ExecutorStats`.
@@ -375,14 +393,19 @@ class Database:
         the statement sees, for *all* its tables, the state between two
         whole writes — never a half-appended row, a half-merged group or
         a base table ahead of its summary — and never waits for more
-        than the write in progress."""
+        than the write in progress — or, with ``wait=False``, raises
+        :class:`~repro.errors.WriteInProgress` instead of waiting."""
         overlay = overlay or {}
-        with self._maintenance_lock:
+        if not self._maintenance_lock.acquire(blocking=wait):
+            raise WriteInProgress("a write holds the tables this query reads")
+        try:
             pins = {}
             for name in graph.base_tables():
                 table = overlay.get(name, self.tables.get(name))
                 if table is not None:
                     pins[name] = table.pin()
+        finally:
+            self._maintenance_lock.release()
         executor = Executor(pins, metrics=self.metrics)
         return executor.run(graph), executor.stats
 

@@ -118,6 +118,11 @@ class QueryResourceError(GovernorError):
     an unhandled ENOSPC."""
 
 
+class WriteInProgress(ReproError):
+    """A SELECT run told not to wait (``Database.run_select(wait=False)``)
+    found a write holding the tables it reads."""
+
+
 class MaintenanceError(ReproError):
     """A summary table could not be incrementally maintained."""
 

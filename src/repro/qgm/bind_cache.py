@@ -70,8 +70,8 @@ class _Shape:
         self.epoch = epoch
         self.kept: tuple[int, ...] | None = None
         self.templates = LRU(TEMPLATES_PER_SHAPE)
-        #: ``use_summary_tables`` → thread-CPU milliseconds
-        self.cost: dict[bool, float] = {}
+        #: a run's variant → thread-CPU ms (:meth:`BindCache.costs`)
+        self.cost: dict = {}
 
 
 class _Template:
@@ -175,18 +175,12 @@ class BindCache:
             return graph, "cold", key
         return graph, self._file(shape, tokens, values, graph, build), key
 
-    def cost(self, key, epoch: int, use_summaries: bool) -> float | None:
-        """Thread-CPU milliseconds of the last completed run of shape
-        ``key`` bound under ``epoch``, or None; :meth:`note_cost` sets it."""
+    def costs(self, key, epoch: int) -> dict:
+        """Thread-CPU milliseconds of the last completed runs of shape
+        ``key`` bound under ``epoch``, per the caller's variant of a run:
+        the entry's own map, or a throwaway one when none is filed."""
         shape = self.entries.peek(key)
-        if shape is not None and shape.epoch == epoch:
-            return shape.cost.get(use_summaries)
-        return None
-
-    def note_cost(self, key, epoch: int, use_summaries: bool, ms: float) -> None:
-        shape = self.entries.peek(key)
-        if shape is not None and shape.epoch == epoch:
-            shape.cost[use_summaries] = ms
+        return shape.cost if shape is not None and shape.epoch == epoch else {}
 
     def _file(self, shape: _Shape, tokens, values, cold: QueryGraph, build) -> str:
         """Probe, then confirm against ``cold``; file the outcome."""

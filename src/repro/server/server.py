@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import math
 import re
 import threading
 import time
@@ -88,6 +89,7 @@ from repro.errors import (
     ReproError,
     WalError,
     WalGapError,
+    WriteInProgress,
 )
 from repro.resources.broker import BROKER
 from repro.replication.wal import WalRecord, WriteAheadLog, mutation_kind
@@ -124,6 +126,18 @@ class _PreparedSelect(NamedTuple):
     epoch: int
     #: the bind cache's shape key of the text
     spelling: tuple | None
+
+
+class _Miss:
+    """A SELECT the result cache missed, as far as the loop took it: its
+    shape key (None when only a parse found it a SELECT), its lex, and
+    its cache key and base tables once prepared — so the side that runs
+    it neither lexes nor probes again."""
+
+    __slots__ = ("spelling", "lexed", "probed")
+
+    def __init__(self, spelling=None, lexed=None, probed=None):
+        self.spelling, self.lexed, self.probed = spelling, lexed, probed
 
 
 class QueryServer:
@@ -231,7 +245,7 @@ class QueryServer:
         )
         self.misses = {
             route: metrics.counter(
-                f"server.misses_{route}", f"SELECT misses answered on the {route}"
+                f"server.misses_{route}", f"SELECT misses executed on the {route}"
             ) for route in ("loop", "pool")
         }
         self.request_ms = metrics.histogram(
@@ -514,34 +528,34 @@ class QueryServer:
         ``reply`` is the finished response when ``sql`` is a prepared
         SELECT whose result is cached and servable, or a SELECT of a
         shape whose last run was cheap, answered here. Otherwise ``miss``
-        is what :meth:`_answer_select` needs to run it without probing
-        or lexing again: the cache key and base tables, or the text's
-        :func:`~repro.qgm.bind_cache.lex` (None when the text is neither
-        prepared nor starts with SELECT)."""
+        is the :class:`_Miss` a pool thread runs (None when the text is
+        neither prepared nor starts with SELECT)."""
         db = self.db
+        tolerance = session.effective_tolerance(db)
         use_summaries = bool(request.get("use_summary_tables", True))
         prepared = self._prepared.get(sql)
         if prepared is not None and prepared.epoch == db.rewrite_epoch:
             session.queries += 1
-            tolerance = session.effective_tolerance(db)
             key = cache_key(prepared.fingerprint_key, tolerance, use_summaries)
             reply = self._serve_cached(session, key, tolerance)
             if reply is not None:
                 return reply, None
-            probed, lexed = (key, prepared.base_tables), None
-            spelling = prepared.spelling
+            miss = _Miss(prepared.spelling, probed=(key, prepared.base_tables))
         elif _SELECT.match(sql):
             session.queries += 1
-            probed, lexed = None, lex(sql, "Q")
-            spelling = lexed[1]
+            lexed = lex(sql, "Q")
+            miss = _Miss(lexed[1], lexed)
         else:
             return None, None
         # Known and cheap last time: answering here costs less than the
         # hop, and the loop never waits in the admission queue.
-        cost = db._bind_cache.cost(spelling, db.rewrite_epoch, use_summaries)
+        cost = db.shape_cost(miss.spelling, (use_summaries, tolerance.key))
         if cost is None or cost >= INLINE_MISS_CPU_MS or db.governor.admission.enabled:
-            return None, (probed, lexed)
-        return self._answer_select(session, sql, request, probed, lexed, "loop"), None
+            return None, miss
+        try:
+            return self._answer_select(session, sql, request, miss, "loop"), None
+        except WriteInProgress:  # nor for a write: a pool thread waits
+            return None, miss
 
     def _serve_cached(self, session: Session, key: tuple, tolerance):
         """The reply for ``key`` from the result cache, or None on a
@@ -606,7 +620,7 @@ class QueryServer:
         with _spans.attach(req_span):
             if miss is not None:
                 # the loop knew the text as a SELECT and missed the cache
-                return self._answer_select(session, sql, request, *miss)
+                return self._answer_select(session, sql, request, miss)
             return self._execute_attached(session, op, sql, request)
 
     def _execute_attached(
@@ -639,7 +653,7 @@ class QueryServer:
             return {"ok": True, "status": status}
         if isinstance(statement, (SelectStatement, UnionAll)):
             session.queries += 1
-            return self._answer_select(session, sql, request)
+            return self._answer_select(session, sql, request, _Miss())
         if mutation_kind(statement) is None:
             # SET SLOW QUERY / TRACE SAMPLE: process-wide, not journaled,
             # so neither a standby nor a full disk refuses them
@@ -647,47 +661,52 @@ class QueryServer:
         return self._execute_write(statement, sql, request.get("token"))
 
     def _answer_select(self, session: Session, sql: str, request: dict,
-                        probed=None, lexed=None, route: str = "pool") -> dict:
+                        miss: _Miss, route: str = "pool") -> dict:
         """Answer one SELECT text ``sql`` the cache probe did not, on the
-        ``route`` side: one whose probe missed (``probed``: the loop's key
-        and base tables), one the loop lexed (``lexed``) or one found by
-        parsing. The thread CPU of the whole miss is its shape's cost."""
+        ``route`` side, from what the loop took of it (``miss``). The
+        thread CPU of the whole miss is its shape's cost; a miss that
+        fails costs more than any bound, so the next one takes the pool."""
         cpu = time.thread_time()
         db = self.db
+        epoch = db.rewrite_epoch
         overrides = session.overrides(db)
         tolerance = overrides["tolerance"]
         use_summaries = bool(request.get("use_summary_tables", True))
         source = sql
         caching = self.cache.max_entries > 0
         if caching:
-            if probed is None:
-                prepared, source = self._prepare(sql, sql, lexed)
+            if miss.probed is None:
+                prepared, source = self._prepare(sql, sql, miss.lexed)
                 key = cache_key(
                     prepared.fingerprint_key, tolerance, use_summaries
                 )
                 reply = self._serve_cached(session, key, tolerance)
                 if reply is not None:
                     return reply
-                base_tables = prepared.base_tables
-            else:
-                key, base_tables = probed
+                miss.probed = key, prepared.base_tables
+            key, base_tables = miss.probed
             # Snapshot BEFORE execution: a write landing mid-query makes
             # the entry look staler than it is — the safe direction.
             snapshot = db.delta_log.change_counts(base_tables)
-        elif lexed is not None:
-            source = db.prepare_select(sql, sql, lexed=lexed)
-        self.misses[route].inc()
-        self._check_replica_lag(tolerance)
-        run = db.run_select(
-            source, sql, use_summary_tables=use_summaries, **overrides
-        )
-        payload = protocol.encode_table_fragment(run.table)
-        if caching:
-            self.cache.store(
-                key, run.table, base_tables, snapshot, tolerance, payload=payload
-            )
-        ms = (time.thread_time() - cpu) * 1e3
-        db._bind_cache.note_cost(run.spelling, run.epoch, use_summaries, ms)
+        elif miss.lexed is not None:
+            source = db.prepare_select(sql, sql, lexed=miss.lexed)
+        ms = math.inf
+        try:
+            self._check_replica_lag(tolerance)
+            table = db.run_select(
+                source, sql, use_summary_tables=use_summaries,
+                wait=route == "pool", **overrides,
+            ).table
+            self.misses[route].inc()
+            payload = protocol.encode_table_fragment(table)
+            if caching:
+                self.cache.store(
+                    key, table, base_tables, snapshot, tolerance, payload=payload
+                )
+            ms = (time.thread_time() - cpu) * 1e3
+        finally:
+            variant = (use_summaries, tolerance.key)
+            db.note_shape_cost(miss.spelling, epoch, variant, ms)
         label = "miss" if caching else "bypass"
         return {"ok": True, "cache": label, "_table": payload}
 

@@ -10,11 +10,12 @@ import threading
 
 import pytest
 
-from repro.errors import SqlSyntaxError
+from repro.errors import QueryTimeout, SqlSyntaxError
 from repro.obs import spans
 from repro.server import server as server_module
 from repro.server.client import ReproClient
 from repro.server.server import QueryServer
+from repro.testing.faults import INJECTOR
 from tests.conftest import fresh_small_db
 
 LOOP = "repro-server-loop"
@@ -155,6 +156,85 @@ def test_admission_control_sends_every_miss_to_the_pool(served, threads_of):
             admission.configure(None)
         client.query(known(4))
     assert [name == LOOP for name in ran] == [False, False, False, True]
+
+
+def send(server: QueryServer, request: dict):
+    """A raw connection with ``request`` sent; read its reply line."""
+    sock = socket.create_connection(server.address, timeout=10)
+    stream = sock.makefile("rwb")
+    stream.write(json.dumps(request).encode() + b"\n")
+    stream.flush()
+    return sock, stream
+
+
+def test_a_loop_miss_hands_a_write_in_progress_to_the_pool(served, threads_of):
+    server = served()
+    ran = threads_of(server.db)
+    with connect(server) as client:
+        client.query(known(1))  # costed: known(2) is routed to the loop
+    writing, done = threading.Event(), threading.Event()
+
+    def write():  # what a REFRESH or a scheduler pass does
+        with server.db._maintenance_lock:
+            writing.set()
+            assert done.wait(timeout=30)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert writing.wait(timeout=30)
+        sock, stream = send(server, {"op": "query", "sql": known(2)})
+        with sock, stream, connect(server) as other:
+            # the loop did not wait for the write: it answers others
+            assert other.ping()["ok"]
+            assert other.query(known(1)).cache == "hit"
+            assert writer.is_alive()
+            done.set()
+            reply = json.loads(stream.readline())
+    finally:
+        done.set()
+        writer.join(timeout=30)
+    assert reply["ok"] and reply["cache"] == "miss" and reply["table"]["data"]
+    # tried on the loop, waited for the write on a pool thread
+    assert [name == LOOP for name in ran] == [False, True, False]
+    assert counter(server, "server.misses_loop") == 0
+    assert counter(server, "server.misses_pool") == 2
+    assert counter(server, "cache.misses") == 2
+    with connect(server) as client:
+        client.query(known(3))  # the pool's run was costed: the loop again
+    assert ran[-1] == LOOP
+
+
+def test_a_failed_loop_run_sends_its_shape_to_the_pool(served, threads_of):
+    server = served()
+    ran = threads_of(server.db)
+
+    def product(n: int) -> str:  # Loc x Trans: executor ticks to fail at
+        return f"SELECT COUNT(*) AS cnt FROM Loc, Trans WHERE faid > {n}"
+
+    with connect(server) as client:
+        client.set("SET QUERY TIMEOUT 60000")
+        client.query(product(1))
+        with INJECTOR.injected(
+            "executor.tick", error=lambda point: QueryTimeout(point)
+        ):
+            with pytest.raises(QueryTimeout):
+                client.query(product(2))  # times out on the loop
+        client.query(product(3))  # so this one runs on a pool thread
+        client.query(product(4))  # which costed it cheap again
+    assert [name == LOOP for name in ran] == [False, True, False, True]
+
+
+def test_sessions_of_different_tolerances_are_costed_apart(served, threads_of):
+    server = served()
+    ran = threads_of(server.db)
+    with connect(server) as lenient, connect(server) as strict:
+        lenient.set("SET REFRESH AGE ANY")
+        lenient.query(known(1))
+        lenient.query(known(2))
+        strict.query(known(3))  # not costed at its own tolerance yet
+        strict.query(known(4))
+    assert [name == LOOP for name in ran] == [False, True, False, True]
 
 
 def test_with_and_without_summary_tables_are_costed_apart(served, threads_of):
