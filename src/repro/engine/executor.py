@@ -47,6 +47,7 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import Mapping, NamedTuple
 
+from repro.catalog.types import DataType, infer_literal_type
 from repro.engine import aggregates as _agg
 from repro.obs import spans as _spans
 from repro.engine.table import Table, estimate_columns_nbytes
@@ -55,11 +56,11 @@ from repro.errors import (
     MemoryBudgetExceeded,
     QueryResourceError,
 )
-from repro.expr.vector import compile_loop, conjuncts
+from repro.expr.vector import compile_loop, conjuncts, view
 from repro.governor import scope as governor_scope
 from repro.resources import spill as _spill
 from repro.testing import faults
-from repro.expr.nodes import AggCall, BinaryOp, ColumnRef, Expr
+from repro.expr.nodes import AggCall, BinaryOp, ColumnRef, Expr, IsNull, Literal
 from repro.qgm.boxes import (
     BaseTableBox,
     GroupByBox,
@@ -90,6 +91,11 @@ _STATE_NBYTES = 64
 #: spilled operators never fan out beyond this many partition runs
 _MAX_SPILL_PARTS = 64
 
+#: a stored driver streams only the rows its index gives for the first
+#: probe's build keys when fewer than this share of it: the measured
+#: break-even (docs/EXECUTOR.md, "A selection from an index")
+_INDEX_SHARE = 0.25
+
 
 class ExecutorStats:
     """Per-run batch counters (EXPLAIN ANALYZE's ``-- executor --``
@@ -100,6 +106,7 @@ class ExecutorStats:
         "rows",
         "batch_rows",
         "join_builds",
+        "index_reads",
         "spills",
         "spill_runs",
         "spill_bytes",
@@ -111,6 +118,8 @@ class ExecutorStats:
         self.batch_rows = batch_rows
         #: one entry per hash join: which input became the build side
         self.join_builds: list[dict] = []
+        #: one entry per driver read through its index
+        self.index_reads: list[dict] = []
         self.spills = 0  # operators that degraded to spill-to-disk
         self.spill_runs = 0  # temp-file runs written across all spills
         self.spill_bytes = 0  # framed bytes written across all spills
@@ -126,6 +135,11 @@ class ExecutorStats:
                 f"({build['build_rows']} rows), probe "
                 f"{build['probe_rows']} rows"
                 + (" [spilled]" if build.get("spilled") else "")
+            )
+        for read in self.index_reads:
+            lines.append(
+                f"  index      {read['table']}.{read['column']}: "
+                f"{read['candidates']} of {read['rows']} rows"
             )
         if self.spills:
             lines.append(
@@ -143,23 +157,26 @@ class _Rel:
 
     Between a SELECT box's operators a relation holds only the columns
     the box reads after its local filters (outputs, join keys, residual
-    predicates); a loop reads only the columns its code names."""
+    predicates); a loop reads only the columns its code names.
+    ``stored`` is ``(box, table)`` for a stored table read whole."""
 
-    __slots__ = ("cols", "nrows")
+    __slots__ = ("cols", "nrows", "stored")
 
-    def __init__(self, cols: dict[ColumnRef, list], nrows: int):
+    def __init__(self, cols: dict[ColumnRef, list], nrows: int, stored=None):
         self.cols = cols
         self.nrows = nrows
+        self.stored = stored
 
     @classmethod
-    def of(cls, quantifier: str, table: Table) -> "_Rel":
-        """``table`` as read through ``quantifier``."""
+    def of(cls, quantifier: str, table: Table, box: QGMBox | None = None) -> "_Rel":
+        """``table`` as read through ``quantifier`` (over ``box``)."""
         return cls(
             {
                 ColumnRef(quantifier, name): column
                 for name, column in zip(table.columns, table.columns_data())
             },
             len(table),
+            (box, table) if isinstance(box, BaseTableBox) else None,
         )
 
 
@@ -213,7 +230,7 @@ def _split(sel, size):
 
 def _take(cols: dict, rows) -> dict:
     """Gather ``rows`` from every column."""
-    return {ref: [c[i] for i in rows] for ref, c in cols.items()}
+    return {ref: list(view(c, rows)) for ref, c in cols.items()}
 
 
 class _Append:
@@ -510,7 +527,7 @@ class Executor:
         if not quantifiers:
             raise ExecutionError("SELECT box with no children")
         rels = {
-            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx))
+            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx), q.box)
             for q in quantifiers
         }
         local, equijoins, residual = _classify_predicates(box)
@@ -552,12 +569,14 @@ class Executor:
             probes.append((probe_keys, table, rel.cols))
             built.append(rows)
         filters = plan.local.get(driver, ())
-        # the rows reaching each keyed probe decide its build side
+        # the rows reaching each keyed probe decide its build side (through
+        # an index, probe 0 counts a subset: a check may fail, never pass)
         counted = [
             p for p, (keys, _, _) in enumerate(probes) if keys and (p or filters)
         ]
+        sel, read = _candidates(plan.rels[driver], filters, probes)
         counts = dict(zip(counted, self._pipeline(
-            plan.rels[driver], sink, ctx, filters, probes, plan.tail, counted
+            plan.rels[driver], sink, ctx, filters, probes, plan.tail, counted, sel
         )))
         counts.setdefault(0, plan.rels[driver].nrows)
         builds = []
@@ -574,6 +593,8 @@ class Executor:
                 "probe_rows": counts[p],
             })
         ctx.stats.join_builds.extend(builds)
+        if read:
+            ctx.stats.index_reads.append(read)
         return True
 
     def _operators(self, plan: "_Plan", sink, ctx: _Ctx) -> None:
@@ -600,13 +621,13 @@ class Executor:
 
     def _pipeline(
         self, driver: _Rel, sink, ctx: _Ctx, filters=(), probes=(),
-        residual=(), counted=(),
+        residual=(), counted=(), sel=None,
     ) -> list[int]:
-        """One loop over ``driver`` into ``sink`` (``start``ed afresh);
-        returns the row counts of the ``counted`` stages.  Under a
-        governor the loop also counts the rows it produced, checked
-        against MAXROWS after every morsel and, with its pulse, every
-        ``chunk`` rows its bucket loops bind."""
+        """One loop over ``driver``'s rows ``sel`` (default all) into
+        ``sink`` (``start``ed afresh); returns the row counts of the
+        ``counted`` stages.  Under a governor the loop also counts the
+        rows it produced, checked against MAXROWS after every morsel and,
+        with its pulse, every ``chunk`` rows its bucket loops bind."""
         if not (filters or probes or residual) and all(
             value in driver.cols for value in sink.values
         ) and sink.pass_through(driver):
@@ -619,7 +640,8 @@ class Executor:
             driver.cols, filters, probes, residual, sink.values, spec, stages,
             (ctx.chunk, ctx.pulse) if checked and probes else None,
         )
-        counts = self._drive(fn, range(driver.nrows), ctx, checked)
+        sel = range(driver.nrows) if sel is None else sel
+        counts = self._drive(fn, sel, ctx, checked)
         sink.end(counts[-1] if produced else None)
         return counts[: len(counted)]
 
@@ -975,6 +997,52 @@ def _spill_parts(reservation, estimate: int) -> int:
     if headroom <= 0:
         return 8
     return min(_MAX_SPILL_PARTS, max(2, -(-estimate // headroom)))
+
+
+_COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+_NUMBERS = frozenset({DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN})
+
+
+def _cannot_raise(expr: Expr, schema) -> bool:
+    """``IS [NOT] NULL`` of a column, or a comparison of a column with a
+    literal: ``=``/``<>`` with any, an ordering with NULL or a value of
+    the column's declared family (numbers, strings or dates)."""
+    if isinstance(expr, IsNull):
+        return isinstance(expr.operand, ColumnRef)
+    if not isinstance(expr, BinaryOp) or expr.op not in _COMPARISONS:
+        return False
+    column, literal = expr.left, expr.right
+    if isinstance(column, Literal):
+        column, literal = literal, column
+    if not (isinstance(column, ColumnRef) and isinstance(literal, Literal)):
+        return False
+    if expr.op in ("=", "<>") or literal.value is None:
+        return True
+    kinds = {infer_literal_type(literal.value), schema.column(column.name).dtype}
+    return len(kinds) == 1 or kinds <= _NUMBERS
+
+
+def _candidates(driver: _Rel, filters, probes) -> tuple:
+    """``(rows, read)``: off a stored driver's index, the rows the first
+    probe's build keys can match, ascending, and the stats entry of that
+    read — when the probe's key is one driver column, no driver filter
+    can raise (a skipped row would skip its error) and the rows are
+    fewer than ``_INDEX_SHARE`` of the driver; else ``(None, None)``.
+    The probe still runs, so the index only drops rows it rejects."""
+    if driver.stored is None or not probes or len(probes[0][0]) != 1:
+        return None, None
+    box, table = driver.stored
+    if not all(_cannot_raise(f, box.schema) for f in filters):
+        return None, None
+    ((key,), build, _) = probes[0]
+    index = table.index(table.column_index(key.name))
+    lists = [rows for rows in map(index.get, build) if rows is not None]
+    count = sum(map(len, lists))
+    if count >= _INDEX_SHARE * driver.nrows:
+        return None, None
+    rows = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+    return rows, {"table": box.table_name, "column": key.name,
+                  "candidates": count, "rows": driver.nrows}
 
 
 def _key(key_cols, single: bool, i: int):

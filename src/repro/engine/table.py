@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from collections import defaultdict
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
@@ -159,7 +160,7 @@ class Table:
 
     __slots__ = (
         "columns", "_data", "_nrows", "_index", "_rows_cache", "_shared",
-        "_mark", "_stable", "_edited",
+        "_mark", "_stable", "_edited", "_indexes",
     )
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
@@ -176,6 +177,8 @@ class Table:
         self._mark: Any = None
         self._stable = 0
         self._edited: set[int] | None = None
+        #: column number -> its :meth:`index`, built on first use
+        self._indexes: dict[int, dict] = {}
         self.extend_trusted([tuple(row) for row in rows])
 
     # ------------------------------------------------------------------
@@ -236,6 +239,7 @@ class Table:
         view._rows_cache = None
         view._shared = True
         view._mark, view._stable, view._edited = None, 0, None
+        view._indexes = self._indexes
         return view
 
     def _own(self) -> list[list[Any]]:
@@ -386,8 +390,24 @@ class Table:
         return index
 
     def _bump(self) -> None:
-        """Invalidate row-materialization caches after any mutation."""
+        """After any mutation: drop the row cache and the indexes."""
         self._rows_cache = None
+        self._indexes = {}
+
+    def index(self, column: int) -> dict:
+        """Column ``column``'s values, each to its ascending row numbers;
+        NULLs are skipped (they never equi-join).  Built on first use.
+        A pin shares the table's indexes — its lists never change — and
+        every edit drops them (:meth:`_bump`), so an index always
+        describes the lists it was built from."""
+        index = self._indexes.get(column)
+        if index is None:
+            groups = defaultdict(list)
+            for i, value in enumerate(self._data[column]):
+                groups[value].append(i)
+            groups.pop(None, None)
+            index = self._indexes[column] = dict(groups)
+        return index
 
     # ------------------------------------------------------------------
     def column_index(self, name: str) -> int:

@@ -34,6 +34,7 @@ the compiled factory is memoised by that text — ``x > 1.5`` and
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError
@@ -161,12 +162,13 @@ def conjuncts(expr: Expr) -> list[Expr]:
 
 def view(column: list, sel):
     """``column`` at ``sel``, for one pass: the list itself for the
-    identity range, a slice for a sub-range, a gather for an index list."""
+    identity range, a slice for a sub-range, a gather for an index list
+    (a spilled partition's rows, or the rows an index selected)."""
     if type(sel) is range:
         if len(sel) == len(column):
             return column
         return column[sel.start : sel.stop : sel.step]
-    return [column[i] for i in sel]
+    return itemgetter(*sel)(column) if len(sel) > 1 else [column[i] for i in sel]
 
 
 def _divide(a, b):
