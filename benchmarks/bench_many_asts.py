@@ -2,16 +2,18 @@
 
 The paper assumes a handful of summary tables; real deployments register
 dozens to hundreds. This benchmark measures the cost of the rewrite
-decision (on an already-bound query graph, so parse/bind time is out of
-the picture) at 1 / 8 / 64 / 256 registered ASTs, comparing:
+decision from SQL text (``Database.rewrite(text)``, so the timing
+includes binding the text: a cold bind, or on a repeat a substitution
+into the shape cache's template) at 1 / 8 / 64 / 256 registered ASTs,
+comparing:
 
 * **legacy** — the pre-fast-path behaviour: base-table-overlap filter
   only, full bottom-up navigation per surviving candidate, no caching
   (``db.configure_fast_path(index=False, cache=False)``);
-* **fast cold** — candidate index pruning on, decision cache on but
-  empty (first sight of the query shape);
-* **fast repeat** — the same query shape again: fingerprint lookup hits
-  the decision cache and the recorded match is replayed directly.
+* **fast cold** — candidate index pruning on, shape cache on but empty
+  (first sight of the query shape);
+* **fast repeat** — the same query shape again: the text's shape entry
+  holds the decision and the recorded match is replayed directly.
 
 It also cross-checks correctness: the rewritten SQL must be
 bit-identical across all three modes, at every AST count.
@@ -66,10 +68,11 @@ def build_database(ast_count: int) -> Database:
 
 
 def time_rewrites(database: Database, runs: int, clear_cache: bool) -> tuple[float, list[str]]:
-    """Median seconds per rewrite decision over ``runs`` fresh binds.
+    """Median seconds per rewrite decision of the query's text (bind
+    included) over ``runs`` rewrites.
 
-    ``clear_cache=True`` empties the decision cache before every run, so
-    every measurement is a cold (cache-miss) rewrite.
+    ``clear_cache=True`` empties the shape cache before every run, so
+    every measurement is a cold (cache-miss) bind and rewrite.
     """
     samples = []
     sqls = []
@@ -78,9 +81,8 @@ def time_rewrites(database: Database, runs: int, clear_cache: bool) -> tuple[flo
             # toggling the cache off drops every entry; back on is empty
             database.configure_fast_path(cache=False)
             database.configure_fast_path(cache=True)
-        graph = database.bind(QUERY)
         start = time.perf_counter()
-        result = database.rewrite(graph)
+        result = database.rewrite(QUERY)
         samples.append(time.perf_counter() - start)
         if result is None:
             raise SystemExit("benchmark error: query no longer matches AST1")
@@ -101,7 +103,7 @@ def run_point(ast_count: int, runs: int) -> dict:
 
     database.reset_rewrite_stats()
     # one untimed warm-up populates the cache; every timed run then hits it
-    database.rewrite(database.bind(QUERY))
+    database.rewrite(QUERY)
     repeat, repeat_sqls = time_rewrites(database, runs, clear_cache=False)
     repeat_stats = database.rewrite_stats()
 
@@ -114,7 +116,7 @@ def run_point(ast_count: int, runs: int) -> dict:
     if repeat_stats["cache_hits"] < runs:
         raise SystemExit(
             "benchmark error: repeat runs were not served from the "
-            f"decision cache (cache_hits={repeat_stats['cache_hits']})"
+            f"shape cache (cache_hits={repeat_stats['cache_hits']})"
         )
     return {
         "asts": ast_count,

@@ -10,10 +10,10 @@ management, and (lazily, to keep layering clean) the matcher/rewriter::
     raw = db.execute(my_query, use_summary_tables=False)
 
 Rewriting runs through a three-layer *matching fast path* (see
-docs/ALGORITHM.md, "The matching fast path"): an AST signature index
-prunes implausible candidates before any navigation, a bounded LRU of
-rewrite decisions keyed by the query graph's structural fingerprint
-replays known outcomes without matching at all, and expression
+docs/ALGORITHM.md, "The matching fast path"): a bounded LRU of SELECT
+text shapes binds a known shape by substitution and replays its proven
+rewrite decisions without matching at all, an AST signature index
+prunes implausible candidates before any navigation, and expression
 normalization/hashing is memoized. ``rewrite_stats()`` exposes the
 counters; ``configure_fast_path()`` disables layers for ablation.
 
@@ -50,16 +50,15 @@ from repro.errors import (
 from repro.governor import QueryGovernor
 from repro.governor import scope as governor_scope
 from repro.governor.governor import UNSET
-from repro.lru import LRU
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MatchTrace, TraceBuffer
-from repro.qgm.bind_cache import BindCache
+from repro.qgm.bind_cache import BindCache, lex
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
-from repro.qgm.fingerprint import fingerprint
-from repro.qgm.fingerprint import template as shape_template
+from repro.qgm.fingerprint import bind_constants, literal_slots
+from repro.sql.parser import parse
 
 #: default slow-query log threshold, milliseconds (see docs/OBSERVABILITY.md;
 #: override per session with ``SET SLOW QUERY <ms>`` or ``SET SLOW QUERY OFF``)
@@ -69,8 +68,8 @@ DEFAULT_SLOW_QUERY_MS = 100.0
 class Database:
     """An in-memory database with automatic summary tables.
 
-    ``rewrite_cache_size`` bounds the rewrite decision cache (LRU
-    entries); 0 disables decision caching entirely.
+    ``rewrite_cache_size`` bounds the shape cache (LRU entries, one per
+    SELECT text shape, each with its rewrite decisions); 0 disables it.
     """
 
     def __init__(self, catalog: Catalog | None = None, rewrite_cache_size: int = 256):
@@ -92,10 +91,9 @@ class Database:
         #: \metrics / to_prometheus()
         self.metrics = MetricsRegistry()
         self._rewrite_cache_size = rewrite_cache_size
-        self._rewrite_cache = LRU(rewrite_cache_size)
         self._rewrite_counters = register_counters(self.metrics)
-        #: one bound template graph per SELECT token-stream shape,
-        #: sized and switched with the decision cache
+        #: the shape cache: per SELECT token-stream shape its bound
+        #: templates and its rewrite decisions
         self._bind_cache = BindCache(rewrite_cache_size, self.metrics)
         self._rewrite_epoch = 0
         self._fast_path_index = True
@@ -187,23 +185,25 @@ class Database:
         ).table
 
     def prepare_select(
-        self, source, sql_text: str | None = None, label: str = "Q",
+        self, source: str, sql_text: str | None = None, label: str = "Q",
         lexed=None,
     ) -> SelectRun:
-        """Pipeline stage 1: bind ``source`` (SQL text or a parsed
-        statement; ``sql_text`` is its text, when the run will be traced
-        or slow-logged) exactly once. ``lexed`` is the text's
+        """Pipeline stage 1: bind SELECT text ``source`` (``sql_text`` is
+        its text again when the run will be traced or slow-logged)
+        exactly once. ``lexed`` is the text's
         :func:`~repro.qgm.bind_cache.lex`, if the caller took it.
 
-        SQL text goes through the bind cache (:mod:`repro.qgm.bind_cache`):
+        The text goes through the shape cache (:mod:`repro.qgm.bind_cache`):
         a known token-stream shape is bound by substituting into its
         template, with no parse and no bind; the record says how
-        (:attr:`SelectRun.bound`). The query server prepares a statement
-        first to key its result cache on :meth:`SelectRun.shape`, then
-        hands the same record to :meth:`run_select`, so a cold SELECT is
-        bound and fingerprinted once. The epoch is read *before*
-        binding: a catalog mutation racing the bind leaves the record
-        (and a template filed meanwhile) looking stale, never fresh."""
+        (:attr:`SelectRun.bound`) and carries the shape's entry, where
+        the rewrite stage finds its decisions. The query server prepares
+        a statement first to key its result cache on
+        :meth:`SelectRun.shape`, then hands the same record to
+        :meth:`run_select`, so a cold SELECT is bound and fingerprinted
+        once. The epoch is read *before* binding: a catalog mutation
+        racing the bind leaves the record (and a template filed
+        meanwhile) looking stale, never fresh."""
         from repro.rewrite.cache import RewriteStats
 
         epoch = self._rewrite_epoch
@@ -211,23 +211,21 @@ class Database:
         phases = {}
 
         def bind(statement):
-            if statement is not source:  # parsed here: time the parse
-                phases.setdefault("parse", (time.perf_counter() - started) * 1e3)
+            phases.setdefault("parse", (time.perf_counter() - started) * 1e3)
             return build_graph(statement, self.catalog, label=label)
 
-        spelling = None
-        if isinstance(source, str) and self._bind_cache.entries.maxsize > 0:
-            graph, bound, spelling = self._bind_cache.bind(
-                source, label, epoch, bind, lexed
+        lexed = lexed or lex(source, label)
+        stats, entry, slots = RewriteStats(), None, None
+        if self._bind_cache.entries.maxsize > 0:
+            graph, bound, entry, slots = self._bind_cache.bind(
+                lexed, epoch, bind, stats
             )
         else:
-            graph, bound = bind(source), "cold"
+            graph, bound = bind(parse(lexed[0])), "cold"
         phases["bind"] = self.metrics.observe_ms("phase_bind_ms", started)
         _spans.record("db.bind", started)
-        run = SelectRun(
-            source, sql_text, label, graph, epoch, phases, RewriteStats(),
-        )
-        run.bound, run.spelling = bound, spelling
+        run = SelectRun(source, sql_text, label, graph, epoch, phases, stats)
+        run.bound, run.spelling, run.entry, run.slots = bound, lexed[1], entry, slots
         return run
 
     def shape_cost(self, spelling, variant) -> float | None:
@@ -250,8 +248,8 @@ class Database:
         """The SELECT pipeline — prepare → sandboxed rewrite → execute —
         behind every entry point; returns the run's :class:`SelectRun`.
 
-        ``source`` is SQL text, a parsed statement (``sql_text`` its
-        text) or a record from :meth:`prepare_select`. ``tolerance`` is
+        ``source`` is SELECT text or a record from
+        :meth:`prepare_select`. ``tolerance`` is
         a per-query freshness override (a
         :class:`repro.refresh.policy.RefreshAge`); by default the
         session's ``refresh_age`` decides how stale a REFRESH DEFERRED
@@ -304,12 +302,10 @@ class Database:
         and handed down to the matcher), and the slow-query log."""
         metrics = self.metrics
         total_start = time.perf_counter()
-        run = source if isinstance(source, SelectRun) else None
-        if run is not None:
-            sql_text = run.sql
-        elif sql_text is None and isinstance(source, str):
-            sql_text = source
-        if run is None:
+        if isinstance(source, SelectRun):
+            run, sql_text = source, source.sql
+        else:
+            sql_text = source if sql_text is None else sql_text
             run = self.prepare_select(source, sql_text)
         trace = run.trace = (
             MatchTrace(sql_text) if force_trace or self._tracing else None
@@ -424,12 +420,8 @@ class Database:
     def run_statement(
         self, statement, sql: str, use_summary_tables: bool = True
     ):
-        """Execute one already-parsed statement (see :meth:`run_sql`).
-
-        The query server parses each statement once — to classify it and
-        to fingerprint SELECTs for the result cache — and hands the same
-        tree here, so the parse cost is paid exactly once per request.
-        """
+        """Execute one already-parsed statement (see :meth:`run_sql`); a
+        SELECT runs from its text ``sql``, through the shape cache."""
         from repro.replication.wal import mutation_kind
         from repro.sql.ast import SelectStatement, UnionAll
         from repro.sql.statements import (
@@ -444,7 +436,7 @@ class Database:
 
         if isinstance(statement, (SelectStatement, UnionAll)):
             return self.run_select(
-                statement, sql, use_summary_tables=use_summary_tables
+                sql, sql, use_summary_tables=use_summary_tables
             ).table
         if isinstance(statement, Explain):
             if statement.analyze:
@@ -555,8 +547,8 @@ class Database:
         caught here, counted as ``rewrite_errors``, and the query falls
         back to base-table execution. Because a failed rewrite can leave
         the in-place-mutated graph partially rewritten, the fallback
-        re-binds a pristine graph from ``run.source`` (SQL text or a
-        parsed statement) rather than trusting the possibly-dirty one.
+        re-binds a pristine graph from ``run.source``, the SQL text,
+        rather than trusting the possibly-dirty one.
 
         Two governor errors get special treatment: a cancellation is the
         caller's explicit request to stop, so it propagates rather than
@@ -567,11 +559,7 @@ class Database:
         breaker remembers the shape.
         """
         try:
-            run.rewrite = self._rewrite_bound(
-                run.graph, run.rewrite_stats, run.trace,
-                tolerance=tolerance, shape=run.graph_fingerprint,
-                spelling=run.spelling,
-            )
+            run.rewrite = self._rewrite_bound(run, tolerance=tolerance)
             return
         except QueryCancelled:
             raise
@@ -617,68 +605,52 @@ class Database:
                     trace.verdict(summary.name, "budget-exhausted", detail)
 
     def rewrite(
-        self,
-        sql: str | QueryGraph,
-        options: dict | None = None,
-        tolerance=None,
+        self, sql: str | QueryGraph, options: dict | None = None, tolerance=None,
     ):
-        """Attempt a summary-table rewrite; returns a
+        """Attempt a summary-table rewrite of SELECT text ``sql``, bound
+        as :meth:`prepare_select` binds it; returns a
         :class:`repro.rewrite.rewriter.RewriteResult` or None.
-
-        Accepts either SQL text or an already-bound :class:`QueryGraph`
-        (which is then rewritten *in place* on success — bind a fresh
-        graph per call). ``options`` tunes the matcher (see
+        ``options`` tunes the matcher (see
         :data:`repro.matching.framework.DEFAULT_OPTIONS`); ``tolerance``
-        overrides the session's ``refresh_age`` for this query. Text is
-        bound as :meth:`prepare_select` binds it.
+        overrides the session's ``refresh_age`` for this query. A bound
+        :class:`QueryGraph` (rewritten *in place* on success) has no
+        text shape, so it is decided cold, past the shape cache.
         """
         from repro.rewrite.cache import RewriteStats
 
-        graph, spelling = sql, None
         if isinstance(sql, str):
             run = self.prepare_select(sql)
-            graph, spelling = run.graph, run.spelling
-        return self._rewrite_bound(
-            graph, RewriteStats(), options=options, tolerance=tolerance,
-            spelling=spelling,
-        )
-
-    def _rewrite_bound(
-        self, graph: QueryGraph, stats, trace=None, options: dict | None = None,
-        tolerance=None, shape=None, spelling=None,
-    ):
-        """One rewrite decision (:meth:`_decide_rewrite`), counted:
-        ``stats`` — this rewrite's own
-        :class:`~repro.rewrite.cache.RewriteStats` — is flushed into the
-        database-wide ``rewrite_*`` counters exactly once, also when the
-        match raises or the governor degrades it."""
-        try:
-            return self._decide_rewrite(
-                graph, stats, trace, options, tolerance, shape, spelling
+        else:
+            run = SelectRun(
+                None, None, "Q", sql, self._rewrite_epoch, {}, RewriteStats()
             )
-        finally:
-            stats.flush(self._rewrite_counters)
+        return self._rewrite_bound(run, options=options, tolerance=tolerance)
 
-    def _decide_rewrite(
-        self, graph: QueryGraph, stats, trace, options, tolerance, shape,
-        spelling=None,
-    ):
-        """The matching fast path: staleness gate + index pruning +
-        decision cache around :func:`repro.rewrite.rewriter.rewrite_query`.
-        ``stats`` and ``trace`` (None: untraced) are the calling
-        statement's own records and are handed down, never shared.
-        ``shape`` is ``graph``'s fingerprint when the caller already took
-        it (a :class:`SelectRun` the server keyed its result cache on);
-        ``spelling`` is :attr:`SelectRun.spelling`, part of the cache key
-        so two spellings one normal form conflates (``> -0``, ``> 0``)
-        never share a template, whose SQL repeats its own."""
+    def _rewrite_bound(self, run: SelectRun, options: dict | None = None,
+                       tolerance=None):
+        """One rewrite decision for ``run`` (:meth:`_decide_rewrite`),
+        counted: its :class:`~repro.rewrite.cache.RewriteStats` is
+        flushed into the database-wide ``rewrite_*`` counters exactly
+        once, also when the match raises or the governor degrades it."""
+        try:
+            return self._decide_rewrite(run, options, tolerance)
+        finally:
+            run.rewrite_stats.flush(self._rewrite_counters)
+
+    def _decide_rewrite(self, run: SelectRun, options, tolerance):
+        """The matching fast path: staleness gate + index pruning + the
+        decisions on the run's text shape entry around
+        :func:`repro.rewrite.rewriter.rewrite_query`. The run's
+        ``rewrite_stats`` and ``trace`` (None: untraced) are its own
+        records and are handed down, never shared."""
         from repro.rewrite.cache import (
-            CacheEntry, cached_steps, obligations, options_key, pivots,
-            substitution, valid_entry,
+            CacheEntry, cached_steps, obligations, pivots, substitution,
+            valid_entry,
         )
         from repro.rewrite.index import filter_fresh
         from repro.rewrite.rewriter import instantiate, rewrite_query
 
+        graph, stats, trace = run.graph, run.rewrite_stats, run.trace
         if tolerance is None:
             tolerance = self.refresh_age
         # Match-phase gate: a deadline that already expired (during
@@ -690,34 +662,34 @@ class Database:
         if budget is not None:
             budget.enter_match()
         stats.queries += 1
-        # Capture the decision-cache epoch BEFORE matching. Any catalog
-        # mutation that lands while this decision is in flight bumps the
-        # counter, so the entry stored below carries a stale epoch and is
-        # invalidated on its first lookup instead of instantiating a
-        # rewrite against a dropped (or freshly altered) summary set.
-        epoch = self._rewrite_epoch
+        # The shape entry serves only under the epoch it was filed at,
+        # read BEFORE matching: a catalog mutation landing while this
+        # decision is in flight leaves the entry stale, so what is stored
+        # below is never found again.
+        shape = run.entry
+        if shape is not None and shape.epoch != self._rewrite_epoch:
+            shape = None
         summaries = filter_fresh(
             self.enabled_summary_tables(), tolerance, self._delta_log,
             stats=stats, trace=trace,
         )
         named = {s.name.lower(): s for s in summaries}
         admissible = frozenset(named)
-        use_cache = self._rewrite_cache.maxsize > 0
-        breaker = self.governor.breaker
-        # The shape key is taken *before* rewrite_query mutates the graph
-        # in place; the ungoverned, breaker-idle, cache-less path skips
-        # the hash entirely.
-        template = binding = key = shaped = entry = changed = None
-        if use_cache or budget is not None or breaker.active:
-            template, binding = shape_template(shape or fingerprint(graph))
-        if use_cache and binding is not None:
-            key = (template, options_key(options), tolerance.key, spelling)
-            shaped = valid_entry(
-                self._rewrite_cache, key, epoch, admissible, stats
+        found = key = entry = changed = None
+        if shape is not None:
+            # taken *before* rewrite_query mutates the graph in place
+            skeleton, kept, holes = run.slots or literal_slots(run.shape())
+            found = bind_constants(kept, holes)
+        if found is not None:
+            form, binding = found
+            among = shape.pivots.get(admissible)
+            if among is None:
+                among = shape.pivots[admissible] = pivots(summaries)
+            key = (
+                tuple(sorted((options or {}).items())), tolerance.key,
+                skeleton, form, obligations(binding, among),
             )
-            among = pivots(summaries) if shaped is None else shaped.pivots
-            obliged = obligations(binding, among)
-            entry = None if shaped is None else shaped.classes.get(obliged)
+            entry = valid_entry(shape.decisions, key, admissible, stats)
             if entry is not None:
                 changed = entry.changes(binding)
                 if entry.serves(changed):
@@ -734,14 +706,15 @@ class Database:
                     return instantiate(
                         graph, entry.steps, named, substitution(changed), trace
                     )
-        if use_cache:
+        if run.entry is not None:
             stats.cache_misses += 1
-        # Everything from here on is per query *shape*: a shape that
+        # Everything from here on is per text shape: a shape that
         # repeatedly timed out during matching skips the navigator for a
         # cool-down, whatever constants it arrives with.
+        breaker = self.governor.breaker
         if budget is not None:
-            budget.fingerprint = template
-        if breaker.active and breaker.should_skip(template):
+            budget.fingerprint = run.spelling
+        if breaker.active and breaker.should_skip(run.spelling):
             self.governor.note_breaker_skip()
             self.last_governor_event = (
                 "circuit breaker open: match skipped for this query shape"
@@ -761,19 +734,12 @@ class Database:
             prune=self._fast_path_index,
             trace=trace,
         )
-        if template is not None:
-            # The match phase completed: this shape is healthy.
-            breaker.record_success(template)
+        # The match phase completed: this shape is healthy.
+        breaker.record_success(run.spelling)
         if key is not None:
             steps = cached_steps(result)
-            if entry is None or changed is None:
-                entry = CacheEntry(
-                    epoch, admissible, steps, binding, pivots=among
-                )
-                if shaped is None:
-                    shaped = entry
-                    self._rewrite_cache.put(key, shaped)
-                shaped.classes[obliged] = entry
+            if entry is None:
+                shape.decisions.put(key, CacheEntry(admissible, steps, binding))
                 stats.cache_stores += 1
             elif not entry.cold_only:
                 entry.confirm(changed, steps)
@@ -873,17 +839,17 @@ class Database:
         """Enable/disable fast-path layers (for benchmarks and ablation).
 
         ``index`` toggles AST signature pruning (falling back to the bare
-        base-table-overlap check); ``cache=False`` bounds the rewrite
-        decision cache and the bind cache at 0 entries (emptying them)
-        and ``cache=True`` restores ``rewrite_cache_size``.
+        base-table-overlap check); ``cache=False`` bounds the shape cache
+        — bound templates and rewrite decisions — at 0 entries (emptying
+        it) and ``cache=True`` restores ``rewrite_cache_size``.
         """
         if index is not None:
             self._fast_path_index = index
         if cache is not None:
-            for lru in (self._rewrite_cache, self._bind_cache.entries):
-                lru.maxsize = self._rewrite_cache_size if cache else 0
-                if not cache:
-                    lru.clear()
+            lru = self._bind_cache.entries
+            lru.maxsize = self._rewrite_cache_size if cache else 0
+            if not cache:
+                lru.clear()
 
     # ------------------------------------------------------------------
     # Summary tables

@@ -4,7 +4,7 @@ SELECT's EXPLAIN renderings.
 There is one way to run a SELECT — **prepare → sandboxed rewrite →
 execute** (DESIGN.md, "SELECT pipeline"). The stages are
 :class:`~repro.engine.database.Database` methods, because they work on
-its catalog, decision cache and governor; what they hand from one to
+its catalog, shape cache and governor; what they hand from one to
 the next is the :class:`SelectRun` defined here, and ``EXPLAIN`` /
 ``EXPLAIN ANALYZE`` are pure renderings of that record — so the plan
 they print is by construction the plan that ran.
@@ -36,8 +36,9 @@ class SelectRun:
     renders this record and nothing else, so what it prints is what this
     statement did, whatever other threads ran meanwhile."""
 
-    #: SQL text or parsed statement — what the sandbox re-binds from
-    source: object
+    #: the SQL text — what the sandbox re-binds from (None: a bound
+    #: graph handed to ``Database.rewrite``)
+    source: str | None
     #: the statement's text, for the match trace and the slow log
     sql: str | None
     label: str
@@ -70,10 +71,15 @@ class SelectRun:
     #: (bound cold, its shape's template filed) or "substituted" (a
     #: template cloned with this statement's literals)
     bound: str = "cold"
-    #: the bind cache's shape key of the text (None: not bound from
-    #: text), which the decision cache keys on beside the graph's shape
-    #: so a template is only reused for the spelling it was proven on
+    #: the shape cache's key of the text: what the circuit breaker and
+    #: the query server's cost routing key on
     spelling: tuple | None = None
+    #: the text shape's entry (None: shape cache off), which holds the
+    #: shape's rewrite decisions, and the statement's literal slots
+    #: (:func:`~repro.qgm.fingerprint.literal_slots`) when it was bound
+    #: by substitution
+    entry: object = None
+    slots: tuple | None = None
 
     def __post_init__(self) -> None:
         self.base_tables = sorted(self.graph.base_tables())

@@ -1,22 +1,22 @@
-"""Per-fingerprint circuit breaker over the match phase.
+"""Per-shape circuit breaker over the match phase.
 
 A query shape that times out during matching once will usually time out
 again: the navigator's search space is a function of the graph's
 structure, not its literals. Retrying the doomed search on every arrival
 burns the whole timeout budget before degrading — the worst of both
-worlds. The breaker remembers, per *shape key* (the structural
-fingerprint with its comparison constants templated out,
-:func:`repro.qgm.fingerprint.shape_key` — the key the decision cache
-files templates under, so ad hoc traffic whose every statement carries a
-fresh constant still counts as one shape), how many *consecutive*
-match-phase timeouts a shape has suffered; after ``threshold`` of them
-the circuit opens and the shape skips matching entirely (straight to
-base tables, recorded as a ``circuit-open`` trace verdict) until
-``cooldown_s`` elapses. The first arrival after the cool-down is the
+worlds. The breaker remembers, per *text shape* (the SELECT's tokens
+with every literal replaced by its type and class,
+:func:`repro.qgm.bind_cache.shape_key` — the key the shape cache files
+templates and decisions under, so ad hoc traffic whose every statement
+carries a fresh constant still counts as one shape), how many
+*consecutive* match-phase timeouts a shape has suffered; after
+``threshold`` of them the circuit opens and the shape skips matching
+entirely (straight to base tables, recorded as a ``circuit-open`` trace
+verdict) until ``cooldown_s`` elapses. The first arrival after the cool-down is the
 half-open probe: it attempts the match again, and a success closes the
 circuit while another timeout re-opens it for a fresh cool-down.
 
-States per fingerprint: **closed** (no entry / failures < threshold,
+States per shape: **closed** (no entry / failures < threshold,
 match runs), **open** (failures ≥ threshold and inside cool-down, match
 skipped), **half-open** (cool-down elapsed, one probe runs).
 """
@@ -30,7 +30,7 @@ from repro.obs import events as _events
 
 
 class CircuitBreaker:
-    """Tracks consecutive match timeouts per query fingerprint.
+    """Tracks consecutive match timeouts per text shape.
 
     ``clock`` is injectable for tests. The ``tripped`` counter (if
     provided via ``metrics``) increments once per closed→open

@@ -167,10 +167,8 @@ class QueryBudget:
         self.phase_ticks: dict[str, int] = {}
         self.degraded = False
         self.degraded_reason: str | None = None
-        #: the query graph's shape key (its structural fingerprint with
-        #: the comparison constants templated out), stashed by the
-        #: rewrite fast path *before* any in-place rewriting so the
-        #: circuit breaker can key on the pristine shape
+        #: the statement's text shape (the shape cache's key), stashed
+        #: by the rewrite fast path so the circuit breaker can key on it
         self.fingerprint = None
         self._since_check = 0
         self._counters = counters or {}

@@ -1,4 +1,5 @@
-"""The bind cache: one bound template graph per token-stream shape.
+"""The shape cache: one entry per SELECT token-stream shape, from text
+to rewrite decision.
 
 A SELECT text's *shape key* is its tokens with every number and string
 literal replaced by its type and its literal class (equal literals
@@ -8,8 +9,12 @@ value, files it as the key's template once substituting the statement's
 values into it gives the cold bind's fingerprint, and keeps by value
 the classes whose value binding reads (``LIMIT``, ``DATE``, folded
 operands). Later statements clone the template with their literals
-substituted: no parse, no bind. docs/ALGORITHM.md, "the matching fast
-path", layer 0, has the rules and why substitution is sound.
+substituted: no parse, no bind. A filed template places each literal
+class in the graph once (its *slots*), so a statement's constants are
+read from its literal values, and the entry holds the shape's rewrite
+decisions (:mod:`repro.rewrite.cache`). docs/ALGORITHM.md, "the
+matching fast path", layer 1, has the rules and why substitution is
+sound.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.expr.evaluator import is_constant
 from repro.expr.nodes import Literal, NaryOp
 from repro.lru import LRU
 from repro.qgm.boxes import QCL, QueryGraph, Quantifier
-from repro.qgm.fingerprint import fingerprint
+from repro.qgm.fingerprint import fingerprint, literal_slots
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 
@@ -62,9 +67,10 @@ def lex(sql: str, label: str) -> tuple[list, tuple, list]:
 class _Shape:
     """One key's entry: the epoch it was filed under, the literal
     classes kept by value (None until a probe ran), the templates per
-    tuple of kept values and the cost of its last completed run."""
+    tuple of kept values, the cost of its last completed run and the
+    shape's rewrite decisions."""
 
-    __slots__ = ("epoch", "kept", "templates", "cost")
+    __slots__ = ("epoch", "kept", "templates", "cost", "decisions", "pivots")
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -72,10 +78,17 @@ class _Shape:
         self.templates = LRU(TEMPLATES_PER_SHAPE)
         #: a run's variant → thread-CPU ms (:meth:`BindCache.costs`)
         self.cost: dict = {}
+        #: (options, REFRESH AGE key, skeleton, form, obligations) →
+        #: :class:`~repro.rewrite.cache.CacheEntry`
+        self.decisions = LRU(TEMPLATES_PER_SHAPE)
+        #: admissible summary names → :func:`~repro.rewrite.cache.pivots`
+        self.pivots: dict = {}
 
 
 class _Template:
-    """A probe graph and where its probe literals stand."""
+    """A probe graph and where its probe literals stand; once filed, its
+    :func:`~repro.qgm.fingerprint.literal_slots`, each value a literal
+    class (an int) or, where the template fixes it, a 1-tuple."""
 
     def __init__(self, graph: QueryGraph, probes: dict[tuple, int]):
         self.graph = graph
@@ -87,6 +100,22 @@ class _Template:
             id(expr) for expr in _expressions(graph)
             if not probes.keys().isdisjoint(_typed(expr.literal_values()))
         }
+
+    def take_slots(self) -> None:
+        """Read the slots off the probe graph, once, as it is filed."""
+        self.skeleton, kept, holes = literal_slots(fingerprint(self.graph))
+        self.kept, self.holes = (
+            [self.probes.get((type(v), v), (v,)) for v in found]
+            for found in (kept, holes)
+        )
+
+    def slots(self, values: list) -> tuple:
+        """A statement's :func:`~repro.qgm.fingerprint.literal_slots`,
+        from its literal ``values`` alone."""
+        return self.skeleton, *(
+            [values[s] if s.__class__ is int else s[0] for s in found]
+            for found in (self.kept, self.holes)
+        )
 
     def instantiate(self, values: list) -> QueryGraph:
         """A fresh graph: every box new, the probe literals replaced by
@@ -148,32 +177,40 @@ class BindCache:
             )
         }
 
-    def bind(self, sql: str, label: str, epoch: int, build, lexed=None):
-        """``(graph, how, key)`` for SELECT text ``sql`` bound under
-        catalog ``epoch``: ``how`` is ``"substituted"``, ``"filed"``
-        (bound cold, its shape's template filed) or ``"cold"``; ``key``
-        is the text's shape key. ``build`` binds a parsed statement;
-        ``lexed`` is :func:`lex` of ``sql`` when the caller has it."""
-        tokens, key, values = lexed or lex(sql, label)
+    def bind(self, lexed, epoch: int, build, stats):
+        """``(graph, how, shape, slots)`` for the SELECT text lexed as
+        ``lexed`` (:func:`lex`) bound under catalog ``epoch``: ``how``
+        is ``"substituted"``, ``"filed"`` (bound cold, its shape's
+        template filed) or ``"cold"``; ``shape`` is the text shape's
+        entry and ``slots`` the statement's
+        :func:`~repro.qgm.fingerprint.literal_slots` when substituted.
+        ``build`` binds a parsed statement; a stale entry with decisions
+        dropped counts in ``stats`` as a ``cache_invalidations``."""
+        tokens, key, values = lexed
         shape = self.entries.get(key)
         if shape is not None and shape.epoch != epoch:
-            self.entries.discard(key, shape)
+            if self.entries.discard(key, shape) and len(shape.decisions):
+                stats.cache_invalidations += 1
             shape = None
         if shape is None:
             self.counters["misses"].inc()
             graph = build(parse(tokens))
-            self.entries.put(key, _Shape(epoch))
-            return graph, "cold", key
+            shape = _Shape(epoch)
+            self.entries.put(key, shape)
+            return graph, "cold", shape, None
         kept = () if shape.kept is None else shape.kept
         template = shape.templates.get(tuple(values[i] for i in kept))
         if template is not None and template is not _COLD_ONLY:
             self.counters["hits"].inc()
-            return template.instantiate(values), "substituted", key
+            return (
+                template.instantiate(values), "substituted", shape,
+                template.slots(values),
+            )
         self.counters["misses"].inc()
         graph = build(parse(tokens))
         if template is _COLD_ONLY:
-            return graph, "cold", key
-        return graph, self._file(shape, tokens, values, graph, build), key
+            return graph, "cold", shape, None
+        return graph, self._file(shape, tokens, values, graph, build), shape, None
 
     def costs(self, key, epoch: int) -> dict:
         """Thread-CPU milliseconds of the last completed runs of shape
@@ -211,13 +248,12 @@ class BindCache:
             shape.kept = ordered
         elif shape.kept != ordered:
             return "cold"
-        shape.templates.put(
-            tuple(values[i] for i in ordered),
-            _COLD_ONLY if template is None else template,
-        )
         if template is None:
+            shape.templates.put(tuple(values[i] for i in ordered), _COLD_ONLY)
             self.counters["cold_only"].inc()
             return "cold"
+        template.take_slots()
+        shape.templates.put(tuple(values[i] for i in ordered), template)
         return "filed"
 
 

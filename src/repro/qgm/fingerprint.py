@@ -1,10 +1,9 @@
 """Structural fingerprints of bound QGM graphs.
 
-The rewrite decision cache (see :mod:`repro.rewrite.cache`) needs a key
-that is stable across repeated bindings of the same query: two
-independently parsed+bound graphs of equivalent SQL must produce equal
-fingerprints, and any difference that could change the matcher's outcome
-must produce different ones.
+The semantic result cache needs a key that is stable across repeated
+bindings of the same query: two independently parsed+bound graphs of
+equivalent SQL must produce equal fingerprints, and any difference that
+could change the matcher's outcome must produce different ones.
 
 A fingerprint is a nested tuple built from the graph in topological
 (children-first) order: per box its kind, scanned table (for leaves),
@@ -18,16 +17,16 @@ ignores (operand order, ``x+0``…) does not fragment the cache.
 Keys compare by full structural equality (no truncated digests), so a
 hash collision can never alias two different queries to one cache slot.
 
-:func:`template` derives a constant-free *shape key* from a fingerprint
-together with the statement's :class:`Binding` — its constants in rank
-order — in one pass: the rewrite decision cache files one proven
-template per shape and instantiates it for each binding (see
-docs/ALGORITHM.md, "Matching fast path").
+:func:`literal_slots` splits a fingerprint into a literal-free
+*skeleton* and its constants, and :func:`bind_constants` ranks them into
+a statement's form and binding: the shape cache
+(:mod:`repro.qgm.bind_cache`) takes the slots once per template and
+files each text shape's rewrite decisions under skeleton and form (see
+docs/ALGORITHM.md, "the matching fast path").
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -51,7 +50,7 @@ class GraphFingerprint:
 
     def __hash__(self) -> int:
         """The key's hash, computed once: a fingerprint keys the result
-        cache, :func:`template`'s memo and the decision cache."""
+        cache, and a skeleton (:func:`literal_slots`) the decision cache."""
         try:
             return self._hash
         except AttributeError:
@@ -114,154 +113,77 @@ def _box_key(box: QGMBox, index: dict[int, int]) -> tuple:
     return (box.kind, quantifiers, outputs)
 
 
-@dataclass(frozen=True)
-class Hole:
-    """What stands in a shape key for one comparison constant: all a
-    matcher can learn about it without comparing it to a summary's own
-    constant — its type, and where it stands among the query's other
-    constants (equal values share a rank)."""
-
-    type_tag: str
-    rank: int
+#: what stands for every literal in a :func:`literal_slots` skeleton
+_SLOT = Literal(...)
 
 
-@dataclass(frozen=True)
-class Binding:
-    """One statement's constants: per domain the distinct values in rank
-    order, and the ``(domain, rank)`` classes of those outside a hole,
-    which the shape key holds by value."""
-
-    values: dict[str, tuple]
-    kept: frozenset[tuple[str, int]]
-
-
-def shape_key(exact: GraphFingerprint) -> GraphFingerprint:
-    """The shape key of :func:`template`, without the binding."""
-    return template(exact)[0]
-
-
-def template(exact: GraphFingerprint) -> tuple[GraphFingerprint, Binding | None]:
-    """``exact`` with the right-hand literal of every ``expr <cmp>
-    literal`` predicate (reached through AND/OR) replaced by a
-    :class:`Hole`, and the statement's :class:`Binding` — memoised, so a
-    statement that repeats exactly derives neither again. Every other
-    constant — IN-lists, arithmetic operands, function arguments, output
-    expressions, LIMIT — stays in the key by value. The key is ``exact``
-    itself when no predicate compares against a constant; the binding is
-    None, and the key ``exact``, when the query's constants cannot be
-    ranked or two equal ones differ in type (``5``/``5.0``,
-    ``1``/``True``).
-
-    Ranks are taken over *all* the query's constants, kept ones
-    included, so two fingerprints with one shape key are the same graph
-    up to an order-preserving renaming of constants: any ``=`` or ``<``
-    between two of the query's own constants reads the same in both.
-    Numbers rank together; other types rank among themselves.
-    """
-    key, binding = _template(exact)
-    return exact if key is None else key, binding
-
-
-@functools.lru_cache(maxsize=256)
-def _template(exact: GraphFingerprint) -> tuple[GraphFingerprint | None, Binding | None]:
-    """:func:`template`, with None for a key that is ``exact`` itself."""
-    boxes, root, order_by, limit = exact.key
+def literal_slots(exact: GraphFingerprint) -> tuple[GraphFingerprint, list, list]:
+    """``(skeleton, kept, holes)``: ``exact``'s boxes with every literal
+    of an output or a predicate replaced by one marker (ORDER BY and
+    LIMIT, which no matcher reads, left out), and the values it replaced
+    in walk order — the right-hand literal of each ``expr <cmp> literal``
+    predicate (reached through AND/OR; normalisation puts the literal on
+    the right) in ``holes``, every other one in ``kept``."""
     kept: list = []
     holes: list = []
-    for box in boxes:
-        for _, expr, _ in box[2]:
-            if expr is not None:
-                kept += expr.literal_values()
-        if box[0] == "select":
-            for predicate in box[3]:
-                outside, inside = _split(predicate)
-                kept += outside
-                holes += inside
-    constants: dict[str, list] = {}
-    for value in kept + holes:
-        constants.setdefault(domain(value), []).append(value)
-    values = {}
-    ranks = {}
-    for name, raw in constants.items():
-        distinct = set(raw)
-        if len(distinct) < len(raw) and len(distinct) < len(set(map(Literal, raw))):
-            return None, None  # equal constants of different types
-        try:
-            values[name] = ordered = tuple(sorted(distinct))
-        except TypeError:
-            return None, None
-        ranks[name] = {value: rank for rank, value in enumerate(ordered)}
-    binding = Binding(values, frozenset(
-        (name, ranks[name][value])
-        for name, value in zip(map(domain, kept), kept)
-    ))
-    if not holes:
-        return None, binding
-    punched = tuple(
-        box[:3] + (tuple(_punch(p, ranks) for p in box[3]),) + box[4:]
-        if box[0] == "select" else box
-        for box in boxes
-    )
-    return GraphFingerprint((punched, root, order_by, limit)), binding
 
-
-def _compares_constant(node: Expr) -> bool:
-    """A normalised ``expr <cmp> literal`` (normalisation puts the
-    literal on the right)."""
-    return (
-        isinstance(node, BinaryOp)
-        and node.op in COMPARISON_OPS
-        and isinstance(node.right, Literal)
-        and not isinstance(node.left, Literal)
-    )
-
-
-def _split(predicate: Expr) -> tuple[tuple, tuple]:
-    """``predicate``'s constants outside its holes and in them — the
-    right-hand literal of a comparison reached through AND/OR — cached
-    on the (interned, normalised) node."""
-    try:
-        return predicate._split
-    except AttributeError:
-        pass
-    if isinstance(predicate, NaryOp) and predicate.op in ("and", "or"):
-        parts = [_split(operand) for operand in predicate.operands]
-        split = (
-            sum((outside for outside, _ in parts), ()),
-            sum((inside for _, inside in parts), ()),
+    def punch(expr: Expr, predicate: bool) -> Expr:
+        if predicate and isinstance(expr, NaryOp) and expr.op in ("and", "or"):
+            return expr.with_children(tuple(punch(o, True) for o in expr.operands))
+        if (
+            predicate and isinstance(expr, BinaryOp) and expr.op in COMPARISON_OPS
+            and isinstance(expr.right, Literal) and not isinstance(expr.left, Literal)
+        ):
+            left = punch(expr.left, False)
+            holes.append(expr.right.value)
+            return BinaryOp(expr.op, left, _SLOT)
+        kept.extend(expr.literal_values())
+        return expr.transform(
+            lambda node: _SLOT if node.__class__ is Literal else None
         )
-    elif _compares_constant(predicate):
-        split = (predicate.left.literal_values(), (predicate.right.value,))
-    else:
-        split = (predicate.literal_values(), ())
-    object.__setattr__(predicate, "_split", split)
-    return split
+
+    def punch_box(box: tuple) -> tuple:  # outputs at 2, predicates at 3
+        outputs = tuple(
+            (name, None if expr is None else punch(expr, False), null)
+            for name, expr, null in box[2]
+        )
+        if box[0] != "select":
+            return box[:2] + (outputs,) + box[3:]
+        return box[:2] + (outputs, tuple(punch(p, True) for p in box[3])) + box[4:]
+
+    boxes, root, _, _ = exact.key
+    skeleton = tuple(punch_box(box) for box in boxes)
+    return GraphFingerprint((skeleton, root)), kept, holes
 
 
-def _punch(predicate: Expr, ranks: dict) -> Expr:
-    """``predicate`` with its holes, ranked by ``ranks``; one node per
-    predicate and ranking, cached on the predicate."""
-    inside = _split(predicate)[1]
-    if not inside:
-        return predicate
-    key = tuple((type(value), ranks[domain(value)][value]) for value in inside)
-    try:
-        punched = predicate._punched
-    except AttributeError:
-        punched = {}
-        object.__setattr__(predicate, "_punched", punched)
-    if key not in punched:
-        holes = (Hole(kind.__name__, rank) for kind, rank in key)
+def bind_constants(kept: list, holes: list) -> tuple[tuple, dict] | None:
+    """``(form, binding)`` of a statement whose :func:`literal_slots` are
+    ``kept`` and ``holes``. The binding is its constants per domain in
+    rank order (numbers rank together, equal values share a rank); the
+    form holds each kept constant by value and each hole by its type,
+    each with its rank among *all* the constants, so two statements of
+    one skeleton and form are one graph up to a type-preserving,
+    order-preserving renaming of the constants in holes. None when the
+    constants cannot be ranked or two equal ones differ in type
+    (``5``/``5.0``, ``1``/``True``)."""
+    values: dict[str, list] = {}
+    for value in kept + holes:
+        values.setdefault(domain(value), []).append(value)
+    ranks = {}
+    for name, raw in values.items():
+        if len(set(raw)) < len(set(map(Literal, raw))):
+            return None  # equal constants of different types
+        try:
+            values[name] = ordered = tuple(sorted(set(raw)))
+        except TypeError:
+            return None
+        ranks[name] = {value: rank for rank, value in enumerate(ordered)}
 
-        def punch(node: Expr) -> Expr:
-            if isinstance(node, NaryOp) and node.op in ("and", "or"):
-                return node.with_children(tuple(punch(o) for o in node.operands))
-            if _compares_constant(node):
-                return BinaryOp(node.op, node.left, Literal(next(holes)))
-            return node
+    def rank(value) -> int:
+        return ranks[domain(value)][value]
 
-        punched[key] = punch(predicate)
-    return punched[key]
+    form = tuple((Literal(v), rank(v)) for v in kept)
+    return form + tuple((type(v), rank(v)) for v in holes), values
 
 
 def domain(value) -> str:

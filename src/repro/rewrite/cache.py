@@ -1,13 +1,15 @@
-"""The rewrite decision cache: one proven template per query shape.
+"""The rewrite decisions of one SELECT text shape: one proven template
+per class.
 
-``Database._rewrite_cache`` is a bounded :class:`repro.lru.LRU` keyed by
-a query's constant-free shape key (:func:`repro.qgm.fingerprint.
-template`), the matcher options and the freshness tolerance. Under a key
-sits one :class:`CacheEntry` per *obligation class* (:func:`obligations`:
-where each constant stands among the admissible summaries' literals).
-The matcher compares constants only by ``=``, ``<``, ``<=``, ``>``,
-``>=`` and IN membership (:mod:`repro.expr.subsume`), so each binding of
-a class gets the same verdict from every summary: "no rewrite applies",
+A text's shape entry (:mod:`repro.qgm.bind_cache`) holds them in a
+bounded :class:`repro.lru.LRU` keyed by the matcher options, the
+freshness tolerance, the statement's skeleton and form (where its
+constants stand among each other, :func:`repro.qgm.fingerprint.
+bind_constants`) and its *obligation class* (:func:`obligations`: where
+each constant stands among the admissible summaries' literals). The
+matcher compares constants only by ``=``, ``<``, ``<=``, ``>``, ``>=``
+and IN membership (:mod:`repro.expr.subsume`), so each binding of a
+class gets the same verdict from every summary: "no rewrite applies",
 or :class:`CachedStep` templates a statement *instantiates* with its own
 constants (:func:`repro.rewrite.rewriter.instantiate`), matching
 nothing. As a literal the matcher writes into a compensation can equal a
@@ -15,16 +17,13 @@ query constant (fig11_q10's ``coalesce(SUM(cnt), 0)`` under ``HAVING
 count(*) > 0``), a template substitutes a constant class only once a
 cold match confirmed it (:meth:`CacheEntry.confirm`).
 
-Entries are validated against an *epoch* counter that
-:class:`repro.engine.database.Database` bumps on every
-``create_summary_table`` / ``drop_summary_table`` /
-``refresh_summary_tables`` / enable-disable / applied deferred refresh,
-plus the exact set of *admissible* summary names — enabled **and** fresh
-enough for the query's refresh-age tolerance (which also catches
-``summary.enabled`` being toggled directly on the dataclass, and staged
-deltas flipping a deferred summary from fresh to stale). Stale entries
-are dropped on lookup (:func:`valid_entry`). docs/ALGORITHM.md, "the
-matching fast path", has the argument.
+The shape entry dies with the catalog epoch it was filed under; each
+:class:`CacheEntry` is stamped with the exact set of *admissible*
+summary names — enabled **and** fresh enough for the query's
+refresh-age tolerance, which moves without an epoch bump (staged deltas,
+``summary.enabled`` assigned directly) — and dropped on lookup when that
+set moved (:func:`valid_entry`). docs/ALGORITHM.md, "the matching fast
+path", has the argument.
 
 :class:`RewriteStats` holds one rewrite's fast-path counts — what
 ``EXPLAIN`` renders; flushed into the metrics registry they become the
@@ -35,14 +34,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.expr.nodes import Literal, same_value
 from repro.lru import LRU
 from repro.matching.framework import rebase_chain, replace_literals
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.qgm.boxes import QGMBox
-from repro.qgm.fingerprint import Binding, GraphFingerprint
 from repro.rewrite.index import summary_constants
 
 #: fast-path counter names and their one-line help (exposition strings)
@@ -151,44 +149,30 @@ class CacheEntry:
     exact set of summary names enabled *and* fresh enough for the
     query's tolerance when it was made. ``binding`` is the constants the
     template was proven for and ``confirmed`` the classes it may
-    substitute. The LRU holds a shape's first entry, whose stamp
-    validates, whose ``pivots`` are the admissible set's, and whose
-    ``classes`` map :func:`obligations` to every entry of the shape,
-    itself included."""
+    substitute."""
 
-    epoch: int
     admissible: frozenset[str]
     steps: tuple[CachedStep, ...] | None  # None ⇒ negative (no rewrite)
-    binding: Binding | None = None
+    binding: dict[str, tuple] | None = None
     confirmed: frozenset[tuple[str, int]] = frozenset()
     cold_only: bool = False
-    classes: dict[tuple, "CacheEntry"] = field(default_factory=dict)
-    pivots: tuple = ()
 
-    def changes(self, binding: Binding) -> dict | None:
+    def changes(self, binding: dict[str, tuple]) -> dict:
         """``{(domain, rank): (old, new)}`` for each constant class
-        ``binding`` changes, or None when the classes cannot be paired or
-        a kept constant moved."""
-        old, new = self.binding.values, binding.values
-        if old.keys() != new.keys() or any(
-            len(old[name]) != len(new[name]) for name in new
-        ):
-            return None
-        changed = {
+        ``binding`` changes. A binding of the entry's form ranks its
+        constants as the entry's did, so every class pairs and no kept
+        constant moves."""
+        return {
             (name, rank): (was, now)
-            for name in new
-            for rank, (was, now) in enumerate(zip(old[name], new[name]))
+            for name, values in binding.items()
+            for rank, (was, now) in enumerate(zip(self.binding[name], values))
             if not same_value(was, now)
         }
-        if changed and changed.keys() & (self.binding.kept | binding.kept):
-            return None
-        return changed
 
-    def serves(self, changed: dict | None) -> bool:
+    def serves(self, changed: dict) -> bool:
         """May a binding with these changes use the entry, unmatched?"""
-        return self.steps is None or changed == {} or (
-            changed is not None and not self.cold_only
-            and changed.keys() <= self.confirmed
+        return self.steps is None or not changed or (
+            not self.cold_only and changed.keys() <= self.confirmed
         )
 
     def confirm(self, changed: dict, steps) -> None:
@@ -236,7 +220,7 @@ def pivots(summaries) -> tuple:
     """The literals of ``summaries`` (:func:`~repro.rewrite.index.
     summary_constants`) per domain, sorted: what :func:`obligations`
     places a binding's constants among. A function of the admissible
-    set alone, so a shape's first entry keeps it."""
+    set alone, so a shape's entry keeps it per admissible set."""
     found: dict[str, set] = {}
     for summary in summaries:
         for name, values in summary_constants(summary).items():
@@ -244,11 +228,11 @@ def pivots(summaries) -> tuple:
     return tuple((name, sorted(values)) for name, values in sorted(found.items()))
 
 
-def obligations(binding: Binding, pivots: tuple) -> tuple:
+def obligations(binding: dict[str, tuple], pivots: tuple) -> tuple:
     """Where each of ``binding``'s constants stands among the ``pivots``
     of its domain: ``2 * bisect_left + (equal to the one there)``."""
     return tuple(
-        (name, tuple(_position(ordered, v) for v in binding.values.get(name, ())))
+        (name, tuple(_position(ordered, v) for v in binding.get(name, ())))
         for name, ordered in pivots
     )
 
@@ -258,25 +242,13 @@ def _position(ordered: list, value) -> int:
     return 2 * index + (index < len(ordered) and ordered[index] == value)
 
 
-#: cache key: the shape key, the matcher options in effect, and the
-#: freshness tolerance (RefreshAge.key) the decision was made under
-CacheKey = tuple[GraphFingerprint, tuple, tuple]
-
-
-def options_key(options: dict | None) -> tuple:
-    """A hashable canonical form of the matcher options."""
-    if not options:
-        return ()
-    return tuple(sorted(options.items()))
-
-
-def valid_entry(cache: LRU, key: CacheKey, epoch: int,
-                admissible: frozenset[str], stats=None) -> CacheEntry | None:
-    """``cache``'s entry for ``key`` if it was decided at ``epoch`` over
-    exactly the ``admissible`` summaries; a stale one is dropped and,
-    with ``stats``, counted as an invalidation."""
+def valid_entry(cache: LRU, key, admissible: frozenset[str],
+                stats=None) -> CacheEntry | None:
+    """``cache``'s entry for ``key`` if it was decided over exactly the
+    ``admissible`` summaries; a stale one is dropped and, with
+    ``stats``, counted as an invalidation."""
     entry = cache.get(key)
-    if entry is None or (entry.epoch, entry.admissible) == (epoch, admissible):
+    if entry is None or entry.admissible == admissible:
         return entry
     if cache.discard(key, entry) and stats is not None:
         stats.cache_invalidations += 1

@@ -594,14 +594,14 @@ class QueryServer:
                 f"SET REFRESH AGE {lag} (or ANY) to read at this lag"
             )
 
-    def _prepare(self, source, sql: str, lexed=None):
-        """Run the engine's prepare stage on a SELECT — ``source`` is its
-        text ``sql`` (the engine's bind cache may bind it without a
-        parse; ``lexed`` is its :func:`~repro.qgm.bind_cache.lex`, if
-        taken) or a parse of it — and memoize what a repeat of the text
-        needs; returns the memo entry and the prepared run, which the
-        caller may execute (it is shared with nobody)."""
-        run = self.db.prepare_select(source, sql, lexed=lexed)
+    def _prepare(self, sql: str, lexed=None):
+        """Run the engine's prepare stage on SELECT text ``sql`` (the
+        engine's shape cache may bind it without a parse; ``lexed`` is
+        its :func:`~repro.qgm.bind_cache.lex`, if taken) and memoize
+        what a repeat of the text needs; returns the memo entry and the
+        prepared run, which the caller may execute (it is shared with
+        nobody)."""
+        run = self.db.prepare_select(sql, sql, lexed=lexed)
         prepared = _PreparedSelect(
             run.shape().key, run.base_tables, run.epoch, run.spelling
         )
@@ -676,7 +676,7 @@ class QueryServer:
         caching = self.cache.max_entries > 0
         if caching:
             if miss.probed is None:
-                prepared, source = self._prepare(sql, sql, miss.lexed)
+                prepared, source = self._prepare(sql, miss.lexed)
                 key = cache_key(
                     prepared.fingerprint_key, tolerance, use_summaries
                 )

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.engine.table import tables_equal
+from repro.qgm.bind_cache import lex
 from tests.conftest import fresh_small_db
 
 SUMMARY_SQL = (
@@ -69,10 +70,11 @@ class TestDroppedAstPinning:
         monkeypatch.setattr(rewriter_mod, "rewrite_query", ddl_mid_match)
         db.execute(QUERY)
         monkeypatch.undo()
-        entry = next(iter(db._rewrite_cache._entries.values()), None)
-        assert entry is not None
-        # Stored under the epoch captured BEFORE matching: a lookup at
-        # the post-DDL epoch must treat it as stale, not replay it.
+        entry = db._bind_cache.entries.peek(lex(QUERY, "Q")[1])
+        assert entry is not None and len(entry.decisions) == 1
+        # Stored on a shape filed at the epoch captured BEFORE matching:
+        # a lookup at the post-DDL epoch must treat it as stale, not
+        # replay it.
         assert entry.epoch == epoch_before
         assert entry.epoch != db._rewrite_epoch
         hits_before = db.rewrite_stats()["cache_hits"]

@@ -479,6 +479,21 @@ def test_counters_and_explain_analyze_say_how_it_was_bound():
     assert db.rewrite_stats()["bind_cache_hits"] == 0
 
 
+def test_run_sql_selects_are_bound_by_substitution():
+    """``run_sql`` (and the CLI over it) hands the engine a SELECT's text,
+    as the query server does: from a shape's third statement on, each is
+    bound by substituting its constants, and answers as the cache-off
+    twin."""
+    twins = Twins()
+    hits = []
+    for v in (1, 2, 3, 4):
+        sql = ONE.format(v=v)
+        table = twins.shaped.run_sql(sql)
+        assert tables_equal(table, twins.cold.run_sql(sql)), sql
+        hits.append(twins.shaped.rewrite_stats()["bind_cache_hits"])
+    assert hits == [0, 0, 1, 2]
+
+
 def test_a_literal_the_normaliser_folds_is_kept_by_value(plain):
     """``faid * 1`` normalises to ``faid``: grouped by it, ``faid * 2``
     is a grouped expression, grouped by ``faid * 3`` it is not. So a

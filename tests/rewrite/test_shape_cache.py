@@ -1,7 +1,9 @@
 """The rewrite decision cache's templates, checked differentially.
 
-A statement whose *shape* (:func:`repro.qgm.fingerprint.template`) and
-obligation class (:func:`repro.rewrite.cache.obligations`) are cached
+A statement whose *class* — its text shape, its skeleton and form
+(:func:`repro.qgm.fingerprint.literal_slots`,
+:func:`~repro.qgm.fingerprint.bind_constants`) and its obligations
+(:func:`repro.rewrite.cache.obligations`) — is cached
 instantiates the shape's proven template with its own constants and
 matches nothing — once the constants it changes are confirmed. Whatever
 that path decides must be what a database with no decision cache decides
@@ -27,7 +29,7 @@ from repro.catalog import credit_card_catalog
 from repro.engine import Database
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.table import tables_equal
-from repro.qgm.fingerprint import fingerprint, shape_key, template
+from repro.qgm.fingerprint import bind_constants, fingerprint, literal_slots
 from repro.refresh.policy import RefreshAge
 from repro.rewrite.cache import CacheEntry, obligations, pivots
 from repro.workloads import populate_credit_db, small_config
@@ -91,11 +93,18 @@ class Twins:
         return {name: after[name] - before[name] for name in after}
 
 
+def shape_class(db: Database, sql: str) -> tuple:
+    """``(skeleton, form, binding)`` of ``sql`` bound on ``db``, as the
+    shape cache files its decisions."""
+    skeleton, kept, holes = literal_slots(fingerprint(db.bind(sql)))
+    return (skeleton, *bind_constants(kept, holes))
+
+
 def _class_of(db: Database, sql: str) -> tuple:
-    """The cache class ``sql`` falls in on ``db``: its shape key and its
-    obligations against the enabled summaries."""
-    key, binding = template(fingerprint(db.bind(sql)))
-    return key, obligations(binding, pivots(db.enabled_summary_tables()))
+    """The cache class ``sql`` falls in on ``db``: its skeleton and form
+    and its obligations against the enabled summaries."""
+    skeleton, form, binding = shape_class(db, sql)
+    return skeleton, form, obligations(binding, pivots(db.enabled_summary_tables()))
 
 
 def _decision(result):
@@ -203,8 +212,8 @@ def test_a_cached_decision_runs_none_of_the_first_graphs_boxes(nine, name):
     first = {id(box) for box in results[0].graph.boxes()}
     for later in results[1:]:
         assert first.isdisjoint(id(box) for box in later.graph.boxes())
-    for shaped in nine.shaped._rewrite_cache._entries.values():
-        for entry in shaped.classes.values():
+    for shape in nine.shaped._bind_cache.entries._entries.values():
+        for entry in shape.decisions._entries.values():
             for step in entry.steps or ():
                 for box in step.chain:
                     for quantifier in box.quantifiers():
@@ -237,18 +246,19 @@ def test_a_matcher_literal_equal_to_a_hole_is_never_substituted(ten):
 def test_substituting_unconfirmed_constants_breaks_the_collision(monkeypatch):
     """The confirmation rule is what the test above holds to: a template
     that substitutes a constant class on first sight renders
-    ``coalesce(SUM(_in.cnt), -1)`` for ``> -1`` after ``> 0``. Bound
-    graphs are rewritten, as SQL text would carry its spelling into the
-    cache key, which keeps ``> -1`` apart from ``> 0`` already."""
+    ``coalesce(SUM(_in.cnt), 3)`` for ``> 3`` after ``> 0``, one
+    spelling. Only the two summaries the rewrite uses are installed:
+    AST2's ``0.1`` would put ``> 0`` and ``> 3`` in two obligation
+    classes."""
     monkeypatch.setattr(
         CacheEntry, "serves", lambda entry, changed: changed is not None
     )
-    twins = Twins({**FIGURE_ASTS, "AST10H": AST10_WITH_HAVING})
-    shaped = twins.shaped
-    shaped.rewrite(shaped.bind(COLLISIONS[0]))
-    collided = shaped.rewrite(shaped.bind(COLLISIONS[1])).sql
-    assert "coalesce(SUM(_in.cnt), -1)" in collided
-    assert collided != twins.cold.rewrite(COLLISIONS[1]).sql
+    twins = Twins({name: FIGURE_ASTS[name] for name in ("AST1", "AST7")})
+    sql = TEMPLATES["fig11_q10"].sql
+    twins.shaped.rewrite(sql.format(v=0))
+    collided = twins.shaped.rewrite(sql.format(v=3)).sql
+    assert "coalesce(SUM(_in.cnt), 3)" in collided
+    assert collided != twins.cold.rewrite(sql.format(v=3)).sql
 
 
 # ----------------------------------------------------------------------
@@ -464,9 +474,7 @@ def test_coinciding_constants_are_another_shape():
     twins = Twins({"EQ": "select tid, faid, flid, qty from Trans where faid = flid"})
     same = "select tid from Trans where faid = 5 and flid = 5"
     differ = "select tid from Trans where faid = 5 and flid = 6"
-    keys = {
-        shape_key(fingerprint(twins.shaped.bind(sql))) for sql in (same, differ)
-    }
+    keys = {shape_class(twins.shaped, sql)[:2] for sql in (same, differ)}
     assert len(keys) == 2
     for sql in (same, differ, same.replace("5", "7"), differ.replace("6", "4")):
         twins.check(sql)
@@ -474,7 +482,8 @@ def test_coinciding_constants_are_another_shape():
 
 def test_operators_and_types_do_not_share_a_plan_wrongly(nine):
     """``>`` against ``>=``, int against float against string against
-    date, ``IS NULL``: each differs in the shape key or is re-proven."""
+    date, ``IS NULL``: each differs in skeleton or form or is
+    re-proven."""
     statements = [
         "select flid, count(*) as cnt from Trans where qty > 2 group by flid",
         "select flid, count(*) as cnt from Trans where qty >= 2 group by flid",
@@ -495,12 +504,35 @@ def test_operators_and_types_do_not_share_a_plan_wrongly(nine):
     rng = random.Random(24)
     for sql in statements + rng.sample(statements, len(statements)):
         nine.check(sql)
-    keys = [shape_key(fingerprint(nine.shaped.bind(sql))) for sql in statements]
+    keys = [shape_class(nine.shaped, sql)[:2] for sql in statements]
     assert keys[0] != keys[1]                 # > and >=
     assert keys[0] != keys[2]                 # int and float
     assert keys[0] == keys[3]                 # one shape, two constants
     assert keys[7] == keys[8] and keys[9] == keys[10] != keys[11]
     assert keys[12] != keys[13] != keys[14]
+
+
+@pytest.mark.parametrize("sql, values", [
+    (
+        "select flid, year(date) as year, count(*) as cnt from Trans "
+        "where date > date '{}' group by flid, year(date)",
+        [f"1991-{month:02d}-15" for month in range(1, 12)],
+    ),
+    (
+        "select flid, year(date) as year, count(*) as cnt from Trans "
+        "group by flid, year(date) limit {}",
+        range(3, 14),
+    ),
+])
+def test_decisions_are_shared_across_values_kept_for_binding(nine, sql, values):
+    """A ``DATE '…'`` compared in WHERE and ``LIMIT n`` are bound by
+    value, so no two statements here share a bound template; the text
+    shape's decisions are still shared: one cold match in all."""
+    counts = [nine.check(sql.format(value)) for value in values]
+    assert len(counts) == 11
+    assert counts[0]["matches_attempted"] == 9
+    assert sum(count["matches_attempted"] for count in counts[1:]) == 0
+    assert all(count["cache_misses"] == 0 for count in counts[1:])
 
 
 # ----------------------------------------------------------------------

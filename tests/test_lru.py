@@ -121,17 +121,18 @@ class TestConditionalDiscard:
         assert len(lru) == 0
 
     def test_stale_decision_dropped_and_counted(self):
-        """The decision cache's: a stale epoch is dropped and counted."""
+        """The decision cache's: a stale admissible set is dropped and
+        counted."""
         lru, stats = LRU(4), RewriteStats()
-        lru.put("k", CacheEntry(1, frozenset(), None))
-        assert valid_entry(lru, "k", 2, frozenset(), stats) is None
+        lru.put("k", CacheEntry(frozenset({"a"}), None))
+        assert valid_entry(lru, "k", frozenset(), stats) is None
         assert stats.cache_invalidations == 1
         assert len(lru) == 0
 
     def test_stale_entry_replaced_meanwhile_is_not_counted(self):
         lru, stats = LRU(4), RewriteStats()
-        stale = CacheEntry(1, frozenset(), None)
-        fresh = CacheEntry(2, frozenset(), None)
+        stale = CacheEntry(frozenset({"a"}), None)
+        fresh = CacheEntry(frozenset(), None)
         lru.put("k", stale)
         original = lru.get
 
@@ -141,7 +142,7 @@ class TestConditionalDiscard:
             return value
 
         lru.get = get_then_replace
-        assert valid_entry(lru, "k", 2, frozenset(), stats) is None
+        assert valid_entry(lru, "k", frozenset(), stats) is None
         assert stats.cache_invalidations == 0
         assert lru.peek("k") is fresh
 
