@@ -243,7 +243,7 @@ class Database:
         use_summary_tables: bool = True, tolerance=None, token=None,
         timeout_ms=UNSET, max_rows=UNSET, max_mem=UNSET,
         client: str | None = None, force_trace: bool = False,
-        wait: bool = True,
+        wait: bool = True, lexed=None,
     ) -> SelectRun:
         """The SELECT pipeline — prepare → sandboxed rewrite → execute —
         behind every entry point; returns the run's :class:`SelectRun`.
@@ -266,6 +266,8 @@ class Database:
         ANALYZE). ``wait=False`` raises :class:`~repro.errors.
         WriteInProgress` where the run would wait for a write to finish
         (:meth:`_execute`): the query server's event loop never waits.
+        ``lexed`` is the text's :func:`~repro.qgm.bind_cache.lex`, if the
+        caller took it.
 
         Governed end to end: admission control may shed the query
         (:class:`~repro.errors.QueryRejected`) before any work happens,
@@ -282,7 +284,7 @@ class Database:
                 with governor_scope.activate(budget):
                     run = self._run_stages(
                         source, sql_text, use_summary_tables, tolerance,
-                        client, force_trace, wait,
+                        client, force_trace, wait, lexed,
                     )
             finally:
                 # Return the query's reserved bytes to the broker even
@@ -294,7 +296,7 @@ class Database:
 
     def _run_stages(
         self, source, sql_text, use_summary_tables: bool, tolerance,
-        client: str | None, force_trace: bool, wait: bool,
+        client: str | None, force_trace: bool, wait: bool, lexed,
     ) -> SelectRun:
         """The three stages with their phase timers (bind/match/execute,
         milliseconds) in the metrics registry, spans, the optional match
@@ -306,7 +308,7 @@ class Database:
             run, sql_text = source, source.sql
         else:
             sql_text = source if sql_text is None else sql_text
-            run = self.prepare_select(source, sql_text)
+            run = self.prepare_select(source, sql_text, lexed=lexed)
         trace = run.trace = (
             MatchTrace(sql_text) if force_trace or self._tracing else None
         )
@@ -409,10 +411,16 @@ class Database:
         """Execute one statement of any supported kind (SELECT, CREATE
         TABLE, CREATE SUMMARY TABLE, DROP SUMMARY TABLE, INSERT, DELETE,
         EXPLAIN). Returns a :class:`~repro.engine.table.Table` for
-        SELECT/EXPLAIN, otherwise a status string."""
+        SELECT/EXPLAIN, otherwise a status string. A SELECT is lexed once
+        and run from its text (:meth:`run_select`), never parsed here."""
         from repro.sql.statements import parse_statement
 
         started = time.perf_counter()
+        lexed = lex(sql, "Q")
+        if lexed[0][0].is_keyword("select"):
+            return self.run_select(
+                sql, sql, use_summary_tables=use_summary_tables, lexed=lexed
+            ).table
         statement = parse_statement(sql)
         self.metrics.observe_ms("phase_parse_ms", started)
         return self.run_statement(statement, sql, use_summary_tables)
@@ -613,17 +621,22 @@ class Database:
         ``options`` tunes the matcher (see
         :data:`repro.matching.framework.DEFAULT_OPTIONS`); ``tolerance``
         overrides the session's ``refresh_age`` for this query. A bound
-        :class:`QueryGraph` (rewritten *in place* on success) has no
-        text shape, so it is decided cold, past the shape cache.
+        :class:`QueryGraph` (rewritten *in place* on success) has no text
+        shape: its skeleton (:func:`~repro.qgm.fingerprint.literal_slots`)
+        keys its shape cache entry.
         """
         from repro.rewrite.cache import RewriteStats
 
         if isinstance(sql, str):
             run = self.prepare_select(sql)
         else:
-            run = SelectRun(
-                None, None, "Q", sql, self._rewrite_epoch, {}, RewriteStats()
-            )
+            epoch, stats = self._rewrite_epoch, RewriteStats()
+            run = SelectRun(None, None, "Q", sql, epoch, {}, stats)
+            run.spelling = skeleton = literal_slots(run.shape())[0]
+            if self._bind_cache.entries.maxsize > 0:
+                run.entry = self._bind_cache.entry(
+                    skeleton, epoch, stats
+                ) or self._bind_cache.add(skeleton, epoch)
         return self._rewrite_bound(run, options=options, tolerance=tolerance)
 
     def _rewrite_bound(self, run: SelectRun, options: dict | None = None,
@@ -639,7 +652,7 @@ class Database:
 
     def _decide_rewrite(self, run: SelectRun, options, tolerance):
         """The matching fast path: staleness gate + index pruning + the
-        decisions on the run's text shape entry around
+        decisions on the run's shape entry around
         :func:`repro.rewrite.rewriter.rewrite_query`. The run's
         ``rewrite_stats`` and ``trace`` (None: untraced) are its own
         records and are handed down, never shared."""
@@ -708,7 +721,7 @@ class Database:
                     )
         if run.entry is not None:
             stats.cache_misses += 1
-        # Everything from here on is per text shape: a shape that
+        # Everything from here on is per shape: a shape that
         # repeatedly timed out during matching skips the navigator for a
         # cool-down, whatever constants it arrives with.
         breaker = self.governor.breaker

@@ -71,10 +71,11 @@ class SelectRun:
     #: (bound cold, its shape's template filed) or "substituted" (a
     #: template cloned with this statement's literals)
     bound: str = "cold"
-    #: the shape cache's key of the text: what the circuit breaker and
-    #: the query server's cost routing key on
-    spelling: tuple | None = None
-    #: the text shape's entry (None: shape cache off), which holds the
+    #: the shape cache's key of the text (of a run with no text, its
+    #: graph's skeleton): what the circuit breaker and the query
+    #: server's cost routing key on
+    spelling: object = None
+    #: the shape's entry (None: shape cache off), which holds the
     #: shape's rewrite decisions, and the statement's literal slots
     #: (:func:`~repro.qgm.fingerprint.literal_slots`) when it was bound
     #: by substitution

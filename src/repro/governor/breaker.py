@@ -8,7 +8,9 @@ worlds. The breaker remembers, per *text shape* (the SELECT's tokens
 with every literal replaced by its type and class,
 :func:`repro.qgm.bind_cache.shape_key` — the key the shape cache files
 templates and decisions under, so ad hoc traffic whose every statement
-carries a fresh constant still counts as one shape), how many
+carries a fresh constant still counts as one shape; a bound graph
+handed to ``Database.rewrite`` without text keys on its skeleton,
+:func:`repro.qgm.fingerprint.literal_slots`), how many
 *consecutive* match-phase timeouts a shape has suffered; after
 ``threshold`` of them the circuit opens and the shape skips matching
 entirely (straight to base tables, recorded as a ``circuit-open`` trace

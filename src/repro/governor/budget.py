@@ -167,7 +167,7 @@ class QueryBudget:
         self.phase_ticks: dict[str, int] = {}
         self.degraded = False
         self.degraded_reason: str | None = None
-        #: the statement's text shape (the shape cache's key), stashed
+        #: the statement's shape (the shape cache's key), stashed
         #: by the rewrite fast path so the circuit breaker can key on it
         self.fingerprint = None
         self._since_check = 0

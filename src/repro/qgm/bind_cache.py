@@ -184,20 +184,14 @@ class BindCache:
         template filed) or ``"cold"``; ``shape`` is the text shape's
         entry and ``slots`` the statement's
         :func:`~repro.qgm.fingerprint.literal_slots` when substituted.
-        ``build`` binds a parsed statement; a stale entry with decisions
-        dropped counts in ``stats`` as a ``cache_invalidations``."""
+        ``build`` binds a parsed statement; ``stats`` is
+        :meth:`entry`'s."""
         tokens, key, values = lexed
-        shape = self.entries.get(key)
-        if shape is not None and shape.epoch != epoch:
-            if self.entries.discard(key, shape) and len(shape.decisions):
-                stats.cache_invalidations += 1
-            shape = None
+        shape = self.entry(key, epoch, stats)
         if shape is None:
             self.counters["misses"].inc()
             graph = build(parse(tokens))
-            shape = _Shape(epoch)
-            self.entries.put(key, shape)
-            return graph, "cold", shape, None
+            return graph, "cold", self.add(key, epoch), None
         kept = () if shape.kept is None else shape.kept
         template = shape.templates.get(tuple(values[i] for i in kept))
         if template is not None and template is not _COLD_ONLY:
@@ -211,6 +205,23 @@ class BindCache:
         if template is _COLD_ONLY:
             return graph, "cold", shape, None
         return graph, self._file(shape, tokens, values, graph, build), shape, None
+
+    def entry(self, key, epoch: int, stats) -> _Shape | None:
+        """The entry of shape ``key`` filed under catalog ``epoch``, or
+        None; a stale one is dropped, and if it held decisions counts in
+        ``stats`` as a ``cache_invalidations``."""
+        shape = self.entries.get(key)
+        if shape is not None and shape.epoch != epoch:
+            if self.entries.discard(key, shape) and len(shape.decisions):
+                stats.cache_invalidations += 1
+            shape = None
+        return shape
+
+    def add(self, key, epoch: int) -> _Shape:
+        """A new, empty entry for shape ``key`` under ``epoch``."""
+        shape = _Shape(epoch)
+        self.entries.put(key, shape)
+        return shape
 
     def costs(self, key, epoch: int) -> dict:
         """Thread-CPU milliseconds of the last completed runs of shape

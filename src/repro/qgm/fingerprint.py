@@ -21,7 +21,7 @@ hash collision can never alias two different queries to one cache slot.
 *skeleton* and its constants, and :func:`bind_constants` ranks them into
 a statement's form and binding: the shape cache
 (:mod:`repro.qgm.bind_cache`) takes the slots once per template and
-files each text shape's rewrite decisions under skeleton and form (see
+files each shape's rewrite decisions under skeleton and form (see
 docs/ALGORITHM.md, "the matching fast path").
 """
 

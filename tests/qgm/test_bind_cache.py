@@ -27,6 +27,7 @@ from repro.engine.table import tables_equal
 from repro.errors import CatalogError
 from repro.expr.nodes import Literal
 from repro.qgm.bind_cache import BindCache, shape_key
+from repro.qgm.fingerprint import literal_slots
 from repro.sql.lexer import tokenize
 from repro.workloads.datagen import GeneratorConfig
 
@@ -80,12 +81,19 @@ class Twins:
         for _ in range(times):
             run = self.shaped.prepare_select(sql, sql)
             assert run.shape() == shape, sql
+            if run.slots is not None:  # the template's slots, as a walk finds them
+                assert _typed_slots(run.slots) == _typed_slots(literal_slots(shape)), sql
             run = self.shaped.run_select(run)
             assert _decision(run.rewrite) == _decision(twin.rewrite), sql
             if run.rewrite is not None:
                 assert run.rewrite.sql == twin.rewrite.sql, sql
             assert tables_equal(run.table, twin.table), sql
         return run.bound
+
+
+def _typed_slots(slots) -> tuple:
+    skeleton, kept, holes = slots
+    return skeleton, *([(type(v), v) for v in found] for found in (kept, holes))
 
 
 def _decision(result):
@@ -479,11 +487,18 @@ def test_counters_and_explain_analyze_say_how_it_was_bound():
     assert db.rewrite_stats()["bind_cache_hits"] == 0
 
 
-def test_run_sql_selects_are_bound_by_substitution():
+def test_run_sql_selects_are_bound_by_substitution(monkeypatch):
     """``run_sql`` (and the CLI over it) hands the engine a SELECT's text,
-    as the query server does: from a shape's third statement on, each is
-    bound by substituting its constants, and answers as the cache-off
-    twin."""
+    as the query server does, without parsing it first: from a shape's
+    third statement on, each is bound by substituting its constants, and
+    answers as the cache-off twin."""
+    import repro.sql.statements as statements
+
+    parsed = []
+    real = statements.parse_statement
+    monkeypatch.setattr(
+        statements, "parse_statement", lambda sql: parsed.append(sql) or real(sql)
+    )
     twins = Twins()
     hits = []
     for v in (1, 2, 3, 4):
@@ -492,6 +507,7 @@ def test_run_sql_selects_are_bound_by_substitution():
         assert tables_equal(table, twins.cold.run_sql(sql)), sql
         hits.append(twins.shaped.rewrite_stats()["bind_cache_hits"])
     assert hits == [0, 0, 1, 2]
+    assert parsed == []
 
 
 def test_a_literal_the_normaliser_folds_is_kept_by_value(plain):

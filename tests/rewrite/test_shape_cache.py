@@ -197,6 +197,23 @@ def test_a_shape_hit_matches_the_winner_and_the_constant_bearing():
     assert warm["cache_hits"] == 1 and warm["cache_stores"] == 0
 
 
+def test_a_bound_graph_is_decided_through_its_skeletons_entry():
+    """A bound graph has no text: its skeleton keys its shape entry, so
+    its decisions are filed, confirmed and then served as a text's are,
+    and equal the cache-less twin's."""
+    template = TEMPLATES["fig08_q7"]
+    twins = Twins(FIGURE_ASTS)
+    matched = []
+    for value in ("3.5", "4.5", "5.5", "6.5"):
+        sql = template.sql.format(v=value)
+        before = twins.shaped.rewrite_stats()["matches_attempted"]
+        warm = twins.shaped.rewrite(twins.shaped.bind(sql))
+        matched.append(twins.shaped.rewrite_stats()["matches_attempted"] - before)
+        cold = twins.cold.rewrite(twins.cold.bind(sql))
+        assert _decision(warm) == _decision(cold) and warm.sql == cold.sql
+    assert matched == [9, 9, 0, 0]
+
+
 @pytest.mark.parametrize("name", ["fig02_q1", "fig05_q2", "fig11_q10"])
 def test_a_cached_decision_runs_none_of_the_first_graphs_boxes(nine, name):
     """Each of these rewrites keeps a box of the query beside the
