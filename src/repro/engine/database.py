@@ -57,7 +57,7 @@ from repro.obs.trace import MatchTrace, TraceBuffer
 from repro.qgm.bind_cache import BindCache, lex
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
-from repro.qgm.fingerprint import bind_constants, literal_slots
+from repro.qgm.fingerprint import bind_constants
 from repro.sql.parser import parse
 
 #: default slow-query log threshold, milliseconds (see docs/OBSERVABILITY.md;
@@ -195,14 +195,14 @@ class Database:
 
         The text goes through the shape cache (:mod:`repro.qgm.bind_cache`):
         a known token-stream shape is bound by substituting into its
-        template, with no parse and no bind; the record says how
-        (:attr:`SelectRun.bound`) and carries the shape's entry, where
-        the rewrite stage finds its decisions. The query server prepares
-        a statement first to key its result cache on
-        :meth:`SelectRun.shape`, then hands the same record to
-        :meth:`run_select`, so a cold SELECT is bound and fingerprinted
-        once. The epoch is read *before* binding: a catalog mutation
-        racing the bind leaves the record (and a template filed
+        template, with no parse and no bind (the graph is cloned when
+        asked for); the record says how (:attr:`SelectRun.bound`) and
+        carries the shape's entry, where the rewrite stage finds its
+        decisions. The query server prepares a statement first to key
+        its result cache on :meth:`SelectRun.result_key`, then hands the
+        same record to :meth:`run_select`, so a cold SELECT is bound and
+        fingerprinted once. The epoch is read *before* binding: a catalog
+        mutation racing the bind leaves the record (and a template filed
         meanwhile) looking stale, never fresh."""
         from repro.rewrite.cache import RewriteStats
 
@@ -214,18 +214,19 @@ class Database:
             phases.setdefault("parse", (time.perf_counter() - started) * 1e3)
             return build_graph(statement, self.catalog, label=label)
 
-        lexed = lexed or lex(source, label)
-        stats, entry, slots = RewriteStats(), None, None
+        tokens, spelling, values = lexed = lexed or lex(source, label)
+        stats, entry, template = RewriteStats(), None, None
         if self._bind_cache.entries.maxsize > 0:
-            graph, bound, entry, slots = self._bind_cache.bind(
+            graph, bound, entry, template = self._bind_cache.bind(
                 lexed, epoch, bind, stats
             )
         else:
-            graph, bound = bind(parse(lexed[0])), "cold"
+            graph, bound = bind(parse(tokens)), "cold"
         phases["bind"] = self.metrics.observe_ms("phase_bind_ms", started)
         _spans.record("db.bind", started)
-        run = SelectRun(source, sql_text, label, graph, epoch, phases, stats)
-        run.bound, run.spelling, run.entry, run.slots = bound, lexed[1], entry, slots
+        run = SelectRun(source, sql_text, label, graph, epoch, phases, stats,
+                        template=template, values=values)
+        run.bound, run.spelling, run.entry = bound, spelling, entry
         return run
 
     def shape_cost(self, spelling, variant) -> float | None:
@@ -632,7 +633,7 @@ class Database:
         else:
             epoch, stats = self._rewrite_epoch, RewriteStats()
             run = SelectRun(None, None, "Q", sql, epoch, {}, stats)
-            run.spelling = skeleton = literal_slots(run.shape())[0]
+            run.spelling = skeleton = run.constants()[0]
             if self._bind_cache.entries.maxsize > 0:
                 run.entry = self._bind_cache.entry(
                     skeleton, epoch, stats
@@ -663,7 +664,7 @@ class Database:
         from repro.rewrite.index import filter_fresh
         from repro.rewrite.rewriter import instantiate, rewrite_query
 
-        graph, stats, trace = run.graph, run.rewrite_stats, run.trace
+        stats, trace = run.rewrite_stats, run.trace
         if tolerance is None:
             tolerance = self.refresh_age
         # Match-phase gate: a deadline that already expired (during
@@ -691,7 +692,7 @@ class Database:
         found = key = entry = changed = None
         if shape is not None:
             # taken *before* rewrite_query mutates the graph in place
-            skeleton, kept, holes = run.slots or literal_slots(run.shape())
+            skeleton, kept, holes = run.constants()
             found = bind_constants(kept, holes)
         if found is not None:
             form, binding = found
@@ -716,9 +717,15 @@ class Database:
                     stats.cache_hits += 1
                     # the summaries admitted above, never the live dict:
                     # a concurrent DROP must not pull one out mid-flight
-                    return instantiate(
-                        graph, entry.steps, named, substitution(changed), trace
-                    )
+                    result = entry.plan(run.template, run.values, named)
+                    if not result:
+                        result = instantiate(run.graph, entry.steps, named,
+                                             substitution(changed), trace)
+                        entry.file_plan(run.template, run.values, binding,
+                                        named, result)
+                    else:
+                        run.planned, run.graph = True, result.graph
+                    return result
         if run.entry is not None:
             stats.cache_misses += 1
         # Everything from here on is per shape: a shape that
@@ -740,7 +747,7 @@ class Database:
                     )
             return None
         result = rewrite_query(
-            graph,
+            run.graph,
             summaries,
             options=options,
             stats=stats,

@@ -16,12 +16,14 @@ commit, undone on failure** (DESIGN.md, "write pipeline"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 from repro.engine.table import Table
+from repro.expr.nodes import Literal
 from repro.obs import spans as _spans
 from repro.qgm.boxes import QueryGraph
-from repro.qgm.fingerprint import fingerprint
+from repro.qgm.fingerprint import fingerprint, literal_slots
 
 
 @dataclass
@@ -42,8 +44,8 @@ class SelectRun:
     #: the statement's text, for the match trace and the slow log
     sql: str | None
     label: str
-    #: the bound graph; from the rewrite stage on, the one to execute
-    graph: QueryGraph
+    #: the bound graph (None: bound by substitution, see :attr:`graph`)
+    bound_graph: InitVar[QueryGraph | None]
     #: ``Database.rewrite_epoch`` the statement was bound under
     epoch: int
     #: phase → milliseconds (bind, match, execute, total)
@@ -77,13 +79,25 @@ class SelectRun:
     spelling: object = None
     #: the shape's entry (None: shape cache off), which holds the
     #: shape's rewrite decisions, and the statement's literal slots
-    #: (:func:`~repro.qgm.fingerprint.literal_slots`) when it was bound
-    #: by substitution
+    #: (:meth:`constants`)
     entry: object = None
     slots: tuple | None = None
+    #: the bind template it was bound from (or filed) and its literals
+    template: object = None
+    values: list | None = None
+    #: a plan template served the rewrite (one clone, no instantiation)
+    planned: bool = False
 
-    def __post_init__(self) -> None:
-        self.base_tables = sorted(self.graph.base_tables())
+    def __post_init__(self, bound_graph: QueryGraph | None) -> None:
+        if bound_graph is not None:
+            self.graph = bound_graph
+        self.base_tables = sorted((self.template or self).graph.base_tables())
+
+    @cached_property
+    def graph(self) -> QueryGraph:
+        """The bound graph; from the rewrite stage on, the one to
+        execute. Bound by substitution, it is cloned on first access."""
+        return self.template.instantiate(self.values)
 
     def shape(self):
         """The bound graph's structural fingerprint, taken once. Ask
@@ -91,6 +105,24 @@ class SelectRun:
         if self.graph_fingerprint is None:
             self.graph_fingerprint = fingerprint(self.graph)
         return self.graph_fingerprint
+
+    def constants(self) -> tuple:
+        """The statement's :func:`~repro.qgm.fingerprint.literal_slots`
+        (bound by substitution, its template's): ask before rewriting."""
+        if self.slots is None:
+            self.slots = (
+                self.template.slots(self.values) if self.bound == "substituted"
+                else literal_slots(self.shape())
+            )
+        return self.slots
+
+    def result_key(self) -> tuple:
+        """The result cache's key, equal exactly when the fingerprints
+        are: skeleton, constants as literals, ORDER BY, LIMIT."""
+        skeleton, kept, holes = self.constants()
+        graph = (self.template or self).graph
+        key = tuple(map(Literal, kept + holes))
+        return skeleton, key, tuple(graph.order_by), graph.limit
 
     @property
     def overlay(self) -> dict[str, Table] | None:
@@ -179,8 +211,9 @@ def render_analyze(run: SelectRun, has_summaries: bool) -> str:
         ("execute", run.phases["execute"]),
         ("total", run.phases["total"]),
     ]
+    bound = run.bound + (", plan template served" if run.planned else "")
     for name, ms in phase_rows:
-        note = f"  ({run.bound})" if name == "bind" else ""
+        note = f"  ({bound})" if name == "bind" else ""
         lines.append(f"  {name:<11}{ms:>10.3f} ms{note}")
     lines.append("-- match verdicts --")
     rows = trace.verdict_rows()

@@ -12,9 +12,9 @@ operands). Later statements clone the template with their literals
 substituted: no parse, no bind. A filed template places each literal
 class in the graph once (its *slots*), so a statement's constants are
 read from its literal values, and the entry holds the shape's rewrite
-decisions (:mod:`repro.rewrite.cache`). docs/ALGORITHM.md, "the
-matching fast path", layer 1, has the rules and why substitution is
-sound.
+decisions (:mod:`repro.rewrite.cache`), with their plan templates.
+docs/ALGORITHM.md, "the matching fast path", layer 1, has the rules and
+why substitution is sound.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class _Shape:
 
 
 class _Template:
-    """A probe graph and where its probe literals stand; once filed, its
-    :func:`~repro.qgm.fingerprint.literal_slots`, each value a literal
-    class (an int) or, where the template fixes it, a 1-tuple."""
+    """A probe graph (or a plan, a rewrite of one) and where its probe
+    literals stand; once filed, its :func:`~repro.qgm.fingerprint.
+    literal_slots`, each a literal class (an int) or a fixed 1-tuple."""
 
     def __init__(self, graph: QueryGraph, probes: dict[tuple, int]):
         self.graph = graph
@@ -117,13 +117,23 @@ class _Template:
             for found in (self.kept, self.holes)
         )
 
-    def instantiate(self, values: list) -> QueryGraph:
+    def literals(self, values: list) -> dict:
+        """``(type, value)`` → :class:`Literal` standing for each constant
+        of a statement with literal ``values``: a probe or a fixed value."""
+        probe = {slot: value for (_, value), slot in self.probes.items()}
+        _, kept, holes = self.slots(values)
+        return {
+            (type(v), v): Literal(probe.get(slot, v))
+            for slot, v in zip(self.kept + self.holes, kept + holes)
+        }
+
+    def instantiate(self, values: list | None = None) -> QueryGraph:
         """A fresh graph: every box new, the probe literals replaced by
-        ``values``; expressions without one are shared."""
+        ``values`` (None: kept); expressions without one are shared."""
+        slotted = () if values is None else self.slotted
         literals = {
             probe: Literal(values[slot]) for probe, slot in self.probes.items()
-        }
-        slotted = self.slotted
+        } if slotted else {}
 
         def sub(expr):
             if id(expr) not in slotted:
@@ -178,14 +188,12 @@ class BindCache:
         }
 
     def bind(self, lexed, epoch: int, build, stats):
-        """``(graph, how, shape, slots)`` for the SELECT text lexed as
+        """``(graph, how, shape, template)`` for the SELECT text lexed as
         ``lexed`` (:func:`lex`) bound under catalog ``epoch``: ``how``
-        is ``"substituted"``, ``"filed"`` (bound cold, its shape's
-        template filed) or ``"cold"``; ``shape`` is the text shape's
-        entry and ``slots`` the statement's
-        :func:`~repro.qgm.fingerprint.literal_slots` when substituted.
-        ``build`` binds a parsed statement; ``stats`` is
-        :meth:`entry`'s."""
+        is ``"substituted"`` (``graph`` None: ``template`` clones it),
+        ``"filed"`` (bound cold, ``template`` filed) or ``"cold"``;
+        ``shape`` is the text shape's entry. ``build`` binds a parsed
+        statement; ``stats`` is :meth:`entry`'s."""
         tokens, key, values = lexed
         shape = self.entry(key, epoch, stats)
         if shape is None:
@@ -196,15 +204,13 @@ class BindCache:
         template = shape.templates.get(tuple(values[i] for i in kept))
         if template is not None and template is not _COLD_ONLY:
             self.counters["hits"].inc()
-            return (
-                template.instantiate(values), "substituted", shape,
-                template.slots(values),
-            )
+            return None, "substituted", shape, template
         self.counters["misses"].inc()
         graph = build(parse(tokens))
-        if template is _COLD_ONLY:
-            return graph, "cold", shape, None
-        return graph, self._file(shape, tokens, values, graph, build), shape, None
+        template = None if template is _COLD_ONLY else self._file(
+            shape, tokens, values, graph, build
+        )
+        return graph, "filed" if template else "cold", shape, template
 
     def entry(self, key, epoch: int, stats) -> _Shape | None:
         """The entry of shape ``key`` filed under catalog ``epoch``, or
@@ -230,8 +236,9 @@ class BindCache:
         shape = self.entries.peek(key)
         return shape.cost if shape is not None and shape.epoch == epoch else {}
 
-    def _file(self, shape: _Shape, tokens, values, cold: QueryGraph, build) -> str:
-        """Probe, then confirm against ``cold``; file the outcome."""
+    def _file(self, shape: _Shape, tokens, values, cold: QueryGraph, build):
+        """Probe, then confirm against ``cold``; file the outcome, and
+        return the template filed (or None)."""
         if shape.kept is None:  # what the text and the cold bind show
             classes = {literal: slot for slot, literal in enumerate(_typed(values))}
             kept = _kept_by_syntax(tokens, classes) | _unsafe(cold, classes)
@@ -258,14 +265,14 @@ class BindCache:
         if shape.kept is None:
             shape.kept = ordered
         elif shape.kept != ordered:
-            return "cold"
+            return None
         if template is None:
             shape.templates.put(tuple(values[i] for i in ordered), _COLD_ONLY)
             self.counters["cold_only"].inc()
-            return "cold"
+            return None
         template.take_slots()
         shape.templates.put(tuple(values[i] for i in ordered), template)
-        return "filed"
+        return template
 
 
 def _kept_by_syntax(tokens, classes: dict[tuple, int]) -> set[int]:

@@ -34,14 +34,17 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from repro.expr.nodes import Literal, same_value
 from repro.lru import LRU
 from repro.matching.framework import rebase_chain, replace_literals
 from repro.obs.metrics import Counter, MetricsRegistry
+from repro.qgm.bind_cache import TEMPLATES_PER_SHAPE
 from repro.qgm.boxes import QGMBox
+from repro.qgm.fingerprint import fingerprint
 from repro.rewrite.index import summary_constants
+from repro.rewrite.rewriter import RewriteResult, instantiate
 
 #: fast-path counter names and their one-line help (exposition strings)
 _STAT_FIELDS = {
@@ -156,6 +159,8 @@ class CacheEntry:
     binding: dict[str, tuple] | None = None
     confirmed: frozenset[tuple[str, int]] = frozenset()
     cold_only: bool = False
+    #: bind template → its plan template (:meth:`file_plan`)
+    plans: LRU = field(default_factory=lambda: LRU(TEMPLATES_PER_SHAPE))
 
     def changes(self, binding: dict[str, tuple]) -> dict:
         """``{(domain, rank): (old, new)}`` for each constant class
@@ -184,6 +189,34 @@ class CacheEntry:
             self.confirmed = self.confirmed | changed.keys()
         else:
             self.cold_only = True
+
+    def plan(self, template, values: list, summaries: dict):
+        """The rewrite of a statement bound from bind ``template`` with
+        literal ``values``: one clone of the plan filed for the template,
+        its steps on the admitted ``summaries``. Falsy: no plan."""
+        plan = self.plans.get(template)
+        return plan and RewriteResult(plan.instantiate(values), [
+            replace(step, summary=summaries[step.summary.name.lower()])
+            for step in plan.applied
+        ])
+
+    def file_plan(self, template, values: list, binding: dict,
+                  summaries: dict, result) -> None:
+        """Once per bind ``template``: instantiate the steps on a clone of
+        its probe graph, each constant class of the entry's binding at
+        what stands for the statement's constant there; file that plan
+        if substituting ``values`` gives ``result``'s graph, else False."""
+        if template is None or self.plans.peek(template) is not None:
+            return
+        targets = template.literals(values)
+        literals = {(type(was), was): targets[type(now), now]
+                    for name, constants in binding.items()
+                    for was, now in zip(self.binding[name], constants)}
+        probed = instantiate(template.instantiate(), self.steps, summaries, literals)
+        plan = type(template)(probed.graph, template.probes)
+        plan.applied = probed.applied
+        confirmed = fingerprint(plan.instantiate(values)) == fingerprint(result.graph)
+        self.plans.put(template, confirmed and plan)
 
 
 def substitution(changed: dict) -> dict:

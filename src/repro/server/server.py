@@ -603,7 +603,7 @@ class QueryServer:
         nobody)."""
         run = self.db.prepare_select(sql, sql, lexed=lexed)
         prepared = _PreparedSelect(
-            run.shape().key, run.base_tables, run.epoch, run.spelling
+            run.result_key(), run.base_tables, run.epoch, run.spelling
         )
         self._prepared.put(sql, prepared)
         return prepared, run

@@ -51,7 +51,8 @@ LEDGER = {template.name: template.sql for template in ledger_pools.TEMPLATES}
 
 class Twins:
     """A database with the bind cache and its cache-less twin, over the
-    same data and summaries."""
+    same data and summaries, and the result-cache key of every
+    fingerprint either has bound (and back)."""
 
     def __init__(self, summaries: dict[str, str] | None = None):
         self.shaped = make_database(CONFIG)
@@ -59,6 +60,14 @@ class Twins:
         self.cold.configure_fast_path(cache=False)
         for name, sql in (summaries or {}).items():
             self.each(lambda db: db.create_summary_table(name, sql))
+        self.keys: dict = {}
+        self.shapes: dict = {}
+
+    def key_of(self, shape, key) -> None:
+        """Two statements' result-cache keys are equal exactly when their
+        fingerprints are."""
+        assert self.keys.setdefault(shape, key) == key
+        assert self.shapes.setdefault(key, shape) == shape
 
     def each(self, action) -> None:
         for db in (self.shaped, self.cold):
@@ -70,7 +79,8 @@ class Twins:
         or one error. Returns how the caching side bound it last."""
         try:
             twin = self.cold.prepare_select(sql, sql)
-            shape = twin.shape()
+            shape, key = twin.shape(), twin.result_key()
+            self.key_of(shape, key)
             twin = self.cold.run_select(twin)
         except Exception as error:  # noqa: BLE001 - compared below
             for _ in range(times):
@@ -80,6 +90,8 @@ class Twins:
             return "error"
         for _ in range(times):
             run = self.shaped.prepare_select(sql, sql)
+            # a substituted statement's key, read off its template's slots
+            assert run.result_key() == key, sql
             assert run.shape() == shape, sql
             if run.slots is not None:  # the template's slots, as a walk finds them
                 assert _typed_slots(run.slots) == _typed_slots(literal_slots(shape)), sql
@@ -261,12 +273,34 @@ def _respell(sql: str, case: str, space: str, comment: bool) -> str:
     return f"-- generated\n{text}\n-- end" if comment else text
 
 
+#: slots the ledger's templates lack: a ``DATE '…'``, a ``LIMIT n`` and
+#: an ORDER BY expression holding a literal class
+KEPT_AND_ORDERED = {
+    "dated": (
+        "select flid, year(date) as year, count(*) as cnt from Trans "
+        "where date > DATE '{d}' and qty > {v} group by flid, year(date)"
+    ),
+    "limited": (
+        "select faid, count(*) as cnt from Trans where qty > {v} "
+        "group by faid order by faid limit {n}"
+    ),
+    "ordered": (
+        "select faid, qty - {v} as d from Trans where price > {v} "
+        "order by qty - {v}, faid"
+    ),
+}
+DATES = ["1990-06-15", "1991-01-01", "1991-12-31"]
+
+
 @st.composite
 def statements(draw):
     """A ledger template with its slot filled or a figure query with
     its numbers moved — values at and around the constants the ASTs
-    keep, int/float twins and negatives — in some spelling."""
-    name = draw(st.sampled_from(sorted(LEDGER) + sorted(FIGURE_QUERIES)))
+    keep, int/float twins and negatives — or a statement with a kept
+    date or limit or an ORDER BY literal, in some spelling."""
+    name = draw(st.sampled_from(
+        sorted(LEDGER) + sorted(FIGURE_QUERIES) + sorted(KEPT_AND_ORDERED)
+    ))
 
     def value():
         number = draw(st.sampled_from(_AROUND))
@@ -279,6 +313,11 @@ def statements(draw):
 
     if name in LEDGER:
         sql = LEDGER[name].format(v=value())
+    elif name in KEPT_AND_ORDERED:
+        sql = KEPT_AND_ORDERED[name].format(
+            v=value(), d=draw(st.sampled_from(DATES)),
+            n=draw(st.integers(1, 4)),
+        )
     else:
         query = FIGURE_QUERIES[name]
         sql = _NUMBER.sub(
@@ -296,6 +335,22 @@ def test_generated_bindings_bind_as_the_cold_binder(nine, texts):
     for text in texts:
         # three times: the key's first, filing and substituted bindings
         nine.check(text, times=3)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_AND_ORDERED))
+def test_result_keys_follow_fingerprints(plain, name):
+    """Int/float twins, ``0.0`` against ``-0.0``, kept dates and limits,
+    an ORDER BY literal: each statement's result-cache key equals its
+    cold twin's, cold, filed or substituted, and two keys are equal
+    exactly when the fingerprints are (:meth:`Twins.check`)."""
+    sql = KEPT_AND_ORDERED[name]
+    bound = [
+        plain.check(sql.format(v=v, d=d, n=n), times=3)
+        for v in ("5", "5.0", "0.0", "-0.0", "6", "6.0", "5")
+        for d, n in ((DATES[0], 2), (DATES[1], 3))
+    ]
+    assert "substituted" in bound
+    assert len(plain.keys) == len(plain.shapes) > 1
 
 
 @settings(max_examples=settings.default.max_examples // 10, deadline=None)

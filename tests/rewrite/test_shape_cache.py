@@ -279,6 +279,114 @@ def test_substituting_unconfirmed_constants_breaks_the_collision(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Plan templates: a served class's rewritten graph, cloned
+# ----------------------------------------------------------------------
+def _decide(db: Database, sql: str):
+    """``(run, rewrite)`` of ``sql`` through the pipeline's rewrite
+    stage; ``run.planned`` says whether a plan template served it."""
+    run = db.prepare_select(sql, sql)
+    return run, db._rewrite_bound(run)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_plan_templates_serve_as_the_two_template_path(ten, name, monkeypatch):
+    """Every binding on and either side of every pivot, three times: a
+    plan-served rewrite has the fingerprint of the same statement's
+    two-template rewrite (plans off), and answers as the cache-off twin
+    and as the base tables."""
+    template, planned = TEMPLATES[name], 0
+    for _, value in PIVOT_VALUES:
+        sql = template.sql.format(v=repr(value))
+        cold, answered = ten.cold.rewrite(sql), False
+        for _ in range(3):
+            run, warm = _decide(ten.shaped, sql)
+            assert _decision(warm) == _decision(cold), sql
+            if warm is None:
+                continue
+            assert warm.sql == cold.sql, sql
+            if not run.planned:
+                continue
+            planned += 1
+            with monkeypatch.context() as plans_off:
+                plans_off.setattr(CacheEntry, "plan", lambda *args: None)
+                two = ten.shaped.rewrite(sql)
+            assert fingerprint(warm.graph) == fingerprint(two.graph), sql
+            if not answered:
+                answered = True
+                reply = ten.shaped.execute_graph(warm.graph, run.overlay)
+                assert tables_equal(reply, ten.cold.execute(sql)), sql
+                assert tables_equal(
+                    reply, ten.shaped.execute(sql, use_summary_tables=False)
+                ), sql
+    assert planned > len(PIVOT_VALUES)
+
+
+def test_a_plan_that_does_not_confirm_is_not_filed(monkeypatch):
+    """Were the steps instantiated on the probe graph with the entry's
+    own constants, the plan would keep fig08_q7's first threshold in its
+    compensation. Substituting the filing statement's values then does
+    not give its two-template rewrite: no plan is filed, and every later
+    binding is instantiated as before."""
+    from repro.rewrite import cache
+
+    instantiate = cache.instantiate
+    monkeypatch.setattr(
+        cache, "instantiate",
+        lambda graph, steps, summaries, literals: instantiate(
+            graph, steps, summaries
+        ),
+    )
+    twins = Twins(FIGURE_ASTS)
+    sql = TEMPLATES["fig08_q7"].sql
+    for value in ("3.5", "4.5", "5.5", "6.5", "7.5", "6.5"):
+        run, warm = _decide(twins.shaped, sql.format(v=value))
+        assert not run.planned
+        assert warm.sql == twins.cold.rewrite(sql.format(v=value)).sql
+    [entry] = [
+        entry for shape in twins.shaped._bind_cache.entries._entries.values()
+        for entry in shape.decisions._entries.values()
+    ]
+    assert [plan for _, plan in entry.plans.items()] == [False]
+
+
+def test_a_plan_keeps_a_matcher_literal_equal_to_a_constant():
+    """fig11_q10 under ``> 0`` compensates with ``coalesce(SUM(cnt), 0)``:
+    its plan holds the class's probe there, which gives the ``0`` back
+    for ``> 0`` — and ``> 3``, which changes the class, is never served
+    by that plan, since a cold match refuses to confirm it."""
+    twins = Twins({name: FIGURE_ASTS[name] for name in ("AST1", "AST7")})
+    sql = TEMPLATES["fig11_q10"].sql
+    served = []
+    for value in (0, 0, 0, 3, 3, 3, 0):
+        run, warm = _decide(twins.shaped, sql.format(v=value))
+        served.append(run.planned)
+        assert warm.sql == twins.cold.rewrite(sql.format(v=value)).sql
+        assert "coalesce(SUM(_in.cnt), 0)" in warm.sql
+    assert served == [False, False, True, False, False, False, True]
+
+
+def test_explain_analyze_says_a_plan_template_served():
+    """The ROADMAP's four statements: the last, a repeat, is served by
+    its class's plan template, filed by the one before."""
+    db = make_database(CONFIG)
+    for name, ast in FIGURE_ASTS.items():
+        db.create_summary_table(name, ast)
+    sql = (
+        "select flid, year(date) as year, count(*) as cnt from Trans "
+        "group by flid, year(date) having count(*) > {}"
+    )
+    rows = [
+        next(line for line in db.explain_analyze(sql.format(v)).splitlines()
+             if "bind" in line)
+        for v in (3, 4, 5, 5)
+    ]
+    assert [row[row.index("("):] for row in rows] == [
+        "(cold)", "(filed)", "(substituted)",
+        "(substituted, plan template served)",
+    ]
+
+
+# ----------------------------------------------------------------------
 # A structured family of ASTs and queries, constants varied
 # ----------------------------------------------------------------------
 SLOTTED = [

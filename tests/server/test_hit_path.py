@@ -316,3 +316,102 @@ class TestParseAndBindOnce:
             assert calls == {
                 "parse_statement": 0, "build_graph": 2, "fingerprint": 1,
             }
+
+
+#: one shape with a literal class the rewrite over ``ByAcctQty`` keeps in
+#: its compensation
+SLOTTED = (
+    "SELECT faid, COUNT(*) AS cnt FROM Trans WHERE qty > {v} GROUP BY faid"
+)
+BY_ACCT_QTY = (
+    "CREATE SUMMARY TABLE ByAcctQty AS "
+    "SELECT faid, qty, COUNT(*) AS cnt FROM Trans GROUP BY faid, qty"
+)
+
+
+class TestSpellingsOfOneGraph:
+    def test_filed_and_substituted_spellings_hit_the_cold_ones_entry(
+        self, served
+    ):
+        """Three spellings of one statement, each a new text to the
+        server: bound cold, filed, then substituted. The result-cache key
+        is one, whichever way it was taken, so the second and third are
+        hits with the bytes the first sent."""
+        spellings = [
+            SLOTTED.format(v=2),
+            "select faid, COUNT(*) as cnt from Trans where qty > 2 "
+            "group by faid",
+            "-- again\n" + SLOTTED.format(v=2).replace(" ", "\n  "),
+        ]
+        server = served()
+        replies = []
+        with socket.create_connection(server.address) as sock:
+            stream = sock.makefile("rwb")
+            for n, sql in enumerate(spellings):
+                head, table = raw_reply(
+                    stream, {"op": "query", "id": n, "sql": sql}
+                ).split(b',"table":', 1)
+                replies.append((json.loads(head + b"}")["cache"], table))
+        assert [cache for cache, _ in replies] == ["miss", "hit", "hit"]
+        assert replies[0][1] == replies[1][1] == replies[2][1]
+        # filed by the second, substituted by the third
+        assert server.db.rewrite_stats()["bind_cache_hits"] == 1
+
+
+class TestPlanTemplateHit:
+    def test_a_decided_hit_clones_one_plan_and_nothing_else(
+        self, served, monkeypatch
+    ):
+        """A substituted SELECT whose shape's decision and plan template
+        are filed takes no fingerprint, instantiates no cached decision
+        and validates no graph: it clones the plan once."""
+        import sys
+
+        from repro.qgm import bind_cache
+        from repro.qgm import fingerprint as fingerprint_module
+        from repro.qgm.boxes import QueryGraph
+        from repro.rewrite import rewriter
+
+        server = served()
+        with connect(server) as client:
+            client.query(BY_ACCT_QTY)
+            for v in (1, 2, 3, 4):  # cold, filed + confirmed, plan filed, plan
+                client.query(SLOTTED.format(v=v))
+            calls = dict.fromkeys(
+                ("fingerprint", "instantiate", "validate", "clone"), 0
+            )
+
+            def counting(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            for name, fn in (
+                ("fingerprint", fingerprint_module.fingerprint),
+                ("instantiate", rewriter.instantiate),
+            ):
+                for module in list(sys.modules.values()):
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counting(name, fn))
+            monkeypatch.setattr(
+                QueryGraph, "validate",
+                counting("validate", QueryGraph.validate),
+            )
+            monkeypatch.setattr(
+                bind_cache._Template, "instantiate",
+                counting("clone", bind_cache._Template.instantiate),
+            )
+            before = server.db.rewrite_stats()
+            reply = client.query(SLOTTED.format(v=5))
+            after = server.db.rewrite_stats()
+        assert reply.cache == "miss"
+        assert after["bind_cache_hits"] - before["bind_cache_hits"] == 1
+        assert after["cache_hits"] - before["cache_hits"] == 1
+        assert calls == {
+            "fingerprint": 0, "instantiate": 0, "validate": 0, "clone": 1,
+        }
+        expected = server.db.execute(
+            SLOTTED.format(v=5), use_summary_tables=False
+        )
+        assert sorted(reply.table.rows) == sorted(map(list, expected.rows))
