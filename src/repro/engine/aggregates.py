@@ -8,6 +8,7 @@ table). DISTINCT variants deduplicate before accumulating.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from repro.errors import ExecutionError
@@ -78,31 +79,22 @@ class Avg(Accumulator):
 
 
 class Min(Accumulator):
+    #: the comparison a value must win to replace the best so far
+    wins = operator.lt
+
     def __init__(self) -> None:
         self.best: Any = None
 
     def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value < self.best:
+        if value is not None and (self.best is None or self.wins(value, self.best)):
             self.best = value
 
     def result(self) -> Any:
         return self.best
 
 
-class Max(Accumulator):
-    def __init__(self) -> None:
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value > self.best:
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
+class Max(Min):
+    wins = operator.gt
 
 
 class Distinct(Accumulator):

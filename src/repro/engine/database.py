@@ -325,8 +325,10 @@ class Database:
                     rewrite_attrs["match_trace"] = trace.trace_id
                 _spans.record("db.rewrite", started, **rewrite_attrs)
         started = time.perf_counter()
+        # an untouched template clone: a plan's, or not cloned yet
+        clone = run.planned or "graph" not in vars(run)
         run.table, run.executor_stats = self._execute(
-            run.graph, run.overlay, wait
+            run.graph, run.overlay, wait, clone
         )
         run.phases["execute"] = metrics.observe_ms("phase_execute_ms", started)
         _spans.record("db.execute", started)
@@ -380,7 +382,8 @@ class Database:
         return self._execute(graph, overlay)[0]
 
     def _execute(
-        self, graph: QueryGraph, overlay: dict | None, wait: bool = True
+        self, graph: QueryGraph, overlay: dict | None, wait: bool = True,
+        clone: bool = False,
     ):
         """Pipeline stage 3, the one place a SELECT meets stored tables:
         returns the result and the run's
@@ -393,7 +396,9 @@ class Database:
         whole writes — never a half-appended row, a half-merged group or
         a base table ahead of its summary — and never waits for more
         than the write in progress — or, with ``wait=False``, raises
-        :class:`~repro.errors.WriteInProgress` instead of waiting."""
+        :class:`~repro.errors.WriteInProgress` instead of waiting.
+        ``clone``: ``graph`` is an untouched template clone, whose boxes
+        run their template's memoised programs."""
         overlay = overlay or {}
         if not self._maintenance_lock.acquire(blocking=wait):
             raise WriteInProgress("a write holds the tables this query reads")
@@ -406,7 +411,7 @@ class Database:
         finally:
             self._maintenance_lock.release()
         executor = Executor(pins, metrics=self.metrics)
-        return executor.run(graph), executor.stats
+        return executor.run(graph, clone and graph.origin), executor.stats
 
     def run_sql(self, sql: str, use_summary_tables: bool = True):
         """Execute one statement of any supported kind (SELECT, CREATE

@@ -44,6 +44,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
+from copy import copy
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -56,7 +57,7 @@ from repro.errors import (
     MemoryBudgetExceeded,
     QueryResourceError,
 )
-from repro.expr.vector import compile_loop, conjuncts, view
+from repro.expr.vector import conjuncts, loop_program, view
 from repro.governor import scope as governor_scope
 from repro.resources import spill as _spill
 from repro.testing import faults
@@ -107,6 +108,7 @@ class ExecutorStats:
         "batch_rows",
         "join_builds",
         "index_reads",
+        "programs",
         "spills",
         "spill_runs",
         "spill_bytes",
@@ -120,6 +122,8 @@ class ExecutorStats:
         self.join_builds: list[dict] = []
         #: one entry per driver read through its index
         self.index_reads: list[dict] = []
+        #: loops bound from a template's memoised program, of all loops
+        self.programs = [0, 0]
         self.spills = 0  # operators that degraded to spill-to-disk
         self.spill_runs = 0  # temp-file runs written across all spills
         self.spill_bytes = 0  # framed bytes written across all spills
@@ -129,6 +133,9 @@ class ExecutorStats:
             f"  batch rows {self.batch_rows}",
             f"  batches    {self.batches} ({self.rows} rows)",
         ]
+        reused, loops = self.programs
+        if reused:
+            lines.append(f"  programs   {reused} of {loops} loops reused")
         for build in self.join_builds:
             lines.append(
                 f"  hash join  build={build['build']} "
@@ -182,19 +189,56 @@ class _Rel:
 
 class _Ctx:
     """Per-run execution context: governor budget, morsel size, the
-    stats the run accumulates, and how many quantifiers range over each
-    box (by ``id``)."""
+    stats the run accumulates, how many quantifiers range over each box
+    (by ``id``) and — for a template clone — the template's memo."""
 
-    __slots__ = ("budget", "stats", "chunk", "consumers", "produced")
+    __slots__ = ("budget", "stats", "chunk", "consumers", "produced",
+                 "position", "template", "values")
 
-    def __init__(self, budget, stats, chunk, consumers):
+    def __init__(self, budget, stats, chunk, boxes, origin):
         self.budget = budget
         self.stats = stats
         #: morsel size; ``None`` ⇒ one batch per loop
         self.chunk = chunk
-        self.consumers = consumers
+        self.consumers = Counter(
+            id(q.box) for box in boxes for q in box.quantifiers()
+        )
         #: rows the running governed loop produced in its earlier morsels
         self.produced = 0
+        #: the template the graph is a clone of, its literal values, and
+        #: each box's position there (the clone's boxes are in its order)
+        self.template, self.values = origin or (None, ())
+        self.position = {id(box): n for n, box in enumerate(boxes)} if origin else {}
+
+    def memo(self, box, make):
+        """``make(box, None)``; for a template clone's box, ``make(its
+        template box, its position)``, once per template box."""
+        n = self.position.get(id(box))
+        if n is None:
+            return make(box, None)
+        programs = self.template.programs
+        if n not in programs:
+            programs[n] = make(self.template.boxes[n], n)
+        return programs[n]
+
+    def compile(self, key, driver, filters=(), probes=(), residual=(),
+                values=(), sink=None, counted=(), pulse=None):
+        """:func:`~repro.expr.vector.compile_loop`, emitted once per
+        ``key`` on the template (None: from the statement's own
+        expressions, every time) and bound to this run."""
+        stats, literals = self.stats, self.values
+        program = key and self.template.programs.get(key)
+        stats.programs[1] += 1
+        if program and not any(literals[s] == 0 for s in program[1]):
+            stats.programs[0] += 1
+        else:
+            program = loop_program(
+                driver, filters, probes, residual, values, sink, counted,
+                pulse, key and self.template.probes, literals,
+            )
+            if key:
+                self.template.programs[key] = program
+        return program[0](driver, probes, sink, pulse, literals)
 
     def tick(self, n: int) -> None:
         """Account one processed morsel of ``n`` rows.
@@ -304,6 +348,12 @@ class _Group:
         self.results: list[tuple] = []
         self._parts: list[tuple] = []
 
+    @classmethod
+    def fused(cls, box: GroupByBox, _=None) -> "_Group":
+        """The sink of ``box`` over the SELECT box below it."""
+        child = box.child_quantifier.box
+        return cls(box, child.output_names, [q.expr for q in child.outputs])
+
     def start(self, sets=None, firsts: bool = False):
         if self.counts:
             return None
@@ -390,8 +440,12 @@ class Executor:
         #: populated by :meth:`run`
         self.stats: ExecutorStats | None = None
 
-    def run(self, graph: QueryGraph) -> Table:
+    def run(self, graph: QueryGraph, origin=None) -> Table:
         """Execute ``graph`` and return the result (ORDER BY applied).
+
+        ``origin`` — ``(template, values)`` of an untouched template
+        clone — makes each box run the program its template box memoised
+        (docs/EXECUTOR.md, "A template's program").
 
         When a governor scope is active on this thread (see
         :mod:`repro.governor.scope`), every morsel boundary ticks the
@@ -411,10 +465,7 @@ class Executor:
             chunk = None  # one batch per operator
         stats = ExecutorStats(chunk or BATCH_ROWS)
         self.stats = stats
-        consumers = Counter(
-            id(q.box) for box in graph.boxes() for q in box.quantifiers()
-        )
-        ctx = _Ctx(budget, stats, chunk, consumers)
+        ctx = _Ctx(budget, stats, chunk, graph.boxes(), origin)
         memo: dict[int, Table] = {}
         result = self._evaluate(graph.root, memo, ctx)
         if budget is not None:
@@ -503,16 +554,26 @@ class Executor:
     ) -> Table | None:
         """The box's table — or, given the ``group`` sink of the GROUP-BY
         box above it, nothing: its rows are folded into that sink."""
-        plan = self._plan(box, memo, ctx)
-        sink = group or _Append([q.expr for q in box.outputs])
+        quantifiers = box.quantifiers()
+        if not quantifiers:
+            raise ExecutionError("SELECT box with no children")
+        rels = {
+            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx), q.box)
+            for q in quantifiers
+        }
+        plan = ctx.memo(box, _plan)
+        sink = group or _Append(plan.outputs)
         budget = ctx.budget
         reserved = budget is not None and budget.reservation is not None
         counted = ctx.stats.batches, ctx.stats.rows
-        if reserved or not self._fused(plan, sink, ctx):
+        if reserved or not self._fused(plan, rels, sink, ctx):
             # a discarded pass leaves the stats as they were (its governor
             # ticks stay charged: that work was done)
             ctx.stats.batches, ctx.stats.rows = counted
-            self._operators(plan, sink, ctx)
+            if plan.box is not box:  # the statement's own expressions
+                plan = _plan(box)
+                sink.values = plan.outputs
+            self._operators(plan, rels, sink, ctx)
         if group is not None:
             return None
         cols, nrows = sink.columns, sink.nrows
@@ -522,26 +583,7 @@ class Executor:
             budget.check_rows(nrows)
         return Table.from_columns(box.output_names, cols, nrows, shared=True)
 
-    def _plan(self, box: SelectBox, memo, ctx: _Ctx) -> "_Plan":
-        quantifiers = box.quantifiers()
-        if not quantifiers:
-            raise ExecutionError("SELECT box with no children")
-        rels = {
-            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx), q.box)
-            for q in quantifiers
-        }
-        local, equijoins, residual = _classify_predicates(box)
-        steps = _join_order(quantifiers, equijoins)
-        tail = _conjuncts(
-            [join.predicate for join in equijoins if not join.used] + residual
-        )
-        local = {name: _conjuncts(predicates) for name, predicates in local.items()}
-        reads = {ref for _, keys in steps for pair in keys for ref in pair}
-        for expr in chain([q.expr for q in box.outputs], tail):
-            reads.update(expr.column_refs())
-        return _Plan(rels, local, steps, tail, reads)
-
-    def _fused(self, plan: "_Plan", sink, ctx: _Ctx) -> bool:
+    def _fused(self, plan: "_Plan", rels, sink, ctx: _Ctx) -> bool:
         """The box as one loop: the driver streams with its local
         conjuncts inline and probes each other child's hash table, built
         with that child's local conjuncts, in join order.  The operator
@@ -557,15 +599,19 @@ class Executor:
         # Guessed on the children's sizes before filtering: the first
         # join builds on the first child when it is the smaller one.
         swap = bool(levels and levels[0][1]) and (
-            plan.rels[first].nrows <= plan.rels[levels[0][0]].nrows
+            rels[first].nrows <= rels[levels[0][0]].nrows
         )
         if swap:
             driver, probe_keys, build_keys = levels[0]
             levels[0] = (first, build_keys, probe_keys)
+        # a template box's loops, under the answers their source reads
+        key = None if plan.n is None else (plan.n, ctx.budget is not None, swap)
         probes, built = [], []
-        for name, probe_keys, build_keys in levels:
-            rel = plan.rels[name]
-            table, rows = self._build(rel, plan.local.get(name, ()), build_keys, ctx)
+        for p, (name, probe_keys, build_keys) in enumerate(levels):
+            rel = rels[name]
+            table, rows = self._build(
+                rel, plan.local.get(name, ()), build_keys, ctx, key and (*key, p)
+            )
             probes.append((probe_keys, table, rel.cols))
             built.append(rows)
         filters = plan.local.get(driver, ())
@@ -574,11 +620,11 @@ class Executor:
         counted = [
             p for p, (keys, _, _) in enumerate(probes) if keys and (p or filters)
         ]
-        sel, read = _candidates(plan.rels[driver], filters, probes)
+        sel, read = _candidates(rels[driver], filters, probes)
         counts = dict(zip(counted, self._pipeline(
-            plan.rels[driver], sink, ctx, filters, probes, plan.tail, counted, sel
+            rels[driver], sink, ctx, filters, probes, plan.tail, counted, sel, key
         )))
-        counts.setdefault(0, plan.rels[driver].nrows)
+        counts.setdefault(0, rels[driver].nrows)
         builds = []
         for p, (keys, _, _) in enumerate(probes):
             if not keys:
@@ -597,7 +643,7 @@ class Executor:
             ctx.stats.index_reads.append(read)
         return True
 
-    def _operators(self, plan: "_Plan", sink, ctx: _Ctx) -> None:
+    def _operators(self, plan: "_Plan", rels, sink, ctx: _Ctx) -> None:
         """The box one operator at a time: each child filtered down to
         the columns the box reads on, the joins in join order — each
         building on its smaller input by actual cardinality, or spilling
@@ -605,8 +651,8 @@ class Executor:
         The path of memory-reserved runs, whose spill decisions need
         materialised inputs, and of a fused loop whose order did not
         hold."""
-        rels = {}
-        for name, rel in plan.rels.items():
+        rels = dict(rels)
+        for name, rel in rels.items():
             keep = [ref for ref in rel.cols if ref in plan.reads]
             filters = plan.local.get(name)
             if filters:
@@ -621,10 +667,11 @@ class Executor:
 
     def _pipeline(
         self, driver: _Rel, sink, ctx: _Ctx, filters=(), probes=(),
-        residual=(), counted=(), sel=None,
+        residual=(), counted=(), sel=None, key=None,
     ) -> list[int]:
         """One loop over ``driver``'s rows ``sel`` (default all) into
-        ``sink`` (``start``ed afresh); returns the row counts of the
+        ``sink`` (``start``ed afresh), its program memoised under ``key``
+        (:meth:`_Ctx.compile`); returns the row counts of the
         ``counted`` stages.  Under a governor the loop also counts the
         rows it produced, checked against MAXROWS after every morsel and,
         with its pulse, every ``chunk`` rows its bucket loops bind."""
@@ -636,9 +683,9 @@ class Executor:
         checked = ctx.budget is not None
         produced = sink.counts or checked
         stages = [*counted, len(probes)] if produced else list(counted)
-        fn = compile_loop(
-            driver.cols, filters, probes, residual, sink.values, spec, stages,
-            (ctx.chunk, ctx.pulse) if checked and probes else None,
+        fn = ctx.compile(
+            key, driver.cols, filters, probes, residual, sink.values, spec,
+            stages, (ctx.chunk, ctx.pulse) if checked and probes else None,
         )
         sel = range(driver.nrows) if sel is None else sel
         counts = self._drive(fn, sel, ctx, checked)
@@ -666,14 +713,14 @@ class Executor:
             ctx.budget.checkpoint("execute")
         return list(totals)
 
-    def _build(self, rel: _Rel, filters, keys, ctx: _Ctx):
+    def _build(self, rel: _Rel, filters, keys, ctx: _Ctx, key=None):
         """Hash ``rel``'s rows that pass ``filters`` by ``keys`` — key →
         row numbers, NULL keys skipped (they never equi-join); with no
         keys, the list of those row numbers.  Returns the table and the
         number of rows that passed."""
         table: dict | list = {} if keys else []
-        fn = compile_loop(
-            rel.cols, filters, values=keys, sink=("hash", table), counted=(0,)
+        fn = ctx.compile(
+            key, rel.cols, filters, values=keys, sink=("hash", table), counted=(0,)
         )
         (rows,) = self._drive(fn, range(rel.nrows), ctx)
         return table, rows
@@ -858,9 +905,7 @@ class Executor:
             and ctx.consumers[id(child_box)] == 1
         ):
             # The SELECT box below folds its rows straight into the groups.
-            group = _Group(
-                box, child_box.output_names, [q.expr for q in child_box.outputs]
-            )
+            group = copy(ctx.memo(box, _Group.fused))
             self._evaluate_select(child_box, memo, ctx, group)
             memo[id(child_box)] = None  # evaluated, never materialised
             results = group.results
@@ -907,8 +952,8 @@ class Executor:
     def _fold(self, rel: _Rel, group: _Group, sets, ctx: _Ctx, rows=None):
         """``rel``'s ``rows`` (all of them by default) folded into the
         grouping ``sets``; first rows are kept for a row-number list."""
-        fn = compile_loop(
-            rel.cols, values=group.values,
+        fn = ctx.compile(
+            None, rel.cols, values=group.values,
             sink=group.start(sets, firsts=rows is not None),
         )
         self._drive(fn, range(rel.nrows) if rows is None else rows, ctx)
@@ -1088,17 +1133,34 @@ def _classify_predicates(
 
 
 class _Plan(NamedTuple):
-    """A SELECT box's plan, fixed before a row is read: each child's
-    relation and local conjuncts, the join order with each step's hash
-    keys, the conjuncts left for after the joins, and every column read
-    after the local filters."""
+    """A SELECT box's plan, fixed before a row is read: the box (with its
+    position in its template, or None), each child's local conjuncts, the
+    join order with each step's hash keys, the conjuncts left for after
+    the joins, every column read after the local filters, and the output
+    expressions."""
 
-    rels: dict[str, _Rel]
+    box: SelectBox
+    n: int | None
     local: dict[str, list[Expr]]
     #: (child, [(joined-side ref, child-side ref)]); the first has none
     steps: list[tuple[str, list]]
     tail: list[Expr]
     reads: set[ColumnRef]
+    outputs: list[Expr]
+
+
+def _plan(box: SelectBox, n: int | None = None) -> _Plan:
+    local, equijoins, residual = _classify_predicates(box)
+    steps = _join_order(box.quantifiers(), equijoins)
+    tail = _conjuncts(
+        [join.predicate for join in equijoins if not join.used] + residual
+    )
+    local = {name: _conjuncts(predicates) for name, predicates in local.items()}
+    outputs = [q.expr for q in box.outputs]
+    reads = {ref for _, keys in steps for pair in keys for ref in pair}
+    for expr in chain(outputs, tail):
+        reads.update(expr.column_refs())
+    return _Plan(box, n, local, steps, tail, reads, outputs)
 
 
 def _join_order(quantifiers, equijoins: list[_EquiJoin]) -> list[tuple]:

@@ -46,7 +46,7 @@ from collections import defaultdict
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
-from repro.catalog.types import DataType, value_matches_type
+from repro.catalog.types import PYTHON_TYPES, DataType, value_matches_type
 from repro.errors import ExecutionError, TypeMismatchError
 
 Row = tuple
@@ -288,7 +288,7 @@ class Table:
                 raise TypeMismatchError(
                     f"NULL in non-nullable column {schema.name}.{column.name}"
                 )
-            allowed = _ALLOWED_TYPES[column.dtype]
+            allowed = PYTHON_TYPES[column.dtype]
             if column.dtype is DataType.INTEGER:
                 ok = all(
                     v is None or (type(v) is not bool and isinstance(v, allowed))
@@ -537,15 +537,6 @@ def estimate_columns_nbytes(columns: Sequence[Sequence[Any]]) -> int:
     """Estimated resident bytes of raw columnar data (the executor's
     intermediate relations: one plain value list per column)."""
     return sum(estimate_values_nbytes(column) for column in columns)
-
-
-_ALLOWED_TYPES = {
-    DataType.INTEGER: (int,),
-    DataType.FLOAT: (float, int),
-    DataType.STRING: (str,),
-    DataType.DATE: (datetime.date,),
-    DataType.BOOLEAN: (bool,),
-}
 
 
 def _fmt(value: Any) -> str:

@@ -29,11 +29,14 @@ No value of the query reaches the source: constants, function
 implementations, helpers, columns and sink targets are arguments of a
 generated factory, so the text depends only on the pipeline's shape, and
 the compiled factory is memoised by that text — ``x > 1.5`` and
-``x > 2.5`` share one ``compile()``.
+``x > 2.5`` share one ``compile()``. The factory reads each argument
+from the run it is bound to (:func:`loop_program`), so one emitted
+program serves every run of the same pipeline shape.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -141,7 +144,22 @@ def compile_loop(
     counted — bounds the work between two calls however far a probe
     fans out: every ``every`` rows the bucket loops bind (summed over
     all levels), ``call(rows reaching the sink so far)``."""
+    bind, _ = loop_program(
+        driver, filters, probes, residual, values, sink, counted, pulse
+    )
+    return bind(driver, probes, sink, pulse, ())
+
+
+def loop_program(driver, filters=(), probes=(), residual=(), values=(),
+                 sink=None, counted=(), pulse=None, classes=None, literals=()):
+    """:func:`compile_loop`'s pipeline as ``(bind, guard)``: ``bind(driver,
+    probes, sink, pulse, literals)`` is the loop over any run's inputs of
+    the same shape — which columns each level has, the sink's kind and
+    sets. A literal whose ``(type, value)`` ``classes`` maps to k is that
+    run's ``literals[k]``; ``guard`` is the classes divided by inline,
+    nonzero in these ``literals``: a run where one is 0 needs its own."""
     loop = _Loop([driver, *(columns for _, _, columns in probes)])
+    loop.classes, loop.literals = classes or {}, literals
     return loop.build(filters, probes, residual, values, sink, counted, pulse)
 
 
@@ -216,13 +234,29 @@ class _Emitter:
     def __init__(self):
         #: columns read, in order of first use → loop variable
         self.refs: dict[ColumnRef, str] = {}
-        #: factory arguments: constants, implementations, helpers, data
-        self.args: list = []
+        #: factory arguments, each the source that reads it (the layout),
+        #: and the fixed values among them: constants, helpers, names
+        self.args: list[str] = []
+        self.fixed: list = []
+        #: literal (type, value) → class; the classes' values; each
+        #: divisor divided by inline: its class, or None (a fixed one)
+        self.classes, self.literals, self.guard = {}, (), []
         self._temps = 0
 
-    def _arg(self, value) -> str:
-        self.args.append(value)
+    def _arg(self, value=None, path: str | bool = False) -> str:
+        """A factory argument: read by ``path`` from ``make``'s
+        parameters, else the fixed ``value``."""
+        if not path:
+            self.fixed.append(value)
+            path = f"fixed[{len(self.fixed) - 1}]"
+        self.args.append(path)
         return f"a{len(self.args) - 1}"
+
+    def _class(self, expr: Expr) -> int | None:
+        """The literal class ``expr`` stands for, if it is one."""
+        if isinstance(expr, Literal):
+            return self.classes.get((type(expr.value), expr.value))
+        return None
 
     def _bind(self, code: str) -> tuple[str, str]:
         """``(first use, later uses)`` of ``code``: a compound operand is
@@ -237,7 +271,9 @@ class _Emitter:
         if isinstance(expr, Literal):
             if expr.value is None:
                 return "None", True
-            return self._arg(expr.value), False
+            slot = self._class(expr)
+            path = slot is not None and f"literals[{slot}]"
+            return self._arg(expr.value, path), False
         if isinstance(expr, ColumnRef):
             name = self.refs.get(expr)
             if name is None:
@@ -245,7 +281,11 @@ class _Emitter:
             return name, True
         if isinstance(expr, BinaryOp):
             op = expr.op
-            if op in ("/", "%") and _nonzero_number(expr.right):
+            slot = self._class(expr.right)
+            if op in ("/", "%") and _nonzero_number(
+                expr.right if slot is None else Literal(self.literals[slot])
+            ):
+                self.guard.append(slot)
                 build = lambda a, b: f"({a} {op} {b})"
             elif op in ("/", "%"):
                 helper = self._arg(_divide if op == "/" else _modulo)
@@ -339,7 +379,9 @@ class _Emitter:
             # An all-literal list is one probe; a NULL item can only turn
             # a miss into UNKNOWN, never a hit.  (A set also matches by
             # identity, which would let a NaN item hit: NaN lists chain.)
-            probe = self._arg(frozenset(members))
+            probe = self._arg(path="frozenset(({}))".format("".join(
+                self.emit(item)[0] + ", " for item in items if item.value is not None
+            )))
             tail = "None" if saw_null else miss
             return f"({head}{hit} if {value} in {probe} else {tail})", True
         chain = []
@@ -413,17 +455,17 @@ class _Loop(_Emitter):
     def build(self, filters, probes, residual, values, sink, counted, pulse):
         self._test(filters)
         if pulse:
-            every, call = map(self._arg, pulse)
-        for p, (keys, table, _) in enumerate(probes):
+            every, call = self._arg(path="pulse[0]"), self._arg(path="pulse[1]")
+        for p, (keys, _, _) in enumerate(probes):
             if p in counted:
                 self._line(f"n{p} += 1")
             if keys:
                 key = self._key([self.emit(ref)[0] for ref in keys])
-                self._line(f"b{p} = {self._arg(table.get)}({key})")
+                self._line(f"b{p} = {self._arg(path=f'probes[{p}][1].get')}({key})")
                 self._line(f"if b{p} is None: continue")
                 rows = f"b{p}"
             else:
-                rows = self._arg(table)
+                rows = self._arg(path=f"probes[{p}][1]")
             self._line(f"for j{p} in {rows}:")
             self.depth += 1
             if pulse:
@@ -438,13 +480,13 @@ class _Loop(_Emitter):
         for k, value in enumerate(values):
             code, _ = self.emit(value)
             if kind == "append":
-                self._line(f"{self._arg(sink[1][k])}({code})")
+                self._line(f"{self._arg(path=f'sink[1][{k}]')}({code})")
             elif not code.isidentifier():
                 self._line(f"v{k} = {code}")
                 code = f"v{k}"
             names.append(code)
         if kind == "hash":
-            self._hash(names, sink[1])
+            self._hash(names)
         elif kind == "group":
             self._group(names, *sink[1:])
         if not self.body or not isinstance(self.body[-1], str):
@@ -454,17 +496,17 @@ class _Loop(_Emitter):
         )
         return self._compile(sorted(counted), numbered, bool(pulse))
 
-    def _hash(self, names, buckets) -> None:
+    def _hash(self, names) -> None:
         if not names:
-            self._line(f"{self._arg(buckets.append)}(i)")
+            self._line(f"{self._arg(path='sink[1].append')}(i)")
             return
         self._line(f"if {' or '.join(f'{n} is None' for n in names)}: continue")
         key = self._key(names)
         if len(names) > 1:
             self._line(f"k = {key}")
             key = "k"
-        table = self._arg(buckets)
-        self._line(f"h = {self._arg(buckets.get)}({key})")
+        table = self._arg(path="sink[1]")
+        self._line(f"h = {self._arg(path='sink[1].get')}({key})")
         self._line(f"if h is None: {table}[{key}] = [i]")
         self._line("else: h.append(i)")
 
@@ -473,22 +515,23 @@ class _Loop(_Emitter):
             (position, *(_DISTINCT_FOLD if distinct else _FOLDS[kind]))
             for position, kind, distinct in aggregates
         ]
-        for positions, groups, firsts, states in sets:
+        for s, (positions, _, firsts, _) in enumerate(sets):
             key = self._key([names[p] for p in positions]) if positions else "()"
             if len(positions) > 1:
                 self._line(f"k = {key}")
                 key = "k"
-            table = self._arg(groups)
-            self._line(f"g = {self._arg(groups.get)}({key})")
+            at = f"sink[1][{s}]"
+            table = self._arg(path=f"{at}[1]")
+            self._line(f"g = {self._arg(path=f'{at}[1].get')}({key})")
             self._line("if g is None:")
             self._line(f"    g = {table}[{key}] = len({table})")
             if firsts is not None:
-                self._line(f"    {self._arg(firsts.append)}(i)")
-            for (_, initial, _), state in zip(folds, states):
-                self._line(f"    {self._arg(state.append)}({initial})")
-            for (position, _, fold), state in zip(folds, states):
+                self._line(f"    {self._arg(path=f'{at}[2].append')}(i)")
+            for a, (_, initial, _) in enumerate(folds):
+                self._line(f"    {self._arg(path=f'{at}[3][{a}].append')}({initial})")
+            for a, (position, _, fold) in enumerate(folds):
                 value = "None" if position is None else names[position]
-                self._line(fold.format(s=self._arg(state), v=value))
+                self._line(fold.format(s=self._arg(path=f"{at}[3][{a}]"), v=value))
 
     def _compile(self, counted: list[int], numbered: bool, pulsed: bool):
         targets, sources = (["i"], ["sel"]) if numbered else ([], [])
@@ -500,7 +543,8 @@ class _Loop(_Emitter):
             )
             if level is None:
                 raise ExecutionError(f"no column {ref!r} to read")
-            column = self._arg(self.levels[level][ref])
+            column = self._arg(path=(f"probes[{level - 1}][2]" if level else "driver")
+                               + f"[{self._arg(ref)}]")
             if level:
                 bindings.setdefault(level, []).append(
                     f"{name} = {column}[j{level - 1}]"
@@ -515,11 +559,8 @@ class _Loop(_Emitter):
         else:
             header = f"for {', '.join(targets)} in zip({', '.join(sources)}):"
         counters = [f"n{stage}" for stage in counted]
-        lines = ["def make(view, args):"]
-        if self.args:
-            lines.append(
-                "    " + "".join(f"a{k}, " for k in range(len(self.args))) + "= args"
-            )
+        lines = ["def make(view, fixed, driver, probes, sink, pulse, literals):"]
+        lines += [f"    a{k} = {path}" for k, path in enumerate(self.args)]
         lines.append("    def loop(sel):")
         if counters or pulsed:
             lines.append(f"        {' = '.join(counters + ['w'] * pulsed)} = 0")
@@ -534,4 +575,6 @@ class _Loop(_Emitter):
             f"        return ({''.join(c + ', ' for c in counters)})",
             "    return loop",
         ]
-        return _factory("\n".join(lines) + "\n")(view, tuple(self.args))
+        make = _factory("\n".join(lines) + "\n")
+        guard = tuple(slot for slot in self.guard if slot is not None)
+        return partial(make, view, self.fixed), guard

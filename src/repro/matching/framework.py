@@ -129,6 +129,10 @@ class MatchContext:
         self._name_counter += 1
         return f"{stem}-C{self._name_counter}"
 
+    def chain_name(self, box: QGMBox) -> str:
+        """A fresh name for a copy of compensation box ``box``."""
+        return self.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel")
+
 
 # ----------------------------------------------------------------------
 # Compensation-chain utilities

@@ -39,6 +39,7 @@ from repro.matching.framework import (
     chain_rejoin_quantifiers,
     clone_chain_box,
     inline_through_chain,
+    rebase_chain,
 )
 from repro.matching.translation import ChildTranslator, MatchedChildPair
 from repro.qgm.unparse import render_expr
@@ -353,13 +354,10 @@ def _match_select_only(
             )
         return None
 
-    if not _subsumer_predicates_covered(subsumer, pool, extra_join_preds):
+    if (uncovered := _uncovered_predicate(subsumer, pool, extra_join_preds)):
         t = ctx.trace
         if t is not None:
-            t.reject(
-                "predicate-subsumption", "4.1.1 cond 2",
-                _uncovered_predicate(subsumer, pool, extra_join_preds),
-            )
+            t.reject("predicate-subsumption", "4.1.1 cond 2", uncovered)
         return None
 
     classes_r = _subsumer_classes(subsumer, ctx)
@@ -435,11 +433,12 @@ def _subsumer_classes(subsumer: SelectBox, ctx: MatchContext) -> EquivalenceClas
     return EquivalenceClasses()
 
 
-def _subsumer_predicates_covered(
+def _uncovered_predicate(
     subsumer: SelectBox, pool: list[Expr], extra_join_preds: list[Expr]
-) -> bool:
+) -> str | None:
     """Condition 2: every subsumer predicate (except extra joins) matches
-    or subsumes a predicate the subsumee applies."""
+    or subsumes a predicate the subsumee applies. Names the first that
+    does not, or None."""
     classes_e = EquivalenceClasses()
     for predicate in pool:
         classes_e.add_predicate(normalize(predicate))
@@ -454,31 +453,8 @@ def _subsumer_predicates_covered(
             for p in pool
         ):
             continue
-        return False
-    return True
-
-
-def _uncovered_predicate(
-    subsumer: SelectBox, pool: list[Expr], extra_join_preds: list[Expr]
-) -> str:
-    """Name the first subsumer predicate that condition 2 could not cover
-    (trace detail only — mirrors :func:`_subsumer_predicates_covered`)."""
-    classes_e = EquivalenceClasses()
-    for predicate in pool:
-        classes_e.add_predicate(normalize(predicate))
-    exempt = {normalize(p) for p in extra_join_preds}
-    for r_pred in subsumer.predicates:
-        if normalize(r_pred) in exempt:
-            continue
-        if canonical(r_pred, classes_e) == TRUE:
-            continue
-        if any(
-            equivalent(p, r_pred, classes_e) or subsumes(r_pred, p, classes_e)
-            for p in pool
-        ):
-            continue
         return "subsumer predicate not implied by query: " + render_expr(r_pred)
-    return "subsumer predicates not covered"
+    return None
 
 
 def _matched_by_subsumer(
@@ -562,12 +538,9 @@ def _match_with_grouping_child(
     # where crossing the grouping compensation introduces aggregates that
     # can never match a plain predicate.
     pool = [translator.translate(p) for p in subsumee.predicates]
-    if not _subsumer_predicates_covered(subsumer, pool, extra_join_preds):
+    if (uncovered := _uncovered_predicate(subsumer, pool, extra_join_preds)):
         if t is not None:
-            t.reject(
-                "predicate-subsumption", "4.2.4",
-                _uncovered_predicate(subsumer, pool, extra_join_preds),
-            )
+            t.reject("predicate-subsumption", "4.2.4", uncovered)
         return None
 
     classes_r = _subsumer_classes(subsumer, ctx)
@@ -671,9 +644,7 @@ class _ThreadedColumns:
                 box.grouping_sets = tuple(
                     grouping_set + (name,) for grouping_set in box.grouping_sets
                 )
-                box.add_output(QCL(name, ColumnRef(MAIN, name), nullable=True))
-            else:
-                box.add_output(QCL(name, ColumnRef(MAIN, name), nullable=True))
+            box.add_output(QCL(name, ColumnRef(MAIN, name), nullable=True))
         self._by_source[key] = name
         return name
 
@@ -701,41 +672,26 @@ def _rebase_grouping_chain(
 
         return expr.transform(visit)
 
-    chain: list = []
     thread = _ThreadedColumns(ctx)
     below = SubsumerRef(subsumer)
-    for index, box in enumerate(source):
-        if index == 0:
-            if isinstance(box, GroupByBox):
-                # Chain starts directly with a GROUP-BY: synthesize the
-                # bottom SELECT that re-derives its inputs.
-                bottom = SelectBox(ctx.fresh_name("Sel"))
-                bottom.add_quantifier(MAIN, below)
-                for name in box.child_quantifier.box.output_names:
-                    derived = derive_scalar(
-                        ColumnRef(rq_name, name), scope
-                    )
-                    if derived is None:
-                        return None
-                    bottom.add_output(QCL(name, derived, nullable=True))
-                chain.append(bottom)
-                below = bottom
-                clone = clone_chain_box(box, below, ctx.fresh_name("GB"))
-                chain.append(clone)
-                below = clone
-                continue
-            rebuilt = _rederive_bottom_select(box, scope, in_subsumer_qnc, ctx, below)
-            if rebuilt is None:
+    box = source[0]
+    if isinstance(box, GroupByBox):
+        # Chain starts directly with a GROUP-BY: synthesize the bottom
+        # SELECT that re-derives its inputs.
+        bottom = SelectBox(ctx.fresh_name("Sel"))
+        bottom.add_quantifier(MAIN, below)
+        for name in box.child_quantifier.box.output_names:
+            derived = derive_scalar(ColumnRef(rq_name, name), scope)
+            if derived is None:
                 return None
-            chain.append(rebuilt)
-            below = rebuilt
-            continue
-        clone = clone_chain_box(
-            box, below, ctx.fresh_name("GB" if isinstance(box, GroupByBox) else "Sel")
-        )
-        chain.append(clone)
-        below = clone
-    return chain, thread
+            bottom.add_output(QCL(name, derived, nullable=True))
+        chain = [bottom, clone_chain_box(box, bottom, ctx.fresh_name("GB"))]
+    else:
+        rebuilt = _rederive_bottom_select(box, scope, in_subsumer_qnc, ctx, below)
+        if rebuilt is None:
+            return None
+        chain = [rebuilt]
+    return chain + rebase_chain(source[1:], chain[-1], ctx.chain_name), thread
 
 
 def _rederive_bottom_select(

@@ -36,12 +36,14 @@ class Counter:
     """A monotonic (but resettable) integer counter."""
 
     kind = "counter"
+    #: the value a new or reset metric holds
+    _zero = 0
     __slots__ = ("name", "help", "_value", "_lock")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._value = 0
+        self._value = self._zero
         self._lock = threading.Lock()
 
     @property
@@ -53,8 +55,7 @@ class Counter:
             self._value += amount
 
     def reset(self) -> None:
-        with self._lock:
-            self._value = 0
+        self.swap()
 
     def swap(self) -> dict:
         """Atomically capture-and-zero: returns :meth:`describe` of the
@@ -62,52 +63,26 @@ class Counter:
         or entirely after the swap — never half in each epoch."""
         with self._lock:
             snapshot = {"type": self.kind, "value": self._value}
-            self._value = 0
+            self._value = self._zero
         return snapshot
 
     def describe(self) -> dict:
         return {"type": self.kind, "value": self._value}
 
 
-class Gauge:
+class Gauge(Counter):
     """A value that can go up and down (queue depths, pending deltas)."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        return self._value
+    _zero = 0.0
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
-
-    def reset(self) -> None:
-        self.set(0.0)
-
-    def swap(self) -> dict:
-        """Atomically capture-and-zero (see :meth:`Counter.swap`)."""
-        with self._lock:
-            snapshot = {"type": self.kind, "value": self._value}
-            self._value = 0.0
-        return snapshot
-
-    def describe(self) -> dict:
-        return {"type": self.kind, "value": self._value}
 
 
 class Histogram:
@@ -160,12 +135,7 @@ class Histogram:
             return self._sum / self._count if self._count else None
 
     def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.buckets) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = None
-            self._max = None
+        self.swap()
 
     def swap(self) -> dict:
         """Atomically capture-and-zero (see :meth:`Counter.swap`)."""
@@ -274,7 +244,7 @@ class MetricsRegistry:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if not isinstance(existing, cls):
+                if type(existing) is not cls:
                     raise ValueError(
                         f"metric {name!r} already registered as "
                         f"{existing.kind}, not {cls.kind}"
@@ -344,12 +314,11 @@ class MetricsRegistry:
     def timer(self, name: str) -> Iterator[None]:
         """Observe the block's wall time, in milliseconds, into the
         histogram ``name``."""
-        histogram = self.histogram(name)
         started = time.perf_counter()
         try:
             yield
         finally:
-            histogram.observe((time.perf_counter() - started) * 1e3)
+            self.observe_ms(name, started)
 
     def observe_ms(self, name: str, started: float) -> float:
         """Record elapsed milliseconds since ``started`` (a

@@ -95,6 +95,9 @@ class _Template:
         self.probes = probes
         self.boxes = graph.boxes()
         self.position = {id(box): n for n, box in enumerate(self.boxes)}
+        #: per box position, the executor's memoised programs
+        #: (docs/EXECUTOR.md, "A template's program")
+        self.programs: dict = {}
         #: the expressions holding a probe literal, by identity
         self.slotted = {
             id(expr) for expr in _expressions(graph)
@@ -168,6 +171,8 @@ class _Template:
         graph = QueryGraph(copies[-1], self.graph.catalog)
         graph.order_by = list(self.graph.order_by)
         graph.limit = self.graph.limit
+        if values is not None:
+            graph.origin = self, values
         return graph
 
 

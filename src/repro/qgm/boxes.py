@@ -402,6 +402,8 @@ class QueryGraph:
         self.catalog = catalog
         self.order_by: list[tuple[str, bool]] = []  # (output name, ascending)
         self.limit: int | None = None  # presentation-level row cap
+        #: (template, literal values) of a template's clone
+        self.origin = None
 
     def boxes(self) -> list[QGMBox]:
         """All boxes, children before parents (topological order)."""

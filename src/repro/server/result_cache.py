@@ -57,10 +57,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.refresh.policy import RefreshAge
 
 
-def cache_key(fingerprint_key: tuple, tolerance: RefreshAge,
+def cache_key(result_key: tuple, tolerance: RefreshAge,
               use_summary_tables: bool) -> tuple:
     """The full cache key for one (query, session-knobs) pair."""
-    return (fingerprint_key, tolerance.key, use_summary_tables)
+    return (result_key, tolerance.key, use_summary_tables)
 
 
 @dataclass

@@ -120,7 +120,7 @@ class _PreparedSelect(NamedTuple):
     the result cache without parsing. No parse tree — trees are mutable
     and whatever executes needs a private one."""
 
-    fingerprint_key: tuple
+    result_key: tuple
     base_tables: list[str]
     #: ``Database.rewrite_epoch`` the text was bound under
     epoch: int
@@ -536,7 +536,7 @@ class QueryServer:
         prepared = self._prepared.get(sql)
         if prepared is not None and prepared.epoch == db.rewrite_epoch:
             session.queries += 1
-            key = cache_key(prepared.fingerprint_key, tolerance, use_summaries)
+            key = cache_key(prepared.result_key, tolerance, use_summaries)
             reply = self._serve_cached(session, key, tolerance)
             if reply is not None:
                 return reply, None
@@ -678,7 +678,7 @@ class QueryServer:
             if miss.probed is None:
                 prepared, source = self._prepare(sql, miss.lexed)
                 key = cache_key(
-                    prepared.fingerprint_key, tolerance, use_summaries
+                    prepared.result_key, tolerance, use_summaries
                 )
                 reply = self._serve_cached(session, key, tolerance)
                 if reply is not None:

@@ -340,7 +340,7 @@ class _StatementParser(_Parser):
         return CreateTable(name, tuple(columns), tuple(keys), tuple(foreign_keys))
 
     def _parse_column_def(self) -> ColumnDef:
-        name = self._column_name()
+        name = self._expect_column_name()
         type_word = self._ident_or_keyword_value()
         if type_word not in _TYPE_NAMES:
             raise self._error(f"unknown column type")
@@ -358,17 +358,11 @@ class _StatementParser(_Parser):
             nullable = True
         return ColumnDef(name, _TYPE_NAMES[type_word], nullable)
 
-    def _column_name(self) -> str:
-        if self._current.is_keyword("date"):
-            self._advance()
-            return "date"
-        return self.expect_ident().value
-
     def _parse_name_list(self) -> tuple[str, ...]:
         self.expect_punct("(")
-        names = [self._column_name()]
+        names = [self._expect_column_name()]
         while self.accept_punct(","):
-            names.append(self._column_name())
+            names.append(self._expect_column_name())
         self.expect_punct(")")
         return tuple(names)
 
@@ -390,16 +384,7 @@ class _StatementParser(_Parser):
                 names.append(self.expect_ident().value)
         return RefreshSummaryTables(tuple(names))
 
-    def _parse_set(
-        self,
-    ) -> (
-        SetRefreshAge
-        | SetSlowQuery
-        | SetQueryTimeout
-        | SetQueryMaxRows
-        | SetQueryMaxMem
-        | SetTraceSample
-    ):
+    def _parse_set(self) -> Statement:
         self._expect_word("set")
         if self._accept_word("query"):
             return self._parse_set_query()

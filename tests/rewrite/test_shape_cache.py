@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -384,6 +385,9 @@ def test_explain_analyze_says_a_plan_template_served():
         "(cold)", "(filed)", "(substituted)",
         "(substituted, plan template served)",
     ]
+    # a second plan hit binds every loop from its plan's programs
+    executor = db.explain_analyze(sql.format(6)).split("-- executor --")[1]
+    assert re.search(r"\n  programs   (\d+) of \1 loops reused\n", executor)
 
 
 # ----------------------------------------------------------------------

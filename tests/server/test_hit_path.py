@@ -211,7 +211,7 @@ class TestHitsOnTheLoop:
             assert client.query(GROUPED).cache == "hit"
             after = server._prepared.peek(GROUPED)
         assert after.epoch == server.db.rewrite_epoch > before.epoch
-        assert after.fingerprint_key == before.fingerprint_key
+        assert after.result_key == before.result_key
 
     def test_a_text_past_the_memo_bound_evicts_the_least_recent(
         self, served, monkeypatch
