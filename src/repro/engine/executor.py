@@ -175,13 +175,14 @@ class _Rel:
         self.stored = stored
 
     @classmethod
-    def of(cls, quantifier: str, table: Table, box: QGMBox | None = None) -> "_Rel":
-        """``table`` as read through ``quantifier`` (over ``box``)."""
+    def of(cls, quantifier: str, table: Table, refs: dict, box=None) -> "_Rel":
+        """``table`` through ``quantifier`` (over ``box``), by ``refs``' ColumnRefs."""
+        key = (quantifier, *table.columns)
+        keys = refs.get(key)
+        if keys is None:
+            keys = refs[key] = [ColumnRef(quantifier, name) for name in table.columns]
         return cls(
-            {
-                ColumnRef(quantifier, name): column
-                for name, column in zip(table.columns, table.columns_data())
-            },
+            dict(zip(keys, table.columns_data())),
             len(table),
             (box, table) if isinstance(box, BaseTableBox) else None,
         )
@@ -557,11 +558,11 @@ class Executor:
         quantifiers = box.quantifiers()
         if not quantifiers:
             raise ExecutionError("SELECT box with no children")
+        plan = ctx.memo(box, _plan)
         rels = {
-            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx), q.box)
+            q.name: _Rel.of(q.name, self._evaluate(q.box, memo, ctx), plan.refs, q.box)
             for q in quantifiers
         }
-        plan = ctx.memo(box, _plan)
         sink = group or _Append(plan.outputs)
         budget = ctx.budget
         reserved = budget is not None and budget.reservation is not None
@@ -915,7 +916,8 @@ class Executor:
             names = [name for name in child.columns if name in read]
             quantifier = box.child_quantifier.name
             group = _Group(box, names, [ColumnRef(quantifier, n) for n in names])
-            results = self._group(_Rel.of(quantifier, child), group, reservation, ctx)
+            rel = _Rel.of(quantifier, child, {})
+            results = self._group(rel, group, reservation, ctx)
         table = group.table(results)
         if budget is not None:
             budget.check_rows(len(table), "grouped rows")
@@ -1147,6 +1149,7 @@ class _Plan(NamedTuple):
     tail: list[Expr]
     reads: set[ColumnRef]
     outputs: list[Expr]
+    refs: dict[tuple, list[ColumnRef]]  # (child, *its columns): refs
 
 
 def _plan(box: SelectBox, n: int | None = None) -> _Plan:
@@ -1160,7 +1163,7 @@ def _plan(box: SelectBox, n: int | None = None) -> _Plan:
     reads = {ref for _, keys in steps for pair in keys for ref in pair}
     for expr in chain(outputs, tail):
         reads.update(expr.column_refs())
-    return _Plan(box, n, local, steps, tail, reads, outputs)
+    return _Plan(box, n, local, steps, tail, reads, outputs, {})
 
 
 def _join_order(quantifiers, equijoins: list[_EquiJoin]) -> list[tuple]:

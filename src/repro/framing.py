@@ -17,14 +17,17 @@ torn tail). What a bad frame *means* is each reader's call.
 * *tagged* (the wire, spill runs): a date is ``{"$date": "YYYY-MM-DD"}``
   wherever it sits. The wire revives that tag and no other; a spill run
   also tags tuples (``$tuple``) and sets (``$set``), which JSON would
-  write as lists, so its records read back exactly as written.
+  write as lists, so its records read back exactly as written. A wire
+  column of floats is one ``{"$f8": base64}`` (:func:`pack_column`).
 """
 
 from __future__ import annotations
 
+import base64
 import datetime
 import json
 import os
+import struct
 import zlib
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -163,6 +166,30 @@ def _revive_date(obj: dict) -> Any:
     if len(obj) == 1 and "$date" in obj:
         return datetime.date.fromisoformat(obj["$date"])
     return obj
+
+
+def pack_column(values: list) -> Any:
+    """A wire column: one of nothing but ``float`` as ``{"$f8": base64}``
+    of its little-endian doubles (every bit pattern kept), else itself."""
+    if values and type(values[0]) is float and (
+        list(map(type, values)).count(float) == len(values)
+    ):
+        packed = struct.pack(f"<{len(values)}d", *values)
+        return {"$f8": base64.b64encode(packed).decode("ascii")}
+    return values
+
+
+def unpack_column(column: Any) -> Any:
+    """A :func:`pack_column` column as its value list; a malformed packed
+    column (another key, bad base64, a ragged length) is a ValueError."""
+    if type(column) is not dict:
+        return column
+    if column.keys() != {"$f8"}:
+        raise ValueError(f"unknown column form {sorted(column)}")
+    packed = base64.b64decode(column["$f8"], validate=True)
+    if len(packed) % 8:
+        raise ValueError(f"{len(packed)} bytes of packed doubles")
+    return list(struct.unpack(f"<{len(packed) // 8}d", packed))
 
 
 def dumps_run(record: Any) -> str:

@@ -30,31 +30,31 @@ trace_id) so the standby's apply span joins the same trace.
 **Result tables** are column-major — ``{"columns": [names...],
 "data": [[column 0's values...], [column 1's...], ...]}`` — because
 that is how the engine holds them: :func:`encode_table` hands
-``Table.columns_data()`` to the serializer untouched (no row tuple is
-ever built to be sent) and :func:`decode_table` adopts the decoded
-lists as the client table's storage. The server encodes a result's
-table to bytes once (:func:`encode_table_fragment`), keeps the bytes in
-its result cache, and :func:`encode_reply` — the one reply assembler,
-for hits and misses alike — splices them in as the last field of the
-small per-request envelope (``ok``, ``cache``, ``id``, ``elapsed_ms``).
+``Table.columns_data()`` to the serializer (no row tuple is ever built
+to be sent), an all-``float`` column as ``{"$f8": base64}`` of its
+little-endian doubles; :func:`decode_table` adopts the decoded lists as
+the client table's storage. The server encodes a result's table to
+bytes once (:func:`encode_table_fragment`), keeps the bytes in its
+result cache, and :func:`encode_reply` — the one reply assembler, for
+hits and misses alike — splices them in as the last field of the small
+per-request envelope (``ok``, ``cache``, ``id``, ``elapsed_ms``).
 
 **Bit-identity.** The differential tests demand that a result served
-over the wire equals direct in-process execution exactly. JSON already
-round-trips ``int``, ``str``, ``bool``, ``None`` and — via Python's
-shortest-repr float serialization — every ``float`` bit-for-bit
-(``NaN``/``Infinity`` in Python's JSON dialect). The one engine value
-type JSON lacks is ``datetime.date``; it travels as a tagged object
-``{"$date": "YYYY-MM-DD"}`` wherever it sits, a column's value list
-included — :mod:`repro.framing`'s tagged dialect, whose encoder is one
-prebuilt JSON encoder with a ``default=`` hook and whose decoder
-revives ``$date`` and no other tag.
+over the wire equals direct in-process execution exactly. A packed
+column keeps each double's bits, NaN payloads too; JSON text
+round-trips ``int``, ``str``, ``bool``, ``None`` and a mixed column's
+floats (a NaN as the canonical NaN). The one engine value type JSON
+lacks is ``datetime.date``; it travels as ``{"$date": "YYYY-MM-DD"}``
+wherever it sits, a column's value list included — :mod:`repro.framing`'s
+tagged dialect, whose encoder is one prebuilt JSON encoder with a
+``default=`` hook and whose decoder revives ``$date`` and no other tag.
 """
 
 from __future__ import annotations
 
 from repro import errors as _errors
 from repro.engine.table import Table
-from repro.framing import dumps_tagged, loads_tagged
+from repro.framing import dumps_tagged, loads_tagged, pack_column, unpack_column
 
 #: cap on one encoded message line; a line longer than this is a
 #: protocol error (keeps a hostile or buggy peer from ballooning the
@@ -77,8 +77,6 @@ def encode_message(message: dict) -> bytes:
 
 def decode_message(line: bytes | str) -> dict:
     """Parse one line back into a message, reviving tagged values."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
         message = loads_tagged(line)
     except ValueError as error:
@@ -90,9 +88,10 @@ def decode_message(line: bytes | str) -> dict:
 
 # ----------------------------------------------------------------------
 def encode_table(table: Table) -> dict:
-    """A result table as a JSON-ready, column-major payload: the
-    table's own value lists, not copied and never turned into rows."""
-    return {"columns": list(table.columns), "data": table.columns_data()}
+    """A result table as a JSON-ready, column-major payload: each float
+    column packed, every other one the table's own list, never rows."""
+    data = [pack_column(values) for values in table.columns_data()]
+    return {"columns": list(table.columns), "data": data}
 
 
 def encode_table_fragment(table: Table) -> bytes:
@@ -114,10 +113,11 @@ def encode_reply(envelope: dict, table_fragment: bytes | None = None) -> bytes:
 def decode_table(payload: dict) -> Table:
     """Rebuild a :class:`Table` from an :func:`encode_table` payload
     that came through :func:`decode_message` (dates already revived);
-    the decoded column lists become the table's storage."""
+    the decoded lists, float columns unpacked, become its storage."""
     try:
-        return Table.from_columns(payload["columns"], payload["data"])
-    except (KeyError, TypeError, _errors.ExecutionError) as error:
+        data = [unpack_column(column) for column in payload["data"]]
+        return Table.from_columns(payload["columns"], data)
+    except (KeyError, TypeError, ValueError, _errors.ExecutionError) as error:
         raise ProtocolError(f"bad table payload: {error}") from None
 
 

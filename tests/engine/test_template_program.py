@@ -18,6 +18,7 @@ from repro.engine import Database
 from repro.engine import executor as executor_module
 from repro.errors import ExecutionError
 from repro.expr import vector
+from repro.expr.nodes import ColumnRef
 from repro.testing.faults import INJECTOR
 
 from tests.rewrite.test_shape_cache import (
@@ -102,6 +103,34 @@ def test_a_plan_hit_and_a_bind_hit_plan_nothing(nine, monkeypatch):
     for run in runs:
         reused, loops = run.executor_stats.programs
         assert reused == loops > 0
+
+
+def test_a_plan_hit_and_a_bind_hit_make_no_column_refs(nine, monkeypatch):
+    """From a template's second run on, its children are read through
+    the ColumnRefs its plan kept: ``_Rel.of`` constructs none."""
+    for value in (3, 4, 5, 5):
+        nine.shaped.run_select(HAVING.format(value))
+        nine.shaped.run_select(HAVING.format(value), use_summary_tables=False)
+    counts = {"calls": 0, "inside": 0, "refs": 0}
+    real_of, real_init = executor_module._Rel.of.__func__, ColumnRef.__init__
+
+    def of(cls, *args):
+        counts["calls"] += 1
+        counts["inside"] += 1
+        try:
+            return real_of(cls, *args)
+        finally:
+            counts["inside"] -= 1
+
+    def init(self, *args, **kwargs):
+        counts["refs"] += counts["inside"] > 0
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module._Rel, "of", classmethod(of))
+    monkeypatch.setattr(ColumnRef, "__init__", init)
+    for use in (True, False):
+        nine.shaped.run_select(HAVING.format(6), use_summary_tables=use)
+    assert counts["calls"] >= 2 and counts["refs"] == 0
 
 
 @pytest.mark.parametrize("operator", ["/", "%"])

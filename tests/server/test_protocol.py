@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import datetime
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.sample import credit_card_catalog
 from repro.engine.table import Table
@@ -45,11 +48,21 @@ class TestMessageRoundTrip:
         message = {"s": "naïve — ünïcödé", "n": None, "b": True}
         assert protocol.decode_message(protocol.encode_message(message)) == message
 
+    def test_a_packed_column_in_a_request_stays_a_dict(self):
+        """Only the table decoder unpacks ``$f8``: anywhere else in a
+        message it is the dict that was sent."""
+        message = {"op": "query", "sql": {"$f8": "mpmZmZmZuT8="}}
+        assert protocol.decode_message(protocol.encode_message(message)) == message
+
     def test_bad_lines_raise_protocol_error(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_message(b"not json\n")
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_message(b"[1, 2, 3]\n")
+
+    def test_a_line_that_is_not_utf8_raises_protocol_error(self):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_message(b'{"op": "\xff"}\n')
 
 
 def over_the_wire(table: Table) -> Table:
@@ -145,6 +158,73 @@ class TestTableRoundTrip:
             protocol.decode_table({"columns": ["a"], "rows": [[1]]})
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_table({"columns": ["a", "b"], "data": [[1], []]})
+
+    def test_a_float_column_is_packed_little_endian(self):
+        table = Table.from_columns(["f"], [[0.1]])
+        assert protocol.encode_table_fragment(table) == (
+            b'{"columns":["f"],"data":[{"$f8":"mpmZmZmZuT8="}]}'
+        )
+
+    @pytest.mark.parametrize("column", [
+        {"$f8": "mpm!ZmZm"},  # not base64
+        {"$f8": "mpmZmZmZ"},  # 6 bytes: not a multiple of 8
+        {"$f8": 8},
+        {"$f4": "AAAAAA=="},  # any other key
+        {"$f8": "", "n": 1},
+        {},
+    ])
+    def test_a_malformed_packed_column_raises(self, column):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_table({"columns": ["f"], "data": [column]})
+
+
+def double(pattern: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+#: every double bit pattern: NaNs with any payload and sign included
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, math.inf, -math.inf]),
+    st.integers(1, 2**52 - 1).map(lambda payload: double(0x7FF << 52 | payload)),
+    st.integers(0, 2**64 - 1).map(double),
+)
+
+
+def wire_payload(table: Table) -> dict:
+    """``table``'s payload as the client's message decoder leaves it."""
+    line = protocol.encode_reply({"ok": True}, protocol.encode_table_fragment(table))
+    return protocol.decode_message(line)["table"]
+
+
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
+@given(values=st.lists(FLOATS, min_size=1, max_size=6))
+def test_a_float_column_round_trips_bit_for_bit(values):
+    payload = wire_payload(Table.from_columns(["f"], [values]))
+    assert list(payload["data"][0]) == ["$f8"]
+    restored = protocol.decode_table(payload).columns_data()[0]
+    assert all(type(v) is float for v in restored)
+    assert [bits(v) for v in restored] == [bits(v) for v in values]
+
+
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
+@given(
+    values=st.lists(FLOATS, max_size=4),
+    other=st.sampled_from([None, 0, 7, True, False, 2**80]),
+    at=st.integers(0, 4),
+)
+def test_a_column_mixing_floats_stays_a_list(values, other, at):
+    values.insert(at, other)
+    payload = wire_payload(Table.from_columns(["f"], [values]))
+    assert type(payload["data"][0]) is list
+    restored = protocol.decode_table(payload).columns_data()[0]
+    assert [(type(v), repr(v)) for v in restored] == [
+        (type(v), repr(v)) for v in values
+    ]
 
 
 class TestErrorMapping:

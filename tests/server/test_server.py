@@ -36,6 +36,31 @@ def served():
         server.stop()
 
 
+@pytest.fixture
+def hold_refresh():
+    """``hold_refresh(db)`` holds ``db``'s deferred refresh worker before
+    it applies anything until the returned event is set (at teardown at
+    the latest): a deferred summary stays stale meanwhile, however late
+    the next request arrives."""
+    gates = []
+
+    def hold(db: Database) -> threading.Event:
+        scheduler, gate = db._scheduler, threading.Event()
+        refresh = scheduler._refresh_one
+
+        def held(name):
+            gate.wait(60)
+            refresh(name)
+
+        scheduler._refresh_one = held
+        gates.append(gate)
+        return gate
+
+    yield hold
+    for gate in gates:
+        gate.set()
+
+
 def connect(server: QueryServer) -> ReproClient:
     host, port = server.address
     return ReproClient(host, port)
@@ -248,7 +273,7 @@ class TestGovernorOverTheWire:
             lines = client.governor()
             assert any("admission" in line for line in lines)
 
-    def test_explain_sees_session_tolerance(self, served):
+    def test_explain_sees_session_tolerance(self, served, hold_refresh):
         db = fresh_small_db()
         db.create_summary_table(
             "SrvAst",
@@ -257,6 +282,7 @@ class TestGovernorOverTheWire:
         )
         server = served(db)
         sql = "SELECT faid, COUNT(*) AS cnt FROM Trans GROUP BY faid"
+        held = hold_refresh(db)  # else the worker may refresh SrvAst first
         with connect(server) as client:
             client.query(
                 "INSERT INTO Trans VALUES "
@@ -266,11 +292,14 @@ class TestGovernorOverTheWire:
             assert "SrvAst" not in strict.split("-- rewrite --")[-1] or (
                 "no summary-table rewrite" in strict
             )
+            held.set()
             client.set("SET REFRESH AGE ANY")
             tolerant = client.explain(sql)
             assert "SrvAst" in tolerant
 
-    def test_explain_analyze_runs_under_the_session_knobs(self, served):
+    def test_explain_analyze_runs_under_the_session_knobs(
+        self, served, hold_refresh
+    ):
         """EXPLAIN ANALYZE is the query itself, run and rendered: it
         answers to the connection's SET REFRESH AGE and SET QUERY
         limits exactly as the query and plain EXPLAIN do."""
@@ -282,6 +311,7 @@ class TestGovernorOverTheWire:
         )
         server = served(db)
         sql = "SELECT faid, COUNT(*) AS cnt FROM Trans GROUP BY faid"
+        held = hold_refresh(db)  # else the worker may refresh SrvAst first
         with connect(server) as client:
             client.query(
                 "INSERT INTO Trans VALUES "
@@ -289,6 +319,7 @@ class TestGovernorOverTheWire:
             )
             strict = client.explain(sql, analyze=True)
             assert "-- rewritten SQL --" not in strict
+            held.set()
             client.set("SET REFRESH AGE ANY")
             rewritten = client.explain(sql).split("-- rewritten SQL --")[1]
             analyzed = client.explain(sql, analyze=True)
