@@ -64,7 +64,9 @@ def time_pipeline(database, runs: int, mode: str) -> float:
         _fresh_cache(database)
         if mode == "baseline":
             start = time.perf_counter()
-            database._run_stages(QUERY, QUERY, True, None, None, False)
+            database._run_stages(
+                QUERY, QUERY, True, None, None, False, wait=True, lexed=None
+            )
             samples.append(time.perf_counter() - start)
         else:
             start = time.perf_counter()
@@ -82,7 +84,6 @@ def set_limits(database, armed: bool) -> None:
 
 def run(ast_count: int, runs: int) -> dict:
     database = build_database(ast_count)
-    database.configure_fast_path(index=True, cache=True)
 
     set_limits(database, armed=False)
     time_pipeline(database, max(2, runs // 3), "baseline")  # warm-up

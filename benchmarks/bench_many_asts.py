@@ -7,13 +7,16 @@ includes binding the text: a cold bind, or on a repeat a substitution
 into the shape cache's template) at 1 / 8 / 64 / 256 registered ASTs,
 comparing:
 
-* **legacy** — the pre-fast-path behaviour: base-table-overlap filter
-  only, full bottom-up navigation per surviving candidate, no caching
-  (``db.configure_fast_path(index=False, cache=False)``);
-* **fast cold** — candidate index pruning on, shape cache on but empty
-  (first sight of the query shape);
-* **fast repeat** — the same query shape again: the text's shape entry
+* **cache off** — the baseline: candidate index pruning, then full
+  bottom-up navigation per surviving candidate, with the shape cache
+  off (``db.configure_fast_path(cache=False)``), so every text binds
+  cold and every decision is matched;
+* **cold** — shape cache on but empty (first sight of the query
+  shape): what filing a shape and its decision adds to a miss;
+* **repeat** — the same query shape again: the text's shape entry
   holds the decision and the recorded match is replayed directly.
+
+The ``pruned`` column reports how many candidates the index dropped.
 
 It also cross-checks correctness: the rewritten SQL must be
 bit-identical across all three modes, at every AST count.
@@ -93,10 +96,10 @@ def time_rewrites(database: Database, runs: int, clear_cache: bool) -> tuple[flo
 def run_point(ast_count: int, runs: int) -> dict:
     database = build_database(ast_count)
 
-    database.configure_fast_path(index=False, cache=False)
-    legacy, legacy_sqls = time_rewrites(database, runs, clear_cache=False)
+    database.configure_fast_path(cache=False)
+    uncached, uncached_sqls = time_rewrites(database, runs, clear_cache=False)
 
-    database.configure_fast_path(index=True, cache=True)
+    database.configure_fast_path(cache=True)
     database.reset_rewrite_stats()
     cold, cold_sqls = time_rewrites(database, runs, clear_cache=True)
     cold_stats = database.rewrite_stats()
@@ -107,7 +110,7 @@ def run_point(ast_count: int, runs: int) -> dict:
     repeat, repeat_sqls = time_rewrites(database, runs, clear_cache=False)
     repeat_stats = database.rewrite_stats()
 
-    sqls = set(legacy_sqls + cold_sqls + repeat_sqls)
+    sqls = set(uncached_sqls + cold_sqls + repeat_sqls)
     if len(sqls) != 1:
         raise SystemExit(
             "CORRECTNESS FAILURE: rewritten SQL differs between modes "
@@ -120,7 +123,7 @@ def run_point(ast_count: int, runs: int) -> dict:
         )
     return {
         "asts": ast_count,
-        "legacy": legacy,
+        "uncached": uncached,
         "cold": cold,
         "repeat": repeat,
         "pruned": cold_stats["candidates_pruned"],
@@ -147,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"rewrite-decision latency for Figure 2's Q1 ({runs} runs/point)")
     header = (
-        f"{'ASTs':>5} {'legacy ms':>10} {'cold ms':>9} {'repeat ms':>10} "
+        f"{'ASTs':>5} {'cache off ms':>12} {'cold ms':>9} {'repeat ms':>10} "
         f"{'cold x':>7} {'repeat x':>9} {'pruned':>7}"
     )
     print(header)
@@ -156,10 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     for count in counts:
         point = run_point(count, runs)
-        cold_ratio = point["cold"] / point["legacy"]
-        repeat_speedup = point["legacy"] / point["repeat"]
+        cold_ratio = point["cold"] / point["uncached"]
+        repeat_speedup = point["uncached"] / point["repeat"]
         print(
-            f"{point['asts']:>5} {point['legacy'] * 1e3:>10.3f} "
+            f"{point['asts']:>5} {point['uncached'] * 1e3:>12.3f} "
             f"{point['cold'] * 1e3:>9.3f} {point['repeat'] * 1e3:>10.3f} "
             f"{cold_ratio:>7.2f} {repeat_speedup:>8.1f}x "
             f"{point['pruned']:>4}/{point['considered']}"
@@ -175,12 +178,12 @@ def main(argv: list[str] | None = None) -> int:
                 )
 
     print()
-    print("rewritten SQL identical across legacy / cold / repeat at every point")
+    print("rewritten SQL identical across cache off / cold / repeat at every point")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print("PASS: repeat >= 5x at 64+ ASTs, cold <= 1.2x legacy" if not args.fast
+    print("PASS: repeat >= 5x at 64+ ASTs, cold <= 1.2x cache off" if not args.fast
           else "smoke OK")
     return 0
 

@@ -66,7 +66,6 @@ from repro.qgm.fingerprint import GraphFingerprint, fingerprint
 from repro.qgm.unparse import to_sql
 from repro.rewrite.cache import RewriteStats
 from repro.rewrite.index import SummarySignature, graph_signature
-from repro.rewrite.planner import CostPlanner
 from repro.rewrite.rewriter import RewriteResult, rewrite_query
 from repro.sql.parser import parse, parse_expression
 
@@ -79,7 +78,6 @@ __all__ = [
     "Catalog",
     "CatalogError",
     "Column",
-    "CostPlanner",
     "Counter",
     "DataType",
     "Database",

@@ -15,7 +15,7 @@ text shapes binds a known shape by substitution and replays its proven
 rewrite decisions without matching at all, an AST signature index
 prunes implausible candidates before any navigation, and expression
 normalization/hashing is memoized. ``rewrite_stats()`` exposes the
-counters; ``configure_fast_path()`` disables layers for ablation.
+counters; ``configure_fast_path(cache=False)`` turns the shape cache off.
 
 There is one way to run a SELECT — **prepare → sandboxed rewrite →
 execute** — and :class:`SelectRun` is its per-run record. ``execute``,
@@ -54,7 +54,7 @@ from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MatchTrace, TraceBuffer
-from repro.qgm.bind_cache import BindCache, lex
+from repro.qgm.bind_cache import SHAPE_CACHE_SIZE, BindCache, lex
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
 from repro.qgm.fingerprint import bind_constants
@@ -68,11 +68,12 @@ DEFAULT_SLOW_QUERY_MS = 100.0
 class Database:
     """An in-memory database with automatic summary tables.
 
-    ``rewrite_cache_size`` bounds the shape cache (LRU entries, one per
-    SELECT text shape, each with its rewrite decisions); 0 disables it.
+    Its shape cache holds :data:`~repro.qgm.bind_cache.SHAPE_CACHE_SIZE`
+    SELECT text shapes, each with its rewrite decisions
+    (:meth:`configure_fast_path` turns it off).
     """
 
-    def __init__(self, catalog: Catalog | None = None, rewrite_cache_size: int = 256):
+    def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog or Catalog()
         self.tables: dict[str, Table] = {}
         self.summary_tables: dict[str, "SummaryTable"] = {}
@@ -90,13 +91,11 @@ class Database:
         #: phase timers, slow-query counts all land here; dump with
         #: \metrics / to_prometheus()
         self.metrics = MetricsRegistry()
-        self._rewrite_cache_size = rewrite_cache_size
         self._rewrite_counters = register_counters(self.metrics)
         #: the shape cache: per SELECT token-stream shape its bound
         #: templates and its rewrite decisions
-        self._bind_cache = BindCache(rewrite_cache_size, self.metrics)
+        self._bind_cache = BindCache(self.metrics)
         self._rewrite_epoch = 0
-        self._fast_path_index = True
         # Deferred maintenance: staged base-table deltas, the background
         # refresh worker, and the session's freshness tolerance
         # (SET REFRESH AGE; 0 = only fully fresh summaries match).
@@ -618,18 +617,15 @@ class Database:
                 if summary.name.lower() not in seen:
                     trace.verdict(summary.name, "budget-exhausted", detail)
 
-    def rewrite(
-        self, sql: str | QueryGraph, options: dict | None = None, tolerance=None,
-    ):
+    def rewrite(self, sql: str | QueryGraph, tolerance=None):
         """Attempt a summary-table rewrite of SELECT text ``sql``, bound
         as :meth:`prepare_select` binds it; returns a
         :class:`repro.rewrite.rewriter.RewriteResult` or None.
-        ``options`` tunes the matcher (see
-        :data:`repro.matching.framework.DEFAULT_OPTIONS`); ``tolerance``
-        overrides the session's ``refresh_age`` for this query. A bound
-        :class:`QueryGraph` (rewritten *in place* on success) has no text
-        shape: its skeleton (:func:`~repro.qgm.fingerprint.literal_slots`)
-        keys its shape cache entry.
+        ``tolerance`` overrides the session's ``refresh_age`` for this
+        query. A bound :class:`QueryGraph` (rewritten *in place* on
+        success) has no text shape: its skeleton
+        (:func:`~repro.qgm.fingerprint.literal_slots`) keys its shape
+        cache entry.
         """
         from repro.rewrite.cache import RewriteStats
 
@@ -643,20 +639,19 @@ class Database:
                 run.entry = self._bind_cache.entry(
                     skeleton, epoch, stats
                 ) or self._bind_cache.add(skeleton, epoch)
-        return self._rewrite_bound(run, options=options, tolerance=tolerance)
+        return self._rewrite_bound(run, tolerance)
 
-    def _rewrite_bound(self, run: SelectRun, options: dict | None = None,
-                       tolerance=None):
+    def _rewrite_bound(self, run: SelectRun, tolerance=None):
         """One rewrite decision for ``run`` (:meth:`_decide_rewrite`),
         counted: its :class:`~repro.rewrite.cache.RewriteStats` is
         flushed into the database-wide ``rewrite_*`` counters exactly
         once, also when the match raises or the governor degrades it."""
         try:
-            return self._decide_rewrite(run, options, tolerance)
+            return self._decide_rewrite(run, tolerance)
         finally:
             run.rewrite_stats.flush(self._rewrite_counters)
 
-    def _decide_rewrite(self, run: SelectRun, options, tolerance):
+    def _decide_rewrite(self, run: SelectRun, tolerance):
         """The matching fast path: staleness gate + index pruning + the
         decisions on the run's shape entry around
         :func:`repro.rewrite.rewriter.rewrite_query`. The run's
@@ -705,8 +700,7 @@ class Database:
             if among is None:
                 among = shape.pivots[admissible] = pivots(summaries)
             key = (
-                tuple(sorted((options or {}).items())), tolerance.key,
-                skeleton, form, obligations(binding, among),
+                tolerance.key, skeleton, form, obligations(binding, among)
             )
             entry = valid_entry(shape.decisions, key, admissible, stats)
             if entry is not None:
@@ -751,14 +745,7 @@ class Database:
                         "match skipped during breaker cool-down",
                     )
             return None
-        result = rewrite_query(
-            run.graph,
-            summaries,
-            options=options,
-            stats=stats,
-            prune=self._fast_path_index,
-            trace=trace,
-        )
+        result = rewrite_query(run.graph, summaries, stats=stats, trace=trace)
         # The match phase completed: this shape is healthy.
         breaker.record_success(run.spelling)
         if key is not None:
@@ -858,23 +845,16 @@ class Database:
         for name in ("refreshes_applied", "fallback_recomputes", "batches_applied"):
             self.metrics.counter(f"scheduler_{name}").reset()
 
-    def configure_fast_path(
-        self, index: bool | None = None, cache: bool | None = None
-    ) -> None:
-        """Enable/disable fast-path layers (for benchmarks and ablation).
-
-        ``index`` toggles AST signature pruning (falling back to the bare
-        base-table-overlap check); ``cache=False`` bounds the shape cache
-        — bound templates and rewrite decisions — at 0 entries (emptying
-        it) and ``cache=True`` restores ``rewrite_cache_size``.
-        """
-        if index is not None:
-            self._fast_path_index = index
-        if cache is not None:
-            lru = self._bind_cache.entries
-            lru.maxsize = self._rewrite_cache_size if cache else 0
-            if not cache:
-                lru.clear()
+    def configure_fast_path(self, cache: bool) -> None:
+        """Turn the shape cache on or off (for benchmarks and the
+        cache-off reference twins in the tests): ``cache=False`` bounds
+        it — bound templates and rewrite decisions — at 0 entries,
+        emptying it, and ``cache=True`` restores
+        :data:`~repro.qgm.bind_cache.SHAPE_CACHE_SIZE`."""
+        lru = self._bind_cache.entries
+        lru.maxsize = SHAPE_CACHE_SIZE if cache else 0
+        if not cache:
+            lru.clear()
 
     # ------------------------------------------------------------------
     # Summary tables

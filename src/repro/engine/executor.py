@@ -226,7 +226,9 @@ class _Ctx:
                 values=(), sink=None, counted=(), pulse=None):
         """:func:`~repro.expr.vector.compile_loop`, emitted once per
         ``key`` on the template (None: from the statement's own
-        expressions, every time) and bound to this run."""
+        expressions, every time) and bound to this run. A program
+        emitted because the filed one's guard failed (a zero divisor)
+        serves this run only: the filed program stays."""
         stats, literals = self.stats, self.values
         program = key and self.template.programs.get(key)
         stats.programs[1] += 1
@@ -238,7 +240,7 @@ class _Ctx:
                 pulse, key and self.template.probes, literals,
             )
             if key:
-                self.template.programs[key] = program
+                self.template.programs.setdefault(key, program)
         return program[0](driver, probes, sink, pulse, literals)
 
     def tick(self, n: int) -> None:

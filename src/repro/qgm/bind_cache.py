@@ -30,6 +30,8 @@ from repro.qgm.fingerprint import fingerprint, literal_slots
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 
+#: SELECT text shapes the cache holds
+SHAPE_CACHE_SIZE = 256
 #: kept-value tuples filed per shape
 TEMPLATES_PER_SHAPE = 16
 #: stored for kept values whose probe did not confirm
@@ -78,7 +80,7 @@ class _Shape:
         self.templates = LRU(TEMPLATES_PER_SHAPE)
         #: a run's variant → thread-CPU ms (:meth:`BindCache.costs`)
         self.cost: dict = {}
-        #: (options, REFRESH AGE key, skeleton, form, obligations) →
+        #: (REFRESH AGE key, skeleton, form, obligations) →
         #: :class:`~repro.rewrite.cache.CacheEntry`
         self.decisions = LRU(TEMPLATES_PER_SHAPE)
         #: admissible summary names → :func:`~repro.rewrite.cache.pivots`
@@ -177,12 +179,12 @@ class _Template:
 
 
 class BindCache:
-    """``Database``'s bind cache: an :class:`LRU` of ``size`` shapes
-    (0 stores nothing), counted in ``registry`` as ``bind_cache_hits``,
-    ``_misses`` and ``_cold_only``."""
+    """``Database``'s bind cache: an :class:`LRU` of
+    :data:`SHAPE_CACHE_SIZE` shapes, counted in ``registry`` as
+    ``bind_cache_hits``, ``_misses`` and ``_cold_only``."""
 
-    def __init__(self, size: int, registry):
-        self.entries = LRU(size)
+    def __init__(self, registry):
+        self.entries = LRU(SHAPE_CACHE_SIZE)
         self.counters = {
             name: registry.counter(f"bind_cache_{name}", help)
             for name, help in (

@@ -1,5 +1,5 @@
-"""Query rewriting over summary tables, plus the cost-based planner and
-the matching fast path (AST candidate index + rewrite decision cache)."""
+"""Query rewriting over summary tables, plus the matching fast path (AST
+candidate index + rewrite decision cache)."""
 
 from repro.rewrite.cache import RewriteStats
 from repro.rewrite.index import (

@@ -2,11 +2,11 @@
 per class.
 
 A text's shape entry (:mod:`repro.qgm.bind_cache`) holds them in a
-bounded :class:`repro.lru.LRU` keyed by the matcher options, the
-freshness tolerance, the statement's skeleton and form (where its
-constants stand among each other, :func:`repro.qgm.fingerprint.
-bind_constants`) and its *obligation class* (:func:`obligations`: where
-each constant stands among the admissible summaries' literals). The
+bounded :class:`repro.lru.LRU` keyed by the freshness tolerance, the
+statement's skeleton and form (where its constants stand among each
+other, :func:`repro.qgm.fingerprint.bind_constants`) and its
+*obligation class* (:func:`obligations`: where each constant stands
+among the admissible summaries' literals). The
 matcher compares constants only by ``=``, ``<``, ``<=``, ``>``, ``>=``
 and IN membership (:mod:`repro.expr.subsume`), so each binding of a
 class gets the same verdict from every summary: "no rewrite applies",

@@ -71,28 +71,17 @@ class RewriteResult:
 
 
 def rewrite_query(
-    graph: QueryGraph,
-    summaries: list[SummaryTable],
-    accept=None,
-    options: dict | None = None,
-    stats=None,
-    prune: bool = True,
-    trace=None,
+    graph: QueryGraph, summaries: list[SummaryTable], stats=None, trace=None,
 ) -> RewriteResult | None:
     """Reroute ``graph`` over the given summary tables.
 
-    ``accept`` is an optional callback ``(summary, match) -> bool`` — the
-    related problem (b) hook; :mod:`repro.rewrite.planner` provides a
-    cost-based implementation. ``options`` are matcher knobs (see
-    :data:`repro.matching.framework.DEFAULT_OPTIONS`). ``stats`` is an
-    optional :class:`repro.rewrite.cache.RewriteStats` counter sink and
-    ``trace`` the statement's :class:`repro.obs.trace.MatchTrace`; both
-    belong to this one rewrite and are only ever handed down.
-    ``prune`` routes candidates through the AST signature index
-    (:func:`repro.rewrite.index.prune_candidates`) before any navigation;
-    disabling it (the pre-index behaviour, kept for the ablation
-    benchmarks) falls back to the bare base-table-overlap check. Returns
-    None when nothing matched.
+    Each round prunes the candidates through the AST signature index
+    (:func:`repro.rewrite.index.prune_candidates`), matches the rest and
+    applies the best match (:func:`_choose`). ``stats`` is an optional
+    :class:`repro.rewrite.cache.RewriteStats` counter sink and ``trace``
+    the statement's :class:`repro.obs.trace.MatchTrace`; both belong to
+    this one rewrite and are only ever handed down. Returns None when
+    nothing matched.
     """
     applied: list[AppliedRewrite] = []
     remaining = list(summaries)
@@ -104,35 +93,22 @@ def rewrite_query(
         heights = box_heights(graph, order)
         # Cheap signature pruning first — re-run per iteration because an
         # applied rewrite changes the graph's base tables.
-        if prune:
-            pool = prune_candidates(
-                graph, remaining, stats=stats, trace=trace, order=order
-            )
-        else:
-            query_tables = graph.base_tables()
-            pool = [s for s in remaining if s.base_tables() & query_tables]
-            if stats is not None:
-                stats.candidates_considered += len(remaining)
-                stats.candidates_pruned += len(remaining) - len(pool)
-
-        # Gather every candidate (summary, match) and take the best one:
-        # the highest query box saved, then the smallest summary table,
-        # then the earlier summary (a lightweight instance of related
-        # problem (b)).
+        pool = prune_candidates(
+            graph, remaining, stats=stats, trace=trace, order=order
+        )
         candidates: list[tuple] = []
         for rank, summary in enumerate(pool):
             if stats is not None:
                 stats.matches_attempted += 1
-            match = _best_match(graph, summary, order, heights, options, trace)
+            match = _best_match(graph, summary, order, heights, trace)
             if match is not None:
                 candidates.append((
                     -heights.get(id(match.subsumee), 0),
                     summary.row_count, rank, summary, match,
                 ))
-        chosen = _choose(candidates, accept, remaining)
-        if chosen is None:
+        if not candidates:
             break
-        summary, match = chosen
+        summary, match = _choose(candidates)
         rejoins = tuple(
             positions[id(quantifier.box)]
             for quantifier in chain_rejoin_quantifiers(match.chain)
@@ -181,29 +157,23 @@ def instantiate(
     return RewriteResult(graph, applied)
 
 
-def _choose(candidates: list[tuple], accept, remaining: list[SummaryTable]):
-    """The best acceptable ``(summary, match)`` of ``candidates`` or
-    None; a summary ``accept`` turns down leaves both lists."""
-    candidates.sort(key=lambda item: item[:3])
-    while candidates:
-        summary, match = candidates[0][3:]
-        if accept is None or accept(summary, match):
-            return summary, match
-        remaining.remove(summary)
-        del candidates[0]
-    return None
+def _choose(candidates: list[tuple]) -> tuple[SummaryTable, MatchResult]:
+    """The best ``(summary, match)`` of ``candidates``: the highest query
+    box saved (Section 7), then the smallest summary table, then the
+    earlier summary. Ranks are unique, so nothing ties."""
+    return min(candidates, key=lambda item: item[:3])[3:]
 
 
 def _best_match(
     graph: QueryGraph, summary: SummaryTable, order: list[QGMBox],
-    heights: dict[int, int], options: dict | None = None, trace=None,
+    heights: dict[int, int], trace=None,
 ) -> MatchResult | None:
     faults.fire("rewrite.match")
     if trace is not None:
         trace.begin_summary(summary.name, summary.graph.root)
     match = None
     try:
-        ctx = match_graphs(graph, summary.graph, options, trace, order=order)
+        ctx = match_graphs(graph, summary.graph, trace=trace, order=order)
         candidates = root_matches(graph, summary.graph, ctx, heights=heights)
         match = candidates[0] if candidates else None
     finally:

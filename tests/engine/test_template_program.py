@@ -138,10 +138,37 @@ def test_a_plan_hit_and_a_bind_hit_make_no_column_refs(nine, monkeypatch):
 def test_a_zero_divisor_raises_as_on_the_cold_path(bare, operator, values):
     """A program that divides by a literal class inline holds only while
     that literal is nonzero: a statement dividing by 0 raises the
-    evaluator's error whichever binding filed the program."""
-    sql = f"select faid, qty {operator} {{}} as r from Trans where qty > 0"
-    outcomes = [_same(bare, sql.format(v)) for v in values]
+    evaluator's error whichever binding filed the program. No other
+    literal equals a divisor, so every statement is of one shape and,
+    from its third on, is bound by substitution and runs the template's
+    programs."""
+    sql = f"select faid, qty {operator} {{}} as r from Trans where qty > 1"
+    outcomes = []
+    for n, value in enumerate(values):
+        if value == 0 and n >= 2:
+            run = bare.shaped.prepare_select(sql.format(value))
+            assert run.bound == "substituted"
+        outcomes.append(_same(bare, sql.format(value)))
     assert [stats is None for stats in outcomes] == [v == 0 for v in values]
+
+
+def test_a_zero_divisor_leaves_the_inline_program_filed(bare, monkeypatch):
+    """The program a zero divisor's failed guard makes emit serves that
+    statement only: the next nonzero divisor divides inline again."""
+    calls, real = [0], vector._divide
+
+    def divide(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(vector, "_divide", divide)
+    sql = "select faid, qty / {} as r from Trans"
+    for value in (2, 2, 2, 0):
+        _same(bare, sql.format(value))
+    calls[0] = 0
+    reply, stats = _run(bare.shaped, sql.format(4))
+    assert calls[0] == 0 and stats.programs[0] > 0
+    assert reply == _run(bare.cold, sql.format(4))[0]
 
 
 def test_an_in_list_of_slots_answers_as_the_cold_path(bare):

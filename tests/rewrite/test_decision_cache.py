@@ -125,19 +125,12 @@ class TestFastPathControls:
         assert stats["cache_hits"] == 0
         assert stats["cache_stores"] == 0
 
-    def test_index_disabled_still_correct(self, tiny_db):
-        tiny_db.create_summary_table("AST1", AST1)
-        tiny_db.configure_fast_path(index=False, cache=False)
-        legacy = tiny_db.rewrite(Q1)
-        tiny_db.configure_fast_path(index=True, cache=True)
-        fast = tiny_db.rewrite(Q1)
-        assert legacy.sql == fast.sql
-
     def test_zero_capacity_cache(self):
         from repro.catalog import credit_card_catalog
         from repro.engine import Database
 
-        db = Database(credit_card_catalog(), rewrite_cache_size=0)
+        db = Database(credit_card_catalog())
+        db.configure_fast_path(cache=False)
         db.load("Trans", [])
         db.load("Loc", [])
         assert db.rewrite("select tid from Trans") is None

@@ -102,18 +102,6 @@ class TestIterativeRerouting:
         assert used == {"S1", "S2"}
         assert tables_equal(plain, tiny_db.execute_graph(result.graph))
 
-    def test_accept_callback_can_reject(self, tiny_db):
-        from repro.rewrite.rewriter import rewrite_query
-
-        tiny_db.create_summary_table("S1", AST_FAID_FLID)
-        graph = tiny_db.bind("select faid, count(*) as n from Trans group by faid")
-        result = rewrite_query(
-            graph,
-            tiny_db.enabled_summary_tables(),
-            accept=lambda summary, match: False,
-        )
-        assert result is None
-
     def test_unrelated_ast_pruned(self, tiny_db):
         tiny_db.create_summary_table(
             "S2", "select pgid, count(*) as n from PGroup group by pgid"
