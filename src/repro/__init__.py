@@ -39,7 +39,6 @@ from repro.engine.persist import (
     verify_database,
 )
 from repro.engine.reference import ReferenceExecutor
-from repro.engine.stats import TableStats, collect_stats, estimate_group_count
 from repro.engine.table import Table, tables_equal
 from repro.errors import (
     BindError,
@@ -96,7 +95,6 @@ __all__ = [
     "RewriteResult",
     "RewriteStats",
     "SummarySignature",
-    "TableStats",
     "SqlSyntaxError",
     "SummaryTable",
     "Table",
@@ -106,9 +104,7 @@ __all__ = [
     "UnsupportedSqlError",
     "WriteRun",
     "build_graph",
-    "collect_stats",
     "credit_card_catalog",
-    "estimate_group_count",
     "fingerprint",
     "graph_signature",
     "load_database",

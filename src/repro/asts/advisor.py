@@ -66,18 +66,12 @@ class Advisor:
         fact_table: str,
         attributes: dict[str, str],
         measures: list[str] | None = None,
-        estimate: str = "exact",
     ):
-        if estimate not in ("exact", "sample"):
-            raise ValueError("estimate must be 'exact' or 'sample'")
         self._database = database
         self._fact = fact_table
         self._attributes = dict(attributes)
         self._measures = list(measures or ["count(*) as cnt"])
-        self._estimate = estimate
         self._candidates: list[CandidateView] | None = None
-        self._projection = None  # lazy: one row per fact row, one column
-        self._projection_stats = None  # per grouping attribute
 
     # ------------------------------------------------------------------
     def candidates(self) -> list[CandidateView]:
@@ -104,37 +98,12 @@ class Advisor:
             sql += f" group by {keys}"
         else:
             sql += " group by grouping sets (())"
-        if self._estimate == "sample":
-            rows = self._estimate_rows(attributes)
-        else:
-            rows = self._measure_rows(sql)
-        return CandidateView(attributes, rows, sql)
+        return CandidateView(attributes, self._measure_rows(sql), sql)
 
     def _measure_rows(self, sql: str) -> int:
         probe = f"select count(*) as n from ({sql}) as probe"
         result = self._database.execute(probe, use_summary_tables=False)
         return int(result.rows[0][0])
-
-    def _estimate_rows(self, attributes: frozenset[str]) -> int:
-        """Sampling estimate of a cuboid's cardinality: one projection
-        scan up front, then a 2k-row sample per lattice node instead of a
-        full GROUP BY (see :mod:`repro.engine.stats`)."""
-        from repro.engine.stats import collect_stats, estimate_group_count
-
-        if self._projection is None:
-            select_parts = [
-                f"{expr} as {name}" for name, expr in sorted(self._attributes.items())
-            ]
-            self._projection = self._database.execute(
-                f"select {', '.join(select_parts)} from {self._fact}",
-                use_summary_tables=False,
-            )
-            self._projection_stats = collect_stats(self._projection)
-        return estimate_group_count(
-            self._projection,
-            sorted(attributes),
-            stats=self._projection_stats,
-        )
 
     # ------------------------------------------------------------------
     def select(

@@ -46,8 +46,6 @@ class SummaryTable:
     schema: TableSchema
     table: Table
     enabled: bool = True
-    #: populated at materialization time; used by the cost model
-    stats: dict[str, float] = field(default_factory=dict)
     #: refresh mode plus staleness record (see repro.refresh.policy)
     refresh: RefreshState = field(default_factory=RefreshState)
     #: (key column indexes, key tuple -> row position), see group_index
@@ -67,7 +65,6 @@ class SummaryTable:
         self.table.adopt_columns(data)
         self._group_index = None
         self._auxiliary = None
-        self.stats["rows"] = float(len(data))
 
     def group_index(self, keys: tuple[int, ...]) -> dict[tuple, int]:
         """Row position by the values of the ``keys`` columns. Whoever

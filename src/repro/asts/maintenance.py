@@ -641,7 +641,6 @@ def _apply(summary: SummaryTable, plan, delta: _Delta, sign: int) -> None:
         for column, value in scalar_values.items():
             if value != stored[column]:
                 summary.table.fill_column(column, value)
-    summary.stats["rows"] = float(len(rows))
 
 
 def _cascade(summary: SummaryTable, plan: _CascadePlan, delta: _Delta, sign: int) -> None:

@@ -43,13 +43,6 @@ class ExperimentRun:
             return float("inf")
         return self.original_seconds / self.rewritten_seconds
 
-    def report_row(self) -> str:
-        return (
-            f"{self.name:<14} base={self.base_rows:<8} ast={self.summary_rows:<7} "
-            f"orig={self.original_seconds * 1e3:8.1f}ms "
-            f"rewr={self.rewritten_seconds * 1e3:8.1f}ms "
-            f"speedup={self.speedup:6.1f}x"
-        )
 
 
 @dataclass

@@ -99,9 +99,6 @@ class TableSchema:
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
     def column(self, name: str) -> Column:
         try:
             return self._by_name[name]

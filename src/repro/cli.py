@@ -49,6 +49,7 @@ from typing import IO
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ReproError
+from repro.sql.statements import split_statements
 
 
 class Shell:
@@ -69,14 +70,13 @@ class Shell:
         print(text, file=self.out)
 
     def handle_line(self, line: str) -> bool:
-        """Process one complete input (a backslash command or a
-        ';'-terminated statement). Returns False to quit."""
+        """Process one complete input (a backslash command or
+        ';'-terminated statements). Returns False to quit."""
         stripped = line.strip()
-        if not stripped:
-            return True
         if stripped.startswith("\\"):
             return self._handle_command(stripped)
-        self._handle_sql(stripped.rstrip(";"))
+        for statement in split_statements(stripped):
+            self._handle_sql(statement)
         return True
 
     def _handle_command(self, command: str) -> bool:

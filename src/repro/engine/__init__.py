@@ -4,7 +4,6 @@ from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.engine.persist import load_database, save_database
 from repro.engine.reference import ReferenceExecutor
-from repro.engine.stats import collect_stats, estimate_group_count
 from repro.engine.table import Table, tables_equal
 
 __all__ = [
@@ -12,8 +11,6 @@ __all__ = [
     "Executor",
     "ReferenceExecutor",
     "Table",
-    "collect_stats",
-    "estimate_group_count",
     "load_database",
     "save_database",
     "tables_equal",

@@ -481,12 +481,6 @@ class Database:
             return f"trace sample rate set to {statement.rate:g}"
         raise ReproError(f"unsupported statement {statement!r}")
 
-    def run_script(self, script: str) -> list:
-        """Run a ';'-separated script; returns one result per statement."""
-        from repro.sql.statements import split_statements
-
-        return [self.run_sql(statement) for statement in split_statements(script)]
-
     def _apply_create_table(self, statement) -> None:
         from repro.catalog.schema import (
             Column,
@@ -902,14 +896,6 @@ class Database:
                 refresh=RefreshState(
                     mode=refresh_mode, last_refresh_lsn=self._delta_log.lsn
                 ),
-            )
-            summary.stats["rows"] = float(len(data))
-            summary.stats["base_rows"] = float(
-                sum(
-                    len(self.tables[t])
-                    for t in run.base_tables
-                    if t in self.tables
-                )
             )
             self.catalog.add_table(schema)
             self.tables[name.lower()] = summary.table

@@ -227,8 +227,9 @@ class _Ctx:
         """:func:`~repro.expr.vector.compile_loop`, emitted once per
         ``key`` on the template (None: from the statement's own
         expressions, every time) and bound to this run. A program
-        emitted because the filed one's guard failed (a zero divisor)
-        serves this run only: the filed program stays."""
+        emitted while a literal class divides as 0 serves this run only:
+        it is never filed, so the next nonzero run files one dividing
+        inline."""
         stats, literals = self.stats, self.values
         program = key and self.template.programs.get(key)
         stats.programs[1] += 1
@@ -239,7 +240,7 @@ class _Ctx:
                 driver, filters, probes, residual, values, sink, counted,
                 pulse, key and self.template.probes, literals,
             )
-            if key:
+            if key and program[1] is not None:
                 self.template.programs.setdefault(key, program)
         return program[0](driver, probes, sink, pulse, literals)
 

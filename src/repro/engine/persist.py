@@ -358,7 +358,6 @@ def _register_summaries(
                 quarantine_reason=entry.get("quarantine_reason", ""),
             ),
         )
-        summary.stats["rows"] = float(len(table))
         database._register_summary(summary)
 
 

@@ -460,9 +460,6 @@ class Table:
             )
         self._replace_rows(rows)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self._materialize_rows()]
-
     def pretty(self, limit: int = 20) -> str:
         """A fixed-width rendering for examples and docs."""
         shown = self._materialize_rows()[:limit]

@@ -62,9 +62,6 @@ class EquivalenceClasses:
         """The canonical member of ``ref``'s class (``ref`` if singleton)."""
         return self._find(ref)
 
-    def same_class(self, left: ColumnRef, right: ColumnRef) -> bool:
-        return self._find(left) == self._find(right)
-
     def members(self, ref: ColumnRef) -> set[ColumnRef]:
         """Every known column equivalent to ``ref`` (including itself)."""
         root = self._find(ref)

@@ -128,7 +128,3 @@ def lookup_function(name: str) -> ScalarFunction | None:
     """The registered function for ``name`` (case-insensitive), or None."""
     return _REGISTRY.get(name.lower())
 
-
-def function_names() -> list[str]:
-    """All registered function names, sorted."""
-    return sorted(_REGISTRY)

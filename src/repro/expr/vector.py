@@ -157,7 +157,9 @@ def loop_program(driver, filters=(), probes=(), residual=(), values=(),
     the same shape — which columns each level has, the sink's kind and
     sets. A literal whose ``(type, value)`` ``classes`` maps to k is that
     run's ``literals[k]``; ``guard`` is the classes divided by inline,
-    nonzero in these ``literals``: a run where one is 0 needs its own."""
+    nonzero in these ``literals``: a run where one is 0 needs its own.
+    ``guard`` is None when a class divides as 0 in these ``literals``:
+    that program is the run's own, never one to file."""
     loop = _Loop([driver, *(columns for _, _, columns in probes)])
     loop.classes, loop.literals = classes or {}, literals
     return loop.build(filters, probes, residual, values, sink, counted, pulse)
@@ -239,8 +241,10 @@ class _Emitter:
         self.args: list[str] = []
         self.fixed: list = []
         #: literal (type, value) → class; the classes' values; each
-        #: divisor divided by inline: its class, or None (a fixed one)
+        #: divisor divided by inline: its class, or None (a fixed one);
+        #: whether a class divisor goes through the helper (is 0 here)
         self.classes, self.literals, self.guard = {}, (), []
+        self.zero = False
         self._temps = 0
 
     def _arg(self, value=None, path: str | bool = False) -> str:
@@ -288,6 +292,7 @@ class _Emitter:
                 self.guard.append(slot)
                 build = lambda a, b: f"({a} {op} {b})"
             elif op in ("/", "%"):
+                self.zero = self.zero or slot is not None
                 helper = self._arg(_divide if op == "/" else _modulo)
                 build = lambda a, b: f"{helper}({a}, {b})"
             elif op in _BINARY:
@@ -576,5 +581,7 @@ class _Loop(_Emitter):
             "    return loop",
         ]
         make = _factory("\n".join(lines) + "\n")
-        guard = tuple(slot for slot in self.guard if slot is not None)
+        guard = None if self.zero else tuple(
+            slot for slot in self.guard if slot is not None
+        )
         return partial(make, view, self.fixed), guard

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.expr.nodes import AggCall, ColumnRef, Expr
+from repro.expr.nodes import ColumnRef, Expr
 from repro.matching.framework import (
     MatchResult,
     chain_output_in_subsumer_context,
@@ -81,10 +81,6 @@ class ChildTranslator:
 def is_aggregating(expr: Expr) -> bool:
     """True when translation introduced aggregate functions."""
     return expr.contains_aggregate()
-
-
-def references_rejoin(expr: Expr, rejoin_names: set[str]) -> bool:
-    return any(ref.qualifier in rejoin_names for ref in expr.column_refs())
 
 
 # ----------------------------------------------------------------------
@@ -153,14 +149,3 @@ def _expand_one_level(ref: ColumnRef, pair: MatchedChildPair) -> Expr:
     # name means "output of that box"; expand exactly one definition.
     full = chain_output_in_subsumer_context(match, ref.name, pair.subsumer_q.name)
     return full
-
-
-def describe_aggregating_conflict(expr: Expr) -> str:
-    """Human-readable reason used when an aggregating translation fails to
-    match a subsumer predicate (the Table 1 situation)."""
-    aggs = [node for node in expr.walk() if isinstance(node, AggCall)]
-    rendered = ", ".join(repr(a) for a in aggs)
-    return (
-        "translated predicate requires re-aggregation "
-        f"({rendered}); it cannot match a plain subsumer predicate"
-    )

@@ -1,4 +1,4 @@
-"""Thread-safe metrics registry — counters, gauges, histograms, timers.
+"""Thread-safe metrics registry — counters, gauges, histograms.
 
 One :class:`MetricsRegistry` per :class:`repro.engine.database.Database`
 absorbs every counter surface the system grew piecemeal — the matching
@@ -24,8 +24,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 #: default histogram bucket upper bounds, in the unit the caller observes
 #: (phase timers observe milliseconds)
@@ -197,18 +195,6 @@ class Histogram:
         with self._lock:
             return self._quantile_locked(q)
 
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, ending with +Inf."""
-        with self._lock:
-            counts = list(self._counts)
-        out = []
-        running = 0
-        for bound, count in zip(self.buckets, counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + counts[-1]))
-        return out
-
     def expose(self) -> tuple[list[tuple[float, int]], float, int]:
         """One consistent ``(cumulative buckets, sum, count)`` snapshot
         for the Prometheus exporter — taken under a single lock so the
@@ -310,16 +296,6 @@ class MetricsRegistry:
         return {name: metric.swap() for name, metric in metrics}
 
     # -- timing --------------------------------------------------------
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Observe the block's wall time, in milliseconds, into the
-        histogram ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe_ms(name, started)
-
     def observe_ms(self, name: str, started: float) -> float:
         """Record elapsed milliseconds since ``started`` (a
         ``perf_counter`` stamp) into histogram ``name``; returns the

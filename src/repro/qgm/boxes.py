@@ -169,26 +169,6 @@ class SelectBox(QGMBox):
             classes.add_predicate(predicate)
         return classes
 
-    def join_pairs_between(
-        self, left: Quantifier, right: Quantifier
-    ) -> set[tuple[str, str]]:
-        """Column-name pairs (left_col, right_col) equated between the two
-        quantifiers, including equalities implied transitively."""
-        classes = self.equivalence_classes()
-        pairs: set[tuple[str, str]] = set()
-        for ref in self._known_refs(classes):
-            if ref.qualifier != left.name:
-                continue
-            for member in classes.members(ref):
-                if member.qualifier == right.name:
-                    pairs.add((ref.name, member.name))
-        return pairs
-
-    def _known_refs(self, classes: EquivalenceClasses) -> list[ColumnRef]:
-        refs: set[ColumnRef] = set()
-        for predicate in self.predicates:
-            refs.update(predicate.column_refs())
-        return sorted(refs, key=lambda r: (r.qualifier or "", r.name))
 
 
 class UnionAllBox(QGMBox):

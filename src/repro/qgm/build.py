@@ -22,10 +22,12 @@ from __future__ import annotations
 from repro.catalog.schema import Catalog
 from repro.errors import BindError, UnsupportedSqlError
 from repro.governor import scope as governor_scope
+from repro.expr.functions import lookup_function
 from repro.expr.nodes import (
     AggCall,
     ColumnRef,
     Expr,
+    FuncCall,
     split_conjuncts,
 )
 from repro.expr.normalize import normalize
@@ -75,7 +77,29 @@ def build_graph(
     graph.order_by = binder.top_order_by
     graph.limit = binder.top_limit
     graph.validate()
+    _check_calls(graph)
     return graph
+
+
+def _check_calls(graph: QueryGraph) -> None:
+    """Every scalar function call names a built-in and passes it a number
+    of arguments its arity admits."""
+    for box in graph.boxes():
+        exprs = [qcl.expr for qcl in box.outputs if qcl.expr is not None]
+        if isinstance(box, SelectBox):
+            exprs.extend(box.predicates)
+        for expr in exprs:
+            for node in expr.walk():
+                if not isinstance(node, FuncCall):
+                    continue
+                function = lookup_function(node.name)
+                if function is None:
+                    raise BindError(f"unknown function {node.name!r}")
+                if not function.check_arity(len(node.args)):
+                    raise BindError(
+                        f"wrong number of arguments to {node.name}(): "
+                        f"{len(node.args)}"
+                    )
 
 
 class _Scope:

@@ -112,10 +112,6 @@ class DeltaLog:
         changed within this log's lifetime)."""
         return self._high_water.get(table.lower(), 0)
 
-    def high_water_map(self, tables: Iterable[str]) -> dict[str, int]:
-        """``{table: high_water LSN}`` for each of ``tables``."""
-        return {name.lower(): self.high_water(name) for name in tables}
-
     def change_count(self, table: str) -> int:
         """Monotonic count of changes to ``table`` (batch-staging units,
         the same unit ``SET REFRESH AGE <n>`` tolerances count in)."""

@@ -204,7 +204,8 @@ def parse_statement(sql: str) -> Statement:
 
 
 def split_statements(script: str) -> list[str]:
-    """Split a script on top-level semicolons (string-literal aware)."""
+    """Split a script on top-level semicolons (string-literal aware;
+    ``--`` comments are dropped)."""
     pieces: list[str] = []
     current: list[str] = []
     in_string = False
@@ -222,6 +223,10 @@ def split_statements(script: str) -> list[str]:
         elif char == "'":
             in_string = True
             current.append(char)
+        elif script.startswith("--", index):
+            end = script.find("\n", index)
+            index = len(script) if end < 0 else end
+            continue
         elif char == ";":
             text = "".join(current).strip()
             if text:

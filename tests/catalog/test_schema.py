@@ -40,8 +40,6 @@ class TestTableSchema:
     def test_column_lookup(self):
         schema = make_pair().table("Dim")
         assert schema.column("id").dtype is DataType.INTEGER
-        assert schema.has_column("name")
-        assert not schema.has_column("nope")
 
     def test_unknown_column_raises(self):
         schema = make_pair().table("Dim")

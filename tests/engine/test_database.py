@@ -41,11 +41,6 @@ class TestSummaryTables:
         result = tiny_db.execute("select * from S1", use_summary_tables=False)
         assert len(result) == 4
 
-    def test_stats_recorded(self, tiny_db):
-        summary = tiny_db.create_summary_table("S1", self.AST)
-        assert summary.stats["rows"] == 4.0
-        assert summary.stats["base_rows"] == 6.0
-
     def test_name_collision(self, tiny_db):
         tiny_db.create_summary_table("S1", self.AST)
         with pytest.raises(CatalogError):

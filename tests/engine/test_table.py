@@ -62,10 +62,6 @@ class TestAccess:
         table = Table(["a"], [(1,), (2,)])
         assert list(table) == [(1,), (2,)]
 
-    def test_to_dicts(self):
-        table = Table(["a", "b"], [(1, 2)])
-        assert table.to_dicts() == [{"a": 1, "b": 2}]
-
 
 class TestSorting:
     def test_sort_by_multiple_keys(self):

@@ -153,8 +153,9 @@ def test_a_zero_divisor_raises_as_on_the_cold_path(bare, operator, values):
 
 
 def test_a_zero_divisor_leaves_the_inline_program_filed(bare, monkeypatch):
-    """The program a zero divisor's failed guard makes emit serves that
-    statement only: the next nonzero divisor divides inline again."""
+    """The program emitted for a zero divisor serves that statement only,
+    whether a program was filed before it or not: the next nonzero
+    divisor divides inline."""
     calls, real = [0], vector._divide
 
     def divide(a, b):
@@ -162,13 +163,16 @@ def test_a_zero_divisor_leaves_the_inline_program_filed(bare, monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(vector, "_divide", divide)
-    sql = "select faid, qty / {} as r from Trans"
-    for value in (2, 2, 2, 0):
-        _same(bare, sql.format(value))
-    calls[0] = 0
-    reply, stats = _run(bare.shaped, sql.format(4))
-    assert calls[0] == 0 and stats.programs[0] > 0
-    assert reply == _run(bare.cold, sql.format(4))[0]
+    for sql, values in (
+        ("select faid, qty / {} as r from Trans", (2, 2, 2, 0)),
+        ("select tid, qty / {} as r from Trans where qty > 1", (0, 0, 0, 2)),
+    ):
+        for value in values:
+            _same(bare, sql.format(value))
+        calls[0] = 0
+        reply, stats = _run(bare.shaped, sql.format(4))
+        assert calls[0] == 0 and stats.programs[0] > 0, sql
+        assert reply == _run(bare.cold, sql.format(4))[0]
 
 
 def test_an_in_list_of_slots_answers_as_the_cold_path(bare):

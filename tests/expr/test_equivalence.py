@@ -28,8 +28,8 @@ class TestUnionFind:
     def test_symmetric_and_transitive(self):
         other = ColumnRef("X", "c")
         classes = classes_with((FAID, AID), (AID, other))
-        assert classes.same_class(FAID, other)
-        assert classes.same_class(other, FAID)
+        assert classes.representative(FAID) == classes.representative(other)
+        assert classes.members(other) == {FAID, AID, other}
 
     def test_representative_deterministic(self):
         a = classes_with((FAID, AID))
@@ -43,7 +43,7 @@ class TestUnionFind:
 
     def test_disjoint_classes(self):
         classes = classes_with((FAID, AID), (FLID, LID))
-        assert not classes.same_class(FAID, LID)
+        assert classes.representative(FAID) != classes.representative(LID)
         assert len(classes.classes()) == 2
 
     def test_add_predicate_filters_non_equalities(self):

@@ -5,19 +5,13 @@ import datetime
 import pytest
 
 from repro.errors import ExecutionError
-from repro.expr.functions import function_names, lookup_function
+from repro.expr.functions import lookup_function
 
 
 class TestRegistry:
     def test_lookup_case_insensitive(self):
         assert lookup_function("YEAR") is lookup_function("year")
         assert lookup_function("nope") is None
-
-    def test_all_names_listed(self):
-        names = function_names()
-        for expected in ("year", "month", "day", "mod", "coalesce", "round"):
-            assert expected in names
-        assert names == sorted(names)
 
     def test_arity_checks(self):
         assert lookup_function("year").check_arity(1)

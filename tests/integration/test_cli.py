@@ -35,6 +35,15 @@ class TestShellBasics:
         )
         assert "(0 rows)" in output
 
+    def test_two_statements_on_one_line(self):
+        output = run_shell(
+            "create table T (a integer not null); insert into T values (1);\n"
+            "select a from T where a = 1; select a from T where a = 2;\n"
+        )
+        assert "1 row(s) inserted" in output
+        assert "(1 rows)" in output and "(0 rows)" in output
+        assert "error" not in output
+
     def test_describe(self):
         output = run_shell(
             "create table T (a integer not null);\n\\d\n"

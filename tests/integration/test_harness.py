@@ -24,7 +24,6 @@ class TestExperiment:
         run = experiment.measure(repeat=1)
         assert isinstance(run, ExperimentRun)
         assert run.speedup > 0
-        assert "demo" in run.report_row()
 
     def test_prepare_rejects_missing_rewrite(self):
         db = fresh_small_db()  # no summary tables at all

@@ -8,7 +8,6 @@ from repro.matching.navigator import match_graphs
 from repro.matching.translation import (
     ChildTranslator,
     MatchedChildPair,
-    describe_aggregating_conflict,
     trace_translation,
 )
 from repro.qgm import build_graph
@@ -101,13 +100,6 @@ class TestFigure15Trace:
         steps = trace_translation(expr, [], set())
         assert steps[-1].expr == Literal(5)
 
-    def test_describe_conflict_mentions_aggregate(self):
-        query, ast, pair = _groupby_pair()
-        translator = ChildTranslator([pair], set())
-        translated = translator.translate(query.root.predicates[0])
-        message = describe_aggregating_conflict(translated)
-        assert "SUM" in message
-
 
 class TestTable1:
     """The modified AST10 (HAVING count(*) > 2) must not match Q10."""
@@ -164,16 +156,6 @@ class TestTranslationHelpers:
         aggregating = NaryOp("+", (AggCall("count"), Literal(1)))
         assert not is_aggregating(plain)
         assert is_aggregating(aggregating)
-
-    def test_references_rejoin(self):
-        from repro.expr import BinaryOp, ColumnRef
-        from repro.matching.translation import references_rejoin
-
-        predicate = BinaryOp(
-            "=", ColumnRef("Loc", "lid"), ColumnRef("_in", "flid")
-        )
-        assert references_rejoin(predicate, {"Loc"})
-        assert not references_rejoin(predicate, {"PGroup"})
 
     def test_untranslatable_quantifier_raises(self):
         import pytest

@@ -63,7 +63,7 @@ class TestExposition:
         hist = Histogram("h", buckets=(1.0, 5.0, 10.0))
         for value in (0.2, 0.4, 3.0, 7.0, 7.5, 50.0):
             hist.observe(value)
-        cumulative = [count for _, count in hist.cumulative_buckets()]
+        cumulative = [count for _, count in hist.expose()[0]]
         assert cumulative == sorted(cumulative)
         assert cumulative[-1] == hist.count
 

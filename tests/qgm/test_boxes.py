@@ -142,10 +142,3 @@ class TestGraphUtilities:
         graph = build_graph("select faid from Trans", self.catalog)
         with pytest.raises(ReproError):
             graph.root.output("nope")
-
-    def test_join_pairs_between(self):
-        graph = build_graph(
-            "select faid from Trans, Loc where flid = lid", self.catalog
-        )
-        trans, loc = graph.root.quantifiers()
-        assert graph.root.join_pairs_between(trans, loc) == {("flid", "lid")}

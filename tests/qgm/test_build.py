@@ -259,6 +259,24 @@ class TestBindErrors:
             build("select faid from Trans where count(*) > 1")
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select year(date, 1) as y from Trans",
+        "select round(qty, 1, 2) as r from Trans",
+        "select tid from Trans where year() > 1990",
+        "select coalesce() as c from Trans",
+        "select foo(qty) as f from Trans",
+        "select flid, round(sum(qty), 1, 2) as r from Trans group by flid",
+    ],
+)
+def test_a_bad_function_call_fails_to_bind(small_db, sql):
+    """An unknown name or an argument count outside the built-in's arity
+    is a bind error, raised before anything executes."""
+    with pytest.raises(BindError):
+        small_db.execute(sql)
+
+
 class TestOrderByExpressions:
     def test_order_by_aggregate_expression(self):
         graph = build(

@@ -165,6 +165,10 @@ class TestSplitStatements:
         pieces = split_statements("select 'it''s; fine' from T")
         assert len(pieces) == 1
 
+    def test_semicolon_inside_comment(self):
+        pieces = split_statements("select 1 -- one; two\nfrom T; -- three")
+        assert pieces == ["select 1 \nfrom T"]
+
     def test_trailing_without_semicolon(self):
         assert split_statements("select 1") == ["select 1"]
 
@@ -241,15 +245,6 @@ class TestRunSql:
                 "foreign key (id) references Missing (x))"
             )
         assert not db.catalog.has_table("Fact")
-
-    def test_run_script(self, tiny_db):
-        results = tiny_db.run_script(
-            "create summary table S as select faid, count(*) as cnt "
-            "from Trans group by faid; "
-            "select count(*) as n from Trans;"
-        )
-        assert len(results) == 2
-        assert results[1].rows == [(6,)]
 
 
 class TestParseRefreshStatements:
