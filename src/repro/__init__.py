@@ -57,7 +57,6 @@ from repro.obs import (
     Histogram,
     MatchTrace,
     MetricsRegistry,
-    TraceBuffer,
 )
 from repro.qgm.build import build_graph
 from repro.qgm.display import render_graph
@@ -99,7 +98,6 @@ __all__ = [
     "SummaryTable",
     "Table",
     "TableSchema",
-    "TraceBuffer",
     "UniqueKey",
     "UnsupportedSqlError",
     "WriteRun",

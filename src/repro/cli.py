@@ -15,17 +15,18 @@ shell understands:
 * ``\\refresh`` — per-summary refresh mode and staleness;
   ``\\refresh drain`` applies every staged delta and waits;
   ``\\refresh NAME ...`` recomputes the named summaries now
-* ``\\trace on|off`` — toggle match tracing for subsequent queries;
-  ``\\trace last`` replays the most recent trace (verdicts + timings)
+* ``\\trace on|off`` — ``SET TRACE SAMPLE 1 | OFF``: every statement's
+  spans, its ``db.rewrite`` span with the match trace;
+  ``\\trace last`` renders the newest match trace in the span ring
 * ``\\metrics`` — the unified metrics registry (rewrite, scheduler,
   executor, phase timers); ``\\metrics json`` / ``\\metrics prom`` dump
   machine-readable forms, ``\\metrics reset`` zeroes everything
-* ``\\slowlog`` — recent queries over the slow-query threshold
-  (``SET SLOW QUERY <ms> | OFF`` adjusts it)
+* ``\\slowlog`` — the event log's recent ``query.slow`` entries
+  (``SET SLOW QUERY <ms> | OFF`` adjusts the threshold)
 * ``\\governor`` — query-governor status: session limits (``SET QUERY
   TIMEOUT <ms> | OFF``, ``SET QUERY MAXROWS <n> | OFF``, ``SET QUERY
   MAXMEM <bytes> | OFF``), admission control, circuit-breaker state,
-  and the last governor event
+  and the newest governor event in the event log
 * ``\\connect HOST:PORT`` — switch to remote mode: subsequent SQL,
   ``\\metrics``, and ``\\governor`` go to a ``repro serve`` server over
   the wire protocol (docs/SERVER.md); ``\\disconnect`` switches back
@@ -49,6 +50,9 @@ from typing import IO
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ReproError
+from repro.obs import events as _events
+from repro.obs import spans as _spans
+from repro.obs.trace import render_trace
 from repro.sql.statements import split_statements
 
 
@@ -187,15 +191,19 @@ class Shell:
 
     def _handle_trace(self, parts: list[str]) -> bool:
         if len(parts) == 2 and parts[1] in ("on", "off"):
-            self.database.set_tracing(parts[1] == "on")
+            _spans.set_sample_rate(1.0 if parts[1] == "on" else None)
             self.write(f"match tracing is {parts[1]}")
             return True
         if len(parts) == 2 and parts[1] == "last":
-            trace = self.database.last_trace
-            if trace is None:
-                self.write("(no traces recorded; try \\trace on first)")
-                return True
-            self.write(trace.render(verbose=True))
+            tracer = _spans.TRACER
+            spans = tracer.buffer.snapshot() if tracer is not None else []
+            for span in reversed(spans):
+                if span["name"] == "db.rewrite" and "match_trace" in span["attrs"]:
+                    self.write(render_trace(
+                        span["attrs"]["match_trace"], f"trace {span['trace_id']}"
+                    ))
+                    return True
+            self.write("(no traces recorded; try \\trace on first)")
             return True
         self.write("usage: \\trace on|off|last")
         return True
@@ -268,10 +276,14 @@ class Shell:
             self.write("slow-query log is off (SET SLOW QUERY <ms> enables it)")
         else:
             self.write(f"slow-query threshold: {threshold:g} ms")
-        if not self.database.slow_queries:
+        slow = [
+            entry for entry in _events.tail(_events.LOG.capacity)
+            if entry["event"] == "query.slow"
+        ]
+        if not slow:
             self.write("(no slow queries recorded)")
             return True
-        for entry in self.database.slow_queries:
+        for entry in slow:
             sql = " ".join(entry["sql"].split())
             if len(sql) > 60:
                 sql = sql[:57] + "..."
@@ -298,9 +310,18 @@ class Shell:
         self.write("query governor:")
         for line in self.database.governor.describe_lines():
             self.write(f"  {line}")
-        event = self.database.last_governor_event
-        if event is not None:
-            self.write(f"  last event: {event}")
+        for entry in reversed(_events.tail(_events.LOG.capacity)):
+            if entry["event"] == "governor.degraded":
+                self.write(
+                    f"  last event: degraded to base tables: {entry['detail']}"
+                )
+                break
+            if entry["event"].startswith("breaker."):
+                self.write(
+                    f"  last event: {entry['event']} "
+                    f"(shape {entry['fingerprint']})"
+                )
+                break
         return True
 
     def _handle_status(self, parts: list[str]) -> bool:
@@ -550,8 +571,6 @@ class Shell:
             else:
                 # local statements mint their own trace root (the remote
                 # path gets one from ReproClient.query)
-                from repro.obs import spans as _spans
-
                 tracer = _spans.TRACER
                 root = (
                     tracer.start_trace("shell.statement", sql=sql[:200])
@@ -743,15 +762,12 @@ def serve_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import events as _ob_events
-    from repro.obs import spans as _ob_spans
-
     if args.events_log:
-        _ob_events.configure(args.events_log)
+        _events.configure(args.events_log)
     if args.trace_sample is not None:
         if not 0.0 < args.trace_sample <= 1.0:
             parser.error("--trace-sample must be in (0, 1]")
-        _ob_spans.set_sample_rate(args.trace_sample)
+        _spans.set_sample_rate(args.trace_sample)
 
     # Crash-matrix chaos runs arm fault points inside this process via
     # the environment — the only channel that reaches a subprocess that

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Iterable
 
 from repro.catalog.schema import Catalog, Column, TableSchema
@@ -53,7 +52,7 @@ from repro.governor.governor import UNSET
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import MatchTrace, TraceBuffer
+from repro.obs.trace import MatchTrace
 from repro.qgm.bind_cache import SHAPE_CACHE_SIZE, BindCache, lex
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.build import build_graph
@@ -114,24 +113,15 @@ class Database:
         # _maintenance_lock.
         self._catalog_lock = threading.RLock()
         self.refresh_age = RefreshAge.CURRENT
-        #: last sandboxed rewrite failure (diagnostics; see
-        #: :meth:`_rewrite_stage`)
-        self.last_rewrite_error: str | None = None
-        # Observability: per-query match tracing (\trace on|off|last) and
-        # the slow-query log (SET SLOW QUERY <ms>|OFF).
-        self._tracing = False
-        self._trace_buffer = TraceBuffer()
+        #: the slow-query threshold (SET SLOW QUERY <ms>|OFF); a slower
+        #: statement emits a ``query.slow`` event
         self.slow_query_ms: float | None = DEFAULT_SLOW_QUERY_MS
-        self.slow_queries: deque[dict] = deque(maxlen=64)
         # Query governor: SET QUERY TIMEOUT/MAXROWS limits, admission
         # control, and the per-shape circuit breaker (see
         # docs/ROBUSTNESS.md, "Query governor & load shedding"). Fully
         # disarmed by default — open_scope() returns None and every
         # instrumentation site short-circuits.
         self.governor = QueryGovernor(metrics=self.metrics)
-        #: last governor intervention (degradation/breaker skip), for
-        #: diagnostics and the CLI's \governor command
-        self.last_governor_event: str | None = None
 
     # ------------------------------------------------------------------
     # Data definition / loading
@@ -260,9 +250,9 @@ class Database:
         database-level governor limits for this one query — the query
         server passes each connection's ``SET`` state through them
         (:meth:`repro.server.session.Session.overrides`), so per-client
-        knobs never mutate shared state. ``client`` tags slow-query-log
-        entries with the submitting connection's id; ``force_trace``
-        records a match trace whatever ``set_tracing`` says (EXPLAIN
+        knobs never mutate shared state. ``client`` tags ``query.slow``
+        events with the submitting connection's id; ``force_trace``
+        records a match trace in an unsampled statement too (EXPLAIN
         ANALYZE). ``wait=False`` raises :class:`~repro.errors.
         WriteInProgress` where the run would wait for a write to finish
         (:meth:`_execute`): the query server's event loop never waits.
@@ -299,9 +289,10 @@ class Database:
         client: str | None, force_trace: bool, wait: bool, lexed,
     ) -> SelectRun:
         """The three stages with their phase timers (bind/match/execute,
-        milliseconds) in the metrics registry, spans, the optional match
-        trace (``set_tracing``; this statement's own, kept on the record
-        and handed down to the matcher), and the slow-query log."""
+        milliseconds) in the metrics registry, spans, the match trace
+        (this statement's own, kept on the record, handed down to the
+        matcher and carried by a sampled statement's ``db.rewrite``
+        span), and the slow-query event."""
         metrics = self.metrics
         total_start = time.perf_counter()
         if isinstance(source, SelectRun):
@@ -309,20 +300,24 @@ class Database:
         else:
             sql_text = source if sql_text is None else sql_text
             run = self.prepare_select(source, sql_text, lexed=lexed)
+        sampled = _spans.TRACER is not None and _spans.active() is not None
         trace = run.trace = (
-            MatchTrace(sql_text) if force_trace or self._tracing else None
+            MatchTrace(sql_text) if force_trace or sampled else None
         )
         if use_summary_tables and self.summary_tables:
             started = time.perf_counter()
             self._rewrite_stage(run, tolerance)
             run.phases["match"] = metrics.observe_ms("phase_match_ms", started)
-            if _spans.TRACER is not None:
-                rewrite_attrs = {"rewritten": run.rewrite is not None}
-                if trace is not None:
-                    # join the request span to the match tracer's
-                    # per-query record (\trace N)
-                    rewrite_attrs["match_trace"] = trace.trace_id
-                _spans.record("db.rewrite", started, **rewrite_attrs)
+            if trace is not None:
+                # apply_match timed "compensate" inside the match window
+                run.phases["match"] = max(
+                    0.0, run.phases["match"] - trace.phases.get("compensate", 0.0)
+                )
+                if sampled:
+                    _spans.record(
+                        "db.rewrite", started, rewritten=run.rewrite is not None,
+                        match_trace=trace.as_dict(),
+                    )
         started = time.perf_counter()
         # an untouched template clone: a plan's, or not cloned yet
         clone = run.planned or "graph" not in vars(run)
@@ -332,19 +327,6 @@ class Database:
         run.phases["execute"] = metrics.observe_ms("phase_execute_ms", started)
         _spans.record("db.execute", started)
         run.phases["total"] = metrics.observe_ms("query_total_ms", total_start)
-        if trace is not None:
-            parse_ms = run.phases.get("parse")
-            if parse_ms is not None:  # parsed here, inside the bind window
-                trace.phases = {"parse": parse_ms, **trace.phases}
-            trace.set_phase("bind", run.phases["bind"] - (parse_ms or 0.0))
-            if "match" in run.phases:
-                # apply_match recorded "compensate" inside the match window
-                run.phases["match"] = max(
-                    0.0, run.phases["match"] - trace.phases.get("compensate", 0.0)
-                )
-                trace.set_phase("match", run.phases["match"])
-            trace.set_phase("execute", run.phases["execute"])
-            self._trace_buffer.append(trace)
         self._note_slow_query(sql_text, run.phases["total"], client=client)
         return run
 
@@ -357,19 +339,11 @@ class Database:
         self.metrics.counter(
             "slow_queries_total", "queries over the SET SLOW QUERY threshold"
         ).inc()
-        entry = {
-            "sql": sql_text if sql_text is not None else "(bound graph)",
-            "ms": round(total_ms, 3),
-            "threshold_ms": threshold,
-            "at": time.time(),
-        }
-        if client is not None:
-            entry["client"] = client
-        trace_id = _spans.current_trace_id()
-        if trace_id is not None:
-            # join key into the span ring and the server session
-            entry["trace_id"] = trace_id
-        self.slow_queries.append(entry)
+        _events.emit(
+            "query.slow",
+            sql=sql_text if sql_text is not None else "(bound graph)",
+            ms=round(total_ms, 3), threshold_ms=threshold, client=client,
+        )
 
     def execute_graph(
         self, graph: QueryGraph, overlay: dict | None = None
@@ -577,7 +551,7 @@ class Database:
             run.rewrite_stats.rewrite_errors += 1
             self._rewrite_counters["rewrite_errors"].inc()
             run.rewrite_error = f"{type(error).__name__}: {error}"
-            self.last_rewrite_error = run.rewrite_error
+            _events.emit("rewrite.sandboxed", error=run.rewrite_error)
         run.graph = build_graph(run.source, self.catalog, label=run.label)
 
     def _note_degradation(self, error: MatchBudgetExceeded, trace) -> None:
@@ -593,7 +567,7 @@ class Database:
             if budget.fingerprint is not None:
                 self.governor.breaker.record_timeout(budget.fingerprint)
         self.governor.note_degradation()
-        self.last_governor_event = f"degraded to base tables: {detail}"
+        _events.emit("governor.degraded", detail=detail)
         if trace is not None:
             # The attempt the budget interrupted has neither a pattern
             # nor a reject reason; later summaries were never begun.
@@ -729,9 +703,6 @@ class Database:
             budget.fingerprint = run.spelling
         if breaker.active and breaker.should_skip(run.spelling):
             self.governor.note_breaker_skip()
-            self.last_governor_event = (
-                "circuit breaker open: match skipped for this query shape"
-            )
             if trace is not None:
                 for summary in summaries:
                     trace.verdict(
@@ -770,36 +741,6 @@ class Database:
                     "cached decision: no rewrite applies to this query shape"
                     if steps is None else "cached decision chose another summary"
                 ))
-
-    # ------------------------------------------------------------------
-    # Observability: match tracing and the slow-query log
-    # ------------------------------------------------------------------
-    def set_tracing(self, enabled: bool) -> None:
-        """Toggle per-query match tracing (the CLI's ``\\trace on|off``).
-
-        While enabled, every executed SELECT records a
-        :class:`repro.obs.trace.MatchTrace` into a bounded ring buffer
-        (:attr:`trace_buffer`); when disabled (the default) the tracing
-        hooks are a single ``is not None`` test — no allocation."""
-        self._tracing = bool(enabled)
-
-    @property
-    def tracing(self) -> bool:
-        return self._tracing
-
-    @property
-    def trace_buffer(self) -> TraceBuffer:
-        """The ring buffer of recently finished traces (newest last)."""
-        return self._trace_buffer
-
-    @property
-    def last_trace(self):
-        """The most recent finished trace, or None."""
-        return self._trace_buffer.last
-
-    def set_slow_query_threshold(self, threshold_ms: float | None) -> None:
-        """``SET SLOW QUERY <ms>`` / ``OFF`` as a library call."""
-        self.slow_query_ms = threshold_ms
 
     # ------------------------------------------------------------------
     # Fast-path introspection and control

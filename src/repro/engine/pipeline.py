@@ -197,9 +197,8 @@ def render_analyze(run: SelectRun, has_summaries: bool) -> str:
     trace = run.trace
     span_trace = _spans.current_trace_id()
     lines = [
-        f"-- EXPLAIN ANALYZE (trace #{trace.trace_id}"
-        + (f", trace_id {span_trace}" if span_trace is not None else "")
-        + ") --"
+        "-- EXPLAIN ANALYZE --" if span_trace is None
+        else f"-- EXPLAIN ANALYZE (trace_id {span_trace}) --"
     ]
     lines.append("-- phases --")
     parse_ms = run.phases.get("parse", 0.0)

@@ -58,10 +58,6 @@ class EquivalenceClasses:
             return True
         return False
 
-    def representative(self, ref: ColumnRef) -> ColumnRef:
-        """The canonical member of ``ref``'s class (``ref`` if singleton)."""
-        return self._find(ref)
-
     def members(self, ref: ColumnRef) -> set[ColumnRef]:
         """Every known column equivalent to ``ref`` (including itself)."""
         root = self._find(ref)

@@ -2,7 +2,10 @@
 
 Predicates evaluate to True, False or None (UNKNOWN); WHERE and HAVING keep
 a row only when the predicate is True. Arithmetic and comparisons propagate
-NULL. AND/OR follow Kleene logic.
+NULL. AND/OR follow Kleene logic. A string is no operand of ``*``: each
+operand is taken as ``+value``, which is the value itself for every
+number (``-0.0`` included) and a TypeError for a string, which Python
+would otherwise repeat.
 
 Aggregates are *not* evaluated here — :class:`repro.expr.nodes.AggCall`
 nodes are computed by the GROUP-BY operator in the engine; encountering one
@@ -110,7 +113,7 @@ def _evaluate_nary(expr: NaryOp, resolve: Resolver) -> Any:
     if expr.op == "*":
         product: Any = 1
         for value in values:
-            product = product * value
+            product = product * +value
         return product
     raise ExecutionError(f"unknown n-ary operator {expr.op!r}")
 

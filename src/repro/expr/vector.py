@@ -22,7 +22,9 @@ evaluates, in the same order — not just the same values:
   CASE at the first TRUE condition.  A guarded expression that would
   divide by zero on excluded rows raises in neither engine.
 * ``/`` and ``%`` call helpers raising the evaluator's ``ExecutionError``
-  — except by a nonzero numeric literal, where they are inline;
+  — except by a nonzero numeric literal, where they are inline; the
+  operands of ``*`` are taken as ``+x``, as in the evaluator, so a
+  string raises rather than repeats;
   ``year``/``month``/``day`` read the date's attribute.
 
 No value of the query reaches the source: constants, function
@@ -304,12 +306,16 @@ class _Emitter:
         if isinstance(expr, NaryOp):
             if expr.op in ("and", "or"):
                 return self._kleene(expr.operands, expr.op == "or")
-            if expr.op in ("+", "*"):
+            if expr.op == "+":
                 # ``0 + a + b`` is the evaluator's left fold, step for step
-                head = "0 + " if expr.op == "+" else "1 * "
-                joiner = f" {expr.op} "
                 return self._strict(
-                    expr.operands, lambda *names: f"({head}{joiner.join(names)})"
+                    expr.operands, lambda *names: f"(0 + {' + '.join(names)})"
+                )
+            if expr.op == "*":
+                # the evaluator's ``1 * +a * +b``: ``1 *`` is exact for a
+                # number, and ``+`` rejects a string ``*`` would repeat
+                return self._strict(
+                    expr.operands, lambda *names: f"(+{' * +'.join(names)})"
                 )
             raise ExecutionError(f"unknown n-ary operator {expr.op!r}")
         if isinstance(expr, UnaryOp):

@@ -44,7 +44,7 @@ class ChildTranslator:
     (an unmatched subsumee child, kept under its original quantifier
     name). ``AggCall`` nodes may appear when translation crossed a
     grouping compensation; callers that require aggregate-free results
-    must check :func:`is_aggregating`.
+    must check ``contains_aggregate()``.
     """
 
     def __init__(self, pairs: list[MatchedChildPair], rejoin_names: set[str]):
@@ -76,11 +76,6 @@ class ChildTranslator:
             )
             self._cache[key] = cached
         return cached
-
-
-def is_aggregating(expr: Expr) -> bool:
-    """True when translation introduced aggregate functions."""
-    return expr.contains_aggregate()
 
 
 # ----------------------------------------------------------------------

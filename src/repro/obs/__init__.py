@@ -17,7 +17,6 @@ from repro.obs.spans import Span, SpanBuffer, Tracer
 from repro.obs.trace import (
     REASONS,
     MatchTrace,
-    TraceBuffer,
     describe_box,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "MatchTrace",
     "Span",
     "SpanBuffer",
-    "TraceBuffer",
     "Tracer",
     "describe_box",
 ]

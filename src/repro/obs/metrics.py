@@ -186,15 +186,6 @@ class Histogram:
         # Landed in the +Inf bucket: the best bounded answer is the max.
         return self._max
 
-    def quantile(self, q: float) -> float | None:
-        """Bucket-interpolated quantile estimate for ``0 < q <= 1``
-        (None while empty). Resolution is bucket-width; exact for the
-        min/max endpoints."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q!r}")
-        with self._lock:
-            return self._quantile_locked(q)
-
     def expose(self) -> tuple[list[tuple[float, int]], float, int]:
         """One consistent ``(cumulative buckets, sum, count)`` snapshot
         for the Prometheus exporter — taken under a single lock so the

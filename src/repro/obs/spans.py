@@ -15,8 +15,8 @@ per-hop timing:
 * A **span** is one timed hop — ``client.attempt``, ``server.request``,
   ``admission.wait``, ``db.rewrite``, ``wal.fsync``, ``standby.apply``
   — with a ``span_id``, its parent's id, wall-clock start, duration in
-  milliseconds, and free-form attributes (the rewrite span links the
-  statement's :class:`~repro.obs.trace.MatchTrace` by id).
+  milliseconds, and free-form attributes (the rewrite span carries the
+  statement's :class:`~repro.obs.trace.MatchTrace` as a dict).
 * Finished spans land in a bounded thread-safe ring
   (:class:`SpanBuffer`), dumpable as plain JSON or as Chrome
   ``trace_event`` objects (load the dump in ``chrome://tracing`` /
@@ -371,7 +371,7 @@ def active() -> Span | None:
 
 
 def current_trace_id() -> str | None:
-    """The active trace id on this thread (slow-query log, event log)."""
+    """The active trace id on this thread (event log, EXPLAIN ANALYZE)."""
     if TRACER is None:
         return None
     span = getattr(_local, "span", None)

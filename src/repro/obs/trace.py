@@ -19,13 +19,16 @@ A :class:`MatchTrace` collects, per candidate summary table:
   (signature index), ``refresh-age`` (staleness gate), ``quarantined``
   (fault sandbox), and ``cache-hit`` (a decision cache template) — so the
   verdict table is never empty on warm queries;
-* phase timings (parse/bind/match/compensate/execute) in milliseconds.
+* the ``compensate`` time ``apply_match`` spent, in milliseconds.
 
-A trace belongs to one statement: the SELECT pipeline creates it (when
-``set_tracing`` is on or for EXPLAIN ANALYZE), keeps it on the run
-record and hands it *down* — ``rewrite_query(trace=)``, ``apply_match``,
-``MatchContext.trace`` — so any number of statements can be traced
-concurrently and none sees another's verdicts. Zero cost when disabled:
+A trace belongs to one statement: the SELECT pipeline creates it (for a
+statement a span tracer sampled, or for EXPLAIN ANALYZE), keeps it on
+the run record and hands it *down* — ``rewrite_query(trace=)``,
+``apply_match``, ``MatchContext.trace`` — so any number of statements
+can be traced concurrently and none sees another's verdicts. A sampled
+statement's ``db.rewrite`` span carries it as :meth:`MatchTrace.as_dict`
+(``\\trace last`` renders the newest with :func:`render_trace`), so the
+span ring's bound is the traces' bound too. Zero cost when disabled:
 untraced runs hand down ``None`` and every instrumentation site guards
 on it first —
 
@@ -39,9 +42,7 @@ no allocation. Detail strings are built only inside the guard.
 
 from __future__ import annotations
 
-import itertools
 import time
-from collections import deque
 
 #: Catalog of named reject reasons -> (paper section, description).
 #: ``docs/OBSERVABILITY.md`` renders this table; tests assert membership.
@@ -115,8 +116,6 @@ REASONS = {
     ),
 }
 
-_TRACE_IDS = itertools.count(1)
-
 
 class Reject:
     """One named rejection raised while a match function ran."""
@@ -128,12 +127,6 @@ class Reject:
         self.reason = reason
         self.section = section or REASONS.get(reason, ("?",))[0]
         self.detail = detail
-
-    def describe(self) -> str:
-        text = self.reason
-        if self.detail:
-            text += f": {self.detail}"
-        return text
 
     def as_dict(self) -> dict:
         return {"reason": self.reason, "section": self.section,
@@ -155,21 +148,6 @@ class PairAttempt:
         self.pattern = pattern          # e.g. "4.1.2"; None on reject
         self.compensation = compensation
         self.rejects = rejects
-
-    @property
-    def matched(self) -> bool:
-        return self.pattern is not None
-
-    def describe(self) -> str:
-        left = f"{self.subsumee} vs {self.subsumer}"
-        if self.matched:
-            text = f"{left}: matched {self.pattern}"
-            if self.compensation:
-                text += f" ({self.compensation})"
-            return text
-        if self.rejects:
-            return f"{left}: rejected [{self.rejects[-1].describe()}]"
-        return f"{left}: no match"
 
     def as_dict(self) -> dict:
         return {
@@ -207,6 +185,7 @@ class SummaryAttempt:
     def as_dict(self) -> dict:
         return {
             "summary": self.name,
+            "verdict": self.verdict,
             "pattern": self.pattern,
             "reason": self.reason,
             "detail": self.detail,
@@ -219,12 +198,11 @@ class MatchTrace:
     """The event tree for one traced query."""
 
     #: instances ever created — the overhead test asserts this stays
-    #: flat while tracing is disabled (zero-allocation guarantee)
+    #: flat while no statement is sampled (zero-allocation guarantee)
     created = 0
 
     def __init__(self, sql: str | None = None):
         MatchTrace.created += 1
-        self.trace_id = next(_TRACE_IDS)
         self.sql = sql
         self.summaries: list[SummaryAttempt] = []
         self.phases: dict[str, float] = {}
@@ -323,9 +301,6 @@ class MatchTrace:
         self.phases[name] = self.phases.get(name, 0.0) + elapsed
         return elapsed
 
-    def set_phase(self, name: str, ms: float) -> None:
-        self.phases[name] = ms
-
     # -- presentation --------------------------------------------------
     def verdict_rows(self) -> list[tuple[str, str, str]]:
         """(summary, verdict, detail) rows for the EXPLAIN ANALYZE table."""
@@ -334,33 +309,8 @@ class MatchTrace:
             rows.append((attempt.name, attempt.verdict, attempt.detail or ""))
         return rows
 
-    def render(self, verbose: bool = False) -> str:
-        lines = [f"trace #{self.trace_id}"]
-        if self.sql:
-            lines.append(f"  query: {self.sql}")
-        if self.phases:
-            timing = "  ".join(
-                f"{name}={ms:.3f}ms" for name, ms in self.phases.items()
-            )
-            lines.append(f"  phases: {timing}")
-        for attempt in self.summaries:
-            lines.append(f"  [{attempt.name}] {attempt.verdict}")
-            if attempt.detail:
-                lines.append(f"      detail: {attempt.detail}")
-            pairs = attempt.pairs if verbose else [
-                p for p in attempt.pairs
-                if p.matched or p.subsumer_id == attempt.root_id
-            ]
-            for pair in pairs:
-                lines.append(f"    - {pair.describe()}")
-                if verbose:
-                    for rej in pair.rejects[:-1]:
-                        lines.append(f"        tried: {rej.describe()}")
-        return "\n".join(lines)
-
     def as_dict(self) -> dict:
         return {
-            "trace_id": self.trace_id,
             "sql": self.sql,
             "phases": dict(self.phases),
             "summaries": [s.as_dict() for s in self.summaries],
@@ -373,24 +323,41 @@ def describe_box(box) -> str:
     return f"{kind}({name})" if name else kind
 
 
-class TraceBuffer:
-    """Bounded ring of recently finished traces (``\\trace last``)."""
+def render_trace(trace: dict, title: str) -> str:
+    """``\\trace last``: a :meth:`MatchTrace.as_dict` record as text —
+    ``title``, then per summary its verdict and every pairing tried."""
+    lines = [title]
+    if trace["sql"]:
+        lines.append(f"  query: {trace['sql']}")
+    if trace["phases"]:
+        timing = "  ".join(
+            f"{name}={ms:.3f}ms" for name, ms in trace["phases"].items()
+        )
+        lines.append(f"  phases: {timing}")
+    for attempt in trace["summaries"]:
+        lines.append(f"  [{attempt['summary']}] {attempt['verdict']}")
+        if attempt["detail"]:
+            lines.append(f"      detail: {attempt['detail']}")
+        for pair in attempt["pairs"]:
+            lines.append(f"    - {_describe_pair(pair)}")
+            for reject in pair["rejects"][:-1]:
+                lines.append(f"        tried: {_describe_reject(reject)}")
+    return "\n".join(lines)
 
-    def __init__(self, capacity: int = 32):
-        self._traces: deque[MatchTrace] = deque(maxlen=capacity)
 
-    def append(self, trace: MatchTrace) -> None:
-        self._traces.append(trace)
+def _describe_pair(pair: dict) -> str:
+    left = f"{pair['subsumee']} vs {pair['subsumer']}"
+    if pair["pattern"] is not None:
+        text = f"{left}: matched {pair['pattern']}"
+        if pair["compensation"]:
+            text += f" ({pair['compensation']})"
+        return text
+    if pair["rejects"]:
+        return f"{left}: rejected [{_describe_reject(pair['rejects'][-1])}]"
+    return f"{left}: no match"
 
-    @property
-    def last(self) -> MatchTrace | None:
-        return self._traces[-1] if self._traces else None
 
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    def __iter__(self):
-        return iter(self._traces)
-
-    def clear(self) -> None:
-        self._traces.clear()
+def _describe_reject(reject: dict) -> str:
+    if reject["detail"]:
+        return f"{reject['reason']}: {reject['detail']}"
+    return reject["reason"]

@@ -64,10 +64,6 @@ class SummarySignature:
     grouping_columns: frozenset[str]
     output_columns: frozenset[str]
 
-    @property
-    def has_grouping(self) -> bool:
-        return "groupby" in self.box_kinds
-
 
 def graph_signature(
     graph: QueryGraph, order: list[QGMBox] | None = None

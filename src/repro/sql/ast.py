@@ -31,10 +31,6 @@ class TableRef:
     name: str
     alias: str | None = None
 
-    @property
-    def binding_name(self) -> str:
-        return self.alias or self.name
-
 
 @dataclass(frozen=True)
 class DerivedTableRef:
@@ -46,10 +42,6 @@ class DerivedTableRef:
 
     query: "SelectStatement"
     alias: str | None
-
-    @property
-    def binding_name(self) -> str | None:
-        return self.alias
 
 
 FromItem = TableRef | DerivedTableRef
@@ -108,9 +100,6 @@ class SelectStatement:
     order_by: tuple[OrderItem, ...] = ()
     select_star: bool = False
     limit: int | None = None
-
-    def has_grouping(self) -> bool:
-        return bool(self.group_by)
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,13 @@ class TestUnionFind:
     def test_symmetric_and_transitive(self):
         other = ColumnRef("X", "c")
         classes = classes_with((FAID, AID), (AID, other))
-        assert classes.representative(FAID) == classes.representative(other)
+        assert classes.rewrite(FAID) == classes.rewrite(other)
         assert classes.members(other) == {FAID, AID, other}
 
     def test_representative_deterministic(self):
         a = classes_with((FAID, AID))
         b = classes_with((AID, FAID))
-        assert a.representative(FAID) == b.representative(FAID)
+        assert a.rewrite(FAID) == b.rewrite(FAID)
 
     def test_members(self):
         classes = classes_with((FAID, AID))
@@ -43,7 +43,7 @@ class TestUnionFind:
 
     def test_disjoint_classes(self):
         classes = classes_with((FAID, AID), (FLID, LID))
-        assert classes.representative(FAID) != classes.representative(LID)
+        assert classes.rewrite(FAID) != classes.rewrite(LID)
         assert len(classes.classes()) == 2
 
     def test_add_predicate_filters_non_equalities(self):
@@ -56,7 +56,7 @@ class TestUnionFind:
 class TestRewriteAndEquivalence:
     def test_rewrite_to_representative(self):
         classes = classes_with((FAID, AID))
-        rep = classes.representative(FAID)
+        rep = classes.rewrite(FAID)
         expr = NaryOp("+", (AID, Literal(1)))
         assert classes.rewrite(expr) == NaryOp("+", (rep, Literal(1)))
 

@@ -139,4 +139,4 @@ def test_equivalence_rewrite_stable(pairs, expr):
     rewritten = classes.rewrite(expr)
     assert classes.rewrite(rewritten) == rewritten  # idempotent
     for ref in rewritten.column_refs():
-        assert classes.representative(ref) == ref  # fully canonical
+        assert classes.rewrite(ref) == ref  # fully canonical

@@ -190,3 +190,47 @@ class TestStatusCommand:
             assert "tracing: off (SET TRACE SAMPLE <rate> enables it)" in output
         finally:
             spans.uninstall()
+
+
+class TestDiagnostics:
+    def test_trace_and_slowlog_script(self, tiny_db):
+        """``\\trace on`` samples every statement, ``\\trace last`` renders
+        the match trace its ``db.rewrite`` span carries, and ``\\slowlog``
+        lists the event log's ``query.slow`` entries."""
+        from repro.obs import events, spans
+
+        tiny_db.create_summary_table(
+            "AST1",
+            "select faid, flid, year(date) as year, count(*) as cnt "
+            "from Trans group by faid, flid, year(date)",
+        )
+        events.LOG.clear()
+        spans.uninstall()
+        try:
+            output = run_shell(
+                "\\trace on\n"
+                "select faid, count(*) as n from Trans group by faid;\n"
+                "\\trace last\n"
+                "\\trace off\n"
+                "set slow query 0;\n"
+                "select flid, count(*) as n from Trans group by flid;\n"
+                "\\slowlog\n",
+                tiny_db,
+            )
+            assert spans.TRACER is None
+        finally:
+            spans.uninstall()
+        traced = output.split("match tracing is on\n")[1].split(
+            "match tracing is off"
+        )[0]
+        query = "select faid, count(*) as n from Trans group by faid"
+        assert f"\n  query: {query}\n" in traced
+        assert "\n  [AST1] rewritten via 4.2.4\n" in traced
+        assert (
+            "\n    - GroupBy(GB-2Q) vs GroupBy(GB-2A): matched 4.1.2 (compensated)\n"
+            in traced
+        )
+        assert "\n    - Select(Sel-3Q) vs Select(Sel-3A): matched 4.2.4" in traced
+        slowlog = output.split("slow query threshold set to 0 ms\n")[1]
+        assert "slow-query threshold: 0 ms" in slowlog
+        assert "select flid, count(*) as n from Trans group by flid" in slowlog

@@ -148,15 +148,6 @@ class TestChainOutputInlining:
 
 
 class TestTranslationHelpers:
-    def test_is_aggregating(self):
-        from repro.expr import AggCall, ColumnRef, Literal, NaryOp
-        from repro.matching.translation import is_aggregating
-
-        plain = NaryOp("+", (ColumnRef("g", "cnt"), Literal(1)))
-        aggregating = NaryOp("+", (AggCall("count"), Literal(1)))
-        assert not is_aggregating(plain)
-        assert is_aggregating(aggregating)
-
     def test_untranslatable_quantifier_raises(self):
         import pytest
 

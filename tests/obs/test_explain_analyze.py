@@ -1,13 +1,14 @@
 """EXPLAIN ANALYZE surfacing on the TPC-D workload: phase timings, the
-per-AST verdict table (cold and warm), tracing API, and the slow-query
-log."""
+per-AST verdict table (cold and warm), the match trace a sampled
+statement's ``db.rewrite`` span carries, and the slow-query event."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.engine.database as database_mod
 from repro.bench import FIGURES, make_database
-from repro.obs import REASONS
+from repro.obs import REASONS, events, spans
 from repro.workloads import small_config
 from repro.workloads.tpcd import QUERIES, build_tpcd_db, install_asts
 
@@ -22,11 +23,31 @@ def tpcd_db():
     db.refresh_scheduler.stop()
 
 
+def sampled(run):
+    """Call ``run()`` as one sampled statement; returns its result and
+    the match trace (``MatchTrace.as_dict``) its ``db.rewrite`` span
+    carries."""
+    tracer = spans.install()
+    try:
+        with tracer.start_trace("test.statement"):
+            result = run()
+    finally:
+        spans.uninstall()
+    [span] = [s for s in tracer.buffer.snapshot() if s["name"] == "db.rewrite"]
+    return result, span["attrs"]["match_trace"]
+
+
+def slow_events() -> list[dict]:
+    return [e for e in events.tail() if e["event"] == "query.slow"]
+
+
 class TestExplainAnalyze:
     def test_phase_breakdown_present(self, tpcd_db):
         sql = next(iter(QUERIES.values()))
         out = tpcd_db.explain_analyze(sql)
-        assert "-- EXPLAIN ANALYZE (trace #" in out
+        assert out.startswith("-- EXPLAIN ANALYZE --\n")
+        traced, _ = sampled(lambda: tpcd_db.explain_analyze(sql))
+        assert traced.startswith("-- EXPLAIN ANALYZE (trace_id ")
         assert "-- phases --" in out
         for phase in PHASES:
             assert phase in out
@@ -37,17 +58,17 @@ class TestExplainAnalyze:
         """For each enabled AST: a matched pattern section or a named
         reject reason — on every workload query (acceptance criterion)."""
         for name, sql in QUERIES.items():
-            out = tpcd_db.explain_analyze(sql)
+            out, trace = sampled(lambda: tpcd_db.explain_analyze(sql))
             assert "-- match verdicts --" in out, name
-            trace = tpcd_db.last_trace
-            verdict_names = {row[0].lower() for row in trace.verdict_rows()}
+            rows = [(s["summary"], s["verdict"]) for s in trace["summaries"]]
+            verdict_names = {summary.lower() for summary, _ in rows}
             for key, summary in tpcd_db.summary_tables.items():
                 if not summary.enabled:
                     continue
                 assert key in verdict_names, (
                     f"{name}: no verdict for {summary.name}\n{out}"
                 )
-            for _, verdict, _ in trace.verdict_rows():
+            for _, verdict in rows:
                 assert (
                     verdict.startswith("rewritten via")
                     or verdict.startswith("matched")
@@ -60,11 +81,10 @@ class TestExplainAnalyze:
         sql = next(iter(QUERIES.values()))
         tpcd_db.execute(sql)  # populate the decision cache
         tpcd_db.execute(sql)  # warm hit
-        out = tpcd_db.explain_analyze(sql)
-        trace = tpcd_db.last_trace
-        assert trace.verdict_rows(), "verdict table empty on warm query"
+        out, trace = sampled(lambda: tpcd_db.explain_analyze(sql))
+        assert trace["summaries"], "verdict table empty on warm query"
         assert "cache-hit" in out
-        applied = [a for a in trace.summaries if a.applied]
+        applied = [a for a in trace["summaries"] if a["applied"]]
         assert applied, "replayed rewrite not marked applied"
 
     def test_explain_analyze_via_run_sql(self, tpcd_db):
@@ -89,20 +109,20 @@ class TestExplainAnalyze:
         record, not from a database-wide "most recent run" slot that
         another thread's SELECT can overwrite between this statement's
         run and its render. Replayed deterministically by running a
-        second, smaller query once the explained one has run — when its
-        trace is filed, before anything is rendered."""
+        second, smaller query once the explained one has run, before
+        anything is rendered."""
         sql = QUERIES["q1_pricing"]
         other = "select count(*) as n from Customer"
         own = tpcd_db.run_select(sql).executor_stats.describe_lines()
         others = tpcd_db.run_select(other).executor_stats.describe_lines()
         assert own != others
-        file_trace = tpcd_db.trace_buffer.append
+        render = database_mod.render_analyze
 
-        def file_then_interpose(trace):
-            file_trace(trace)
+        def interpose_then_render(run, has_summaries):
             tpcd_db.execute(other)
+            return render(run, has_summaries)
 
-        monkeypatch.setattr(tpcd_db.trace_buffer, "append", file_then_interpose)
+        monkeypatch.setattr(database_mod, "render_analyze", interpose_then_render)
         out = tpcd_db.explain_analyze(sql)
         section = out.split("-- executor --\n")[1].split("\n--")[0]
         assert section.splitlines() == own
@@ -135,18 +155,18 @@ def test_template_hit_names_the_winner_and_every_summary():
     db.execute(query.replace("> 100", "> 3"))
     confirm = db.explain_analyze(query.replace("> 100", "> 5"))
     assert "decision cache: miss" in confirm
-    out = db.explain_analyze(query.replace("> 100", "> 4"))
-    trace = db.last_trace
-    rows = {row[0]: row[1:] for row in trace.verdict_rows()}
-    assert rows.pop("AST1")[0] == "rewritten via 4.2.4"
-    assert {verdict for verdict, _ in rows.values()} == {"cache-hit"}
-    assert not [a.name for a in trace.summaries if a.pairs]
-    assert [a.name for a in trace.summaries if a.applied] == ["AST1"]
-    assert [a.pattern for a in trace.summaries if a.applied] == ["4.2.4"]
-    assert "decision cache: template hit; matches attempted: 0" in out
-    assert {row[0].lower() for row in trace.verdict_rows()} == set(
-        db.summary_tables
+    out, trace = sampled(
+        lambda: db.explain_analyze(query.replace("> 100", "> 4"))
     )
+    attempts = trace["summaries"]
+    rows = {a["summary"]: a["verdict"] for a in attempts}
+    assert rows.pop("AST1") == "rewritten via 4.2.4"
+    assert set(rows.values()) == {"cache-hit"}
+    assert not [a["summary"] for a in attempts if a["pairs"]]
+    assert [a["summary"] for a in attempts if a["applied"]] == ["AST1"]
+    assert [a["pattern"] for a in attempts if a["applied"]] == ["4.2.4"]
+    assert "decision cache: template hit; matches attempted: 0" in out
+    assert {a["summary"].lower() for a in attempts} == set(db.summary_tables)
     again = db.explain_analyze(query.replace("> 100", "> 4"))
     assert "decision cache: template hit; matches attempted: 0" in again
 
@@ -154,30 +174,31 @@ def test_template_hit_names_the_winner_and_every_summary():
 class TestTracingApi:
     def test_session_tracing_fills_buffer(self, tpcd_db):
         sql = next(iter(QUERIES.values()))
-        before = len(tpcd_db.trace_buffer)
-        tpcd_db.set_tracing(True)
+        tpcd_db.run_sql("SET TRACE SAMPLE 1")
+        tracer = spans.TRACER
         try:
-            tpcd_db.execute(sql)
+            with tracer.start_trace("test.statement"):
+                tpcd_db.execute(sql)
         finally:
-            tpcd_db.set_tracing(False)
-        assert tpcd_db.tracing is False
-        assert len(tpcd_db.trace_buffer) == before + 1
-        trace = tpcd_db.last_trace
-        assert trace is not None and trace.sql is not None
-        assert "execute" in trace.phases
+            tpcd_db.run_sql("SET TRACE SAMPLE OFF")
+        assert spans.TRACER is None
+        by_name = {s["name"]: s for s in tracer.buffer.snapshot()}
+        trace = by_name["db.rewrite"]["attrs"]["match_trace"]
+        assert trace["sql"] == sql and trace["summaries"]
+        assert by_name["db.execute"]["trace_id"] == by_name["db.rewrite"]["trace_id"]
 
 
 class TestSlowQueryLog:
     def test_threshold_zero_records_everything(self, tpcd_db):
-        tpcd_db.slow_queries.clear()
-        tpcd_db.set_slow_query_threshold(0.0)
+        events.LOG.clear()
+        tpcd_db.run_sql("SET SLOW QUERY 0")
         try:
             sql = next(iter(QUERIES.values()))
             tpcd_db.execute(sql)
         finally:
-            tpcd_db.set_slow_query_threshold(None)
-        assert len(tpcd_db.slow_queries) == 1
-        entry = tpcd_db.slow_queries[-1]
+            tpcd_db.run_sql("SET SLOW QUERY OFF")
+        [entry] = slow_events()
+        assert entry["sql"] == sql
         assert entry["ms"] >= 0.0 and entry["threshold_ms"] == 0.0
         assert tpcd_db.metrics.counter("slow_queries_total").value >= 1
 
@@ -188,6 +209,6 @@ class TestSlowQueryLog:
         msg = tpcd_db.run_sql("SET SLOW QUERY OFF")
         assert "disabled" in msg
         assert tpcd_db.slow_query_ms is None
-        tpcd_db.slow_queries.clear()
+        events.LOG.clear()
         tpcd_db.execute(next(iter(QUERIES.values())))
-        assert not tpcd_db.slow_queries  # log off: nothing recorded
+        assert not slow_events()  # log off: nothing recorded

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from repro.catalog import credit_card_catalog
 from repro.engine import Database
-from repro.obs import REASONS, MatchTrace, TraceBuffer
+from repro.obs import REASONS, MatchTrace, spans
+from repro.obs.trace import render_trace
 
 
 def traced_rewrite(db, sql):
@@ -15,7 +16,10 @@ def traced_rewrite(db, sql):
 
 def attempt_for(trace, name):
     matches = [a for a in trace.summaries if a.name.lower() == name.lower()]
-    assert matches, f"no attempt recorded for {name}: {trace.render()}"
+    assert matches, (
+        f"no attempt recorded for {name}: "
+        + render_trace(trace.as_dict(), "trace")
+    )
     return matches[-1]
 
 
@@ -189,7 +193,7 @@ class TestTracerMechanics:
             db, "select faid, count(*) as n from Trans group by faid"
         )
         dump = trace.as_dict()
-        assert dump["trace_id"] == trace.trace_id
+        assert dump["sql"] == "select faid, count(*) as n from Trans group by faid"
         assert dump["summaries"][0]["summary"] == "Ast"
         assert dump["summaries"][0]["applied"] is True
 
@@ -198,8 +202,8 @@ class TestTracerMechanics:
         trace = traced_rewrite(
             db, "select faid, count(*) as n from Trans group by faid"
         )
-        text = trace.render(verbose=True)
-        assert f"trace #{trace.trace_id}" in text
+        text = render_trace(trace.as_dict(), "trace 7f3a")
+        assert text.startswith("trace 7f3a\n")
         assert "[Ast] rewritten via" in text
         assert "matched 4.1.2" in text
 
@@ -210,12 +214,26 @@ class TestTracerMechanics:
         assert trace.summaries == []
 
     def test_trace_buffer_is_bounded(self):
-        buffer = TraceBuffer(capacity=2)
-        traces = [MatchTrace() for _ in range(3)]
-        for trace in traces:
-            buffer.append(trace)
-        assert len(buffer) == 2
-        assert buffer.last is traces[-1]
-        assert list(buffer) == traces[1:]
-        buffer.clear()
-        assert buffer.last is None
+        """Traces ride their statements' ``db.rewrite`` spans, so the
+        span ring's bound is the traces' bound."""
+        db = fresh_db(MONTHLY)
+        tracer = spans.install(capacity=8)
+        queries = [
+            f"select faid, count(*) as n from Trans where qty > {n} group by faid"
+            for n in range(3)
+        ]
+        try:
+            for sql in queries:
+                with tracer.start_trace("test.statement"):
+                    db.execute(sql)
+        finally:
+            spans.uninstall()
+        kept = [
+            s["attrs"]["match_trace"]["sql"]
+            for s in tracer.buffer.snapshot() if s["name"] == "db.rewrite"
+        ]
+        assert len(tracer.buffer) == 8 and tracer.buffer.dropped > 0
+        # the newest statements' traces, and not all of them
+        assert kept and kept == queries[-len(kept):] and kept != queries
+        tracer.buffer.clear()
+        assert tracer.buffer.snapshot() == []

@@ -20,13 +20,13 @@ class TestGraphSignature:
         )
         signature = graph_signature(graph)
         assert signature.base_tables == {"trans", "loc"}
-        assert signature.has_grouping
+        assert "groupby" in signature.box_kinds
         assert "cnt" in signature.output_columns
 
     def test_plain_select_signature(self, tiny_db):
         signature = graph_signature(tiny_db.bind("select lid, city from Loc"))
         assert signature.base_tables == {"loc"}
-        assert not signature.has_grouping
+        assert "groupby" not in signature.box_kinds
 
 
 class TestPlausible:

@@ -29,6 +29,7 @@ from repro.sql.statements import (
     parse_statement,
 )
 from repro.engine.table import tables_equal
+from repro.obs import events
 from repro.workloads.tpcd import QUERIES, build_tpcd_db, install_asts
 
 
@@ -187,10 +188,12 @@ def test_tiny_timeout_degrades_never_errors():
     install_asts(db)
     want = db.execute(QUERIES["q1_pricing"], use_summary_tables=False)
     db.run_sql("SET QUERY TIMEOUT 0.000001;")
-    got = db.execute(QUERIES["q1_pricing"])  # must not raise
-    assert sorted(got.rows) == sorted(want.rows)
-    assert db.last_governor_event is not None
-    assert "degraded to base tables" in db.last_governor_event
+    events.LOG.clear()
+    run = db.run_select(QUERIES["q1_pricing"])  # must not raise
+    assert sorted(run.table.rows) == sorted(want.rows)
+    assert run.degraded is not None
+    [event] = [e for e in events.tail() if e["event"] == "governor.degraded"]
+    assert event["detail"] == run.degraded
     assert db.metrics.to_dict()["governor.degradations"]["value"] >= 1
     db.close()
 
@@ -272,7 +275,8 @@ def test_breaker_skips_matching_after_consecutive_degradations():
         assert sorted(got.rows) == sorted(base.rows)
     assert db.governor.breaker.snapshot()["open"] == 1
     assert db.metrics.to_dict()["governor.breaker_skips"]["value"] >= 1
-    assert "circuit breaker open" in db.last_governor_event
+    breaker_events = [e for e in events.tail() if e["event"].startswith("breaker.")]
+    assert breaker_events[-1]["event"] == "breaker.open"
     out = db.run_sql("EXPLAIN ANALYZE " + QUERIES["q1_pricing"].rstrip(";\n") + ";")
     assert "circuit-open" in out
     # cool-down elapses and the shape behaves again: circuit closes
@@ -299,4 +303,11 @@ def test_governor_cli_command():
     assert "query timeout   750 ms" in text
     assert "circuit breaker" in text
     assert "admission       off" in text
+    # the newest degradation in the event log is the last event
+    install_asts(db)
+    events.LOG.clear()
+    db.governor.match_budget = 1
+    db.execute(QUERIES["q1_pricing"])
+    shell.handle_line("\\governor")
+    assert "last event: degraded to base tables" in out.getvalue()
     db.close()

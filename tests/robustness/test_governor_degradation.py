@@ -39,16 +39,17 @@ def test_degraded_results_match_governor_off(workload, name, budget):
     db.governor.breaker.reset()  # each example judges the budget alone
     db.governor.match_budget = budget
     try:
-        got = db.execute(QUERIES[name])
+        run = db.run_select(QUERIES[name])
     finally:
         db.governor.match_budget = None
+    got = run.table
     want = baselines[name]
     assert got.columns == want.columns
     # Degraded executions reuse the base-table plan, so rows agree
     # exactly; a budget generous enough to finish matching legitimately
     # answers from the summary, where only float round-off may differ.
     assert tables_equal(got, want)
-    if db.last_governor_event and "degraded" in db.last_governor_event:
+    if run.degraded is not None:
         assert sorted(got.rows) == sorted(want.rows)
 
 
@@ -61,11 +62,11 @@ def test_pre_expired_timeout_degrades_every_query(workload, name):
     db.governor.breaker.reset()
     db.run_sql("SET QUERY TIMEOUT 0.000001;")
     try:
-        got = db.execute(QUERIES[name])
+        run = db.run_select(QUERIES[name])
     finally:
         db.run_sql("SET QUERY TIMEOUT OFF;")
-    assert sorted(got.rows) == sorted(baselines[name].rows)
-    assert "degraded to base tables" in (db.last_governor_event or "")
+    assert sorted(run.table.rows) == sorted(baselines[name].rows)
+    assert run.degraded is not None
 
 
 def test_timeouts_of_one_shape_under_fresh_constants_open_the_breaker(workload):
@@ -88,12 +89,13 @@ def test_timeouts_of_one_shape_under_fresh_constants_open_the_breaker(workload):
         state = db.governor.breaker.snapshot()
         assert (state["tracked"], state["open"]) == (1, 1)
         skips = db.metrics.to_dict()["governor.breaker_skips"]["value"]
-        db.execute(pricing.replace("1997", "2001"))
-        assert "circuit breaker open" in db.last_governor_event
+        skipped = db.run_select(pricing.replace("1997", "2001"))
+        # the open breaker skipped matching: no rewrite, no degradation
+        assert skipped.rewrite is None and skipped.degraded is None
         assert db.metrics.to_dict()["governor.breaker_skips"]["value"] == skips + 1
         # ``<`` for ``<=`` is another shape: it is matched (and degrades)
-        db.execute(pricing.replace("<= 1997", "< 2001"))
-        assert "degraded to base tables" in db.last_governor_event
+        run = db.run_select(pricing.replace("<= 1997", "< 2001"))
+        assert run.degraded is not None
         assert db.governor.breaker.snapshot()["tracked"] == 2
     finally:
         db.governor.match_budget = None

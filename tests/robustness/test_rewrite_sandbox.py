@@ -10,6 +10,7 @@ import pytest
 
 from repro.engine.table import tables_equal
 from repro.errors import MatchBudgetExceeded
+from repro.obs import events
 from repro.server.client import ReproClient
 from repro.server.server import QueryServer
 from repro.testing import INJECTOR, InjectedFault
@@ -30,8 +31,14 @@ QUERIES = [
 @pytest.fixture
 def ast_db(tiny_db):
     tiny_db.create_summary_table("A1", AST_SQL)
+    events.LOG.clear()
     yield tiny_db
     tiny_db.close()
+
+
+def logged(name: str) -> list[dict]:
+    """This test's ``name`` events (the fixture cleared the log)."""
+    return [e for e in events.tail() if e["event"] == name]
 
 
 def _via_server(db, sql):
@@ -80,7 +87,8 @@ class TestEveryEntryPoint:
             answer = ENTRY_POINTS[entry](ast_db, QUERY)
         assert_base_answer(answer, want, "rewrite failed (InjectedFault")
         assert ast_db.rewrite_stats()["rewrite_errors"] == 1
-        assert "InjectedFault" in ast_db.last_rewrite_error
+        [sandboxed] = logged("rewrite.sandboxed")
+        assert "InjectedFault" in sandboxed["error"]
 
     def test_match_budget_degrades_without_an_error(self, ast_db, entry):
         want = ast_db.execute(QUERY, use_summary_tables=False)
@@ -92,9 +100,10 @@ class TestEveryEntryPoint:
             answer = ENTRY_POINTS[entry](ast_db, QUERY)
         assert_base_answer(answer, want, "governor degraded the query")
         assert degradations.value == 1
-        assert "match budget spent" in ast_db.last_governor_event
+        [degraded] = logged("governor.degraded")
+        assert "match budget spent" in degraded["detail"]
         assert ast_db.rewrite_stats()["rewrite_errors"] == 0
-        assert ast_db.last_rewrite_error is None
+        assert not logged("rewrite.sandboxed")
 
 
 class TestExecuteFallback:
@@ -107,7 +116,9 @@ class TestExecuteFallback:
                 got = ast_db.execute(sql)
                 assert tables_equal(got, want)
         assert ast_db.rewrite_stats()["rewrite_errors"] == len(QUERIES)
-        assert "InjectedFault" in ast_db.last_rewrite_error
+        sandboxed = logged("rewrite.sandboxed")
+        assert len(sandboxed) == len(QUERIES)
+        assert all("InjectedFault" in e["error"] for e in sandboxed)
 
     def test_run_sql_path_is_sandboxed_too(self, ast_db):
         want = ast_db.execute(QUERY, use_summary_tables=False)

@@ -128,7 +128,6 @@ class TestTraceRoundTrip:
     def test_select_trace_covers_admission_rewrite_execute(self, tmp_path):
         tracer = spans.install(sample_rate=1.0)
         primary = make_primary(tmp_path)
-        primary.db.set_tracing(True)  # match tracer on: spans link to it
         host, port = primary.address
         try:
             with ReproClient(host, port) as client:
@@ -154,8 +153,12 @@ class TestTraceRoundTrip:
             assert lookup["attrs"]["outcome"] == "miss"
             [rewrite] = spans_named(tracer.buffer, trace_id, "db.rewrite")
             assert rewrite["attrs"]["rewritten"] is True
-            # the rewrite span links the match tracer's per-query record
-            assert "match_trace" in rewrite["attrs"]
+            # the sampled statement's rewrite span carries its match trace
+            trace = rewrite["attrs"]["match_trace"]
+            assert trace["sql"].startswith("SELECT status")
+            assert [
+                s["summary"] for s in trace["summaries"] if s["applied"]
+            ] == ["ast_status"]
         finally:
             stop_server(primary)
 
