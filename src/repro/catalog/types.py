@@ -71,5 +71,5 @@ def infer_literal_type(value: Any) -> DataType | None:
 
 
 def is_numeric(dtype: DataType | None) -> bool:
-    """True for types that participate in arithmetic."""
-    return dtype in (DataType.INTEGER, DataType.FLOAT)
+    """True for types that participate in arithmetic (a BOOLEAN as 0/1)."""
+    return dtype in (DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN)

@@ -860,7 +860,7 @@ def serve_main(argv: list[str]) -> int:
     else:
         database = Database()
     if wal is not None and not wal.exists():
-        wal.begin(database)
+        wal.begin(database, previous=args.open_dir)
     configure_admission(database)
     server = QueryServer(
         database, wal=wal, repl_ack=args.repl_ack, **server_options

@@ -1290,23 +1290,17 @@ def _base_tables(summaries) -> tuple[str, ...]:
 
 
 def _schema_from_result(name: str, graph: QueryGraph, data: Table) -> TableSchema:
-    """Derive a TableSchema for a materialized AST from its root box."""
+    """Derive a TableSchema for a materialized AST from its root box: a
+    column's type is its first non-NULL value's (FLOAT when it has none,
+    where the type does not matter)."""
     columns = []
     for qcl in graph.root.outputs:
-        dtype = _infer_column_type(data, qcl.name)
+        values = data.column_data(data.column_index(qcl.name))
+        dtype = next(
+            (infer_literal_type(v) for v in values if v is not None), DataType.FLOAT
+        )
         columns.append(Column(qcl.name, dtype, nullable=qcl.nullable))
     return TableSchema(name, columns)
-
-
-def _infer_column_type(data: Table, column: str) -> DataType:
-    for value in data.column_values(column):
-        if value is None:
-            continue
-        inferred = infer_literal_type(value)
-        if inferred is not None:
-            return inferred
-    # Column is empty or all-NULL; the concrete type does not matter.
-    return DataType.FLOAT
 
 
 try:  # circular-import-free type hints for tooling

@@ -286,6 +286,8 @@ def load_database(path: str | Path) -> Database:
     #: recovery bookkeeping consumed by verify_database()
     database._load_anomalies = anomalies
     database._suspect_tables = suspects
+    for table in database.tables.values():  # a save chain may take over its lines
+        table.remark(None, root.resolve())
     return database
 
 

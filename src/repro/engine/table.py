@@ -12,12 +12,15 @@ row-oriented API through :attr:`Table.rows`, a mutable sequence view
 that materializes tuples on demand and writes through to the columns.
 
 **Readers pin, writers own.**  A column list is edited in place only
-while no reader has pinned it.  :meth:`Table.pin` marks the table shared
+while nothing else holds it.  :meth:`Table.pin` marks the table shared
 and returns a view over the same lists; every mutator first goes through
-:meth:`Table._own`, which copies the lists iff they are shared.  So a
-pinned view never changes, a table nobody is reading keeps its amortised
-O(1) append, and nothing outside this module has to decide whether a
-list is safe to read or to edit (docs/EXECUTOR.md, "Columnar tables").
+:meth:`Table._own`, which copies the lists iff they are marked shared
+*and* still held (by reference count).  So a pinned view never changes,
+a table whose readers have finished keeps its amortised O(1) append,
+and nothing outside this module has to decide whether a list is safe to
+read or to edit (docs/EXECUTOR.md, "Columnar tables").  A built index
+survives an append (it gains the new positions) and an overwrite of
+other columns; a delete or a wholesale replacement drops it.
 
 **…and a table remembers what it edited since its last mark.**  A chain
 of saves marks a stored table when it captures it (:meth:`Table.remark`);
@@ -43,6 +46,7 @@ from __future__ import annotations
 import datetime
 import math
 from collections import defaultdict
+from sys import getrefcount
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
@@ -91,12 +95,6 @@ class RowsView(Sequence):
             return NotImplemented
         return self._table._materialize_rows() == other
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self._table._materialize_rows())
 
@@ -137,11 +135,13 @@ class RowsView(Sequence):
         table = self._table
         index = table._row_position(index)
         row = table._checked_width(tuple(value))
-        for column, cell in zip(table._own(), row):
+        indexes = table._kept_indexes()
+        for number, (column, cell) in enumerate(zip(table._own(), row)):
+            if column[index] != cell:
+                indexes.pop(number, None)
             column[index] = cell
         if index < table._stable:
             table._edited.add(index)
-        table._bump()
 
     def __delitem__(self, index: int) -> None:
         table = self._table
@@ -222,8 +222,8 @@ class Table:
     def pin(self) -> "Table":
         """The rows as they are now, as a table that never changes.
 
-        The view holds the same column lists (no copy) and marks both
-        tables shared, so the next edit of either copies first.  A
+        The view holds the same lists (no copy) and marks both tables
+        shared: the next edit of either copies them if still held.  A
         stored table is pinned while holding the lock its writers hold
         (``Database._maintenance_lock``): that is what makes "now" a
         state between two writes, for every table pinned under one
@@ -244,10 +244,13 @@ class Table:
 
     def _own(self) -> list[list[Any]]:
         """The write gate: the column lists, safe to edit in place —
-        copied first iff a pin or an aliasing result may hold them."""
+        copied first iff marked shared and still held (a count of 2 is
+        this table's slot plus the argument; pins are taken under the
+        writers' lock, so none appears between the count and the edit)."""
         if self._shared:
-            self._data = [list(column) for column in self._data]
             self._shared = False
+            if max([getrefcount(self._data), *map(getrefcount, self._data)]) > 2:
+                self._data = [list(column) for column in self._data]
         return self._data
 
     def remark(self, previous: Any, mark: Any) -> tuple[int, list[int]]:
@@ -317,10 +320,14 @@ class Table:
             for row in rows:
                 self._checked_width(row)
             transposed = list(zip(*rows))
+        start = self._nrows
         for column, values in zip(self._own(), transposed):
             column.extend(values)
         self._nrows += len(rows)
-        self._bump()
+        for number, index in self._kept_indexes().items():
+            for i, value in enumerate(transposed[number], start):
+                if value is not None:
+                    index.setdefault(value, []).append(i)
 
     # ------------------------------------------------------------------
     # Row-oriented compatibility API
@@ -344,15 +351,6 @@ class Table:
         self._rows_cache = materialized
         return materialized
 
-    def _replace_rows(self, rows: list[Row]) -> None:
-        # Fresh lists, not an edit: whoever holds the old ones keeps them.
-        transposed = zip(*rows) if rows else [()] * len(self._data)
-        self._data = [list(values) for values in transposed]
-        self._shared = False
-        self._nrows = len(rows)
-        self._stable = 0
-        self._bump()
-
     def adopt_columns(self, other: "Table") -> None:
         """Wholesale replacement without a row round trip: take over
         ``other``'s column storage (``other`` must not be used again) —
@@ -372,7 +370,7 @@ class Table:
         """Set every row's cell in column ``index`` to ``value``."""
         self._own()[index] = [value] * self._nrows
         self._stable = 0
-        self._bump()
+        self._kept_indexes().pop(index, None)
 
     def _checked_width(self, row: Row) -> Row:
         if len(row) != len(self._data):
@@ -390,16 +388,25 @@ class Table:
         return index
 
     def _bump(self) -> None:
-        """After any mutation: drop the row cache and the indexes."""
+        """After a delete or a replacement: drop the row cache and indexes."""
         self._rows_cache = None
         self._indexes = {}
+
+    def _kept_indexes(self) -> dict:
+        """After an edit the caller mends the indexes for: drop the row
+        cache; the built indexes, to edit in place — or a fresh ``{}``
+        while a pin holds the dict (the slot and the argument make 2)."""
+        self._rows_cache = None
+        if getrefcount(self._indexes) > 2:
+            self._indexes = {}
+        return self._indexes
 
     def index(self, column: int) -> dict:
         """Column ``column``'s values, each to its ascending row numbers;
         NULLs are skipped (they never equi-join).  Built on first use.
         A pin shares the table's indexes — its lists never change — and
-        every edit drops them (:meth:`_bump`), so an index always
-        describes the lists it was built from."""
+        an edit mends or drops them (:meth:`_kept_indexes`), so an index
+        always describes the lists it is read with."""
         index = self._indexes.get(column)
         if index is None:
             groups = defaultdict(list)
@@ -458,7 +465,9 @@ class Table:
                 key=_sort_key_for(self.column_index(name), ascending),
                 reverse=not ascending,
             )
-        self._replace_rows(rows)
+        # fresh lists, not an edit: whoever holds the old ones keeps them
+        data = [list(values) for values in zip(*rows)] or [[] for _ in self._data]
+        self.adopt_columns(Table.from_columns(self.columns, data, len(rows)))
 
     def pretty(self, limit: int = 20) -> str:
         """A fixed-width rendering for examples and docs."""

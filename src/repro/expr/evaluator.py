@@ -75,8 +75,6 @@ def evaluate(expr: Expr, resolve: Resolver) -> Any:
 
 def _evaluate_function(expr: FuncCall, resolve: Resolver) -> Any:
     function = lookup_function(expr.name)
-    if function is None:
-        raise ExecutionError(f"unknown function {expr.name!r}")
     args = [evaluate(arg, resolve) for arg in expr.args]
     if function.null_propagating and any(value is None for value in args):
         return None

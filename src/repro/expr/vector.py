@@ -420,8 +420,6 @@ class _Emitter:
 
     def _function(self, expr: FuncCall) -> tuple[str, bool]:
         function = lookup_function(expr.name)
-        if function is None:
-            raise ExecutionError(f"unknown function {expr.name!r}")
         if function.name in _DATE_PARTS and len(expr.args) == 1:
             part = function.name
             return self._strict(expr.args, lambda d: f"{d}.{part}")

@@ -20,14 +20,19 @@ row.
 from __future__ import annotations
 
 from repro.catalog.schema import Catalog
+from repro.catalog.types import DataType, infer_literal_type, is_numeric
 from repro.errors import BindError, UnsupportedSqlError
 from repro.governor import scope as governor_scope
 from repro.expr.functions import lookup_function
 from repro.expr.nodes import (
     AggCall,
+    BinaryOp,
     ColumnRef,
     Expr,
     FuncCall,
+    Literal,
+    NaryOp,
+    UnaryOp,
     split_conjuncts,
 )
 from repro.expr.normalize import normalize
@@ -83,13 +88,19 @@ def build_graph(
 
 def _check_calls(graph: QueryGraph) -> None:
     """Every scalar function call names a built-in and passes it a number
-    of arguments its arity admits."""
+    of arguments its arity admits, and no operand of ``+ - * / %`` or of
+    unary ``-`` is a string literal or a text or date base column."""
     for box in graph.boxes():
         exprs = [qcl.expr for qcl in box.outputs if qcl.expr is not None]
         if isinstance(box, SelectBox):
             exprs.extend(box.predicates)
         for expr in exprs:
             for node in expr.walk():
+                if isinstance(node, (NaryOp, BinaryOp, UnaryOp)) and node.op in "+-*/%":
+                    for operand in node.children():
+                        kind = _operand_type(box, operand)
+                        if kind is not None and not is_numeric(kind):
+                            raise BindError(f"arithmetic on a {kind.value}")
                 if not isinstance(node, FuncCall):
                     continue
                 function = lookup_function(node.name)
@@ -100,6 +111,19 @@ def _check_calls(graph: QueryGraph) -> None:
                         f"wrong number of arguments to {node.name}(): "
                         f"{len(node.args)}"
                     )
+
+
+def _operand_type(box: QGMBox, expr: Expr) -> DataType | None:
+    """A literal's type, or the declared type of the base column a
+    column reference passes through to; None for anything computed."""
+    if isinstance(expr, Literal):
+        return infer_literal_type(expr.value)
+    while isinstance(expr, ColumnRef):
+        box = box.quantifier(expr.qualifier).box
+        if isinstance(box, BaseTableBox):
+            return box.schema.column(expr.name).dtype
+        expr = box.output(expr.name).expr
+    return None
 
 
 class _Scope:

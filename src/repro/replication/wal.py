@@ -243,6 +243,7 @@ class WriteAheadLog:
         database,
         tokens: dict[str, str] | None = None,
         base_lsn: int = 0,
+        previous: str | Path | None = None,
     ) -> None:
         """Initialize a fresh journal directory around ``database``.
 
@@ -251,7 +252,8 @@ class WriteAheadLog:
         bootstrap snapshot) is recoverable from the journal directory
         alone. ``base_lsn`` seeds the LSN sequence — a standby passes
         the primary LSN its snapshot covers, so shipped records keep
-        their primary LSNs.
+        their primary LSNs. ``previous``: the save ``database`` was loaded
+        from (``--open``), whose CRC-verified lines the baseline takes over.
         """
         if self.exists():
             raise WalError(
@@ -260,6 +262,7 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._next_lsn = base_lsn + 1
         self._durable_lsn = base_lsn
+        self._committed = None if previous is None else Path(previous)
         self._write_checkpoint(database, tokens or {}, base_lsn)
         self._open_segment(base_lsn + 1)
         self._ready = True

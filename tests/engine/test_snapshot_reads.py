@@ -154,11 +154,12 @@ def test_a_result_aliasing_stored_lists_is_born_shared(tiny_db):
 
 class TestWhatAWriteCopies:
     """The ledger's write cycle — dashboard reads over nine ASTs, then a
-    one-row ``INSERT INTO Trans`` — copies the summaries those reads
-    pinned and nothing else; never ``Trans``, whose own maintenance
-    reads (the recompute that builds AST8's auxiliary groups among them)
-    must not pin it; and a steady-state insert, which recomputes
-    nothing, copies nothing that no reader pinned."""
+    one-row ``INSERT INTO Trans`` — copies only the lists somebody still
+    holds: after reads that have finished, nothing, and the indexes
+    those reads built survive it; a held pin, or a kept result that
+    passes a stored list through, costs one copy of its table. A copy
+    is seen as every column list of a table replaced (a scalar
+    summary's ``fill_column`` replaces one)."""
 
     @pytest.fixture
     def db(self):
@@ -171,46 +172,66 @@ class TestWhatAWriteCopies:
         db.close()
 
     @staticmethod
-    def insert(db, monkeypatch, recomputed=()) -> list[Table]:
-        """Insert one row; the stored tables whose lists were copied."""
+    def insert(db, recomputed=()) -> set[str]:
+        """Insert one row; the stored tables whose lists were copied.
+        Lists are remembered by ``id``, not held — holding them would
+        force the copy — and a replacement list is made while the old
+        one lives, so it never reuses the old one's ``id``."""
         trans = db.table("Trans")
         row = tuple(trans.rows[0])
         row = (max(trans.column_data(0)) + 1, *row[1:])
-        stored = list(db.tables.values())
-        copied = []
-        original = Table._own
-
-        def spy(table):
-            if table._shared and any(table is t for t in stored):
-                copied.append(table)
-            return original(table)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Table, "_own", spy)
-            report = db.insert_rows("Trans", [row])
+        before = {
+            name: [id(column) for column in table.columns_data()]
+            for name, table in db.tables.items()
+        }
+        report = db.insert_rows("Trans", [row])
         assert set(report.recomputed) == set(recomputed)
-        return copied
+        return {
+            name for name, ids in before.items()
+            if all(
+                old != id(new)
+                for old, new in zip(ids, db.tables[name].columns_data())
+            )
+        }
 
-    def test_dashboard_reads_then_an_insert(self, db, monkeypatch):
-        trans = db.table("Trans")
-        # owns whatever CREATE pinned; builds AST8's auxiliary groups
-        self.insert(db, monkeypatch, recomputed={"AST8"})
-        lists = trans.columns_data()
-        pinned = set()
+    def test_dashboard_reads_then_an_insert(self, db):
+        # replaces whatever CREATE built; builds AST8's auxiliary groups
+        assert self.insert(db, recomputed={"AST8"}) <= {"ast8"}
         for _, _, query, _ in list(FIGURES.values())[:8]:
             run = db.run_select(query)
             assert run.rewrite is not None
-            pinned.update(run.overlay)
-        copied = self.insert(db, monkeypatch)
-        assert all(a is b for a, b in zip(lists, trans.columns_data()))
-        assert copied and len(copied) == len({id(t) for t in copied})
-        assert {id(t) for t in copied} <= {id(db.tables[n]) for n in pinned}
-        assert self.insert(db, monkeypatch) == []
+        built = {  # by id too: holding a pin's index dict is a pin
+            name: {column: id(index) for column, index in table._indexes.items()}
+            for name, table in db.tables.items() if table._indexes
+        }
+        assert {"ast1", "ast2", "ast7"} <= set(built)
+        assert self.insert(db) == set()
+        for name, indexes in built.items():
+            table = db.tables[name]
+            assert {
+                column: id(index) for column, index in table._indexes.items()
+            } == indexes, name
+        assert self.insert(db) == set()
 
-    def test_a_base_plan_read_costs_one_copy_of_trans(self, db, monkeypatch):
-        trans = db.table("Trans")
-        self.insert(db, monkeypatch, recomputed={"AST8"})
-        db.execute(FIGURES["fig02_q1"][2], use_summary_tables=False)
-        copied = self.insert(db, monkeypatch)
-        assert len(copied) == 1 and copied[0] is trans
-        assert self.insert(db, monkeypatch) == []
+    def test_a_held_pin_costs_one_copy_of_its_table(self, db):
+        self.insert(db, recomputed={"AST8"})
+        ast2 = db.table("AST2")
+        view = ast2.pin()
+        snapshot = list(view.rows)
+        assert self.insert(db) == {"ast2"}
+        assert view.rows == snapshot and len(ast2) >= len(snapshot)
+        del view
+        assert self.insert(db) == set()
+
+    def test_a_base_plan_read_costs_one_copy_of_trans(self, db):
+        """...while its result still passes ``qty`` through (the query of
+        ``test_a_result_aliasing_stored_lists_is_born_shared``)."""
+        self.insert(db, recomputed={"AST8"})
+        result = db.execute(
+            "select qty, qty as again from Trans", use_summary_tables=False
+        )
+        rows = list(result.rows)
+        assert self.insert(db) == {"trans"}
+        assert result.rows == rows
+        del result
+        assert self.insert(db) == set()

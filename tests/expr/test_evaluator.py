@@ -113,10 +113,6 @@ class TestFunctionsAndCase:
         expr = FuncCall("coalesce", (Literal(None), Literal(5)))
         assert ev(expr) == 5
 
-    def test_unknown_function_raises(self):
-        with pytest.raises(ExecutionError):
-            ev(FuncCall("frobnicate", (Literal(1),)))
-
     def test_case_when(self):
         expr = CaseWhen(
             (BinaryOp(">", X, Literal(0)), Literal("pos")),

@@ -277,6 +277,27 @@ def test_a_bad_function_call_fails_to_bind(small_db, sql):
         small_db.execute(sql)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select city % 7 as v from Loc",
+        "select city - 1 as v from Loc",
+        "select city + 1 as v from Loc",
+        "select city / 2 as v from Loc",
+        "select -city as v from Loc",
+        "select v % 7 from (select city as v from Loc) as d",
+        "select date - 1 as v from Trans",
+        "select '50%d' % 7 as v from Trans",
+    ],
+)
+def test_arithmetic_on_text_or_a_date_fails_to_bind(small_db, sql):
+    """A text or date operand of ``+ - * / %`` or unary ``-`` is a bind
+    error — not Python's %-formatting of the text, nor a TypeError
+    raised mid-execution."""
+    with pytest.raises(BindError, match="arithmetic"):
+        small_db.execute(sql)
+
+
 class TestOrderByExpressions:
     def test_order_by_aggregate_expression(self):
         graph = build(

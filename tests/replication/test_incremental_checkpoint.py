@@ -100,14 +100,15 @@ class FrameSpy:
 
 class Chain:
     """A database, its journal, and the oracle; with ``monkeypatch``,
-    ``framed`` is the number of rows the last checkpoint encoded."""
+    ``framed`` is the number of rows the last checkpoint encoded;
+    ``previous`` is the save ``db`` was loaded from."""
 
-    def __init__(self, tmp_path: Path, db=None, monkeypatch=None):
+    def __init__(self, tmp_path: Path, db=None, monkeypatch=None, previous=None):
         self.tmp = tmp_path
         self.db = db if db is not None else build()
         self.spy = FrameSpy(monkeypatch) if monkeypatch is not None else None
         self.wal = WriteAheadLog(tmp_path / "wal", sync="os")
-        self.wal.begin(self.db)
+        self.wal.begin(self.db, previous=previous)
         self.saves = self.framed = 0
 
     def run(self, sql: str) -> None:
@@ -153,6 +154,29 @@ def assert_same_directory(left: Path, right: Path) -> None:
 
 
 # ----------------------------------------------------------------------
+def test_a_chain_takes_over_the_save_it_was_loaded_from(tmp_path, monkeypatch):
+    """``serve --open DIR --wal W``: the baseline of a database loaded
+    from DIR frames no row and is DIR byte for byte; after a restart,
+    the recovered database's first checkpoint frames only what changed
+    since the checkpoint it was loaded from."""
+    db = figure_database(TINY)
+    save_database(db, tmp_path / "db")
+    db.close()
+    chain = Chain(
+        tmp_path, load_database(tmp_path / "db"), monkeypatch, tmp_path / "db"
+    )
+    assert chain.spy.count == 0
+    assert_same_directory(chain.committed(), tmp_path / "db")
+    chain.run(f"INSERT INTO Trans VALUES {trans(900001)}")
+    chain.wal.close()
+    chain.wal = WriteAheadLog(tmp_path / "wal", sync="os")
+    chain.db = chain.wal.recover().database
+    chain.run(f"INSERT INTO Trans VALUES {trans(900002)}")
+    chain.checkpoint()
+    assert 0 < chain.framed < chain.stored_rows() // 4
+    chain.wal.close()
+
+
 def test_every_way_a_stored_table_changes(tmp_path):
     chain = Chain(tmp_path)
     db, run, checkpoint = chain.db, chain.run, chain.checkpoint
@@ -297,7 +321,6 @@ class TouchedRows:
         wrap(Table, "extend_trusted", lambda table, rows, *rest: len(rows))
         wrap(Table, "fill_column", lambda table, index, value: len(table))
         wrap(Table, "adopt_columns", lambda table, other: len(other))
-        wrap(Table, "_replace_rows", lambda table, rows: len(rows))
 
 
 def ledger_writes(seed: int, count: int = 32, delete_every: int = 8) -> list[str]:

@@ -122,7 +122,7 @@ def sigkill_before_the_meta_rename(chain: Chain) -> str:
     assert_same_state(recovery.database, chain.db)
     chain.db.close()
     chain.db = recovery.database
-    return FULL  # loaded tables carry no mark
+    return KEPT  # loaded tables carry the committed checkpoint's mark
 
 
 def recover_then_checkpoint(chain: Chain) -> str:
@@ -132,7 +132,7 @@ def recover_then_checkpoint(chain: Chain) -> str:
     assert_same_state(recovery.database, chain.db)
     chain.db.close()
     chain.db = recovery.database
-    return FULL
+    return KEPT  # the chain goes on from the checkpoint recovery loaded
 
 
 def rebase_onto_a_snapshot(chain: Chain) -> str:
