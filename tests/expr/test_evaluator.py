@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import BindError, ExecutionError
 from repro.expr import (
     AggCall,
     BinaryOp,
@@ -112,6 +112,12 @@ class TestFunctionsAndCase:
     def test_coalesce_is_not_null_propagating(self):
         expr = FuncCall("coalesce", (Literal(None), Literal(5)))
         assert ev(expr) == 5
+
+    def test_unknown_function_raises(self, small_db):
+        # The binder rejects an unknown name, so no query the evaluator
+        # runs ever calls one.
+        with pytest.raises(BindError, match="frobnicate"):
+            small_db.execute("select frobnicate(qty) as f from Trans")
 
     def test_case_when(self):
         expr = CaseWhen(
