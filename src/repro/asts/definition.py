@@ -36,8 +36,9 @@ class SummaryTable:
     wholesale and the one place that index is dropped — and with it
     ``_auxiliary``, the hidden groups of the view's inner aggregation
     block that cascade maintenance (shape (d) in
-    :mod:`repro.asts.maintenance`) keeps beside the rows: private state
-    like the index, never stored, listed or matched.
+    :mod:`repro.asts.maintenance`) keeps beside the rows, and ``_plans``,
+    the delta plans built for both: private state like the index, never
+    stored, listed or matched.
     """
 
     name: str
@@ -54,6 +55,9 @@ class SummaryTable:
     )
     #: shape (d) maintenance state (repro.asts.maintenance._Cascade)
     _auxiliary: object | None = field(default=None, repr=False, compare=False)
+    #: the delta plans built for these rows and that state
+    #: (repro.asts.maintenance._plan)
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def row_count(self) -> int:
@@ -65,6 +69,7 @@ class SummaryTable:
         self.table.adopt_columns(data)
         self._group_index = None
         self._auxiliary = None
+        self._plans = {}
 
     def group_index(self, keys: tuple[int, ...]) -> dict[tuple, int]:
         """Row position by the values of the ``keys`` columns. Whoever

@@ -67,6 +67,7 @@ from repro.qgm.boxes import (
     QueryGraph,
     SelectBox,
 )
+from repro.qgm.bind_cache import _Template
 from repro.qgm.build import build_graph
 
 
@@ -230,7 +231,7 @@ def recompute(database, summary: SummaryTable, reason: str) -> None:
         )
         cascade.groups.replace_contents(groups)
         cascade.built = True
-        summary._auxiliary = cascade  # replace_contents dropped it
+        summary._auxiliary = cascade  # replace_contents dropped it, and the plans
     database.metrics.counter(
         "maintenance_recomputes",
         "summary tables recomputed from the base tables",
@@ -255,17 +256,19 @@ class _ScalarPlan:
     func: str
     #: the grand-total block, evaluated over the delta; None when the
     #: block does not read the changed table
-    block: QueryGraph | None
+    block: _Template | None
 
 
 @dataclass(frozen=True)
 class _DeltaPlan:
-    """How one summary follows a change to one base table."""
+    """How one summary follows a change to one base table. Each block
+    holds its graph's executor programs, as a plan template does (with
+    no literal slots): emitted once, bound to every write's rows."""
 
     #: evaluated over the delta store: the rows to append or remove
     #: (shape a) or the delta groups (b, c); None when only scalar
     #: blocks read the changed table
-    block: QueryGraph | None
+    block: _Template | None
     #: per summary column, its position in ``block``'s output; None for
     #: a scalar-subquery column
     source: tuple[int | None, ...]
@@ -318,8 +321,18 @@ def _plan(summary: SummaryTable, table_name: str, deleting: bool):
     """The summary's delta plan for a change to ``table_name``; ``None``
     when the view does not read that table; a reason string when the
     view (or, for stored scalars, its current contents) is not
-    self-maintainable for this change — the caller recomputes."""
+    self-maintainable for this change — the caller recomputes. Built
+    once per summary state (``summary._plans``, which every recompute
+    drops), keyed also on whether the rows are empty: a scalar reads it."""
     changed = table_name.lower()
+    key = (changed, deleting, len(summary.table) == 0)
+    if key not in summary._plans:
+        summary._plans[key] = _analyse(summary, changed, deleting)
+    return summary._plans[key]
+
+
+def _analyse(summary: SummaryTable, changed: str, deleting: bool):
+    """:func:`_plan`, built afresh."""
     cascade: _Cascade | None = summary._auxiliary
     direct = None
     if cascade is None or not cascade.built:
@@ -405,7 +418,7 @@ def _direct_plan(graph: QueryGraph, stored: Table, changed: str, deleting: bool)
     if _not_select_only(root) is None:  # shape (a)
         if _occurrences(root, changed) > 1:
             return _SELF_JOIN
-        return _DeltaPlan(graph, tuple(range(len(root.outputs))))
+        return _DeltaPlan(_Template(graph, {}), tuple(range(len(root.outputs))))
 
     # Shapes (b) and (c): one aggregation block, scalar blocks beside it.
     main = None
@@ -485,7 +498,7 @@ def _direct_plan(graph: QueryGraph, stored: Table, changed: str, deleting: bool)
     if reads > 1:
         return _SELF_JOIN
     return _DeltaPlan(
-        QueryGraph(groupby, graph.catalog) if reads else None,
+        _Template(QueryGraph(groupby, graph.catalog), {}) if reads else None,
         tuple(source),
         tuple(keys),
         tuple(aggregates),
@@ -520,7 +533,7 @@ def _scalar_plan(
     return _ScalarPlan(
         column,
         inner.expr.func,
-        QueryGraph(block, graph.catalog) if reads else None,
+        _Template(QueryGraph(block, graph.catalog), {}) if reads else None,
     )
 
 
@@ -608,11 +621,14 @@ def _evaluate(plan, store: dict[str, Table]) -> _Delta:
     if isinstance(plan, _CascadePlan):
         plan = plan.inner  # the outer half is evaluated as it is applied
     executor = Executor(store)
+
+    def run(block: _Template) -> Table:  # bound from the block's programs
+        return executor.run(block.graph, (block, ()))
+
     return _Delta(
-        None if plan.block is None else executor.run(plan.block),
+        None if plan.block is None else run(plan.block),
         [
-            None if scalar.block is None
-            else executor.run(scalar.block).rows[0][0]
+            None if scalar.block is None else run(scalar.block).rows[0][0]
             for scalar in plan.scalars
         ],
     )
@@ -664,9 +680,9 @@ def _cascade(summary: SummaryTable, plan: _CascadePlan, delta: _Delta, sign: int
                 store = {groups.name: Table(groups.table.columns, rows)}
                 _apply(summary, plan.outer, _evaluate(plan.outer, store), outer_sign)
     except BaseException:
-        # half-carried groups are never trusted again: the caller's
-        # fallback recompute starts from the base tables
-        summary._auxiliary = None
+        # half-carried groups (and plans over them) are never trusted
+        # again: the caller's fallback recompute starts from the base tables
+        summary._auxiliary, summary._plans = None, {}
         raise
 
 
@@ -721,12 +737,8 @@ def _combine(func: str, old, new, sign: int):
         if old is None:
             return sign * new if sign > 0 else None
         return old + sign * new
-    if func == "min":
-        if new is None:
-            return old
-        return new if old is None or new < old else old
-    if func == "max":
-        if new is None:
-            return old
-        return new if old is None or new > old else old
+    if func in ("min", "max"):
+        if new is None or old is None:
+            return old if new is None else new
+        return new if (new < old if func == "min" else new > old) else old
     raise MaintenanceError(f"cannot combine aggregate {func!r}")

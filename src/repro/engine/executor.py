@@ -276,11 +276,6 @@ def _split(sel, size):
     return [sel[k : k + size] for k in range(0, n, size)]
 
 
-def _take(cols: dict, rows) -> dict:
-    """Gather ``rows`` from every column."""
-    return {ref: list(view(c, rows)) for ref, c in cols.items()}
-
-
 class _Append:
     """Sink: one list per value — a SELECT box's output columns, or the
     columns an operator passes on."""
@@ -574,10 +569,7 @@ class Executor:
             # a discarded pass leaves the stats as they were (its governor
             # ticks stay charged: that work was done)
             ctx.stats.batches, ctx.stats.rows = counted
-            if plan.box is not box:  # the statement's own expressions
-                plan = _plan(box)
-                sink.values = plan.outputs
-            self._operators(plan, rels, sink, ctx)
+            self._operators(plan, rels, sink, ctx, reserved)
         if group is not None:
             return None
         cols, nrows = sink.columns, sink.nrows
@@ -647,7 +639,7 @@ class Executor:
             ctx.stats.index_reads.append(read)
         return True
 
-    def _operators(self, plan: "_Plan", rels, sink, ctx: _Ctx) -> None:
+    def _operators(self, plan: "_Plan", rels, sink, ctx: _Ctx, reserved) -> None:
         """The box one operator at a time: each child filtered down to
         the columns the box reads on, the joins in join order — each
         building on its smaller input by actual cardinality, or spilling
@@ -655,19 +647,24 @@ class Executor:
         The path of memory-reserved runs, whose spill decisions need
         materialised inputs, and of a fused loop whose order did not
         hold."""
+        # a template box's loops, under the answers their source reads:
+        # governed, reserved (the sink's kind) and each join's build side
+        key = plan.n is not None and (plan.n, "ops", ctx.budget is not None, reserved)
         rels = dict(rels)
         for name, rel in rels.items():
             keep = [ref for ref in rel.cols if ref in plan.reads]
             filters = plan.local.get(name)
             if filters:
-                rels[name] = self._gather(rel, keep, ctx, filters)
+                rels[name] = self._gather(
+                    rel, keep, ctx, filters, key=key and (*key, name)
+                )
             else:
                 rels[name] = _Rel({ref: rel.cols[ref] for ref in keep}, rel.nrows)
         (first, _), rest = plan.steps[0], plan.steps[1:]
         joined = rels[first]
-        for name, keys in rest:
-            joined = self._join(joined, rels[name], keys, ctx)
-        self._pipeline(joined, sink, ctx, plan.tail)
+        for step, (name, keys) in enumerate(rest):
+            joined = self._join(joined, rels[name], keys, ctx, key and (*key, step))
+        self._pipeline(joined, sink, ctx, plan.tail, key=key)
 
     def _pipeline(
         self, driver: _Rel, sink, ctx: _Ctx, filters=(), probes=(),
@@ -729,23 +726,26 @@ class Executor:
         (rows,) = self._drive(fn, range(rel.nrows), ctx)
         return table, rows
 
-    def _gather(self, rel: _Rel, refs, ctx: _Ctx, filters=(), probes=()) -> _Rel:
+    def _gather(
+        self, rel: _Rel, refs, ctx: _Ctx, filters=(), probes=(), key=None
+    ) -> _Rel:
         """The columns ``refs`` of ``rel``'s rows that pass ``filters``,
-        joined through ``probes``."""
+        joined through ``probes``; the loop memoised under ``key``."""
         sink = _Append(refs)
-        self._pipeline(rel, sink, ctx, filters, probes)
+        self._pipeline(rel, sink, ctx, filters, probes, key=key)
         return _Rel(dict(zip(refs, sink.columns)), sink.nrows)
 
-    def _join(self, left: _Rel, right: _Rel, keys, ctx: _Ctx) -> _Rel:
+    def _join(self, left: _Rel, right: _Rel, keys, ctx: _Ctx, key=None) -> _Rel:
         refs = [*left.cols, *right.cols]
         if not keys:
             # a cross join: left-major, every right row per left row
-            everything = list(range(right.nrows))
-            return self._gather(left, refs, ctx, probes=[((), everything, right.cols)])
+            probes = [((), list(range(right.nrows)), right.cols)]
+            return self._gather(left, refs, ctx, probes=probes, key=key)
         # Build on the smaller side by *actual* cardinality — the greedy
         # join order optimizes connectivity, not size, so either input
         # may be the small one.
         build_left = left.nrows <= right.nrows
+        key = key and (*key, build_left)
         left_keys = [a for a, _ in keys]
         right_keys = [b for _, b in keys]
         if build_left:
@@ -773,34 +773,23 @@ class Executor:
                 charged = estimate
             except MemoryBudgetExceeded:
                 ctx.stats.join_builds[-1]["spilled"] = True
-                build_take, probe_take = self._hash_join_spilled(
+                takes = self._hash_join_spilled(
                     build, probe, build_key_cols,
                     [probe.cols[ref] for ref in probe_keys], ctx, estimate,
                 )
-                return self._gather_join(
-                    left, right, build_left, build_take, probe_take
-                )
+                sides = zip((left, right), takes if build_left else takes[::-1])
+                return _Rel({
+                    ref: list(view(column, rows))
+                    for side, rows in sides for ref, column in side.cols.items()
+                }, len(takes[0]))
         try:
-            table, _ = self._build(build, (), build_keys, ctx)
+            table, _ = self._build(build, (), build_keys, ctx, key and (*key, "build"))
             return self._gather(
-                probe, refs, ctx, probes=[(probe_keys, table, build.cols)]
+                probe, refs, ctx, probes=[(probe_keys, table, build.cols)], key=key
             )
         finally:
             if charged:
                 reservation.release(charged)
-
-    @staticmethod
-    def _gather_join(
-        left: _Rel, right: _Rel, build_left: bool, build_take, probe_take
-    ) -> _Rel:
-        if build_left:
-            left_take, right_take = build_take, probe_take
-        else:
-            left_take, right_take = probe_take, build_take
-        return _Rel(
-            {**_take(left.cols, left_take), **_take(right.cols, right_take)},
-            len(left_take),
-        )
 
     def _hash_join_spilled(
         self, build, probe, build_key_cols, probe_key_cols, ctx: _Ctx,
@@ -1138,13 +1127,12 @@ def _classify_predicates(
 
 
 class _Plan(NamedTuple):
-    """A SELECT box's plan, fixed before a row is read: the box (with its
-    position in its template, or None), each child's local conjuncts, the
-    join order with each step's hash keys, the conjuncts left for after
-    the joins, every column read after the local filters, and the output
+    """A SELECT box's plan, fixed before a row is read: the box's position
+    in its template (or None), each child's local conjuncts, the join
+    order with each step's hash keys, the conjuncts left for after the
+    joins, every column read after the local filters, and the output
     expressions."""
 
-    box: SelectBox
     n: int | None
     local: dict[str, list[Expr]]
     #: (child, [(joined-side ref, child-side ref)]); the first has none
@@ -1166,7 +1154,7 @@ def _plan(box: SelectBox, n: int | None = None) -> _Plan:
     reads = {ref for _, keys in steps for pair in keys for ref in pair}
     for expr in chain(outputs, tail):
         reads.update(expr.column_refs())
-    return _Plan(box, n, local, steps, tail, reads, outputs, {})
+    return _Plan(n, local, steps, tail, reads, outputs, {})
 
 
 def _join_order(quantifiers, equijoins: list[_EquiJoin]) -> list[tuple]:

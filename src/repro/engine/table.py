@@ -19,8 +19,9 @@ and returns a view over the same lists; every mutator first goes through
 a table whose readers have finished keeps its amortised O(1) append,
 and nothing outside this module has to decide whether a list is safe to
 read or to edit (docs/EXECUTOR.md, "Columnar tables").  A built index
-survives an append (it gains the new positions) and an overwrite of
-other columns; a delete or a wholesale replacement drops it.
+survives an append (it gains the new positions), a delete (the later
+positions move down) and an overwrite of other columns; a wholesale
+replacement drops it.
 
 **…and a table remembers what it edited since its last mark.**  A chain
 of saves marks a stored table when it captures it (:meth:`Table.remark`);
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from sys import getrefcount
 from typing import Any, Iterable, Iterator, Sequence
@@ -146,12 +148,16 @@ class RowsView(Sequence):
     def __delitem__(self, index: int) -> None:
         table = self._table
         index = table._row_position(index)
-        for column in table._own():
-            del column[index]
+        row = [column.pop(index) for column in table._own()]
         table._nrows -= 1
         if index < table._stable:
             table._stable = index  # every later row moved up a slot
-        table._bump()
+        for number, built in table._kept_indexes().items():
+            for positions in built.values():  # their tails past ``index``
+                at = bisect_left(positions, index)
+                positions[at:] = [p - 1 for p in positions[at:] if p != index]
+            if row[number] is not None and not built[row[number]]:
+                del built[row[number]]
 
 
 class Table:
@@ -364,7 +370,7 @@ class Table:
         self._shared = False
         self._nrows = other._nrows
         self._stable = 0
-        self._bump()
+        self._rows_cache, self._indexes = None, {}
 
     def fill_column(self, index: int, value: Any) -> None:
         """Set every row's cell in column ``index`` to ``value``."""
@@ -386,11 +392,6 @@ class Table:
         if not 0 <= index < self._nrows:
             raise IndexError("row index out of range")
         return index
-
-    def _bump(self) -> None:
-        """After a delete or a replacement: drop the row cache and indexes."""
-        self._rows_cache = None
-        self._indexes = {}
 
     def _kept_indexes(self) -> dict:
         """After an edit the caller mends the indexes for: drop the row

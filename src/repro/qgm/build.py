@@ -20,13 +20,14 @@ row.
 from __future__ import annotations
 
 from repro.catalog.schema import Catalog
-from repro.catalog.types import DataType, infer_literal_type, is_numeric
+from repro.catalog.types import infer_literal_type, is_numeric
 from repro.errors import BindError, UnsupportedSqlError
 from repro.governor import scope as governor_scope
 from repro.expr.functions import lookup_function
 from repro.expr.nodes import (
     AggCall,
     BinaryOp,
+    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
@@ -98,9 +99,9 @@ def _check_calls(graph: QueryGraph) -> None:
             for node in expr.walk():
                 if isinstance(node, (NaryOp, BinaryOp, UnaryOp)) and node.op in "+-*/%":
                     for operand in node.children():
-                        kind = _operand_type(box, operand)
-                        if kind is not None and not is_numeric(kind):
-                            raise BindError(f"arithmetic on a {kind.value}")
+                        for kind in _operand_types(box, operand):
+                            if kind is not None and not is_numeric(kind):
+                                raise BindError(f"arithmetic on a {kind.value}")
                 if not isinstance(node, FuncCall):
                     continue
                 function = lookup_function(node.name)
@@ -113,17 +114,32 @@ def _check_calls(graph: QueryGraph) -> None:
                     )
 
 
-def _operand_type(box: QGMBox, expr: Expr) -> DataType | None:
-    """A literal's type, or the declared type of the base column a
-    column reference passes through to; None for anything computed."""
+def _operand_types(box: QGMBox, expr: Expr):
+    """The types ``expr``'s value may take: a literal's, or the declared
+    type of the base column a column reference passes through to — and
+    every branch's of a MIN/MAX, CASE, COALESCE or UNION ALL; none for
+    anything else computed."""
     if isinstance(expr, Literal):
-        return infer_literal_type(expr.value)
-    while isinstance(expr, ColumnRef):
-        box = box.quantifier(expr.qualifier).box
-        if isinstance(box, BaseTableBox):
-            return box.schema.column(expr.name).dtype
-        expr = box.output(expr.name).expr
-    return None
+        yield infer_literal_type(expr.value)
+    elif isinstance(expr, ColumnRef):
+        child = box.quantifier(expr.qualifier).box
+        if isinstance(child, BaseTableBox):
+            yield child.schema.column(expr.name).dtype
+        elif isinstance(child, UnionAllBox):
+            at = child.output_names.index(expr.name)
+            for q in child.quantifiers():
+                branch = ColumnRef(q.name, q.box.outputs[at].name)
+                yield from _operand_types(child, branch)
+        else:
+            yield from _operand_types(child, child.output(expr.name).expr)
+    elif isinstance(expr, AggCall) and expr.func in ("min", "max"):
+        yield from _operand_types(box, expr.arg)
+    elif isinstance(expr, CaseWhen):
+        for value in (*expr.branches[1::2], expr.default):
+            yield from _operand_types(box, value)
+    elif isinstance(expr, FuncCall) and expr.name.lower() == "coalesce":
+        for arg in expr.args:
+            yield from _operand_types(box, arg)
 
 
 class _Scope:

@@ -11,10 +11,13 @@ and under REFRESH DEFERRED once the staged deltas are drained.
 import datetime
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.asts import maintenance
 from repro.bench.figures import FIGURES, make_database
+from repro.engine import executor as executor_module
 from repro.engine.executor import Executor
 from repro.engine.table import Table, tables_equal
 from repro.workloads.datagen import GeneratorConfig
@@ -213,6 +216,57 @@ def test_web_asts_follow_random_changes(mode):
         database.close()
 
 
+#: one write of the property below: (kind, seed of its rows)
+WRITES = st.tuples(
+    st.sampled_from(["insert", "insert", "delete", "delete", "city", "clear"]),
+    st.integers(0, 2**16),
+)
+
+
+# 10 examples in tier-1, 100 under ``--hypothesis-profile=chaos``.
+@settings(max_examples=max(10, settings.default.max_examples // 30), deadline=None)
+@given(st.lists(WRITES, min_size=1, max_size=10))
+def test_kept_plans_maintain_what_fresh_plans_do(writes):
+    """Random inserts and deletes — of 1–4 ``Trans`` rows, a new city and
+    its facts, every row at once (a scalar view empties and refills) —
+    into the nine figure ASTs: after every write each summary is, row
+    order included, the summary of a twin whose delta plans and loops
+    are all built afresh for that write; after the last, each equals its
+    defining query over the base tables."""
+    kept, fresh = figure_db("immediate"), figure_db("immediate")
+    live = list(kept.table("Trans").rows)
+    tids, lids = iter(range(10_000, 20_000)), iter(range(13, 100))
+    for kind, seed in writes:
+        rng = random.Random(seed)
+        if kind == "city":
+            lid = next(lids)
+            changes = [("insert", "Loc", [(lid, f"C{lid}", "XX", "France")]),
+                       ("insert", "Trans", [random_trans(rng, next(tids), lids=[lid])])]
+        elif kind == "insert":
+            rows = [random_trans(rng, next(tids)) for _ in range(rng.randint(1, 4))]
+            changes = [("insert", "Trans", rows + rng.sample(rows, rng.randint(0, 1)))]
+        elif kind == "delete" and live:
+            rows = rng.sample(live, min(len(live), rng.randint(1, 4)))
+            changes = [("delete", "Trans", rows)]
+        else:
+            changes = [("delete", "Trans", list(live))]
+        for verb, table, rows in changes:
+            for summary in fresh.summary_tables.values():
+                summary._plans = {}  # the twin plans every write afresh
+            for database in (kept, fresh):
+                getattr(database, f"{verb}_rows")(table, rows)
+            if table == "Trans":
+                for row in rows:
+                    if verb == "insert":
+                        live.append(row)
+                    else:
+                        live.remove(row)
+        for name, summary in kept.summary_tables.items():
+            twin = fresh.summary_tables[name].table
+            assert repr(list(summary.table.rows)) == repr(list(twin.rows)), (name, kind)
+    assert_consistent(kept, writes)
+
+
 class TestNoSilentRecompute:
     """A slide back to recomputation must fail tier-1, not a benchmark."""
 
@@ -270,6 +324,33 @@ class TestNoSilentRecompute:
         assert scanned
         dimensions = max(len(database.table(name)) for name in ("Loc", "Acct"))
         assert max(rows for _, rows in scanned) <= dimensions
+
+    def test_steady_state_write_plans_and_emits_nothing(self, monkeypatch):
+        """Once every summary has planned each kind of change since its
+        last recompute, a ``Trans`` insert and a ``Trans`` delete analyse
+        no view and emit no loop: every delta block binds the programs
+        its first run memoised."""
+        database = figure_db("immediate")
+        for _ in range(2):  # the first round recomputes AST4, AST6, AST8
+            database.insert_rows("Trans", [self.ROW])
+            database.delete_rows("Trans", [self.ROW])
+        calls = {"loop": 0, "plan": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(executor_module, "loop_program",
+                            counted("loop", executor_module.loop_program))
+        monkeypatch.setattr(maintenance, "_direct_plan",
+                            counted("plan", maintenance._direct_plan))
+        for change in (database.insert_rows, database.delete_rows):
+            report = change("Trans", [self.ROW])
+            assert set(report.incremental) == set(FIGURE_ASTS)
+        assert calls == {"loop": 0, "plan": 0}
+        assert_consistent(database, "steady writes")
 
     def test_no_stored_table_is_turned_into_rows(self, monkeypatch):
         """O(|delta|), not O(|summary|) or O(|Trans|): neither the base

@@ -12,8 +12,8 @@ Same loop, same order, same answers:
   and in order, fused, on the operator path (a one-byte ``MAXMEM``) and
   in morsels, and the reference executor's as a multiset;
 * readers pin, writers own: a pinned reader's index outlives a write;
-  an unpinned table's index outlives an append or an edit of other
-  columns, and a delete, a refresh or an edit of its column drops it.
+  an unpinned table's index outlives an append, a delete or an edit of
+  other columns, and a refresh or an edit of its column drops it.
 """
 
 from __future__ import annotations
@@ -202,8 +202,14 @@ def _boxes(draw) -> str:
     predicates = ["t.k = u.k"]
     if three:
         predicates.append(draw(st.sampled_from(["t.a = v.a", "v.k = t.a"])))
-    for template in draw(st.lists(st.sampled_from(_FILTERS), max_size=2)):
-        predicates.append(template.format(c=draw(st.sampled_from([-1, 0, 1]))))
+    # Three boxes in four filter no driver row: the loop's build-side check
+    # counts only the rows the index gave, which a filter often leaves
+    # fewer than the build side holds — and the box runs again without it.
+    if draw(st.integers(0, 3)) == 3:
+        for template in draw(
+            st.lists(st.sampled_from(_FILTERS), min_size=1, max_size=2)
+        ):
+            predicates.append(template.format(c=draw(st.sampled_from([-1, 0, 1]))))
     if draw(st.booleans()):
         predicates.append(draw(st.sampled_from(["t.a + u.a > 0", "u.x / t.a < 1"])))
     where = " and ".join(draw(st.permutations(predicates)))
@@ -299,10 +305,10 @@ def test_a_pinned_index_outlives_a_write(write):
     assert fresh is not index and fresh == _rebuilt(table, 0)
 
 
-@pytest.mark.parametrize("write", sorted(set(TABLE_WRITES) - {"insert"}))
+@pytest.mark.parametrize("write", sorted(set(TABLE_WRITES) - {"insert", "delete"}))
 def test_an_edit_of_an_unpinned_table_drops_its_index(write):
-    """A delete, a refresh, and an overwrite of the indexed column's
-    cell leave the index wrong: it is dropped and built again."""
+    """A refresh and an overwrite of the indexed column's cell leave the
+    index wrong: it is dropped and built again."""
     table = Table(COLUMNS, DRIVER)
     index = table.index(0)
     TABLE_WRITES[write](table)
@@ -312,6 +318,9 @@ def test_an_edit_of_an_unpinned_table_drops_its_index(write):
 
 KEEPING_WRITES = {
     "insert": TABLE_WRITES["insert"],
+    "delete": TABLE_WRITES["delete"],
+    "delete the last": lambda t: t.rows.__delitem__(-1),
+    "delete a key's rows": lambda t: [t.rows.__delitem__(i) for i in (27, 7)],
     "null insert": lambda t: t.rows.extend([(None, 98, 0.5), (3.0, 97, 0.5)]),
     "other column": lambda t: t.rows.__setitem__(3, (3.0, 99, 0.5)),
     "same cell": lambda t: t.rows.__setitem__(-1, DRIVER[-1]),
@@ -321,8 +330,9 @@ KEEPING_WRITES = {
 
 @pytest.mark.parametrize("write", sorted(KEEPING_WRITES))
 def test_an_edit_that_leaves_an_unpinned_index_right_keeps_it(write):
-    """An append adds the new rows' positions; an overwrite or a fill
-    that changes no cell of the indexed column leaves it alone."""
+    """An append adds the new rows' positions; a delete drops its row's
+    and moves the later ones down; an overwrite or a fill that changes
+    no cell of the indexed column leaves it alone."""
     table = Table(COLUMNS, DRIVER)
     index = table.index(0)
     table.index(1)  # built too: mended or dropped, never stale

@@ -4,9 +4,11 @@ that leaves it right.
 
 After every step: each kept pin still reads as it did when it was taken
 (indexes built through it included); each index the table has built
-equals one built from scratch; and a write taken while no pin lives
-keeps the lists it edits in place — the same list objects, by ``id``
-(holding them would make the test a holder itself).
+equals one built from scratch — an append or a delete while no pin
+holds the indexes keeps every one, the same dict, mended in place; and
+a write taken while no pin lives keeps the lists it edits in place —
+the same list objects, by ``id`` (holding them would make the test a
+holder itself).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ STEPS = st.one_of(
 #: steps that edit the lists in place: every list keeps its identity
 #: but the one ``fill`` replaces (``adopt``/``sort`` replace them all)
 IN_PLACE = {"append", "set", "fill", "delete", "swap-remove"}
+#: steps that keep every built index, mended, while no pin holds them
+MENDING = {"append", "delete"}
 
 
 def _rebuilt(table: Table, column: int) -> dict:
@@ -68,7 +72,9 @@ def _apply(table: Table, step: tuple) -> None:
         table.sort_by([(COLUMNS[args[0]], args[1])])
 
 
-@settings(max_examples=100, deadline=None)
+# 100 examples in tier-1, the active profile's count under
+# ``--hypothesis-profile=chaos``
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(st.lists(ROW, max_size=6), st.lists(STEPS, max_size=25))
 def test_writes_copy_iff_held_and_indexes_stay_right(initial, steps):
     table = Table(COLUMNS, initial)
@@ -85,12 +91,17 @@ def test_writes_copy_iff_held_and_indexes_stay_right(initial, steps):
             pins[:1] = []  # and the oldest kept pin goes too
         else:
             ids = [id(column) for column in table.columns_data()]
+            # the indexes themselves may be held: only their dict is pinned
+            built = dict(table._indexes)
+            unpinned = all(view._indexes is not table._indexes for view, _ in pins)
             _apply(table, step)
             if not pins and kind in IN_PLACE:
                 kept = [id(column) for column in table.columns_data()]
                 if kind == "fill":
                     ids[step[1]] = kept[step[1]]
                 assert kept == ids, step
+            if unpinned and kind in MENDING:
+                assert all(table._indexes.get(c) is i for c, i in built.items()), step
         _check(table, pins)
 
 

@@ -19,6 +19,7 @@ from repro.engine import executor as executor_module
 from repro.errors import ExecutionError
 from repro.expr import vector
 from repro.expr.nodes import ColumnRef
+from repro.resources.broker import BROKER
 from repro.testing.faults import INJECTOR
 
 from tests.rewrite.test_shape_cache import (
@@ -209,6 +210,62 @@ def test_a_write_that_flips_the_smaller_side(monkeypatch):
             reused += stats.programs[0]
             builds += len(stats.join_builds)
     assert reused and builds
+
+
+def test_an_operator_path_build_side_that_flips():
+    """A box whose fused loop never holds its order runs one operator at a
+    time, and a template's operators run memoised loops too — each join's
+    under the side it built on: the literal decides whether the filtered
+    ``L`` or ``R`` is the smaller input of the first join, and every
+    hit's rows, their order and build sides are the cold twin's."""
+    twins = _three_tables()
+    sql = (
+        "select x.k, x.v, y.v as w, z.v as u from L x, R y, S z "
+        "where x.k = y.k and x.k = z.k and x.v > {}"
+    )
+    sides = set()
+    for value in (0, 6, 1, 7, 0, 5, 2, 8, 1):
+        stats = _same(twins, sql.format(value))
+        reused, loops = stats.programs
+        if reused == loops:  # the fused attempt's loops and every operator's
+            sides.add(stats.join_builds[0]["build"])
+    assert sides == {"left", "right"}
+
+
+def test_a_reserved_and_a_governed_operator_path_keep_their_own_loops():
+    """Under ``MAXMEM`` the box below a GROUP BY runs one operator at a
+    time into its own columns; under a timeout alone, into the groups
+    above it. Both are governed, so the memory reservation keys the
+    operator path's loops too."""
+    twins = _three_tables()
+    sql = (
+        "select x.k, count(*) as n, sum(x.v + z.v) as s from L x, R y, S z "
+        "where x.k = y.k and x.k = z.k and x.v > {} group by x.k"
+    )
+    reused = 0
+    for value in (0, 1, 2, 3, 2, 1):
+        for limits in ({"max_mem": 1}, {"timeout_ms": 60_000}):
+            BROKER.reset()
+            try:
+                reused += _same(twins, sql.format(value), **limits).programs[0]
+            finally:
+                BROKER.reset()
+    assert reused
+
+
+def _three_tables() -> Twins:
+    """``L`` (10 rows), ``R`` (5) and ``S`` (30): joined on ``k``, no join
+    ever builds on ``S``, so the fused loop never holds its order."""
+    twins = Twins({}, build=lambda: Database(credit_card_catalog()))
+    for name, rows in (
+        ("L", [(k, k) for k in range(10)]),
+        ("R", [(k % 5, k) for k in range(5)]),
+        ("S", [(k % 10, k) for k in range(30)]),
+    ):
+        create = f"CREATE TABLE {name} (k INTEGER, v INTEGER)"
+        twins.each(lambda db: db.run_sql(create))
+        twins.each(lambda db: db.insert_rows(name, rows))
+    return twins
 
 
 def test_a_governed_hit_ticks_as_the_cold_path(bare):

@@ -288,6 +288,11 @@ def test_a_bad_function_call_fails_to_bind(small_db, sql):
         "select v % 7 from (select city as v from Loc) as d",
         "select date - 1 as v from Trans",
         "select '50%d' % 7 as v from Trans",
+        "select min(city) + 1 as v from Loc",
+        "select v + 1 as w from (select city as v from Loc "
+        "union all select city as v from Loc) as d",
+        "select case when lid > 0 then city else 'x' end + 1 as v from Loc",
+        "select coalesce(city, 'a') - 1 as v from Loc",
     ],
 )
 def test_arithmetic_on_text_or_a_date_fails_to_bind(small_db, sql):
