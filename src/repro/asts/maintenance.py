@@ -58,7 +58,6 @@ from repro.engine.pipeline import WriteRun
 from repro.engine.table import Row, Table
 from repro.errors import MaintenanceError
 from repro.expr.nodes import AggCall, ColumnRef
-from repro.obs import events as _events
 from repro.qgm.boxes import (
     BaseTableBox,
     GroupByBox,
@@ -237,7 +236,7 @@ def recompute(database, summary: SummaryTable, reason: str) -> None:
         "summary tables recomputed from the base tables",
         summary=summary.name,
     ).inc()
-    _events.emit(
+    database.emit(
         "summary.recompute",
         summary=summary.name,
         reason=reason,

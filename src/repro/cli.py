@@ -21,12 +21,12 @@ shell understands:
 * ``\\metrics`` — the unified metrics registry (rewrite, scheduler,
   executor, phase timers); ``\\metrics json`` / ``\\metrics prom`` dump
   machine-readable forms, ``\\metrics reset`` zeroes everything
-* ``\\slowlog`` — the event log's recent ``query.slow`` entries
+* ``\\slowlog`` — this database's recent ``query.slow`` events
   (``SET SLOW QUERY <ms> | OFF`` adjusts the threshold)
 * ``\\governor`` — query-governor status: session limits (``SET QUERY
   TIMEOUT <ms> | OFF``, ``SET QUERY MAXROWS <n> | OFF``, ``SET QUERY
   MAXMEM <bytes> | OFF``), admission control, circuit-breaker state,
-  and the newest governor event in the event log
+  and this database's newest governor event in the event log
 * ``\\connect HOST:PORT`` — switch to remote mode: subsequent SQL,
   ``\\metrics``, and ``\\governor`` go to a ``repro serve`` server over
   the wire protocol (docs/SERVER.md); ``\\disconnect`` switches back
@@ -277,7 +277,7 @@ class Shell:
         else:
             self.write(f"slow-query threshold: {threshold:g} ms")
         slow = [
-            entry for entry in _events.tail(_events.LOG.capacity)
+            entry for entry in self._own_events()
             if entry["event"] == "query.slow"
         ]
         if not slow:
@@ -292,6 +292,11 @@ class Shell:
                 line += f"  [trace {entry['trace_id'][:8]}]"
             self.write(line)
         return True
+
+    def _own_events(self) -> list[dict]:
+        """The event log's entries for this shell's database."""
+        ident, entries = self.database.ident, _events.tail(_events.LOG.capacity)
+        return [entry for entry in entries if entry.get("database") == ident]
 
     def _handle_governor(self, parts: list[str]) -> bool:
         if len(parts) != 1:
@@ -310,7 +315,7 @@ class Shell:
         self.write("query governor:")
         for line in self.database.governor.describe_lines():
             self.write(f"  {line}")
-        for entry in reversed(_events.tail(_events.LOG.capacity)):
+        for entry in reversed(self._own_events()):
             if entry["event"] == "governor.degraded":
                 self.write(
                     f"  last event: degraded to base tables: {entry['detail']}"

@@ -30,6 +30,7 @@ standby's apply loop and journal replay (DESIGN.md, "write pipeline").
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Iterable
@@ -63,6 +64,8 @@ from repro.sql.parser import parse
 #: override per session with ``SET SLOW QUERY <ms>`` or ``SET SLOW QUERY OFF``)
 DEFAULT_SLOW_QUERY_MS = 100.0
 
+_IDENTS = itertools.count(1)  # Database.ident
+
 
 class Database:
     """An in-memory database with automatic summary tables.
@@ -73,6 +76,8 @@ class Database:
     """
 
     def __init__(self, catalog: Catalog | None = None):
+        #: this database among the process's, on each event it emits
+        self.ident = next(_IDENTS)
         self.catalog = catalog or Catalog()
         self.tables: dict[str, Table] = {}
         self.summary_tables: dict[str, "SummaryTable"] = {}
@@ -121,7 +126,11 @@ class Database:
         # docs/ROBUSTNESS.md, "Query governor & load shedding"). Fully
         # disarmed by default — open_scope() returns None and every
         # instrumentation site short-circuits.
-        self.governor = QueryGovernor(metrics=self.metrics)
+        self.governor = QueryGovernor(metrics=self.metrics, emit=self.emit)
+
+    def emit(self, event: str, **fields) -> dict:
+        """``event`` onto the process's event log, tagged :attr:`ident`."""
+        return _events.emit(event, database=self.ident, **fields)
 
     # ------------------------------------------------------------------
     # Data definition / loading
@@ -339,7 +348,7 @@ class Database:
         self.metrics.counter(
             "slow_queries_total", "queries over the SET SLOW QUERY threshold"
         ).inc()
-        _events.emit(
+        self.emit(
             "query.slow",
             sql=sql_text if sql_text is not None else "(bound graph)",
             ms=round(total_ms, 3), threshold_ms=threshold, client=client,
@@ -551,7 +560,7 @@ class Database:
             run.rewrite_stats.rewrite_errors += 1
             self._rewrite_counters["rewrite_errors"].inc()
             run.rewrite_error = f"{type(error).__name__}: {error}"
-            _events.emit("rewrite.sandboxed", error=run.rewrite_error)
+            self.emit("rewrite.sandboxed", error=run.rewrite_error)
         run.graph = build_graph(run.source, self.catalog, label=run.label)
 
     def _note_degradation(self, error: MatchBudgetExceeded, trace) -> None:
@@ -567,7 +576,7 @@ class Database:
             if budget.fingerprint is not None:
                 self.governor.breaker.record_timeout(budget.fingerprint)
         self.governor.note_degradation()
-        _events.emit("governor.degraded", detail=detail)
+        self.emit("governor.degraded", detail=detail)
         if trace is not None:
             # The attempt the budget interrupted has neither a pattern
             # nor a reject reason; later summaries were never begun.
@@ -912,7 +921,7 @@ class Database:
                 # failure history restarts from zero.
                 if summary.refresh.quarantined:
                     summary.refresh.release_quarantine()
-                    _events.emit("summary.readmit", summary=summary.name)
+                    self.emit("summary.readmit", summary=summary.name)
                 self._scheduler.reset_attempts(summary.name)
             self._prune_delta_log()
             self._bump_rewrite_epoch()
@@ -948,7 +957,7 @@ class Database:
             if summary is None:
                 return
             summary.refresh.quarantine(reason)
-            _events.emit("summary.quarantine", summary=summary.name,
+            self.emit("summary.quarantine", summary=summary.name,
                          reason=reason)
             # Batches staged only for this summary are now dead weight —
             # re-admission recomputes from base tables.
@@ -1029,7 +1038,7 @@ class Database:
                     if kind in ("ddl", "refresh"):
                         journal.commit(run.lsn)
             except BaseException:
-                _undo(undo)
+                _undo(self, undo)
                 raise
         if journal is not None and kind in ("insert", "delete"):
             try:
@@ -1038,7 +1047,7 @@ class Database:
                 # each writer of a failed group commit undoes its own
                 # record; inserts and deletes commute
                 with self._catalog_lock:
-                    _undo(undo)
+                    _undo(self, undo)
                 raise
         return run
 
@@ -1275,14 +1284,14 @@ class Database:
         )
 
 
-def _undo(undo) -> None:
+def _undo(database: Database, undo) -> None:
     """Take a write back. A failing undo is reported, not raised: the
     journal error that asked for it is what propagates, and the journal,
     not memory, is the durability source of truth."""
     try:
         undo()
     except Exception as error:  # noqa: BLE001
-        _events.emit("write.undo_failed", error=f"{type(error).__name__}: {error}")
+        database.emit("write.undo_failed", error=f"{type(error).__name__}: {error}")
 
 
 def _base_tables(summaries) -> tuple[str, ...]:

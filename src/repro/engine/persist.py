@@ -34,7 +34,8 @@ v2 guarantees:
   mismatch marks the table *suspect* for :func:`verify_database`. A
   save in a chain (a journal's checkpoints, :func:`save_counted`) uses
   them to take over the previous save's lines for rows not edited since
-  — same bytes, a fraction of the encoding.
+  — as bytes, the prefix below the first edit never decoded or split,
+  one CRC pass verifying them. Same bytes, a fraction of the encoding.
 
 :func:`verify_database` is the startup recovery pass: it cross-checks
 every summary's ``last_refresh_lsn``/``pending_deltas`` against the
@@ -89,13 +90,14 @@ def save_counted(
 
     **A save costs what changed.** ``previous`` — only a journal passes
     one — is the directory the last *completed* save of the same chain
-    wrote (a chain's first save names ``root`` itself). A table's text
-    is then that file's first ``stable`` lines with the edited positions
-    re-framed (:meth:`Table.remark`) plus the encoded tail; lines are
-    kept only from a file whose bytes match the crc its manifest
-    recorded, so every byte written was encoded now or CRC-verified now
-    and is what a plain save writes. No previous, a mismatch, a table
-    marked by another save: nothing is kept, the same loop encodes all.
+    wrote (a chain's first save names ``root`` itself). A table's file
+    is then that file's first ``stable`` lines, as bytes, with the edited
+    positions re-framed (:meth:`Table.remark`, :func:`_splice`) plus the
+    encoded tail; lines are kept only from a file whose bytes match the
+    crc its manifest recorded, so every byte written was encoded now or
+    CRC-verified now and is what a plain save writes. No previous, a
+    mismatch, a table marked by another save: nothing is kept, the same
+    loop encodes all.
     """
     root.mkdir(parents=True, exist_ok=True)
     for stale in root.glob("*.tmp"):  # leftovers from a crashed save
@@ -117,26 +119,24 @@ def save_counted(
     for name, table in tables.items():
         filename = f"{name}.jsonl"
         stable, edited = changes.get(name, (0, ()))
-        kept = _kept_lines(previous, filename, recorded.get(filename), stable)
-        if kept:
-            for position in edited:
-                kept[position] = _row_line(table.rows[position])
-            reused += len(kept) - len(edited)
-        text = "\n".join([*kept, ""]) + _rows_text(table.rows[len(kept):])
-        write_atomic(root / filename, text)
-        checksums[filename] = {
-            "crc": zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF,
-            "rows": len(table),
-        }
-    delta_text = "".join(
+        pieces, crc = _splice(
+            previous, filename, recorded.get(filename), stable, edited, table.rows
+        )
+        if not pieces:
+            stable, edited = 0, ()
+        reused += stable - len(edited)
+        tail = "".join(frame(dumps_typed(row)) + "\n" for row in table.rows[stable:])
+        pieces.append(tail.encode("utf-8"))
+        write_atomic(root / filename, pieces)
+        checksums[filename] = {"crc": zlib.crc32(pieces[-1], crc), "rows": len(table)}
+    delta_data = "".join(
         frame(dumps_typed(_batch_to_json(batch))) + "\n" for batch in batches
-    )
+    ).encode("utf-8")
     delta_path = root / "deltas.jsonl"
-    if delta_text:
-        write_atomic(delta_path, delta_text)
+    if delta_data:
+        write_atomic(delta_path, [delta_data])
         checksums["deltas.jsonl"] = {
-            "crc": zlib.crc32(delta_text.encode("utf-8")) & 0xFFFFFFFF,
-            "rows": len(batches),
+            "crc": zlib.crc32(delta_data), "rows": len(batches),
         }
     elif delta_path.exists():
         delta_path.unlink()
@@ -144,29 +144,54 @@ def save_counted(
     return sum(len(table) for table in tables.values()) - reused, reused
 
 
-def _row_line(row: tuple) -> str:
-    return frame(dumps_typed(row))
-
-
-def _rows_text(rows) -> str:
-    return "".join(_row_line(row) + "\n" for row in rows)
-
-
-def _kept_lines(
-    previous: Path | None, filename: str, recorded: dict | None, stable: int
-) -> list[str]:
-    """The first ``stable`` framed lines of ``previous``'s ``filename``
-    — or none, when the file is not byte for byte what that save's
-    manifest ``recorded`` (bit rot, another generation, gone)."""
-    if not stable or recorded is None:
-        return []
+def _splice(
+    previous: Path | None, filename: str, recorded: dict | None,
+    stable: int, edited: list[int], rows,
+) -> tuple[list, int]:
+    """The pieces of ``previous``'s ``filename`` a new file keeps, and
+    their CRC: its lines ``[0, stable)``, the prefix below the first of
+    the ``edited`` positions as its bytes, the lines from there split and
+    those re-framed from ``rows``. Nothing when the file is not byte for
+    byte what that save's manifest ``recorded`` (bit rot, another
+    generation, gone) — checked in the pass that takes the prefix's CRC."""
+    if not stable or recorded is None or recorded.get("rows", 0) < stable:
+        return [], 0
     try:
         data = (previous / filename).read_bytes()
-    except OSError:
-        return []
-    if zlib.crc32(data) != recorded.get("crc") or recorded.get("rows", 0) < stable:
-        return []
-    return data.decode("utf-8").split("\n")[:stable]
+        low = edited[0] if edited else stable
+        start = _line_start(data, low, recorded["rows"])
+        stop = _line_start(data, stable, recorded["rows"])
+    except (OSError, ValueError):  # gone, or fewer lines than recorded
+        return [], 0
+    view = memoryview(data)
+    crc = zlib.crc32(view[:start])
+    if zlib.crc32(view[start:], crc) != recorded.get("crc"):
+        return [], 0
+    middle = _old_lines(data, start, stop)
+    for position in edited:
+        middle[position - low] = frame(dumps_typed(rows[position])).encode("utf-8")
+    block = b"\n".join([*middle, b""])
+    return [view[:start], block], zlib.crc32(block, crc)
+
+
+def _line_start(data: bytes, line: int, lines: int) -> int:
+    """The byte offset of line ``line`` of ``data`` — ``lines`` lines,
+    each ending in a newline (a framed payload never holds one) — walked
+    from the nearer end; a ValueError when a newline is missing."""
+    if line <= lines - line:
+        offset = 0
+        for _ in range(line):
+            offset = data.index(b"\n", offset) + 1
+        return offset
+    offset = len(data)
+    for _ in range(lines - line + 1):
+        offset = data.rindex(b"\n", 0, offset)
+    return offset + 1
+
+
+def _old_lines(data: bytes, start: int, stop: int) -> list[bytes]:
+    """The whole lines of ``data[start:stop]``, newlines dropped."""
+    return data[start:stop].split(b"\n")[:-1]
 
 
 def _capture(

@@ -104,7 +104,8 @@ class RowsView(Sequence):
         """Position of the first row equal to ``row``: the first column
         is probed with one C-level scan per candidate and the remaining
         cells are compared at that position only — no row is built for
-        the positions in between."""
+        the positions in between — only those a built index lists for
+        a cell of ``row``, when one does (none is built for this)."""
         row = tuple(row)
         table = self._table
         data = table._data
@@ -113,11 +114,18 @@ class RowsView(Sequence):
             if not data:
                 return start
             first, rest, tail = data[0], data[1:], row[1:]
+            positions = _candidates(table._indexes, row, start, stop)
+            if positions is None:  # probe the whole column
+                positions, probed = range(stop), first
+            else:
+                probed = list(map(first.__getitem__, positions))
+                start, stop = 0, len(positions)
             try:
                 while True:
-                    start = first.index(row[0], start, stop)
-                    if tuple(column[start] for column in rest) == tail:
-                        return start
+                    start = probed.index(row[0], start, stop)
+                    position = positions[start]
+                    if tuple(column[position] for column in rest) == tail:
+                        return position
                     start += 1
             except ValueError:
                 pass
@@ -158,6 +166,24 @@ class RowsView(Sequence):
                 positions[at:] = [p - 1 for p in positions[at:] if p != index]
             if row[number] is not None and not built[row[number]]:
                 del built[row[number]]
+
+
+def _candidates(indexes: dict, row: Row, start: int, stop: int) -> list | None:
+    """The positions in ``[start, stop)`` that the shortest built index
+    over a non-NULL cell of ``row`` lists for it — None with no such
+    index."""
+    best = None
+    for number, built in list(indexes.items()):  # a reader may build one
+        if row[number] is not None:
+            try:
+                positions = built.get(row[number], ())
+            except TypeError:  # unhashable: in no index
+                continue
+            if best is None or len(positions) < len(best):
+                best = positions
+    if best is None:
+        return None
+    return best[bisect_left(best, start):bisect_left(best, stop)]
 
 
 class Table:

@@ -74,18 +74,20 @@ def scan(data: bytes) -> Scan:
 
 
 def write_atomic(
-    path: Path, text: str, durable: bool = True, fire_faults: bool = True
+    path: Path, data: str | list, durable: bool = True, fire_faults: bool = True
 ) -> None:
-    """Write ``text`` to ``path`` via a temp file and an atomic rename, so
-    ``path`` is always its old or its new complete contents. ``durable``
-    fsyncs the file before the rename and the directory after it;
-    ``fire_faults`` traverses the ``persist.write``/``persist.rename``
-    fault points (a save does, the journal's meta does not)."""
+    """Write ``data`` — text, or byte pieces one after another — to
+    ``path`` via a temp file and an atomic rename, so ``path`` is always
+    its old or its new complete contents. ``durable`` fsyncs the file
+    before the rename and the directory after it; ``fire_faults``
+    traverses the ``persist.write``/``persist.rename`` fault points (a
+    save does, the journal's meta does not)."""
+    pieces = [data.encode("utf-8")] if isinstance(data, str) else data
     tmp = path.with_name(path.name + ".tmp")
     if fire_faults:
         faults.fire("persist.write")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(text)
+    with tmp.open("wb") as handle:
+        handle.writelines(pieces)
         if durable:
             handle.flush()
             os.fsync(handle.fileno())

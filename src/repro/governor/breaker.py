@@ -46,6 +46,7 @@ class CircuitBreaker:
         cooldown_s: float = 30.0,
         clock=time.monotonic,
         metrics: dict | None = None,
+        emit=None,
     ):
         self.threshold = threshold
         self.cooldown_s = cooldown_s
@@ -54,6 +55,7 @@ class CircuitBreaker:
         #: fingerprint -> [consecutive_failures, opened_at | None]
         self._entries: dict = {}
         self._metrics = metrics or {}
+        self._emit = emit or _events.emit  # a database passes its own
 
     @property
     def active(self) -> bool:
@@ -76,7 +78,7 @@ class CircuitBreaker:
                 # concurrent second arrival also runs — acceptable: the
                 # probe is best-effort, not a strict singleton.
                 entry[1] = None
-                _events.emit(
+                self._emit(
                     "breaker.half_open", fingerprint=str(fingerprint),
                     failures=entry[0],
                 )
@@ -95,7 +97,7 @@ class CircuitBreaker:
                 counter = self._metrics.get("tripped")
                 if counter is not None:
                     counter.inc()
-                _events.emit(
+                self._emit(
                     "breaker.open", fingerprint=str(fingerprint),
                     failures=entry[0], cooldown_s=self.cooldown_s,
                 )
@@ -109,7 +111,7 @@ class CircuitBreaker:
         if entry is not None and entry[0] >= self.threshold:
             # only shapes that actually opened get a close event; a
             # sub-threshold success is just the counter resetting
-            _events.emit(
+            self._emit(
                 "breaker.close", fingerprint=str(fingerprint),
             )
 

@@ -32,7 +32,7 @@ UNSET = object()
 class QueryGovernor:
     """Session-level governor configuration and per-query scope factory."""
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None):
+    def __init__(self, metrics: "MetricsRegistry | None" = None, emit=None):
         self.timeout_ms: float | None = None
         self.max_rows: int | None = None
         self.max_mem: int | None = None
@@ -90,7 +90,7 @@ class QueryGovernor:
             self.degradations = None
             self.breaker_skips = None
         self.admission = AdmissionController(metrics=admission_metrics)
-        self.breaker = CircuitBreaker(metrics=breaker_metrics)
+        self.breaker = CircuitBreaker(metrics=breaker_metrics, emit=emit)
 
     # ------------------------------------------------------------------
     @property

@@ -39,8 +39,10 @@ from repro.catalog.types import DataType
 from repro.expr.evaluator import evaluate_constant
 from repro.refresh.policy import RefreshAge
 from repro.sql.ast import SelectStatement
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, parse_date_literal, tokenize
 from repro.sql.parser import _Parser
+
+_KEYWORD_VALUES = {"null": None, "true": True, "false": False}
 
 _TYPE_NAMES = {
     "int": DataType.INTEGER,
@@ -496,8 +498,38 @@ class _StatementParser(_Parser):
         return tuple(values)
 
     def _parse_constant(self) -> Any:
+        literal = self._literal_constant()
+        if literal is not None:
+            return literal[0]
         expr = self.parse_expr()
         try:
             return evaluate_constant(expr)
         except Exception:
             raise self._error("VALUES entries must be constants") from None
+
+    def _literal_constant(self) -> tuple[Any] | None:
+        """``(value,)`` of a constant that is one literal token — a number
+        with an optional sign, a string, NULL, TRUE, FALSE or ``DATE
+        '…'`` — followed by ``,`` or ``)``, read from its tokens as the
+        expression grammar reads it (errors too); None for any other."""
+        tokens, at = self._tokens, self._index
+        head = tokens[at]
+        width = 2 if head.is_punct("-", "+") or head.is_keyword("date") else 1
+        if at + width >= len(tokens) or not tokens[at + width].is_punct(",", ")"):
+            return None
+        literal = tokens[at + width - 1]
+        if width == 1 and literal.kind in ("number", "string"):
+            value = literal.value
+        elif width == 1 and literal.is_keyword("null", "true", "false"):
+            value = _KEYWORD_VALUES[literal.value]
+        elif head.kind == "punct" and literal.kind == "number":
+            value = -literal.value if head.value == "-" else literal.value
+        elif head.kind == "keyword" and literal.kind == "string":
+            value = None  # a DATE: read below, where the grammar reads it
+        else:
+            return None
+        for _ in range(width):
+            self._advance()
+        if head.is_keyword("date"):
+            value = parse_date_literal(literal.value, literal.line, literal.column)
+        return (value,)

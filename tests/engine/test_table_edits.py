@@ -118,3 +118,52 @@ def _check(table: Table, pins: list[tuple[Table, list]]) -> None:
         index = table.index(column)
         assert index == _rebuilt(table, column)
         assert all(rows == sorted(rows) for rows in index.values())
+
+
+#: cells that are equal across types (``1``/``1.0``/``True``,
+#: ``0.0``/``-0.0``), NULLs, and NaN — one shared object, equal to
+#: itself only by identity, and fresh ones, equal to nothing
+NAN = float("nan")
+CELLS = st.one_of(
+    st.sampled_from([None, 0, 1, 1.0, True, False, 0.0, -0.0, 2, NAN, "a"]),
+    st.builds(float, st.just("nan")),
+)
+WIDE_ROW = st.tuples(CELLS, CELLS, CELLS)
+
+
+def _scanned(rows: list[tuple], row: tuple, start: int, stop: int | None):
+    """``RowsView.index`` of a table with no index built: the scan."""
+    return Table(COLUMNS, rows).rows.index(row, start, stop)
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(
+    st.lists(WIDE_ROW, max_size=40),
+    st.sets(COLUMN),
+    st.lists(
+        st.tuples(st.one_of(WIDE_ROW, st.integers(0, 39)), st.integers(-3, 45),
+                  st.one_of(st.none(), st.integers(-3, 45))),
+        min_size=1, max_size=8,
+    ),
+)
+def test_a_located_row_is_the_scans(rows, built, probes):
+    """A row located through the built indexes is the one the scan
+    locates — the first equal row at or after ``start``, the same
+    ``ValueError`` — and locating builds no index."""
+    table = Table(COLUMNS, rows)
+    for column in built:
+        table.index(column)
+    for probe, start, stop in probes:
+        row = rows[probe % len(rows)] if isinstance(probe, int) and rows else probe
+        if isinstance(row, int):
+            continue
+        try:
+            want = _scanned(rows, row, start, stop)
+        except ValueError:
+            want = ValueError
+        try:
+            got = table.rows.index(row, start, stop)
+        except ValueError:
+            got = ValueError
+        assert got == want, (row, start, stop)
+        assert set(table._indexes) == built

@@ -19,6 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.figures import FIGURES, make_database
+from repro.engine import Database
 from repro.engine import persist
 from repro.engine.persist import load_database, save_database, verify_database
 from repro.engine.table import RowsView, Table
@@ -395,3 +396,102 @@ class TestWorkIsACount:
         chain.run("REFRESH SUMMARY TABLE AST2")
         chain.checkpoint()
         assert chain.framed == len(chain.db.table("AST2"))
+
+
+# ----------------------------------------------------------------------
+class TestByteSplice:
+    """A checkpoint takes the previous save's lines over as bytes: the
+    prefix below the first edit never decoded or split, the lines from
+    there to the stable end split (``persist._old_lines``), the tail
+    encoded.  Two keyless tables, edited in place through ``rows``;
+    every checkpoint is held against a plain save (``Chain.checkpoint``)."""
+
+    ROWS = 40
+
+    @pytest.fixture
+    def chain(self, tmp_path, monkeypatch):
+        db = Database()
+        for name in ("T", "U"):
+            db.run_sql(f"CREATE TABLE {name} (k INTEGER NOT NULL, v FLOAT)")
+            db.load(name, [(i, i / 2) for i in range(self.ROWS)])
+        chain = Chain(tmp_path, db, monkeypatch)
+        self.split = []
+        real = persist._old_lines
+
+        def spy(*args):
+            lines = real(*args)
+            self.split.append(len(lines))
+            return lines
+
+        monkeypatch.setattr(persist, "_old_lines", spy)
+        yield chain
+        chain.wal.close()
+        db.close()
+
+    def edit(self, chain, action) -> None:
+        """``action`` on the tables, then a journaled record and a
+        checkpoint; ``self.split`` the old lines it split, T's and U's
+        (``stable - low``: the edited lines and every line between)."""
+        with chain.db._maintenance_lock:
+            action(chain.db.table("T").rows, chain.db.table("U").rows)
+        chain.wal.append("refresh", "-- edited in place")
+        self.split = []
+        chain.checkpoint()
+
+    def test_edits_at_either_end(self, chain):
+        def first(t, u):
+            t[0] = (-1, None)
+
+        def last(t, u):
+            t[-1] = (-2, 0.5)
+
+        def both(t, u):
+            t[0], t[-1] = (-3, 1.5), (-4, None)
+
+        self.edit(chain, first)
+        assert chain.framed == 1 and self.split == [self.ROWS, 0]
+        self.edit(chain, last)
+        assert chain.framed == 1 and self.split == [1, 0]
+        self.edit(chain, both)
+        assert chain.framed == 2 and self.split == [self.ROWS, 0]
+
+    def test_appends_split_nothing(self, chain):
+        self.edit(chain, lambda t, u: (t.append((100, 1.0)), u.append((101, None))))
+        assert chain.framed == 2 and self.split == [0, 0]
+
+    def test_trailing_rows_deleted(self, chain):
+        # stable == len(T) < the rows the committed file holds
+        def trim(t, u):
+            del t[-1]
+            del t[-1]
+
+        self.edit(chain, trim)
+        assert len(chain.db.table("T")) == self.ROWS - 2
+        assert chain.framed == 0 and self.split == [0, 0]
+        self.edit(chain, lambda t, u: (trim(t, u), t.__setitem__(-1, (7, 7.0))))
+        assert chain.framed == 1 and self.split == [1, 0]
+
+    def test_emptied_and_grown_from_empty(self, chain):
+        def empty(t, u):
+            while len(t):
+                del t[-1]
+
+        self.edit(chain, empty)
+        assert chain.framed == 0
+        self.edit(chain, lambda t, u: t.extend([(1, 1.0), (2, None)]))
+        assert chain.framed == 2
+
+    @pytest.mark.parametrize("damage", ["flipped byte", "truncated", "extra line"])
+    def test_a_damaged_file_costs_its_table_alone(self, chain, damage):
+        path = chain.committed() / "T.jsonl"
+        data = path.read_bytes()
+        if damage == "flipped byte":
+            middle = len(data) // 2
+            data = data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1:]
+        elif damage == "truncated":
+            data = data[:-5]
+        else:
+            data += persist.frame("[9, 9.0]").encode() + b"\n"
+        path.write_bytes(data)
+        self.edit(chain, lambda t, u: (t.append((100, 1.0)), u.append((101, None))))
+        assert chain.framed == self.ROWS + 2  # all of T, U's new row

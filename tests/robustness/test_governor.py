@@ -305,9 +305,38 @@ def test_governor_cli_command():
     assert "admission       off" in text
     # the newest degradation in the event log is the last event
     install_asts(db)
-    events.LOG.clear()
     db.governor.match_budget = 1
     db.execute(QUERIES["q1_pricing"])
     shell.handle_line("\\governor")
     assert "last event: degraded to base tables" in out.getvalue()
     db.close()
+
+
+def test_a_shell_shows_its_own_databases_events():
+    """Two databases in one process share the event log; each shell's
+    ``\\slowlog`` and ``\\governor`` show only their own database's
+    ``query.slow`` and ``breaker.*`` entries."""
+    noisy, quiet = build_tpcd_db(orders=50), build_tpcd_db(orders=50)
+    noisy.slow_query_ms = 0
+    noisy.execute(QUERIES["q1_pricing"])
+    for _ in range(noisy.governor.breaker.threshold):
+        noisy.governor.breaker.record_timeout("noisy shape")
+    assert noisy.ident != quiet.ident
+    assert {
+        (e["event"], e["database"]) for e in events.tail()
+        if e.get("database") in (noisy.ident, quiet.ident)
+        and e["event"] in ("query.slow", "breaker.open")
+    } == {("query.slow", noisy.ident), ("breaker.open", noisy.ident)}
+    shown = {}
+    for db in (noisy, quiet):
+        out = io.StringIO()
+        shell = Shell(database=db, out=out)
+        shell.handle_line("\\slowlog")
+        shell.handle_line("\\governor")
+        shown[db.ident] = out.getvalue()
+    assert "select returnflag, linestatus" in shown[noisy.ident]
+    assert "last event: breaker.open (shape noisy shape)" in shown[noisy.ident]
+    assert "(no slow queries recorded)" in shown[quiet.ident]
+    assert "last event" not in shown[quiet.ident]
+    noisy.close()
+    quiet.close()

@@ -1,8 +1,11 @@
 """Statement-level SQL: DDL, DML, EXPLAIN parsing and execution."""
 
 import datetime
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.types import DataType
 from repro.errors import SqlSyntaxError
@@ -14,6 +17,7 @@ from repro.sql.statements import (
     Explain,
     InsertValues,
     SetSlowQuery,
+    _StatementParser,
     parse_statement,
     split_statements,
 )
@@ -321,3 +325,44 @@ class TestParseRefreshStatements:
         ):
             with pytest.raises(SqlSyntaxError):
                 parse_statement(bad)
+
+
+# ----------------------------------------------------------------------
+#: VALUES constants: one-token literals (read straight from the token)
+#: beside spellings only the expression grammar reads
+SPELLINGS = st.one_of(
+    st.sampled_from([
+        "-0", "-0.0", "1e0", "1.", ".5", "1e400", "-1e400", "'it''s'", "''",
+        "- 1", "+1", "+ 2.5", "1+1", "-(1)", "(1)", "- -1", "-null", "+'a'",
+        "-'a'", "null", "NULL", "True", "false", "-true",
+        "date '1990-01-01'", "DATE '1990-02-30'", "date 'x'", "date", "x",
+        "9223372036854775808", "-9223372036854775808", "1 = 1", "1 is null",
+        "'a' 'b'", "0x1",
+    ]),
+    st.tuples(
+        st.sampled_from(["", "-", "+", "- ", "+ "]),
+        st.one_of(
+            st.integers().map(str),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        ),
+    ).map("".join),
+)
+
+
+def _parsed(sql: str):
+    try:
+        statement = parse_statement(sql)
+    except Exception as error:  # noqa: BLE001 - the error is the answer
+        return type(error), str(error)
+    return [[(type(value), repr(value)) for value in row] for row in statement.rows]
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.lists(st.lists(SPELLINGS, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_values_constants_read_as_the_grammar_reads_them(rows):
+    """A one-token literal is read without the expression grammar: the
+    values, their types and the errors are the grammar's."""
+    sql = "INSERT INTO T VALUES " + ", ".join(f"({', '.join(row)})" for row in rows)
+    got = _parsed(sql)
+    with patch.object(_StatementParser, "_literal_constant", lambda self: None):
+        assert got == _parsed(sql), sql
