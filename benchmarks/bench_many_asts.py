@@ -100,11 +100,11 @@ def run_point(ast_count: int, runs: int) -> dict:
     uncached, uncached_sqls = time_rewrites(database, runs, clear_cache=False)
 
     database.configure_fast_path(cache=True)
-    database.reset_rewrite_stats()
+    database.metrics.reset()
     cold, cold_sqls = time_rewrites(database, runs, clear_cache=True)
     cold_stats = database.rewrite_stats()
 
-    database.reset_rewrite_stats()
+    database.metrics.reset()
     # one untimed warm-up populates the cache; every timed run then hits it
     database.rewrite(QUERY)
     repeat, repeat_sqls = time_rewrites(database, runs, clear_cache=False)

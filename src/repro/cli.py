@@ -10,26 +10,25 @@ shell understands:
 * ``\\d`` — list tables and summary tables
 * ``\\timing`` — toggle per-query timing
 * ``\\noast`` — toggle summary-table rewriting off/on
-* ``\\stats`` — matching fast-path counters (index pruning, decision
-  cache hits/misses, navigations run); ``\\stats reset`` zeroes them
 * ``\\refresh`` — per-summary refresh mode and staleness;
   ``\\refresh drain`` applies every staged delta and waits;
   ``\\refresh NAME ...`` recomputes the named summaries now
-* ``\\trace on|off`` — ``SET TRACE SAMPLE 1 | OFF``: every statement's
-  spans, its ``db.rewrite`` span with the match trace;
-  ``\\trace last`` renders the newest match trace in the span ring
-* ``\\metrics`` — the unified metrics registry (rewrite, scheduler,
-  executor, phase timers); ``\\metrics json`` / ``\\metrics prom`` dump
-  machine-readable forms, ``\\metrics reset`` zeroes everything
-* ``\\slowlog`` — this database's recent ``query.slow`` events
-  (``SET SLOW QUERY <ms> | OFF`` adjusts the threshold)
-* ``\\governor`` — query-governor status: session limits (``SET QUERY
-  TIMEOUT <ms> | OFF``, ``SET QUERY MAXROWS <n> | OFF``, ``SET QUERY
-  MAXMEM <bytes> | OFF``), admission control, circuit-breaker state,
-  and this database's newest governor event in the event log
+* ``\\trace last`` — renders the newest match trace in the span ring
+  (``SET TRACE SAMPLE 1`` records one per statement, ``OFF`` stops)
+* ``\\metrics`` — the unified metrics registry (matching fast path,
+  scheduler, executor, governor, phase timers); ``\\metrics json`` /
+  ``\\metrics prom`` dump machine-readable forms, ``\\metrics reset``
+  zeroes everything
+* ``\\status`` — the state snapshot: governor limits (``SET QUERY
+  TIMEOUT|MAXROWS|MAXMEM``), admission and circuit breaker, memory,
+  refresh backlog, tracing, the slow-query threshold (``SET SLOW QUERY
+  <ms> | OFF``) and this database's newest events in the event log
 * ``\\connect HOST:PORT`` — switch to remote mode: subsequent SQL,
-  ``\\metrics``, and ``\\governor`` go to a ``repro serve`` server over
-  the wire protocol (docs/SERVER.md); ``\\disconnect`` switches back
+  ``\\metrics`` and ``\\status`` go to a ``repro serve`` server over
+  the wire protocol (docs/SERVER.md)
+* ``\\disconnect`` — switch back to the in-process database
+* ``\\save DIR`` / ``\\open DIR`` — save the database to a directory,
+  or load one (and run the recovery pass over it)
 * ``\\q`` — quit
 
 ``repro serve [--demo] [--host H] [--port P] ...`` runs the query
@@ -100,18 +99,12 @@ class Shell:
             state = "disabled" if not self.use_summary_tables else "enabled"
             self.write(f"summary-table rewriting {state}")
             return True
-        if name == "\\stats":
-            return self._handle_stats(parts)
         if name == "\\refresh":
             return self._handle_refresh(parts)
-        if name == "\\trace":
-            return self._handle_trace(parts)
+        if name == "\\trace" and parts[1:] == ["last"]:
+            return self._handle_trace_last()
         if name == "\\metrics":
             return self._handle_metrics(parts)
-        if name == "\\slowlog":
-            return self._handle_slowlog(parts)
-        if name == "\\governor":
-            return self._handle_governor(parts)
         if name == "\\status":
             return self._handle_status(parts)
         if name == "\\connect":
@@ -123,26 +116,12 @@ class Shell:
         if name == "\\open":
             return self._handle_open(parts)
         self.write(
-            f"unknown command {name} "
-            "(try \\d, \\timing, \\noast, \\stats, \\refresh, \\trace, "
-            "\\metrics, \\slowlog, \\governor, \\status, "
-            "\\connect HOST:PORT, \\disconnect, \\save DIR, \\open DIR, \\q)"
+            f"unknown command {command} "
+            "(try \\d, \\timing, \\noast, \\refresh, \\trace last, "
+            "\\metrics, \\status, \\connect HOST:PORT, \\disconnect, "
+            "\\save DIR, \\open DIR, \\q)"
         )
-        return True
-
-    def _handle_stats(self, parts: list[str]) -> bool:
-        if len(parts) == 2 and parts[1] == "reset":
-            self.database.reset_rewrite_stats()
-            self.write("rewrite stats reset")
-            return True
-        if len(parts) != 1:
-            self.write("usage: \\stats [reset]")
-            return True
-        stats = self.database.rewrite_stats()
-        width = max(len(name) for name in stats)
-        self.write("matching fast path:")
-        for name, value in stats.items():
-            self.write(f"  {name.replace('_', ' '):<{width}} {value}")
+        self.errors += 1
         return True
 
     def _handle_refresh(self, parts: list[str]) -> bool:
@@ -158,7 +137,7 @@ class Shell:
                 return True
             self.write(f"refreshed: {', '.join(parts[1:])}")
             return True
-        status = self.database.refresh_status()
+        status = self.database.status()["refresh"]["summaries"]
         if not status:
             self.write("(no summary tables)")
             return True
@@ -189,23 +168,16 @@ class Shell:
         )
         return True
 
-    def _handle_trace(self, parts: list[str]) -> bool:
-        if len(parts) == 2 and parts[1] in ("on", "off"):
-            _spans.set_sample_rate(1.0 if parts[1] == "on" else None)
-            self.write(f"match tracing is {parts[1]}")
-            return True
-        if len(parts) == 2 and parts[1] == "last":
-            tracer = _spans.TRACER
-            spans = tracer.buffer.snapshot() if tracer is not None else []
-            for span in reversed(spans):
-                if span["name"] == "db.rewrite" and "match_trace" in span["attrs"]:
-                    self.write(render_trace(
-                        span["attrs"]["match_trace"], f"trace {span['trace_id']}"
-                    ))
-                    return True
-            self.write("(no traces recorded; try \\trace on first)")
-            return True
-        self.write("usage: \\trace on|off|last")
+    def _handle_trace_last(self) -> bool:
+        tracer = _spans.TRACER
+        spans = tracer.buffer.snapshot() if tracer is not None else []
+        for span in reversed(spans):
+            if span["name"] == "db.rewrite" and "match_trace" in span["attrs"]:
+                self.write(render_trace(
+                    span["attrs"]["match_trace"], f"trace {span['trace_id']}"
+                ))
+                return True
+        self.write("(no traces recorded; try SET TRACE SAMPLE 1; first)")
         return True
 
     def _handle_metrics(self, parts: list[str]) -> bool:
@@ -267,85 +239,21 @@ class Shell:
                 value = f"{entry['value']:g}"
             self.write(f"  {name:<{width}} {value}")
 
-    def _handle_slowlog(self, parts: list[str]) -> bool:
-        if len(parts) != 1:
-            self.write("usage: \\slowlog")
-            return True
-        threshold = self.database.slow_query_ms
-        if threshold is None:
-            self.write("slow-query log is off (SET SLOW QUERY <ms> enables it)")
-        else:
-            self.write(f"slow-query threshold: {threshold:g} ms")
-        slow = [
-            entry for entry in self._own_events()
-            if entry["event"] == "query.slow"
-        ]
-        if not slow:
-            self.write("(no slow queries recorded)")
-            return True
-        for entry in slow:
-            sql = " ".join(entry["sql"].split())
-            if len(sql) > 60:
-                sql = sql[:57] + "..."
-            line = f"  {entry['ms']:>10.3f} ms  {sql}"
-            if "trace_id" in entry:
-                line += f"  [trace {entry['trace_id'][:8]}]"
-            self.write(line)
-        return True
-
-    def _own_events(self) -> list[dict]:
-        """The event log's entries for this shell's database."""
-        ident, entries = self.database.ident, _events.tail(_events.LOG.capacity)
-        return [entry for entry in entries if entry.get("database") == ident]
-
-    def _handle_governor(self, parts: list[str]) -> bool:
-        if len(parts) != 1:
-            self.write("usage: \\governor")
-            return True
-        if self.remote is not None:
-            try:
-                lines = self.remote.governor()
-            except ReproError as error:
-                self.write(f"error: {error}")
-                return True
-            self.write("query governor (remote):")
-            for line in lines:
-                self.write(f"  {line}")
-            return True
-        self.write("query governor:")
-        for line in self.database.governor.describe_lines():
-            self.write(f"  {line}")
-        for entry in reversed(self._own_events()):
-            if entry["event"] == "governor.degraded":
-                self.write(
-                    f"  last event: degraded to base tables: {entry['detail']}"
-                )
-                break
-            if entry["event"].startswith("breaker."):
-                self.write(
-                    f"  last event: {entry['event']} "
-                    f"(shape {entry['fingerprint']})"
-                )
-                break
-        return True
-
     def _handle_status(self, parts: list[str]) -> bool:
         if len(parts) != 1:
             self.write("usage: \\status")
             return True
-        if self.remote is not None:
-            try:
-                status = self.remote.status()
-            except ReproError as error:
-                self.write(f"error: {error}")
-                return True
-            self._render_status(status, remote=True)
+        # unconnected: the in-process subset of the server's ``status``
+        # op — no wire, no WAL, no result cache
+        try:
+            status = (
+                self.remote.status() if self.remote is not None
+                else {"role": "local", **self.database.status()}
+            )
+        except ReproError as error:
+            self.write(f"error: {error}")
             return True
-        # the in-process subset of the server's ``status`` op: no wire,
-        # no WAL, no result cache
-        self._render_status(
-            {"role": "local", **self.database.status()}, remote=False
-        )
+        self._render_status(status, remote=self.remote is not None)
         return True
 
     def _render_status(self, status: dict, remote: bool) -> None:
@@ -417,6 +325,8 @@ class Shell:
                 f"{memory.get('sheds', 0)} shed(s) freeing "
                 f"{memory.get('shed_bytes', 0)} byte(s)"
             )
+        # of the database's newest events: its slow queries, last governor one
+        events = status.get("events", [])
         governor = status.get("governor")
         if governor:
             admission = governor.get("admission", {})
@@ -426,8 +336,38 @@ class Shell:
                 f"{admission.get('waiting', 0)} queued; breaker "
                 f"{breaker.get('open', 0)} open / "
                 f"{breaker.get('half_open_due', 0)} half-open "
-                f"({breaker.get('tracked', 0)} tracked)"
+                f"({breaker.get('tracked', 0)} tracked; "
+                f"{breaker.get('threshold', '?')} timeouts open a shape for "
+                f"{breaker.get('cooldown_s', 0):g} s)"
             )
+            limits = governor.get("limits", {})
+            self.write(
+                f"    limits: timeout {_onoff(limits.get('timeout_ms'), ' ms')}"
+                f", maxrows {_onoff(limits.get('max_rows'))}"
+                f", maxmem {_onoff(limits.get('max_mem'), ' bytes')}"
+                f", match budget {_onoff(limits.get('match_budget'))}"
+            )
+            if admission.get("enabled"):
+                self.write(
+                    f"    admission: {admission['max_concurrent']} concurrent, "
+                    f"{admission['max_queue']} queued, "
+                    f"{admission['queue_timeout_ms']:g} ms queue wait"
+                )
+            else:
+                self.write("    admission: off (unbounded concurrency)")
+            for entry in reversed(events):
+                if entry["event"] == "governor.degraded":
+                    self.write(
+                        "    last event: degraded to base tables: "
+                        f"{entry['detail']}"
+                    )
+                    break
+                if entry["event"].startswith("breaker."):
+                    self.write(
+                        f"    last event: {entry['event']} "
+                        f"(shape {entry['fingerprint']})"
+                    )
+                    break
         refresh = status.get("refresh")
         if refresh:
             line = (
@@ -454,20 +394,32 @@ class Shell:
                 self.write(
                     "  tracing: off (SET TRACE SAMPLE <rate> enables it)"
                 )
+        if "slow_query_ms" in status:
+            threshold = status["slow_query_ms"]
+            self.write(
+                "  slow queries: not logged (SET SLOW QUERY <ms> enables it)"
+                if threshold is None
+                else f"  slow queries: over {threshold:g} ms logged"
+            )
+        for entry in events:
+            if entry["event"] == "query.slow":
+                sql = " ".join(entry["sql"].split())
+                if len(sql) > 60:
+                    sql = sql[:57] + "..."
+                line = f"    {entry['ms']:>10.3f} ms  {sql}"
+                if "trace_id" in entry:
+                    line += f"  [trace {entry['trace_id'][:8]}]"
+                self.write(line)
         latency = status.get("latency_ms")
         if latency:
             self.write("  latency (ms):")
             width = max(len(name) for name in latency)
             for name in sorted(latency):
-                entry = latency[name]
-                p50 = entry.get("p50")
-                p95 = entry.get("p95")
-                p99 = entry.get("p99")
+                entry = latency[name]  # a live histogram: quantiles set
                 self.write(
-                    f"    {name:<{width}} count={entry.get('count', 0)}"
-                    f" p50={p50:.3f} p95={p95:.3f} p99={p99:.3f}"
-                    if None not in (p50, p95, p99)
-                    else f"    {name:<{width}} count={entry.get('count', 0)}"
+                    f"    {name:<{width}} count={entry['count']} "
+                    f"p50={entry['p50']:.3f} p95={entry['p95']:.3f} "
+                    f"p99={entry['p99']:.3f}"
                 )
 
     def _handle_connect(self, parts: list[str]) -> bool:
@@ -496,7 +448,7 @@ class Shell:
             self.remote.close()
         self.remote = client
         self.write(
-            f"connected to {host}:{port} — SQL, \\metrics and \\governor "
+            f"connected to {host}:{port} — SQL, \\metrics and \\status "
             "now go to the server (\\disconnect to return)"
         )
         return True
@@ -624,6 +576,10 @@ class Shell:
                 buffer = []
                 if not self.handle_line(statement):
                     break
+
+
+def _onoff(value, unit: str = "") -> str:
+    return f"{value:g}{unit}" if value is not None else "off"
 
 
 def demo_database() -> Database:

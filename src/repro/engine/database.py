@@ -64,6 +64,9 @@ from repro.sql.parser import parse
 #: override per session with ``SET SLOW QUERY <ms>`` or ``SET SLOW QUERY OFF``)
 DEFAULT_SLOW_QUERY_MS = 100.0
 
+#: how many of a database's newest event-log entries ``status()`` carries
+STATUS_EVENTS = 32
+
 _IDENTS = itertools.count(1)  # Database.ident
 
 
@@ -781,14 +784,6 @@ class Database:
         )
         return stats
 
-    def reset_rewrite_stats(self) -> None:
-        for counter in (
-            *self._rewrite_counters.values(), *self._bind_cache.counters.values()
-        ):
-            counter.reset()
-        for name in ("refreshes_applied", "fallback_recomputes", "batches_applied"):
-            self.metrics.counter(f"scheduler_{name}").reset()
-
     def configure_fast_path(self, cache: bool) -> None:
         """Turn the shape cache on or off (for benchmarks and the
         cache-off reference twins in the tests): ``cache=False`` bounds
@@ -914,18 +909,24 @@ class Database:
                     targets.append(self.summary_tables[key])
             for summary in targets:
                 recompute(self, summary, "REFRESH requested")
-                summary.refresh.pending_deltas = 0
-                summary.refresh.last_refresh_lsn = self._delta_log.lsn
-                # A successful full refresh re-admits a quarantined
-                # summary: its contents are trustworthy again, and its
-                # failure history restarts from zero.
-                if summary.refresh.quarantined:
-                    summary.refresh.release_quarantine()
-                    self.emit("summary.readmit", summary=summary.name)
-                self._scheduler.reset_attempts(summary.name)
+                self.note_recomputed(summary)
             self._prune_delta_log()
             self._bump_rewrite_epoch()
             return targets
+
+    def note_recomputed(self, summary: "SummaryTable") -> None:
+        """A full recompute (REFRESH, or recovery's rebuild) made
+        ``summary`` current: it is fully fresh, a quarantined one is
+        re-admitted — its contents are trustworthy again — and its
+        failure history restarts from zero. Callers hold the
+        maintenance lock and prune the delta log after."""
+        state = summary.refresh
+        state.pending_deltas = 0
+        state.last_refresh_lsn = self._delta_log.lsn
+        if state.quarantined:
+            state.release_quarantine()
+            self.emit("summary.readmit", summary=summary.name)
+        self._scheduler.reset_attempts(summary.name)
 
     def set_summary_table_enabled(self, name: str, enabled: bool = True) -> None:
         """Toggle a summary table's availability for matching.
@@ -1204,34 +1205,16 @@ class Database:
         """
         self._scheduler.stop(cancel_inflight=force)
 
-    def refresh_status(self) -> list[dict]:
-        """Per-summary refresh mode and staleness, for the CLI and tests."""
-        status = []
-        for summary in self.summary_tables.values():
-            state = summary.refresh
-            entry = {
-                "name": summary.name,
-                "mode": state.mode,
-                "pending_deltas": state.pending_deltas,
-                "last_refresh_lsn": state.last_refresh_lsn,
-            }
-            if state.quarantined:
-                entry["quarantined"] = True
-                entry["quarantine_reason"] = state.quarantine_reason
-            reason = self._scheduler.last_fallbacks.get(summary.name)
-            if reason:
-                entry["last_fallback"] = reason
-            status.append(entry)
-        return status
-
     def status(self) -> dict:
         """The database half of the ``status`` op / ``\\status``: memory
-        broker, governor admission/breaker state, refresh backlog,
-        p50/p95/p99 of every live histogram, and request-tracing state.
+        broker, governor limits and admission/breaker state, refresh
+        backlog and per-summary staleness, p50/p95/p99 of every live
+        histogram, request-tracing state, the slow-query threshold and
+        this database's newest :data:`STATUS_EVENTS` event-log entries.
         The query server adds role, replication, WAL and result cache."""
         from repro.resources.broker import BROKER
 
-        scheduler = self._scheduler
+        scheduler, governor = self._scheduler, self.governor
         latency = {
             name: {key: metric[key] for key in ("count", "p50", "p95", "p99")}
             for name, metric in self.metrics.to_dict().items()
@@ -1245,11 +1228,37 @@ class Database:
                 spans=len(tracer.buffer),
                 dropped=tracer.buffer.dropped,
             )
+        summaries = []
+        for summary in self.summary_tables.values():
+            state = summary.refresh
+            entry = {
+                "name": summary.name,
+                "mode": state.mode,
+                "pending_deltas": state.pending_deltas,
+                "last_refresh_lsn": state.last_refresh_lsn,
+            }
+            if state.quarantined:
+                entry["quarantined"] = True
+                entry["quarantine_reason"] = state.quarantine_reason
+            reason = scheduler.last_fallbacks.get(summary.name)
+            if reason:
+                entry["last_fallback"] = reason
+            summaries.append(entry)
+        events = [
+            entry for entry in _events.tail(_events.LOG.capacity)
+            if entry.get("database") == self.ident
+        ]
         return {
             "memory": BROKER.snapshot(),
             "governor": {
-                "admission": self.governor.admission.snapshot(),
-                "breaker": self.governor.breaker.snapshot(),
+                "limits": {
+                    "timeout_ms": governor.timeout_ms,
+                    "max_rows": governor.max_rows,
+                    "max_mem": governor.max_mem,
+                    "match_budget": governor.match_budget,
+                },
+                "admission": governor.admission.snapshot(),
+                "breaker": governor.breaker.snapshot(),
             },
             "refresh": {
                 "queued": scheduler.queued,
@@ -1260,9 +1269,12 @@ class Database:
                 "recomputes": self.metrics.series(
                     "maintenance_recomputes", "summary"
                 ),
+                "summaries": summaries,
             },
             "latency_ms": latency,
             "tracing": tracing,
+            "slow_query_ms": self.slow_query_ms,
+            "events": events[-STATUS_EVENTS:],
         }
 
     def _prune_delta_log(self) -> None:

@@ -676,17 +676,15 @@ def verify_database(database: Database, repair: bool = True) -> RecoveryReport:
                 recompute(
                     database, summary, f"recovery rebuild: {'; '.join(reasons)}"
                 )
-                state.pending_deltas = 0
-                state.last_refresh_lsn = log.lsn
-                state.release_quarantine()
-                database._scheduler.reset_attempts(summary.name)
+                database.note_recomputed(summary)
                 report.rebuilt.append(
                     f"{summary.name} ({'; '.join(reasons)})"
                 )
             except Exception as error:
-                state.quarantine(
+                database.quarantine_summary(
+                    summary.name,
                     f"recovery rebuild failed: {error} "
-                    f"(after: {'; '.join(reasons)})"
+                    f"(after: {'; '.join(reasons)})",
                 )
                 report.quarantined.append(summary.name)
             changed = True

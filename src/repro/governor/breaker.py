@@ -121,7 +121,7 @@ class CircuitBreaker:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """State summary for ``\\governor`` and tests."""
+        """State summary for ``Database.status()`` and tests."""
         now = self._clock()
         with self._lock:
             open_count = 0

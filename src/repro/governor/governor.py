@@ -161,43 +161,3 @@ class QueryGovernor:
     def note_breaker_skip(self) -> None:
         if self.breaker_skips is not None:
             self.breaker_skips.inc()
-
-    # ------------------------------------------------------------------
-    def describe_lines(self) -> list[str]:
-        """Rendered by the CLI's ``\\governor`` command."""
-
-        def onoff(value, unit=""):
-            return f"{value:g}{unit}" if value is not None else "off"
-
-        admission = self.admission.snapshot()
-        breaker = self.breaker.snapshot()
-        lines = [
-            f"query timeout   {onoff(self.timeout_ms, ' ms')}",
-            f"query maxrows   {onoff(self.max_rows)}",
-            f"query maxmem    {onoff(self.max_mem, ' bytes')}",
-            f"match budget    {onoff(self.match_budget, ' pairings')}",
-        ]
-        if BROKER.limited:
-            snap = BROKER.snapshot()
-            lines.append(
-                f"memory broker   {snap['limit']} bytes process-wide "
-                f"({snap['reserved_bytes']} reserved, "
-                f"{snap['denials']} denial(s), {snap['sheds']} shed(s))"
-            )
-        if admission["enabled"]:
-            lines.append(
-                f"admission       {admission['max_concurrent']} concurrent, "
-                f"{admission['max_queue']} queued, "
-                f"{admission['queue_timeout_ms']:g} ms queue wait "
-                f"({admission['running']} running, "
-                f"{admission['waiting']} waiting)"
-            )
-        else:
-            lines.append("admission       off (unbounded concurrency)")
-        lines.append(
-            f"circuit breaker {breaker['threshold']} consecutive timeouts "
-            f"open for {breaker['cooldown_s']:g} s "
-            f"({breaker['tracked']} shape(s) tracked, "
-            f"{breaker['open']} open)"
-        )
-        return lines

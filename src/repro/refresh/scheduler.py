@@ -67,32 +67,21 @@ class _DeferRecompute(Exception):
 class RefreshScheduler:
     """Applies staged deltas to deferred summary tables off the ingest path.
 
-    ``queue_limit`` bounds the name queue — producers block (backpressure)
-    rather than growing it without bound, though deduplication keeps the
-    queue no longer than the number of deferred summaries in practice.
-    ``batch_window`` is how long the worker waits after waking before
-    sweeping the queue, so bursts of ingest coalesce into one refresh
-    pass; ``drain()`` skips the window. ``max_attempts`` is the total
-    number of times one summary's refresh may fail before quarantine;
-    ``retry_base_delay`` seeds the exponential backoff between tries.
-    ``error_limit`` caps the retained error ring buffer.
-    """
+    Its tuning is the class attributes below; tests shadow them on an
+    instance to speed up retries or widen the batching window."""
 
-    def __init__(
-        self,
-        database,
-        queue_limit: int = 1024,
-        batch_window: float = 0.005,
-        max_attempts: int = 4,
-        retry_base_delay: float = 0.02,
-        error_limit: int = 64,
-        registry=None,
-    ):
+    #: queued names at which producers block (backpressure); deduplication
+    #: keeps the queue to one entry per deferred summary in practice
+    queue_limit = 1024
+    #: seconds the worker waits after waking, so a burst of ingest
+    #: coalesces into one pass (``drain()`` skips the wait)
+    batch_window = 0.005
+    max_attempts = 4  # failed refreshes of one summary before quarantine
+    retry_base_delay = 0.02  # seconds before the first retry; doubles after
+    error_limit = 64  # newest worker errors kept in ``errors``
+
+    def __init__(self, database, registry):
         self._database = database
-        self.queue_limit = queue_limit
-        self.batch_window = batch_window
-        self.max_attempts = max_attempts
-        self.retry_base_delay = retry_base_delay
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
         #: name -> monotonic time its backoff expires
@@ -121,10 +110,6 @@ class RefreshScheduler:
         self._force_recompute: set[str] = set()
         # counters (monotonic; surfaced via Database.rewrite_stats() and,
         # through the shared registry, \metrics / Prometheus exposition)
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
         self._counters = {
             name: registry.counter(f"scheduler_{name}", help)
             for name, help in (
@@ -141,7 +126,7 @@ class RefreshScheduler:
         self.last_fallbacks: dict[str, str] = {}
         #: worker-side errors that survived the per-name guard — a ring
         #: buffer (newest kept) so persistent failures stay bounded
-        self.errors: deque[str] = deque(maxlen=error_limit)
+        self.errors: deque[str] = deque(maxlen=self.error_limit)
 
     # ------------------------------------------------------------------
     # Counters — registry-backed read-only properties (tests and

@@ -27,7 +27,7 @@ path", has the argument.
 
 :class:`RewriteStats` holds one rewrite's fast-path counts — what
 ``EXPLAIN`` renders; flushed into the metrics registry they become the
-totals behind ``Database.rewrite_stats()`` and the CLI's ``\\stats``.
+totals behind ``Database.rewrite_stats()`` and the CLI's ``\\metrics``.
 """
 
 from __future__ import annotations

@@ -359,14 +359,8 @@ class ReproClient:
         """The server's aggregated health view (the ``status`` op)."""
         return self.request("status")["status"]
 
-    def governor(self) -> list[str]:
-        return self.request("governor")["governor"]
-
     def ping(self) -> dict:
         return self.request("ping")
-
-    def repl_status(self) -> dict:
-        return self.request("repl.status")["replication"]
 
     def promote(self) -> dict:
         """Promote the standby this client is pointed at."""

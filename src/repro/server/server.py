@@ -443,13 +443,6 @@ class QueryServer:
                 )
             elif op == "metrics":
                 response = {"ok": True, "metrics": self.db.metrics.to_dict()}
-            elif op == "governor":
-                response = {
-                    "ok": True,
-                    "governor": self.db.governor.describe_lines(),
-                }
-            elif op == "repl.status":
-                response = {"ok": True, "replication": self.repl_status()}
             elif op == "repl.snapshot":
                 response = await self._run_blocking(self._snapshot_response)
             elif op == "repl.stream":
@@ -870,29 +863,6 @@ class QueryServer:
             return 0.0
         return max(0.0, time.time() - since)
 
-    def repl_status(self) -> dict:
-        wal = self.wal
-        status = {
-            "role": "standby" if self.read_only else "primary",
-            "read_only": self.read_only,
-            "applied_lsn": self.applied_lsn,
-            "lag": self.replication_lag(),
-            "lag_seconds": round(self.lag_seconds(), 3),
-            "dedup_window": len(self.dedup),
-        }
-        if self.primary:
-            status["primary"] = self.primary
-        if wal is not None:
-            status.update(
-                durable_lsn=wal.durable_lsn,
-                checkpoint_lsn=wal.checkpoint_lsn,
-                checkpoints=wal.checkpoints,
-                sync=wal.sync,
-            )
-        with self._subscriber_lock:
-            status["subscribers"] = len(self._subscribers)
-        return status
-
     # ------------------------------------------------------------------
     # cluster health surface (the `status` op / \status)
     def status(self) -> dict:
@@ -902,14 +872,34 @@ class QueryServer:
         p50/p95/p99 from every live histogram — the server's own half,
         on top of :meth:`Database.status`."""
         wal = self.wal
+        role = "standby" if self.read_only else "primary"
+        replication = {
+            "role": role,
+            "read_only": self.read_only,
+            "applied_lsn": self.applied_lsn,
+            "lag": self.replication_lag(),
+            "lag_seconds": round(self.lag_seconds(), 3),
+            "dedup_window": len(self.dedup),
+        }
+        if self.primary:
+            replication["primary"] = self.primary
+        if wal is not None:
+            replication.update(
+                durable_lsn=wal.durable_lsn,
+                checkpoint_lsn=wal.checkpoint_lsn,
+                checkpoints=wal.checkpoints,
+                sync=wal.sync,
+            )
+        with self._subscriber_lock:
+            replication["subscribers"] = len(self._subscribers)
         status: dict = {
-            "role": "standby" if self.read_only else "primary",
+            "role": role,
             "uptime_s": round(time.time() - self.started_at, 3),
             "connections": int(self.connections.value),
             "requests": self.requests.value,
             "errors": self.errors.value,
             "misses": {route: c.value for route, c in self.misses.items()},
-            "replication": self.repl_status(),
+            "replication": replication,
         }
         if self.address is not None:
             status["address"] = f"{self.address[0]}:{self.address[1]}"

@@ -109,6 +109,22 @@ class TestCliMain:
 
         assert main([str(script)]) == 0
 
+    def test_unknown_command_fails_the_script(self, tmp_path):
+        from repro.cli import main
+
+        script = tmp_path / "script.sql"
+        script.write_text("\\nosuch\n")
+        assert main([str(script)]) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["\\governor", "\\stats", "\\slowlog", "\\trace on"]
+    )
+    def test_deleted_commands_are_unknown(self, command):
+        shell = Shell(out=io.StringIO())
+        shell.handle_line(command)
+        assert f"unknown command {command} " in shell.out.getvalue()
+        assert shell.errors == 1
+
 
 class TestRefreshCommand:
     SETUP = (
@@ -194,9 +210,9 @@ class TestStatusCommand:
 
 class TestDiagnostics:
     def test_trace_and_slowlog_script(self, tiny_db):
-        """``\\trace on`` samples every statement, ``\\trace last`` renders
-        the match trace its ``db.rewrite`` span carries, and ``\\slowlog``
-        lists the event log's ``query.slow`` entries."""
+        """``SET TRACE SAMPLE 1`` samples every statement, ``\\trace last``
+        renders the match trace its ``db.rewrite`` span carries, and
+        ``\\status`` lists the event log's ``query.slow`` entries."""
         from repro.obs import events, spans
 
         tiny_db.create_summary_table(
@@ -208,20 +224,20 @@ class TestDiagnostics:
         spans.uninstall()
         try:
             output = run_shell(
-                "\\trace on\n"
+                "set trace sample 1;\n"
                 "select faid, count(*) as n from Trans group by faid;\n"
                 "\\trace last\n"
-                "\\trace off\n"
+                "set trace sample off;\n"
                 "set slow query 0;\n"
                 "select flid, count(*) as n from Trans group by flid;\n"
-                "\\slowlog\n",
+                "\\status\n",
                 tiny_db,
             )
             assert spans.TRACER is None
         finally:
             spans.uninstall()
-        traced = output.split("match tracing is on\n")[1].split(
-            "match tracing is off"
+        traced = output.split("trace sample rate set to 1\n")[1].split(
+            "request tracing disabled"
         )[0]
         query = "select faid, count(*) as n from Trans group by faid"
         assert f"\n  query: {query}\n" in traced
@@ -232,5 +248,5 @@ class TestDiagnostics:
         )
         assert "\n    - Select(Sel-3Q) vs Select(Sel-3A): matched 4.2.4" in traced
         slowlog = output.split("slow query threshold set to 0 ms\n")[1]
-        assert "slow-query threshold: 0 ms" in slowlog
-        assert "select flid, count(*) as n from Trans group by flid" in slowlog
+        assert "slow queries: over 0 ms logged" in slowlog
+        assert " ms  select flid, count(*) as n from Trans group by flid" in slowlog

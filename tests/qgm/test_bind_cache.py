@@ -538,7 +538,7 @@ def test_counters_and_explain_analyze_say_how_it_was_bound():
     out = db.explain_analyze(ONE.format(v=4))
     [bind_row] = [line for line in out.splitlines() if "bind" in line]
     assert bind_row.endswith("(substituted)")
-    db.reset_rewrite_stats()
+    db.metrics.reset()
     assert db.rewrite_stats()["bind_cache_hits"] == 0
 
 

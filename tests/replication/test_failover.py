@@ -221,7 +221,7 @@ class TestStandby:
                     "SELECT aid FROM Acct WHERE aid >= 500"
                 ).table
                 assert len(table.rows) == 6
-                status = reader.repl_status()
+                status = reader.status()["replication"]
                 assert status["role"] == "standby"
                 assert status["lag"] == 0
                 with pytest.raises(ReadOnlyError, match="read-only standby"):
@@ -395,7 +395,7 @@ class TestFailover:
             # the promoted server keeps journaling: it can itself crash
             # and recover every row it acknowledged
             with ReproClient(*sb_addr) as client:
-                status = client.repl_status()
+                status = client.status()["replication"]
                 assert status["role"] == "primary"
         finally:
             standby.stop()

@@ -59,7 +59,7 @@ class TestInvalidation:
     def prime(self, db):
         db.create_summary_table("AST1", AST1)
         assert db.rewrite(Q1) is not None
-        db.reset_rewrite_stats()
+        db.metrics.reset()
 
     def test_create_invalidates(self, tiny_db):
         self.prime(tiny_db)

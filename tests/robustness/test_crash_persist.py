@@ -15,6 +15,7 @@ from repro.engine.persist import (
 )
 from repro.engine.table import tables_equal
 from repro.errors import ReproError
+from repro.obs import events
 from repro.testing import INJECTOR, InjectedFault
 
 SUMMARY_SQL = "select faid, count(*) as cnt, sum(qty) as sqty from Trans group by faid"
@@ -319,5 +320,53 @@ class TestVerifyDatabase:
         assert tables_equal(
             result, loaded.execute(SUMMARY_SQL, use_summary_tables=False)
         )
+        loaded.close()
+        tiny_db.close()
+
+
+class TestRecoveryEvents:
+    """Recovery quarantines and re-admits through the database's own
+    paths, so it emits what the scheduler and REFRESH emit."""
+
+    @staticmethod
+    def truncated(database, tmp_path):
+        target = save_database(database, tmp_path / "db")
+        text = (target / "S1.jsonl").read_text()
+        (target / "S1.jsonl").write_text(text[: len(text) - 7])
+        return load_database(target)
+
+    @staticmethod
+    def own(database, event):
+        return [
+            entry for entry in events.tail(events.LOG.capacity)
+            if entry["event"] == event and entry.get("database") == database.ident
+        ]
+
+    def test_failed_rebuild_emits_quarantine(self, tiny_db, tmp_path, monkeypatch):
+        tiny_db.create_summary_table("S1", SUMMARY_SQL)
+        loaded = self.truncated(tiny_db, tmp_path)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("exec broken")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.asts.maintenance.Executor", broken)
+            assert verify_database(loaded).quarantined == ["S1"]
+        (entry,) = self.own(loaded, "summary.quarantine")
+        assert entry["summary"] == "S1"
+        assert entry["reason"].startswith("recovery rebuild failed: exec broken")
+        loaded.close()
+        tiny_db.close()
+
+    def test_rebuilt_quarantined_summary_emits_readmit(self, tiny_db, tmp_path):
+        tiny_db.create_summary_table("S1", SUMMARY_SQL)
+        tiny_db.quarantine_summary("S1", "poisoned")
+        loaded = self.truncated(tiny_db, tmp_path)
+        assert loaded.summary_tables["s1"].refresh.quarantined
+        assert verify_database(loaded).rebuilt
+        assert not loaded.summary_tables["s1"].refresh.quarantined
+        (entry,) = self.own(loaded, "summary.readmit")
+        assert entry["summary"] == "S1"
+        assert not self.own(tiny_db, "summary.readmit")
         loaded.close()
         tiny_db.close()

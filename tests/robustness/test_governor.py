@@ -297,25 +297,25 @@ def test_governor_cli_command():
     out = io.StringIO()
     shell = Shell(database=db, out=out)
     shell.handle_line("SET QUERY TIMEOUT 750;")
-    shell.handle_line("\\governor")
+    shell.handle_line("\\status")
     text = out.getvalue()
-    assert "query governor:" in text
-    assert "query timeout   750 ms" in text
-    assert "circuit breaker" in text
-    assert "admission       off" in text
+    assert "limits: timeout 750 ms, maxrows off, maxmem off" in text
+    assert "breaker 0 open" in text
+    assert "admission: off" in text
+    assert "last event" not in text
     # the newest degradation in the event log is the last event
     install_asts(db)
     db.governor.match_budget = 1
     db.execute(QUERIES["q1_pricing"])
-    shell.handle_line("\\governor")
+    shell.handle_line("\\status")
     assert "last event: degraded to base tables" in out.getvalue()
     db.close()
 
 
 def test_a_shell_shows_its_own_databases_events():
     """Two databases in one process share the event log; each shell's
-    ``\\slowlog`` and ``\\governor`` show only their own database's
-    ``query.slow`` and ``breaker.*`` entries."""
+    ``\\status`` shows only its own database's ``query.slow`` and
+    ``breaker.*`` entries."""
     noisy, quiet = build_tpcd_db(orders=50), build_tpcd_db(orders=50)
     noisy.slow_query_ms = 0
     noisy.execute(QUERIES["q1_pricing"])
@@ -331,12 +331,11 @@ def test_a_shell_shows_its_own_databases_events():
     for db in (noisy, quiet):
         out = io.StringIO()
         shell = Shell(database=db, out=out)
-        shell.handle_line("\\slowlog")
-        shell.handle_line("\\governor")
+        shell.handle_line("\\status")
         shown[db.ident] = out.getvalue()
-    assert "select returnflag, linestatus" in shown[noisy.ident]
+    assert " ms  select returnflag, linestatus" in shown[noisy.ident]
     assert "last event: breaker.open (shape noisy shape)" in shown[noisy.ident]
-    assert "(no slow queries recorded)" in shown[quiet.ident]
+    assert " ms  select" not in shown[quiet.ident]
     assert "last event" not in shown[quiet.ident]
     noisy.close()
     quiet.close()

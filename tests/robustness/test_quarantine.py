@@ -142,7 +142,7 @@ class TestQuarantine:
         with INJECTOR.injected("scheduler.apply", every=1):
             fast_db.insert_rows("Trans", NEW_ROWS)
             fast_db.drain_refresh()
-        (entry,) = fast_db.refresh_status()
+        (entry,) = fast_db.status()["refresh"]["summaries"]
         assert entry["quarantined"] is True
         assert "refresh failed" in entry["quarantine_reason"]
 

@@ -270,8 +270,9 @@ class TestGovernorOverTheWire:
             assert metrics["cache.misses"]["value"] >= 1
             assert metrics["server.requests"]["value"] >= 2
             assert metrics["server.connections"]["value"] >= 1
-            lines = client.governor()
-            assert any("admission" in line for line in lines)
+            governor = client.status()["governor"]
+            assert governor["admission"]["enabled"] is False
+            assert governor["limits"]["timeout_ms"] is None
 
     def test_explain_sees_session_tolerance(self, served, hold_refresh):
         db = fresh_small_db()
