@@ -31,6 +31,9 @@ shell understands:
   or load one (and run the recovery pass over it)
 * ``\\q`` — quit
 
+A command that fails — unknown, misused or refused — counts like a
+failed statement: a script holding one exits 1.
+
 ``repro serve [--demo] [--host H] [--port P] ...`` runs the query
 server instead of the shell; see ``repro serve --help``.
 
@@ -71,6 +74,12 @@ class Shell:
     # ------------------------------------------------------------------
     def write(self, text: str = "") -> None:
         print(text, file=self.out)
+
+    def fail(self, text: str) -> bool:
+        """Print ``text`` and count a failed command (a script exits 1)."""
+        self.write(text)
+        self.errors += 1
+        return True
 
     def handle_line(self, line: str) -> bool:
         """Process one complete input (a backslash command or
@@ -115,14 +124,12 @@ class Shell:
             return self._handle_save(parts)
         if name == "\\open":
             return self._handle_open(parts)
-        self.write(
+        return self.fail(
             f"unknown command {command} "
             "(try \\d, \\timing, \\noast, \\refresh, \\trace last, "
             "\\metrics, \\status, \\connect HOST:PORT, \\disconnect, "
             "\\save DIR, \\open DIR, \\q)"
         )
-        self.errors += 1
-        return True
 
     def _handle_refresh(self, parts: list[str]) -> bool:
         if len(parts) >= 2 and parts[1] == "drain":
@@ -133,8 +140,7 @@ class Shell:
             try:
                 self.database.refresh_summary_tables(parts[1:])
             except ReproError as error:
-                self.write(f"error: {error}")
-                return True
+                return self.fail(f"error: {error}")
             self.write(f"refreshed: {', '.join(parts[1:])}")
             return True
         status = self.database.status()["refresh"]["summaries"]
@@ -195,27 +201,25 @@ class Shell:
             self.write(metrics.to_prometheus().rstrip("\n"))
             return True
         if len(parts) != 1:
-            self.write("usage: \\metrics [json|prom|reset]")
-            return True
+            return self.fail("usage: \\metrics [json|prom|reset]")
         dump = metrics.to_dict()
         self._render_metrics(dump)
         return True
 
     def _handle_remote_metrics(self, parts: list[str]) -> bool:
-        if len(parts) == 2 and parts[1] == "json":
-            import json
-
-            self.write(json.dumps(self.remote.metrics(), indent=2, sort_keys=True))
-            return True
-        if len(parts) != 1:
-            self.write("usage (remote): \\metrics [json]")
-            return True
+        json_dump = parts[1:] == ["json"]
+        if len(parts) != 1 and not json_dump:
+            return self.fail("usage (remote): \\metrics [json]")
         try:
             dump = self.remote.metrics()
         except ReproError as error:
-            self.write(f"error: {error}")
-            return True
-        self._render_metrics(dump)
+            return self.fail(f"error: {error}")
+        if json_dump:
+            import json
+
+            self.write(json.dumps(dump, indent=2, sort_keys=True))
+        else:
+            self._render_metrics(dump)
         return True
 
     def _render_metrics(self, dump: dict) -> None:
@@ -241,8 +245,7 @@ class Shell:
 
     def _handle_status(self, parts: list[str]) -> bool:
         if len(parts) != 1:
-            self.write("usage: \\status")
-            return True
+            return self.fail("usage: \\status")
         # unconnected: the in-process subset of the server's ``status``
         # op — no wire, no WAL, no result cache
         try:
@@ -251,8 +254,7 @@ class Shell:
                 else {"role": "local", **self.database.status()}
             )
         except ReproError as error:
-            self.write(f"error: {error}")
-            return True
+            return self.fail(f"error: {error}")
         self._render_status(status, remote=self.remote is not None)
         return True
 
@@ -424,8 +426,7 @@ class Shell:
 
     def _handle_connect(self, parts: list[str]) -> bool:
         if len(parts) != 2:
-            self.write("usage: \\connect HOST:PORT (or just PORT)")
-            return True
+            return self.fail("usage: \\connect HOST:PORT (or just PORT)")
         from repro.server.client import ReproClient
 
         target = parts[1]
@@ -434,16 +435,12 @@ class Shell:
         try:
             port = int(port_text)
         except ValueError:
-            self.write(f"error: bad port in {target!r}")
-            self.errors += 1
-            return True
+            return self.fail(f"error: bad port in {target!r}")
         try:
             client = ReproClient(host, port)
             client.ping()
         except (OSError, ReproError) as error:
-            self.write(f"error: cannot connect to {host}:{port}: {error}")
-            self.errors += 1
-            return True
+            return self.fail(f"error: cannot connect to {host}:{port}: {error}")
         if self.remote is not None:
             self.remote.close()
         self.remote = client
@@ -464,29 +461,25 @@ class Shell:
 
     def _handle_save(self, parts: list[str]) -> bool:
         if len(parts) != 2:
-            self.write("usage: \\save DIRECTORY")
-            return True
+            return self.fail("usage: \\save DIRECTORY")
         from repro.engine.persist import save_database
 
         try:
             target = save_database(self.database, parts[1])
-        except ReproError as error:
-            self.write(f"error: {error}")
-            return True
+        except (OSError, ReproError) as error:
+            return self.fail(f"error: {error}")
         self.write(f"saved to {target}")
         return True
 
     def _handle_open(self, parts: list[str]) -> bool:
         if len(parts) != 2:
-            self.write("usage: \\open DIRECTORY")
-            return True
+            return self.fail("usage: \\open DIRECTORY")
         from repro.engine.persist import load_database, verify_database
 
         try:
             self.database = load_database(parts[1])
-        except ReproError as error:
-            self.write(f"error: {error}")
-            return True
+        except (OSError, ReproError) as error:
+            return self.fail(f"error: {error}")
         self.write(f"opened {parts[1]}")
         # Startup recovery pass: repair or quarantine anything the crash
         # left inconsistent, and tell the user what happened.
@@ -539,8 +532,7 @@ class Shell:
                         sql, use_summary_tables=self.use_summary_tables
                     )
         except ReproError as error:
-            self.write(f"error: {error}")
-            self.errors += 1
+            self.fail(f"error: {error}")
             return
         elapsed = time.perf_counter() - start
         if isinstance(result, Table):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import contextmanager
 from typing import Iterable
 
 from repro.catalog.schema import Catalog, Column, TableSchema
@@ -275,6 +276,55 @@ class Database:
         (:class:`~repro.errors.QueryRejected`) before any work happens,
         and the governor scope — when any limit or ``token`` is set —
         stays active across bind, match, and execute."""
+        with self._governed(token, timeout_ms, max_rows, max_mem) as budget:
+            run = self._run_stages(
+                source, sql_text, use_summary_tables, tolerance,
+                client, force_trace, wait, lexed,
+            )
+        run.budget = budget
+        return run
+
+    def rerun(
+        self, plan, sql_text: str, *, use_summary_tables: bool = True,
+        tolerance=None, token=None, timeout_ms=UNSET, max_rows=UNSET,
+        max_mem=UNSET, client: str | None = None, wait: bool = True,
+    ) -> Table | None:
+        """Execute ``plan`` — :meth:`SelectRun.plan` of an earlier run of
+        the SELECT text ``sql_text`` — again: no lex, no bind, no rewrite
+        decision. The keywords are :meth:`run_select`'s but ``lexed`` and
+        ``force_trace``, and so are the admission, the governor scope,
+        the pins, the execute and total timers and the slow-query event. Returns None, having run
+        nothing, when the plan no longer holds: it was bound against
+        another catalog (a standby re-bootstrapped under the request) or
+        epoch, the summaries admissible under ``tolerance`` are not the
+        ones it was decided under, or the statement is sampled for
+        tracing (its ``db.rewrite`` span needs a match trace). The
+        plan's summaries are looked up by name on every run, never kept."""
+        sampled = _spans.TRACER is not None and _spans.active() is not None
+        if sampled or plan.epoch != self._rewrite_epoch or (
+            plan.graph.catalog is not self.catalog
+        ) or plan.admissible != self._admissible(use_summary_tables, tolerance):
+            return None
+        try:
+            overlay = {
+                name: self.summary_tables[name].table for name in plan.summaries
+            }
+        except KeyError:  # dropped since the epoch was read
+            return None
+        with self._governed(token, timeout_ms, max_rows, max_mem):
+            started = time.perf_counter()
+            table = self._execute(plan.graph, overlay, wait, clone=True)[0]
+            self.metrics.observe_ms("phase_execute_ms", started)
+            _spans.record("db.execute", started)
+            total = self.metrics.observe_ms("query_total_ms", started)
+            self._note_slow_query(sql_text, total, client=client)
+        return table
+
+    @contextmanager
+    def _governed(self, token, timeout_ms, max_rows, max_mem):
+        """Admission, then the query's governor scope (None: disarmed)
+        active across the body; its reserved bytes go back to the broker
+        however the body ends."""
         admit_pc = time.perf_counter()
         with self.governor.admission.admit():
             _spans.record("admission.wait", admit_pc)
@@ -284,17 +334,22 @@ class Database:
             )
             try:
                 with governor_scope.activate(budget):
-                    run = self._run_stages(
-                        source, sql_text, use_summary_tables, tolerance,
-                        client, force_trace, wait, lexed,
-                    )
+                    yield budget
             finally:
-                # Return the query's reserved bytes to the broker even
-                # when it failed or was cancelled mid-operator.
                 if budget is not None and budget.reservation is not None:
                     budget.reservation.close()
-        run.budget = budget
-        return run
+
+    def _admissible(self, use_summary_tables: bool, tolerance) -> frozenset | None:
+        """The names of the summaries a rewrite decision would be offered
+        now (:attr:`SelectRun.admissible`); None: no rewrite stage."""
+        from repro.rewrite.index import filter_fresh
+
+        if not (use_summary_tables and self.summary_tables):
+            return None
+        return frozenset(s.name.lower() for s in filter_fresh(
+            self.enabled_summary_tables(), tolerance or self.refresh_age,
+            self._delta_log,
+        ))
 
     def _run_stages(
         self, source, sql_text, use_summary_tables: bool, tolerance,
@@ -332,9 +387,9 @@ class Database:
                     )
         started = time.perf_counter()
         # an untouched template clone: a plan's, or not cloned yet
-        clone = run.planned or "graph" not in vars(run)
+        run.clone = run.planned or "graph" not in vars(run)
         run.table, run.executor_stats = self._execute(
-            run.graph, run.overlay, wait, clone
+            run.graph, run.overlay, wait, run.clone
         )
         run.phases["execute"] = metrics.observe_ms("phase_execute_ms", started)
         _spans.record("db.execute", started)
@@ -668,7 +723,7 @@ class Database:
             stats=stats, trace=trace,
         )
         named = {s.name.lower(): s for s in summaries}
-        admissible = frozenset(named)
+        admissible = run.admissible = frozenset(named)
         found = key = entry = changed = None
         if shape is not None:
             # taken *before* rewrite_query mutates the graph in place
@@ -715,6 +770,7 @@ class Database:
             budget.fingerprint = run.spelling
         if breaker.active and breaker.should_skip(run.spelling):
             self.governor.note_breaker_skip()
+            run.admissible = None  # no decision a rerun may stand on
             if trace is not None:
                 for summary in summaries:
                     trace.verdict(

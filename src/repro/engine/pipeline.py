@@ -18,12 +18,26 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.engine.table import Table
 from repro.expr.nodes import Literal
 from repro.obs import spans as _spans
 from repro.qgm.boxes import QueryGraph
 from repro.qgm.fingerprint import fingerprint, literal_slots
+
+
+class KeptPlan(NamedTuple):
+    """A SELECT's executable plan, kept to run its text again: the graph
+    after the rewrite stage (an untouched template clone, which nothing
+    mutates), the names of the summaries it reads — never their tables —
+    and the :attr:`SelectRun.admissible` set and catalog epoch it was
+    decided under."""
+
+    graph: QueryGraph
+    summaries: tuple[str, ...]
+    admissible: frozenset | None
+    epoch: int
 
 
 @dataclass
@@ -87,6 +101,12 @@ class SelectRun:
     values: list | None = None
     #: a plan template served the rewrite (one clone, no instantiation)
     planned: bool = False
+    #: the names of the summaries the rewrite decision was offered (None:
+    #: no decision — no rewrite stage, or the circuit breaker skipped it)
+    admissible: frozenset | None = None
+    #: the executed graph was an untouched template clone: it ran its
+    #: template's memoised programs, and :meth:`plan` may keep it
+    clone: bool = False
 
     def __post_init__(self, bound_graph: QueryGraph | None) -> None:
         if bound_graph is not None:
@@ -123,6 +143,16 @@ class SelectRun:
         graph = (self.template or self).graph
         key = tuple(map(Literal, kept + holes))
         return skeleton, key, tuple(graph.order_by), graph.limit
+
+    def plan(self) -> KeptPlan | None:
+        """What a later run of the same text may execute instead
+        (:meth:`Database.rerun`), or None: the run executed a graph of
+        its own, or its rewrite failed or was degraded."""
+        if not self.clone or self.rewrite_error or self.degraded:
+            return None
+        return KeptPlan(
+            self.graph, tuple(self.overlay or ()), self.admissible, self.epoch
+        )
 
     @property
     def overlay(self) -> dict[str, Table] | None:

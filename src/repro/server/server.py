@@ -23,8 +23,11 @@ Request routing (see :mod:`repro.server.protocol` for the wire format):
   cache binds a known shape by substitution). On a miss the statement runs
   through ``Database.run_select`` with the session's knobs
   (``Session.overrides``) passed as per-query overrides (never
-  mutating shared state); the result is encoded once and cached, table
-  and bytes, with a pre-execution change-count snapshot.
+  mutating shared state) — or, for a text missed twice before, through
+  ``Database.rerun`` of the plan the memo kept (no lex, no bind, no
+  rewrite decision; see :class:`_PreparedSelect`); the result is encoded
+  once and cached, table and bytes, with a pre-execution change-count
+  snapshot.
 * session-scoped SET — recorded on the connection's
   :class:`~repro.server.session.Session` only; ``SET SLOW QUERY`` and
   ``SET TRACE SAMPLE`` apply process-wide, on any server.
@@ -117,8 +120,13 @@ INLINE_MISS_CPU_MS = 40.0
 
 class _PreparedSelect(NamedTuple):
     """What the server remembers about one SELECT text: enough to probe
-    the result cache without parsing. No parse tree — trees are mutable
-    and whatever executes needs a private one."""
+    the result cache without parsing, and, from the text's second miss
+    on, its kept plans — one per variant ``(use_summary_tables,
+    tolerance.key)``, each a :class:`~repro.engine.pipeline.KeptPlan`
+    that ``Database.rerun`` executes with no lex, bind or rewrite
+    decision while the catalog epoch and the admissible summaries are
+    the ones it was decided under. An ad hoc text, never missed twice,
+    keeps none."""
 
     result_key: tuple
     base_tables: list[str]
@@ -126,13 +134,15 @@ class _PreparedSelect(NamedTuple):
     epoch: int
     #: the bind cache's shape key of the text
     spelling: tuple | None
+    plans: dict
 
 
 class _Miss:
     """A SELECT the result cache missed, as far as the loop took it: its
     shape key (None when only a parse found it a SELECT), its lex, and
-    its cache key and base tables once prepared — so the side that runs
-    it neither lexes nor probes again."""
+    once prepared its cache key, base tables and the memo entry's kept
+    plans (None: the text's first sight) — so the side that runs it
+    neither lexes nor probes again."""
 
     __slots__ = ("spelling", "lexed", "probed")
 
@@ -248,6 +258,9 @@ class QueryServer:
                 f"server.misses_{route}", f"SELECT misses executed on the {route}"
             ) for route in ("loop", "pool")
         }
+        self.plan_reruns = metrics.counter(
+            "server.plan_reruns", "SELECT misses answered by a kept plan"
+        )
         self.request_ms = metrics.histogram(
             "server.request_ms", "Wall-clock per request, milliseconds"
         )
@@ -533,7 +546,10 @@ class QueryServer:
             reply = self._serve_cached(session, key, tolerance)
             if reply is not None:
                 return reply, None
-            miss = _Miss(prepared.spelling, probed=(key, prepared.base_tables))
+            miss = _Miss(
+                prepared.spelling,
+                probed=(key, prepared.base_tables, prepared.plans),
+            )
         elif _SELECT.match(sql):
             session.queries += 1
             lexed = lex(sql, "Q")
@@ -596,7 +612,7 @@ class QueryServer:
         nobody)."""
         run = self.db.prepare_select(sql, sql, lexed=lexed)
         prepared = _PreparedSelect(
-            run.result_key(), run.base_tables, run.epoch, run.spelling
+            run.result_key(), run.base_tables, run.epoch, run.spelling, {}
         )
         self._prepared.put(sql, prepared)
         return prepared, run
@@ -656,16 +672,20 @@ class QueryServer:
     def _answer_select(self, session: Session, sql: str, request: dict,
                         miss: _Miss, route: str = "pool") -> dict:
         """Answer one SELECT text ``sql`` the cache probe did not, on the
-        ``route`` side, from what the loop took of it (``miss``). The
-        thread CPU of the whole miss is its shape's cost; a miss that
-        fails costs more than any bound, so the next one takes the pool."""
+        ``route`` side, from what the loop took of it (``miss``): by the
+        text's kept plan when it holds, else through ``run_select``,
+        whose plan a known text keeps. The thread CPU of the whole miss
+        is its shape's cost; a miss that fails costs more than any
+        bound, so the next one takes the pool."""
         cpu = time.thread_time()
         db = self.db
         epoch = db.rewrite_epoch
-        overrides = session.overrides(db)
-        tolerance = overrides["tolerance"]
         use_summaries = bool(request.get("use_summary_tables", True))
-        source = sql
+        options = dict(session.overrides(db), use_summary_tables=use_summaries,
+                       wait=route == "pool")
+        tolerance = options["tolerance"]
+        variant = (use_summaries, tolerance.key)
+        source, plans = sql, None
         caching = self.cache.max_entries > 0
         if caching:
             if miss.probed is None:
@@ -676,20 +696,23 @@ class QueryServer:
                 reply = self._serve_cached(session, key, tolerance)
                 if reply is not None:
                     return reply
-                miss.probed = key, prepared.base_tables
-            key, base_tables = miss.probed
+                miss.probed = key, prepared.base_tables, None
+            key, base_tables, plans = miss.probed
             # Snapshot BEFORE execution: a write landing mid-query makes
             # the entry look staler than it is — the safe direction.
             snapshot = db.delta_log.change_counts(base_tables)
-        elif miss.lexed is not None:
-            source = db.prepare_select(sql, sql, lexed=miss.lexed)
         ms = math.inf
         try:
             self._check_replica_lag(tolerance)
-            table = db.run_select(
-                source, sql, use_summary_tables=use_summaries,
-                wait=route == "pool", **overrides,
-            ).table
+            plan = plans.get(variant) if plans else None
+            table = plan and db.rerun(plan, sql, **options)
+            if table is None:
+                run = db.run_select(source, sql, lexed=miss.lexed, **options)
+                table = run.table
+                if plans is not None:
+                    plans[variant] = run.plan()
+            else:
+                self.plan_reruns.inc()
             self.misses[route].inc()
             payload = protocol.encode_table_fragment(table)
             if caching:
@@ -698,7 +721,6 @@ class QueryServer:
                 )
             ms = (time.thread_time() - cpu) * 1e3
         finally:
-            variant = (use_summaries, tolerance.key)
             db.note_shape_cost(miss.spelling, epoch, variant, ms)
         label = "miss" if caching else "bypass"
         return {"ok": True, "cache": label, "_table": payload}

@@ -116,6 +116,46 @@ class TestCliMain:
         script.write_text("\\nosuch\n")
         assert main([str(script)]) == 1
 
+    def test_a_failed_refresh_fails_the_script(self, tmp_path):
+        from repro.cli import main
+
+        script = tmp_path / "script.sql"
+        script.write_text("\\refresh nope\n")
+        assert main([str(script)]) == 1
+
+    @pytest.mark.parametrize("command", [
+        "\\refresh nope", "\\metrics nope", "\\status nope", "\\connect",
+        "\\save", "\\open", "\\open /nonexistent/saved-db",
+    ])
+    def test_every_failed_command_counts(self, command):
+        shell = Shell(out=io.StringIO())
+        shell.handle_line(command)
+        assert shell.out.getvalue().startswith(("error: ", "usage: "))
+        assert shell.errors == 1
+
+    def test_failed_save_counts(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        shell = Shell(out=io.StringIO())
+        shell.handle_line(f"\\save {blocker}/db")
+        assert shell.out.getvalue().startswith("error: ")
+        assert shell.errors == 1
+
+    def test_metrics_of_a_server_that_went_away(self):
+        from repro.server.server import QueryServer
+
+        server = QueryServer(Database())
+        host, port = server.start_in_thread()
+        shell = Shell(out=io.StringIO())
+        shell.handle_line(f"\\connect {host}:{port}")
+        server.stop()
+        for command in ("\\metrics json", "\\metrics"):
+            assert shell.handle_line(command)  # the shell goes on
+        lines = shell.out.getvalue().splitlines()
+        assert lines[1] == "error: server closed the connection"
+        assert lines[2].startswith("error: cannot reach any server")
+        assert shell.errors == 2
+
     @pytest.mark.parametrize(
         "command", ["\\governor", "\\stats", "\\slowlog", "\\trace on"]
     )
